@@ -46,6 +46,7 @@ __all__ = [
     "available_backends",
     "backend_name",
     "get_backend",
+    "reset_backend",
     "set_backend",
     "to_numpy",
     "use_backend",
@@ -238,6 +239,11 @@ _FACTORIES: Dict[str, Callable[[], Backend]] = {
 _lock = threading.RLock()
 _instances: Dict[str, Backend] = {}
 _active: Optional[str] = None  # explicit selection; None -> env/default
+# What the selection resolved to.  ``xp.<attr>`` is evaluated thousands of
+# times per placer iteration, so the precedence rules (and the environment
+# read) run once, not per access; every way of changing the selection
+# below clears it.
+_resolved: Optional[Backend] = None
 
 
 def _instantiate(name: str) -> Backend:
@@ -262,22 +268,45 @@ def _instantiate(name: str) -> Backend:
 
 
 def get_backend() -> Backend:
-    """The active backend (explicit > ``REPRO_BACKEND`` > numpy)."""
-    name = _active or os.environ.get(BACKEND_ENV, "").strip() or "numpy"
-    return _instantiate(name)
+    """The active backend (explicit > ``REPRO_BACKEND`` > numpy).
+
+    ``REPRO_BACKEND`` is read when the selection is first resolved - at
+    the first use in a process, which is how spawn workers inherit it -
+    and again after :func:`reset_backend`; changing the variable in a
+    running process has no effect until then.
+    """
+    global _resolved
+    backend = _resolved
+    if backend is None:
+        backend = _resolved = _instantiate(backend_name())
+    return backend
 
 
 def backend_name() -> str:
     """Name of the backend :func:`get_backend` resolves to right now."""
+    if _resolved is not None:
+        return _resolved.name
     return _active or os.environ.get(BACKEND_ENV, "").strip() or "numpy"
 
 
 def set_backend(name: str) -> Backend:
     """Select a backend process-wide; probes it immediately."""
-    global _active
+    global _active, _resolved
     backend = _instantiate(name)
     _active = name
+    _resolved = backend
     return backend
+
+
+def reset_backend(active: Optional[str] = None) -> None:
+    """Set the explicit selection (default: none) and re-resolve lazily.
+
+    With no argument the next use falls back to ``REPRO_BACKEND`` as the
+    environment stands then, then numpy.
+    """
+    global _active, _resolved
+    _active = active
+    _resolved = None
 
 
 class use_backend:
@@ -288,14 +317,11 @@ class use_backend:
         self._previous: Optional[str] = None
 
     def __enter__(self) -> Backend:
-        global _active
         self._previous = _active
-        backend = set_backend(self.name)
-        return backend
+        return set_backend(self.name)
 
     def __exit__(self, *exc: Any) -> None:
-        global _active
-        _active = self._previous
+        reset_backend(self._previous)
 
 
 _enumerating = threading.local()
@@ -331,8 +357,8 @@ class _XpProxy:
     """Module-level ``xp``: attribute access forwards to the active backend.
 
     Kernels write ``xp.exp(...)`` exactly as they wrote ``np.exp(...)``;
-    the indirection costs one dict lookup plus one getattr, which is
-    noise next to any real array operation.
+    the indirection costs one call returning the cached backend plus one
+    getattr, which is noise next to any real array operation.
     """
 
     __slots__ = ()

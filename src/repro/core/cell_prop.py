@@ -12,18 +12,21 @@ maximum of Equation (5):
 The backward kernel uses the softmax identity ``w_i = exp((x_i - LSE) /
 gamma)`` to recover merge weights without storing them, then chains through
 the LUT-interpolation gradients of Figure 6 into source slews and net loads
-(Equation (12)).  Kernels operate on one level's slice of the graph's
-contribution table; per-contribution LUT values and partial derivatives are
-recorded in the caller's tape arrays during the forward pass.
+(Equation (12)).  Kernels operate on one level of the graph's
+:class:`~repro.sta.graph.LevelPlan`; per-contribution LUT values and partial
+derivatives are recorded in the caller's tape arrays during the forward pass.
 """
 
 from __future__ import annotations
 
+from typing import Sequence, Tuple
+
 import numpy as np
 
 from ..contracts import differentiable
+from ..sta.graph import CellLevel
 from ..sta.nldm import LutBank
-from .scatter import scatter_accumulate, scatter_accumulate_at
+from .scatter import scatter_accumulate
 from .smoothing import segment_lse_max
 
 __all__ = [
@@ -47,115 +50,75 @@ SLEW_CLIP_MAX = 1e6
     "::test_gradient_matches_fd",
 )
 def cell_forward_level(
-    sl: slice,
-    src: np.ndarray,
-    dst: np.ndarray,
-    tin: np.ndarray,
-    tout: np.ndarray,
-    lut_delay: np.ndarray,
-    lut_slew: np.ndarray,
+    lv: CellLevel,
     lutbank: LutBank,
-    driver_load: np.ndarray,
+    load: np.ndarray,
     gamma: float,
     at: np.ndarray,
     slew: np.ndarray,
-    tape_at_cand: np.ndarray,
-    tape_slew_cand: np.ndarray,
-    tape_dd_dslew: np.ndarray,
-    tape_dd_dload: np.ndarray,
-    tape_ds_dslew: np.ndarray,
-    tape_ds_dload: np.ndarray,
+    tape_cand: np.ndarray,
+    tape_d_dslew: np.ndarray,
+    tape_d_dload: np.ndarray,
 ) -> None:
     """Forward cell propagation with LSE merge for one level (in place).
 
-    ``sl`` slices the level's contributions out of the graph tables; the
-    ``tape_*`` arrays (full contribution length) receive the candidate
+    ``lv`` is the level's slice of the graph's :class:`LevelPlan`;
+    ``at``/``slew`` are the flat ``(2 * n_pins,)`` views of the timer's
+    arrays and ``load`` the per-contribution sink load.  The ``tape_*``
+    arrays are ``(2, n_contribs)``, row 0 for the delay table (AT
+    candidates), row 1 for the slew table; they receive the candidate
     values and LUT partials needed by the backward pass.
     """
-    s, d = src[sl], dst[sl]
-    ti, to = tin[sl], tout[sl]
-    slew_raw = slew[s, ti]
-    slew_in = np.clip(slew_raw, 0.0, SLEW_CLIP_MAX)
-    load = driver_load[d]
-    delay, dd_ds, dd_dl = lutbank.lookup_with_grad(lut_delay[sl], slew_in, load)
-    out_slew, ds_ds, ds_dl = lutbank.lookup_with_grad(lut_slew[sl], slew_in, load)
+    slew_raw = slew[lv.src]
+    slew_in = np.minimum(np.maximum(slew_raw, 0.0), SLEW_CLIP_MAX)
+    cand, d_ds, d_dl = lutbank.lookup_with_grad(lv.lut, slew_in, load[lv.sl])
     # Where the clip is active the lookup sees a constant slew, so the
     # recorded slew-derivatives must vanish (else backward disagrees with
     # finite differences of the clipped forward).
     clipped = (slew_raw < 0.0) | (slew_raw > SLEW_CLIP_MAX)
-    if np.any(clipped):
-        dd_ds = np.where(clipped, 0.0, dd_ds)
-        ds_ds = np.where(clipped, 0.0, ds_ds)
+    if clipped.any():
+        d_ds = np.where(clipped, 0.0, d_ds)
+    cand[0] += at[lv.src]
+    tape_cand[:, lv.sl] = cand
+    tape_d_dslew[:, lv.sl] = d_ds
+    tape_d_dload[:, lv.sl] = d_dl
 
-    at_cand = at[s, ti] + delay
-    tape_at_cand[sl] = at_cand
-    tape_slew_cand[sl] = out_slew
-    tape_dd_dslew[sl] = dd_ds
-    tape_dd_dload[sl] = dd_dl
-    tape_ds_dslew[sl] = ds_ds
-    tape_ds_dload[sl] = ds_dl
-
-    n_pins = at.shape[0]
-    seg = d * 2 + to
-    merged_at = segment_lse_max(at_cand, seg, n_pins * 2, gamma)
-    merged_slew = segment_lse_max(out_slew, seg, n_pins * 2, gamma)
-    touched = np.unique(seg)
-    at.reshape(-1)[touched] = merged_at[touched]
-    slew.reshape(-1)[touched] = merged_slew[touched]
+    # One merge for AT and slew candidates together, over the level's own
+    # compact segments (not the whole pin table).
+    n = len(lv.touched)
+    merged = segment_lse_max(cand.reshape(-1), lv.seg, 2 * n, gamma)
+    at[lv.touched] = merged[:n]
+    slew[lv.touched] = merged[n:]
 
 
 def cell_backward_level(
-    sl: slice,
-    src: np.ndarray,
-    dst: np.ndarray,
-    tin: np.ndarray,
-    tout: np.ndarray,
-    gamma: float,
-    at: np.ndarray,
-    slew: np.ndarray,
-    tape_at_cand: np.ndarray,
-    tape_slew_cand: np.ndarray,
-    tape_dd_dslew: np.ndarray,
-    tape_dd_dload: np.ndarray,
-    tape_ds_dslew: np.ndarray,
-    tape_ds_dload: np.ndarray,
-    g_at: np.ndarray,
-    g_slew: np.ndarray,
-    g_load: np.ndarray,
+    lv: CellLevel,
+    weights: np.ndarray,
+    tape_d_dslew: np.ndarray,
+    grads: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> None:
     """Backward cell propagation for one level (Equation (12), in place).
 
-    The gradients of the level's sink pins (``g_at``/``g_slew`` at ``dst``)
-    must be final before this call.  Accumulates into source-pin AT/slew
-    gradients and per-pin net-load gradients.
+    ``weights`` are the ``(2, n_contribs)`` merge weights of the AT and
+    slew candidates (the softmax identity ``w_i = exp((x_i - LSE) /
+    gamma)``, which does not depend on the seed).  ``grads`` holds one
+    ``(g_at, g_slew, g_cand)`` triple per seed: flat ``(2 * n_pins,)``
+    gradient arrays whose entries at the level's sinks must be final, and
+    a ``(2, n_contribs)`` buffer that receives the candidate gradients
+    (the caller folds them into the net loads after the sweep, Eq. 12e).
+    Accumulates into the source-pin AT/slew gradients.
     """
-    s, d = src[sl], dst[sl]
-    ti, to = tin[sl], tout[sl]
-    seg_at = at[d, to]
-    seg_slew = slew[d, to]
-
-    # Softmax weights via the identity w_i = exp((x_i - LSE) / gamma).
-    w_at = np.exp(np.maximum((tape_at_cand[sl] - seg_at) / gamma, -700.0))
-    w_slew = np.exp(np.maximum((tape_slew_cand[sl] - seg_slew) / gamma, -700.0))
-
-    g_cand_at = w_at * g_at[d, to]  # == g over (AT(u) + Delay_u(v))
-    g_cand_slew = w_slew * g_slew[d, to]
-
-    # AT(u) receives the merge weight directly (Eq. 12a).
-    scatter_accumulate_at(g_at, s, ti, g_cand_at)
-    # Slew(u) via both LUT x-derivatives (Eq. 12d).
-    scatter_accumulate_at(
-        g_slew,
-        s,
-        ti,
-        g_cand_at * tape_dd_dslew[sl] + g_cand_slew * tape_ds_dslew[sl],
-    )
-    # Load(v) via both LUT y-derivatives (Eq. 12e).
-    scatter_accumulate(
-        g_load,
-        d,
-        g_cand_at * tape_dd_dload[sl] + g_cand_slew * tape_ds_dload[sl],
-    )
+    w = weights[:, lv.sl]
+    d_ds = tape_d_dslew[:, lv.sl]
+    for g_at, g_slew, g_cand in grads:
+        # Gradient over (AT(u) + Delay_u(v)) and over Slew_u(v).
+        g = g_cand[:, lv.sl]
+        np.multiply(w[0], g_at[lv.dst], out=g[0])
+        np.multiply(w[1], g_slew[lv.dst], out=g[1])
+        # AT(u) receives the merge weight directly (Eq. 12a).
+        scatter_accumulate(g_at, lv.src, g[0])
+        # Slew(u) via both LUT x-derivatives (Eq. 12d).
+        scatter_accumulate(g_slew, lv.src, g[0] * d_ds[0] + g[1] * d_ds[1])
 
 
 def cell_forward_exact(  # reprolint: allow[backward-pair] exact hard-max sibling shared with the incremental engine; no gradient flows through it

@@ -21,7 +21,7 @@ Every stage is validated against central finite differences in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from ..sta.elmore import (
 )
 from ..perf import PROFILER
 from ..runtime import faults
-from ..sta.graph import TimingGraph
+from ..sta.graph import LevelPlan, TimingGraph
 from .cell_prop import SLEW_CLIP_MAX, cell_backward_level, cell_forward_level
 from .elmore_grad import elmore_backward
 from .net_prop import net_backward_level, net_forward_level
@@ -61,13 +61,12 @@ class TimerTape:
     net_delay: np.ndarray  # (n_pins,)
     impulse2: np.ndarray  # (n_pins,)
     driver_load: np.ndarray  # (n_pins,)
-    # Per-contribution tape (global contribution order):
-    at_cand: np.ndarray
-    slew_cand: np.ndarray
-    dd_dslew: np.ndarray
-    dd_dload: np.ndarray
-    ds_dslew: np.ndarray
-    ds_dload: np.ndarray
+    # Per-contribution tape, (2, n_contribs) in global contribution order:
+    # row 0 is the delay table (AT candidate AT(u) + Delay_u(v) and the
+    # delay partials), row 1 the slew table (Slew_u(v) and its partials).
+    cand: np.ndarray
+    d_dslew: np.ndarray
+    d_dload: np.ndarray
     # Endpoint data:
     ep_slack_t: np.ndarray  # (n_endpoints, 2)
     ep_slack: np.ndarray  # (n_endpoints,) transition-softmin slack
@@ -104,6 +103,8 @@ class DifferentiableTimer:
                 f"expected one of {WIRE_DELAY_MODELS}"
             )
         self.wire_delay_model = wire_delay_model
+        #: Placement-independent sweep indices, built once per graph.
+        self.plan = LevelPlan(self.graph)
 
     # ------------------------------------------------------------------
     # Forward
@@ -162,12 +163,9 @@ class DifferentiableTimer:
             net_delay=net_delay,
             impulse2=impulse2,
             driver_load=driver_load,
-            at_cand=np.zeros(n_contribs),
-            slew_cand=np.zeros(n_contribs),
-            dd_dslew=np.zeros(n_contribs),
-            dd_dload=np.zeros(n_contribs),
-            ds_dslew=np.zeros(n_contribs),
-            ds_dload=np.zeros(n_contribs),
+            cand=np.zeros((2, n_contribs)),
+            d_dslew=np.zeros((2, n_contribs)),
+            d_dload=np.zeros((2, n_contribs)),
             ep_slack_t=np.zeros((graph.n_endpoints, 2)),
             ep_slack=np.zeros(graph.n_endpoints),
             setup_dsetup_dslew=np.zeros((len(graph.setup_d), 2)),
@@ -176,25 +174,21 @@ class DifferentiableTimer:
         )
 
         with PROFILER.stage("difftimer.forward.levels"):
-            for level in range(1, graph.n_levels):
-                sl = graph.net_arcs.level_slice(level)
-                if sl.stop > sl.start:
+            at_flat, slew_flat = at.reshape(-1), slew.reshape(-1)
+            # Loads are fixed for the whole pass: one gather, not one a level.
+            load = driver_load[graph.c_dst]
+            for net, cell in self.plan.levels:
+                if net is not None:
                     with PROFILER.stage("difftimer.forward.net_level"):
                         net_forward_level(
-                            graph.net_sink[sl], graph.net_src[sl],
-                            net_delay, impulse2, at, slew,
+                            net.sinks, net.srcs, net_delay, impulse2, at, slew
                         )
-                sl = graph.cell_arcs.level_slice(level)
-                if sl.stop > sl.start:
+                if cell is not None:
                     with PROFILER.stage("difftimer.forward.cell_level"):
                         cell_forward_level(
-                            sl, graph.c_src, graph.c_dst,
-                            graph.c_tin, graph.c_tout,
-                            graph.c_lut_delay, graph.c_lut_slew, graph.lutbank,
-                            driver_load, gamma, at, slew,
-                            tape.at_cand, tape.slew_cand,
-                            tape.dd_dslew, tape.dd_dload,
-                            tape.ds_dslew, tape.ds_dload,
+                            cell, graph.lutbank, load, gamma,
+                            at_flat, slew_flat,
+                            tape.cand, tape.d_dslew, tape.d_dload,
                         )
 
         # ------------------------------------------------------------------
@@ -248,17 +242,29 @@ class DifferentiableTimer:
         tape: TimerTape,
         d_tns: float = 1.0,
         d_wns: float = 0.0,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        *,
+        seeds: Optional[Sequence[Tuple[float, float]]] = None,
+    ) -> Union[Tuple[np.ndarray, np.ndarray], List[Tuple[np.ndarray, np.ndarray]]]:
         """Gradient of ``d_tns * TNS + d_wns * WNS`` w.r.t. cell centers.
 
         For the placement objective of Equation (6), which *minimises*
         ``t1 * (-TNS) + t2 * (-WNS)``, call with ``d_tns=-t1, d_wns=-t2``.
+
+        With ``seeds`` - several ``(d_tns, d_wns)`` pairs - the gradients
+        of all of them are swept over the levels together and returned as
+        a list of ``(g_x, g_y)`` pairs.  Everything that does not depend
+        on the seed (merge weights, slew ratios) is computed once, and
+        each seed's result is bit for bit what its own call returns.
         """
+        single = seeds is None
+        if single:
+            seeds = [(d_tns, d_wns)]
         design = self.design
         graph = self.graph
+        plan = self.plan
         gamma = self.gamma
         n_pins = design.n_pins
-        at, slew = tape.at, tape.slew
+        at_flat, slew_flat = tape.at.reshape(-1), tape.slew.reshape(-1)
 
         # Fault-injection hook: a due timer_exc fault emulates a kernel
         # crash mid-backward (inert outside armed guarded placer runs).
@@ -266,66 +272,99 @@ class DifferentiableTimer:
         if inj is not None:
             inj.maybe_raise("difftimer.backward")
 
-        # Seeds: d objective / d endpoint slack.  With no endpoints the
-        # objective is constant and the gradient is identically zero; the
-        # empty seeds below propagate that without special cases, but we
-        # still guard the softmin weights against empty reductions.
-        g_sep = d_tns * soft_clamp_neg_grad(tape.ep_slack, gamma)
-        if d_wns != 0.0 and tape.ep_slack.size:
-            w_ep = np.exp(
-                np.maximum((tape.wns - tape.ep_slack) / gamma, -700.0)
-            )
-            g_sep = g_sep + d_wns * w_ep
+        # d objective / d endpoint slack, up to the seed.  With no
+        # endpoints the objective is constant and the gradient is
+        # identically zero; the empty arrays below propagate that without
+        # special cases, but we still guard the softmin weights against
+        # empty reductions.
+        g_tns = soft_clamp_neg_grad(tape.ep_slack, gamma)
+        w_ep = np.exp(np.maximum((tape.wns - tape.ep_slack) / gamma, -700.0))
         # Transition softmin weights.
         w_t = np.exp(
             np.maximum(
                 (tape.ep_slack[:, None] - tape.ep_slack_t) / gamma, -700.0
             )
         )
-        g_slack_t = g_sep[:, None] * w_t  # (n_ep, 2)
+        # Softmax weights of every merge candidate via the identity
+        # w_i = exp((x_i - LSE) / gamma); x_i <= LSE, so the exponent is
+        # clamped to [-700, 0] (a corrupted tape must not overflow).
+        w_cand = np.empty_like(tape.cand)
+        at_flat.take(plan.c_dst, out=w_cand[0])
+        slew_flat.take(plan.c_dst, out=w_cand[1])
+        np.subtract(tape.cand, w_cand, out=w_cand)
+        w_cand /= gamma
+        np.minimum(np.maximum(w_cand, -700.0, out=w_cand), 0.0, out=w_cand)
+        np.exp(w_cand, out=w_cand)
+        # Net arcs: Slew(v) = sqrt(Slew(u)^2 + Impulse(v)^2).
+        safe = np.maximum(tape.slew[graph.net_sink], 1e-12)
+        slew_ratio = (tape.slew[graph.net_src] / safe).reshape(-1)
 
-        g_at = np.zeros((n_pins, 2))
-        g_slew = np.zeros((n_pins, 2))
-        g_load = np.zeros(n_pins)
-        g_net_delay = np.zeros(n_pins)
-        g_impulse2 = np.zeros(n_pins)
-
-        # slack = rat - at;  for setup endpoints rat = T - setup(slew_D).
         ep = graph.endpoint_pins
-        if len(ep):
-            scatter_accumulate_at(
-                g_at, ep[:, None], np.array([[RISE, FALL]]), -g_slack_t
-            )
         n_setup = len(graph.setup_d)
-        if n_setup:
-            scatter_accumulate_at(
-                g_slew,
-                graph.setup_d[:, None],
-                np.array([[RISE, FALL]]),
-                -g_slack_t[:n_setup] * tape.setup_dsetup_dslew,
+        stencil = np.array([[RISE, FALL]])
+        grads = []
+        for s_tns, s_wns in seeds:
+            g_sep = s_tns * g_tns
+            if s_wns != 0.0 and tape.ep_slack.size:
+                g_sep = g_sep + s_wns * w_ep
+            g_slack_t = g_sep[:, None] * w_t  # (n_ep, 2)
+            g_at = np.zeros((n_pins, 2))
+            g_slew = np.zeros((n_pins, 2))
+            # slack = rat - at;  for setup endpoints rat = T - setup(slew_D).
+            if len(ep):
+                scatter_accumulate_at(g_at, ep[:, None], stencil, -g_slack_t)
+            if n_setup:
+                scatter_accumulate_at(
+                    g_slew,
+                    graph.setup_d[:, None],
+                    stencil,
+                    -g_slack_t[:n_setup] * tape.setup_dsetup_dslew,
+                )
+            grads.append(
+                (g_at.reshape(-1), g_slew.reshape(-1), np.empty_like(w_cand))
             )
+        net_grads = [g[:2] for g in grads]
 
         with PROFILER.stage("difftimer.backward.levels"):
-            for level in range(graph.n_levels - 1, 0, -1):
-                sl = graph.cell_arcs.level_slice(level)
-                if sl.stop > sl.start:
+            for net, cell in reversed(plan.levels):
+                if cell is not None:
                     with PROFILER.stage("difftimer.backward.cell_level"):
-                        cell_backward_level(
-                            sl, graph.c_src, graph.c_dst,
-                            graph.c_tin, graph.c_tout,
-                            gamma, at, slew,
-                            tape.at_cand, tape.slew_cand,
-                            tape.dd_dslew, tape.dd_dload,
-                            tape.ds_dslew, tape.ds_dload,
-                            g_at, g_slew, g_load,
-                        )
-                sl = graph.net_arcs.level_slice(level)
-                if sl.stop > sl.start:
+                        cell_backward_level(cell, w_cand, tape.d_dslew, grads)
+                if net is not None:
                     with PROFILER.stage("difftimer.backward.net_level"):
-                        net_backward_level(
-                            graph.net_sink[sl], graph.net_src[sl],
-                            slew, g_at, g_slew, g_net_delay, g_impulse2,
-                        )
+                        net_backward_level(net, slew_ratio, net_grads)
+
+        two_safe = 2.0 * safe
+        out = [self._backward_tail(tape, *g, two_safe) for g in grads]
+        return out[0] if single else out
+
+    def _backward_tail(
+        self,
+        tape: TimerTape,
+        g_at: np.ndarray,
+        g_slew: np.ndarray,
+        g_cand: np.ndarray,
+        two_safe: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Swept pin gradients of one seed -> Elmore -> cell centers."""
+        design = self.design
+        graph = self.graph
+        n_pins = design.n_pins
+        sinks = graph.net_sink
+        # Load(v) via both LUT y-derivatives (Eq. 12e); sinks of a level's
+        # arcs are final when it is swept, so one fold in contribution /
+        # arc order after the sweep equals the per-level folds.
+        g_load = scatter_add(
+            graph.c_dst,
+            g_cand[0] * tape.d_dload[0] + g_cand[1] * tape.d_dload[1],
+            n_pins,
+        )
+        g_net_delay = np.zeros(n_pins)
+        g_impulse2 = np.zeros(n_pins)
+        g_sink = g_at.reshape(n_pins, 2)[sinks]
+        g_net_delay[sinks] += g_sink[:, 0] + g_sink[:, 1]
+        g_sink = g_slew.reshape(n_pins, 2)[sinks] / two_safe
+        g_impulse2[sinks] += g_sink[:, 0] + g_sink[:, 1]
 
         # Map per-pin gradients onto forest nodes and run Elmore backward.
         forest = tape.forest

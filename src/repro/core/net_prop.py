@@ -8,17 +8,18 @@ A net arc carries the signal from a net's driver pin to one sink pin:
 Each pin has at most one fan-in net arc, so no smoothing is needed here;
 the backward kernel distributes the sink gradients onto the driver AT/slew
 and onto the Elmore delay / squared-impulse of the sink (Equation (10)).
-Both kernels operate on one level's slice of the graph's net-arc table.
+Both kernels operate on the net arcs of one level.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..contracts import differentiable
-from .scatter import scatter_accumulate_rows
+from ..sta.graph import NetLevel
+from .scatter import scatter_accumulate
 
 __all__ = ["net_forward_level", "net_backward_level"]
 
@@ -46,27 +47,21 @@ def net_forward_level(
 
 
 def net_backward_level(
-    sinks: np.ndarray,
-    srcs: np.ndarray,
-    slew: np.ndarray,
-    g_at: np.ndarray,
-    g_slew: np.ndarray,
-    g_net_delay: np.ndarray,
-    g_impulse2: np.ndarray,
+    lv: NetLevel,
+    slew_ratio: np.ndarray,
+    grads: Sequence[Tuple[np.ndarray, np.ndarray]],
 ) -> None:
     """Backward net propagation for one level (Equation (10), in place).
 
-    Accumulates into the driver-pin gradients and the per-pin Elmore
-    gradients; the sink gradients in ``g_at``/``g_slew`` must already be
-    final (higher levels processed first).
+    ``lv`` is the level's slice of the graph's :class:`LevelPlan` and
+    ``slew_ratio`` the flat per-(arc, transition) ``Slew(u) / Slew(v)``.
+    ``grads`` holds one flat ``(g_at, g_slew)`` pair per seed; the sink
+    entries must already be final (higher levels processed first) and
+    the driver entries are accumulated into.  Sink gradients never change
+    again, so the caller folds them into the Elmore delay / squared
+    impulse gradients once, after the sweep.
     """
-    g_at_sink = g_at[sinks]  # (k, 2)
-    scatter_accumulate_rows(g_at, srcs, g_at_sink)
-    g_net_delay[sinks] += g_at_sink.sum(axis=1)
-
-    slew_sink = slew[sinks]
-    slew_src = slew[srcs]
-    safe = np.maximum(slew_sink, 1e-12)
-    g_slew_sink = g_slew[sinks]
-    scatter_accumulate_rows(g_slew, srcs, (slew_src / safe) * g_slew_sink)
-    g_impulse2[sinks] += (g_slew_sink / (2.0 * safe)).sum(axis=1)
+    ratio = slew_ratio[lv.sl2]
+    for g_at, g_slew in grads:
+        scatter_accumulate(g_at, lv.src_flat, g_at[lv.sink_flat])
+        scatter_accumulate(g_slew, lv.src_flat, ratio * g_slew[lv.sink_flat])

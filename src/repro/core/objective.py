@@ -366,8 +366,9 @@ class TimingObjective:
         )
         if refresh or wl_grad_l1 is None or wl_grad_l1 <= 0:
             # Measure both term gradients and cache their norms.
-            g_tns = self.timer.backward(tape, d_tns=-1.0, d_wns=0.0)
-            g_wns = self.timer.backward(tape, d_tns=0.0, d_wns=-1.0)
+            g_tns, g_wns = self.timer.backward(
+                tape, seeds=[(-1.0, 0.0), (0.0, -1.0)]
+            )
             self.n_backward_calls += 2
             self._iters_since_norms = 0
             norm_tns = float(np.abs(g_tns[0]).sum() + np.abs(g_tns[1]).sum())

@@ -104,14 +104,17 @@ def segment_lse_max(
     """
     m = xp.full(n_segments, _SENTINEL, dtype=xp.float64)
     xp.maximum.at(m, segment_ids, candidates)
+    # candidates <= m, so the exponent lies in [-inf, 0]; the upper clamp
+    # only matters for corrupted (non-finite) inputs, which must not
+    # overflow.
     shifted = xp.exp(
-        xp.maximum((candidates - m[segment_ids]) / gamma, -700.0)
+        xp.minimum(xp.maximum((candidates - m[segment_ids]) / gamma, -700.0), 0.0)
     )
     s = scatter_add(segment_ids, shifted, n_segments)
-    out = xp.full(n_segments, empty_value, dtype=xp.float64)
     nonempty = s > 0
-    out[nonempty] = m[nonempty] + gamma * xp.log(s[nonempty])
-    return out
+    return xp.where(
+        nonempty, m + gamma * xp.log(xp.where(nonempty, s, 1.0)), empty_value
+    )
 
 
 def segment_lse_weights(
@@ -126,5 +129,7 @@ def segment_lse_weights(
     embeds the normalisation, so no second reduction is needed.
     """
     return xp.exp(
-        xp.maximum((candidates - smoothed[segment_ids]) / gamma, -700.0)
+        xp.minimum(
+            xp.maximum((candidates - smoothed[segment_ids]) / gamma, -700.0), 0.0
+        )
     )

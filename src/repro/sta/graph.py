@@ -17,7 +17,7 @@ Setup checks at FF D pins and output ports are the timing endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,13 @@ from ..netlist.design import Design, PORT_IN_TYPE, PORT_OUT_TYPE
 from ..netlist.library import ArcKind, FALL, RISE
 from .nldm import LutBank
 
-__all__ = ["CombinationalCycleError", "TimingGraph", "LevelizedArcs", "levelize"]
+__all__ = [
+    "CombinationalCycleError",
+    "TimingGraph",
+    "LevelizedArcs",
+    "LevelPlan",
+    "levelize",
+]
 
 
 class CombinationalCycleError(ValueError):
@@ -159,6 +165,88 @@ def _sort_by_level(level_of: np.ndarray, n_levels: int) -> Tuple[np.ndarray, np.
     offsets = np.zeros(n_levels + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return order, offsets
+
+
+class NetLevel(NamedTuple):
+    """One level's net arcs, as index arrays ready for the sweep kernels."""
+
+    sinks: np.ndarray  # (k,) sink pins
+    srcs: np.ndarray  # (k,) driver pins
+    sink_flat: np.ndarray  # (2k,) ``pin * 2 + transition`` of the sinks
+    src_flat: np.ndarray  # (2k,) the same of their drivers
+    sl2: slice  # into flat per-(arc, transition) arrays over all net arcs
+
+
+class CellLevel(NamedTuple):
+    """One level's cell-arc contributions.
+
+    ``seg`` holds compact merge-segment ids for the stacked AT|slew
+    candidates of the level: contribution ``c`` merges into segment
+    ``seg[c]`` (its AT) and ``seg[k + c]`` (its slew), and segment ``s``
+    is the ``(pin, transition)`` slot ``touched[s % len(touched)]``.
+    """
+
+    sl: slice  # into the graph's contribution tables / the tape
+    src: np.ndarray  # (k,) ``pin * 2 + transition`` of each source
+    dst: np.ndarray  # (k,) the same of each sink
+    seg: np.ndarray  # (2k,)
+    touched: np.ndarray  # sorted distinct ``dst``
+    lut: np.ndarray  # (2, k) delay | slew table ids
+
+
+class LevelPlan:
+    """Per-level gather/scatter/segment indices of a :class:`TimingGraph`.
+
+    Levels do not depend on pin locations (Section 3.3), so everything the
+    differentiable timer's level sweeps index with is computed once here
+    instead of on every pass.  ``levels[l - 1]`` is the ``(net, cell)``
+    pair of level ``l`` (``None`` where the level has no such arcs).  The
+    plan holds index arrays only - O(contributions + net arcs), reported
+    by :attr:`nbytes` - and is rebuilt from the graph rather than pickled
+    with it.
+    """
+
+    def __init__(self, graph: "TimingGraph") -> None:
+        stencil = np.arange(2)
+        #: Flat sink slot of every contribution (global order).
+        self.c_dst = graph.c_dst * 2 + graph.c_tout
+        c_src = graph.c_src * 2 + graph.c_tin
+        n_sink = (graph.net_sink[:, None] * 2 + stencil).ravel()
+        n_src = (graph.net_src[:, None] * 2 + stencil).ravel()
+        seg = np.empty(2 * len(c_src), dtype=np.int64)
+        lut = np.empty(2 * len(c_src), dtype=np.int32)
+        touched: List[np.ndarray] = []
+        self.levels: List[Tuple[Optional[NetLevel], Optional[CellLevel]]] = []
+        for level in range(1, graph.n_levels):
+            sl = graph.net_arcs.level_slice(level)
+            a, b = int(sl.start), int(sl.stop)
+            net = None
+            if b > a:
+                sl2 = slice(2 * a, 2 * b)
+                net = NetLevel(
+                    graph.net_sink[a:b], graph.net_src[a:b],
+                    n_sink[sl2], n_src[sl2], sl2,
+                )
+            sl = graph.cell_arcs.level_slice(level)
+            a, b = int(sl.start), int(sl.stop)
+            cell = None
+            if b > a:
+                slots, inverse = np.unique(self.c_dst[a:b], return_inverse=True)
+                touched.append(slots)
+                seg[2 * a : a + b] = inverse
+                seg[a + b : 2 * b] = inverse + len(slots)
+                lut[2 * a : a + b] = graph.c_lut_delay[a:b]
+                lut[a + b : 2 * b] = graph.c_lut_slew[a:b]
+                cell = CellLevel(
+                    slice(a, b), c_src[a:b], self.c_dst[a:b],
+                    seg[2 * a : 2 * b], slots,
+                    lut[2 * a : 2 * b].reshape(2, b - a),
+                )
+            self.levels.append((net, cell))
+        #: Bytes held by the plan's index arrays.
+        self.nbytes = sum(
+            arr.nbytes for arr in (self.c_dst, c_src, n_sink, n_src, seg, lut, *touched)
+        )
 
 
 class TimingGraph:

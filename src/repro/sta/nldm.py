@@ -94,6 +94,47 @@ class LutBank:
                 v = np.hstack([v, v])
             self.values[i, : v.shape[0], : v.shape[1]] = v
 
+    def _locate(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray):
+        """Find each query's boundary cell.
+
+        Returns ``x``/``y`` as arrays, the flat position of the cell's
+        ``(i, j)`` corner in ``values`` (the other three corners sit at
+        ``+1``, ``+ny`` and ``+ny+1``), and the axis breakpoints ``x0, x1,
+        y0, y1`` bracketing (or, out of range, nearest to) the query.
+        ``ids``, ``x`` and ``y`` broadcast against each other as they are
+        (a ``(2, k)`` id array reads two tables at the same ``k`` points).
+        Corners are gathered by flat offset: ``values[ids]`` would copy a
+        whole ``(nx, ny)`` block per query to read four numbers of it.
+        """
+        if not self._finalized:
+            self.finalize()
+        ids = np.asarray(ids, dtype=np.int64)
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        rank = max(x.ndim, y.ndim)
+        if ids.ndim < rank:  # line ids up with the queries' trailing axes
+            ids = ids.reshape((1,) * (rank - ids.ndim) + ids.shape)
+        nx, ny = self.x.shape[1], self.y.shape[1]
+        # Breakpoint-major copies of the axis tables: gathering a query
+        # batch from them puts the short axis first, where the count below
+        # reduces by whole-batch adds.  Derived lazily, so banks pickled
+        # before the copies existed still load.
+        axes_t = getattr(self, "_axes_t", None)
+        if axes_t is None:
+            axes_t = self._axes_t = (
+                np.ascontiguousarray(self.x.T), np.ascontiguousarray(self.y.T)
+            )
+        # Axes are padded with +inf, so the number of breakpoints <= the
+        # query is the cell index + 1; clamping it to the last cell
+        # extrapolates from the boundary cell.
+        i = np.add.reduce(axes_t[0].take(ids, axis=1) <= x, axis=0) - 1
+        j = np.add.reduce(axes_t[1].take(ids, axis=1) <= y, axis=0) - 1
+        bx = ids * nx + np.minimum(np.maximum(i, 0), self.x_len[ids] - 2)
+        j = np.minimum(np.maximum(j, 0), self.y_len[ids] - 2)
+        by = ids * ny + j
+        xf, yf = self.x.reshape(-1), self.y.reshape(-1)
+        return x, y, bx * ny + j, xf[bx], xf[bx + 1], yf[by], yf[by + 1]
+
     def lookup_with_grad(
         self, ids: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,44 +144,31 @@ class LutBank:
         coordinates.  Out-of-range queries extrapolate linearly from the
         boundary cell, matching :meth:`LUT.lookup_with_grad`.
         """
-        if not self._finalized:
-            self.finalize()
-        ids = np.asarray(ids, dtype=np.int64)
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        ids, x, y = np.broadcast_arrays(ids, x, y)
-        shape = ids.shape
-        ids, x, y = ids.ravel(), x.ravel(), y.ravel()
-
-        ax = self.x[ids]  # (Q, nx), padded with +inf
-        ay = self.y[ids]
-        i = np.clip(
-            np.sum(ax <= x[:, None], axis=1) - 1, 0, self.x_len[ids] - 2
-        )
-        j = np.clip(
-            np.sum(ay <= y[:, None], axis=1) - 1, 0, self.y_len[ids] - 2
-        )
-        q = np.arange(len(ids))
-        x0 = ax[q, i]
-        x1 = ax[q, i + 1]
-        y0 = ay[q, j]
-        y1 = ay[q, j + 1]
-        v = self.values[ids]
-        q00 = v[q, i, j]
-        q01 = v[q, i, j + 1]
-        q10 = v[q, i + 1, j]
-        q11 = v[q, i + 1, j + 1]
-        tx = (x - x0) / (x1 - x0)
-        ty = (y - y0) / (y1 - y0)
-        v0 = q00 + ty * (q01 - q00)
-        v1 = q10 + ty * (q11 - q10)
-        val = v0 + tx * (v1 - v0)
-        dvx = (v1 - v0) / (x1 - x0)
-        d0 = (q01 - q00) / (y1 - y0)
-        d1 = (q11 - q10) / (y1 - y0)
-        dvy = d0 + tx * (d1 - d0)
-        return val.reshape(shape), dvx.reshape(shape), dvy.reshape(shape)
+        x, y, corner, x0, x1, y0, y1 = self._locate(ids, x, y)
+        ny = self.y.shape[1]
+        vf = self.values.reshape(-1)
+        q00 = vf[corner]
+        q10 = vf[corner + ny]
+        dx = x1 - x0
+        dy = y1 - y0
+        tx = (x - x0) / dx
+        ty = (y - y0) / dy
+        e0 = vf[corner + 1] - q00
+        e1 = vf[corner + (ny + 1)] - q10
+        # Two 1-D interpolations along y, then one along x.
+        v0 = q00 + ty * e0
+        dv = (q10 + ty * e1) - v0
+        d0 = e0 / dy
+        return v0 + tx * dv, dv / dx, d0 + tx * (e1 / dy - d0)
 
     def lookup(self, ids: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Batched bilinear lookup (values only)."""
-        return self.lookup_with_grad(ids, x, y)[0]
+        """Batched bilinear lookup (values only, no derivative work)."""
+        x, y, corner, x0, x1, y0, y1 = self._locate(ids, x, y)
+        ny = self.y.shape[1]
+        vf = self.values.reshape(-1)
+        q00 = vf[corner]
+        q10 = vf[corner + ny]
+        ty = (y - y0) / (y1 - y0)
+        v0 = q00 + ty * (vf[corner + 1] - q00)
+        v1 = q10 + ty * (vf[corner + (ny + 1)] - q10)
+        return v0 + (x - x0) / (x1 - x0) * (v1 - v0)

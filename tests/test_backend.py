@@ -1,5 +1,6 @@
 """Unit tests for the multi-backend array shim (`repro.core.backend`)."""
 
+import collections.abc
 import os
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.core.backend import (
     available_backends,
     backend_name,
     get_backend,
+    reset_backend,
     set_backend,
     to_numpy,
     use_backend,
@@ -26,11 +28,13 @@ def _restore_selection():
     prev_active = backend_mod._active
     prev_env = os.environ.get(BACKEND_ENV)
     yield
-    backend_mod._active = prev_active
     if prev_env is None:
         os.environ.pop(BACKEND_ENV, None)
     else:
         os.environ[BACKEND_ENV] = prev_env
+    # The resolved backend is cached; flipping the environment only takes
+    # effect through an explicit reset.
+    reset_backend(prev_active)
 
 
 class TestXpProxy:
@@ -53,15 +57,29 @@ class TestXpProxy:
 class TestSelection:
     def test_default_is_numpy(self):
         os.environ.pop(BACKEND_ENV, None)
-        backend_mod._active = None
+        reset_backend()
         assert backend_name() == "numpy"
         assert get_backend().name == "numpy"
 
     def test_env_var_selects_backend(self):
-        backend_mod._active = None
         os.environ[BACKEND_ENV] = "numpy"
+        reset_backend()
         assert backend_name() == "numpy"
         assert get_backend().name == "numpy"
+
+    def test_env_var_is_read_at_resolution_only(self):
+        """The selection is resolved once; a later environment change is
+        picked up by `reset_backend`, not by the next `xp` access."""
+        os.environ.pop(BACKEND_ENV, None)
+        reset_backend()
+        assert get_backend().name == "numpy"
+        os.environ[BACKEND_ENV] = "no-such-backend"
+        assert get_backend().name == "numpy"
+        assert xp.float64 is np.float64
+        reset_backend()
+        assert backend_name() == "no-such-backend"
+        with pytest.raises(BackendUnavailableError, match="unknown backend"):
+            get_backend()
 
     def test_explicit_wins_over_env(self):
         os.environ[BACKEND_ENV] = "torch"
@@ -73,18 +91,71 @@ class TestSelection:
             set_backend("jax")
 
     def test_use_backend_scopes_and_restores(self):
-        backend_mod._active = None
+        reset_backend()
         with use_backend("numpy") as be:
             assert be.name == "numpy"
             assert backend_mod._active == "numpy"
         assert backend_mod._active is None
 
+    def test_use_backend_exit_drops_the_cached_resolution(self):
+        os.environ.pop(BACKEND_ENV, None)
+        reset_backend()
+        with use_backend("numpy"):
+            os.environ[BACKEND_ENV] = "no-such-backend"
+        # Back to "no explicit selection": the environment decides again.
+        assert backend_name() == "no-such-backend"
+
     def test_use_backend_restores_on_error(self):
-        backend_mod._active = None
+        reset_backend()
         with pytest.raises(RuntimeError, match="boom"):
             with use_backend("numpy"):
                 raise RuntimeError("boom")
         assert backend_mod._active is None
+
+
+class _CountingEnviron(collections.abc.MutableMapping):
+    """`os.environ` stand-in that counts every read."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.inner[key]
+
+    def __setitem__(self, key, value):
+        self.inner[key] = value
+
+    def __delitem__(self, key):
+        del self.inner[key]
+
+    def __iter__(self):
+        return iter(self.inner)
+
+    def __len__(self):
+        return len(self.inner)
+
+
+class TestHotPath:
+    def test_objective_call_reads_environment_at_most_once(
+        self, small_design, spread_positions, monkeypatch
+    ):
+        """`xp.<attr>` used to resolve the backend - an environment read,
+        a lock and a dict lookup - on every access: hundreds of reads per
+        timing-objective evaluation.  The resolution is cached now."""
+        from repro.core.objective import TimingObjective, TimingObjectiveOptions
+
+        x, y = spread_positions
+        objective = TimingObjective(
+            small_design, TimingObjectiveOptions(start_iteration=0)
+        )
+        objective(0, x, y, wl_grad_l1=1.0)
+        environ = _CountingEnviron(os.environ)
+        monkeypatch.setattr(os, "environ", environ)
+        reset_backend()
+        assert objective(1, x, y, wl_grad_l1=1.0) is not None
+        assert environ.reads <= 1
 
 
 class TestAvailability:
@@ -108,7 +179,7 @@ class TestAvailability:
             assert be.name == name
 
     def test_selection_does_not_leak_on_failure(self):
-        backend_mod._active = None
+        reset_backend()
         if "cupy" in available_backends():
             pytest.skip("cupy importable in this environment")
         with pytest.raises(BackendUnavailableError):

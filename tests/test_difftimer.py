@@ -202,6 +202,16 @@ class TestZeroEndpointDesign:
         assert np.abs(gx).max() == 0.0
         assert np.abs(gy).max() == 0.0
 
+    def test_multi_seed_backward_returns_zero_gradients(self, no_endpoint_design):
+        timer = DifferentiableTimer(no_endpoint_design)
+        pairs = timer.backward(
+            timer.forward(), seeds=[(-1.0, 0.0), (0.0, -1.0), (0.5, 0.5)]
+        )
+        assert len(pairs) == 3
+        for gx, gy in pairs:
+            assert gx.shape == (no_endpoint_design.n_cells,)
+            assert not gx.any() and not gy.any()
+
     def test_gradcheck_passes(self, no_endpoint_design):
         from repro.core import check_gradient
 

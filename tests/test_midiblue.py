@@ -84,3 +84,22 @@ class TestMidiblue50:
         assert np.isfinite(record.wns)
         assert np.isfinite(record.hpwl) and record.hpwl > 0
         assert record.x.shape == (midiblue50.design.n_cells,)
+
+    def test_level_plan_memory_budget(self, midiblue50):
+        """The difftimer's level plan holds index arrays only: at most
+        16 MB here (about 5% of an ``ours`` run's peak RSS on this
+        design), growing linearly in contributions + net arcs."""
+        from repro.sta.graph import LevelPlan
+
+        def size(graph):
+            return len(graph.c_dst) + len(graph.net_sink)
+
+        big = midiblue50.graph
+        big_plan = LevelPlan(big)
+        assert big_plan.nbytes <= 16 * 2**20
+
+        small = load_bundle(design_spec("miniblue18"))[0].graph
+        per_arc_small = LevelPlan(small).nbytes / size(small)
+        per_arc_big = big_plan.nbytes / size(big)
+        assert size(big) > 20 * size(small)
+        assert per_arc_big == pytest.approx(per_arc_small, rel=0.15)

@@ -90,6 +90,95 @@ class TestLookupAgainstScalar:
         np.testing.assert_allclose(out, 2.0)
 
 
+class TestBitEqualityWithScalar:
+    """The bank gathers the four corners of a query's cell by flat offset
+    and runs the scalar LUT's arithmetic on them, so every result equals
+    :meth:`LUT.lookup_with_grad` bit for bit - in range, extrapolating,
+    and on axes padded from length 1."""
+
+    @pytest.fixture(scope="class")
+    def bank_and_luts(self):
+        rng = np.random.default_rng(5)
+        luts = [
+            make_random_lut(rng, 7, 7),
+            make_random_lut(rng, 2, 5),
+            make_random_lut(rng, 4, 3),
+            LUT.constant(3.25),
+            LUT(np.array([0.0]), np.array([0.0, 5.0, 9.0]), np.array([[1.0, 2.0, 0.5]])),
+            LUT(np.array([1.0, 4.0]), np.array([2.0]), np.array([[1.0], [-2.0]])),
+        ]
+        bank = LutBank()
+        ids = np.array([bank.register(lut) for lut in luts])
+        bank.finalize()
+        return bank, luts, ids
+
+    @staticmethod
+    def _scalar(luts, which, qx, qy):
+        out = np.empty((3,) + which.shape)
+        for pos in np.ndindex(which.shape):
+            out[(slice(None),) + pos] = [
+                float(part)
+                for part in luts[which[pos]].lookup_with_grad(
+                    qx[pos[-1]], qy[pos[-1]]
+                )
+            ]
+        return out
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(5.0, 95.0), (-40.0, 0.0), (100.0, 160.0), (-40.0, 160.0)]
+    )
+    def test_flat_ids(self, bank_and_luts, lo, hi):
+        bank, luts, ids = bank_and_luts
+        rng = np.random.default_rng(11)
+        which = rng.integers(0, len(luts), 300)
+        qx, qy = rng.uniform(lo, hi, 300), rng.uniform(lo, hi, 300)
+        ref = self._scalar(luts, which, qx, qy)
+        got = bank.lookup_with_grad(ids[which], qx, qy)
+        for part, expected in zip(got, ref):
+            assert part.shape == (300,)
+            assert np.array_equal(part, expected)
+        assert np.array_equal(bank.lookup(ids[which], qx, qy), ref[0])
+
+    def test_stacked_ids_share_the_query_points(self, bank_and_luts):
+        """A (2, k) id array reads two tables at the same k points - the
+        differentiable timer's delay|slew lookup."""
+        bank, luts, ids = bank_and_luts
+        rng = np.random.default_rng(12)
+        which = rng.integers(0, len(luts), (2, 150))
+        qx, qy = rng.uniform(-40, 160, 150), rng.uniform(-40, 160, 150)
+        ref = self._scalar(luts, which, qx, qy)
+        got = bank.lookup_with_grad(ids[which], qx, qy)
+        for part, expected in zip(got, ref):
+            assert part.shape == (2, 150)
+            assert np.array_equal(part, expected)
+        assert np.array_equal(bank.lookup(ids[which], qx, qy), ref[0])
+
+    def test_queries_on_breakpoints_take_the_right_hand_cell(self, bank_and_luts):
+        bank, luts, ids = bank_and_luts
+        lut = luts[0]
+        which = np.zeros(len(lut.x), dtype=np.int64)
+        ref = self._scalar(luts, which, lut.x, lut.y)
+        got = bank.lookup_with_grad(ids[which], lut.x, lut.y)
+        for part, expected in zip(got, ref):
+            assert np.array_equal(part, expected)
+
+    def test_bank_unpickled_without_derived_tables(self, bank_and_luts):
+        """Design bundles cached before the transposed axis tables existed
+        hold banks without them; lookups rebuild them on first use."""
+        import pickle
+
+        bank, luts, ids = bank_and_luts
+        bank.lookup(ids[:1], np.array([1.0]), np.array([1.0]))
+        state = {k: v for k, v in bank.__dict__.items() if k != "_axes_t"}
+        old = LutBank.__new__(LutBank)
+        old.__dict__.update(pickle.loads(pickle.dumps(state)))
+        q = np.linspace(-5.0, 120.0, 40)
+        which = np.arange(40) % len(luts)
+        assert np.array_equal(
+            old.lookup(ids[which], q, q[::-1]), bank.lookup(ids[which], q, q[::-1])
+        )
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),

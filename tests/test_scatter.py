@@ -179,9 +179,8 @@ _PATCH_SITES = (
     (smoothing_mod, "scatter_add", ref_scatter_add),
     (elmore_grad_mod, "scatter_add", ref_scatter_add),
     (elmore_grad_mod, "scatter_accumulate", ref_scatter_accumulate),
-    (net_prop, "scatter_accumulate_rows", ref_scatter_accumulate_rows),
+    (net_prop, "scatter_accumulate", ref_scatter_accumulate),
     (cell_prop, "scatter_accumulate", ref_scatter_accumulate),
-    (cell_prop, "scatter_accumulate_at", ref_scatter_accumulate_at),
     (difftimer_mod, "scatter_add", ref_scatter_add),
     (difftimer_mod, "scatter_accumulate_at", ref_scatter_accumulate_at),
 )
