@@ -16,13 +16,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..netlist.design import Design
+from ..route.plan import route_plan
 from ..route.rsmt import (
-    _routable_nets,
     build_forest,
+    build_forest_for_nets,
     build_forest_from_pins,
-    build_trees_for_nets,
 )
-from ..route.tree import Forest
+from ..route.tree import Forest, gather_csr
 from ..sta.graph import TimingGraph
 from ..telemetry.events import current_recorder
 from ..telemetry.registry import current_heartbeat
@@ -112,9 +112,6 @@ class TimingObjective:
         self.n_dirty_nets = 0
         self.n_rebuilt_nets = 0
         self._last_forest_reused = False
-        # Routable-net ids and a CSR gather for the vectorised per-net
-        # displacement reduction of the dirty test.
-        self._routable_ids: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def forest_for(
@@ -126,7 +123,7 @@ class TimingObjective:
         paper's Figure 4 reuse rule), so the forest stays valid while
         cells move.  With ``rsmt_dirty_threshold`` set, nets whose pins
         drifted beyond the threshold since their tree was built are
-        re-routed early and spliced into the cached forest in place.
+        re-routed early and spliced into the cached forest.
         """
         if (
             self._forest is None
@@ -141,17 +138,6 @@ class TimingObjective:
             self._last_forest_reused = True
         self._iters_since_rsmt += 1
         return self._forest
-
-    def _routable_net_ids(self) -> np.ndarray:
-        if self._routable_ids is None:
-            # reprolint: allow[checkpoint-completeness] derived cache, lazily recomputed from the immutable design after resume
-            self._routable_ids = np.array(
-                _routable_nets(
-                    self.design, range(self.design.n_nets), False
-                ),
-                dtype=np.int64,
-            )
-        return self._routable_ids
 
     def _full_rebuild(
         self, cell_x: np.ndarray, cell_y: np.ndarray, iteration: int
@@ -180,7 +166,7 @@ class TimingObjective:
                 "rsmt_rebuilds", self.n_rsmt_calls, iteration=iteration
             )
         if self.options.rsmt_dirty_threshold is not None:
-            self.n_rebuilt_nets += len(self._routable_net_ids())
+            self.n_rebuilt_nets += len(route_plan(self.design).net_ids)
             if recorder is not None:
                 recorder.counter(
                     "rsmt_rebuilt_nets",
@@ -205,7 +191,7 @@ class TimingObjective:
         safe_starts = np.minimum(starts, max(len(gathered) - 1, 0))
         net_disp = np.maximum.reduceat(gathered, safe_starts)
         net_disp[design.net_degrees == 0] = 0.0
-        ids = self._routable_net_ids()
+        ids = route_plan(design).net_ids
         dirty = ids[net_disp[ids] > opts.rsmt_dirty_threshold]
         if len(dirty) == 0:
             self.n_rsmt_reuses += 1
@@ -223,12 +209,15 @@ class TimingObjective:
             heartbeat = current_heartbeat()
             if heartbeat is not None:
                 heartbeat.update(phase="rsmt_rebuild", iteration=iteration)
-            trees = build_trees_for_nets(design, px, py, dirty.tolist())
-            self._forest = self._forest.splice(trees)
-            pins = np.concatenate([design.net_pins(ni) for ni in dirty])
+            self._forest = self._forest.splice(
+                build_forest_for_nets(design, px, py, dirty)
+            )
+            pins = design.net2pin[
+                gather_csr(starts[dirty], design.net_degrees[dirty])
+            ]
             self._built_px[pins] = px[pins]
             self._built_py[pins] = py[pins]
-            self.n_rebuilt_nets += len(trees)
+            self.n_rebuilt_nets += len(dirty)
             self._last_forest_reused = False
         recorder = current_recorder()
         if recorder is not None:

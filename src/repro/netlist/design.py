@@ -149,6 +149,13 @@ class Design:
         self._cell_index = {n: i for i, n in enumerate(cell_name)}
         self._net_index = {n: i for i, n in enumerate(net_name)}
 
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the netlist only: per-design derived plans (see
+        :func:`repro.route.plan.route_plan`) are rebuilt on demand."""
+        state = self.__dict__.copy()
+        state.pop("_route_plan", None)
+        return state
+
     # ------------------------------------------------------------------
     # Sizes and lookups
     # ------------------------------------------------------------------

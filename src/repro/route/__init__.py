@@ -1,9 +1,11 @@
 """Rectilinear Steiner tree routing substrate (FLUTE substitute)."""
 
 from .tree import Forest, RoutingTree
-from .batch import build_rsmt_batch
+from .batch import MAX_CANDIDATES, MAX_STEINER_DEGREE
+from .plan import RoutePlan, route_plan
 from .rsmt import (
     build_forest,
+    build_forest_for_nets,
     build_forest_from_pins,
     build_rsmt,
     build_trees,
@@ -14,11 +16,15 @@ from .rsmt import (
 __all__ = [
     "Forest",
     "RoutingTree",
+    "RoutePlan",
+    "MAX_CANDIDATES",
+    "MAX_STEINER_DEGREE",
     "build_forest",
+    "build_forest_for_nets",
     "build_forest_from_pins",
     "build_rsmt",
-    "build_rsmt_batch",
     "build_trees",
     "build_trees_for_nets",
     "rmst_length",
+    "route_plan",
 ]

@@ -1,158 +1,193 @@
 """Degree-bucketed batched RSMT kernels.
 
-The scalar :func:`repro.route.rsmt.build_rsmt` builds one tree at a time
-with a per-net Python Prim loop; on the miniblue suite that loop is the
-dominant cost of every Steiner-forest rebuild.  The kernels here bucket
-nets by degree and build whole buckets at once on rectangular
-``(n_nets_in_bucket, degree)`` coordinate arrays:
+The scalar :func:`repro.route.rsmt.build_rsmt` builds one tree at a time;
+the kernels here build every net of a degree at once on rectangular
+``(B, d)`` coordinate arrays and hand back the bucket's trees as flat
+node arrays (:func:`bucket_rows`), never as per-net objects:
 
-- degree 2: a single HPWL segment per net (pure array construction);
-- degree 3: the closed-form median point, with the coincident-pin and
-  re-rooting cases resolved by vectorised masks;
-- degree 4..k (while ``degree**2 <= max_candidates``): a batched iterated
-  1-Steiner pass that evaluates every Hanan candidate of every active net
-  in one Prim sweep over ``(n_active * degree**2, nodes)`` arrays;
-- larger nets (plain rectilinear MST) run through the same batched Prim,
-  grouped by degree.
+- degree 3: the closed-form median point (a star around it);
+- degree 4..``MAX_STEINER_DEGREE``: batched iterated 1-Steiner - every
+  Hanan candidate of every active net is scored in one Prim sweep that
+  reads node distances from a per-round table; when a net has more than
+  ``MAX_CANDIDATES`` candidates the scalar path's deterministic
+  3-nearest-distance ranking picks the same ``MAX_CANDIDATES`` of them;
+- degree 2 and larger nets: a plain rectilinear MST (no Steiner points).
 
-Nets whose candidate set would be pruned (``degree**2 > max_candidates``)
-fall back to the scalar path so the deterministic pruning heuristic stays
-byte-identical; they are a negligible fraction of real netlists.
+The tail is shared: one batched Prim over the padded ``(B, d + T)`` node
+arrays (rows with fewer inserted points finish early), childless Steiner
+points peeled for the whole bucket, parent pointers re-rooted at the
+drivers, depths by frontier propagation.
 
 Every kernel reproduces the scalar construction *exactly* (same floating
-point operations in the same order, same tie-breaking), so the batched
-and scalar paths emit bit-identical trees - the equivalence suite in
-``tests/test_rsmt_batch.py`` enforces this per degree.
+point operations in the same order, same tie-breaking), so the forest
+arrays are bit-identical to flattening per-net ``build_rsmt`` trees - the
+equivalence suite in ``tests/test_rsmt_batch.py`` enforces this.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .tree import RoutingTree
+from .tree import tree_depths
 
-__all__ = ["build_rsmt_batch", "batched_prim", "batched_one_steiner"]
+__all__ = [
+    "MAX_STEINER_DEGREE",
+    "MAX_CANDIDATES",
+    "batched_prim",
+    "batched_one_steiner",
+    "bucket_rows",
+]
+
+#: Nets with more pins than this get a plain rectilinear MST.
+MAX_STEINER_DEGREE = 24
+#: Hanan candidates scored per 1-Steiner round (nearest-first beyond it).
+MAX_CANDIDATES = 64
+#: float64 entries of one candidate-Prim distance table (32 MB); larger
+#: buckets are scored in row blocks.
+_TABLE_ENTRIES = 1 << 22
+
+
+def _pairwise(ax, ay, bx, by) -> np.ndarray:
+    """Rectilinear distances ``(A, len a, len b)`` between two point sets."""
+    return np.abs(ax[:, :, None] - bx[:, None, :]) + np.abs(
+        ay[:, :, None] - by[:, None, :]
+    )
 
 
 # ----------------------------------------------------------------------
 # Batched Prim kernels
 # ----------------------------------------------------------------------
 def batched_prim(
-    X: np.ndarray, Y: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    X: np.ndarray, Y: np.ndarray, n_nodes: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Rectilinear MST over every row of ``(B, n)`` coordinate arrays.
 
-    Returns ``(src, dst, total)`` where ``src``/``dst`` are ``(B, n-1)``
-    edge endpoint arrays in Prim insertion order and ``total`` is the
-    per-row MST length.  Bit-identical to running the scalar
-    :func:`repro.route.rsmt._prim_edges` on each row (same seed node,
-    same strict-improvement updates, same argmin tie-breaking).
+    Returns ``(parent, total)``: ``(B, n)`` parent pointers of the MST
+    rooted at node 0 (each Prim edge points from the new node to the tree
+    node it attached to) and the per-row MST length.  With ``n_nodes``
+    only the first ``n_nodes[r]`` columns of row ``r`` are points; the
+    padding lanes keep parent ``-1``.  Bit-identical to running the
+    scalar :func:`repro.route.rsmt._prim_edges` on each row (same seed
+    node, same strict-improvement updates, same argmin tie-breaking).
     """
     B, n = X.shape
-    if n <= 1:
-        return (
-            np.zeros((B, 0), dtype=np.int64),
-            np.zeros((B, 0), dtype=np.int64),
-            np.zeros(B),
-        )
+    parent = np.full((B, n), -1, dtype=np.int64)
+    total = np.zeros(B)
+    if n <= 1 or B == 0:
+        return parent, total
+    if n_nodes is None:
+        n_nodes = np.full(B, n, dtype=np.int64)
+    # Largest rows first: the rows still growing at any step are a prefix.
+    order = np.argsort(-n_nodes, kind="stable")
+    X, Y, n_nodes = X[order], Y[order], n_nodes[order]
+    growing = np.searchsorted(-n_nodes, -np.arange(2, n + 1), side="right")
     rows = np.arange(B)
-    in_tree = np.zeros((B, n), dtype=bool)
+    in_tree = np.arange(n) >= n_nodes[:, None]
     in_tree[:, 0] = True
     best_dist = np.abs(X - X[:, :1]) + np.abs(Y - Y[:, :1])
+    best_dist[in_tree] = np.inf
     best_src = np.zeros((B, n), dtype=np.int64)
-    best_dist[:, 0] = np.inf
-    src = np.zeros((B, n - 1), dtype=np.int64)
-    dst = np.zeros((B, n - 1), dtype=np.int64)
-    total = np.zeros(B)
-    for step in range(n - 1):
-        v = np.argmin(best_dist, axis=1)
-        total += best_dist[rows, v]
-        src[:, step] = best_src[rows, v]
-        dst[:, step] = v
-        in_tree[rows, v] = True
-        dv = np.abs(X - X[rows, v][:, None]) + np.abs(Y - Y[rows, v][:, None])
-        better = (dv < best_dist) & ~in_tree
-        best_dist = np.where(better, dv, best_dist)
-        best_src = np.where(better, v[:, None], best_src)
-        best_dist[rows, v] = np.inf
-    return src, dst, total
+    sorted_parent = parent.copy()
+    sorted_total = total.copy()
+    for k in growing[growing > 0].tolist():
+        r, dist, seen = rows[:k], best_dist[:k], in_tree[:k]
+        v = dist.argmin(axis=1)
+        sorted_total[:k] += dist[r, v]
+        sorted_parent[r, v] = best_src[r, v]
+        seen[r, v] = True
+        dv = np.abs(X[:k] - X[r, v][:, None]) + np.abs(Y[:k] - Y[r, v][:, None])
+        better = (dv < dist) & ~seen
+        np.copyto(dist, dv, where=better)
+        np.copyto(best_src[:k], v[:, None], where=better)
+        dist[r, v] = np.inf
+    parent[order] = sorted_parent
+    total[order] = sorted_total
+    return parent, total
 
 
-def _batched_candidate_lengths(
-    base_x: np.ndarray,
-    base_y: np.ndarray,
-    cand_x: np.ndarray,
-    cand_y: np.ndarray,
+def _candidate_lengths(
+    base: np.ndarray, cand: np.ndarray, n_nodes: np.ndarray
 ) -> np.ndarray:
-    """MST length of (row's base points + one candidate) per (row, cand).
+    """MST length of (row's points + one candidate) per (row, candidate).
 
-    ``base_x``/``base_y`` are ``(A, n)``; ``cand_x``/``cand_y`` are
-    ``(A, C)``.  Returns ``(A, C)`` lengths.  This is the 2-D analogue of
-    :func:`repro.route.rsmt._prim_lengths_batch` (which batches over
-    candidates of a single net); flattening (net, candidate) pairs into
-    rows keeps the state rectangular, and the per-row arithmetic is
-    bit-identical to the 1-D kernel.
+    ``base`` is the ``(A, n, n)`` distance table of each row's points, of
+    which the first ``n_nodes[a]`` lanes are real, and ``cand`` the
+    ``(A, C, n)`` distances of its candidates to them.  Each (row,
+    candidate) pair runs Prim over its own ``(n+1, n+1)`` slice of one
+    distance table with the candidate in the last lane, so a step is an
+    ``argmin``, one ``take`` of the picked nodes' table rows and a
+    ``minimum``; visited and padding lanes are held at ``+inf`` by a
+    penalty array.  The picked keys are summed in pick order, which makes
+    the lengths those of :func:`repro.route.rsmt._prim_lengths_batch`
+    bit for bit.
     """
-    A, n = base_x.shape
-    C = cand_x.shape[1]
-    if C == 0 or A == 0:
-        return np.zeros((A, C))
-    R = A * C
-    all_x = np.concatenate(
-        [
-            np.broadcast_to(base_x[:, None, :], (A, C, n)).reshape(R, n),
-            cand_x.reshape(R, 1),
-        ],
-        axis=1,
-    )
-    all_y = np.concatenate(
-        [
-            np.broadcast_to(base_y[:, None, :], (A, C, n)).reshape(R, n),
-            cand_y.reshape(R, 1),
-        ],
-        axis=1,
-    )
-    rows = np.arange(R)
-    in_tree = np.zeros((R, n + 1), dtype=bool)
-    in_tree[:, 0] = True
-    best_dist = np.abs(all_x - all_x[:, :1]) + np.abs(all_y - all_y[:, :1])
-    best_dist[:, 0] = np.inf
-    total = np.zeros(R)
-    for _ in range(n):
-        v = np.argmin(best_dist, axis=1)
-        total += best_dist[rows, v]
-        in_tree[rows, v] = True
-        vx = all_x[rows, v][:, None]
-        vy = all_y[rows, v][:, None]
-        dv = np.abs(all_x - vx) + np.abs(all_y - vy)
-        best_dist = np.minimum(best_dist, dv)
-        best_dist[in_tree] = np.inf
-    return total.reshape(A, C)
+    A, C, n = cand.shape
+    m = n + 1
+    block = max(1, _TABLE_ENTRIES // (C * m * m))
+    if A > block:
+        return np.concatenate(
+            [
+                _candidate_lengths(
+                    base[i : i + block], cand[i : i + block], n_nodes[i : i + block]
+                )
+                for i in range(0, A, block)
+            ]
+        )
+    table = np.empty((A, C, m, m))
+    table[:, :, :n, :n] = base[:, None]
+    table[:, :, n, :n] = cand
+    table[:, :, :n, n] = cand
+    table[:, :, n, n] = 0.0
+    table = table.reshape(A * C * m, m)
+    penalty = np.zeros((A, C, m))
+    penalty[:, :, :n] = np.where(np.arange(n) >= n_nodes[:, None], np.inf, 0.0)[:, None]
+    penalty[:, :, 0] = np.inf
+    penalty = penalty.reshape(A * C, m)
+    row0 = np.arange(A * C) * m
+    best_dist = np.maximum(table[row0], penalty)  # distances to the seed
+    picked = np.empty((n, A * C))
+    flat = np.empty(A * C, dtype=np.int64)
+    for step in range(n):
+        np.add(row0, best_dist.argmin(axis=1), out=flat)
+        best_dist.take(flat, out=picked[step])
+        penalty.put(flat, np.inf)
+        np.minimum(best_dist, table.take(flat, axis=0), out=best_dist)
+        np.maximum(best_dist, penalty, out=best_dist)
+    # A row is complete after one pick per point (it picks +inf after).
+    lengths = picked.cumsum(axis=0)[np.repeat(n_nodes, C) - 1, np.arange(A * C)]
+    return lengths.reshape(A, C)
 
 
 # ----------------------------------------------------------------------
 # Batched iterated 1-Steiner
 # ----------------------------------------------------------------------
 def batched_one_steiner(
-    X: np.ndarray, Y: np.ndarray, tol: float = 1e-9
+    X: np.ndarray, Y: np.ndarray, degree: Optional[np.ndarray] = None, tol: float = 1e-9
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Iterated 1-Steiner over a bucket of same-degree nets.
+    """Iterated 1-Steiner over a bucket of nets of (up to) one degree.
 
-    ``X``/``Y`` are ``(B, d)`` pin coordinates.  Returns padded node
-    arrays ``(XS, YS)`` of shape ``(B, d + d - 2)``, per-net inserted
-    counts ``n_ins`` and the ``(B, d-2)`` owner-index arrays for the
-    inserted Steiner points (in insertion order).
+    ``X``/``Y`` are ``(B, d)`` pin coordinates of which row ``r`` uses
+    the first ``degree[r]`` (default: all).  Returns padded node arrays
+    ``(XS, YS)`` of shape ``(B, d + d - 2)`` - each row's pins, then its
+    Steiner points in insertion order - the per-net inserted counts
+    ``n_ins`` and the ``(B, d-2)`` owner-index arrays of the inserted
+    points.
 
     Candidates coincident with existing nodes are masked to ``+inf``
     instead of dropped, which preserves the scalar path's first-minimum
     tie-breaking (kept candidates keep their raveled Hanan-grid order).
-    Only valid while ``d * d`` does not exceed the scalar path's
-    ``max_candidates`` (no pruning), which the caller enforces.
+    When ``d * d`` exceeds ``MAX_CANDIDATES``, a net with more kept
+    candidates than that is cut to the ``MAX_CANDIDATES`` with the
+    smallest sum of three nearest node distances (stable, so in the
+    scalar path's order); all nets of the bucket advance one insertion
+    per round together.
     """
     B, d = X.shape
     T = max(d - 2, 0)
+    if degree is None:
+        degree = np.full(B, d, dtype=np.int64)
     XS = np.zeros((B, d + T))
     YS = np.zeros((B, d + T))
     XS[:, :d] = X
@@ -160,252 +195,187 @@ def batched_one_steiner(
     n_ins = np.zeros(B, dtype=np.int64)
     own_i = np.zeros((B, T), dtype=np.int64)
     own_j = np.zeros((B, T), dtype=np.int64)
-    if B == 0 or T == 0:
-        return XS, YS, n_ins, own_i, own_j
 
     # Hanan candidates in the scalar path's raveled (i-major) order.
     ci = np.repeat(np.arange(d), d)
     cj = np.tile(np.arange(d), d)
-    _, _, cur_len = batched_prim(X, Y)
-    active = np.ones(B, dtype=bool)
+    CX, CY = X[:, ci], Y[:, cj]
+    # Distance tables, grown by one lane per insertion instead of being
+    # recomputed per round: node-node and candidate-node (padding = inf).
+    padding = np.where(np.arange(d) >= degree[:, None], np.inf, 0.0)
+    base = np.full((B, d + T, d + T), np.inf)
+    base[:, :d, :d] = _pairwise(X, Y, X, Y)
+    dist = np.full((B, d * d, d + T), np.inf)
+    dist[:, :, :d] = _pairwise(CX, CY, X, Y) + padding[:, None]
+    coincide = (dist[:, :, :d] == 0.0).any(axis=2)
+    coincide |= np.maximum(ci, cj) >= degree[:, None]
+    prune = d * d > MAX_CANDIDATES
+    if prune:  # the three smallest node distances of each candidate
+        near = np.sort(np.partition(dist[:, :, :d], 2, axis=2)[:, :, :3], axis=2)
+    _, cur_len = batched_prim(X, Y, degree)
+    active = np.arange(B)
     for t in range(T):
-        idx = np.nonzero(active)[0]
-        if len(idx) == 0:
+        active = active[degree[active] - 2 > t]
+        if len(active) == 0:
             break
-        nodes_x = XS[idx, : d + t]
-        nodes_y = YS[idx, : d + t]
-        CX = X[idx][:, ci]  # (A, d*d)
-        CY = Y[idx][:, cj]
-        coincide = (
-            (CX[:, :, None] == nodes_x[:, None, :])
-            & (CY[:, :, None] == nodes_y[:, None, :])
-        ).any(axis=2)
-        lens = _batched_candidate_lengths(nodes_x, nodes_y, CX, CY)
-        lens[coincide] = np.inf
-        best = np.argmin(lens, axis=1)
-        arow = np.arange(len(idx))
-        best_len = lens[arow, best]
-        # reprolint: allow[no-silent-nanfix] padding lanes of the degree-bucketed batch carry NaN lengths that are masked out of `improves` before use
-        with np.errstate(invalid="ignore"):
-            improves = (cur_len[idx] - best_len) > tol
-        stopped = idx[~improves]
-        active[stopped] = False
-        ins = idx[improves]
-        if len(ins) == 0:
-            break
-        sel = best[improves]
-        XS[ins, d + t] = CX[arow[improves], sel]
-        YS[ins, d + t] = CY[arow[improves], sel]
-        own_i[ins, t] = ci[sel]
-        own_j[ins, t] = cj[sel]
-        n_ins[ins] += 1
-        cur_len[ins] = best_len[improves]
+        rows = np.arange(len(active))
+        n_nodes = degree[active] + t
+        cand, masked, pick = dist[active, :, : d + t], coincide[active], None
+        if prune:
+            score = near[active, :, 0] + near[active, :, 1] + near[active, :, 2]
+            pruned = (~masked).sum(axis=1) > MAX_CANDIDATES
+            key = np.where(pruned[:, None], score, np.arange(d * d, dtype=float))
+            key[masked] = np.inf
+            pick = np.argsort(key, axis=1, kind="stable")[:, :MAX_CANDIDATES]
+            cand, masked = cand[rows[:, None], pick], masked[rows[:, None], pick]
+        lens = _candidate_lengths(base[active, : d + t, : d + t], cand, n_nodes)
+        lens[masked] = np.inf
+        best = lens.argmin(axis=1)
+        best_len = lens[rows, best]
+        improves = (cur_len[active] - best_len) > tol
+        active, best, lane = active[improves], best[improves], n_nodes[improves]
+        sel = best if pick is None else pick[improves, best]
+        XS[active, lane] = X[active, ci[sel]]
+        YS[active, lane] = Y[active, cj[sel]]
+        own_i[active, t] = ci[sel]
+        own_j[active, t] = cj[sel]
+        n_ins[active] += 1
+        cur_len[active] = best_len[improves]
+        # The new point's lane: its candidate distances, and as a node
+        # the distance row of the candidate it was.
+        new = np.abs(CX[active] - XS[active, lane, None]) + np.abs(
+            CY[active] - YS[active, lane, None]
+        )
+        dist[active, :, lane] = new
+        coincide[active] |= new == 0.0
+        base[active, lane] = base[active, :, lane] = dist[active, sel]
+        if prune:
+            for k in range(3):  # insert into the sorted three smallest
+                lo = np.minimum(near[active, :, k], new)
+                new = np.maximum(near[active, :, k], new)
+                near[active, :, k] = lo
     return XS, YS, n_ins, own_i, own_j
 
 
 # ----------------------------------------------------------------------
-# Closed-form buckets
+# Bucket -> flat tree rows
 # ----------------------------------------------------------------------
-def _deg2_trees(
-    X: np.ndarray,
-    Y: np.ndarray,
-    pins: np.ndarray,
-    drivers: np.ndarray,
-) -> List[RoutingTree]:
-    """All degree-2 nets: one HPWL segment each, rooted at the driver."""
-    B = len(X)
-    parent = np.full((B, 2), -1, dtype=np.int64)
-    parent[np.arange(B), 1 - drivers] = drivers
-    owners = np.arange(2)
-    out = []
-    for k in range(B):
-        out.append(
-            RoutingTree(
-                x=X[k],
-                y=Y[k],
-                parent=parent[k],
-                pins=pins[k],
-                owner_x=owners.copy(),
-                owner_y=owners.copy(),
-                root=int(drivers[k]),
-            )
-        )
-    return out
+def _median3(X: np.ndarray, Y: np.ndarray):
+    """All degree-3 nets: exact RSMT, a star around the median point.
 
-
-def _deg3_trees(
-    X: np.ndarray,
-    Y: np.ndarray,
-    pins: np.ndarray,
-    drivers: np.ndarray,
-) -> List[RoutingTree]:
-    """All degree-3 nets: exact RSMT via the median point, vectorised.
-
-    Reproduces :func:`repro.route.rsmt._median3_tree` (including its
-    re-rooting at the driver) case by case: when the median point
-    coincides with a pin the tree is a star around that pin, otherwise a
-    4th Steiner node is inserted whose coordinate owners are the pins of
-    median x and median y rank.
+    Reproduces :func:`repro.route.rsmt._median3_tree`: when the median
+    point coincides with a pin the star's centre is (the first such) pin
+    and lane 3 stays empty, otherwise lane 3 is a Steiner node whose
+    coordinate owners are the pins of median x and median y rank.
     """
-    B = len(X)
-    order_x = np.argsort(X, axis=1)
-    order_y = np.argsort(Y, axis=1)
+    rows = np.arange(len(X))
+    own_i = np.argsort(X, axis=1)[:, 1:2]
+    own_j = np.argsort(Y, axis=1)[:, 1:2]
     # np.median of 3 elements is the middle order statistic.
-    rows = np.arange(B)
-    mx = X[rows, order_x[:, 1]]
-    my = Y[rows, order_y[:, 1]]
-    owner_mx = order_x[:, 1]
-    owner_my = order_y[:, 1]
-    coincide = (X == mx[:, None]) & (Y == my[:, None])
+    coincide = (X == X[rows, own_i[:, 0]][:, None]) & (
+        Y == Y[rows, own_j[:, 0]][:, None]
+    )
     has_hub = coincide.any(axis=1)
-    hub = np.argmax(coincide, axis=1)
-
-    base_owners = np.arange(3)
-    out = []
-    for k in range(B):
-        r = int(drivers[k])
-        if has_hub[k]:
-            h = int(hub[k])
-            parent = np.full(3, h, dtype=np.int64)
-            # Star rooted at the hub, re-rooted at the driver: flipping
-            # the (driver -> hub) pointer is the whole path reversal.
-            parent[h] = r if r != h else -1
-            parent[r] = -1
-            out.append(
-                RoutingTree(
-                    x=X[k].copy(),
-                    y=Y[k].copy(),
-                    parent=parent,
-                    pins=pins[k],
-                    owner_x=base_owners.copy(),
-                    owner_y=base_owners.copy(),
-                    root=r,
-                )
-            )
-        else:
-            parent = np.full(4, 3, dtype=np.int64)
-            parent[3] = r
-            parent[r] = -1
-            out.append(
-                RoutingTree(
-                    x=np.concatenate([X[k], mx[k : k + 1]]),
-                    y=np.concatenate([Y[k], my[k : k + 1]]),
-                    parent=parent,
-                    pins=np.concatenate([pins[k], [-1]]),
-                    owner_x=np.array([0, 1, 2, owner_mx[k]], dtype=np.int64),
-                    owner_y=np.array([0, 1, 2, owner_my[k]], dtype=np.int64),
-                    root=r,
-                )
-            )
-    return out
+    centre = np.where(has_hub, coincide.argmax(axis=1), 3)
+    parent = np.repeat(centre[:, None], 4, axis=1)
+    parent[rows, centre] = -1
+    alive = np.ones((len(X), 4), dtype=bool)
+    alive[:, 3] = ~has_hub
+    return parent, alive, own_i, own_j
 
 
-# ----------------------------------------------------------------------
-# Bucket dispatcher
-# ----------------------------------------------------------------------
-def build_rsmt_batch(
-    px: Sequence[np.ndarray],
-    py: Sequence[np.ndarray],
-    pin_ids: Sequence[np.ndarray],
-    driver_locals: Sequence[int],
-    max_steiner_degree: int = 24,
-    max_candidates: int = 64,
-) -> List[RoutingTree]:
-    """Build RSMTs for many nets at once, bucketed by degree.
+def _peel_leaf_steiners(
+    parent: np.ndarray, alive: np.ndarray, degree: np.ndarray
+) -> None:
+    """Clear ``alive`` on childless Steiner lanes, to a fixed point.
 
-    The inputs are parallel per-net sequences (coordinates, global pin
-    ids, local driver index); the output list matches the input order.
-    Results are bit-identical to calling
-    :func:`repro.route.rsmt.build_rsmt` per net.
+    In a tree rooted at a pin a Steiner node has degree <= 1 exactly when
+    it has no child, so this is the scalar ``_prune_leaf_steiners`` for
+    the whole bucket at once (one pass per peeled layer).
     """
-    # Import here to avoid a circular module dependency (rsmt dispatches
-    # into this module for its batched path).
-    from .rsmt import _assemble_tree, build_rsmt
-
-    n_nets = len(px)
-    out: List[Optional[RoutingTree]] = [None] * n_nets
-    buckets: Dict[int, List[int]] = {}
-    for k in range(n_nets):
-        d = len(px[k])
-        if d <= 1 or (
-            max_candidates < d * d and d <= max_steiner_degree and d > 3
-        ):
-            # Degenerate nets and nets subject to the scalar path's
-            # deterministic candidate pruning: scalar fallback.
-            out[k] = build_rsmt(
-                px[k],
-                py[k],
-                pin_ids[k],
-                driver_local=int(driver_locals[k]),
-                max_steiner_degree=max_steiner_degree,
-                max_candidates=max_candidates,
-            )
-            continue
-        buckets.setdefault(d, []).append(k)
-
-    for d, members in buckets.items():
-        X = np.stack([np.asarray(px[k], dtype=np.float64) for k in members])
-        Y = np.stack([np.asarray(py[k], dtype=np.float64) for k in members])
-        # np.array (copying) so tree.pins never aliases design CSR slices.
-        P = [np.array(pin_ids[k], dtype=np.int64) for k in members]
-        drv = np.array([driver_locals[k] for k in members], dtype=np.int64)
-        if d == 2:
-            trees = _deg2_trees(X, Y, P, drv)
-        elif d == 3:
-            trees = _deg3_trees(X, Y, P, drv)
-        else:
-            if d <= max_steiner_degree:
-                XS, YS, n_ins, own_i, own_j = batched_one_steiner(X, Y)
-            else:
-                T = 0
-                XS, YS = X, Y
-                n_ins = np.zeros(len(members), dtype=np.int64)
-                own_i = own_j = np.zeros((len(members), T), dtype=np.int64)
-            trees = _finalize_bucket(
-                X, Y, P, drv, XS, YS, n_ins, own_i, own_j, _assemble_tree
-            )
-        for k, tree in zip(members, trees):
-            out[k] = tree
-    return out  # type: ignore[return-value]
+    B, N = parent.shape
+    flat = (parent + np.arange(B)[:, None] * N).ravel()
+    steiner = np.arange(N) >= degree[:, None]
+    while True:
+        has_child = np.zeros(B * N, dtype=bool)
+        has_child[flat[(alive & (parent >= 0)).ravel()]] = True
+        leaf = alive & steiner & ~has_child.reshape(B, N)
+        if not leaf.any():
+            return
+        alive &= ~leaf
 
 
-def _finalize_bucket(
+def _reroot(parent: np.ndarray, root: np.ndarray) -> None:
+    """Re-root every row's tree at ``root`` by reversing the root path.
+
+    The parents of a tree are unique for a given root, so flipping the
+    pointers along root -> old root equals the scalar DFS from the driver.
+    """
+    rows = np.arange(len(parent))
+    node, below = root, np.full(len(parent), -1, dtype=np.int64)
+    while len(rows):
+        above = parent[rows, node]
+        parent[rows, node] = below
+        more = above >= 0
+        rows, node, below = rows[more], above[more], node[more]
+
+
+def bucket_rows(
     X: np.ndarray,
     Y: np.ndarray,
-    P: List[np.ndarray],
-    drv: np.ndarray,
-    XS: np.ndarray,
-    YS: np.ndarray,
-    n_ins: np.ndarray,
-    own_i: np.ndarray,
-    own_j: np.ndarray,
-    assemble,
-) -> List[RoutingTree]:
-    """Final MST + prune + root for a bucket with per-net Steiner counts.
+    pins: np.ndarray,
+    driver: np.ndarray,
+    degree: np.ndarray,
+) -> Tuple[np.ndarray, ...]:
+    """Route one degree bucket; returns its trees as flat rows.
 
-    Nets are regrouped by total node count so the final Prim pass stays
-    rectangular; pruning/rooting are per-net (cheap after batching the
-    length computations).
+    ``X``/``Y``/``pins`` are ``(B, d)`` of which net ``r`` uses the first
+    ``degree[r]`` lanes (``pins`` is ``-1`` beyond), ``driver`` the local
+    driver index per net.
+    Returns ``(size, parent, node_pin, owner_x_pin, owner_y_pin, is_root,
+    depth)``: the node count per net and the node arrays of all B trees
+    concatenated (pins first, then the surviving Steiner points in
+    insertion order; ``parent`` tree-local), i.e. the row form
+    :meth:`repro.route.tree.Forest.from_rows` compacts.
     """
     B, d = X.shape
-    trees: List[Optional[RoutingTree]] = [None] * B
-    for m in np.unique(n_ins):
-        sel = np.nonzero(n_ins == m)[0]
-        n_total = d + int(m)
-        src, dst, _ = batched_prim(XS[sel, :n_total], YS[sel, :n_total])
-        for row, k in enumerate(sel):
-            edges = list(zip(src[row].tolist(), dst[row].tolist()))
-            owners = [
-                (int(own_i[k, t]), int(own_j[k, t])) for t in range(int(m))
-            ]
-            trees[k] = assemble(
-                X[k],
-                Y[k],
-                P[k],
-                int(drv[k]),
-                XS[k, :n_total],
-                YS[k, :n_total],
-                owners,
-                edges,
-            )
-    return trees  # type: ignore[return-value]
+    if d == 3:
+        parent, alive, own_i, own_j = _median3(X, Y)
+    else:
+        if 4 <= d <= MAX_STEINER_DEGREE:
+            X, Y, n_ins, own_i, own_j = batched_one_steiner(X, Y, degree)
+        else:
+            n_ins = np.zeros(B, dtype=np.int64)
+            own_i = own_j = np.zeros((B, 0), dtype=np.int64)
+        parent, _ = batched_prim(X, Y, degree + n_ins)
+        alive = np.arange(X.shape[1]) < (degree + n_ins)[:, None]
+        if n_ins.any():
+            _peel_leaf_steiners(parent, alive, degree)
+    N = parent.shape[1]
+    lane = np.arange(N)
+    rows = np.arange(B)[:, None]
+    is_pin = lane < degree[:, None]
+    _reroot(parent, driver)
+    is_root = lane == driver[:, None]
+    depth = tree_depths(
+        np.where(parent >= 0, parent + rows * N, -1).ravel(), is_root.ravel()
+    ).reshape(B, N)
+    new_id = np.cumsum(alive, axis=1) - 1
+    parent = np.where(parent >= 0, new_id[rows, parent], -1)
+    node_pin = np.full((B, N), -1, dtype=np.int64)
+    node_pin[:, :d] = pins
+    owner_x_pin = owner_y_pin = node_pin
+    if N > d:
+        # Steiner lane degree + t was the t-th insertion.
+        slot = np.clip(lane - degree[:, None], 0, N - d - 1)
+        owner_x_pin = np.where(is_pin, node_pin, pins[rows, own_i[rows, slot]])
+        owner_y_pin = np.where(is_pin, node_pin, pins[rows, own_j[rows, slot]])
+    return (
+        new_id[:, -1] + 1,
+        parent[alive],
+        node_pin[alive],
+        owner_x_pin[alive],
+        owner_y_pin[alive],
+        is_root[alive],
+        depth[alive],
+    )

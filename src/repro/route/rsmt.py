@@ -5,10 +5,15 @@ replaceable by any RSMT generator).  Strategy by net degree:
 
 - degree 2: a single edge;
 - degree 3: the median point (the exact RSMT for three terminals);
-- degree 4..``max_steiner_degree``: iterated 1-Steiner over the Hanan grid
+- degree 4..``MAX_STEINER_DEGREE``: iterated 1-Steiner over the Hanan grid
   (Kahng-Robins), inserting the candidate with the best exact MST-length
   gain until no candidate helps;
 - larger nets: plain rectilinear minimum spanning tree (no Steiner points).
+
+:func:`build_rsmt` is the single-net scalar reference (and the clock-tree
+router); whole forests are built by :func:`build_forest_for_nets` from
+the design's route plan and the batched kernels of :mod:`repro.route.batch`,
+bit-identical to flattening per-net ``build_rsmt`` trees.
 
 Every Steiner point is a Hanan point ``(x of pin i, y of pin j)`` and
 records ``(i, j)`` as its coordinate owners, which is what makes the tree
@@ -17,12 +22,14 @@ differentiable with respect to pin locations (Figure 4 of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..netlist.design import Design
 from ..perf import PROFILER
+from .batch import MAX_CANDIDATES, MAX_STEINER_DEGREE, bucket_rows
+from .plan import route_plan
 from .tree import Forest, RoutingTree
 
 __all__ = [
@@ -30,6 +37,7 @@ __all__ = [
     "build_trees",
     "build_trees_for_nets",
     "build_forest",
+    "build_forest_for_nets",
     "build_forest_from_pins",
     "rmst_length",
 ]
@@ -331,10 +339,10 @@ def build_rsmt(
     pin_y: np.ndarray,
     pin_ids: np.ndarray,
     driver_local: int = 0,
-    max_steiner_degree: int = 24,
-    max_candidates: int = 64,
+    max_steiner_degree: int = MAX_STEINER_DEGREE,
+    max_candidates: int = MAX_CANDIDATES,
 ) -> RoutingTree:
-    """Build a rooted RSMT over one net's pins.
+    """Build a rooted RSMT over one net's pins (the scalar reference).
 
     Parameters
     ----------
@@ -386,19 +394,58 @@ def build_rsmt(
     return _assemble_tree(x, y, pins, driver_local, xs, ys, owners)
 
 
-def _routable_nets(
-    design: Design, net_ids: Iterable[int], include_clock: bool
-) -> List[int]:
-    """Filter to nets that get a tree (>= 2 pins, driven, non-clock)."""
-    out = []
-    for ni in net_ids:
-        if (
-            design.net_degree(ni) >= 2
-            and design.net_driver[ni] >= 0
-            and (include_clock or not design.net_is_clock[ni])
-        ):
-            out.append(int(ni))
-    return out
+def build_forest_for_nets(
+    design: Design,
+    px: np.ndarray,
+    py: np.ndarray,
+    net_ids: Optional[Sequence[int]] = None,
+    include_clock: bool = False,
+) -> Forest:
+    """The one forest builder: route nets from explicit *pin* coordinates.
+
+    Routes every routable net (>= 2 pins, driven, non-clock unless
+    ``include_clock``), or with ``net_ids`` only those of them (the
+    dirty-net splice, the incremental timer); unroutable ids are silently
+    skipped.  Each degree bucket of the design's route plan goes through
+    one batched kernel call and the rows are compacted into the flat
+    :class:`Forest` once; no per-net object is created.  Each tree is a
+    pure function of its own pins' coordinates, which is what lets a
+    per-pin coordinate snapshot reconstruct a mixed-age forest.
+    """
+    plan = route_plan(design, include_clock)
+    nets, rows = [], []
+    for bucket in plan.select(net_ids):
+        nets.append(bucket.nets)
+        rows.append(bucket_rows(px[bucket.pins], py[bucket.pins], *bucket[1:]))
+    if not rows:
+        return Forest([None] * plan.n_nets, plan.n_pins)
+    return Forest.from_rows(
+        plan.n_nets,
+        plan.n_pins,
+        np.concatenate(nets),
+        *(np.concatenate(field) for field in zip(*rows)),
+    )
+
+
+def build_forest(
+    design: Design,
+    cell_x: Optional[np.ndarray] = None,
+    cell_y: Optional[np.ndarray] = None,
+) -> Forest:
+    """Route every timing net of a placement into a flat Forest."""
+    with PROFILER.stage("route.build_forest"):
+        return build_forest_for_nets(design, *design.pin_positions(cell_x, cell_y))
+
+
+def build_forest_from_pins(design: Design, px: np.ndarray, py: np.ndarray) -> Forest:
+    """Route every timing net from explicit per-pin coordinates.
+
+    Used by checkpoint restoration: a dirty-net incremental forest is a
+    mixture of trees built at different iterations, restored from the
+    per-pin coordinates each tree was built at.
+    """
+    with PROFILER.stage("route.build_forest"):
+        return build_forest_for_nets(design, px, py)
 
 
 def build_trees_for_nets(
@@ -406,109 +453,23 @@ def build_trees_for_nets(
     px: np.ndarray,
     py: np.ndarray,
     net_ids: Sequence[int],
-    max_steiner_degree: int = 24,
-    max_candidates: int = 64,
     include_clock: bool = False,
-    batched: bool = True,
 ) -> Dict[int, RoutingTree]:
-    """Route a subset of nets from explicit *pin* coordinates.
-
-    This is the entry point of the dirty-net incremental rebuild path
-    (and of checkpoint restoration, which replays each net's tree from
-    the pin coordinates it was last built at).  Unroutable nets in
-    ``net_ids`` are silently skipped.  With ``batched=True`` nets are
-    degree-bucketed through :mod:`repro.route.batch`; the scalar path is
-    kept as the reference implementation and for candidate-pruned
-    degrees.
-    """
-    ids = _routable_nets(design, net_ids, include_clock)
-    if not ids:
-        return {}
-    pins_list = [design.net_pins(ni) for ni in ids]
-    drivers = [
-        int(np.nonzero(pins == design.net_driver[ni])[0][0])
-        for ni, pins in zip(ids, pins_list)
-    ]
-    if batched:
-        from .batch import build_rsmt_batch
-
-        trees = build_rsmt_batch(
-            [px[p] for p in pins_list],
-            [py[p] for p in pins_list],
-            pins_list,
-            drivers,
-            max_steiner_degree=max_steiner_degree,
-            max_candidates=max_candidates,
-        )
-    else:
-        trees = [
-            build_rsmt(
-                px[pins],
-                py[pins],
-                pins,
-                driver_local=drv,
-                max_steiner_degree=max_steiner_degree,
-                max_candidates=max_candidates,
-            )
-            for pins, drv in zip(pins_list, drivers)
-        ]
-    return dict(zip(ids, trees))
+    """Tree views of a subset of nets (unroutable ids are skipped)."""
+    trees = build_forest_for_nets(design, px, py, net_ids, include_clock).trees(px, py)
+    return {ni: tree for ni, tree in enumerate(trees) if tree is not None}
 
 
 def build_trees(
     design: Design,
     cell_x: Optional[np.ndarray] = None,
     cell_y: Optional[np.ndarray] = None,
-    max_steiner_degree: int = 24,
     include_clock: bool = False,
-    batched: bool = True,
 ) -> List[Optional[RoutingTree]]:
-    """Build routing trees for every timing net of a design.
+    """Tree view of every net of a design (``None`` where none is routed).
 
     Clock nets are skipped by default (the evaluation uses an ideal clock),
-    as are driverless and single-pin nets; those entries are ``None``.
-    ``batched=False`` forces the scalar per-net reference path (the
-    batched kernels produce bit-identical trees; the flag exists for
-    benchmarking and equivalence testing).
+    as are driverless and single-pin nets.
     """
     px, py = design.pin_positions(cell_x, cell_y)
-    by_net = build_trees_for_nets(
-        design,
-        px,
-        py,
-        range(design.n_nets),
-        max_steiner_degree=max_steiner_degree,
-        include_clock=include_clock,
-        batched=batched,
-    )
-    return [by_net.get(ni) for ni in range(design.n_nets)]
-
-
-def build_forest(
-    design: Design,
-    cell_x: Optional[np.ndarray] = None,
-    cell_y: Optional[np.ndarray] = None,
-    **kwargs,
-) -> Forest:
-    """Convenience wrapper: route every timing net and flatten to a Forest."""
-    with PROFILER.stage("route.build_forest"):
-        trees = build_trees(design, cell_x, cell_y, **kwargs)
-        return Forest(trees, design.n_pins)
-
-
-def build_forest_from_pins(
-    design: Design, px: np.ndarray, py: np.ndarray, **kwargs
-) -> Forest:
-    """Route every timing net from explicit per-pin coordinates.
-
-    Used by checkpoint restoration: a dirty-net incremental forest is a
-    mixture of trees built at different iterations, but each tree is a
-    pure function of its own pins' coordinates at build time, so a
-    per-pin coordinate snapshot reconstructs the exact forest.
-    """
-    with PROFILER.stage("route.build_forest"):
-        by_net = build_trees_for_nets(
-            design, px, py, range(design.n_nets), **kwargs
-        )
-        trees = [by_net.get(ni) for ni in range(design.n_nets)]
-        return Forest(trees, design.n_pins)
+    return build_forest_for_nets(design, px, py, None, include_clock).trees(px, py)

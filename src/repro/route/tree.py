@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.scatter import scatter_add
 
-__all__ = ["RoutingTree", "Forest"]
+__all__ = ["RoutingTree", "Forest", "gather_csr", "tree_depths"]
 
 
 @dataclass
@@ -103,145 +103,208 @@ class RoutingTree:
         assert (self.owner_y[pin_nodes] == pin_nodes).all()
 
 
-class Forest:
-    """Flattened array view of the routing trees of many nets.
+def gather_csr(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices of the CSR runs ``starts[i] : starts[i]+counts[i]``."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    ends = np.cumsum(counts)
+    offsets = np.arange(total) - np.repeat(ends - counts, counts)
+    return np.repeat(starts, counts) + offsets
 
-    Node arrays are concatenated across trees; ``node_net`` maps each node
-    back to its net.  ``order_by_depth`` groups node indices by tree depth
-    so bottom-up/top-down dynamic-programming passes can be executed as a
-    short sequence of vectorised scatter/gather steps (one per depth level),
-    mirroring the paper's GPU kernel structure.
+
+def tree_depths(parent: np.ndarray, is_root: np.ndarray) -> np.ndarray:
+    """Edge distance to the root per node of a flat parent-pointer forest.
+
+    Frontier propagation over a shrinking work list: one pass per depth
+    level, each only over the nodes not settled yet.  Nodes that reach no
+    root (padding lanes of a bucket) keep depth ``-1``.
+    """
+    depth = np.where(is_root, 0, -1).astype(np.int64)
+    todo = np.nonzero(parent >= 0)[0]
+    while len(todo):
+        above = depth[parent[todo]]
+        settled = above >= 0
+        if not settled.any():
+            break
+        depth[todo[settled]] = above[settled] + 1
+        todo = todo[~settled]
+    return depth
+
+
+class Forest:
+    """Flat arrays of the routing trees of many nets - the primary form.
+
+    Node arrays are concatenated in net order (``node_offset[ni]`` is the
+    first node of net ``ni``, unrouted nets are empty); each tree lists
+    its pins first, in net pin order, then its Steiner points.  ``levels``
+    groups node indices by tree depth so bottom-up/top-down
+    dynamic-programming passes run as a short sequence of vectorised
+    scatter/gather steps (one per depth level), mirroring the paper's GPU
+    kernel structure.  The batched router (:mod:`repro.route.batch`)
+    writes these arrays directly through :meth:`from_rows`; a
+    :class:`RoutingTree` is only a view materialised on request by
+    :meth:`tree`.
     """
 
-    def __init__(self, trees: Sequence[Optional[RoutingTree]], n_pins_total: int) -> None:
-        self.trees = list(trees)
-        self.n_pins_total = n_pins_total
+    def __init__(
+        self, trees: Sequence[Optional[RoutingTree]], n_pins_total: int
+    ) -> None:
+        """Flatten explicit trees (scalar reference, clock tree, tests)."""
+        live = [(ni, t) for ni, t in enumerate(trees) if t is not None]
 
-        # Flattening is fully vectorised: per-tree arrays are gathered
-        # into Python lists once and concatenated in C, per-node fields
-        # are rebased with np.repeat'ed offsets, and depths/levels come
-        # from a whole-forest frontier propagation instead of a per-tree
-        # O(n^2) Python loop.  (The per-net RSMT kernels are batched in
-        # repro.route.batch; flattening must not become the new scalar
-        # bottleneck.)
-        live = [
-            (ni, t) for ni, t in enumerate(self.trees) if t is not None
-        ]
-        sizes = np.zeros(len(self.trees), dtype=np.int64)
-        for ni, t in live:
-            sizes[ni] = t.n_nodes
-        self.node_offset = np.concatenate(
-            [[0], np.cumsum(sizes)]
-        ).astype(np.int64)
-        total = int(self.node_offset[-1])
-        self.n_nodes = total
+        def cat(field) -> np.ndarray:
+            parts = [field(t) for _, t in live]
+            return np.concatenate(parts) if parts else np.zeros(0, np.int64)
 
-        if live:
-            live_ids = np.array([ni for ni, _ in live], dtype=np.int64)
-            live_sizes = sizes[live_ids]
-            bases = np.repeat(self.node_offset[live_ids], live_sizes)
-            parent = np.concatenate([t.parent for _, t in live])
-            hp = parent >= 0
-            parent[hp] += bases[hp]
-            self.parent = parent
-            self.node_net = np.repeat(live_ids, live_sizes)
-            self.node_pin = np.concatenate([t.pins for _, t in live])
-            owner_x = np.concatenate([t.owner_x for _, t in live]) + bases
-            owner_y = np.concatenate([t.owner_y for _, t in live]) + bases
-            self.owner_x_pin = self.node_pin[owner_x]
-            self.owner_y_pin = self.node_pin[owner_y]
-            self.is_root = np.zeros(total, dtype=bool)
-            roots = self.node_offset[live_ids] + np.array(
-                [t.root for _, t in live], dtype=np.int64
-            )
-            self.is_root[roots] = True
-        else:
-            self.parent = np.full(total, -1, dtype=np.int64)
-            self.node_net = np.full(total, -1, dtype=np.int64)
-            self.node_pin = np.full(total, -1, dtype=np.int64)
-            self.owner_x_pin = np.full(total, -1, dtype=np.int64)
-            self.owner_y_pin = np.full(total, -1, dtype=np.int64)
-            self.is_root = np.zeros(total, dtype=bool)
-
-        self.has_parent = self.parent >= 0
-        self.depth = self._compute_depths()
-        self._rebuild_levels()
-        # Map: for each global pin that appears in some tree, its node index.
-        self.pin_node = np.full(n_pins_total, -1, dtype=np.int64)
-        pin_mask = self.node_pin >= 0
-        self.pin_node[self.node_pin[pin_mask]] = np.nonzero(pin_mask)[0]
-        self.is_steiner = ~pin_mask
-
-    def _compute_depths(self) -> np.ndarray:
-        """Whole-forest depth via vectorised frontier propagation."""
-        depth = np.where(self.is_root, 0, -1).astype(np.int64)
-        safe_parent = np.maximum(self.parent, 0)
-        while True:
-            newly = (
-                (depth < 0) & self.has_parent & (depth[safe_parent] >= 0)
-            )
-            if not newly.any():
-                break
-            depth[newly] = depth[safe_parent[newly]] + 1
-        return depth
-
-    def _rebuild_levels(self) -> None:
-        """Group node indices by depth (levels[d] ascending within d)."""
-        depth = self.depth
-        self.max_depth = int(depth.max()) if self.n_nodes else 0
-        counts = np.bincount(depth, minlength=self.max_depth + 1)
-        order = np.argsort(depth, kind="stable")
-        self.levels: List[np.ndarray] = np.split(
-            order, np.cumsum(counts[:-1])
+        self._assemble(
+            len(trees),
+            n_pins_total,
+            np.array([ni for ni, _ in live], dtype=np.int64),
+            np.array([t.n_nodes for _, t in live], dtype=np.int64),
+            cat(lambda t: t.parent),
+            cat(lambda t: t.pins),
+            cat(lambda t: t.pins[t.owner_x]),
+            cat(lambda t: t.pins[t.owner_y]),
+            cat(lambda t: np.arange(t.n_nodes) == t.root).astype(bool),
         )
 
-    def splice(self, updates: "dict[int, RoutingTree]") -> "Forest":
-        """Replace the trees of a few nets, reusing the flattened arrays.
+    @classmethod
+    def from_rows(cls, *args, **kwargs) -> "Forest":
+        """Forest from per-tree rows in any net order (see ``_assemble``)."""
+        forest = cls.__new__(cls)
+        forest._assemble(*args, **kwargs)
+        return forest
+
+    def _assemble(
+        self,
+        n_nets: int,
+        n_pins_total: int,
+        net: np.ndarray,
+        size: np.ndarray,
+        parent: np.ndarray,
+        node_pin: np.ndarray,
+        owner_x_pin: np.ndarray,
+        owner_y_pin: np.ndarray,
+        is_root: np.ndarray,
+        depth: Optional[np.ndarray] = None,
+    ) -> None:
+        """The one compaction: rows of trees -> net-ordered flat arrays.
+
+        Row ``r`` is the tree of net ``net[r]`` with ``size[r]`` nodes; the
+        node arrays are the rows concatenated in the given order,
+        ``parent`` row-local (``-1`` at the root).  ``depth`` is computed
+        here when the caller did not derive it per bucket.
+        """
+        self.n_nets = n_nets
+        self.n_pins_total = n_pins_total
+        self.node_offset = np.zeros(n_nets + 1, dtype=np.int64)
+        self.node_offset[net + 1] = size
+        np.cumsum(self.node_offset, out=self.node_offset)
+        self.n_nodes = total = int(self.node_offset[-1])
+        base = np.repeat(self.node_offset[net], size)
+        parent = np.where(parent >= 0, parent + base, -1)
+        self.node_net = np.repeat(np.arange(n_nets), np.diff(self.node_offset))
+        if len(net) > 1 and (net[1:] < net[:-1]).any():
+            # Rows arrive bucket-major; dest is each node's net-order slot.
+            dest = base + np.arange(total) - np.repeat(np.cumsum(size) - size, size)
+
+            def place(values: np.ndarray) -> np.ndarray:
+                out = np.empty_like(values)
+                out[dest] = values
+                return out
+
+        else:
+            place = np.asarray
+        self.parent = place(parent)
+        self.node_pin = place(node_pin)
+        self.owner_x_pin = place(owner_x_pin)
+        self.owner_y_pin = place(owner_y_pin)
+        self.is_root = place(is_root)
+        self.depth = (
+            tree_depths(self.parent, self.is_root)
+            if depth is None
+            else place(depth)
+        )
+        self._finalize()
+
+    def _finalize(self) -> None:
+        """Derived lookups: levels (ascending node id per depth), pin map."""
+        self.has_parent = self.parent >= 0
+        self.is_steiner = self.node_pin < 0
+        self.max_depth = int(self.depth.max()) if self.n_nodes else 0
+        counts = np.bincount(self.depth, minlength=self.max_depth + 1)
+        order = np.argsort(self.depth, kind="stable")
+        self.levels: List[np.ndarray] = np.split(order, np.cumsum(counts[:-1]))
+        # Map: for each global pin that appears in some tree, its node index.
+        self.pin_node = np.full(self.n_pins_total, -1, dtype=np.int64)
+        pin_nodes = np.nonzero(~self.is_steiner)[0]
+        self.pin_node[self.node_pin[pin_nodes]] = pin_nodes
+
+    def tree(
+        self, net: int, pin_x: np.ndarray, pin_y: np.ndarray
+    ) -> Optional[RoutingTree]:
+        """Materialise net ``net``'s tree at the given pin coordinates."""
+        lo, hi = int(self.node_offset[net]), int(self.node_offset[net + 1])
+        if lo == hi:
+            return None
+        parent = self.parent[lo:hi]
+        return RoutingTree(
+            x=pin_x[self.owner_x_pin[lo:hi]],
+            y=pin_y[self.owner_y_pin[lo:hi]],
+            parent=np.where(parent >= 0, parent - lo, -1),
+            pins=self.node_pin[lo:hi].copy(),
+            owner_x=self.pin_node[self.owner_x_pin[lo:hi]] - lo,
+            owner_y=self.pin_node[self.owner_y_pin[lo:hi]] - lo,
+            root=int(np.argmax(self.is_root[lo:hi])),
+        )
+
+    def trees(
+        self, pin_x: np.ndarray, pin_y: np.ndarray
+    ) -> List[Optional[RoutingTree]]:
+        """Every net's tree view (``None`` for unrouted nets)."""
+        return [self.tree(ni, pin_x, pin_y) for ni in range(self.n_nets)]
+
+    def splice(self, sub: "Forest") -> "Forest":
+        """Forest with the nets routed in ``sub`` replaced by its trees.
 
         The dirty-net incremental rebuild path calls this between full
-        RSMT rebuilds.  When every replacement has the same node count as
-        the tree it replaces (the common case - net degree is fixed, only
-        Steiner counts can drift), the per-net slices are patched in
-        place and only the depth/level grouping is recomputed; otherwise
-        the forest is reflattened from the updated tree list.  Returns
-        the updated forest (``self`` when patched in place).
+        RSMT rebuilds with the sub-forest the builder returned for the
+        dirty nets.  The untouched rows of ``self`` and the rows of
+        ``sub`` go through the same compaction as a fresh build, so a
+        replacement may change a net's node count.
         """
-        if not updates:
+        sizes = np.diff(self.node_offset)
+        sub_sizes = np.diff(sub.node_offset)
+        fresh = np.nonzero(sub_sizes)[0]
+        if not len(fresh):
             return self
-        sizes_match = all(
-            self.trees[ni] is not None
-            and tree.n_nodes == self.trees[ni].n_nodes
-            for ni, tree in updates.items()
+        kept = np.nonzero((sizes > 0) & (sub_sizes == 0))[0]
+        nodes = np.nonzero(sub_sizes[self.node_net] == 0)[0]
+        local = np.where(
+            self.has_parent[nodes],
+            self.parent[nodes] - self.node_offset[self.node_net[nodes]],
+            -1,
         )
-        if not sizes_match:
-            trees = list(self.trees)
-            for ni, tree in updates.items():
-                trees[ni] = tree
-            return Forest(trees, self.n_pins_total)
+        sub_local = np.where(
+            sub.has_parent, sub.parent - sub.node_offset[sub.node_net], -1
+        )
 
-        for ni, tree in updates.items():
-            self.trees[ni] = tree
-            base = int(self.node_offset[ni])
-            n = tree.n_nodes
-            sl = slice(base, base + n)
-            parent = tree.parent.copy()
-            hp = parent >= 0
-            parent[hp] += base
-            self.parent[sl] = parent
-            self.node_pin[sl] = tree.pins
-            self.owner_x_pin[sl] = tree.pins[tree.owner_x]
-            self.owner_y_pin[sl] = tree.pins[tree.owner_y]
-            self.is_root[sl] = False
-            self.is_root[base + tree.root] = True
-            pin_mask = tree.pins >= 0
-            self.pin_node[tree.pins[pin_mask]] = (
-                base + np.nonzero(pin_mask)[0]
-            )
-            self.is_steiner[sl] = ~pin_mask
-        self.has_parent = self.parent >= 0
-        self.depth = self._compute_depths()
-        self._rebuild_levels()
-        return self
+        def both(name: str) -> np.ndarray:
+            return np.concatenate([getattr(self, name)[nodes], getattr(sub, name)])
+
+        return Forest.from_rows(
+            self.n_nets,
+            self.n_pins_total,
+            np.concatenate([kept, fresh]),
+            np.concatenate([sizes[kept], sub_sizes[fresh]]),
+            np.concatenate([local, sub_local]),
+            both("node_pin"),
+            both("owner_x_pin"),
+            both("owner_y_pin"),
+            both("is_root"),
+            both("depth"),
+        )
 
     def node_coords(
         self, pin_x: np.ndarray, pin_y: np.ndarray

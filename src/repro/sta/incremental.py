@@ -34,9 +34,9 @@ from ..core.net_prop import net_forward_level
 from ..netlist.design import Design
 from ..netlist.library import FALL, RISE
 from ..perf import PROFILER
-from ..route.rsmt import build_trees_for_nets
+from ..route.rsmt import build_forest_for_nets
+from ..route.tree import gather_csr
 from ..telemetry.events import current_recorder
-from ..route.tree import Forest, RoutingTree
 from .analysis import StaticTimingAnalyzer
 from .elmore import elmore_forward, node_caps
 from .graph import TimingGraph
@@ -88,11 +88,9 @@ class IncrementalTimer:
         self,
         design: Design,
         graph: Optional[TimingGraph] = None,
-        max_steiner_degree: int = 24,
     ) -> None:
         self.design = design
         self.graph = graph if graph is not None else TimingGraph(design)
-        self.max_steiner_degree = max_steiner_degree
         g = self.graph
         n_pins = design.n_pins
 
@@ -146,7 +144,6 @@ class IncrementalTimer:
         self._sta = StaticTimingAnalyzer(design, self.graph)
         self.x: np.ndarray
         self.y: np.ndarray
-        self.trees: List[Optional[RoutingTree]]
         self.n_incremental_updates = 0
         self.n_pins_recomputed = 0
 
@@ -166,7 +163,6 @@ class IncrementalTimer:
         self.net_delay = result.net_delay.copy()
         self.impulse2 = result.impulse**2
         self.driver_load = result.driver_load.copy()
-        self.trees = list(result.forest.trees)
         self.ep_slack = result.endpoint_slack.copy()
         self._refresh_totals()
 
@@ -182,28 +178,15 @@ class IncrementalTimer:
     # ------------------------------------------------------------------
     # Elmore refresh for a set of nets
     # ------------------------------------------------------------------
-    def _reroute_nets(self, nets: Sequence[int]) -> Set[int]:
-        """Rebuild trees + Elmore values for nets; returns affected pins."""
+    def _reroute_nets(self, nets: Sequence[int]) -> None:
+        """Rebuild the trees of ``nets`` and replay their Elmore values."""
         design = self.design
         px, py = design.pin_positions(self.x, self.y)
-        affected: Set[int] = set()
-        # Degree-bucketed batched rebuild (bit-identical to per-net
-        # build_rsmt; see repro.route.batch).
-        by_net = build_trees_for_nets(
-            design,
-            px,
-            py,
-            list(nets),
-            max_steiner_degree=self.max_steiner_degree,
-        )
-        rebuilt: List[RoutingTree] = []
-        for ni, tree in by_net.items():
-            self.trees[ni] = tree
-            rebuilt.append(tree)
-            affected.update(int(p) for p in design.net_pins(ni))
-        if not rebuilt:
-            return affected
-        mini = Forest(rebuilt, design.n_pins)
+        # Sub-forest of just these nets, from the same builder (and so
+        # the same trees) as the full analysis `verify` compares against.
+        mini = build_forest_for_nets(design, px, py, nets)
+        if not mini.n_nodes:
+            return
         nx, ny = mini.node_coords(px, py)
         caps = node_caps(mini, design.pin_cap, self.graph.extra_pin_cap)
         elm = elmore_forward(mini, nx, ny, caps, design.library.wire)
@@ -215,7 +198,6 @@ class IncrementalTimer:
         )
         roots = np.nonzero(mini.is_root)[0]
         self.driver_load[mini.node_pin[roots]] = elm.load[roots]
-        return affected
 
     # ------------------------------------------------------------------
     # Single-pin recompute (late mode, exact max merge)
@@ -340,18 +322,6 @@ class IncrementalTimer:
     # ------------------------------------------------------------------
     # Batched level-ordered sweep
     # ------------------------------------------------------------------
-    @staticmethod
-    def _gather_csr(
-        starts: np.ndarray, counts: np.ndarray
-    ) -> np.ndarray:
-        """Flat indices of the CSR runs ``starts[i] : starts[i]+counts[i]``."""
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(0, dtype=np.int64)
-        ends = np.cumsum(counts)
-        offsets = np.arange(total) - np.repeat(ends - counts, counts)
-        return np.repeat(starts, counts) + offsets
-
     def _split_by_level(self, pins: np.ndarray) -> List[np.ndarray]:
         """Partition a pin vector into per-level chunks (ascending level)."""
         lv = self.graph.level[pins]
@@ -384,7 +354,7 @@ class IncrementalTimer:
             counts = self._c_start[cell_sinks + 1] - starts
             cell_sinks = cell_sinks[counts > 0]
             idx = self._c_order[
-                self._gather_csr(starts[counts > 0], counts[counts > 0])
+                gather_csr(starts[counts > 0], counts[counts > 0])
             ]
             if len(cell_sinks):
                 # Exact recompute from *all* fan-ins: reset, scatter-max.
@@ -424,7 +394,7 @@ class IncrementalTimer:
                 continue
             starts = self._out_start[changed_pins]
             counts = self._out_start[changed_pins + 1] - starts
-            succ = self._out_dst[self._gather_csr(starts, counts)]
+            succ = self._out_dst[gather_csr(starts, counts)]
             if not len(succ):
                 continue
             for chunk in self._split_by_level(np.unique(succ)):

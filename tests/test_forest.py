@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.route import Forest, build_forest, build_trees
+from repro.route import (
+    Forest,
+    build_forest,
+    build_forest_for_nets,
+    build_forest_from_pins,
+    build_rsmt,
+    build_trees,
+)
+from tests.test_rsmt_batch import (
+    _trees_identical,
+    assert_forests_equal,
+    reference_forest,
+)
 
 
 @pytest.fixture()
@@ -46,13 +58,100 @@ class TestConstruction:
         assert (forest.pin_node[pins] == mapped).all()
 
 
+class TestTreeViews:
+    def test_tree_round_trips_to_the_reference(self, small_design, spread_positions):
+        """forest.tree(ni) == build_rsmt of that net, and is a valid tree."""
+        x, y = spread_positions
+        design = small_design
+        forest = build_forest(design, x, y)
+        px, py = design.pin_positions(x, y)
+        n_views = 0
+        for ni in range(design.n_nets):
+            tree = forest.tree(ni, px, py)
+            pins = design.net_pins(ni)
+            driver = design.net_driver[ni]
+            if len(pins) < 2 or driver < 0 or design.net_is_clock[ni]:
+                assert tree is None
+                continue
+            local = int(np.nonzero(pins == driver)[0][0])
+            ref = build_rsmt(px[pins], py[pins], pins, driver_local=local)
+            assert _trees_identical(tree, ref)
+            tree.validate()
+            n_views += 1
+        assert n_views == int((np.diff(forest.node_offset) > 0).sum())
+
+    def test_views_reflatten_to_the_same_forest(self, small_design, spread_positions):
+        x, y = spread_positions
+        forest = build_forest(small_design, x, y)
+        px, py = small_design.pin_positions(x, y)
+        again = Forest(forest.trees(px, py), small_design.n_pins)
+        assert_forests_equal(forest, again)
+
+
+class TestSplice:
+    def _moved_pins(self, design, rng, frac):
+        x = rng.uniform(0, 120, design.n_cells)
+        y = rng.uniform(0, 120, design.n_cells)
+        moved = rng.random(design.n_cells) < frac
+        x2 = np.where(moved, rng.uniform(0, 120, design.n_cells), x)
+        y2 = np.where(moved, rng.uniform(0, 120, design.n_cells), y)
+        return design.pin_positions(x, y), design.pin_positions(x2, y2)
+
+    def test_dirty_subset_equals_full_rebuild_at_build_coords(self, small_design):
+        """Splicing re-routed nets == a full build at the per-pin build
+        coordinates (the ``built_pin_coords`` checkpoint contract)."""
+        design = small_design
+        rng = np.random.default_rng(21)
+        (px, py), (px2, py2) = self._moved_pins(design, rng, 0.3)
+        forest = build_forest_from_pins(design, px, py)
+        dirty = np.arange(0, design.n_nets, 3)
+        spliced = forest.splice(build_forest_for_nets(design, px2, py2, dirty))
+        built_x, built_y = px.copy(), py.copy()
+        for ni in dirty:
+            pins = design.net_pins(ni)
+            built_x[pins], built_y[pins] = px2[pins], py2[pins]
+        assert_forests_equal(
+            spliced, build_forest_from_pins(design, built_x, built_y)
+        )
+        assert_forests_equal(spliced, reference_forest(design, built_x, built_y))
+
+    def test_size_changing_splice(self, small_design):
+        """A replacement tree with a different Steiner count shifts every
+        later net; the spliced forest still equals the fresh build."""
+        design = small_design
+        rng = np.random.default_rng(22)
+        x = rng.uniform(0, 120, design.n_cells)
+        y = rng.uniform(0, 120, design.n_cells)
+        px, py = design.pin_positions(x, y)
+        forest = build_forest_from_pins(design, px, py)
+        sizes = np.diff(forest.node_offset)
+        degrees = design.net_degrees
+        dirty = np.nonzero(sizes > degrees)[0][:5]  # nets with Steiner points
+        assert len(dirty)
+        px2, py2 = px.copy(), py.copy()
+        for ni in dirty:  # collinear pins: every Steiner point disappears
+            pins = design.net_pins(ni)
+            py2[pins] = py[pins[0]]
+        spliced = forest.splice(build_forest_for_nets(design, px2, py2, dirty))
+        assert (np.diff(spliced.node_offset)[dirty] == degrees[dirty]).all()
+        assert spliced.n_nodes < forest.n_nodes
+        assert_forests_equal(spliced, build_forest_from_pins(design, px2, py2))
+
+    def test_empty_splice_returns_self(self, small_design):
+        forest = build_forest(small_design)
+        px, py = small_design.pin_positions()
+        empty = build_forest_for_nets(small_design, px, py, [])
+        assert empty.n_nodes == 0
+        assert forest.splice(empty) is forest
+
+
 class TestCoordinates:
     def test_node_coords_match_trees(self, small_design, spread_positions):
         x, y = spread_positions
         forest = build_forest(small_design, x, y)
         px, py = small_design.pin_positions(x, y)
         nx, ny = forest.node_coords(px, py)
-        for ni, tree in enumerate(forest.trees):
+        for ni, tree in enumerate(forest.trees(px, py)):
             if tree is None:
                 continue
             base = forest.node_offset[ni]

@@ -183,3 +183,37 @@ class TestBatchedSweepEquivalence:
         timer.ep_slack[:] = 0.0
         timer._refresh_endpoint_slacks(g.endpoint_pins)
         np.testing.assert_allclose(timer.ep_slack, expected, atol=1e-12)
+
+
+class TestOneRoutingPolicy:
+    """Re-routed nets and the `reset`/`verify` baseline share one builder
+    and one Steiner policy (`repro.route.MAX_STEINER_DEGREE` /
+    `MAX_CANDIDATES`); there is no per-timer knob to make them differ."""
+
+    def test_no_policy_knobs(self, small_design):
+        from repro.route import build_forest, build_forest_from_pins
+
+        with pytest.raises(TypeError):
+            IncrementalTimer(small_design, max_steiner_degree=8)
+        px, py = small_design.pin_positions()
+        with pytest.raises(TypeError):
+            build_forest(small_design, max_steiner_degree=8)
+        with pytest.raises(TypeError):
+            build_forest_from_pins(small_design, px, py, max_candidates=16)
+
+    def test_moves_on_pruned_degree_nets_verify(self, timer, small_design):
+        # Degree-18/19 nets go through the candidate-pruned rounds; moving
+        # their cells re-routes them through the sub-forest build, which
+        # must give the trees the full re-analysis builds.
+        design = small_design
+        big = np.nonzero((design.net_degrees >= 9) & ~design.net_is_clock)[0]
+        assert len(big)
+        rng = np.random.default_rng(9)
+        xl, yl, xh, yh = design.die
+        for ni in big:
+            cells = np.unique(design.pin2cell[design.net_pins(int(ni))])
+            cells = cells[~design.cell_fixed[cells]][:3]
+            timer.move(
+                cells, rng.uniform(xl, xh, len(cells)), rng.uniform(yl, yh, len(cells))
+            )
+            assert timer.verify()

@@ -10,6 +10,7 @@ deterministic.
 
 import glob
 import json
+import os
 
 import numpy as np
 import pytest
@@ -239,3 +240,40 @@ class TestCheckpointReplay:
             resumed_placer.objective.n_rebuilt_nets,
         )
         assert counters_resumed == counters_full
+
+    def test_parent_written_checkpoint_resumes_bit_identically(self, small_design):
+        """A checkpoint written before the array-native forest build (the
+        fixture comes from the PR 12 tree: iteration 20 of a 40-iteration
+        `ours` run with dirty-net splicing) resumes to that tree's exact
+        final positions and counters - the forests are bit-identical, so
+        neither the format nor the trajectory moved."""
+        data = os.path.join(os.path.dirname(__file__), "data")
+        final = np.load(os.path.join(data, "ours_parent_pr12_final.npz"))
+        timing = _options(
+            start_iteration=5, rsmt_period=4, rsmt_dirty_threshold=0.5
+        )
+
+        def run(**placer_opts):
+            placer = TimingDrivenPlacer(
+                small_design,
+                TimingPlacerOptions(
+                    placer=PlacerOptions(
+                        max_iters=40, min_iters=5, seed=3, **placer_opts
+                    ),
+                    timing=timing,
+                ),
+            )
+            result = placer.run()
+            obj = placer.objective
+            return result, [obj.n_rsmt_calls, obj.n_dirty_nets, obj.n_rebuilt_nets]
+
+        resumed, counters = run(
+            resume_from=os.path.join(data, "ours_parent_pr12_iter20.ckpt")
+        )
+        np.testing.assert_array_equal(resumed.x, final["x"])
+        np.testing.assert_array_equal(resumed.y, final["y"])
+        assert counters == final["counters"].tolist()
+        fresh, counters = run()
+        np.testing.assert_array_equal(fresh.x, final["x"])
+        np.testing.assert_array_equal(fresh.y, final["y"])
+        assert counters == final["counters"].tolist()
