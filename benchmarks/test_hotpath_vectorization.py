@@ -71,7 +71,7 @@ class ScalarSweepTimer(IncrementalTimer):
                     np.abs(at - self.at[p]).max() > _EPS
                     or np.abs(slew - self.slew[p]).max() > _EPS
                 )
-                if p in self._endpoint_index:
+                if self._endpoint_idx_of_pin[p] >= 0:
                     touched.add(p)
                 if not changed:
                     continue
@@ -84,7 +84,7 @@ class ScalarSweepTimer(IncrementalTimer):
 
     def _refresh_endpoint_slacks(self, pins: np.ndarray) -> None:
         for p in pins:
-            self.ep_slack[self._endpoint_index[int(p)]] = (
+            self.ep_slack[self._endpoint_idx_of_pin[int(p)]] = (
                 self._endpoint_slack(int(p))
             )
 

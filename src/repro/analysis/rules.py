@@ -20,7 +20,7 @@ __all__ = ["RULES_VERSION"]
 #: Bumped whenever a rule is added, removed, or changes what it flags;
 #: recorded in baselines, in telemetry run manifests, and in the
 #: incremental result cache key.
-RULES_VERSION = "2.0"
+RULES_VERSION = "2.1"
 
 
 def _is_numpy(node: ast.AST, resolver: Optional[NameResolver] = None) -> bool:
@@ -43,23 +43,27 @@ def _in_tests(ctx: FileContext) -> bool:
 # ----------------------------------------------------------------------
 @register_rule
 class NoScatterAddAt(Rule):
-    """``np.add.at`` is banned in favour of the shared bincount helpers.
+    """``ufunc.at`` scatters are banned in favour of the shared helpers.
 
     ``repro.core.scatter`` provides bit-identical, order-preserving
-    replacements (``scatter_add`` and friends) that are both faster and
-    a single audited implementation of the deterministic-scatter
-    contract.  Reference implementations are exempt: the equivalence
-    tests in ``tests/`` and the scatter micro-benchmark *must* call
-    ``np.add.at`` to compare against.
+    replacements for ``np.add.at`` (``scatter_add`` and friends) that are
+    both faster and a single audited implementation of the
+    deterministic-scatter contract; ``np.maximum.at``/``np.minimum.at``
+    are how a private levelised propagator starts, and the one engine
+    (``repro.core.propagate``) merges through
+    ``repro.core.smoothing.segment_max``.  Reference implementations are
+    exempt: the equivalence tests in ``tests/`` and the scatter
+    micro-benchmark *must* call ``np.add.at`` to compare against.
     """
 
     id = "no-scatter-add-at"
     description = (
-        "use repro.core.scatter helpers instead of np.add.at/np.subtract.at"
+        "use repro.core.scatter / repro.core.smoothing helpers instead of "
+        "np.add.at / np.subtract.at / np.maximum.at / np.minimum.at"
     )
     cacheable = True
 
-    _UFUNCS = ("add", "subtract")
+    _UFUNCS = ("add", "subtract", "maximum", "minimum")
     _ALLOWED_FILES = (
         "benchmarks/bench_scatter.py",
         # Carries the seed density pipeline verbatim as its baseline.
@@ -84,7 +88,8 @@ class NoScatterAddAt(Rule):
                     node,
                     f"np.{inner.attr}.at is banned; use the deterministic "
                     "bincount helpers in repro.core.scatter (scatter_add, "
-                    "scatter_add_2d, scatter_accumulate, ...)",
+                    "scatter_add_2d, scatter_accumulate, ...) or, for "
+                    "max/min merges, repro.core.smoothing.segment_max",
                 )
 
 

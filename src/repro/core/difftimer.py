@@ -30,18 +30,18 @@ from ..netlist.library import FALL, RISE
 from ..route.rsmt import build_forest
 from ..route.tree import Forest
 from ..sta.elmore import (
-    WIRE_DELAY_MODELS,
     ElmoreResult,
-    d2m_delay,
-    elmore_forward,
-    node_caps,
+    check_wire_delay_model,
+    design_elmore,
+    pin_elmore,
 )
 from ..perf import PROFILER
 from ..runtime import faults
-from ..sta.graph import LevelPlan, TimingGraph
-from .cell_prop import SLEW_CLIP_MAX, cell_backward_level, cell_forward_level
+from ..sta.graph import TimingGraph
+from .cell_prop import cell_backward_level
 from .elmore_grad import elmore_backward
-from .net_prop import net_backward_level, net_forward_level
+from .net_prop import net_backward_level
+from .propagate import endpoint_rat, propagate
 from .scatter import scatter_accumulate_at, scatter_add
 from .smoothing import lse_min, soft_clamp_neg, soft_clamp_neg_grad
 
@@ -97,14 +97,10 @@ class DifferentiableTimer:
         self.design = design
         self.graph = graph if graph is not None else TimingGraph(design)
         self.gamma = float(gamma)
-        if wire_delay_model not in WIRE_DELAY_MODELS:
-            raise ValueError(
-                f"unknown wire delay model {wire_delay_model!r}; "
-                f"expected one of {WIRE_DELAY_MODELS}"
-            )
-        self.wire_delay_model = wire_delay_model
-        #: Placement-independent sweep indices, built once per graph.
-        self.plan = LevelPlan(self.graph)
+        self.wire_delay_model = check_wire_delay_model(wire_delay_model)
+        #: Placement-independent sweep indices, shared with the graph's
+        #: other timers (built here if this is their first use).
+        self.plan = self.graph.plan
 
     # ------------------------------------------------------------------
     # Forward
@@ -131,31 +127,44 @@ class DifferentiableTimer:
             inj.corrupt_lutbank(graph.lutbank)
 
         with PROFILER.stage("difftimer.forward.elmore"):
-            px, py = design.pin_positions(x, y)
-            nx, ny = forest.node_coords(px, py)
-            caps = node_caps(forest, design.pin_cap, graph.extra_pin_cap)
-            elm = elmore_forward(forest, nx, ny, caps, design.library.wire)
+            elm = design_elmore(
+                design, forest, *design.pin_positions(x, y), graph.extra_pin_cap
+            )
+        net_delay, impulse2, driver_load = pin_elmore(
+            forest, elm, design.n_pins, self.wire_delay_model
+        )
 
-        n_pins = design.n_pins
-        net_delay = np.zeros(n_pins)
-        impulse2 = np.zeros(n_pins)
-        mask = forest.node_pin >= 0
-        pins = forest.node_pin[mask]
-        if self.wire_delay_model == "d2m":
-            net_delay[pins] = d2m_delay(elm.delay[mask], elm.beta[mask])
-        else:
-            net_delay[pins] = elm.delay[mask]
-        impulse2[pins] = np.maximum(2.0 * elm.beta[mask] - elm.delay[mask] ** 2, 0.0)
-        driver_load = elm.root_load(forest, n_pins)
+        at = np.full((design.n_pins, 2), _SENTINEL)
+        slew = np.zeros((design.n_pins, 2))
+        at[graph.start_pins] = graph.start_at[graph.start_pins]
+        slew[graph.start_pins] = graph.start_slew[graph.start_pins]
+        with PROFILER.stage("difftimer.forward.levels"):
+            sweep = propagate(
+                self.plan, graph.lutbank, net_delay, impulse2, driver_load,
+                at, slew, "lse", gamma, partials=True,
+            )
 
-        at = np.full((n_pins, 2), _SENTINEL)
-        slew = np.zeros((n_pins, 2))
-        sp = graph.start_pins
-        at[sp] = graph.start_at[sp]
-        slew[sp] = graph.start_slew[sp]
-
-        n_contribs = len(graph.c_dst)
-        tape = TimerTape(
+        # ------------------------------------------------------------------
+        # Endpoint slacks, smoothed TNS/WNS.
+        # ------------------------------------------------------------------
+        with PROFILER.stage("difftimer.forward.endpoints"):
+            rat, dsetup_dslew = endpoint_rat(graph, slew, grad=True)
+            ep_slack_t = rat - at[graph.endpoint_pins]
+            # Softmin across the two transitions per endpoint.
+            ep_slack = lse_min(ep_slack_t, gamma, axis=1)
+            # No setup checks or output ports: timing is trivially met
+            # (lse_min over an empty array would raise).
+            tns = wns = saturation = 0.0
+            if graph.n_endpoints:
+                tns = float(soft_clamp_neg(ep_slack, gamma).sum())
+                wns = float(lse_min(ep_slack, gamma))
+                saturation = float(
+                    np.mean(
+                        np.abs(ep_slack_t[:, 0] - ep_slack_t[:, 1])
+                        > 20.0 * gamma
+                    )
+                )
+        return TimerTape(
             forest=forest,
             elmore=elm,
             at=at,
@@ -163,76 +172,16 @@ class DifferentiableTimer:
             net_delay=net_delay,
             impulse2=impulse2,
             driver_load=driver_load,
-            cand=np.zeros((2, n_contribs)),
-            d_dslew=np.zeros((2, n_contribs)),
-            d_dload=np.zeros((2, n_contribs)),
-            ep_slack_t=np.zeros((graph.n_endpoints, 2)),
-            ep_slack=np.zeros(graph.n_endpoints),
-            setup_dsetup_dslew=np.zeros((len(graph.setup_d), 2)),
-            tns=0.0,
-            wns=0.0,
+            cand=sweep.cand,
+            d_dslew=sweep.d_dslew,
+            d_dload=sweep.d_dload,
+            ep_slack_t=ep_slack_t,
+            ep_slack=ep_slack,
+            setup_dsetup_dslew=dsetup_dslew,
+            tns=tns,
+            wns=wns,
+            lse_saturation=saturation,
         )
-
-        with PROFILER.stage("difftimer.forward.levels"):
-            at_flat, slew_flat = at.reshape(-1), slew.reshape(-1)
-            # Loads are fixed for the whole pass: one gather, not one a level.
-            load = driver_load[graph.c_dst]
-            for net, cell in self.plan.levels:
-                if net is not None:
-                    with PROFILER.stage("difftimer.forward.net_level"):
-                        net_forward_level(
-                            net.sinks, net.srcs, net_delay, impulse2, at, slew
-                        )
-                if cell is not None:
-                    with PROFILER.stage("difftimer.forward.cell_level"):
-                        cell_forward_level(
-                            cell, graph.lutbank, load, gamma,
-                            at_flat, slew_flat,
-                            tape.cand, tape.d_dslew, tape.d_dload,
-                        )
-
-        # ------------------------------------------------------------------
-        # Endpoint slacks, smoothed TNS/WNS.
-        # ------------------------------------------------------------------
-        with PROFILER.stage("difftimer.forward.endpoints"):
-            period = design.constraints.clock_period
-            n_setup = len(graph.setup_d)
-            rat = np.zeros((graph.n_endpoints, 2))
-            if n_setup:
-                for t in (RISE, FALL):
-                    slew_raw = slew[graph.setup_d, t]
-                    setup_time, dsu_ds, _ = graph.lutbank.lookup_with_grad(
-                        graph.setup_lut[:, t],
-                        np.clip(slew_raw, 0.0, SLEW_CLIP_MAX),
-                        np.full(n_setup, graph.clock_slew),
-                    )
-                    rat[:n_setup, t] = period - setup_time
-                    # Active clips make the lookup constant in slew.
-                    clipped = (slew_raw < 0.0) | (slew_raw > SLEW_CLIP_MAX)
-                    tape.setup_dsetup_dslew[:, t] = np.where(
-                        clipped, 0.0, dsu_ds
-                    )
-            if len(graph.po_pins):
-                rat[n_setup:] = (period - graph.po_output_delay)[:, None]
-
-            tape.ep_slack_t = rat - at[graph.endpoint_pins]
-            # Softmin across the two transitions per endpoint.
-            tape.ep_slack = lse_min(tape.ep_slack_t, gamma, axis=1)
-            if graph.n_endpoints:
-                tape.tns = float(soft_clamp_neg(tape.ep_slack, gamma).sum())
-                tape.wns = float(lse_min(tape.ep_slack, gamma))
-                tape.lse_saturation = float(
-                    np.mean(
-                        np.abs(tape.ep_slack_t[:, 0] - tape.ep_slack_t[:, 1])
-                        > 20.0 * gamma
-                    )
-                )
-            else:
-                # No setup checks or output ports: timing is trivially met
-                # (lse_min over an empty array would raise).
-                tape.tns = 0.0
-                tape.wns = 0.0
-        return tape
 
     # ------------------------------------------------------------------
     # Backward

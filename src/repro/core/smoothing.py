@@ -26,6 +26,7 @@ __all__ = [
     "lse_max_grad",
     "soft_clamp_neg",
     "soft_clamp_neg_grad",
+    "segment_max",
     "segment_lse_max",
     "segment_lse_weights",
 ]
@@ -89,6 +90,20 @@ def soft_clamp_neg_grad(slack: xp.ndarray, gamma: float) -> xp.ndarray:
     return out
 
 
+def segment_max(
+    candidates: xp.ndarray, segment_ids: xp.ndarray, n_segments: int
+) -> xp.ndarray:
+    """Grouped hard maximum; groups with no candidates keep the sentinel.
+
+    ``max`` is exact, so the grouped minimum is ``-segment_max(-x, ...)``
+    bit for bit.
+    """
+    m = xp.full(n_segments, _SENTINEL, dtype=xp.float64)
+    # reprolint: allow[no-scatter-add-at] the one audited scatter-max: 1-D contiguous target, exact in any fold order
+    xp.maximum.at(m, segment_ids, candidates)
+    return m
+
+
 def segment_lse_max(
     candidates: xp.ndarray,
     segment_ids: xp.ndarray,
@@ -102,8 +117,7 @@ def segment_lse_max(
     candidates return ``empty_value``.  Implemented in shifted form so huge
     negative sentinels contribute zero weight rather than NaNs.
     """
-    m = xp.full(n_segments, _SENTINEL, dtype=xp.float64)
-    xp.maximum.at(m, segment_ids, candidates)
+    m = segment_max(candidates, segment_ids, n_segments)
     # candidates <= m, so the exponent lies in [-inf, 0]; the upper clamp
     # only matters for corrupted (non-finite) inputs, which must not
     # overflow.

@@ -1,38 +1,40 @@
 """Golden (exact) static timing analysis.
 
-This is the evaluation timer of the reproduction: a levelised STA engine
-with exact ``max``/``min`` arrival-time reductions, the Elmore wire model of
-:mod:`repro.sta.elmore` and NLDM LUT cell delays.  It computes late/early
-arrival times and slews per transition, required arrival times, slacks, and
-setup/hold WNS/TNS as defined in Equations (1)-(2) of the paper.
+This is the evaluation timer of the reproduction: the levelised engine of
+:mod:`repro.core.propagate` run with exact ``max``/``min`` merges, the
+Elmore wire model of :mod:`repro.sta.elmore` and NLDM LUT cell delays.  It
+computes late/early arrival times and slews per transition, required
+arrival times, slacks, and setup/hold WNS/TNS as defined in Equations
+(1)-(2) of the paper.
 
-The differentiable timer (:mod:`repro.core`) shares this module's graph and
-LUT infrastructure but replaces the hard reductions by Log-Sum-Exp; the
-test-suite asserts that as the smoothing factor shrinks the two agree.
+The differentiable timer (:mod:`repro.core`) is the same sweep with the
+hard reductions replaced by Log-Sum-Exp; the test-suite asserts that as the
+smoothing factor shrinks the two agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
+from ..core.cell_prop import SweepTape
+from ..core.propagate import capture_clock, endpoint_rat, propagate
+from ..core.smoothing import segment_max
 from ..netlist.design import Design
-from ..netlist.library import FALL, RISE
 from ..route.rsmt import build_forest
 from ..route.tree import Forest
 from .elmore import (
-    WIRE_DELAY_MODELS,
     ElmoreResult,
-    d2m_delay,
-    elmore_forward,
-    node_caps,
+    check_wire_delay_model,
+    design_elmore,
+    pin_elmore,
 )
 from .clock import ClockArrival, propagate_clock
 from .graph import TimingGraph
 
-__all__ = ["STAResult", "StaticTimingAnalyzer", "run_sta"]
+__all__ = ["STAResult", "StaticTimingAnalyzer", "run_sta", "wns_tns"]
 
 _NEG_INF = -1e30
 _POS_INF = 1e30
@@ -62,6 +64,7 @@ class STAResult:
     net_delay: np.ndarray  # per pin: Elmore delay at net sinks
     impulse: np.ndarray  # per pin: Elmore impulse at net sinks
     driver_load: np.ndarray  # per pin: net load at drivers
+    tape: SweepTape  # per cell-arc contribution: late candidates, delays
     elmore: ElmoreResult
     forest: Forest
     graph: TimingGraph
@@ -73,12 +76,26 @@ class STAResult:
         Unrouted nets (clock/degree-1) report ``+inf``.  This is the
         criticality signal consumed by the net-weighting baseline.
         """
-        design = self.graph.design
+        graph = self.graph
+        runs = graph.plan.net_runs
         pin_slack = self.slack.min(axis=1)
-        out = np.full(design.n_nets, _POS_INF)
-        for ni in self.graph.timing_nets:
-            out[ni] = float(pin_slack[design.net_pins(ni)].min())
+        out = np.full(graph.design.n_nets, _POS_INF)
+        out[runs.ids] = np.minimum(
+            pin_slack[runs.drivers],
+            np.minimum.reduceat(pin_slack[graph.net_sink], runs.starts),
+        )
         return out
+
+
+def wns_tns(endpoint_slack: np.ndarray) -> Tuple[float, float]:
+    """Worst and total negative slack over the constrained endpoints."""
+    finite = endpoint_slack < _POS_INF / 2
+    if not np.any(finite):
+        return 0.0, 0.0
+    return (
+        float(endpoint_slack[finite].min()),
+        float(np.minimum(endpoint_slack[finite], 0.0).sum()),
+    )
 
 
 class StaticTimingAnalyzer:
@@ -97,39 +114,7 @@ class StaticTimingAnalyzer:
     ) -> None:
         self.design = design
         self.graph = graph if graph is not None else TimingGraph(design)
-        if wire_delay_model not in WIRE_DELAY_MODELS:
-            raise ValueError(
-                f"unknown wire delay model {wire_delay_model!r}; "
-                f"expected one of {WIRE_DELAY_MODELS}"
-            )
-        self.wire_delay_model = wire_delay_model
-
-    # ------------------------------------------------------------------
-    def _elmore(
-        self,
-        forest: Forest,
-        cell_x: np.ndarray,
-        cell_y: np.ndarray,
-    ) -> ElmoreResult:
-        design = self.design
-        px, py = design.pin_positions(cell_x, cell_y)
-        nx, ny = forest.node_coords(px, py)
-        caps = node_caps(forest, design.pin_cap, self.graph.extra_pin_cap)
-        return elmore_forward(forest, nx, ny, caps, design.library.wire)
-
-    def _per_pin_elmore(self, forest: Forest, elmore: ElmoreResult):
-        n_pins = self.design.n_pins
-        net_delay = np.zeros(n_pins)
-        impulse = np.zeros(n_pins)
-        mask = forest.node_pin >= 0
-        pins = forest.node_pin[mask]
-        if self.wire_delay_model == "d2m":
-            net_delay[pins] = d2m_delay(elmore.delay[mask], elmore.beta[mask])
-        else:
-            net_delay[pins] = elmore.delay[mask]
-        impulse[pins] = elmore.impulse[mask]
-        driver_load = elmore.root_load(forest, n_pins)
-        return net_delay, impulse, driver_load
+        self.wire_delay_model = check_wire_delay_model(wire_delay_model)
 
     # ------------------------------------------------------------------
     def run(
@@ -153,60 +138,55 @@ class StaticTimingAnalyzer:
         y = design.cell_y if cell_y is None else cell_y
         if forest is None:
             forest = build_forest(design, x, y)
-        elmore = self._elmore(forest, x, y)
-        net_delay, impulse, driver_load = self._per_pin_elmore(forest, elmore)
+        elmore = design_elmore(
+            design, forest, *design.pin_positions(x, y), graph.extra_pin_cap
+        )
+        net_delay, impulse2, driver_load = pin_elmore(
+            forest, elmore, design.n_pins, self.wire_delay_model
+        )
+        # Golden slews are defined on the reported (rounded) impulse:
+        # sqrt, then square again - the differentiable timer keeps the
+        # unrounded square.  Skipping the round trip moves golden bits.
+        impulse = np.sqrt(impulse2)
+        impulse2 = impulse**2
 
         clock = None
-        start_at = start_slew = None
+        start_at, start_slew = graph.start_at, graph.start_slew
         if propagated_clock:
             clock = propagate_clock(design, graph, x, y)
-            start_at = graph.start_at.copy()
-            start_slew = graph.start_slew.copy()
+            start_at, start_slew = start_at.copy(), start_slew.copy()
             sinks = clock.is_clock_sink
             start_at[sinks] = clock.at[sinks, None]
             start_slew[sinks] = clock.slew[sinks, None]
 
-        at, slew = self._propagate(
-            graph, net_delay, impulse, driver_load, late=True,
-            start_at=start_at, start_slew=start_slew,
-        )
-        rat = self._required_times(
-            graph, at, slew, net_delay, driver_load, clock=clock
-        )
+        def sweep(merge: str, fill_at: float, fill_slew: float):
+            at = np.full((design.n_pins, 2), fill_at)
+            slew = np.full((design.n_pins, 2), fill_slew)
+            at[graph.start_pins] = start_at[graph.start_pins]
+            slew[graph.start_pins] = start_slew[graph.start_pins]
+            tape = propagate(
+                graph.plan, graph.lutbank, net_delay, impulse2, driver_load,
+                at, slew, merge,
+            )
+            return at, slew, tape
+
+        at, slew, tape = sweep("max", _NEG_INF, 0.0)
+        rat = self._required_times(slew, net_delay, tape.delay, clock)
         slack = rat - at
         ep = graph.endpoint_pins
         endpoint_slack = slack[ep].min(axis=1) if len(ep) else np.zeros(0)
-        finite = endpoint_slack < _POS_INF / 2
-        if np.any(finite):
-            wns = float(endpoint_slack[finite].min())
-            tns = float(np.minimum(endpoint_slack[finite], 0.0).sum())
-        else:
-            wns, tns = 0.0, 0.0
+        wns, tns = wns_tns(endpoint_slack)
 
         at_early = slew_early = hold_slack = None
         wns_hold = tns_hold = 0.0
         if compute_hold and len(graph.hold_d):
-            at_early, slew_early = self._propagate(
-                graph, net_delay, impulse, driver_load, late=False,
-                start_at=start_at, start_slew=start_slew,
+            at_early, slew_early, _ = sweep("min", _POS_INF, _POS_INF)
+            ck_at, ck_slew = capture_clock(graph, graph.hold_ck, clock)
+            # Both transitions in one stacked (2, n) lookup.
+            hold_time = graph.lutbank.lookup(
+                graph.hold_lut.T, slew_early[graph.hold_d].T, ck_slew
             )
-            if clock is not None:
-                ck_at = clock.at[graph.hold_ck]
-                ck_slew = clock.slew[graph.hold_ck]
-            else:
-                ck_at = np.zeros(len(graph.hold_d))
-                ck_slew = np.full(len(graph.hold_d), graph.clock_slew)
-            hold_slacks = np.empty((len(graph.hold_d), 2))
-            for t in (RISE, FALL):
-                hold_time = graph.lutbank.lookup(
-                    graph.hold_lut[:, t],
-                    slew_early[graph.hold_d, t],
-                    ck_slew,
-                )
-                hold_slacks[:, t] = (
-                    at_early[graph.hold_d, t] - ck_at - hold_time
-                )
-            hold_slack = hold_slacks.min(axis=1)
+            hold_slack = (at_early[graph.hold_d].T - ck_at - hold_time).min(axis=0)
             wns_hold = float(hold_slack.min())
             tns_hold = float(np.minimum(hold_slack, 0.0).sum())
 
@@ -226,6 +206,7 @@ class StaticTimingAnalyzer:
             net_delay=net_delay,
             impulse=impulse,
             driver_load=driver_load,
+            tape=tape,
             elmore=elmore,
             forest=forest,
             graph=graph,
@@ -233,94 +214,36 @@ class StaticTimingAnalyzer:
         )
 
     # ------------------------------------------------------------------
-    def _propagate(
-        self, graph, net_delay, impulse, driver_load, late: bool,
-        start_at=None, start_slew=None,
-    ):
-        """Levelised AT/slew propagation (late = max merge, early = min)."""
-        n_pins = self.design.n_pins
-        at = np.full((n_pins, 2), _NEG_INF if late else _POS_INF)
-        slew = np.zeros((n_pins, 2)) if late else np.full((n_pins, 2), _POS_INF)
-        sp = graph.start_pins
-        src_at = graph.start_at if start_at is None else start_at
-        src_slew = graph.start_slew if start_slew is None else start_slew
-        at[sp] = src_at[sp]
-        slew[sp] = src_slew[sp]
+    def _required_times(self, slew, net_delay, arc_delay, clock) -> np.ndarray:
+        """Backward RAT propagation for the late (setup) mode.
 
-        reduce_at = np.maximum.at if late else np.minimum.at
-        at_flat = at.reshape(-1)
-        slew_flat = slew.reshape(-1)
-        for level in range(1, graph.n_levels):
-            sl = graph.net_arcs.level_slice(level)
-            if sl.stop > sl.start:
-                sinks = graph.net_sink[sl]
-                srcs = graph.net_src[sl]
-                at[sinks] = at[srcs] + net_delay[sinks][:, None]
-                slew[sinks] = np.sqrt(
-                    slew[srcs] ** 2 + impulse[sinks][:, None] ** 2
-                )
-            sl = graph.cell_arcs.level_slice(level)
-            if sl.stop > sl.start:
-                src = graph.c_src[sl]
-                dst = graph.c_dst[sl]
-                tin = graph.c_tin[sl]
-                tout = graph.c_tout[sl]
-                slew_in = slew[src, tin]
-                load_out = driver_load[dst]
-                # Unreached fan-ins carry sentinel slews; clamp the LUT
-                # query (their AT sentinel still dominates the merge).
-                slew_q = np.clip(slew_in, 0.0, 1e6)
-                delay = graph.lutbank.lookup(graph.c_lut_delay[sl], slew_q, load_out)
-                out_slew = graph.lutbank.lookup(graph.c_lut_slew[sl], slew_q, load_out)
-                idx = dst * 2 + tout
-                reduce_at(at_flat, idx, at[src, tin] + delay)
-                reduce_at(slew_flat, idx, out_slew)
-        return at, slew
-
-    def _required_times(
-        self, graph, at, slew, net_delay, driver_load, clock=None
-    ) -> np.ndarray:
-        """Backward RAT propagation for the late (setup) mode."""
-        n_pins = self.design.n_pins
-        rat = np.full((n_pins, 2), _POS_INF)
-        period = self.design.constraints.clock_period
-        if len(graph.setup_d):
-            if clock is not None:
-                ck_at = clock.at[graph.setup_ck]
-                ck_slew = clock.slew[graph.setup_ck]
-            else:
-                ck_at = np.zeros(len(graph.setup_d))
-                ck_slew = np.full(len(graph.setup_d), graph.clock_slew)
-            for t in (RISE, FALL):
-                setup_time = graph.lutbank.lookup(
-                    graph.setup_lut[:, t],
-                    np.clip(slew[graph.setup_d, t], 0.0, 1e6),
-                    ck_slew,
-                )
-                rat[graph.setup_d, t] = period + ck_at - setup_time
-        if len(graph.po_pins):
-            rat[graph.po_pins] = (period - graph.po_output_delay)[:, None]
-
+        Walks the plan's levels in reverse with the arc delays the forward
+        sweep recorded: the ``min`` over a cell level's compact source
+        segments is ``-max(-x)``, over a net level one ``reduceat`` of the
+        nets' contiguous arc runs.
+        """
+        graph = self.graph
+        plan = graph.plan
+        rat = np.full((self.design.n_pins, 2), _POS_INF)
+        rat[graph.endpoint_pins] = endpoint_rat(graph, slew, clock=clock)[0]
         rat_flat = rat.reshape(-1)
-        for level in range(graph.n_levels - 1, 0, -1):
-            sl = graph.cell_arcs.level_slice(level)
-            if sl.stop > sl.start:
-                src = graph.c_src[sl]
-                dst = graph.c_dst[sl]
-                tin = graph.c_tin[sl]
-                tout = graph.c_tout[sl]
-                slew_q = np.clip(slew[src, tin], 0.0, 1e6)
-                delay = graph.lutbank.lookup(
-                    graph.c_lut_delay[sl], slew_q, driver_load[dst]
+        for (net, cell), (runs, sources) in zip(
+            reversed(plan.levels), reversed(plan.reverse)
+        ):
+            if cell is not None:
+                worst = -segment_max(
+                    arc_delay[cell.sl] - rat_flat[cell.dst],
+                    sources.seg, len(sources.touched),
                 )
-                np.minimum.at(rat_flat, src * 2 + tin, rat[dst, tout] - delay)
-            sl = graph.net_arcs.level_slice(level)
-            if sl.stop > sl.start:
-                sinks = graph.net_sink[sl]
-                srcs = graph.net_src[sl]
-                cand = rat[sinks] - net_delay[sinks][:, None]
-                np.minimum.at(rat_flat, srcs * 2 + 0, cand[:, 0])
-                np.minimum.at(rat_flat, srcs * 2 + 1, cand[:, 1])
+                rat_flat[sources.touched] = np.minimum(
+                    rat_flat[sources.touched], worst
+                )
+            if net is not None:
+                worst = np.minimum.reduceat(
+                    rat[net.sinks] - net_delay[net.sinks][:, None],
+                    runs.starts, axis=0,
+                )
+                rat[runs.drivers] = np.minimum(rat[runs.drivers], worst)
         return rat
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from ..netlist.design import Design
 from ..route.rsmt import build_rsmt
 from ..route.tree import Forest
-from .elmore import elmore_forward, node_caps
+from .elmore import design_elmore, pin_elmore
 from .graph import TimingGraph
 
 __all__ = ["ClockArrival", "propagate_clock"]
@@ -72,17 +72,10 @@ def propagate_clock(
         )
     if trees:
         forest = Forest(trees, n_pins)
-        nx, ny = forest.node_coords(px, py)
-        caps = node_caps(forest, design.pin_cap, graph.extra_pin_cap)
-        elm = elmore_forward(forest, nx, ny, caps, design.library.wire)
-        mask = forest.node_pin >= 0
-        pins = forest.node_pin[mask]
-        at[pins] = elm.delay[mask]
-        impulse2 = np.maximum(
-            2.0 * elm.beta[mask] - elm.delay[mask] ** 2, 0.0
-        )
-        slew[pins] = np.sqrt(source_slew**2 + impulse2)
-        is_sink[pins] = True
+        elm = design_elmore(design, forest, px, py, graph.extra_pin_cap)
+        at, impulse2, _ = pin_elmore(forest, elm, n_pins, "elmore")
+        is_sink[forest.node_pin[forest.node_pin >= 0]] = True
+        slew[is_sink] = np.sqrt(source_slew**2 + impulse2[is_sink])
         # The driver (clock port) itself is not a sink.
         roots = forest.node_pin[np.nonzero(forest.is_root)[0]]
         is_sink[roots[roots >= 0]] = False

@@ -15,18 +15,38 @@ The backward (gradient) counterpart, Equation (8), lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..contracts import differentiable
+from ..netlist.design import Design
 from ..netlist.library import WireModel
 from ..route.tree import Forest
 
-__all__ = ["ElmoreResult", "elmore_forward", "node_caps", "d2m_delay", "WIRE_DELAY_MODELS"]
+__all__ = [
+    "ElmoreResult",
+    "elmore_forward",
+    "node_caps",
+    "design_elmore",
+    "pin_elmore",
+    "d2m_delay",
+    "check_wire_delay_model",
+    "WIRE_DELAY_MODELS",
+]
 
 #: Wire-delay metrics derivable from the Elmore moment passes.
 WIRE_DELAY_MODELS = ("elmore", "d2m")
+
+
+def check_wire_delay_model(name: str) -> str:
+    """``name`` if it is one of :data:`WIRE_DELAY_MODELS`, else ValueError."""
+    if name not in WIRE_DELAY_MODELS:
+        raise ValueError(
+            f"unknown wire delay model {name!r}; "
+            f"expected one of {WIRE_DELAY_MODELS}"
+        )
+    return name
 
 
 def d2m_delay(delay: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -66,9 +86,15 @@ class ElmoreResult:
     node_x: np.ndarray
     node_y: np.ndarray
 
-    def root_load(self, forest: Forest, n_pins: int) -> np.ndarray:
-        """Scatter per-net root load onto the driver pins (0 elsewhere)."""
-        out = np.zeros(n_pins)
+    def root_load(
+        self, forest: Forest, n_pins: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Scatter per-net root load onto the driver pins.
+
+        Into ``out`` if given, else into fresh zeros (0 off the drivers).
+        """
+        if out is None:
+            out = np.zeros(n_pins)
         roots = np.nonzero(forest.is_root)[0]
         pins = forest.node_pin[roots]
         valid = pins >= 0
@@ -95,6 +121,47 @@ def node_caps(
     if extra_pin_cap is not None:
         caps[mask] += extra_pin_cap[pins]
     return caps
+
+
+def design_elmore(
+    design: Design,
+    forest: Forest,
+    px: np.ndarray,
+    py: np.ndarray,
+    extra_pin_cap: Optional[np.ndarray] = None,
+) -> ElmoreResult:
+    """Elmore passes of ``forest`` at the pin positions of ``design``."""
+    nx, ny = forest.node_coords(px, py)
+    caps = node_caps(forest, design.pin_cap, extra_pin_cap)
+    return elmore_forward(forest, nx, ny, caps, design.library.wire)
+
+
+def pin_elmore(
+    forest: Forest,
+    elmore: ElmoreResult,
+    n_pins: int,
+    wire_delay_model: str,
+    out: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forest-node Elmore outputs as the per-pin inputs of the timers.
+
+    Returns ``(net_delay, impulse2, driver_load)``, each ``(n_pins,)``:
+    the wire delay (Elmore or D2M, per ``wire_delay_model``) and squared
+    impulse ``max(2 * beta - delay^2, 0)`` at the forest's pin nodes and
+    the net load at its driver pins.  Pins off the forest read zero - or
+    keep their values when the three arrays are passed in as ``out``
+    (the incremental timer refreshing a few re-routed nets).
+    """
+    net_delay, impulse2, driver_load = (
+        out if out is not None else (np.zeros(n_pins) for _ in range(3))
+    )
+    mask = forest.node_pin >= 0
+    pins = forest.node_pin[mask]
+    delay, beta = elmore.delay[mask], elmore.beta[mask]
+    net_delay[pins] = d2m_delay(delay, beta) if wire_delay_model == "d2m" else delay
+    impulse2[pins] = np.maximum(2.0 * beta - delay**2, 0.0)
+    elmore.root_load(forest, n_pins, out=driver_load)
+    return net_delay, impulse2, driver_load
 
 
 @differentiable(

@@ -16,13 +16,15 @@ Setup checks at FF D pins and output ports are the timing endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..netlist.design import Design, PORT_IN_TYPE, PORT_OUT_TYPE
 from ..netlist.library import ArcKind, FALL, RISE
+from ..route.tree import gather_csr
 from .nldm import LutBank
 
 __all__ = [
@@ -121,15 +123,10 @@ def levelize(
         visited += len(frontier)
         starts = out_start[frontier]
         counts = out_start[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
+        sinks = dst_sorted[gather_csr(starts, counts)]
+        if not len(sinks):
             break
-        # CSR multi-gather: edge index = start of its frontier pin plus
-        # the running offset within that pin's out-edge run.
-        ends = np.cumsum(counts)
-        offsets = np.arange(total) - np.repeat(ends - counts, counts)
-        edge_idx = np.repeat(starts, counts) + offsets
-        sinks = dst_sorted[edge_idx]
+        # reprolint: allow[no-scatter-add-at] integer longest-path levels, once per graph build; exact in any fold order
         np.maximum.at(level, sinks, np.repeat(level[frontier] + 1, counts))
         remaining -= np.bincount(sinks, minlength=n_pins)
         candidates = np.unique(sinks)
@@ -174,7 +171,7 @@ class NetLevel(NamedTuple):
     srcs: np.ndarray  # (k,) driver pins
     sink_flat: np.ndarray  # (2k,) ``pin * 2 + transition`` of the sinks
     src_flat: np.ndarray  # (2k,) the same of their drivers
-    sl2: slice  # into flat per-(arc, transition) arrays over all net arcs
+    sl2: slice  # into flat per-(arc, transition) arrays of the sweep
 
 
 class CellLevel(NamedTuple):
@@ -186,37 +183,79 @@ class CellLevel(NamedTuple):
     is the ``(pin, transition)`` slot ``touched[s % len(touched)]``.
     """
 
-    sl: slice  # into the graph's contribution tables / the tape
+    sl: slice  # into the per-contribution tape of the sweep
     src: np.ndarray  # (k,) ``pin * 2 + transition`` of each source
     dst: np.ndarray  # (k,) the same of each sink
+    pin: np.ndarray  # (k,) sink pin (whose net load the arc drives)
     seg: np.ndarray  # (2k,)
     touched: np.ndarray  # sorted distinct ``dst``
     lut: np.ndarray  # (2, k) delay | slew table ids
+
+
+class NetRuns(NamedTuple):
+    """Net -> arc CSR over a stretch of the level-sorted net-arc table.
+
+    A net's sinks share one level (a sink's only fan-in is its driver),
+    so its arcs stay contiguous under the stable sort by sink level: net
+    ``ids[j]``, driven by pin ``drivers[j]``, owns the arcs
+    ``starts[j] : starts[j + 1]`` of the stretch.
+    """
+
+    starts: np.ndarray
+    drivers: np.ndarray
+    ids: np.ndarray
+
+
+class SourceSegments(NamedTuple):
+    """A cell level's contributions grouped by *source* slot: contribution
+    ``c`` reads the slot ``touched[seg[c]]``."""
+
+    seg: np.ndarray  # (k,)
+    touched: np.ndarray  # sorted distinct ``CellLevel.src``
+
+
+Levels = List[Tuple[Optional[NetLevel], Optional[CellLevel]]]
+
+
+def _flat_slots(pins: np.ndarray) -> np.ndarray:
+    """``pin * 2 + transition`` of both transitions of ``pins``, interleaved."""
+    return (pins[:, None] * 2 + np.arange(2)).ravel()
 
 
 class LevelPlan:
     """Per-level gather/scatter/segment indices of a :class:`TimingGraph`.
 
     Levels do not depend on pin locations (Section 3.3), so everything the
-    differentiable timer's level sweeps index with is computed once here
-    instead of on every pass.  ``levels[l - 1]`` is the ``(net, cell)``
-    pair of level ``l`` (``None`` where the level has no such arcs).  The
-    plan holds index arrays only - O(contributions + net arcs), reported
-    by :attr:`nbytes` - and is rebuilt from the graph rather than pickled
-    with it.
+    level sweeps of all three timers index with is computed once here
+    (lazily, as :attr:`TimingGraph.plan`) instead of on every pass.
+    ``levels[l - 1]`` is the ``(net, cell)`` pair of level ``l`` (``None``
+    where the level has no such arcs) - all a forward sweep and the
+    differentiable timer's backward sweep need.  What only one caller
+    reads is built on its first use: the by-sink CSR, :attr:`level_pins`
+    and :attr:`net_arc_of` of the restricted (incremental) sweep and of
+    path tracing, :attr:`reverse` and :attr:`net_runs` of the golden
+    required-time sweep.  The plan holds index arrays only -
+    O(contributions + net arcs + pins), reported by :attr:`nbytes` - and
+    is rebuilt from the graph rather than pickled with it.
     """
 
     def __init__(self, graph: "TimingGraph") -> None:
-        stencil = np.arange(2)
-        #: Flat sink slot of every contribution (global order).
+        self.n_contribs = len(graph.c_dst)
+        #: Flat ``pin * 2 + transition`` slots of every contribution.
         self.c_dst = graph.c_dst * 2 + graph.c_tout
-        c_src = graph.c_src * 2 + graph.c_tin
-        n_sink = (graph.net_sink[:, None] * 2 + stencil).ravel()
-        n_src = (graph.net_src[:, None] * 2 + stencil).ravel()
-        seg = np.empty(2 * len(c_src), dtype=np.int64)
-        lut = np.empty(2 * len(c_src), dtype=np.int32)
-        touched: List[np.ndarray] = []
-        self.levels: List[Tuple[Optional[NetLevel], Optional[CellLevel]]] = []
+        self.c_src = graph.c_src * 2 + graph.c_tin
+        #: Delay | slew table ids, ``(2, n_contribs)``.
+        self.lut = np.stack([graph.c_lut_delay, graph.c_lut_slew]).astype(np.int32)
+        # The graph tables the lazy members derive from, by reference: no
+        # copy, and no graph <-> plan cycle to keep a dropped plan alive.
+        self.net_sink, self.net_src = graph.net_sink, graph.net_src
+        self._net_of_sink, self._pin_level = graph.net_of_sink, graph.level
+        self._net_offsets = graph.net_arcs.offsets
+
+        n_sink, n_src = _flat_slots(graph.net_sink), _flat_slots(graph.net_src)
+        seg = np.empty(2 * self.n_contribs, dtype=np.int64)
+        self._owned = [self.c_dst, self.c_src, self.lut, n_sink, n_src, seg]
+        self.levels: Levels = []
         for level in range(1, graph.n_levels):
             sl = graph.net_arcs.level_slice(level)
             a, b = int(sl.start), int(sl.stop)
@@ -232,21 +271,116 @@ class LevelPlan:
             cell = None
             if b > a:
                 slots, inverse = np.unique(self.c_dst[a:b], return_inverse=True)
-                touched.append(slots)
+                self._owned.append(slots)
                 seg[2 * a : a + b] = inverse
                 seg[a + b : 2 * b] = inverse + len(slots)
-                lut[2 * a : a + b] = graph.c_lut_delay[a:b]
-                lut[a + b : 2 * b] = graph.c_lut_slew[a:b]
                 cell = CellLevel(
-                    slice(a, b), c_src[a:b], self.c_dst[a:b],
-                    seg[2 * a : 2 * b], slots,
-                    lut[2 * a : 2 * b].reshape(2, b - a),
+                    slice(a, b), self.c_src[a:b], self.c_dst[a:b],
+                    graph.c_dst[a:b], seg[2 * a : 2 * b], slots,
+                    self.lut[:, a:b],
                 )
             self.levels.append((net, cell))
-        #: Bytes held by the plan's index arrays.
-        self.nbytes = sum(
-            arr.nbytes for arr in (self.c_dst, c_src, n_sink, n_src, seg, lut, *touched)
-        )
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the index arrays built so far."""
+        return sum(arr.nbytes for arr in self._owned)
+
+    # ------------------------------------------------------------------
+    # Restricted sweeps (incremental timer) and path tracing
+    # ------------------------------------------------------------------
+    @cached_property
+    def _sink_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Contributions grouped by sink slot: those into slot ``s`` are
+        ``order[start[s] : start[s + 1]]``, ascending."""
+        n_slots = 2 * len(self._pin_level)
+        order = np.argsort(self.c_dst, kind="stable")
+        start = np.zeros(n_slots + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.c_dst, minlength=n_slots), out=start[1:])
+        self._owned += [order, start]
+        return order, start
+
+    @cached_property
+    def level_pins(self) -> List[np.ndarray]:
+        """Pins of each level, ``level_pins[l]`` ascending."""
+        counts = np.bincount(self._pin_level)
+        order = np.argsort(self._pin_level, kind="stable")
+        self._owned.append(order)
+        return np.split(order, np.cumsum(counts)[:-1])
+
+    @cached_property
+    def net_arc_of(self) -> np.ndarray:
+        """The one fan-in net arc of each pin (-1: none)."""
+        arc_of = np.full(len(self._pin_level), -1, dtype=np.int64)
+        arc_of[self.net_sink] = np.arange(len(self.net_sink))
+        self._owned.append(arc_of)
+        return arc_of
+
+    def fanin(self, pins: np.ndarray) -> np.ndarray:
+        """Contributions whose sink is one of ``pins`` (either transition)."""
+        order, start = self._sink_csr
+        starts = start[2 * pins]
+        return order[gather_csr(starts, start[2 * pins + 2] - starts)]
+
+    def restrict(self, pins: np.ndarray) -> Tuple[Levels, int]:
+        """The forward sweep restricted to recomputing ``pins`` of one level.
+
+        Returns ``(levels, n_contribs)`` shaped like the full plan's: the
+        one ``(net, cell)`` pair holds every fan-in arc of ``pins`` (so
+        each is recomputed from scratch), with ``sl``/``sl2`` slicing
+        compact tapes of the gathered arcs.
+        """
+        arcs = self.net_arc_of[pins]
+        arcs = arcs[arcs >= 0]
+        net = None
+        if len(arcs):
+            sinks, srcs = self.net_sink[arcs], self.net_src[arcs]
+            net = NetLevel(
+                sinks, srcs, _flat_slots(sinks), _flat_slots(srcs),
+                slice(0, 2 * len(arcs)),
+            )
+        idx = self.fanin(pins)
+        cell = None
+        if len(idx):
+            dst = self.c_dst[idx]
+            slots, inverse = np.unique(dst, return_inverse=True)
+            cell = CellLevel(
+                slice(0, len(idx)), self.c_src[idx], dst, dst >> 1,
+                np.concatenate([inverse, inverse + len(slots)]),
+                slots, self.lut[:, idx],
+            )
+        return [(net, cell)], len(idx)
+
+    # ------------------------------------------------------------------
+    # Reverse (required-time) sweep of the golden STA
+    # ------------------------------------------------------------------
+    def _net_runs(self, a: int, b: int) -> NetRuns:
+        nets = self._net_of_sink[a:b]
+        starts = np.flatnonzero(np.diff(nets, prepend=-1))
+        runs = NetRuns(starts, self.net_src[a:b][starts], nets[starts])
+        self._owned += runs
+        return runs
+
+    @cached_property
+    def net_runs(self) -> NetRuns:
+        """The net -> arc CSR of the whole net-arc table."""
+        return self._net_runs(0, len(self.net_sink))
+
+    @cached_property
+    def reverse(self) -> List[Tuple[Optional[NetRuns], Optional[SourceSegments]]]:
+        """Per level, aligned with :attr:`levels`: the level's net runs
+        and its contributions' source segments."""
+        out = []
+        for level, (net, cell) in enumerate(self.levels, start=1):
+            runs = sources = None
+            if net is not None:
+                runs = self._net_runs(*self._net_offsets[level : level + 2])
+            if cell is not None:
+                touched, seg = np.unique(cell.src, return_inverse=True)
+                sources = SourceSegments(seg, touched)
+                self._owned += sources
+            out.append((runs, sources))
+        return out
 
 
 class TimingGraph:
@@ -427,9 +561,16 @@ class TimingGraph:
         self.lutbank = lutbank
 
     # ------------------------------------------------------------------
-    def fanin_contributions(self, pin: int) -> np.ndarray:
-        """Indices of cell-arc contributions whose sink is ``pin``."""
-        return np.nonzero(self.c_dst == pin)[0]
+    @cached_property
+    def plan(self) -> LevelPlan:
+        """The sweep indices every timer of this graph shares (lazy)."""
+        return LevelPlan(self)
+
+    def __getstate__(self) -> dict:
+        """Pickle (design bundles) without the derived plan."""
+        state = self.__dict__.copy()
+        state.pop("plan", None)
+        return state
 
     def describe(self) -> str:
         """One-line structural summary (useful in logs and tests)."""

@@ -11,8 +11,8 @@ timing state and, per move:
 2. seeds a dirty set with the affected sink pins and driver pins (whose
    cell-arc delays depend on the changed load);
 3. sweeps the affected cone level by level, recomputing all dirty pins of
-   a level in one batch (replaying the levelised net/cell kernels shared
-   with :mod:`repro.core`) and early-terminating the fan-out of pins
+   a level in one batch (the shared engine of :mod:`repro.core.propagate`
+   restricted to those pins) and early-terminating the fan-out of pins
    whose arrival time and slew settle;
 4. refreshes the slacks of affected endpoints and the running WNS/TNS.
 
@@ -25,26 +25,24 @@ test-suite).  This engine powers the timing-driven detailed placer in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.cell_prop import SLEW_CLIP_MAX, cell_forward_exact
-from ..core.net_prop import net_forward_level
+from ..core.propagate import endpoint_rat, propagate
 from ..netlist.design import Design
 from ..netlist.library import FALL, RISE
 from ..perf import PROFILER
 from ..route.rsmt import build_forest_for_nets
 from ..route.tree import gather_csr
 from ..telemetry.events import current_recorder
-from .analysis import StaticTimingAnalyzer
-from .elmore import elmore_forward, node_caps
+from .analysis import StaticTimingAnalyzer, wns_tns
+from .elmore import design_elmore, pin_elmore
 from .graph import TimingGraph
 
 __all__ = ["IncrementalTimer", "VerifyReport"]
 
 _EPS = 1e-9
-_AT_SENTINEL = -1e30
 
 
 @dataclass(frozen=True)
@@ -92,17 +90,8 @@ class IncrementalTimer:
         self.design = design
         self.graph = graph if graph is not None else TimingGraph(design)
         g = self.graph
+        self.plan = g.plan
         n_pins = design.n_pins
-
-        # Fan-in structures: one net arc per sink pin; contributions
-        # grouped by their destination pin.
-        self.fanin_net_src = np.full(n_pins, -1, dtype=np.int64)
-        self.fanin_net_src[g.net_sink] = g.net_src
-        order = np.argsort(g.c_dst, kind="stable")
-        self._c_order = order
-        counts = np.bincount(g.c_dst, minlength=n_pins)
-        self._c_start = np.zeros(n_pins + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._c_start[1:])
 
         # Fan-out adjacency over unique (src, dst) propagation edges.
         edges_src = np.concatenate([g.net_src, g.c_src])
@@ -123,23 +112,12 @@ class IncrementalTimer:
         self._cell_pin_start = np.zeros(design.n_cells + 1, dtype=np.int64)
         np.cumsum(counts, out=self._cell_pin_start[1:])
 
-        self._endpoint_index = {
-            int(p): k for k, p in enumerate(g.endpoint_pins)
-        }
-        self._setup_index = {int(p): k for k, p in enumerate(g.setup_d)}
 
-        # Array-valued mirrors of the endpoint dicts, so the batched sweep
-        # can classify whole pin vectors without Python-level lookups.
-        self._is_endpoint = np.zeros(n_pins, dtype=bool)
-        self._is_endpoint[g.endpoint_pins] = True
+        # Endpoint index of each pin (-1: not an endpoint).
         self._endpoint_idx_of_pin = np.full(n_pins, -1, dtype=np.int64)
         self._endpoint_idx_of_pin[g.endpoint_pins] = np.arange(
             len(g.endpoint_pins)
         )
-        self._setup_idx_of_pin = np.full(n_pins, -1, dtype=np.int64)
-        self._setup_idx_of_pin[g.setup_d] = np.arange(len(g.setup_d))
-        self._po_idx_of_pin = np.full(n_pins, -1, dtype=np.int64)
-        self._po_idx_of_pin[g.po_pins] = np.arange(len(g.po_pins))
 
         self._sta = StaticTimingAnalyzer(design, self.graph)
         self.x: np.ndarray
@@ -167,13 +145,7 @@ class IncrementalTimer:
         self._refresh_totals()
 
     def _refresh_totals(self) -> None:
-        finite = self.ep_slack < 1e29
-        if np.any(finite):
-            self.wns = float(self.ep_slack[finite].min())
-            self.tns = float(np.minimum(self.ep_slack[finite], 0.0).sum())
-        else:
-            self.wns = 0.0
-            self.tns = 0.0
+        self.wns, self.tns = wns_tns(self.ep_slack)
 
     # ------------------------------------------------------------------
     # Elmore refresh for a set of nets
@@ -187,34 +159,28 @@ class IncrementalTimer:
         mini = build_forest_for_nets(design, px, py, nets)
         if not mini.n_nodes:
             return
-        nx, ny = mini.node_coords(px, py)
-        caps = node_caps(mini, design.pin_cap, self.graph.extra_pin_cap)
-        elm = elmore_forward(mini, nx, ny, caps, design.library.wire)
-        mask = mini.node_pin >= 0
-        pins = mini.node_pin[mask]
-        self.net_delay[pins] = elm.delay[mask]
-        self.impulse2[pins] = np.maximum(
-            2.0 * elm.beta[mask] - elm.delay[mask] ** 2, 0.0
+        elm = design_elmore(design, mini, px, py, self.graph.extra_pin_cap)
+        pin_elmore(
+            mini, elm, design.n_pins, self._sta.wire_delay_model,
+            out=(self.net_delay, self.impulse2, self.driver_load),
         )
-        roots = np.nonzero(mini.is_root)[0]
-        self.driver_load[mini.node_pin[roots]] = elm.load[roots]
 
     # ------------------------------------------------------------------
     # Single-pin recompute (late mode, exact max merge)
     #
-    # Scalar reference implementation of the batched level kernel in
-    # :meth:`_recompute_level`; kept for debugging and as the oracle the
+    # Scalar reference implementation of one pin of the shared engine's
+    # restricted sweep; kept for debugging and as the oracle the
     # test-suite checks the vectorised sweep against.
     # ------------------------------------------------------------------
     def _recompute_pin(self, p: int) -> Tuple[np.ndarray, np.ndarray]:
         g = self.graph
-        src = self.fanin_net_src[p]
-        if src >= 0:
+        arc = self.plan.net_arc_of[p]
+        if arc >= 0:
+            src = g.net_src[arc]
             at = self.at[src] + self.net_delay[p]
             slew = np.sqrt(self.slew[src] ** 2 + self.impulse2[p])
             return at, slew
-        sl = slice(self._c_start[p], self._c_start[p + 1])
-        idx = self._c_order[sl]
+        idx = self.plan.fanin(np.array([p]))
         if len(idx) == 0:
             return self.at[p].copy(), self.slew[p].copy()  # start point
         c_src = g.c_src[idx]
@@ -237,8 +203,8 @@ class IncrementalTimer:
     def _endpoint_slack(self, p: int) -> float:
         g = self.graph
         period = self.design.constraints.clock_period
-        if p in self._setup_index:
-            k = self._setup_index[p]
+        k = self._endpoint_idx_of_pin[p]
+        if k < len(g.setup_d):  # setup checks come first
             slacks = np.empty(2)
             for t in (RISE, FALL):
                 setup_time = g.lutbank.lookup(
@@ -262,39 +228,27 @@ class IncrementalTimer:
     ) -> Tuple[float, float]:
         """Move cells and incrementally refresh timing; returns (WNS, TNS)."""
         design = self.design
-        g = self.graph
-        cells = list(cells)
-        for ci, nx_, ny_ in zip(cells, new_x, new_y):
-            self.x[ci] = nx_
-            self.y[ci] = ny_
+        cells = np.fromiter(cells, dtype=np.int64)
+        self.x[cells] = np.fromiter(new_x, dtype=float)
+        self.y[cells] = np.fromiter(new_y, dtype=float)
         self.n_incremental_updates += 1
 
         # Nets touching any moved cell.
-        nets: Set[int] = set()
-        for ci in cells:
-            sl = slice(self._cell_pin_start[ci], self._cell_pin_start[ci + 1])
-            for p in self._cell_pins[sl]:
-                ni = design.pin2net[p]
-                if ni >= 0:
-                    nets.add(int(ni))
+        starts = self._cell_pin_start[cells]
+        counts = self._cell_pin_start[cells + 1] - starts
+        nets = np.unique(design.pin2net[self._cell_pins[gather_csr(starts, counts)]])
+        nets = nets[nets >= 0]
         with PROFILER.stage("incremental.reroute"):
-            self._reroute_nets(sorted(nets))
+            self._reroute_nets(nets)
 
         # Dirty pins: sinks of changed nets (net-arc values changed) and
         # drivers of changed nets (their input cell arcs see a new load).
-        dirty: Set[int] = set()
-        for ni in nets:
-            if design.net_is_clock[ni]:
-                continue
-            driver = design.net_driver[ni]
-            for p in design.net_pins(ni):
-                dirty.add(int(p))
-            if driver >= 0:
-                dirty.add(int(driver))
-
+        nets = nets[~design.net_is_clock[nets]]
+        starts = design.net2pin_start[nets]
+        counts = design.net2pin_start[nets + 1] - starts
         with PROFILER.stage("incremental.sweep"):
             touched_endpoints = self._sweep(
-                np.fromiter(dirty, dtype=np.int64, count=len(dirty))
+                design.net2pin[gather_csr(starts, counts)]
             )
         with PROFILER.stage("incremental.endpoints"):
             self._refresh_endpoint_slacks(touched_endpoints)
@@ -322,50 +276,6 @@ class IncrementalTimer:
     # ------------------------------------------------------------------
     # Batched level-ordered sweep
     # ------------------------------------------------------------------
-    def _split_by_level(self, pins: np.ndarray) -> List[np.ndarray]:
-        """Partition a pin vector into per-level chunks (ascending level)."""
-        lv = self.graph.level[pins]
-        order = np.argsort(lv, kind="stable")
-        pins, lv = pins[order], lv[order]
-        bounds = np.nonzero(np.diff(lv))[0] + 1
-        return np.split(pins, bounds)
-
-    def _recompute_level(self, pins: np.ndarray) -> None:
-        """Recompute AT/slew of one level's dirty pins in a single batch.
-
-        Net-arc sinks replay the shared :func:`net_forward_level` kernel;
-        cell-arc sinks gather all of their fan-in contributions from the
-        CSR table and replay :func:`cell_forward_exact` (the hard-max
-        sibling of the differentiable timer's level kernel).  Start points
-        (no fan-in at all) keep their boundary values.
-        """
-        g = self.graph
-        srcs = self.fanin_net_src[pins]
-        net_mask = srcs >= 0
-        net_sinks = pins[net_mask]
-        if len(net_sinks):
-            net_forward_level(
-                net_sinks, srcs[net_mask],
-                self.net_delay, self.impulse2, self.at, self.slew,
-            )
-        cell_sinks = pins[~net_mask]
-        if len(cell_sinks):
-            starts = self._c_start[cell_sinks]
-            counts = self._c_start[cell_sinks + 1] - starts
-            cell_sinks = cell_sinks[counts > 0]
-            idx = self._c_order[
-                gather_csr(starts[counts > 0], counts[counts > 0])
-            ]
-            if len(cell_sinks):
-                # Exact recompute from *all* fan-ins: reset, scatter-max.
-                self.at[cell_sinks] = _AT_SENTINEL
-                self.slew[cell_sinks] = 0.0
-                cell_forward_exact(
-                    idx, g.c_src, g.c_dst, g.c_tin, g.c_tout,
-                    g.c_lut_delay, g.c_lut_slew, g.lutbank,
-                    self.driver_load, self.at, self.slew,
-                )
-
     def _sweep(self, dirty: np.ndarray) -> np.ndarray:
         """Level-ordered batched sweep of the affected cone.
 
@@ -373,66 +283,34 @@ class IncrementalTimer:
         strictly increase along propagation edges, so each level is
         finalised in one batch before any of its fan-out levels runs.
         """
-        worklist: Dict[int, List[np.ndarray]] = {}
-        if len(dirty):
-            for chunk in self._split_by_level(dirty):
-                worklist[int(self.graph.level[chunk[0]])] = [chunk]
-        touched: List[np.ndarray] = []
-        while worklist:
-            level = min(worklist)
-            pins = np.unique(np.concatenate(worklist.pop(level)))
+        is_dirty = np.zeros(self.design.n_pins, dtype=bool)
+        is_dirty[dirty] = True
+        touched: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        for level_pins in self.plan.level_pins:
+            pins = level_pins[is_dirty[level_pins]]
+            if not len(pins):
+                continue
             self.n_pins_recomputed += len(pins)
-            old_at = self.at[pins].copy()
-            old_slew = self.slew[pins].copy()
-            self._recompute_level(pins)
-            touched.append(pins[self._is_endpoint[pins]])
-            changed = (
-                np.abs(self.at[pins] - old_at).max(axis=1) > _EPS
-            ) | (np.abs(self.slew[pins] - old_slew).max(axis=1) > _EPS)
-            changed_pins = pins[changed]
-            if not len(changed_pins):
-                continue
-            starts = self._out_start[changed_pins]
-            counts = self._out_start[changed_pins + 1] - starts
-            succ = self._out_dst[gather_csr(starts, counts)]
-            if not len(succ):
-                continue
-            for chunk in self._split_by_level(np.unique(succ)):
-                worklist.setdefault(
-                    int(self.graph.level[chunk[0]]), []
-                ).append(chunk)
-        if not touched:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(touched))
+            old_at, old_slew = self.at[pins], self.slew[pins]
+            propagate(
+                self.plan, self.graph.lutbank, self.net_delay, self.impulse2,
+                self.driver_load, self.at, self.slew, "max", pins=pins,
+            )
+            touched.append(pins[self._endpoint_idx_of_pin[pins] >= 0])
+            changed = pins[
+                (np.abs(self.at[pins] - old_at).max(axis=1) > _EPS)
+                | (np.abs(self.slew[pins] - old_slew).max(axis=1) > _EPS)
+            ]
+            starts = self._out_start[changed]
+            counts = self._out_start[changed + 1] - starts
+            is_dirty[self._out_dst[gather_csr(starts, counts)]] = True
+        return np.concatenate(touched)
 
     def _refresh_endpoint_slacks(self, pins: np.ndarray) -> None:
         """Batched slack refresh for the given endpoint pins."""
-        if not len(pins):
-            return
-        g = self.graph
-        period = self.design.constraints.clock_period
         ep_idx = self._endpoint_idx_of_pin[pins]
-        setup_idx = self._setup_idx_of_pin[pins]
-        is_setup = setup_idx >= 0
-        sp = pins[is_setup]
-        if len(sp):
-            k = setup_idx[is_setup]
-            slacks = np.empty((len(sp), 2))
-            clock_slew = np.full(len(sp), g.clock_slew)
-            for t in (RISE, FALL):
-                setup_time = g.lutbank.lookup(
-                    g.setup_lut[k, t],
-                    np.clip(self.slew[sp, t], 0.0, SLEW_CLIP_MAX),
-                    clock_slew,
-                )
-                slacks[:, t] = (period - setup_time) - self.at[sp, t]
-            self.ep_slack[ep_idx[is_setup]] = slacks.min(axis=1)
-        pp = pins[~is_setup]
-        if len(pp):
-            rat = period - g.po_output_delay[self._po_idx_of_pin[pp]]
-            self.ep_slack[ep_idx[~is_setup]] = (
-                rat[:, None] - self.at[pp]
-            ).min(axis=1)
+        rat, _ = endpoint_rat(self.graph, self.slew, ep_idx)
+        self.ep_slack[ep_idx] = (rat - self.at[pins]).min(axis=1)
 
     # ------------------------------------------------------------------
     def verify(self, rtol: float = 1e-6, atol: float = 1e-6) -> "VerifyReport":

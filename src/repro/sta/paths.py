@@ -1,9 +1,9 @@
 """Critical-path extraction and ``report_timing``-style output.
 
-Paths are traced backward from timing endpoints by re-resolving, at each
-pin, which fan-in arc produced the merged (max) arrival time - the same
-information a tagged STA engine would keep, recovered here on demand so the
-vectorised forward pass stays lean.
+Paths are traced backward from timing endpoints by resolving, at each pin,
+which fan-in arc produced the merged (max) arrival time - read from the
+per-contribution candidates the forward sweep records, so no tags are kept
+and nothing is looked up again.
 """
 
 from __future__ import annotations
@@ -52,27 +52,25 @@ class TimingPath:
 
 
 def _fanin_resolve(result: STAResult, pin: int, transition: int):
-    """Return (src_pin, src_transition, incr, kind) of the winning fan-in."""
+    """Return (src_pin, src_transition, incr, kind) of the winning fan-in.
+
+    Read off what the late sweep recorded: the slot's merge candidates
+    (their argmax is the arc that set the arrival time) and arc delays.
+    """
     graph = result.graph
-    # Net arc? A pin has at most one.
-    hits = np.nonzero(graph.net_sink == pin)[0]
-    if len(hits):
-        src = int(graph.net_src[hits[0]])
-        return src, transition, float(result.net_delay[pin]), "net"
-    # Cell contributions into this pin/transition.
-    mask = (graph.c_dst == pin) & (graph.c_tout == transition)
-    idx = np.nonzero(mask)[0]
+    plan = graph.plan
+    arc = plan.net_arc_of[pin]
+    if arc >= 0:  # a pin has at most one net arc
+        return int(graph.net_src[arc]), transition, float(result.net_delay[pin]), "net"
+    idx = plan.fanin(np.array([pin]))
+    idx = idx[graph.c_tout[idx] == transition]
     if not len(idx):
         return None
-    src = graph.c_src[idx]
-    tin = graph.c_tin[idx]
-    slew_q = np.clip(result.slew[src, tin], 0.0, 1e6)
-    delay = graph.lutbank.lookup(
-        graph.c_lut_delay[idx], slew_q, result.driver_load[pin]
+    best = idx[np.argmax(result.tape.cand[0, idx])]
+    return (
+        int(graph.c_src[best]), int(graph.c_tin[best]),
+        float(result.tape.delay[best]), "cell",
     )
-    cand = result.at[src, tin] + delay
-    best = int(np.argmax(cand))
-    return int(src[best]), int(tin[best]), float(delay[best]), "cell"
 
 
 def extract_path(

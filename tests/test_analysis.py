@@ -87,6 +87,26 @@ class TestNoScatterAddAt:
         found = findings_of(run_analysis(root), "no-scatter-add-at")
         assert len(found) == 1
 
+    def test_flags_maximum_at_and_minimum_at(self, tmp_path):
+        """Scatter-max/min is how a private levelised propagator starts;
+        an audited site carries an inline reason."""
+        root = make_repo(
+            tmp_path,
+            {
+                "src/repro/mod.py": (
+                    "import numpy as np\n"
+                    "def f(out, idx, v):\n"
+                    "    np.maximum.at(out, idx, v)\n"
+                    "    np.minimum.at(out, idx, v)\n"
+                    "    # reprolint: allow[no-scatter-add-at] audited 1-D site\n"
+                    "    np.maximum.at(out, idx, v)\n"
+                )
+            },
+        )
+        found = findings_of(run_analysis(root), "no-scatter-add-at")
+        assert [f.line for f in found] == [3, 4]
+        assert "segment_max" in found[0].message
+
     def test_good_paths_clean(self, tmp_path):
         root = make_repo(
             tmp_path,
@@ -95,7 +115,7 @@ class TestNoScatterAddAt:
                     "import numpy as np\n"
                     "from repro.core.scatter import scatter_add\n"
                     "def f(out, idx, v):\n"
-                    "    np.maximum.at(out, idx, v)\n"  # order-independent: fine
+                    "    np.minimum.reduceat(v, idx)\n"  # not a scatter
                     "    return scatter_add(idx, v, 8)\n"
                 ),
                 "tests/test_mod.py": (

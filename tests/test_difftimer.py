@@ -1,7 +1,8 @@
 """Validation of the differentiable timing engine (the paper's core).
 
 Three pillars:
-1. the forward pass converges to the golden STA as gamma shrinks;
+1. the forward pass converges to the golden STA as gamma shrinks (the
+   engine-level property is in ``test_propagate.py``);
 2. the backward pass matches central finite differences of the forward
    pass exactly (the trees are held fixed, which is the quantity the
    gradient models - Figure 4's reuse rule);
@@ -29,15 +30,6 @@ def env(small_design):
 
 
 class TestForwardAgainstGolden:
-    def test_small_gamma_matches_exact_wns(self, env):
-        design, x, y, forest = env
-        golden = run_sta(design, x, y)
-        timer = DifferentiableTimer(design, gamma=0.5)
-        tape = timer.forward(x, y, forest)
-        # LSE overshoots max slightly; with tiny gamma they coincide.
-        assert tape.wns == pytest.approx(golden.wns_setup, abs=5.0)
-        assert tape.tns == pytest.approx(golden.tns_setup, rel=0.05)
-
     def test_smoothing_monotone_in_gamma(self, env):
         """Larger gamma -> more smoothing -> more pessimistic AT (LSE >= max)."""
         design, x, y, forest = env
@@ -244,14 +236,14 @@ class TestSlewClipBoundary:
         return float(0.5 * (slews[k] + slews[k + 1]))
 
     def test_clipped_slew_grad_is_zeroed(self, env, monkeypatch):
-        from repro.core import difftimer as difftimer_mod
+        from repro.core import propagate as propagate_mod
 
         design, x, y, forest = env
         timer = DifferentiableTimer(design, gamma=15.0)
         clip = self._clip_between_slews(
             timer.forward(x, y, forest), timer.graph
         )
-        monkeypatch.setattr(difftimer_mod, "SLEW_CLIP_MAX", clip)
+        monkeypatch.setattr(propagate_mod, "SLEW_CLIP_MAX", clip)
         tape = timer.forward(x, y, forest)
         clipped = tape.slew[timer.graph.setup_d] > clip
         assert np.any(clipped)  # the boundary is actually exercised
@@ -260,14 +252,14 @@ class TestSlewClipBoundary:
 
     def test_gradient_matches_fd_at_clip_boundary(self, env, monkeypatch):
         from repro.core import check_gradient
-        from repro.core import difftimer as difftimer_mod
+        from repro.core import propagate as propagate_mod
 
         design, x, y, forest = env
         timer = DifferentiableTimer(design, gamma=15.0)
         clip = self._clip_between_slews(
             timer.forward(x, y, forest), timer.graph
         )
-        monkeypatch.setattr(difftimer_mod, "SLEW_CLIP_MAX", clip)
+        monkeypatch.setattr(propagate_mod, "SLEW_CLIP_MAX", clip)
         tape = timer.forward(x, y, forest)
         gx, gy = timer.backward(tape)
 

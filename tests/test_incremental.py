@@ -158,22 +158,42 @@ class TestVerify:
 
 class TestBatchedSweepEquivalence:
     def test_batched_level_matches_scalar_recompute(
-        self, timer, small_design
+        self, timer, small_design, spread_positions
     ):
-        """The vectorised per-level kernel equals the scalar oracle
-        ``_recompute_pin`` on every recomputable pin of the design."""
-        recomputable = np.nonzero(
-            (timer.fanin_net_src >= 0)
-            | (np.diff(timer._c_start) > 0)
-        )[0]
-        expected = {
-            int(p): timer._recompute_pin(int(p)) for p in recomputable
-        }
-        for chunk in timer._split_by_level(recomputable):
-            timer._recompute_level(chunk)
-        for p, (at, slew) in expected.items():
-            np.testing.assert_allclose(timer.at[p], at, atol=1e-12)
-            np.testing.assert_allclose(timer.slew[p], slew, atol=1e-12)
+        """The engine restricted to the pins of a level equals the scalar
+        oracle ``_recompute_pin`` on every pin, and - swept over every
+        level from a blank state - the full golden sweep bit for bit."""
+        from repro.core.propagate import propagate
+
+        plan, g = timer.plan, timer.graph
+        has_fanin = plan.net_arc_of >= 0
+        has_fanin[g.c_dst] = True
+        for level_pins in plan.level_pins:
+            expected = [timer._recompute_pin(int(p)) for p in level_pins]
+            # Stale values must be overwritten (start points keep theirs).
+            timer.at[level_pins[has_fanin[level_pins]]] += 7.0
+            tape = propagate(
+                plan, g.lutbank, timer.net_delay, timer.impulse2,
+                timer.driver_load, timer.at, timer.slew, "max",
+                pins=level_pins,
+            )
+            assert tape.cand.shape == (2, len(plan.fanin(level_pins)))
+            for p, (at, slew) in zip(level_pins, expected):
+                np.testing.assert_allclose(timer.at[p], at, atol=1e-12)
+                np.testing.assert_allclose(timer.slew[p], slew, atol=1e-12)
+
+        full = run_sta(small_design, *spread_positions)
+        at = np.full_like(full.at, -1e30)
+        slew = np.zeros_like(full.slew)
+        at[g.start_pins] = g.start_at[g.start_pins]
+        slew[g.start_pins] = g.start_slew[g.start_pins]
+        for level_pins in plan.level_pins:
+            propagate(
+                plan, g.lutbank, full.net_delay, full.impulse**2,
+                full.driver_load, at, slew, "max", pins=level_pins,
+            )
+        assert np.array_equal(at, full.at)
+        assert np.array_equal(slew, full.slew)
 
     def test_batched_endpoint_slacks_match_scalar(self, timer):
         g = timer.graph

@@ -1,4 +1,4 @@
-"""The differentiable timer's level sweeps run on a per-graph level plan.
+"""The timers' level sweeps run on one per-graph level plan.
 
 The plan only re-indexes the sweep (compact merge segments, flat
 ``pin * 2 + transition`` slots, stacked delay|slew lookups, seeds swept
@@ -7,6 +7,8 @@ plain per-level formulation.  These tests hold it to that bit for bit,
 against an in-test reference that merges over global ``2 * n_pins``
 segment ids with one lookup per table.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from repro.core import cell_prop as cell_prop_mod
 from repro.core.smoothing import segment_lse_max
 from repro.netlist import Constraints, DesignBuilder, default_library
 from repro.route import build_forest
-from repro.sta import TimingGraph
+from repro.sta import IncrementalTimer, TimingGraph, run_sta
 
 SEEDS = [(-1.0, 0.0), (0.0, -1.0), (0.6, 0.4)]
 
@@ -107,13 +109,46 @@ class TestPlan:
             assert np.array_equal(c.lut[0], g.c_lut_delay[c.sl])
             assert np.array_equal(c.lut[1], g.c_lut_slew[c.sl])
 
-    def test_plan_is_not_stored_on_the_graph(self, env):
-        """The graph is pickled into design bundles; the plan is derived."""
-        timer = env[0]
-        assert not any(
-            isinstance(v, type(timer.plan)) for v in vars(timer.graph).values()
-        )
-        assert timer.plan.nbytes > 0
+    def test_plan_is_not_pickled_with_the_graph(self, small_design):
+        """The graph is pickled into design bundles; the plan is derived:
+        cached on the graph for every timer to share, dropped from its
+        pickle, rebuilt on first use after a round trip."""
+        graph = TimingGraph(small_design)
+        before = pickle.dumps(graph)
+        plan = graph.plan
+        assert plan.nbytes > 0
+        assert DifferentiableTimer(small_design, graph).plan is plan
+        assert pickle.dumps(graph) == before
+        clone = pickle.loads(before)
+        assert "plan" not in vars(clone)
+        assert len(clone.plan.levels) == len(plan.levels)
+        assert clone.plan is clone.plan
+
+    def test_single_caller_indices_are_built_on_first_use(self, small_design):
+        """The difftimer builds the forward levels only; the golden STA
+        adds its reverse-sweep indices, the incremental timer the by-sink
+        tables - each on its first use, and ``nbytes`` counts them."""
+        graph = TimingGraph(small_design)
+        plan = graph.plan
+        assert not hasattr(plan, "graph")  # no graph <-> plan cycle
+        timer = DifferentiableTimer(small_design, graph)
+        timer.backward(timer.forward())
+        lazy = {"_sink_csr", "level_pins", "net_arc_of", "net_runs", "reverse"}
+        assert not lazy & set(vars(plan))
+        forward_only = plan.nbytes
+
+        result = run_sta(small_design, graph=graph)
+        result.net_worst_slack()
+        assert lazy & set(vars(plan)) == {"net_runs", "reverse"}
+        golden = plan.nbytes
+        assert golden > forward_only
+
+        incremental = IncrementalTimer(small_design, graph)
+        incremental.reset()
+        cell = int(np.flatnonzero(~small_design.cell_fixed)[0])
+        incremental.move([cell], [incremental.x[cell] + 1.0], [incremental.y[cell]])
+        assert lazy <= set(vars(plan))
+        assert plan.nbytes > golden
 
 
 class TestForwardOnThePlan:

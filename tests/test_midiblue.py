@@ -86,9 +86,11 @@ class TestMidiblue50:
         assert record.x.shape == (midiblue50.design.n_cells,)
 
     def test_level_plan_memory_budget(self, midiblue50):
-        """The difftimer's level plan holds index arrays only: at most
-        16 MB here (about 5% of an ``ours`` run's peak RSS on this
-        design), growing linearly in contributions + net arcs."""
+        """The forward levels every timer shares hold index arrays only:
+        at most 16 MB here (about 5% of an ``ours`` run's peak RSS on
+        this design), growing linearly in contributions + net arcs; what
+        only the golden or the incremental timer reads is built on their
+        first use (``test_levelplan``)."""
         from repro.sta.graph import LevelPlan
 
         def size(graph):

@@ -27,6 +27,9 @@ class TestExtraction:
         path = extract_path(chain_result, int(chain_result.graph.endpoint_pins[0]))
         total = sum(p.incr for p in path.points)
         assert total == pytest.approx(path.delay, abs=1e-6)
+        # The recorded arc delays are the ones the arrival times were
+        # built from: they add up to the endpoint's arrival time.
+        assert total == pytest.approx(path.points[-1].at, abs=1e-9)
 
     def test_at_values_monotone(self, chain_result):
         path = extract_path(chain_result, int(chain_result.graph.endpoint_pins[0]))

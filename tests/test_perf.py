@@ -197,8 +197,8 @@ class TestThreadedStages:
             "route.build_forest",
             "difftimer.forward.elmore",
             "difftimer.forward.levels",
-            "difftimer.forward.net_level",
-            "difftimer.forward.cell_level",
+            "propagate.net_level",
+            "propagate.cell_level",
             "difftimer.forward.endpoints",
             "difftimer.backward.levels",
             "difftimer.backward.cell_level",

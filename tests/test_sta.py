@@ -42,7 +42,7 @@ class TestTimingGraph:
         d = b2.build()
         graph = TimingGraph(d)
         y_pin = d.pin_name.index("x1/Y")
-        contribs = graph.fanin_contributions(y_pin)
+        contribs = graph.plan.fanin(np.array([y_pin]))
         assert len(contribs) == 8  # 2 inputs x 2 t_in x 2 t_out (non-unate)
 
     def test_describe(self, chain_design):

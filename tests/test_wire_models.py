@@ -79,16 +79,6 @@ class TestDifferentiableD2M:
         )
         return small_design, x, y, forest, timer
 
-    def test_forward_matches_golden_with_small_gamma(self, small_design, spread_positions):
-        x, y = spread_positions
-        forest = build_forest(small_design, x, y)
-        timer = DifferentiableTimer(
-            small_design, gamma=0.5, wire_delay_model="d2m"
-        )
-        tape = timer.forward(x, y, forest)
-        golden = run_sta(small_design, x, y, wire_delay_model="d2m")
-        assert tape.tns == pytest.approx(golden.tns_setup, rel=0.05)
-
     def test_gradient_matches_finite_difference(self, env):
         design, x, y, forest, timer = env
         tape = timer.forward(x, y, forest)
