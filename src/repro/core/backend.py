@@ -24,9 +24,11 @@ target device so "installed but no GPU" fails at selection time, not
 mid-placement.
 
 The NumPy backend hands out the literal ``numpy`` module, so kernels
-ported to ``xp`` are bit-identical to their former ``np`` selves; the
-shim's only overhead is one attribute indirection (~100 ns, invisible
-next to any array op).  FFT-adjacent entry points that historically came
+ported to ``xp`` are bit-identical to their former ``np`` selves.  The
+proxy keeps every attribute it has resolved, so after its first use
+``xp.exp`` is a plain instance-attribute read (resolving it anew on every
+access cost 0.6-0.9 us, several hundred times per timer call); changing
+the selection drops what it kept.  FFT-adjacent entry points that historically came
 from ``scipy.fft`` (``dctn``/``idctn``/``rfft``/``irfft``) are methods
 on the backend object, which keeps ``scipy`` out of the kernels and
 gives non-NumPy backends a place to supply their own transforms.  The
@@ -242,7 +244,7 @@ _active: Optional[str] = None  # explicit selection; None -> env/default
 # What the selection resolved to.  ``xp.<attr>`` is evaluated thousands of
 # times per placer iteration, so the precedence rules (and the environment
 # read) run once, not per access; every way of changing the selection
-# below clears it.
+# below clears it, and with it the attributes the ``xp`` proxy kept.
 _resolved: Optional[Backend] = None
 
 
@@ -295,6 +297,7 @@ def set_backend(name: str) -> Backend:
     backend = _instantiate(name)
     _active = name
     _resolved = backend
+    vars(xp).clear()
     return backend
 
 
@@ -307,6 +310,7 @@ def reset_backend(active: Optional[str] = None) -> None:
     global _active, _resolved
     _active = active
     _resolved = None
+    vars(xp).clear()
 
 
 class use_backend:
@@ -356,15 +360,18 @@ def to_numpy(array: Any) -> Any:
 class _XpProxy:
     """Module-level ``xp``: attribute access forwards to the active backend.
 
-    Kernels write ``xp.exp(...)`` exactly as they wrote ``np.exp(...)``;
-    the indirection costs one call returning the cached backend plus one
-    getattr, which is noise next to any real array operation.
+    Kernels write ``xp.exp(...)`` exactly as they wrote ``np.exp(...)``.
+    ``__getattr__`` only runs for a name the proxy has not seen since the
+    selection last changed: it resolves the name against the active
+    backend and stores it on the instance, where later reads find it
+    without a call (:func:`set_backend` / :func:`reset_backend` clear
+    the instance dict).
     """
 
-    __slots__ = ()
-
     def __getattr__(self, name: str) -> Any:
-        return getattr(get_backend().xp, name)
+        value = getattr(get_backend().xp, name)
+        vars(self)[name] = value
+        return value
 
     def __repr__(self) -> str:  # pragma: no cover - debug nicety
         return f"<xp proxy -> {backend_name()}>"

@@ -20,20 +20,23 @@ LUT-interpolation gradients of Figure 6 into source slews and net loads
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..contracts import differentiable
 from ..sta.graph import CellLevel
-from ..sta.nldm import LutBank
+from ..sta.nldm import LoadSide, LutBank
 from .scatter import scatter_accumulate
 from .smoothing import segment_lse_max, segment_max
 
 __all__ = [
     "SLEW_CLIP_MAX",
+    "clip_slew",
+    "slew_clipped",
     "SweepTape",
     "cell_forward_level",
+    "zero_clipped_partials",
     "cell_backward_level",
 ]
 
@@ -42,6 +45,16 @@ __all__ = [
 #: (their AT sentinel still dominates the merge); where the clamp is
 #: active the slew derivative of the lookup is zero.
 SLEW_CLIP_MAX = 1e6
+
+
+def clip_slew(slew: np.ndarray, bound: float) -> np.ndarray:
+    """``slew`` clamped to ``[0, bound]``, the range LUT queries are made in."""
+    return np.minimum(np.maximum(slew, 0.0), bound)
+
+
+def slew_clipped(slew: np.ndarray, bound: float) -> np.ndarray:
+    """Where :func:`clip_slew` is active (the lookup sees a constant)."""
+    return (slew < 0.0) | (slew > bound)
 
 
 class SweepTape(NamedTuple):
@@ -65,7 +78,7 @@ class SweepTape(NamedTuple):
 def cell_forward_level(
     lv: CellLevel,
     lutbank: LutBank,
-    driver_load: np.ndarray,
+    load: LoadSide,
     merge: str,
     gamma: float,
     at: np.ndarray,
@@ -76,29 +89,22 @@ def cell_forward_level(
 
     ``lv`` is a level of the graph's :class:`LevelPlan` (or of a
     restriction of it); ``at``/``slew`` are the flat ``(2 * n_pins,)``
-    views of the timer's arrays and ``driver_load`` the per-pin net load.
-    ``merge`` is ``"max"``, ``"min"`` or ``"lse"`` (smoothed by
-    ``gamma``).  ``tape`` receives the merge candidates and arc delays,
-    and the LUT partials the backward pass needs if it has room for them.
+    views of the timer's arrays and ``load`` the level's slice of the
+    sweep's load-side lookup.  ``merge`` is ``"max"``, ``"min"`` or
+    ``"lse"`` (smoothed by ``gamma``).  ``tape`` receives the merge
+    candidates and arc delays, and the LUT partials the backward pass
+    needs if it has room for them (:func:`zero_clipped_partials` finishes
+    those after the sweep).
     """
-    slew_raw = slew[lv.src]
-    slew_in = np.minimum(np.maximum(slew_raw, 0.0), SLEW_CLIP_MAX)
-    load = driver_load[lv.pin]
-    if tape.d_dslew is None:
-        cand = lutbank.lookup(lv.lut, slew_in, load)
-    else:
-        cand, d_ds, d_dl = lutbank.lookup_with_grad(lv.lut, slew_in, load)
-        # Where the clip is active the lookup sees a constant slew, so the
-        # recorded slew-derivatives must vanish (else backward disagrees
-        # with finite differences of the clipped forward).
-        clipped = (slew_raw < 0.0) | (slew_raw > SLEW_CLIP_MAX)
-        if clipped.any():
-            d_ds = np.where(clipped, 0.0, d_ds)
-        tape.d_dslew[:, lv.sl] = d_ds
-        tape.d_dload[:, lv.sl] = d_dl
-    tape.delay[lv.sl] = cand[0]
+    sl = lv.sl
+    partials = None
+    if tape.d_dslew is not None:
+        partials = tape.d_dslew[:, sl], tape.d_dload[:, sl]
+    slew_in = clip_slew(slew[lv.src], SLEW_CLIP_MAX)
+    cand = lutbank.interpolate(lv.query, slew_in, load, partials)
+    tape.delay[sl] = cand[0]
     cand[0] += at[lv.src]
-    tape.cand[:, lv.sl] = cand
+    tape.cand[:, sl] = cand
 
     # One merge for AT and slew candidates together, over the level's own
     # compact segments (not the whole pin table).
@@ -118,31 +124,49 @@ def cell_forward_level(
     slew[lv.touched] = merged[n:]
 
 
+def zero_clipped_partials(
+    src: np.ndarray, slew: np.ndarray, tape: SweepTape
+) -> None:
+    """Zero the taped slew partials of contributions whose slew was clipped.
+
+    Where the clip is active the lookup sees a constant slew, so the
+    recorded slew-derivatives must vanish (else backward disagrees with
+    finite differences of the clipped forward).  A source's slew is final
+    once its level is swept, so this runs once, after the sweep, over the
+    ``src`` slots of all contributions.
+    """
+    clipped = slew_clipped(slew[src], SLEW_CLIP_MAX)
+    if clipped.any():
+        tape.d_dslew[:, clipped] = 0.0
+
+
 def cell_backward_level(
     lv: CellLevel,
     weights: np.ndarray,
     tape_d_dslew: np.ndarray,
-    grads: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+    g_at: np.ndarray,
+    g_slew: np.ndarray,
+    seed_slots: np.ndarray,
 ) -> None:
     """Backward cell propagation for one level (Equation (12), in place).
 
     ``weights`` are the ``(2, n_contribs)`` merge weights of the AT and
     slew candidates (the softmax identity ``w_i = exp((x_i - LSE) /
-    gamma)``, which does not depend on the seed).  ``grads`` holds one
-    ``(g_at, g_slew, g_cand)`` triple per seed: flat ``(2 * n_pins,)``
-    gradient arrays whose entries at the level's sinks must be final, and
-    a ``(2, n_contribs)`` buffer that receives the candidate gradients
-    (the caller folds them into the net loads after the sweep, Eq. 12e).
-    Accumulates into the source-pin AT/slew gradients.
+    gamma)``, which does not depend on the seed).  ``g_at``/``g_slew``
+    are the flat gradients of all seeds, seed ``s`` in the ``2 * n_pins``
+    slots from ``seed_slots[s]`` (an ``(n_seeds, 1)`` column); their
+    entries at the level's sinks must be final.  Accumulates into the
+    source-pin AT/slew gradients of every seed at once.
     """
     w = weights[:, lv.sl]
     d_ds = tape_d_dslew[:, lv.sl]
-    for g_at, g_slew, g_cand in grads:
-        # Gradient over (AT(u) + Delay_u(v)) and over Slew_u(v).
-        g = g_cand[:, lv.sl]
-        np.multiply(w[0], g_at[lv.dst], out=g[0])
-        np.multiply(w[1], g_slew[lv.dst], out=g[1])
-        # AT(u) receives the merge weight directly (Eq. 12a).
-        scatter_accumulate(g_at, lv.src, g[0])
-        # Slew(u) via both LUT x-derivatives (Eq. 12d).
-        scatter_accumulate(g_slew, lv.src, g[0] * d_ds[0] + g[1] * d_ds[1])
+    n_seeds = len(seed_slots)
+    dst = (seed_slots + lv.dst).reshape(-1)
+    src = (seed_slots + lv.src).reshape(-1)
+    # Gradient over (AT(u) + Delay_u(v)) and over Slew_u(v).
+    g0 = g_at.take(dst).reshape(n_seeds, -1) * w[0]
+    g1 = g_slew.take(dst).reshape(n_seeds, -1) * w[1]
+    # AT(u) receives the merge weight directly (Eq. 12a).
+    scatter_accumulate(g_at, src, g0.reshape(-1))
+    # Slew(u) via both LUT x-derivatives (Eq. 12d).
+    scatter_accumulate(g_slew, src, (g0 * d_ds[0] + g1 * d_ds[1]).reshape(-1))

@@ -26,7 +26,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..netlist.design import Design
-from ..netlist.library import FALL, RISE
 from ..route.rsmt import build_forest
 from ..route.tree import Forest
 from ..sta.elmore import (
@@ -41,8 +40,8 @@ from ..sta.graph import TimingGraph
 from .cell_prop import cell_backward_level
 from .elmore_grad import elmore_backward
 from .net_prop import net_backward_level
-from .propagate import endpoint_rat, propagate
-from .scatter import scatter_accumulate_at, scatter_add
+from .propagate import endpoint_rat, propagate, start_state
+from .scatter import in_rows, scatter_accumulate, scatter_add
 from .smoothing import lse_min, soft_clamp_neg, soft_clamp_neg_grad
 
 __all__ = ["DifferentiableTimer", "TimerTape"]
@@ -101,6 +100,7 @@ class DifferentiableTimer:
         #: Placement-independent sweep indices, shared with the graph's
         #: other timers (built here if this is their first use).
         self.plan = self.graph.plan
+        self._fixed_cells = np.flatnonzero(design.cell_fixed)
 
     # ------------------------------------------------------------------
     # Forward
@@ -134,10 +134,7 @@ class DifferentiableTimer:
             forest, elm, design.n_pins, self.wire_delay_model
         )
 
-        at = np.full((design.n_pins, 2), _SENTINEL)
-        slew = np.zeros((design.n_pins, 2))
-        at[graph.start_pins] = graph.start_at[graph.start_pins]
-        slew[graph.start_pins] = graph.start_slew[graph.start_pins]
+        at, slew = start_state(self.plan, _SENTINEL, 0.0)
         with PROFILER.stage("difftimer.forward.levels"):
             sweep = propagate(
                 self.plan, graph.lutbank, net_delay, impulse2, driver_load,
@@ -149,7 +146,7 @@ class DifferentiableTimer:
         # ------------------------------------------------------------------
         with PROFILER.stage("difftimer.forward.endpoints"):
             rat, dsetup_dslew = endpoint_rat(graph, slew, grad=True)
-            ep_slack_t = rat - at[graph.endpoint_pins]
+            ep_slack_t = rat - at.reshape(-1).take(self.plan.endpoints.slots)
             # Softmin across the two transitions per endpoint.
             ep_slack = lse_min(ep_slack_t, gamma, axis=1)
             # No setup checks or output ports: timing is trivially met
@@ -200,20 +197,28 @@ class DifferentiableTimer:
         ``t1 * (-TNS) + t2 * (-WNS)``, call with ``d_tns=-t1, d_wns=-t2``.
 
         With ``seeds`` - several ``(d_tns, d_wns)`` pairs - the gradients
-        of all of them are swept over the levels together and returned as
-        a list of ``(g_x, g_y)`` pairs.  Everything that does not depend
-        on the seed (merge weights, slew ratios) is computed once, and
-        each seed's result is bit for bit what its own call returns.
+        of all of them travel together, as the rows of one flat array,
+        from the endpoint slacks through the level sweep, the Elmore
+        adjoint and the Steiner-owner and pin -> cell scatters, and come
+        back as a list of ``(g_x, g_y)`` pairs.  Everything that does not
+        depend on the seed (merge weights, slew ratios) is computed once,
+        and each seed's result is bit for bit what its own call returns.
         """
         single = seeds is None
         if single:
             seeds = [(d_tns, d_wns)]
+        n_seeds = len(seeds)
         design = self.design
         graph = self.graph
         plan = self.plan
         gamma = self.gamma
         n_pins = design.n_pins
+        n_slots = 2 * n_pins
         at_flat, slew_flat = tape.at.reshape(-1), tape.slew.reshape(-1)
+
+        def in_every_seed(index: np.ndarray, stride: int) -> np.ndarray:
+            """Flat positions of ``index`` in each seed's ``stride`` slots."""
+            return in_rows(index, n_seeds, stride)
 
         # Fault-injection hook: a due timer_exc fault emulates a kernel
         # crash mid-backward (inert outside armed guarded placer runs).
@@ -245,101 +250,106 @@ class DifferentiableTimer:
         np.minimum(np.maximum(w_cand, -700.0, out=w_cand), 0.0, out=w_cand)
         np.exp(w_cand, out=w_cand)
         # Net arcs: Slew(v) = sqrt(Slew(u)^2 + Impulse(v)^2).
-        safe = np.maximum(tape.slew[graph.net_sink], 1e-12)
-        slew_ratio = (tape.slew[graph.net_src] / safe).reshape(-1)
+        safe = np.maximum(tape.slew, 1e-12)
+        slew_ratio = (tape.slew[graph.net_src] / safe[graph.net_sink]).reshape(-1)
 
-        ep = graph.endpoint_pins
+        # Seed the endpoint slots of every seed's flat gradient:
+        # slack = rat - at;  for setup endpoints rat = T - setup(slew_D).
+        g_sep = np.stack([
+            s_tns * g_tns + s_wns * w_ep
+            if s_wns != 0.0 and tape.ep_slack.size
+            else s_tns * g_tns
+            for s_tns, s_wns in seeds
+        ])
+        g_slack_t = g_sep[:, :, None] * w_t  # (n_seeds, n_ep, 2)
+        g_at = np.zeros(n_seeds * n_slots)
+        g_slew = np.zeros(n_seeds * n_slots)
+        slots = plan.endpoints.slots
         n_setup = len(graph.setup_d)
-        stencil = np.array([[RISE, FALL]])
-        grads = []
-        for s_tns, s_wns in seeds:
-            g_sep = s_tns * g_tns
-            if s_wns != 0.0 and tape.ep_slack.size:
-                g_sep = g_sep + s_wns * w_ep
-            g_slack_t = g_sep[:, None] * w_t  # (n_ep, 2)
-            g_at = np.zeros((n_pins, 2))
-            g_slew = np.zeros((n_pins, 2))
-            # slack = rat - at;  for setup endpoints rat = T - setup(slew_D).
-            if len(ep):
-                scatter_accumulate_at(g_at, ep[:, None], stencil, -g_slack_t)
-            if n_setup:
-                scatter_accumulate_at(
-                    g_slew,
-                    graph.setup_d[:, None],
-                    stencil,
-                    -g_slack_t[:n_setup] * tape.setup_dsetup_dslew,
-                )
-            grads.append(
-                (g_at.reshape(-1), g_slew.reshape(-1), np.empty_like(w_cand))
-            )
-        net_grads = [g[:2] for g in grads]
+        scatter_accumulate(
+            g_at, in_every_seed(slots.reshape(-1), n_slots), -g_slack_t.reshape(-1)
+        )
+        scatter_accumulate(
+            g_slew,
+            in_every_seed(slots[:n_setup].reshape(-1), n_slots),
+            (-g_slack_t[:, :n_setup] * tape.setup_dsetup_dslew).reshape(-1),
+        )
 
+        seed_slots = np.arange(n_seeds)[:, None] * n_slots
         with PROFILER.stage("difftimer.backward.levels"):
             for net, cell in reversed(plan.levels):
                 if cell is not None:
                     with PROFILER.stage("difftimer.backward.cell_level"):
-                        cell_backward_level(cell, w_cand, tape.d_dslew, grads)
+                        cell_backward_level(
+                            cell, w_cand, tape.d_dslew, g_at, g_slew, seed_slots
+                        )
                 if net is not None:
                     with PROFILER.stage("difftimer.backward.net_level"):
-                        net_backward_level(net, slew_ratio, net_grads)
+                        net_backward_level(
+                            net, slew_ratio, g_at, g_slew, seed_slots
+                        )
 
-        two_safe = 2.0 * safe
-        out = [self._backward_tail(tape, *g, two_safe) for g in grads]
-        return out[0] if single else out
+        # Sinks of a level's arcs are final when it is swept, so what the
+        # Elmore model receives is folded once, after the sweep: the
+        # candidate gradients into Load(v) via both LUT y-derivatives
+        # (Eq. 12e), the net-arc sink gradients into the wire delay and
+        # squared impulse (Eq. 10).  Whole-graph arrays of every seed are
+        # updated in place and dropped as soon as they are folded: this
+        # is where a backward call's memory peaks.
+        def candidate_grad(g_sink: np.ndarray, row: int) -> np.ndarray:
+            g = g_sink.reshape(n_seeds, n_slots).take(plan.c_dst, axis=1)
+            g *= w_cand[row]
+            g *= tape.d_dload[row]
+            return g
 
-    def _backward_tail(
-        self,
-        tape: TimerTape,
-        g_at: np.ndarray,
-        g_slew: np.ndarray,
-        g_cand: np.ndarray,
-        two_safe: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Swept pin gradients of one seed -> Elmore -> cell centers."""
-        design = self.design
-        graph = self.graph
-        n_pins = design.n_pins
-        sinks = graph.net_sink
-        # Load(v) via both LUT y-derivatives (Eq. 12e); sinks of a level's
-        # arcs are final when it is swept, so one fold in contribution /
-        # arc order after the sweep equals the per-level folds.
+        g_cand = candidate_grad(g_at, 0)
+        g_cand += candidate_grad(g_slew, 1)
         g_load = scatter_add(
-            graph.c_dst,
-            g_cand[0] * tape.d_dload[0] + g_cand[1] * tape.d_dload[1],
-            n_pins,
+            in_every_seed(graph.c_dst, n_pins), g_cand.reshape(-1), n_seeds * n_pins
         )
-        g_net_delay = np.zeros(n_pins)
-        g_impulse2 = np.zeros(n_pins)
-        g_sink = g_at.reshape(n_pins, 2)[sinks]
-        g_net_delay[sinks] += g_sink[:, 0] + g_sink[:, 1]
-        g_sink = g_slew.reshape(n_pins, 2)[sinks] / two_safe
-        g_impulse2[sinks] += g_sink[:, 0] + g_sink[:, 1]
+        del g_cand, w_cand
+        per_pin = g_at.reshape(n_seeds, n_pins, 2)
+        g_net_delay = np.where(plan.is_net_sink, per_pin[..., 0] + per_pin[..., 1], 0.0)
+        per_pin = g_slew.reshape(n_seeds, n_pins, 2) / (2.0 * safe)
+        g_impulse2 = np.where(plan.is_net_sink, per_pin[..., 0] + per_pin[..., 1], 0.0)
+        del g_at, g_slew, per_pin
 
         # Map per-pin gradients onto forest nodes and run Elmore backward.
         forest = tape.forest
-        g_delay_ext = np.zeros(forest.n_nodes)
-        g_imp2_ext = np.zeros(forest.n_nodes)
-        g_load_ext = np.zeros(forest.n_nodes)
-        mask = forest.node_pin >= 0
-        pins = forest.node_pin[mask]
-        g_imp2_ext[mask] = g_impulse2[pins]
-        g_load_ext[mask] = g_load[pins]  # nonzero only at driver (root) pins
+        n_nodes = forest.n_nodes
+        pin_nodes = in_every_seed(forest.pin_nodes, n_nodes)
+        node_pins = in_every_seed(forest.pins_of_nodes, n_pins)
+
+        def on_nodes(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+            out = np.zeros(n_seeds * n_nodes)
+            out[nodes] = values
+            return out.reshape(n_seeds, n_nodes)
+
+        g_delay_pins = g_net_delay.reshape(-1).take(node_pins)
+        g_imp2_ext = on_nodes(pin_nodes, g_impulse2.reshape(-1).take(node_pins))
+        # The load gradient is nonzero only at driver (root) pins.
+        g_load_ext = on_nodes(
+            in_every_seed(forest.driver_nodes, n_nodes),
+            g_load.take(in_every_seed(forest.driver_pins, n_pins)),
+        )
+        del g_net_delay, g_impulse2, g_load, node_pins
         g_beta_ext = None
         if self.wire_delay_model == "d2m":
             # d2m = ln2 * m1^2 / sqrt(m2): chain the net-delay gradient
             # into both moments.
-            m1 = tape.elmore.delay[mask]
-            m2 = np.maximum(tape.elmore.beta[mask], 1e-30)
-            valid = tape.elmore.beta[mask] > 0
+            m1 = tape.elmore.delay[forest.pin_nodes]
+            beta = tape.elmore.beta[forest.pin_nodes]
+            m2 = np.maximum(beta, 1e-30)
+            valid = beta > 0
             dd_dm1 = np.where(valid, 2.0 * np.log(2.0) * m1 / np.sqrt(m2), 0.0)
             dd_dm2 = np.where(
                 valid, -0.5 * np.log(2.0) * m1 * m1 / m2**1.5, 0.0
             )
-            g_delay_ext[mask] = g_net_delay[pins] * dd_dm1
-            g_beta_ext = np.zeros(forest.n_nodes)
-            g_beta_ext[mask] = g_net_delay[pins] * dd_dm2
+            per_seed = g_delay_pins.reshape(n_seeds, -1)
+            g_delay_ext = on_nodes(pin_nodes, (per_seed * dd_dm1).reshape(-1))
+            g_beta_ext = on_nodes(pin_nodes, (per_seed * dd_dm2).reshape(-1))
         else:
-            g_delay_ext[mask] = g_net_delay[pins]
+            g_delay_ext = on_nodes(pin_nodes, g_delay_pins)
 
         with PROFILER.stage("difftimer.backward.elmore"):
             g_nx, g_ny = elmore_backward(
@@ -348,12 +358,18 @@ class DifferentiableTimer:
             )
             g_px, g_py = forest.scatter_coord_grad(g_nx, g_ny)
 
-        # Pins move rigidly with their cells.
-        g_cx = scatter_add(design.pin2cell, g_px, design.n_cells)
-        g_cy = scatter_add(design.pin2cell, g_py, design.n_cells)
-        g_cx[design.cell_fixed] = 0.0
-        g_cy[design.cell_fixed] = 0.0
-        return g_cx, g_cy
+        # Pins move rigidly with their cells: x and y of every seed in one
+        # scatter onto (2 * n_seeds, n_cells).
+        n_cells = design.n_cells
+        g_cells = scatter_add(
+            in_rows(design.pin2cell, 2 * n_seeds, n_cells),
+            np.concatenate([g_px, g_py], axis=None),
+            2 * n_seeds * n_cells,
+        )
+        g_cells[in_rows(self._fixed_cells, 2 * n_seeds, n_cells)] = 0.0
+        g_cx, g_cy = g_cells.reshape(2, n_seeds, n_cells)
+        out = list(zip(g_cx, g_cy))
+        return out[0] if single else out
 
     # ------------------------------------------------------------------
     def tns_wns_with_grad(

@@ -30,14 +30,14 @@ Every step is validated against central finite differences in the tests.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..netlist.library import WireModel
 from ..route.tree import Forest
 from ..sta.elmore import ElmoreResult
-from .scatter import scatter_accumulate, scatter_add
+from .scatter import scatter_accumulate
 
 __all__ = ["elmore_backward"]
 
@@ -49,9 +49,13 @@ def elmore_backward(
     g_delay_ext: np.ndarray,
     g_imp2_ext: np.ndarray,
     g_load_ext: np.ndarray,
-    g_beta_ext: np.ndarray = None,
+    g_beta_ext: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Backpropagate Elmore gradients to node coordinates.
+
+    Every gradient array is ``(n_nodes,)`` or, for several objectives
+    (seeds) at once, ``(n_seeds, n_nodes)``; the adjoint is linear, and
+    each row of the result is bit for bit what its own call returns.
 
     Parameters
     ----------
@@ -70,63 +74,71 @@ def elmore_backward(
     -------
     (g_node_x, g_node_y):
         Gradients with respect to the node coordinates used in the
-        forward pass.
+        forward pass, shaped like the inputs.
     """
-    parent = forest.parent
-    levels = forest.levels
+    depths = range(1, forest.max_depth + 1)
 
+    def rows(values: np.ndarray):
+        """The per-seed rows of a gradient array, as writable views."""
+        return values.reshape(-1, forest.n_nodes) if forest.n_nodes else ()
+
+    def sum_into_parents(values: np.ndarray) -> None:
+        """Adjoint of a top-down pass: ``g[fa(v)] += g[v]``, deepest first."""
+        for row in rows(values):
+            for depth in reversed(depths):
+                scatter_accumulate(
+                    row, forest.level_parent[depth], row[forest.levels[depth]]
+                )
+
+    def add_from_parents(values: np.ndarray) -> None:
+        """Adjoint of a bottom-up pass: ``g[v] += g[fa(v)]``, roots first."""
+        for row in rows(values):
+            for depth in depths:
+                row[forest.levels[depth]] += row[forest.level_parent[depth]]
+
+    # Only the two sums along the tree edges run level by level; a node's
+    # local terms read its own final values, so each is one whole-forest
+    # expression after the sweep that completes them.  At a root the edge
+    # terms vanish (zero edge resistance, zero delay); its ``g_res`` entry
+    # is unused.  Each array is dropped after its last use: with several
+    # seeds this function holds the timer's largest temporaries.
     g_beta = 2.0 * g_imp2_ext
     if g_beta_ext is not None:
         g_beta = g_beta + g_beta_ext
     g_delay = g_delay_ext - 2.0 * elm.delay * g_imp2_ext
-    g_ldelay = np.zeros(forest.n_nodes)
-    g_load = g_load_ext.copy()
-    g_cap = np.zeros(forest.n_nodes)
-    g_res = np.zeros(forest.n_nodes)  # gradient of the edge-to-parent res
 
-    # Reverse of pass 4 (Beta top-down) -> bottom-up sweep.
-    for level in reversed(levels[1:]):
-        g_ldelay[level] += elm.edge_res[level] * g_beta[level]
-        g_res[level] += elm.ldelay[level] * g_beta[level]
-        scatter_accumulate(g_beta, parent[level], g_beta[level])
-
-    # Reverse of pass 3 (LDelay bottom-up) -> top-down sweep; apply the
-    # local adjoints once each node's accumulated g_ldelay is final.
-    roots = np.nonzero(forest.is_root)[0]
-    g_cap[roots] += elm.delay[roots] * g_ldelay[roots]
-    g_delay[roots] += elm.cap[roots] * g_ldelay[roots]
-    for level in levels[1:]:
-        g_ldelay[level] += g_ldelay[parent[level]]
-        g_cap[level] += elm.delay[level] * g_ldelay[level]
-        g_delay[level] += elm.cap[level] * g_ldelay[level]
-
-    # Reverse of pass 2 (Delay top-down) -> bottom-up sweep.
-    for level in reversed(levels[1:]):
-        g_res[level] += elm.load[level] * g_delay[level]
-        g_load[level] += elm.edge_res[level] * g_delay[level]
-        scatter_accumulate(g_delay, parent[level], g_delay[level])
-
-    # Reverse of pass 1 (Load bottom-up) -> top-down sweep.
-    g_cap[roots] += g_load[roots]
-    for level in levels[1:]:
-        g_load[level] += g_load[parent[level]]
-        g_cap[level] += g_load[level]
+    # Reverse of pass 4 (Beta top-down).
+    sum_into_parents(g_beta)
+    g_ldelay = elm.edge_res * g_beta
+    g_res = elm.ldelay * g_beta  # gradient of the edge-to-parent res
+    del g_beta
+    # Reverse of pass 3 (LDelay bottom-up).
+    add_from_parents(g_ldelay)
+    g_cap = elm.delay * g_ldelay
+    g_delay += elm.cap * g_ldelay
+    del g_ldelay
+    # Reverse of pass 2 (Delay top-down).
+    sum_into_parents(g_delay)
+    g_res += elm.load * g_delay
+    g_load = g_load_ext + elm.edge_res * g_delay
+    del g_delay
+    # Reverse of pass 1 (Load bottom-up).
+    add_from_parents(g_load)
+    g_cap += g_load
+    del g_load
 
     # Chain into edge lengths:  res = r * len;  each edge's wire cap is
     # half-lumped onto both endpoints.
+    up = forest.up
     g_len = wire.res_per_um * g_res
-    hp = forest.has_parent
-    g_len[hp] += 0.5 * wire.cap_per_um * (g_cap[hp] + g_cap[parent[hp]])
+    g_len += 0.5 * wire.cap_per_um * (g_cap + np.take(g_cap, up, axis=-1))
+    del g_res, g_cap
 
-    # Rectilinear length -> coordinates (sign subgradient at zero).
-    p = parent[hp]
-    sx = np.sign(elm.node_x[hp] - elm.node_x[p])
-    sy = np.sign(elm.node_y[hp] - elm.node_y[p])
-    contrib_x = sx * g_len[hp]
-    contrib_y = sy * g_len[hp]
-    child = np.nonzero(hp)[0]
-    g_x = scatter_add(child, contrib_x, forest.n_nodes)
-    g_y = scatter_add(child, contrib_y, forest.n_nodes)
-    scatter_accumulate(g_x, p, -contrib_x)
-    scatter_accumulate(g_y, p, -contrib_y)
+    # Rectilinear length -> coordinates (sign subgradient at zero): each
+    # edge pulls its node one way and its parent the other.
+    g_x = np.sign(elm.node_x - elm.node_x[up]) * g_len
+    g_y = np.sign(elm.node_y - elm.node_y[up]) * g_len
+    for g in (g_x, g_y):
+        for row in rows(g):
+            scatter_accumulate(row, up, -row)
     return g_x, g_y

@@ -8,12 +8,11 @@ A net arc carries the signal from a net's driver pin to one sink pin:
 Each pin has at most one fan-in net arc, so no smoothing is needed here;
 the backward kernel distributes the sink gradients onto the driver AT/slew
 and onto the Elmore delay / squared-impulse of the sink (Equation (10)).
-Both kernels operate on the net arcs of one level.
+Both kernels operate on the net arcs of one level, over flat
+``pin * 2 + transition`` slots.
 """
 
 from __future__ import annotations
-
-from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -30,38 +29,43 @@ __all__ = ["net_forward_level", "net_backward_level"]
     "::test_gradient_matches_fd",
 )
 def net_forward_level(
-    sinks: np.ndarray,
-    srcs: np.ndarray,
-    net_delay: np.ndarray,
-    impulse2: np.ndarray,
+    lv: NetLevel,
+    arc_delay: np.ndarray,
+    arc_impulse2: np.ndarray,
     at: np.ndarray,
     slew: np.ndarray,
 ) -> None:
     """Forward net propagation for the arcs of one level (in place).
 
-    ``at``/``slew`` are the full ``(n_pins, 2)`` arrays; ``net_delay`` and
-    ``impulse2`` are per-pin Elmore outputs at sink pins.
+    ``at``/``slew`` are the flat ``(2 * n_pins,)`` views of the timer's
+    arrays; ``arc_delay`` and ``arc_impulse2`` hold the Elmore delay and
+    squared impulse at the sink of every (arc, transition) of the sweep,
+    gathered once per call.
     """
-    at[sinks] = at[srcs] + net_delay[sinks][:, None]
-    slew[sinks] = np.sqrt(slew[srcs] ** 2 + impulse2[sinks][:, None])
+    at[lv.sink_flat] = at.take(lv.src_flat) + arc_delay[lv.sl2]
+    slew[lv.sink_flat] = np.sqrt(slew.take(lv.src_flat) ** 2 + arc_impulse2[lv.sl2])
 
 
 def net_backward_level(
     lv: NetLevel,
     slew_ratio: np.ndarray,
-    grads: Sequence[Tuple[np.ndarray, np.ndarray]],
+    g_at: np.ndarray,
+    g_slew: np.ndarray,
+    seed_slots: np.ndarray,
 ) -> None:
     """Backward net propagation for one level (Equation (10), in place).
 
     ``lv`` is the level's slice of the graph's :class:`LevelPlan` and
     ``slew_ratio`` the flat per-(arc, transition) ``Slew(u) / Slew(v)``.
-    ``grads`` holds one flat ``(g_at, g_slew)`` pair per seed; the sink
+    ``g_at``/``g_slew`` are the flat gradients of all seeds, laid out as
+    for :func:`~repro.core.cell_prop.cell_backward_level`; the sink
     entries must already be final (higher levels processed first) and
     the driver entries are accumulated into.  Sink gradients never change
     again, so the caller folds them into the Elmore delay / squared
     impulse gradients once, after the sweep.
     """
-    ratio = slew_ratio[lv.sl2]
-    for g_at, g_slew in grads:
-        scatter_accumulate(g_at, lv.src_flat, g_at[lv.sink_flat])
-        scatter_accumulate(g_slew, lv.src_flat, ratio * g_slew[lv.sink_flat])
+    sink = (seed_slots + lv.sink_flat).reshape(-1)
+    src = (seed_slots + lv.src_flat).reshape(-1)
+    scatter_accumulate(g_at, src, g_at.take(sink))
+    scaled = g_slew.take(sink).reshape(len(seed_slots), -1) * slew_ratio[lv.sl2]
+    scatter_accumulate(g_slew, src, scaled.reshape(-1))

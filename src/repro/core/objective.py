@@ -57,12 +57,6 @@ class TimingObjectiveOptions:
     wns_grad_frac: float = 0.05
     grad_frac_max: float = 0.25  # ceiling for each ramped fraction
     ramp_freeze_overflow: Optional[float] = 0.25  # stop ramping below this
-    # 0 (default) = measure both term gradients every iteration (two
-    # backward passes, exact normalisation).  A value K > 0 re-measures
-    # the norms only every K iterations and runs a single fused backward
-    # with cached scales in between - ~15% faster per iteration at a
-    # small quality cost (see the objective ablation benchmark).
-    norm_refresh_period: int = 0
     # Dirty-net incremental rebuilds between full RSMT rebuilds: a net is
     # rebuilt early when any of its pins moved more than this rectilinear
     # distance since the net's tree was last built (the Figure-4 owner-pin
@@ -102,8 +96,6 @@ class TimingObjective:
         self._built_py: Optional[np.ndarray] = None
         self._iters_since_rsmt = 0
         self._frozen_k: Optional[int] = None
-        self._norm_cache: Optional[Tuple[float, float]] = None
-        self._iters_since_norms = 0
         self.n_rsmt_calls = 0
         self.n_rsmt_reuses = 0
         self.n_timer_calls = 0
@@ -253,8 +245,8 @@ class TimingObjective:
 
     # ------------------------------------------------------------------
     # Checkpoint support (registered as a placer state provider so that
-    # resuming a timing-driven run replays the exact same RSMT/norm-cache
-    # schedule - required for bit-identical trajectories).
+    # resuming a timing-driven run replays the exact same RSMT schedule -
+    # required for bit-identical trajectories).
     # ------------------------------------------------------------------
     def get_state(self) -> Dict[str, object]:
         fc = self._forest_coords
@@ -268,8 +260,6 @@ class TimingObjective:
             else (bp.copy(), self._built_py.copy()),
             "iters_since_rsmt": self._iters_since_rsmt,
             "frozen_k": self._frozen_k,
-            "norm_cache": self._norm_cache,
-            "iters_since_norms": self._iters_since_norms,
             "n_rsmt_calls": self.n_rsmt_calls,
             "n_rsmt_reuses": self.n_rsmt_reuses,
             "n_timer_calls": self.n_timer_calls,
@@ -307,9 +297,6 @@ class TimingObjective:
             self._built_py = None
         self._iters_since_rsmt = int(state.get("iters_since_rsmt", 0))
         self._frozen_k = state.get("frozen_k")
-        nc = state.get("norm_cache")
-        self._norm_cache = None if nc is None else (float(nc[0]), float(nc[1]))
-        self._iters_since_norms = int(state.get("iters_since_norms", 0))
         self.n_rsmt_calls = int(state.get("n_rsmt_calls", 0))
         self.n_rsmt_reuses = int(state.get("n_rsmt_reuses", 0))
         self.n_timer_calls = int(state.get("n_timer_calls", 0))
@@ -348,42 +335,25 @@ class TimingObjective:
         f_tns = min(opts.tns_grad_frac * ramp, opts.grad_frac_max)
         f_wns = min(opts.wns_grad_frac * ramp, opts.grad_frac_max)
 
-        refresh = (
-            self._norm_cache is None
-            or opts.norm_refresh_period <= 0
-            or self._iters_since_norms >= opts.norm_refresh_period
+        # Both term gradients from one backward sweep, each rescaled to
+        # its fraction of the wirelength-gradient norm.
+        g_tns, g_wns = self.timer.backward(
+            tape, seeds=[(-1.0, 0.0), (0.0, -1.0)]
         )
-        if refresh or wl_grad_l1 is None or wl_grad_l1 <= 0:
-            # Measure both term gradients and cache their norms.
-            g_tns, g_wns = self.timer.backward(
-                tape, seeds=[(-1.0, 0.0), (0.0, -1.0)]
-            )
-            self.n_backward_calls += 2
-            self._iters_since_norms = 0
-            norm_tns = float(np.abs(g_tns[0]).sum() + np.abs(g_tns[1]).sum())
-            norm_wns = float(np.abs(g_wns[0]).sum() + np.abs(g_wns[1]).sum())
-            self._norm_cache = (norm_tns, norm_wns)
+        self.n_backward_calls += 2
 
-            def normalized(pair, frac, norm):
-                gx, gy = pair
-                if wl_grad_l1 is None or wl_grad_l1 <= 0 or norm <= 1e-12:
-                    return gx, gy
-                s = frac * wl_grad_l1 / norm
-                return gx * s, gy * s
+        def normalized(pair, frac):
+            gx, gy = pair
+            norm = float(np.abs(gx).sum() + np.abs(gy).sum())
+            if wl_grad_l1 is None or wl_grad_l1 <= 0 or norm <= 1e-12:
+                return gx, gy
+            s = frac * wl_grad_l1 / norm
+            return gx * s, gy * s
 
-            tx, ty = normalized(g_tns, f_tns, self._norm_cache[0])
-            wx, wy = normalized(g_wns, f_wns, self._norm_cache[1])
-            g_x = tx + wx
-            g_y = ty + wy
-        else:
-            # Fused single backward: fold the cached per-term scales into
-            # the seeds of one combined pass (the norms drift slowly).
-            norm_tns, norm_wns = self._norm_cache
-            a = f_tns * wl_grad_l1 / max(norm_tns, 1e-12)
-            b = f_wns * wl_grad_l1 / max(norm_wns, 1e-12)
-            g_x, g_y = self.timer.backward(tape, d_tns=-a, d_wns=-b)
-            self.n_backward_calls += 1
-            self._iters_since_norms += 1
+        tx, ty = normalized(g_tns, f_tns)
+        wx, wy = normalized(g_wns, f_wns)
+        g_x = tx + wx
+        g_y = ty + wy
 
         # Per-cell spike clipping: cells on the most critical paths can
         # receive gradients orders of magnitude above the bulk; clamp each

@@ -20,10 +20,37 @@ import numpy as np
 from ..perf import PROFILER
 from ..sta.graph import LevelPlan, TimingGraph
 from ..sta.nldm import LutBank
-from .cell_prop import SLEW_CLIP_MAX, SweepTape, cell_forward_level
+from .cell_prop import (
+    SLEW_CLIP_MAX,
+    SweepTape,
+    cell_forward_level,
+    clip_slew,
+    slew_clipped,
+    zero_clipped_partials,
+)
 from .net_prop import net_forward_level
 
-__all__ = ["propagate", "capture_clock", "endpoint_rat"]
+__all__ = ["propagate", "start_state", "capture_clock", "endpoint_rat"]
+
+
+def start_state(
+    plan: LevelPlan,
+    fill_at: float,
+    fill_slew: float,
+    start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fresh ``(n_pins, 2)`` arrival-time and slew arrays for a sweep.
+
+    The fill values everywhere but at the start pins, which hold the
+    graph's boundary conditions - or those of ``start``, full ``(at,
+    slew)`` arrays (a propagated clock's launch arrivals).
+    """
+    at = np.full((plan.n_pins, 2), fill_at)
+    slew = np.full((plan.n_pins, 2), fill_slew)
+    pins = plan.start_pins
+    at[pins] = plan.start_at if start is None else start[0][pins]
+    slew[pins] = plan.start_slew if start is None else start[1][pins]
+    return at, slew
 
 
 def propagate(
@@ -49,27 +76,38 @@ def propagate(
     With ``pins`` only those sink pins are recomputed, each from all of
     its fan-ins.  Returns the per-contribution tape (of the full plan, or
     compact over the restriction), with the LUT partials if ``partials``.
+
+    Every load and wire delay is known before the sweep starts, so all
+    cell arcs are placed on the load axis of their tables and the net
+    arcs' Elmore values are gathered here, once; a level only locates the
+    slews it has just computed.
     """
-    levels, n = (plan.levels, plan.n_contribs) if pins is None else plan.restrict(pins)
+    sweep = plan.sweep if pins is None else plan.restrict(pins)
+    n = sweep.n_contribs
     tape = SweepTape(
         np.zeros((2, n)),
         np.zeros(n),
         np.zeros((2, n)) if partials else None,
         np.zeros((2, n)) if partials else None,
     )
+    load = lutbank.locate_load(sweep.query, driver_load[sweep.pin])
+    arc_delay = np.repeat(net_delay[sweep.net_sink], 2)
+    arc_impulse2 = np.repeat(impulse2[sweep.net_sink], 2)
     at_flat, slew_flat = at.reshape(-1), slew.reshape(-1)
-    for net, cell in levels:
+    for net, cell in sweep.levels:
         if net is not None:
             with PROFILER.stage("propagate.net_level"):
                 net_forward_level(
-                    net.sinks, net.srcs, net_delay, impulse2, at, slew
+                    net, arc_delay, arc_impulse2, at_flat, slew_flat
                 )
         if cell is not None:
             with PROFILER.stage("propagate.cell_level"):
                 cell_forward_level(
-                    cell, lutbank, driver_load, merge, gamma,
+                    cell, lutbank, load.at(cell.sl), merge, gamma,
                     at_flat, slew_flat, tape,
                 )
+    if partials:
+        zero_clipped_partials(sweep.src, slew_flat, tape)
     return tape
 
 
@@ -100,24 +138,42 @@ def endpoint_rat(
     with ``grad``, the slew derivative of the setup time per selected
     setup check (zero where the slew clip is active, which makes the
     lookup constant; ``None`` without ``grad``).
+
+    What does not depend on the placement comes from the plan's
+    :class:`~repro.sta.graph.EndpointTables`; under the ideal clock that
+    includes the clock-slew side of every setup lookup.
     """
+    tables = graph.plan.endpoints
+    bank = graph.lutbank
     n_setup = len(graph.setup_d)
-    if idx is None:
-        idx = np.arange(graph.n_endpoints)
     period = graph.design.constraints.clock_period
-    is_setup = idx < n_setup
-    k = idx[is_setup]
-    rat = np.empty((len(idx), 2))
-    rat[~is_setup] = (period - graph.po_output_delay[idx[~is_setup] - n_setup])[:, None]
-    ck_at, ck_slew = capture_clock(graph, graph.setup_ck[k], clock)
-    slew_raw = slew[graph.setup_d[k]].T
-    query = graph.setup_lut[k].T, np.clip(slew_raw, 0.0, SLEW_CLIP_MAX), ck_slew
+    if idx is None:
+        n = graph.n_endpoints
+        setup = ports = slice(None)  # which checks / ports
+        setup_rows, port_rows = slice(0, n_setup), slice(n_setup, n)
+    else:
+        n = len(idx)
+        setup_rows = np.flatnonzero(idx < n_setup)
+        port_rows = np.flatnonzero(idx >= n_setup)
+        setup, ports = idx[setup_rows], idx[port_rows] - n_setup
+    rat = np.empty((n, 2))
+    rat[port_rows] = (period - graph.po_output_delay[ports])[:, None]
+
+    query = bank.rebind(tables.setup_query, setup)
+    if clock is None:
+        ck_at, load = 0.0, tables.setup_load.at(setup)
+    else:
+        ck_at, ck_slew = capture_clock(graph, graph.setup_ck[setup], clock)
+        load = bank.locate_load(query, ck_slew)
+    slew_raw = slew.reshape(-1).take(tables.slots[:n_setup][setup]).T
+    slew_in = clip_slew(slew_raw, SLEW_CLIP_MAX)
     dsetup_dslew = None
     if grad:
-        setup_time, dsu_ds, _ = graph.lutbank.lookup_with_grad(*query)
-        clipped = (slew_raw < 0.0) | (slew_raw > SLEW_CLIP_MAX)
-        dsetup_dslew = np.where(clipped, 0.0, dsu_ds).T
+        partials = np.empty(slew_raw.shape), np.empty(slew_raw.shape)
+        setup_time = bank.interpolate(query, slew_in, load, partials)
+        clipped = slew_clipped(slew_raw, SLEW_CLIP_MAX)
+        dsetup_dslew = np.where(clipped, 0.0, partials[0]).T
     else:
-        setup_time = graph.lutbank.lookup(*query)
-    rat[is_setup] = (period + ck_at - setup_time).T
+        setup_time = bank.interpolate(query, slew_in, load)
+    rat[setup_rows] = (period + ck_at - setup_time).T
     return rat, dsetup_dslew

@@ -42,6 +42,7 @@ from __future__ import annotations
 from .backend import xp
 
 __all__ = [
+    "in_rows",
     "scatter_add",
     "scatter_add_2d",
     "scatter_add_rows",
@@ -49,6 +50,16 @@ __all__ = [
     "scatter_accumulate_at",
     "scatter_accumulate_rows",
 ]
+
+
+def in_rows(index: xp.ndarray, n_rows: int, stride: int) -> xp.ndarray:
+    """Flat positions of ``index`` in every row of a ``(n_rows, stride)`` array.
+
+    Several independent problems of one shape (the seeds of a backward
+    pass, x and y of a gradient) laid out as the rows of one C-contiguous
+    array run through the 1-D kernels below as a single call.
+    """
+    return (xp.arange(n_rows)[:, None] * stride + index).reshape(-1)
 
 
 def scatter_add(index: xp.ndarray, values: xp.ndarray, size: int) -> xp.ndarray:

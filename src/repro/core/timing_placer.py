@@ -80,12 +80,18 @@ class TimingDrivenPlacer:
             self.design,
             opts.placer,
             extra_grad_fn=hook,
-            # The objective's RSMT/norm-cache schedule rides along in
-            # checkpoints so resumed runs replay bit-identically.
+            # The objective's RSMT schedule rides along in checkpoints so
+            # resumed runs replay bit-identically.
             state_providers={"timing_objective": self.objective},
             # The graph levelized at construction, which proves acyclicity;
             # --validate reuses it instead of levelizing twice.
             validation_graph=self.graph,
         )
         placer_box["placer"] = placer
-        return placer.run()
+        try:
+            return placer.run()
+        finally:
+            # The hook reaches the placer and the placer holds the hook:
+            # cut the loop, or the run's forest, wirelength and density
+            # arrays wait for a full garbage collection.
+            placer_box.clear()

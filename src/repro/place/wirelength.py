@@ -20,11 +20,6 @@ from ..netlist.design import Design
 __all__ = ["hpwl", "WAWirelength"]
 
 
-def _segment_reduceat(op, values: xp.ndarray, starts: xp.ndarray) -> xp.ndarray:
-    """`op.reduceat` guarded against empty trailing segments."""
-    return op.reduceat(values, starts)
-
-
 def hpwl(
     design: Design,
     cell_x: Optional[xp.ndarray] = None,
@@ -66,40 +61,13 @@ class WAWirelength:
         # Nets with fewer than 2 pins contribute nothing.
         self.active = (self.degrees >= 2).astype(xp.float64)
         self.pin_cells = design.pin2cell[self.order]
-
-    def _axis(
-        self, coord: xp.ndarray, gamma: float, weights: xp.ndarray
-    ) -> Tuple[float, xp.ndarray]:
-        """Smooth span and per-ordered-pin gradient along one axis."""
-        starts = self.starts
-        repeats = self.degrees
-
-        c_max = xp.maximum.reduceat(coord, starts)
-        c_min = xp.minimum.reduceat(coord, starts)
-        shift_max = xp.repeat(c_max, repeats)
-        shift_min = xp.repeat(c_min, repeats)
-
-        a_pos = xp.exp((coord - shift_max) / gamma)
-        a_neg = xp.exp((shift_min - coord) / gamma)
-        b_pos = xp.add.reduceat(a_pos, starts)
-        b_neg = xp.add.reduceat(a_neg, starts)
-        c_pos = xp.add.reduceat(coord * a_pos, starts)
-        c_neg = xp.add.reduceat(coord * a_neg, starts)
-        wa_pos = c_pos / b_pos
-        wa_neg = c_neg / b_neg
-
-        span = float(xp.sum(weights * self.active * (wa_pos - wa_neg)))
-
-        w_rep = xp.repeat(weights * self.active, repeats)
-        wa_pos_rep = xp.repeat(wa_pos, repeats)
-        wa_neg_rep = xp.repeat(wa_neg, repeats)
-        b_pos_rep = xp.repeat(b_pos, repeats)
-        b_neg_rep = xp.repeat(b_neg, repeats)
-        grad = w_rep * (
-            (a_pos / b_pos_rep) * (1.0 + (coord - wa_pos_rep) / gamma)
-            - (a_neg / b_neg_rep) * (1.0 - (coord - wa_neg_rep) / gamma)
+        #: Net of each ordered pin: per-net values reach the pins of the
+        #: net through one gather.
+        self.pin_net = xp.repeat(xp.arange(design.n_nets), self.degrees)
+        #: Cell slot of each ordered pin in the stacked x|y gradient.
+        self.pin_cells_xy = xp.concatenate(
+            [self.pin_cells, self.pin_cells + design.n_cells]
         )
-        return span, grad
 
     def evaluate(
         self,
@@ -108,18 +76,39 @@ class WAWirelength:
         gamma: float,
         net_weights: Optional[xp.ndarray] = None,
     ) -> Tuple[float, xp.ndarray, xp.ndarray]:
-        """Return (smooth WL, dWL/dcell_x, dWL/dcell_y)."""
+        """Return (smooth WL, dWL/dcell_x, dWL/dcell_y).
+
+        Both axes run as one stacked ``(2, n_pins)`` pass: per-net
+        reductions along the pin axis, per-net values gathered back to
+        the pins through :attr:`pin_net`, one scatter-add onto
+        ``2 * n_cells``.
+        """
         design = self.design
-        weights = (
-            xp.ones(design.n_nets, dtype=xp.float64)
-            if net_weights is None
-            else net_weights
-        )
+        starts, net = self.starts, self.pin_net
         px, py = design.pin_positions(cell_x, cell_y)
-        x = px[self.order]
-        y = py[self.order]
-        wl_x, gx = self._axis(x, gamma, weights)
-        wl_y, gy = self._axis(y, gamma, weights)
-        grad_x = scatter_add(self.pin_cells, gx, design.n_cells)
-        grad_y = scatter_add(self.pin_cells, gy, design.n_cells)
-        return wl_x + wl_y, grad_x, grad_y
+        coord = xp.stack([px[self.order], py[self.order]])
+
+        def per_pin(per_net: xp.ndarray) -> xp.ndarray:
+            return xp.take(per_net, net, axis=1)
+
+        c_max = xp.maximum.reduceat(coord, starts, axis=1)
+        c_min = xp.minimum.reduceat(coord, starts, axis=1)
+        a_pos = xp.exp((coord - per_pin(c_max)) / gamma)
+        a_neg = xp.exp((per_pin(c_min) - coord) / gamma)
+        b_pos = xp.add.reduceat(a_pos, starts, axis=1)
+        b_neg = xp.add.reduceat(a_neg, starts, axis=1)
+        wa_pos = xp.add.reduceat(coord * a_pos, starts, axis=1) / b_pos
+        wa_neg = xp.add.reduceat(coord * a_neg, starts, axis=1) / b_neg
+
+        weight = self.active if net_weights is None else net_weights * self.active
+        span = xp.sum(weight * (wa_pos - wa_neg), axis=1)
+        grad = xp.take(weight, net) * (
+            (a_pos / per_pin(b_pos)) * (1.0 + (coord - per_pin(wa_pos)) / gamma)
+            - (a_neg / per_pin(b_neg)) * (1.0 - (coord - per_pin(wa_neg)) / gamma)
+        )
+        grad_xy = scatter_add(self.pin_cells_xy, grad.reshape(-1), 2 * design.n_cells)
+        return (
+            float(span[0]) + float(span[1]),
+            grad_xy[: design.n_cells],
+            grad_xy[design.n_cells :],
+        )

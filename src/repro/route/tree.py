@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.scatter import scatter_add
+from ..core.scatter import in_rows, scatter_add
 
 __all__ = ["RoutingTree", "Forest", "gather_csr", "tree_depths"]
 
@@ -229,10 +229,19 @@ class Forest:
         self._finalize()
 
     def _finalize(self) -> None:
-        """Derived lookups: levels (ascending node id per depth), pin map."""
+        """Everything derived from the tree arrays, once per forest.
+
+        A forest serves every timer call until the next rebuild, so what
+        those calls index with is laid out here: ``levels`` (ascending
+        node id per depth), the pin <-> node maps, and the integer tables
+        of the Elmore passes - ``up``, ``level_parent``, the compact
+        parent groups of the bottom-up sums, the driver pins of the roots.
+        All built with whole-forest array operations.
+        """
+        n = self.n_nodes
         self.has_parent = self.parent >= 0
         self.is_steiner = self.node_pin < 0
-        self.max_depth = int(self.depth.max()) if self.n_nodes else 0
+        self.max_depth = int(self.depth.max()) if n else 0
         counts = np.bincount(self.depth, minlength=self.max_depth + 1)
         order = np.argsort(self.depth, kind="stable")
         self.levels: List[np.ndarray] = np.split(order, np.cumsum(counts[:-1]))
@@ -240,6 +249,60 @@ class Forest:
         self.pin_node = np.full(self.n_pins_total, -1, dtype=np.int64)
         pin_nodes = np.nonzero(~self.is_steiner)[0]
         self.pin_node[self.node_pin[pin_nodes]] = pin_nodes
+
+        # The tables below are read a few times per timer call and kept
+        # for the life of the forest: int32 halves them (a forest of 150k
+        # nodes holds 20 bytes a node), at one cast per read.
+        def compact(index: np.ndarray) -> np.ndarray:
+            return index.astype(np.int32)
+
+        #: Nodes that are pins, ascending, and the pin each of them is.
+        self.pin_nodes = compact(pin_nodes)
+        self.pins_of_nodes = compact(self.node_pin[pin_nodes])
+        #: Parent of each node, a root being its own: edge quantities are
+        #: whole-array expressions in ``v`` and ``up[v]`` that come out
+        #: exactly zero at the roots.
+        self.up = compact(np.where(self.has_parent, self.parent, np.arange(n)))
+        #: Root nodes that are pins (drivers), and those pins.
+        roots = self.levels[0]
+        driven = roots[self.node_pin[roots] >= 0]
+        self.driver_nodes = compact(driven)
+        self.driver_pins = compact(self.node_pin[driven])
+
+        # Per level l >= 1, aligned with ``levels[l]``: the parent of each
+        # node, and its parent's group - the distinct parents of a level
+        # are ``level_groups[l]`` (ascending), node i adds into
+        # ``level_groups[l][level_group_of[l][i]]``.  Entry 0 of each list
+        # is empty (roots have no parent); all are views of three arrays.
+        n_roots = int(counts[0]) if n else 0
+        par = self.parent[order[n_roots:]]
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        is_group = np.zeros(n, dtype=bool)
+        is_group[rank[par]] = True  # in level-major order
+        group_id = np.cumsum(is_group) - 1
+        groups = order[is_group]
+        # Groups of level l's nodes sit in level l - 1, contiguously.
+        first = np.searchsorted(
+            self.depth[groups], np.arange(self.max_depth + 1)
+        )
+        group_of = group_id[rank[par]] - np.repeat(first[:-1], counts[1:])
+        cuts = np.cumsum(counts[:-1]) - n_roots
+        self.level_parent = np.split(compact(par), cuts)
+        self.level_group_of = np.split(compact(group_of), cuts)
+        self.level_groups = np.split(compact(groups), first[:-1])
+        #: (pin_cap, extra_pin_cap, caps) of the last ``design_elmore``.
+        self.caps_cache = None
+
+    @property
+    def statics_nbytes(self) -> int:
+        """Bytes of the integer tables ``_finalize`` lays out for the timers."""
+        tables = [
+            self.up, self.pin_nodes, self.pins_of_nodes, self.driver_nodes,
+            self.driver_pins, *self.level_parent, *self.level_group_of,
+            *self.level_groups,
+        ]
+        return sum(t.nbytes for t in tables)
 
     def tree(
         self, net: int, pin_x: np.ndarray, pin_y: np.ndarray
@@ -324,19 +387,27 @@ class Forest:
         """Accumulate node-coordinate gradients onto global pins.
 
         Steiner-node gradients go to the owning pins (Figure 4); pin-node
-        gradients go to the pins themselves.
+        gradients go to the pins themselves.  ``(n_nodes,)`` gradients
+        give ``(n_pins,)``; the ``(k, n_nodes)`` gradients of ``k``
+        objectives give ``(k, n_pins)``, all rows in one scatter.
         """
-        grad_pin_x = scatter_add(self.owner_x_pin, grad_node_x, self.n_pins_total)
-        grad_pin_y = scatter_add(self.owner_y_pin, grad_node_y, self.n_pins_total)
-        return grad_pin_x, grad_pin_y
+        shape = grad_node_x.shape[:-1] + (self.n_pins_total,)
+        n_rows = int(np.prod(shape[:-1]))
+
+        def scatter(owner: np.ndarray, grad: np.ndarray) -> np.ndarray:
+            return scatter_add(
+                in_rows(owner, n_rows, self.n_pins_total), grad.reshape(-1),
+                n_rows * self.n_pins_total,
+            ).reshape(shape)
+
+        return scatter(self.owner_x_pin, grad_node_x), scatter(
+            self.owner_y_pin, grad_node_y
+        )
 
     def edge_lengths(self, node_x: np.ndarray, node_y: np.ndarray) -> np.ndarray:
         """Rectilinear edge length to parent per node (0 for roots)."""
-        lengths = np.zeros(self.n_nodes)
-        hp = self.has_parent
-        p = self.parent[hp]
-        lengths[hp] = np.abs(node_x[hp] - node_x[p]) + np.abs(node_y[hp] - node_y[p])
-        return lengths
+        up = self.up
+        return np.abs(node_x - node_x[up]) + np.abs(node_y - node_y[up])
 
     def total_wirelength(self, pin_x: np.ndarray, pin_y: np.ndarray) -> float:
         """Total Steiner wirelength over all routed nets."""

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.cell_prop import SweepTape
-from ..core.propagate import capture_clock, endpoint_rat, propagate
+from ..core.propagate import capture_clock, endpoint_rat, propagate, start_state
 from ..core.smoothing import segment_max
 from ..netlist.design import Design
 from ..route.rsmt import build_forest
@@ -150,20 +150,16 @@ class StaticTimingAnalyzer:
         impulse = np.sqrt(impulse2)
         impulse2 = impulse**2
 
-        clock = None
-        start_at, start_slew = graph.start_at, graph.start_slew
+        clock = start = None
         if propagated_clock:
             clock = propagate_clock(design, graph, x, y)
-            start_at, start_slew = start_at.copy(), start_slew.copy()
+            start = graph.start_at.copy(), graph.start_slew.copy()
             sinks = clock.is_clock_sink
-            start_at[sinks] = clock.at[sinks, None]
-            start_slew[sinks] = clock.slew[sinks, None]
+            start[0][sinks] = clock.at[sinks, None]
+            start[1][sinks] = clock.slew[sinks, None]
 
         def sweep(merge: str, fill_at: float, fill_slew: float):
-            at = np.full((design.n_pins, 2), fill_at)
-            slew = np.full((design.n_pins, 2), fill_slew)
-            at[graph.start_pins] = start_at[graph.start_pins]
-            slew[graph.start_pins] = start_slew[graph.start_pins]
+            at, slew = start_state(graph.plan, fill_at, fill_slew, start)
             tape = propagate(
                 graph.plan, graph.lutbank, net_delay, impulse2, driver_load,
                 at, slew, merge,

@@ -95,10 +95,7 @@ class ElmoreResult:
         """
         if out is None:
             out = np.zeros(n_pins)
-        roots = np.nonzero(forest.is_root)[0]
-        pins = forest.node_pin[roots]
-        valid = pins >= 0
-        out[pins[valid]] = self.load[roots[valid]]
+        out[forest.driver_pins] = self.load[forest.driver_nodes]
         return out
 
 
@@ -115,11 +112,11 @@ def node_caps(
     reflected in the library (output pins have zero capacitance).
     """
     caps = np.zeros(forest.n_nodes)
-    mask = forest.node_pin >= 0
-    pins = forest.node_pin[mask]
-    caps[mask] = pin_cap[pins]
+    pins = forest.pins_of_nodes
+    pin_caps = pin_cap[pins]
     if extra_pin_cap is not None:
-        caps[mask] += extra_pin_cap[pins]
+        pin_caps += extra_pin_cap[pins]
+    caps[forest.pin_nodes] = pin_caps
     return caps
 
 
@@ -132,8 +129,16 @@ def design_elmore(
 ) -> ElmoreResult:
     """Elmore passes of ``forest`` at the pin positions of ``design``."""
     nx, ny = forest.node_coords(px, py)
-    caps = node_caps(forest, design.pin_cap, extra_pin_cap)
-    return elmore_forward(forest, nx, ny, caps, design.library.wire)
+    # Capacitances do not move with the cells: computed on the forest's
+    # first call and kept with it.
+    kept = forest.caps_cache
+    if kept is None or kept[0] is not design.pin_cap or kept[1] is not extra_pin_cap:
+        kept = forest.caps_cache = (
+            design.pin_cap,
+            extra_pin_cap,
+            node_caps(forest, design.pin_cap, extra_pin_cap),
+        )
+    return elmore_forward(forest, nx, ny, kept[2], design.library.wire)
 
 
 def pin_elmore(
@@ -155,9 +160,8 @@ def pin_elmore(
     net_delay, impulse2, driver_load = (
         out if out is not None else (np.zeros(n_pins) for _ in range(3))
     )
-    mask = forest.node_pin >= 0
-    pins = forest.node_pin[mask]
-    delay, beta = elmore.delay[mask], elmore.beta[mask]
+    nodes, pins = forest.pin_nodes, forest.pins_of_nodes
+    delay, beta = elmore.delay[nodes], elmore.beta[nodes]
     net_delay[pins] = d2m_delay(delay, beta) if wire_delay_model == "d2m" else delay
     impulse2[pins] = np.maximum(2.0 * beta - delay**2, 0.0)
     elmore.root_load(forest, n_pins, out=driver_load)
@@ -189,41 +193,45 @@ def elmore_forward(
     wire:
         Per-unit-length RC parameters.
     """
-    n = forest.n_nodes
-    parent = forest.parent
-    hp = forest.has_parent
-
     edge_len = forest.edge_lengths(node_x, node_y)
     edge_res = wire.res_per_um * edge_len
-    # Wire capacitance of each edge is lumped half at each endpoint.
-    cap = intrinsic_cap.copy()
-    half_wire = 0.5 * wire.cap_per_um * edge_len
-    cap[hp] += half_wire[hp]
+    # Wire capacitance of each edge is lumped half at each endpoint (a
+    # root's own zero-length "edge" adds an exact 0.0 to itself).
     # bincount is a much faster deterministic scatter-add than np.add.at
     # (it sums each bin in input order before a single vector add).
-    cap += np.bincount(parent[hp], weights=half_wire[hp], minlength=n)
+    half_wire = 0.5 * wire.cap_per_um * edge_len
+    cap = intrinsic_cap + half_wire
+    cap += np.bincount(forest.up, weights=half_wire, minlength=forest.n_nodes)
 
-    load = cap.copy()
-    delay = np.zeros(n)
-    ldelay = np.zeros(n)
-    beta = np.zeros(n)
+    def sum_into_parents(values: np.ndarray) -> None:
+        """Bottom-up ``values[u] += sum_child values[v]``, a level at a
+        time, each level adding one compact sum per distinct parent."""
+        for depth in range(forest.max_depth, 0, -1):
+            groups = forest.level_groups[depth]
+            values[groups] += np.bincount(
+                forest.level_group_of[depth],
+                weights=values[forest.levels[depth]],
+                minlength=len(groups),
+            )
 
-    levels = forest.levels
+    def add_from_parents(values: np.ndarray, step: np.ndarray) -> None:
+        """Top-down ``values[v] = values[fa(v)] + step[v]``."""
+        for depth in range(1, forest.max_depth + 1):
+            level = forest.levels[depth]
+            values[level] = values[forest.level_parent[depth]] + step[level]
+
     # Pass 1 (bottom-up): Load(u) = Cap(u) + sum_child Load(v).
-    for level in reversed(levels[1:]):
-        load += np.bincount(parent[level], weights=load[level], minlength=n)
+    load = cap.copy()
+    sum_into_parents(load)
     # Pass 2 (top-down): Delay(u) = Delay(fa(u)) + Res(fa->u) * Load(u).
-    for level in levels[1:]:
-        delay[level] = delay[parent[level]] + edge_res[level] * load[level]
+    delay = np.zeros(forest.n_nodes)
+    add_from_parents(delay, edge_res * load)
     # Pass 3 (bottom-up): LDelay(u) = Cap(u)*Delay(u) + sum_child LDelay(v).
-    ldelay += cap * delay
-    for level in reversed(levels[1:]):
-        ldelay += np.bincount(
-            parent[level], weights=ldelay[level], minlength=n
-        )
+    ldelay = cap * delay
+    sum_into_parents(ldelay)
     # Pass 4 (top-down): Beta(u) = Beta(fa(u)) + Res(fa->u) * LDelay(u).
-    for level in levels[1:]:
-        beta[level] = beta[parent[level]] + edge_res[level] * ldelay[level]
+    beta = np.zeros(forest.n_nodes)
+    add_from_parents(beta, edge_res * ldelay)
 
     impulse_sq = np.maximum(2.0 * beta - delay * delay, 0.0)
     impulse = np.sqrt(impulse_sq)

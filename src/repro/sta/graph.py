@@ -25,7 +25,7 @@ import numpy as np
 from ..netlist.design import Design, PORT_IN_TYPE, PORT_OUT_TYPE
 from ..netlist.library import ArcKind, FALL, RISE
 from ..route.tree import gather_csr
-from .nldm import LutBank
+from .nldm import LoadSide, LutBank, LutQuery
 
 __all__ = [
     "CombinationalCycleError",
@@ -190,6 +190,7 @@ class CellLevel(NamedTuple):
     seg: np.ndarray  # (2k,)
     touched: np.ndarray  # sorted distinct ``dst``
     lut: np.ndarray  # (2, k) delay | slew table ids
+    query: LutQuery  # the same ids, bound to the graph's LUT bank
 
 
 class NetRuns(NamedTuple):
@@ -217,6 +218,25 @@ class SourceSegments(NamedTuple):
 Levels = List[Tuple[Optional[NetLevel], Optional[CellLevel]]]
 
 
+class Sweep(NamedTuple):
+    """What one forward sweep runs over: the whole plan or a restriction."""
+
+    levels: Levels
+    n_contribs: int
+    query: LutQuery  # all ``n_contribs`` contributions' tables, (2, n)
+    pin: np.ndarray  # (n,) sink pin of each contribution (its load)
+    src: np.ndarray  # (n,) ``pin * 2 + transition`` of each source
+    net_sink: np.ndarray  # sink pin of every net arc of the sweep
+
+
+class EndpointTables(NamedTuple):
+    """Static side of the endpoint slacks (setup checks, then ports)."""
+
+    slots: np.ndarray  # (n_endpoints, 2) ``pin * 2 + transition``
+    setup_query: LutQuery  # (2, n_setup) rise | fall constraint tables
+    setup_load: LoadSide  # their clock-slew side under the ideal clock
+
+
 def _flat_slots(pins: np.ndarray) -> np.ndarray:
     """``pin * 2 + transition`` of both transitions of ``pins``, interleaved."""
     return (pins[:, None] * 2 + np.arange(2)).ravel()
@@ -230,31 +250,49 @@ class LevelPlan:
     (lazily, as :attr:`TimingGraph.plan`) instead of on every pass.
     ``levels[l - 1]`` is the ``(net, cell)`` pair of level ``l`` (``None``
     where the level has no such arcs) - all a forward sweep and the
-    differentiable timer's backward sweep need.  What only one caller
-    reads is built on its first use: the by-sink CSR, :attr:`level_pins`
-    and :attr:`net_arc_of` of the restricted (incremental) sweep and of
-    path tracing, :attr:`reverse` and :attr:`net_runs` of the golden
-    required-time sweep.  The plan holds index arrays only -
+    differentiable timer's backward sweep need - each cell level with its
+    table ids bound to the graph's LUT bank (flat offsets, the breakpoint
+    axis the level's tables share).  What only some callers read is built
+    on its first use: :attr:`endpoints`, the by-sink CSR,
+    :attr:`level_pins` and :attr:`net_arc_of` of the restricted
+    (incremental) sweep and of path tracing, :attr:`reverse` and
+    :attr:`net_runs` of the golden required-time sweep.  Beyond the
+    start-pin boundary values the plan holds index arrays only -
     O(contributions + net arcs + pins), reported by :attr:`nbytes` - and
     is rebuilt from the graph rather than pickled with it.
     """
 
     def __init__(self, graph: "TimingGraph") -> None:
+        self.n_pins = len(graph.level)
         self.n_contribs = len(graph.c_dst)
         #: Flat ``pin * 2 + transition`` slots of every contribution.
         self.c_dst = graph.c_dst * 2 + graph.c_tout
         self.c_src = graph.c_src * 2 + graph.c_tin
-        #: Delay | slew table ids, ``(2, n_contribs)``.
+        #: Delay | slew table ids, ``(2, n_contribs)``, and their binding.
         self.lut = np.stack([graph.c_lut_delay, graph.c_lut_slew]).astype(np.int32)
+        self._bank = graph.lutbank
+        query = self._bank.bind(self.lut)
         # The graph tables the lazy members derive from, by reference: no
         # copy, and no graph <-> plan cycle to keep a dropped plan alive.
         self.net_sink, self.net_src = graph.net_sink, graph.net_src
         self._net_of_sink, self._pin_level = graph.net_of_sink, graph.level
         self._net_offsets = graph.net_arcs.offsets
+        self._setup = graph.setup_d, graph.setup_lut, graph.clock_slew
+        self._endpoint_pins = graph.endpoint_pins
+        #: Pins with a fan-in net arc.
+        self.is_net_sink = np.zeros(self.n_pins, dtype=bool)
+        self.is_net_sink[graph.net_sink] = True
+        #: Boundary values at the start pins, compact.
+        self.start_pins = graph.start_pins
+        self.start_at = graph.start_at[graph.start_pins]
+        self.start_slew = graph.start_slew[graph.start_pins]
 
         n_sink, n_src = _flat_slots(graph.net_sink), _flat_slots(graph.net_src)
         seg = np.empty(2 * self.n_contribs, dtype=np.int64)
-        self._owned = [self.c_dst, self.c_src, self.lut, n_sink, n_src, seg]
+        self._owned = [
+            self.c_dst, self.c_src, self.lut, query.offset, n_sink, n_src, seg,
+            self.start_at, self.start_slew, self.is_net_sink,
+        ]
         self.levels: Levels = []
         for level in range(1, graph.n_levels):
             sl = graph.net_arcs.level_slice(level)
@@ -274,12 +312,21 @@ class LevelPlan:
                 self._owned.append(slots)
                 seg[2 * a : a + b] = inverse
                 seg[a + b : 2 * b] = inverse + len(slots)
+                level_query = self._bank.rebind(query, slice(a, b))
+                if level_query.offset.base is not query.offset:
+                    # Not a view: a level of a mixed-axis plan, bound anew.
+                    self._owned.append(level_query.offset)
                 cell = CellLevel(
                     slice(a, b), self.c_src[a:b], self.c_dst[a:b],
                     graph.c_dst[a:b], seg[2 * a : 2 * b], slots,
-                    self.lut[:, a:b],
+                    level_query.ids, level_query,
                 )
             self.levels.append((net, cell))
+        #: The full forward sweep.
+        self.sweep = Sweep(
+            self.levels, self.n_contribs, query, graph.c_dst, self.c_src,
+            graph.net_sink,
+        )
 
     @property
     def nbytes(self) -> int:
@@ -322,34 +369,48 @@ class LevelPlan:
         starts = start[2 * pins]
         return order[gather_csr(starts, start[2 * pins + 2] - starts)]
 
-    def restrict(self, pins: np.ndarray) -> Tuple[Levels, int]:
+    def restrict(self, pins: np.ndarray) -> Sweep:
         """The forward sweep restricted to recomputing ``pins`` of one level.
 
-        Returns ``(levels, n_contribs)`` shaped like the full plan's: the
-        one ``(net, cell)`` pair holds every fan-in arc of ``pins`` (so
-        each is recomputed from scratch), with ``sl``/``sl2`` slicing
-        compact tapes of the gathered arcs.
+        Shaped like the full plan's :attr:`sweep`: the one ``(net, cell)``
+        pair holds every fan-in arc of ``pins`` (so each is recomputed
+        from scratch), with ``sl``/``sl2`` slicing compact tapes of the
+        gathered arcs.
         """
         arcs = self.net_arc_of[pins]
         arcs = arcs[arcs >= 0]
+        sinks, srcs = self.net_sink[arcs], self.net_src[arcs]
         net = None
         if len(arcs):
-            sinks, srcs = self.net_sink[arcs], self.net_src[arcs]
             net = NetLevel(
                 sinks, srcs, _flat_slots(sinks), _flat_slots(srcs),
                 slice(0, 2 * len(arcs)),
             )
         idx = self.fanin(pins)
+        query = self._bank.rebind(self.sweep.query, idx)
+        src, dst = self.c_src[idx], self.c_dst[idx]
         cell = None
         if len(idx):
-            dst = self.c_dst[idx]
             slots, inverse = np.unique(dst, return_inverse=True)
             cell = CellLevel(
-                slice(0, len(idx)), self.c_src[idx], dst, dst >> 1,
+                slice(0, len(idx)), src, dst, dst >> 1,
                 np.concatenate([inverse, inverse + len(slots)]),
-                slots, self.lut[:, idx],
+                slots, query.ids, query,
             )
-        return [(net, cell)], len(idx)
+        return Sweep([(net, cell)], len(idx), query, dst >> 1, src, sinks)
+
+    # ------------------------------------------------------------------
+    # Endpoints
+    # ------------------------------------------------------------------
+    @cached_property
+    def endpoints(self) -> EndpointTables:
+        """The placement-independent side of the endpoint slacks."""
+        setup_d, setup_lut, clock_slew = self._setup
+        slots = _flat_slots(self._endpoint_pins).reshape(-1, 2)
+        query = self._bank.bind(setup_lut.T)
+        load = self._bank.locate_load(query, np.full(len(setup_d), clock_slew))
+        self._owned += [slots, query.offset, *load]
+        return EndpointTables(slots, query, load)
 
     # ------------------------------------------------------------------
     # Reverse (required-time) sweep of the golden STA

@@ -53,6 +53,34 @@ class TestXpProxy:
     def test_repr_names_active_backend(self):
         assert "numpy" in repr(xp)
 
+    def test_switch_after_a_kept_lookup_resolves_against_the_new_backend(
+        self, monkeypatch
+    ):
+        """The proxy keeps what it resolved (no call on the second read);
+        every way of changing the selection drops it."""
+
+        class _Tagged(backend_mod.NumpyBackend):
+            name = "tagged"
+
+            def _resolve_namespace(self):
+                numpy = super()._resolve_namespace()
+                members = {k: getattr(numpy, k) for k in ("arange", "asarray")}
+                return type("ns", (), {**members, "exp": "tagged-exp"})
+
+        monkeypatch.setitem(backend_mod._FACTORIES, "tagged", _Tagged)
+        monkeypatch.delitem(backend_mod._instances, "tagged", raising=False)
+        reset_backend()
+        assert xp.exp is np.exp
+        assert vars(xp)["exp"] is np.exp  # kept: the next read is a dict hit
+        set_backend("tagged")
+        assert xp.exp == "tagged-exp"
+        reset_backend()
+        assert xp.exp is np.exp
+        with use_backend("tagged"):
+            assert xp.exp == "tagged-exp"
+        assert xp.exp is np.exp
+        backend_mod._instances.pop("tagged", None)
+
 
 class TestSelection:
     def test_default_is_numpy(self):

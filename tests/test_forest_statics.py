@@ -1,0 +1,262 @@
+"""The per-forest tables of the Elmore kernels.
+
+``Forest._finalize`` lays out, once per forest, the integer tables the
+Elmore passes of every timer call index with (parent-or-self pointers,
+per-level parents and compact parent groups, pin and driver nodes).  The
+kernels on them are held, bit for bit, to a per-tree Python reference
+that walks one node at a time, and every way of building a forest -
+explicit trees, bucket rows, a splice - must lay out the same tables.
+"""
+
+import numpy as np
+
+from repro.core.elmore_grad import elmore_backward
+from repro.route import (
+    Forest,
+    RoutingTree,
+    build_forest,
+    build_forest_for_nets,
+    build_rsmt,
+)
+from repro.sta.elmore import elmore_forward, node_caps
+
+STATICS = (
+    "up", "pin_nodes", "pins_of_nodes", "driver_nodes", "driver_pins", "pin_node",
+)
+LEVEL_STATICS = ("levels", "level_parent", "level_group_of", "level_groups")
+
+
+def assert_same_statics(a, b):
+    for name in STATICS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in LEVEL_STATICS:
+        la, lb = getattr(a, name), getattr(b, name)
+        assert len(la) == len(lb) == a.max_depth + 1, name
+        for level, (x, y) in enumerate(zip(la, lb)):
+            assert np.array_equal(x, y), (name, level)
+
+
+# ----------------------------------------------------------------------
+# Per-tree reference: one node at a time, children folded in ascending
+# node order from 0.0 (the order of a bincount over a level), adjoint
+# sums folded into the parent one child at a time (the order of add.at).
+# ----------------------------------------------------------------------
+def _tree_order(parent):
+    n = len(parent)
+    depth = np.zeros(n, dtype=int)
+    for v in range(n):
+        u = v
+        while parent[u] >= 0:
+            u = parent[u]
+            depth[v] += 1
+    children = [[] for _ in range(n)]
+    for v in range(n):
+        if parent[v] >= 0:
+            children[parent[v]].append(v)
+    top_down = sorted(range(n), key=lambda v: (depth[v], v))
+    return depth, children, top_down
+
+
+def tree_elmore_reference(parent, x, y, caps, wire):
+    n = len(parent)
+    depth, children, top_down = _tree_order(parent)
+    length = np.zeros(n)
+    for v in range(n):
+        if parent[v] >= 0:
+            length[v] = abs(x[v] - x[parent[v]]) + abs(y[v] - y[parent[v]])
+    res = wire.res_per_um * length
+    half = 0.5 * wire.cap_per_um * length
+    cap = np.zeros(n)
+    for v in range(n):
+        acc = 0.0
+        for c in children[v]:
+            acc += half[c]
+        cap[v] = (caps[v] + half[v]) + acc
+
+    def bottom_up(values):
+        for v in reversed(top_down):
+            if children[v]:
+                acc = 0.0
+                for c in children[v]:
+                    acc += values[c]
+                values[v] = values[v] + acc
+
+    load = cap.copy()
+    bottom_up(load)
+    delay = np.zeros(n)
+    for v in top_down:
+        if parent[v] >= 0:
+            delay[v] = delay[parent[v]] + res[v] * load[v]
+    ldelay = cap * delay
+    bottom_up(ldelay)
+    beta = np.zeros(n)
+    for v in top_down:
+        if parent[v] >= 0:
+            beta[v] = beta[parent[v]] + res[v] * ldelay[v]
+    return dict(edge_res=res, cap=cap, load=load, delay=delay, ldelay=ldelay, beta=beta)
+
+
+def tree_elmore_backward_reference(parent, x, y, fwd, wire, g_delay, g_imp2, g_load):
+    n = len(parent)
+    depth, children, top_down = _tree_order(parent)
+    bottom_up = [v for v in reversed(top_down)]
+    # Deepest level first, ascending node id inside a level.
+    bottom_up.sort(key=lambda v: (-depth[v], v))
+    g_beta = 2.0 * g_imp2
+    g_delay = g_delay - 2.0 * fwd["delay"] * g_imp2
+    g_ldelay, g_cap, g_res = np.zeros(n), np.zeros(n), np.zeros(n)
+    g_load = g_load.copy()
+    for v in bottom_up:
+        if parent[v] >= 0:
+            g_ldelay[v] += fwd["edge_res"][v] * g_beta[v]
+            g_res[v] += fwd["ldelay"][v] * g_beta[v]
+            g_beta[parent[v]] += g_beta[v]
+    for v in top_down:
+        if parent[v] >= 0:
+            g_ldelay[v] += g_ldelay[parent[v]]
+        g_cap[v] += fwd["delay"][v] * g_ldelay[v]
+        g_delay[v] += fwd["cap"][v] * g_ldelay[v]
+    for v in bottom_up:
+        if parent[v] >= 0:
+            g_res[v] += fwd["load"][v] * g_delay[v]
+            g_load[v] += fwd["edge_res"][v] * g_delay[v]
+            g_delay[parent[v]] += g_delay[v]
+    for v in top_down:
+        if parent[v] >= 0:
+            g_load[v] += g_load[parent[v]]
+        g_cap[v] += g_load[v]
+    g_x, g_y = np.zeros(n), np.zeros(n)
+    contrib = []
+    for v in range(n):
+        if parent[v] < 0:
+            contrib.append((0.0, 0.0))
+            continue
+        p = parent[v]
+        g_len = wire.res_per_um * g_res[v]
+        g_len += 0.5 * wire.cap_per_um * (g_cap[v] + g_cap[p])
+        contrib.append((np.sign(x[v] - x[p]) * g_len, np.sign(y[v] - y[p]) * g_len))
+        g_x[v], g_y[v] = contrib[v]
+    for v in range(n):
+        if parent[v] >= 0:
+            g_x[parent[v]] += -contrib[v][0]
+            g_y[parent[v]] += -contrib[v][1]
+    return g_x, g_y
+
+
+def assert_kernels_match_per_tree_reference(forest, node_x, node_y, caps, wire, seed=0):
+    rng = np.random.default_rng(seed)
+    elm = elmore_forward(forest, node_x, node_y, caps, wire)
+    g_delay = rng.normal(size=forest.n_nodes)
+    g_imp2 = rng.normal(scale=0.1, size=forest.n_nodes)
+    g_load = np.where(forest.is_root, rng.normal(size=forest.n_nodes), 0.0)
+    g_x, g_y = elmore_backward(forest, elm, wire, g_delay, g_imp2, g_load)
+    # Two objectives at once are two independent rows.
+    two = elmore_backward(
+        forest, elm, wire,
+        np.stack([g_delay, 2.0 * g_delay]), np.stack([g_imp2, -g_imp2]),
+        np.stack([g_load, g_load]),
+    )
+    assert np.array_equal(two[0][0], g_x) and np.array_equal(two[1][0], g_y)
+    other = elmore_backward(forest, elm, wire, 2.0 * g_delay, -g_imp2, g_load)
+    assert np.array_equal(two[0][1], other[0]) and np.array_equal(two[1][1], other[1])
+
+    checked = 0
+    for net in range(forest.n_nets):
+        lo, hi = int(forest.node_offset[net]), int(forest.node_offset[net + 1])
+        if lo == hi:
+            continue
+        parent = np.where(forest.parent[lo:hi] >= 0, forest.parent[lo:hi] - lo, -1)
+        x, y = node_x[lo:hi], node_y[lo:hi]
+        fwd = tree_elmore_reference(parent, x, y, caps[lo:hi], wire)
+        for name, want in fwd.items():
+            assert np.array_equal(getattr(elm, name)[lo:hi], want), (net, name)
+        ref_x, ref_y = tree_elmore_backward_reference(
+            parent, x, y, fwd, wire, g_delay[lo:hi], g_imp2[lo:hi], g_load[lo:hi]
+        )
+        assert np.array_equal(g_x[lo:hi], ref_x), net
+        assert np.array_equal(g_y[lo:hi], ref_y), net
+        checked += 1
+    assert checked
+
+
+class TestKernelsAgainstPerTreeReference:
+    def test_spliced_forest(self, small_design, spread_positions):
+        design = small_design
+        x, y = spread_positions
+        base = build_forest(design, x, y)
+        rng = np.random.default_rng(2)
+        moved_x = x + rng.normal(0, 9, design.n_cells)
+        moved_y = y + rng.normal(0, 9, design.n_cells)
+        px, py = design.pin_positions(moved_x, moved_y)
+        routed = np.flatnonzero(np.diff(base.node_offset))
+        dirty = routed[:: 3]
+        forest = base.splice(build_forest_for_nets(design, px, py, dirty))
+        assert forest is not base
+        node_x, node_y = forest.node_coords(px, py)
+        caps = node_caps(forest, design.pin_cap)
+        assert_kernels_match_per_tree_reference(
+            forest, node_x, node_y, caps, design.library.wire
+        )
+
+    def test_degree_104_net_and_a_star(self, library):
+        """A plain-MST net of 104 pins (a deep tree: many thin levels) next
+        to a star (one parent, dozens of children): the compact per-parent
+        sums fold children in the order the reference does."""
+        rng = np.random.default_rng(104)
+        n, m = 104, 40
+        px, py = rng.uniform(0, 400, n + m), rng.uniform(0, 300, n + m)
+        deep = build_rsmt(px[:n], py[:n], np.arange(n), driver_local=17)
+        star = RoutingTree(
+            x=px[n:], y=py[n:], parent=np.where(np.arange(m) == 3, -1, 3),
+            pins=np.arange(n, n + m), owner_x=np.arange(m), owner_y=np.arange(m),
+            root=3,
+        )
+        forest = Forest([None, deep, star], n + m)
+        assert forest.max_depth >= 10
+        assert len(forest.level_groups[1]) == 2  # the two roots
+        node_x, node_y = forest.node_coords(px, py)
+        caps = node_caps(forest, rng.uniform(0.5, 3.0, n + m))
+        assert_kernels_match_per_tree_reference(
+            forest, node_x, node_y, caps, library.wire, seed=5
+        )
+
+
+class TestStaticsAreTheSameHoweverBuilt:
+    def test_trees_rows_and_splice(self, small_design, spread_positions):
+        design = small_design
+        x, y = spread_positions
+        px, py = design.pin_positions(x, y)
+        from_rows = build_forest(design, x, y)
+        from_trees = Forest(from_rows.trees(px, py), design.n_pins)
+        assert_same_statics(from_rows, from_trees)
+
+        rng = np.random.default_rng(8)
+        stale = build_forest(
+            design, x + rng.normal(0, 9, design.n_cells), y + rng.normal(0, 9, design.n_cells)
+        )
+        routed = np.flatnonzero(np.diff(stale.node_offset))
+        spliced = stale.splice(build_forest_for_nets(design, px, py, routed))
+        assert_same_statics(from_rows, spliced)
+        # Replacing some nets by the trees they already have changes nothing.
+        again = from_rows.splice(build_forest_for_nets(design, px, py, routed[::2]))
+        assert again is not from_rows
+        assert_same_statics(from_rows, again)
+
+    def test_groups_name_each_levels_distinct_parents(self, small_design, spread_positions):
+        forest = build_forest(small_design, *spread_positions)
+        assert len(forest.levels[0]) and not len(forest.level_parent[0])
+        for level, parents, group_of, groups in zip(
+            forest.levels[1:], forest.level_parent[1:],
+            forest.level_group_of[1:], forest.level_groups[1:],
+        ):
+            assert np.array_equal(parents, forest.parent[level])
+            assert np.array_equal(groups, np.unique(parents))
+            assert np.array_equal(groups[group_of], parents)
+        roots = np.flatnonzero(forest.is_root)
+        assert np.array_equal(forest.up[roots], roots)
+        assert np.array_equal(forest.up[forest.has_parent], forest.parent[forest.has_parent])
+
+    def test_empty_and_single_level_forests(self):
+        empty = Forest([None, None], 4)
+        assert empty.n_nodes == 0 and len(empty.levels) == len(empty.level_parent) == 1
+        assert empty.statics_nbytes == 0

@@ -183,6 +183,47 @@ class TestMultiSeedBackward:
             assert np.array_equal(gy, ref_y)
             assert np.any(gx != 0.0)
 
+    @pytest.mark.parametrize("wire_delay_model", ["elmore", "d2m"])
+    @pytest.mark.parametrize("n_seeds", [1, 2, 3])
+    def test_seeds_travel_together_through_the_tail(
+        self, env, wire_delay_model, n_seeds
+    ):
+        """All seeds travel as the rows of one flat problem - level sweep,
+        Elmore adjoint (with D2M's direct beta gradient), Steiner-owner
+        and pin -> cell scatters - and each row is its own call's bits."""
+        _, x, y, forest, _ = env
+        timer = DifferentiableTimer(
+            env[0].design, env[0].graph, gamma=15.0,
+            wire_delay_model=wire_delay_model,
+        )
+        tape = timer.forward(x, y, forest)
+        seeds = SEEDS[:n_seeds]
+        together = timer.backward(tape, seeds=seeds)
+        assert len(together) == n_seeds
+        for (gx, gy), (d_tns, d_wns) in zip(together, seeds):
+            ref_x, ref_y = timer.backward(tape, d_tns=d_tns, d_wns=d_wns)
+            assert np.array_equal(gx, ref_x)
+            assert np.array_equal(gy, ref_y)
+            assert np.any(gx != 0.0)
+            assert not gx[timer.design.cell_fixed].any()
+
+    @pytest.mark.parametrize("wire_delay_model", ["elmore", "d2m"])
+    def test_zero_endpoints(self, library, wire_delay_model):
+        b = DesignBuilder("noend", library, die=(0.0, 0.0, 60.0, 20.0))
+        b.add_input("a", x=0.0, y=10.0)
+        b.add_cell("u1", "INV_X1", x=20.0, y=10.0)
+        b.add_cell("u2", "INV_X1", x=40.0, y=10.0)
+        b.add_net("n0", ["a", "u1/A"])
+        b.add_net("n1", ["u1/Y", "u2/A"])
+        design = b.build()
+        timer = DifferentiableTimer(design, wire_delay_model=wire_delay_model)
+        assert timer.graph.n_endpoints == 0
+        pairs = timer.backward(timer.forward(), seeds=SEEDS)
+        assert len(pairs) == len(SEEDS)
+        for gx, gy in pairs:
+            assert gx.shape == gy.shape == (design.n_cells,)
+            assert not gx.any() and not gy.any()
+
     def test_one_seed_list_is_the_scalar_call(self, env):
         timer, _, _, _, tape = env
         [(gx, gy)] = timer.backward(tape, seeds=[(0.3, 0.7)])

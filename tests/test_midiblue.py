@@ -98,10 +98,38 @@ class TestMidiblue50:
 
         big = midiblue50.graph
         big_plan = LevelPlan(big)
+        # The budget counts the per-graph LUT binding (flat table offsets
+        # of every contribution, level bindings that are not views of
+        # it), the start-pin boundary values, the net-sink mask and - once
+        # built - the endpoint tables.
+        big_plan.endpoints
+        counted = {id(table) for table in big_plan._owned}
+        bound = [big_plan.sweep.query.offset, big_plan.is_net_sink,
+                 big_plan.start_at, big_plan.start_slew,
+                 big_plan.endpoints.slots, big_plan.endpoints.setup_query.offset]
+        for _, cell in big_plan.levels:
+            if cell is not None:
+                offset = cell.query.offset
+                bound.append(offset if offset.base is None else offset.base)
+        assert all(id(table) in counted for table in bound)
+        assert big_plan.sweep.query.offset.dtype == np.int32
         assert big_plan.nbytes <= 16 * 2**20
 
         small = load_bundle(design_spec("miniblue18"))[0].graph
         per_arc_small = LevelPlan(small).nbytes / size(small)
-        per_arc_big = big_plan.nbytes / size(big)
+        per_arc_big = LevelPlan(big).nbytes / size(big)
         assert size(big) > 20 * size(small)
         assert per_arc_big == pytest.approx(per_arc_small, rel=0.15)
+
+    def test_forest_statics_memory_budget(self, midiblue50):
+        """The integer tables a forest lays out for the Elmore kernels
+        are int32 and linear in its nodes: at most 24 bytes a node (a
+        forest is rebuilt every 10th iteration and the old one lives
+        until the new one is done, so this is paid twice at the peak)."""
+        from repro.route import build_forest
+
+        design = midiblue50.design
+        forest = build_forest(design, design.cell_x, design.cell_y)
+        assert forest.n_nodes > 100_000
+        assert forest.up.dtype == forest.level_parent[1].dtype == np.int32
+        assert forest.statics_nbytes <= 24 * forest.n_nodes

@@ -163,15 +163,16 @@ class TestBitEqualityWithScalar:
             assert np.array_equal(part, expected)
 
     def test_bank_unpickled_without_derived_tables(self, bank_and_luts):
-        """Design bundles cached before the transposed axis tables existed
-        hold banks without them; lookups rebuild them on first use."""
+        """The axis tables the locators read are derived: a bank pickles
+        without them (design bundles hold only the packed LUTs) and
+        lookups rebuild them on first use."""
         import pickle
 
         bank, luts, ids = bank_and_luts
         bank.lookup(ids[:1], np.array([1.0]), np.array([1.0]))
-        state = {k: v for k, v in bank.__dict__.items() if k != "_axes_t"}
-        old = LutBank.__new__(LutBank)
-        old.__dict__.update(pickle.loads(pickle.dumps(state)))
+        assert "_dims" in vars(bank)
+        old = pickle.loads(pickle.dumps(bank))
+        assert set(vars(old)) == set(vars(bank)) - {"_dims", "_corner_steps"}
         q = np.linspace(-5.0, 120.0, 40)
         which = np.arange(40) % len(luts)
         assert np.array_equal(
@@ -193,3 +194,117 @@ def test_bank_equals_scalar_lut_property(seed, qx, qy):
     bank.finalize()
     v = bank.lookup(np.array([lid]), np.array([qx]), np.array([qy]))[0]
     assert v == pytest.approx(float(lut.lookup(qx, qy)), rel=1e-10, abs=1e-10)
+
+
+# ----------------------------------------------------------------------
+# The two-phase lookup (bind -> locate_load -> interpolate) against the
+# one-shot batched formula it replaced, kept here as the reference.
+# ----------------------------------------------------------------------
+def one_shot_reference(bank, ids, x, y):
+    """``(value, dv/dx, dv/dy)`` by locating both coordinates of every
+    query with a per-table compare-and-count, in one go."""
+    ids = np.asarray(ids, dtype=np.int64)
+    nx, ny = bank.x.shape[1], bank.y.shape[1]
+    i = np.add.reduce(bank.x.T.take(ids, axis=1) <= x, axis=0) - 1
+    j = np.add.reduce(bank.y.T.take(ids, axis=1) <= y, axis=0) - 1
+    bx = ids * nx + np.minimum(np.maximum(i, 0), bank.x_len[ids] - 2)
+    j = np.minimum(np.maximum(j, 0), bank.y_len[ids] - 2)
+    by = ids * ny + j
+    xf, yf, vf = bank.x.reshape(-1), bank.y.reshape(-1), bank.values.reshape(-1)
+    corner = bx * ny + j
+    x0, x1, y0, y1 = xf[bx], xf[bx + 1], yf[by], yf[by + 1]
+    q00, q10 = vf[corner], vf[corner + ny]
+    dx, dy = x1 - x0, y1 - y0
+    tx, ty = (x - x0) / dx, (y - y0) / dy
+    e0 = vf[corner + 1] - q00
+    e1 = vf[corner + (ny + 1)] - q10
+    v0 = q00 + ty * e0
+    dv = (q10 + ty * e1) - v0
+    d0 = e0 / dy
+    return v0 + tx * dv, dv / dx, d0 + tx * (e1 / dy - d0)
+
+
+def _axis(rng, n):
+    axis = np.unique(np.round(rng.uniform(0, 100, n), 3))
+    while len(axis) < n:
+        axis = np.unique(np.append(axis, np.round(rng.uniform(0, 100), 3)))
+    return axis
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    shared=st.booleans(),
+    span=st.sampled_from([(5.0, 95.0), (-60.0, 170.0)]),
+    clip=st.booleans(),
+)
+def test_two_phase_lookup_equals_one_shot_and_scalar(seed, shared, span, clip):
+    """On a bank whose queried tables share one breakpoint axis per
+    dimension (located by ``searchsorted``) and on a bank of mixed axes
+    (per-table compare-and-count) - axes padded to the bank's width and
+    from length 1, queries in range, extrapolating, clipped onto a bound
+    and sitting on breakpoints - the value and both partials equal the
+    one-shot reference bit for bit, level slice by level slice, and the
+    scalar :meth:`LUT.lookup_with_grad` to 1e-12."""
+    rng = np.random.default_rng(seed)
+    bank = LutBank()
+    if shared:
+        ax, ay = _axis(rng, int(rng.integers(2, 6))), _axis(rng, int(rng.integers(2, 6)))
+        luts = [LUT(ax, ay, rng.uniform(-5, 5, (len(ax), len(ay)))) for _ in range(5)]
+        # Registered, never queried: widens the bank, so the shared axes
+        # are +inf padded.
+        bank.register(make_random_lut(rng, 7, 7))
+    else:
+        luts = [
+            make_random_lut(rng, int(rng.integers(2, 8)), int(rng.integers(2, 8)))
+            for _ in range(4)
+        ] + [
+            LUT.constant(1.5),
+            LUT(np.array([3.0]), _axis(rng, 3), rng.uniform(-5, 5, (1, 3))),
+        ]
+    ids = np.array([bank.register(lut) for lut in luts])
+    bank.finalize()
+
+    k = 40
+    which = rng.integers(0, len(luts), (2, k))
+    qx, qy = rng.uniform(*span, k), rng.uniform(*span, k)
+    qx[:4] = luts[0].x[[0, -1, 0, -1]]  # on breakpoints
+    qy[:4] = luts[0].y[[0, 0, -1, -1]]
+    if clip:
+        qx = np.minimum(np.maximum(qx, 0.0), 60.0)
+
+    ref = one_shot_reference(bank, ids[which], qx, qy)
+    query = bank.bind(ids[which])
+    assert (query.x_axis >= 0) == (query.y_axis >= 0) == shared
+    load = bank.locate_load(query, qy)
+    for sl in (slice(0, 1), slice(1, 17), slice(17, k)):
+        partials = np.empty((2, sl.stop - sl.start)), np.empty((2, sl.stop - sl.start))
+        level = bank.rebind(query, sl)
+        value = bank.interpolate(level, qx[sl], load.at(sl), partials)
+        for got, want in zip((value, *partials), ref):
+            assert np.array_equal(got, want[:, sl])
+        assert np.array_equal(bank.interpolate(level, qx[sl], load.at(sl)), ref[0][:, sl])
+    for got, want in zip(bank.lookup_with_grad(ids[which], qx, qy), ref):
+        assert np.array_equal(got, want)
+    assert np.array_equal(bank.lookup(ids[which], qx, qy), ref[0])
+
+    for pos in np.ndindex(which.shape):
+        scalar = luts[which[pos]].lookup_with_grad(qx[pos[1]], qy[pos[1]])
+        for want, got in zip(scalar, ref):
+            assert got[pos] == pytest.approx(float(want), rel=1e-12, abs=1e-12)
+
+
+def test_a_level_of_a_mixed_plan_may_share_its_axis():
+    """Binding looks at the tables a batch actually reads: a slice of a
+    mixed-axis batch that stays on one axis is located by searchsorted."""
+    rng = np.random.default_rng(3)
+    bank = LutBank()
+    ax, ay = _axis(rng, 5), _axis(rng, 4)
+    same = [bank.register(LUT(ax, ay, rng.uniform(-5, 5, (5, 4)))) for _ in range(2)]
+    other = bank.register(make_random_lut(rng, 6, 3))
+    bank.finalize()
+    query = bank.bind(np.array([same[0], same[1], other, same[0]]))
+    assert query.x_axis == query.y_axis == -1
+    assert bank.rebind(query, slice(0, 2)).x_axis >= 0
+    assert bank.rebind(query, slice(1, 3)).x_axis == -1
+    assert bank.rebind(query, np.array([0, 3])).y_axis >= 0

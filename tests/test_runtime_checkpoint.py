@@ -130,7 +130,7 @@ class TestPlacerResume:
 
     def test_resume_timing_mode_bit_identical(self, tmp_path):
         """Same property with the differentiable timing objective active
-        (exercises the Steiner-forest / norm-cache state provider)."""
+        (exercises the Steiner-forest state provider)."""
         from repro.core.objective import TimingObjectiveOptions
         from repro.core.timing_placer import (
             TimingDrivenPlacer,
@@ -149,7 +149,6 @@ class TestPlacerResume:
                     ),
                     timing=TimingObjectiveOptions(
                         start_iteration=5, rsmt_period=7,
-                        norm_refresh_period=3,
                     ),
                     sta_every=5,
                 ),

@@ -177,12 +177,11 @@ _PATCH_SITES = (
     (density_mod, "scatter_add", ref_scatter_add),
     (tree_mod, "scatter_add", ref_scatter_add),
     (smoothing_mod, "scatter_add", ref_scatter_add),
-    (elmore_grad_mod, "scatter_add", ref_scatter_add),
     (elmore_grad_mod, "scatter_accumulate", ref_scatter_accumulate),
     (net_prop, "scatter_accumulate", ref_scatter_accumulate),
     (cell_prop, "scatter_accumulate", ref_scatter_accumulate),
     (difftimer_mod, "scatter_add", ref_scatter_add),
-    (difftimer_mod, "scatter_accumulate_at", ref_scatter_accumulate_at),
+    (difftimer_mod, "scatter_accumulate", ref_scatter_accumulate),
 )
 
 
