@@ -20,7 +20,7 @@ __all__ = ["RULES_VERSION"]
 #: Bumped whenever a rule is added, removed, or changes what it flags;
 #: recorded in baselines, in telemetry run manifests, and in the
 #: incremental result cache key.
-RULES_VERSION = "2.1"
+RULES_VERSION = "2.2"
 
 
 def _is_numpy(node: ast.AST, resolver: Optional[NameResolver] = None) -> bool:
@@ -54,6 +54,13 @@ class NoScatterAddAt(Rule):
     ``repro.core.smoothing.segment_max``.  Reference implementations are
     exempt: the equivalence tests in ``tests/`` and the scatter
     micro-benchmark *must* call ``np.add.at`` to compare against.
+
+    The same audited-site discipline covers ``ufunc.reduceat`` in the
+    modules whose data layout exists to avoid it
+    (``place/wirelength.py``: per-net reductions run over degree buckets,
+    a segmented ``reduceat`` costs a scalar loop per net): any
+    ``.reduceat`` there is flagged, and the one ragged-tail site carries
+    an inline reason.  Elsewhere ``reduceat`` is not this rule's business.
     """
 
     id = "no-scatter-add-at"
@@ -69,13 +76,28 @@ class NoScatterAddAt(Rule):
         # Carries the seed density pipeline verbatim as its baseline.
         "benchmarks/bench_density.py",
     )
+    #: Modules built on a bucketed layout, where ``reduceat`` is audited.
+    _BUCKETED_LAYOUT_FILES = ("src/repro/place/wirelength.py",)
 
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
         if _in_tests(ctx) or ctx.relpath in self._ALLOWED_FILES:
             return
         resolver = index.semantic.resolver(ctx.relpath)
+        bucketed = ctx.relpath in self._BUCKETED_LAYOUT_FILES
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Attribute) or node.attr != "at":
+            if not isinstance(node, ast.Attribute):
+                continue
+            if bucketed and node.attr == "reduceat":
+                # Any receiver: the ufunc is usually a parameter here.
+                yield self.finding(
+                    ctx,
+                    node,
+                    "ufunc.reduceat in a degree-bucketed layout module runs a "
+                    "scalar loop per net; reduce over the bucket rows, or "
+                    "mark the one ragged-tail site with a reason",
+                )
+                continue
+            if node.attr != "at":
                 continue
             inner = node.value
             if (

@@ -16,6 +16,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..netlist.design import Design
+from ..place.wirelength import NetLayout
 from ..route.plan import route_plan
 from ..route.rsmt import (
     build_forest,
@@ -94,6 +95,12 @@ class TimingObjective:
         #: function of its own pins' build-time coordinates).
         self._built_px: Optional[np.ndarray] = None
         self._built_py: Optional[np.ndarray] = None
+        #: Per-net max of a per-pin array, for the dirty-net policy only.
+        self._net_layout = (
+            NetLayout(design)
+            if self.options.rsmt_dirty_threshold is not None
+            else None
+        )
         self._iters_since_rsmt = 0
         self._frozen_k: Optional[int] = None
         self.n_rsmt_calls = 0
@@ -174,15 +181,7 @@ class TimingObjective:
         opts = self.options
         px, py = design.pin_positions(cell_x, cell_y)
         disp = np.abs(px - self._built_px) + np.abs(py - self._built_py)
-        # Max pin displacement per net over the CSR slices.  reduceat on
-        # an empty slice would read a neighbouring element; degree-0 nets
-        # are masked afterwards (and can only make the start index go out
-        # of range at the tail, hence the clip).
-        starts = design.net2pin_start[:-1]
-        gathered = disp[design.net2pin]
-        safe_starts = np.minimum(starts, max(len(gathered) - 1, 0))
-        net_disp = np.maximum.reduceat(gathered, safe_starts)
-        net_disp[design.net_degrees == 0] = 0.0
+        net_disp = self._net_layout.segment_max(disp)
         ids = route_plan(design).net_ids
         dirty = ids[net_disp[ids] > opts.rsmt_dirty_threshold]
         if len(dirty) == 0:
@@ -205,7 +204,7 @@ class TimingObjective:
                 build_forest_for_nets(design, px, py, dirty)
             )
             pins = design.net2pin[
-                gather_csr(starts[dirty], design.net_degrees[dirty])
+                gather_csr(design.net2pin_start[dirty], design.net_degrees[dirty])
             ]
             self._built_px[pins] = px[pins]
             self._built_py[pins] = py[pins]

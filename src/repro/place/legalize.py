@@ -19,7 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..netlist.design import Design
-from .wirelength import hpwl
+from .wirelength import NetLayout
 
 __all__ = ["legalize", "greedy_refine", "max_overlap"]
 
@@ -160,7 +160,8 @@ def greedy_refine(
     out_x = x.copy()
     out_y = y.copy()
     movable = np.nonzero(~design.cell_fixed)[0]
-    base = hpwl(design, out_x, out_y)
+    layout = NetLayout(design)
+    base = layout.hpwl(out_x, out_y)
     for _ in range(passes):
         improved = False
         rows = np.round((out_y[movable] - design.die[1]) / design.row_height, 6)
@@ -171,7 +172,7 @@ def greedy_refine(
                 if abs(design.cell_w[a] - design.cell_w[b]) > 1e-9:
                     continue
                 out_x[a], out_x[b] = out_x[b], out_x[a]
-                trial = hpwl(design, out_x, out_y)
+                trial = layout.hpwl(out_x, out_y)
                 if trial < base - 1e-9:
                     base = trial
                     improved = True

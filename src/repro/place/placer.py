@@ -54,7 +54,7 @@ from ..telemetry.registry import current_heartbeat
 from ..telemetry.resources import ResourceSampler
 from .density import DensityModel
 from .optimizer import make_optimizer
-from .wirelength import WAWirelength, hpwl
+from .wirelength import WAWirelength
 
 __all__ = ["PlacerOptions", "PlacerResult", "GlobalPlacer"]
 
@@ -604,7 +604,7 @@ class GlobalPlacer:
                         )
                     break
 
-                current_hpwl = hpwl(design, pos[:n], pos[n:])
+                current_hpwl = self.wirelength.hpwl(pos[:n], pos[n:])
                 # Divergence guard: Nesterov with Barzilai-Borwein steps can
                 # blow up when the density field is noisy.  Normal spreading
                 # grows HPWL by a few percent per iteration, so a jump well
@@ -621,7 +621,7 @@ class GlobalPlacer:
                 ):
                     optimizer.restart()
                     pos = optimizer.params
-                    current_hpwl = hpwl(design, pos[:n], pos[n:])
+                    current_hpwl = self.wirelength.hpwl(pos[:n], pos[n:])
                     recent_hpwl.clear()
 
                 if iteration % opts.trace_every == 0:
@@ -660,6 +660,7 @@ class GlobalPlacer:
         x_final = pos[:n].copy()
         y_final = pos[n:].copy()
         runtime = time.perf_counter() - start_time
+        final_hpwl = self.wirelength.hpwl(x_final, y_final)
         if sampler is not None:
             # Forced final sample: even a run shorter than the throttle
             # window ends with its true peak on record.
@@ -677,7 +678,7 @@ class GlobalPlacer:
                 iteration=last_iteration,
                 stop_reason=stop_reason,
                 iterations=last_iteration + 1,
-                hpwl=hpwl(design, x_final, y_final),
+                hpwl=final_hpwl,
                 overflow=overflow,
                 runtime=runtime,
                 recoveries=retries + rollbacks,
@@ -691,7 +692,7 @@ class GlobalPlacer:
             runtime=runtime,
             stop_reason=stop_reason,
             trace=trace,
-            hpwl=hpwl(design, x_final, y_final),
+            hpwl=final_hpwl,
             overflow=overflow,
             nonfinite_events=guard.summary() if guard is not None else {},
             quarantined_iterations=quarantined_iters,

@@ -129,6 +129,35 @@ class TestNoScatterAddAt:
         assert findings_of(report, "no-scatter-add-at") == []
 
 
+    def test_reduceat_is_audited_in_the_bucketed_layout_module(self, tmp_path):
+        """``place/wirelength.py`` exists to avoid per-net ``reduceat``:
+        every use there is flagged (whatever the receiver - the ufunc is a
+        parameter) except the site that carries a reason."""
+        source = (
+            "from repro.core.backend import xp\n"
+            "def f(ufunc, v, idx):\n"
+            "    xp.add.reduceat(v, idx)\n"
+            "    # reprolint: allow[no-scatter-add-at] the ragged tail\n"
+            "    ufunc.reduceat(v, idx)\n"
+            "    return ufunc.reduceat(v, idx)\n"
+        )
+        root = make_repo(
+            tmp_path,
+            {
+                "src/repro/place/wirelength.py": source,
+                "src/repro/place/other.py": source.replace(
+                    "    # reprolint: allow[no-scatter-add-at] the ragged tail\n", ""
+                ),
+            },
+        )
+        found = findings_of(run_analysis(root), "no-scatter-add-at")
+        assert [(f.path, f.line) for f in found] == [
+            ("src/repro/place/wirelength.py", 3),
+            ("src/repro/place/wirelength.py", 6),
+        ]
+        assert "ragged-tail" in found[0].message
+
+
 class TestNoSilentNanFix:
     def test_flags_nan_to_num_and_errstate(self, tmp_path):
         root = make_repo(
