@@ -6,8 +6,8 @@ tables, approximate call graph) plus the repo-specific rules that keep
 the paper's reproducibility contracts honest: deterministic scatters,
 guarded numerics, closed telemetry vocabularies, checkpoint
 completeness, declared forward/backward kernel pairs, and the
-whole-program families in :mod:`repro.analysis.flowrules` (dtype-flow,
-spawn-safety, determinism-taint, contract-closure).
+whole-program families in :mod:`repro.analysis.flowrules`
+(spawn-safety, determinism-taint, contract-closure).
 
 Entry points:
 

@@ -5,7 +5,6 @@ express: they consume :class:`repro.analysis.index.SemanticIndex`
 (import graph, symbol tables, approximate call graph) via
 ``index.semantic``.
 
-- ``dtype-flow`` - float64 creep into the fp32-capable kernels;
 - ``spawn-safety`` - module-level state written on spawn-worker paths;
 - ``determinism-taint`` - clock/entropy/set-order values flowing into
   telemetry manifests and gated metrics (replaces the old purely
@@ -34,11 +33,10 @@ def _in_tests(ctx: FileContext) -> bool:
 
 
 def _resolves_to_array_ns(resolver: Optional[NameResolver], node: ast.AST) -> bool:
-    """True if ``node`` denotes the numpy/``xp`` namespace *by import*.
+    """True if ``node`` denotes the numpy namespace *by import*.
 
-    This is the semantic replacement for the old bare-name ``np``/``xp``
-    match: a local variable that merely shadows the name resolves to
-    None and is not treated as the backend.
+    A local variable that merely shadows the name ``np`` resolves to
+    None and is not treated as numpy.
     """
     if resolver is None:
         return False
@@ -49,183 +47,6 @@ def _resolved(resolver: Optional[NameResolver], node: ast.AST) -> Optional[str]:
     if resolver is None:
         return None
     return resolver.resolve_expr(node)
-
-
-# ----------------------------------------------------------------------
-@register_rule
-class DtypeFlow(Rule):
-    """Float64 must not leak into the fp32-capable kernel modules.
-
-    The planned spectral path (``precision="fp32"``) keeps its tables,
-    scratch and transforms in float32/complex64; a single float64 array
-    entering the pipeline silently promotes everything downstream and
-    destroys the fast path while producing plausible numbers.  Inside
-    the kernel modules this rule runs a small intraprocedural dtype
-    inference on every function except ``__init__`` (the documented
-    double-precision table-construction zone, where tables are built in
-    float64 and ``.astype``'d to the plan dtype once):
-
-    - fresh-array constructors (``xp.zeros``, ``full``, ``arange``, ...)
-      without ``dtype=`` allocate float64 implicitly - flagged unless
-      the result is ``.astype``'d later in the same function;
-    - ``xp.asarray``/``xp.array`` of float-literal content without
-      ``dtype=`` materialises float64 - flagged (python float *scalars*
-      in arithmetic are weak under NEP 50 and do not promote fp32
-      arrays, so bare literals in expressions are fine);
-    - ``.astype(float64)`` and ``dtype=float64`` *parameter defaults*
-      are explicit float64 introductions on a potentially fp32-reachable
-      path - flagged; intentional precision boundaries carry an inline
-      suppression naming the contract.
-
-    An explicit ``dtype=`` keyword (including ``dtype=xp.float64``) is
-    always accepted: the rule polices *silent* promotion, not deliberate
-    precision choices that review can see.
-    """
-
-    id = "dtype-flow"
-    description = (
-        "implicit float64 allocation/cast in the fp32-capable kernel modules"
-    )
-    scope = "file"
-    cacheable = True
-
-    #: The modules with an fp32 execution mode.  ``core/scatter.py`` is
-    #: dtype-polymorphic by construction (pure take/bincount) and is
-    #: policed by backend-shim-only instead.
-    _KERNEL_MODULES = (
-        "src/repro/core/fftplan.py",
-        "src/repro/core/smoothing.py",
-        "src/repro/place/density.py",
-        "src/repro/place/wirelength.py",
-    )
-    _FRESH_CONSTRUCTORS = (
-        "zeros",
-        "ones",
-        "empty",
-        "full",
-        "arange",
-        "linspace",
-        "eye",
-        "identity",
-    )
-    _CONTENT_CONSTRUCTORS = ("asarray", "array", "ascontiguousarray")
-
-    def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
-        if ctx.relpath not in self._KERNEL_MODULES:
-            return
-        resolver = index.semantic.resolver(ctx.relpath)
-        for qualname, fn in self._functions(ctx.tree):
-            if fn.name == "__init__":
-                continue
-            yield from self._check_function(ctx, resolver, qualname, fn)
-
-    @staticmethod
-    def _functions(tree: ast.Module):
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node.name, node
-            elif isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        yield f"{node.name}.{sub.name}", sub
-
-    def _check_function(self, ctx, resolver, qualname, fn):
-        # Pass 1: names sanitised by a later ``.astype(...)`` in this
-        # function - allocating double and casting down is the accepted
-        # idiom for reductions that want float64 accumulation.
-        astyped: Set[str] = set()
-        assigned_from: Dict[int, str] = {}
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "astype"
-                and isinstance(node.func.value, ast.Name)
-            ):
-                astyped.add(node.func.value.id)
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        assigned_from[id(node.value)] = target.id
-
-        # Pass 2: float64-introducing sites.
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call):
-                yield from self._check_call(
-                    ctx, resolver, qualname, node, astyped, assigned_from
-                )
-        for default in list(fn.args.defaults) + [
-            d for d in fn.args.kw_defaults if d is not None
-        ]:
-            if self._is_float64_attr(resolver, default):
-                yield self.finding(
-                    ctx,
-                    default,
-                    f"{qualname}() defaults a parameter to float64; in an "
-                    "fp32-capable kernel the default must come from the plan "
-                    "dtype (or be an explicit argument at the call site)",
-                )
-
-    def _check_call(self, ctx, resolver, qualname, call, astyped, assigned_from):
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return
-        # ``value.astype(float64)``: explicit promotion.
-        if func.attr == "astype" and call.args:
-            if self._is_float64_attr(resolver, call.args[0]):
-                yield self.finding(
-                    ctx,
-                    call,
-                    f".astype(float64) in {qualname}() promotes an "
-                    "fp32-reachable value to double; keep the plan dtype, or "
-                    "suppress with the precision-boundary contract it "
-                    "implements",
-                )
-            return
-        if not _resolves_to_array_ns(resolver, func.value):
-            return
-        has_dtype = any(kw.arg == "dtype" for kw in call.keywords)
-        if func.attr in self._FRESH_CONSTRUCTORS and not has_dtype:
-            target = assigned_from.get(id(call))
-            if target is not None and target in astyped:
-                return  # allocated double, cast down later: sanitised
-            yield self.finding(
-                ctx,
-                call,
-                f"xp.{func.attr}(...) without dtype= in {qualname}() "
-                "allocates float64 and silently widens the fp32 path; pass "
-                "the plan dtype (or an explicit dtype=xp.float64 where the "
-                "float64 boundary is the contract)",
-            )
-        elif func.attr in self._CONTENT_CONSTRUCTORS and not has_dtype:
-            if self._has_float_literal(call):
-                yield self.finding(
-                    ctx,
-                    call,
-                    f"xp.{func.attr}(...) of float-literal content without "
-                    f"dtype= in {qualname}() materialises a float64 array; "
-                    "pass the plan dtype explicitly",
-                )
-
-    @staticmethod
-    def _is_float64_attr(resolver, node: ast.AST) -> bool:
-        if isinstance(node, ast.Constant) and node.value == "float64":
-            return True
-        resolved = _resolved(resolver, node)
-        return resolved is not None and (
-            resolved.endswith(".float64") and
-            any(resolved.startswith(ns + ".") for ns in ARRAY_NAMESPACES)
-        )
-
-    @staticmethod
-    def _has_float_literal(call: ast.Call) -> bool:
-        for arg in call.args:
-            for node in ast.walk(arg):
-                if isinstance(node, ast.Constant) and isinstance(
-                    node.value, float
-                ):
-                    return True
-        return False
 
 
 # ----------------------------------------------------------------------

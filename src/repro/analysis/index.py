@@ -46,9 +46,8 @@ __all__ = [
 ]
 
 #: Canonical names a resolved array-namespace alias may map to; rules
-#: that police "numpy contracts" accept any of them.  ``xp`` is the
-#: backend shim's numpy-compatible proxy (repro.core.backend).
-ARRAY_NAMESPACES = ("numpy", "repro.core.backend.xp")
+#: that police "numpy contracts" accept any of them.
+ARRAY_NAMESPACES = ("numpy",)
 
 _MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 
@@ -464,8 +463,8 @@ class SemanticIndex:
     def resolve_symbol(self, dotted: str, _depth: int = 0) -> Optional[str]:
         """Follow import aliases to the defining module's canonical name.
 
-        ``repro.place.xp`` (re-exported) resolves to
-        ``repro.core.backend.xp``; a name already canonical returns
+        ``repro.place.hpwl`` (re-exported) resolves to
+        ``repro.place.wirelength.hpwl``; a name already canonical returns
         itself; unknown names return None.
         """
         if _depth > 8:

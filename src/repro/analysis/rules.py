@@ -20,20 +20,17 @@ __all__ = ["RULES_VERSION"]
 #: Bumped whenever a rule is added, removed, or changes what it flags;
 #: recorded in baselines, in telemetry run manifests, and in the
 #: incremental result cache key.
-RULES_VERSION = "2.2"
+RULES_VERSION = "2.3"
 
 
 def _is_numpy(node: ast.AST, resolver: Optional[NameResolver] = None) -> bool:
-    # ``xp`` is the backend shim's numpy-compatible namespace
-    # (repro.core.backend): every numpy contract these rules police
-    # applies unchanged to kernels ported onto it.  With a resolver the
-    # name is traced through the module's import table, so a local
-    # variable that merely shadows ``np``/``xp`` does not count as the
-    # backend; the bare-name fallback survives only for files absent
-    # from the semantic index.
+    # With a resolver the name is traced through the module's import
+    # table, so a local variable that merely shadows ``np`` does not
+    # count as numpy; the bare-name fallback survives only for files
+    # absent from the semantic index.
     if resolver is not None:
         return resolver.resolve_expr(node) in ARRAY_NAMESPACES
-    return isinstance(node, ast.Name) and node.id in ("np", "numpy", "xp")
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
 
 
 def _in_tests(ctx: FileContext) -> bool:
@@ -71,11 +68,7 @@ class NoScatterAddAt(Rule):
     cacheable = True
 
     _UFUNCS = ("add", "subtract", "maximum", "minimum")
-    _ALLOWED_FILES = (
-        "benchmarks/bench_scatter.py",
-        # Carries the seed density pipeline verbatim as its baseline.
-        "benchmarks/bench_density.py",
-    )
+    _ALLOWED_FILES = ("benchmarks/bench_scatter.py",)
     #: Modules built on a bucketed layout, where ``reduceat`` is audited.
     _BUCKETED_LAYOUT_FILES = ("src/repro/place/wirelength.py",)
 
@@ -425,90 +418,6 @@ class BackwardPair(Rule):
                         gradcheck = value.value
             return backward, gradcheck, deco
         return None
-
-
-# ----------------------------------------------------------------------
-@register_rule
-class BackendShimOnly(Rule):
-    """Ported kernel modules reach arrays only through the backend shim.
-
-    The hot kernels (density, wirelength, smoothing, scatter, the FFT
-    plans) were ported to the ``xp`` namespace of
-    :mod:`repro.core.backend` so the same source runs on NumPy, CuPy or
-    torch.  A direct ``import numpy`` / ``scipy.fft`` call inside one of
-    them silently pins that kernel back to the host CPU - it keeps
-    working under the default backend, which is exactly why it needs a
-    lint rule rather than a test.  FFT entry points live on the backend
-    object (``get_backend().rfft`` etc.); everything else goes through
-    ``xp``.
-    """
-
-    id = "backend-shim-only"
-    description = (
-        "kernel modules must use repro.core.backend (xp / get_backend), "
-        "never numpy/scipy directly"
-    )
-    cacheable = True
-
-    #: The modules ported to the shim.  Extend this list as more kernels
-    #: are converted; the rule intentionally does NOT cover the rest of
-    #: the codebase, where direct numpy use is normal and correct.
-    _KERNEL_MODULES = (
-        "src/repro/core/fftplan.py",
-        "src/repro/core/scatter.py",
-        "src/repro/core/smoothing.py",
-        "src/repro/place/density.py",
-        "src/repro/place/wirelength.py",
-    )
-    _FORBIDDEN_ROOTS = ("numpy", "scipy")
-    _FORBIDDEN_NAMES = ("np", "numpy", "scipy")
-
-    def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
-        if ctx.relpath not in self._KERNEL_MODULES:
-            return
-        resolver = index.semantic.resolver(ctx.relpath)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] in self._FORBIDDEN_ROOTS:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"direct 'import {alias.name}' in a ported "
-                            "kernel module; use the xp namespace / "
-                            "backend methods from repro.core.backend",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module.split(".")[0] in self._FORBIDDEN_ROOTS:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"direct 'from {module} import ...' in a ported "
-                        "kernel module; use the xp namespace / backend "
-                        "methods from repro.core.backend",
-                    )
-            elif isinstance(node, ast.Attribute):
-                if not isinstance(node.value, ast.Name):
-                    continue
-                if resolver is not None:
-                    # Resolve through the import index: a local variable
-                    # shadowing ``np`` is not the numpy module.
-                    resolved = resolver.resolve(node.value)
-                    hit = (
-                        resolved is not None
-                        and resolved.split(".")[0] in self._FORBIDDEN_ROOTS
-                    )
-                else:
-                    hit = node.value.id in self._FORBIDDEN_NAMES
-                if hit:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"'{node.value.id}.{node.attr}' bypasses the "
-                        "backend shim in a ported kernel module; spell "
-                        f"it 'xp.{node.attr}'",
-                    )
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ splat ride the same kernels.
 
 from __future__ import annotations
 
-from .backend import xp
+import numpy as np
 
 __all__ = [
     "in_rows",
@@ -52,61 +52,61 @@ __all__ = [
 ]
 
 
-def in_rows(index: xp.ndarray, n_rows: int, stride: int) -> xp.ndarray:
+def in_rows(index: np.ndarray, n_rows: int, stride: int) -> np.ndarray:
     """Flat positions of ``index`` in every row of a ``(n_rows, stride)`` array.
 
     Several independent problems of one shape (the seeds of a backward
     pass, x and y of a gradient) laid out as the rows of one C-contiguous
     array run through the 1-D kernels below as a single call.
     """
-    return (xp.arange(n_rows)[:, None] * stride + index).reshape(-1)
+    return (np.arange(n_rows)[:, None] * stride + index).reshape(-1)
 
 
-def scatter_add(index: xp.ndarray, values: xp.ndarray, size: int) -> xp.ndarray:
+def scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """Fresh ``(size,)`` float64 array with ``values`` summed into bins.
 
     Equivalent to ``out = zeros(size); np.add.at(out, index, values)``,
     bit for bit.
     """
     # bincount returns int64 when the weights array is empty.
-    return xp.bincount(index, weights=values, minlength=size).astype(
-        xp.float64, copy=False
+    return np.bincount(index, weights=values, minlength=size).astype(
+        np.float64, copy=False
     )
 
 
 def scatter_add_2d(
-    ix: xp.ndarray, iy: xp.ndarray, values: xp.ndarray, shape: tuple
-) -> xp.ndarray:
+    ix: np.ndarray, iy: np.ndarray, values: np.ndarray, shape: tuple
+) -> np.ndarray:
     """Fresh ``shape`` grid with ``values`` summed into ``(ix, iy)`` cells.
 
     Equivalent to ``out = zeros(shape); np.add.at(out, (ix, iy), values)``.
     """
     nx, ny = shape
     return (
-        xp.bincount(ix * ny + iy, weights=values, minlength=nx * ny)
-        .astype(xp.float64, copy=False)
+        np.bincount(ix * ny + iy, weights=values, minlength=nx * ny)
+        .astype(np.float64, copy=False)
         .reshape(nx, ny)
     )
 
 
 def scatter_add_rows(
-    rows: xp.ndarray, values: xp.ndarray, n_rows: int
-) -> xp.ndarray:
+    rows: np.ndarray, values: np.ndarray, n_rows: int
+) -> np.ndarray:
     """Fresh ``(n_rows, c)`` array accumulating the ``(k, c)`` ``values`` rows.
 
     Equivalent to ``out = zeros((n_rows, c)); np.add.at(out, rows, values)``
     (the row-scatter used to push per-pin gradients onto driver pins).
     """
     c = values.shape[1]
-    flat = (rows[:, None] * c + xp.arange(c)).ravel()
+    flat = (rows[:, None] * c + np.arange(c)).ravel()
     return (
-        xp.bincount(flat, weights=values.ravel(), minlength=n_rows * c)
-        .astype(xp.float64, copy=False)
+        np.bincount(flat, weights=values.ravel(), minlength=n_rows * c)
+        .astype(np.float64, copy=False)
         .reshape(n_rows, c)
     )
 
 
-def _flat_view(out: xp.ndarray) -> xp.ndarray:
+def _flat_view(out: np.ndarray) -> np.ndarray:
     """C-contiguous flat view of ``out`` (in-place kernels mutate it)."""
     if not out.flags.c_contiguous:
         raise ValueError(
@@ -117,8 +117,8 @@ def _flat_view(out: xp.ndarray) -> xp.ndarray:
 
 
 def scatter_accumulate(
-    out: xp.ndarray, index: xp.ndarray, values: xp.ndarray
-) -> xp.ndarray:
+    out: np.ndarray, index: np.ndarray, values: np.ndarray
+) -> np.ndarray:
     """In-place ``out[index] += values`` with duplicate indices folded.
 
     ``out`` must be 1-D.  This is the module's one blessed ``ufunc.at``
@@ -127,16 +127,16 @@ def scatter_accumulate(
     every update density the sweeps produce.
     """
     # reprolint: allow[no-scatter-add-at] the single audited accumulation site every converted call site routes through
-    xp.add.at(out, index, values)
+    np.add.at(out, index, values)
     return out
 
 
 def scatter_accumulate_at(
-    out: xp.ndarray,
-    rows: xp.ndarray,
-    cols: xp.ndarray,
-    values: xp.ndarray,
-) -> xp.ndarray:
+    out: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
     """In-place ``np.add.at(out, (rows, cols), values)`` on a 2-D array.
 
     ``rows``/``cols``/``values`` broadcast against each other exactly as
@@ -144,16 +144,16 @@ def scatter_accumulate_at(
     ``[[0, 1]]`` column stencil); the flattened 1-D form folds each slot
     in the same element order, several times faster.
     """
-    flat, values = xp.broadcast_arrays(rows * out.shape[1] + cols, values)
+    flat, values = np.broadcast_arrays(rows * out.shape[1] + cols, values)
     scatter_accumulate(_flat_view(out), flat.ravel(), values.ravel())
     return out
 
 
 def scatter_accumulate_rows(
-    out: xp.ndarray, rows: xp.ndarray, values: xp.ndarray
-) -> xp.ndarray:
+    out: np.ndarray, rows: np.ndarray, values: np.ndarray
+) -> np.ndarray:
     """In-place ``np.add.at(out, rows, values)`` row scatter on ``(n, c)``."""
     c = out.shape[1]
-    flat = (rows[:, None] * c + xp.arange(c)).ravel()
+    flat = (rows[:, None] * c + np.arange(c)).ravel()
     scatter_accumulate(_flat_view(out), flat, values.ravel())
     return out

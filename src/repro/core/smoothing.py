@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
 
 from ..contracts import differentiable
-from .backend import xp
 from .scatter import scatter_add
 
 __all__ = [
@@ -38,79 +38,79 @@ _SENTINEL = -1e30
     backward="repro.core.smoothing.lse_max_grad",
     gradcheck="tests/test_smoothing.py::TestLseGrad::test_matches_finite_difference",
 )
-def lse_max(values: xp.ndarray, gamma: float, axis=None):
+def lse_max(values: np.ndarray, gamma: float, axis=None):
     """Smoothed maximum ``gamma * log(sum(exp(x / gamma)))`` (shifted)."""
-    values = xp.asarray(values, dtype=xp.float64)
-    m = xp.max(values, axis=axis, keepdims=True)
-    out = m + gamma * xp.log(
-        xp.sum(xp.exp((values - m) / gamma), axis=axis, keepdims=True)
+    values = np.asarray(values, dtype=np.float64)
+    m = np.max(values, axis=axis, keepdims=True)
+    out = m + gamma * np.log(
+        np.sum(np.exp((values - m) / gamma), axis=axis, keepdims=True)
     )
-    return xp.squeeze(out, axis=axis) if axis is not None else float(out.reshape(()))
+    return np.squeeze(out, axis=axis) if axis is not None else float(out.reshape(()))
 
 
-def lse_min(values: xp.ndarray, gamma: float, axis=None):
+def lse_min(values: np.ndarray, gamma: float, axis=None):
     """Smoothed minimum: ``-LSE_gamma(-x)`` (the paper's min transform)."""
-    neg = lse_max(-xp.asarray(values, dtype=xp.float64), gamma, axis=axis)
+    neg = lse_max(-np.asarray(values, dtype=np.float64), gamma, axis=axis)
     return -neg
 
 
-def lse_max_grad(values: xp.ndarray, gamma: float, axis=None) -> xp.ndarray:
+def lse_max_grad(values: np.ndarray, gamma: float, axis=None) -> np.ndarray:
     """Gradient of :func:`lse_max` - the softmax weights of the inputs."""
-    values = xp.asarray(values, dtype=xp.float64)
-    m = xp.max(values, axis=axis, keepdims=True)
-    e = xp.exp((values - m) / gamma)
-    return e / xp.sum(e, axis=axis, keepdims=True)
+    values = np.asarray(values, dtype=np.float64)
+    m = np.max(values, axis=axis, keepdims=True)
+    e = np.exp((values - m) / gamma)
+    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 @differentiable(
     backward="repro.core.smoothing.soft_clamp_neg_grad",
     gradcheck="tests/test_smoothing.py::TestSoftClampNeg::test_grad_matches_fd",
 )
-def soft_clamp_neg(slack: xp.ndarray, gamma: float) -> xp.ndarray:
+def soft_clamp_neg(slack: np.ndarray, gamma: float) -> np.ndarray:
     """Smoothed ``min(0, slack)`` = ``-gamma * softplus(-slack / gamma)``.
 
     This is the per-endpoint term of the smoothed TNS of Equation (2):
     for very negative slack it approaches ``slack``; for very positive
     slack it approaches 0.
     """
-    z = -xp.asarray(slack, dtype=xp.float64) / gamma
+    z = -np.asarray(slack, dtype=np.float64) / gamma
     # softplus(z) = log(1 + exp(z)), computed stably.
-    softplus = xp.where(z > 30, z, xp.log1p(xp.exp(xp.minimum(z, 30))))
+    softplus = np.where(z > 30, z, np.log1p(np.exp(np.minimum(z, 30))))
     return -gamma * softplus
 
 
-def soft_clamp_neg_grad(slack: xp.ndarray, gamma: float) -> xp.ndarray:
+def soft_clamp_neg_grad(slack: np.ndarray, gamma: float) -> np.ndarray:
     """Derivative of :func:`soft_clamp_neg` w.r.t. slack: sigmoid(-s/gamma)."""
-    z = -xp.asarray(slack, dtype=xp.float64) / gamma
-    out = xp.empty_like(z)
+    z = -np.asarray(slack, dtype=np.float64) / gamma
+    out = np.empty_like(z)
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + xp.exp(-z[pos]))
-    ez = xp.exp(z[~pos])
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
 
 
 def segment_max(
-    candidates: xp.ndarray, segment_ids: xp.ndarray, n_segments: int
-) -> xp.ndarray:
+    candidates: np.ndarray, segment_ids: np.ndarray, n_segments: int
+) -> np.ndarray:
     """Grouped hard maximum; groups with no candidates keep the sentinel.
 
     ``max`` is exact, so the grouped minimum is ``-segment_max(-x, ...)``
     bit for bit.
     """
-    m = xp.full(n_segments, _SENTINEL, dtype=xp.float64)
+    m = np.full(n_segments, _SENTINEL, dtype=np.float64)
     # reprolint: allow[no-scatter-add-at] the one audited scatter-max: 1-D contiguous target, exact in any fold order
-    xp.maximum.at(m, segment_ids, candidates)
+    np.maximum.at(m, segment_ids, candidates)
     return m
 
 
 def segment_lse_max(
-    candidates: xp.ndarray,
-    segment_ids: xp.ndarray,
+    candidates: np.ndarray,
+    segment_ids: np.ndarray,
     n_segments: int,
     gamma: float,
     empty_value: float = _SENTINEL,
-) -> xp.ndarray:
+) -> np.ndarray:
     """Grouped smoothed maximum via scatter-max + scatter-add.
 
     ``candidates[i]`` belongs to group ``segment_ids[i]``; groups with no
@@ -121,29 +121,29 @@ def segment_lse_max(
     # candidates <= m, so the exponent lies in [-inf, 0]; the upper clamp
     # only matters for corrupted (non-finite) inputs, which must not
     # overflow.
-    shifted = xp.exp(
-        xp.minimum(xp.maximum((candidates - m[segment_ids]) / gamma, -700.0), 0.0)
+    shifted = np.exp(
+        np.minimum(np.maximum((candidates - m[segment_ids]) / gamma, -700.0), 0.0)
     )
     s = scatter_add(segment_ids, shifted, n_segments)
     nonempty = s > 0
-    return xp.where(
-        nonempty, m + gamma * xp.log(xp.where(nonempty, s, 1.0)), empty_value
+    return np.where(
+        nonempty, m + gamma * np.log(np.where(nonempty, s, 1.0)), empty_value
     )
 
 
 def segment_lse_weights(
-    candidates: xp.ndarray,
-    segment_ids: xp.ndarray,
-    smoothed: xp.ndarray,
+    candidates: np.ndarray,
+    segment_ids: np.ndarray,
+    smoothed: np.ndarray,
     gamma: float,
-) -> xp.ndarray:
+) -> np.ndarray:
     """Softmax weight of each candidate given the group's smoothed max.
 
     Uses the identity ``w_i = exp((x_i - LSE) / gamma)``, which already
     embeds the normalisation, so no second reduction is needed.
     """
-    return xp.exp(
-        xp.minimum(
-            xp.maximum((candidates - smoothed[segment_ids]) / gamma, -700.0), 0.0
+    return np.exp(
+        np.minimum(
+            np.maximum((candidates - smoothed[segment_ids]) / gamma, -700.0), 0.0
         )
     )

@@ -46,53 +46,7 @@ _SUBCOMMANDS = (
     "status",
     "tail",
     "trend",
-    "verify-density",
 )
-
-
-def _apply_backend(name) -> None:
-    """Select the array backend process-wide (and for spawn workers).
-
-    Probes immediately so an unavailable backend fails here with one
-    actionable message instead of from inside a worker; exporting
-    ``REPRO_BACKEND`` makes suite spawn workers inherit the choice.
-    """
-    if not name:
-        return
-    import os
-
-    from ..core.backend import BACKEND_ENV, set_backend
-
-    set_backend(name)
-    os.environ[BACKEND_ENV] = name
-
-
-def _add_density_flags(p) -> None:
-    """The density-pipeline knobs shared by ``run`` and ``suite``."""
-    from ..core.backend import BACKEND_NAMES
-    from ..place.density import PRECISIONS, SOLVERS
-
-    p.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="array backend for the hot kernels (default: numpy, or "
-        "the REPRO_BACKEND environment variable)",
-    )
-    p.add_argument(
-        "--density-solver",
-        choices=SOLVERS,
-        default="scipy",
-        help="density Poisson solver: 'scipy' reference or the "
-        "'planned' rfft fast path",
-    )
-    p.add_argument(
-        "--precision",
-        choices=PRECISIONS,
-        default="fp64",
-        help="density spectral-solve precision (fp32 requires "
-        "--density-solver planned; gated by verify-density)",
-    )
 
 
 def _run_validate(designs) -> int:
@@ -144,13 +98,6 @@ def _timing_options(args):
 
 def _cmd_run(args) -> int:
     """``run``: one instrumented (design, mode) placement."""
-    if args.precision == "fp32" and args.density_solver != "planned":
-        print(
-            "--precision fp32 requires --density-solver planned",
-            file=sys.stderr,
-        )
-        return 2
-    _apply_backend(args.backend)
     design = load_design(args.design)
     record = run_mode(
         design,
@@ -160,8 +107,6 @@ def _cmd_run(args) -> int:
             seed=args.seed,
             checkpoint_every=args.checkpoint_every,
             resume_from=args.resume,
-            density_solver=args.density_solver,
-            density_precision=args.precision,
         ),
         timing_options=_timing_options(args),
         profile=args.profile,
@@ -208,23 +153,11 @@ def _cmd_suite(args) -> int:
         write_suite_manifest,
     )
 
-    if args.precision == "fp32" and args.density_solver != "planned":
-        print(
-            "--precision fp32 requires --density-solver planned",
-            file=sys.stderr,
-        )
-        return 2
-    _apply_backend(args.backend)
     designs = args.designs
     if not designs:
         from .suite import SUITE
 
         designs = [e.name for e in SUITE]
-    density_options = {}
-    if args.density_solver != "scipy":
-        density_options["density_solver"] = args.density_solver
-    if args.precision != "fp64":
-        density_options["density_precision"] = args.precision
     tasks = [
         SuiteTask(
             design=design,
@@ -235,7 +168,6 @@ def _cmd_suite(args) -> int:
             rsmt_dirty_threshold=args.rsmt_dirty_threshold,
             telemetry_dir=args.telemetry,
             collect_spans=bool(args.trace_out),
-            extra_placer_options=density_options,
         )
         for design in designs
         for mode in args.modes
@@ -389,24 +321,6 @@ def _cmd_trend(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_verify_density(args) -> int:
-    """``verify-density``: gate the planned/fp32 density fast path."""
-    from .verify import verify_density
-
-    report = verify_density(
-        args.design,
-        mode=args.mode,
-        seed=args.seed,
-        max_iters=args.max_iters,
-        metric_rtol=args.metric_rtol,
-        traj_rtol=args.traj_rtol,
-        fp32_rtol=args.fp32_rtol,
-        n_bins=args.n_bins,
-    )
-    print(report.format())
-    return 0 if report.ok else 1
-
-
 def _subcommand_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
@@ -463,7 +377,6 @@ def _subcommand_parser() -> argparse.ArgumentParser:
         help="export the run's span tree as Chrome trace_event JSON "
         "(open in chrome://tracing or ui.perfetto.dev)",
     )
-    _add_density_flags(run_p)
     run_p.set_defaults(func=_cmd_run)
 
     suite_p = sub.add_parser(
@@ -546,39 +459,7 @@ def _subcommand_parser() -> argparse.ArgumentParser:
         help="export every run's span tree plus the suite-merged "
         "aggregate as Chrome trace_event JSON (one track per run)",
     )
-    _add_density_flags(suite_p)
     suite_p.set_defaults(func=_cmd_suite)
-
-    vd_p = sub.add_parser(
-        "verify-density",
-        help="gate the planned/fp32 density fast path against the "
-        "scipy reference (final STA metrics + overflow trajectory)",
-    )
-    vd_p.add_argument("--design", default="miniblue18")
-    vd_p.add_argument("--mode", choices=MODES, default="dreamplace")
-    vd_p.add_argument("--seed", type=int, default=0)
-    vd_p.add_argument("--max-iters", type=int, default=120)
-    vd_p.add_argument("--n-bins", type=int, default=None)
-    vd_p.add_argument(
-        "--metric-rtol",
-        type=float,
-        default=5e-2,
-        help="planned-vs-scipy bound on final WNS/TNS/HPWL (cross-solver: "
-        "the E-field discretisations differ by O(h^2))",
-    )
-    vd_p.add_argument(
-        "--traj-rtol",
-        type=float,
-        default=2e-2,
-        help="planned-vs-scipy bound on the overflow trajectory",
-    )
-    vd_p.add_argument(
-        "--fp32-rtol",
-        type=float,
-        default=5e-3,
-        help="fp32-vs-fp64 bound (same solver: pure rounding)",
-    )
-    vd_p.set_defaults(func=_cmd_verify_density)
 
     status_p = sub.add_parser(
         "status", help="show live/stale/dead runs from the registry"

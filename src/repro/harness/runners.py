@@ -15,7 +15,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.backend import backend_name
 from ..core.objective import TimingObjectiveOptions
 from ..core.timing_placer import TimingDrivenPlacer, TimingPlacerOptions
 from ..netlist.design import Design
@@ -170,14 +169,6 @@ def run_mode(
                 "trace_every": popts.trace_every,
                 "checkpoint_every": popts.checkpoint_every,
                 "with_trace_sta": with_trace_sta,
-                # Numerics provenance: which array backend and density
-                # pipeline produced this run.  Options diffs are
-                # non-gating notes in `compare`, so a planned-vs-scipy
-                # comparison reports the provenance without failing on
-                # it - the metrics themselves are what gate.
-                "backend": backend_name(),
-                "density_solver": popts.density_solver,
-                "density_precision": popts.density_precision,
             },
             run_id=run_id,
             resume=bool(popts.resume_from),

@@ -97,15 +97,10 @@ class PlacerOptions:
     seed: int = 0
     trace_every: int = 1
     verbose: bool = False
-    # Density pipeline: "scipy" is the bit-stable reference, "planned"
-    # the rfft fast path; fp32 applies to the planned spectral solve.
-    density_solver: str = "scipy"
-    density_precision: str = "fp64"
     # ------------------------------------------------------------------
     # Guarded runtime (repro.runtime)
     # ------------------------------------------------------------------
     validate: bool = False  # structural design validation before iter 0
-    guard: bool = True  # per-term NaN/Inf quarantine (off = legacy nan_to_num)
     guard_retry_limit: int = 3  # consecutive quarantines before escalating
     max_recoveries: int = 2  # step-shrink retries / rollbacks per run
     checkpoint_every: int = 0  # 0 = checkpointing off
@@ -126,7 +121,7 @@ class PlacerResult:
     hpwl: float = 0.0
     overflow: float = 0.0
     #: Per-term non-finite/exception event counts from the numerical guard
-    #: (empty when nothing went wrong or the guard was disabled).
+    #: (empty when nothing went wrong).
     nonfinite_events: Dict[str, int] = field(default_factory=dict)
     #: Number of iterations on which at least one term was quarantined.
     quarantined_iterations: int = 0
@@ -193,11 +188,7 @@ class GlobalPlacer:
         if n_bins is None:
             n_bins = _auto_bins(design)
         self.density = DensityModel(
-            design,
-            n_bins,
-            self.options.target_density,
-            solver=self.options.density_solver,
-            precision=self.options.density_precision,
+            design, n_bins, self.options.target_density
         )
         self.movable = ~design.cell_fixed
         #: L1 norm of the latest wirelength gradient; extra-gradient hooks
@@ -250,7 +241,7 @@ class GlobalPlacer:
             if not validation.ok:
                 raise DesignValidationError(validation)
 
-        guard = NumericalGuard() if opts.guard else None
+        guard = NumericalGuard()
         injector = self.fault_injector
         if injector is None:
             injector = FaultInjector(FaultSpec.from_env())
@@ -303,8 +294,7 @@ class GlobalPlacer:
             best_pos = resume_cp.best_pos.copy()
             recent_hpwl = list(resume_cp.recent_hpwl)
             start_iter = int(resume_cp.iteration)
-            if guard is not None:
-                guard.set_state(resume_cp.guard_state)
+            guard.set_state(resume_cp.guard_state)
             injector.set_state(resume_cp.injector_state)
             for name, provider in self.state_providers.items():
                 if name in resume_cp.extra:
@@ -365,7 +355,7 @@ class GlobalPlacer:
                 best_pos=best_pos.copy(),
                 recent_hpwl=list(recent_hpwl),
                 rng_state=rng.bit_generator.state,
-                guard_state=guard.get_state() if guard is not None else {},
+                guard_state=guard.get_state(),
                 injector_state=injector.get_state(),
                 extra={
                     name: provider.get_state()
@@ -426,24 +416,19 @@ class GlobalPlacer:
                     x_eval, y_eval, gamma, net_weights
                 )
                 injector.corrupt_grad("wirelength", gwx, gwy)
-                healthy = True
-                if guard is not None:
-                    healthy &= guard.check_term("wirelength", iteration, gwx, gwy)
+                healthy = guard.check_term("wirelength", iteration, gwx, gwy)
 
                 dres = self.density.evaluate(x_eval, y_eval)
                 injector.corrupt_grad("density", dres.grad_x, dres.grad_y)
-                if guard is None:
+                density_ok = guard.check_term(
+                    "density", iteration, dres.grad_x, dres.grad_y
+                )
+                healthy &= density_ok
+                if density_ok and np.isfinite(dres.overflow):
                     overflow = dres.overflow
-                else:
-                    density_ok = guard.check_term(
-                        "density", iteration, dres.grad_x, dres.grad_y
-                    )
-                    healthy &= density_ok
-                    if density_ok and np.isfinite(dres.overflow):
-                        overflow = dres.overflow
-                    # else: quarantined - keep the previous overflow
+                # else: quarantined - keep the previous overflow
 
-                if lam is None and (guard is None or healthy):
+                if lam is None and healthy:
                     wl_norm = float(np.abs(gwx).sum() + np.abs(gwy).sum())
                     d_norm = float(
                         np.abs(dres.grad_x).sum() + np.abs(dres.grad_y).sum()
@@ -463,18 +448,15 @@ class GlobalPlacer:
                     try:
                         extra = self.extra_grad_fn(iteration, x_eval, y_eval)
                     except Exception as exc:
-                        if guard is None:
-                            raise
                         guard.record_exception("timing", iteration, exc)
                         healthy = False
                         extra = None
                     if extra is not None:
                         egx, egy, extra_metrics = extra
                         injector.corrupt_grad("timing", egx, egy)
-                        if guard is not None:
-                            healthy &= guard.check_term(
-                                "timing", iteration, egx, egy
-                            )
+                        healthy &= guard.check_term(
+                            "timing", iteration, egx, egy
+                        )
                         grad_x = grad_x + egx
                         grad_y = grad_y + egy
 
@@ -482,13 +464,9 @@ class GlobalPlacer:
                 precond = np.maximum(precond, 1.0)
                 grad = np.concatenate([grad_x / precond, grad_y / precond])
                 grad[~movable2] = 0.0
-                if guard is not None:
-                    guard.scrub("combined", iteration, grad)
-                else:
-                    # reprolint: allow[no-silent-nanfix] legacy guard=False path; guarded runs scrub through NumericalGuard above
-                    np.nan_to_num(grad, copy=False)
+                guard.scrub("combined", iteration, grad)
 
-                if guard is not None and not healthy:
+                if not healthy:
                     quarantined_iters += 1
                     if guard.worst_consecutive() >= opts.guard_retry_limit:
                         # Persistent fault: escalate.  First drop momentum
@@ -588,8 +566,7 @@ class GlobalPlacer:
                         restore_checkpoint(cp)
                         if hasattr(optimizer, "restart"):
                             optimizer.restart()
-                        if guard is not None:
-                            guard.reset_consecutive()
+                        guard.reset_consecutive()
                         rollbacks += 1
                         if recorder is not None:
                             recorder.truncate_from(iteration)
@@ -683,7 +660,7 @@ class GlobalPlacer:
                 runtime=runtime,
                 recoveries=retries + rollbacks,
                 quarantined_iterations=quarantined_iters,
-                nonfinite_events=guard.summary() if guard is not None else {},
+                nonfinite_events=guard.summary(),
             )
         return PlacerResult(
             x=x_final,
@@ -694,7 +671,7 @@ class GlobalPlacer:
             trace=trace,
             hpwl=final_hpwl,
             overflow=overflow,
-            nonfinite_events=guard.summary() if guard is not None else {},
+            nonfinite_events=guard.summary(),
             quarantined_iterations=quarantined_iters,
             recoveries=retries + rollbacks,
             validation=validation,

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+import numpy as np
 
-from ..core.backend import xp
 from ..core.scatter import scatter_add
 from ..netlist.design import Design
 
@@ -52,31 +52,31 @@ class NetLayout:
     def __init__(self, design: Design) -> None:
         degrees = design.net_degrees
         starts = design.net2pin_start[:-1]
-        live = xp.nonzero(degrees >= 2)[0]
+        live = np.nonzero(degrees >= 2)[0]
         # Buckets by ascending degree, then the tail; net order within each.
-        rank = xp.minimum(degrees[live], MAX_BUCKET_DEGREE + 1)
-        by_rank = xp.argsort(rank, kind="stable")
+        rank = np.minimum(degrees[live], MAX_BUCKET_DEGREE + 1)
+        by_rank = np.argsort(rank, kind="stable")
         live, rank = live[by_rank], rank[by_rank]
         #: Design net id of each layout net.
-        self.net = live.astype(xp.int32)
+        self.net = live.astype(np.int32)
         self.n_nets = len(live)
         self.n_cells = design.n_cells
         #: Layout net of each design net (0 where ``dead``), and the
         #: design nets of fewer than 2 pins.
-        self.net_slot = xp.zeros(design.n_nets, dtype=xp.int32)
-        self.net_slot[live] = xp.arange(len(live), dtype=xp.int32)
-        self.dead = xp.nonzero(degrees < 2)[0]
+        self.net_slot = np.zeros(design.n_nets, dtype=np.int32)
+        self.net_slot[live] = np.arange(len(live), dtype=np.int32)
+        self.dead = np.nonzero(degrees < 2)[0]
 
         #: ``(degree, net count, pin range, net range)`` of each bucket.
         self.buckets = []
         slots = []  # CSR position (index into net2pin) of each layout pin
         pin_lo = net_lo = 0
-        counts = xp.bincount(rank, minlength=MAX_BUCKET_DEGREE + 1).tolist()
+        counts = np.bincount(rank, minlength=MAX_BUCKET_DEGREE + 1).tolist()
         for d, n in enumerate(counts[: MAX_BUCKET_DEGREE + 1]):
             if n == 0:
                 continue
             first = starts[live[net_lo : net_lo + n]]
-            slots.append((first + xp.arange(d)[:, None]).reshape(-1))
+            slots.append((first + np.arange(d)[:, None]).reshape(-1))
             self.buckets.append(
                 (d, n, slice(pin_lo, pin_lo + d * n), slice(net_lo, net_lo + n))
             )
@@ -87,61 +87,61 @@ class NetLayout:
         self.tail_net = net_lo
         tail_degrees = degrees[live[net_lo:]]
         #: Segment starts of the tail nets, relative to ``tail_pin``.
-        self.tail_starts = xp.cumsum(tail_degrees) - tail_degrees
+        self.tail_starts = np.cumsum(tail_degrees) - tail_degrees
         #: Tail net (relative to ``tail_net``) of each tail pin.
-        self.tail_pin_net = xp.repeat(
-            xp.arange(len(tail_degrees), dtype=xp.int32), tail_degrees
+        self.tail_pin_net = np.repeat(
+            np.arange(len(tail_degrees), dtype=np.int32), tail_degrees
         )
         slots.append(
-            xp.repeat(starts[live[net_lo:]] - self.tail_starts, tail_degrees)
-            + xp.arange(int(tail_degrees.sum()))
+            np.repeat(starts[live[net_lo:]] - self.tail_starts, tail_degrees)
+            + np.arange(int(tail_degrees.sum()))
         )
-        slot = xp.concatenate(slots)
+        slot = np.concatenate(slots)
         self.n_pins = len(slot)
 
         pin = design.net2pin[slot]
         #: Design pin id and cell of each layout pin.
-        self.pin = pin.astype(xp.int32)
-        self.cell = design.pin2cell[pin].astype(xp.int32)
+        self.pin = pin.astype(np.int32)
+        self.cell = design.pin2cell[pin].astype(np.int32)
         #: Pin offsets from the cell center, rows x and y.
-        self.offset = xp.stack([design.pin_offset_x[pin], design.pin_offset_y[pin]])
+        self.offset = np.stack([design.pin_offset_x[pin], design.pin_offset_y[pin]])
         #: Layout position of the k-th live pin in CSR order, and its cell.
-        csr_rank = xp.cumsum(xp.repeat(degrees >= 2, degrees))[slot] - 1
-        self.csr_order = xp.empty(self.n_pins, dtype=xp.int32)
-        self.csr_order[csr_rank] = xp.arange(self.n_pins, dtype=xp.int32)
+        csr_rank = np.cumsum(np.repeat(degrees >= 2, degrees))[slot] - 1
+        self.csr_order = np.empty(self.n_pins, dtype=np.int32)
+        self.csr_order[csr_rank] = np.arange(self.n_pins, dtype=np.int32)
         self.csr_cell = self.cell[self.csr_order]
 
     # ------------------------------------------------------------------
-    def _blocks(self, pins: xp.ndarray):
+    def _blocks(self, pins: np.ndarray):
         """``(..., d, n_d)`` view of each bucket of a pin array, with the
         bucket's net range."""
         lead = pins.shape[:-1]
         for d, n, pin_range, net_range in self.buckets:
             yield pins[..., pin_range].reshape(lead + (d, n)), net_range
 
-    def pin_coords(self, cell_x: xp.ndarray, cell_y: xp.ndarray) -> xp.ndarray:
+    def pin_coords(self, cell_x: np.ndarray, cell_y: np.ndarray) -> np.ndarray:
         """``(2, n_pins)`` pin coordinates, one gather per axis."""
-        coord = xp.empty((2, self.n_pins), dtype=xp.float64)
-        xp.add(xp.take(cell_x, self.cell), self.offset[0], out=coord[0])
-        xp.add(xp.take(cell_y, self.cell), self.offset[1], out=coord[1])
+        coord = np.empty((2, self.n_pins), dtype=np.float64)
+        np.add(np.take(cell_x, self.cell), self.offset[0], out=coord[0])
+        np.add(np.take(cell_y, self.cell), self.offset[1], out=coord[1])
         return coord
 
     def reduce(
-        self, ufunc, pins: xp.ndarray, out: Optional[xp.ndarray] = None
-    ) -> xp.ndarray:
+        self, ufunc, pins: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Per-net ``ufunc`` reduction (maximum, minimum or add) of a pin array."""
         if out is None:
-            out = xp.empty(pins.shape[:-1] + (self.n_nets,), dtype=xp.float64)
+            out = np.empty(pins.shape[:-1] + (self.n_nets,), dtype=np.float64)
         for block, nets in self._blocks(pins):
-            if ufunc is not xp.add:
+            if ufunc is not np.add:
                 ufunc.reduce(block, axis=-2, out=out[..., nets])
             elif block.shape[-2] == 2:
-                xp.add(block[..., 0, :], block[..., 1, :], out=out[..., nets])
+                np.add(block[..., 0, :], block[..., 1, :], out=out[..., nets])
             else:
                 # Slot 0 plus the left-to-right sum of the rest: the
                 # order ``add.reduceat`` uses on a segment this short.
-                rest = xp.add.reduce(block[..., 1:, :], axis=-2)
-                xp.add(block[..., 0, :], rest, out=out[..., nets])
+                rest = np.add.reduce(block[..., 1:, :], axis=-2)
+                np.add(block[..., 0, :], rest, out=out[..., nets])
         if self.tail_net < self.n_nets:
             # reprolint: allow[no-scatter-add-at] the ragged tail: the few nets above MAX_BUCKET_DEGREE, CSR segments inside the layout
             ufunc.reduceat(
@@ -153,8 +153,8 @@ class NetLayout:
         return out
 
     def spread(
-        self, ufunc, pins: xp.ndarray, nets: xp.ndarray, out: xp.ndarray
-    ) -> xp.ndarray:
+        self, ufunc, pins: np.ndarray, nets: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
         """``out = ufunc(pins, nets)`` with each net's value at all its pins.
 
         ``pins`` may lack leading axes of ``nets`` / ``out`` (broadcast).
@@ -169,33 +169,33 @@ class NetLayout:
             )
         return out
 
-    def to_design_nets(self, nets: xp.ndarray) -> xp.ndarray:
+    def to_design_nets(self, nets: np.ndarray) -> np.ndarray:
         """Net array in design net order, 0 at nets of fewer than 2 pins."""
         if self.n_nets == 0:
-            return xp.zeros(nets.shape[:-1] + self.net_slot.shape, dtype=xp.float64)
+            return np.zeros(nets.shape[:-1] + self.net_slot.shape, dtype=np.float64)
         out = nets.take(self.net_slot, axis=-1)
         out[..., self.dead] = 0.0
         return out
 
-    def extremes(self, pins: xp.ndarray) -> xp.ndarray:
+    def extremes(self, pins: np.ndarray) -> np.ndarray:
         """Per-net maximum (``[0]``) and minimum (``[1]``) of a pin array."""
-        out = xp.empty((2,) + pins.shape[:-1] + (self.n_nets,), dtype=xp.float64)
-        self.reduce(xp.maximum, pins, out=out[0])
-        self.reduce(xp.minimum, pins, out=out[1])
+        out = np.empty((2,) + pins.shape[:-1] + (self.n_nets,), dtype=np.float64)
+        self.reduce(np.maximum, pins, out=out[0])
+        self.reduce(np.minimum, pins, out=out[1])
         return out
 
-    def segment_max(self, per_pin: xp.ndarray) -> xp.ndarray:
+    def segment_max(self, per_pin: np.ndarray) -> np.ndarray:
         """Per design net, the maximum of a per-design-pin array over the
         net's pins (0 for nets of fewer than 2 pins)."""
         return self.to_design_nets(
-            self.reduce(xp.maximum, xp.take(per_pin, self.pin))
+            self.reduce(np.maximum, np.take(per_pin, self.pin))
         )
 
     def hpwl(
         self,
-        cell_x: xp.ndarray,
-        cell_y: xp.ndarray,
-        net_weights: Optional[xp.ndarray] = None,
+        cell_x: np.ndarray,
+        cell_y: np.ndarray,
+        net_weights: Optional[np.ndarray] = None,
     ) -> float:
         """(Weighted) half-perimeter wirelength of all nets."""
         (x_max, y_max), (x_min, y_min) = self.extremes(
@@ -209,9 +209,9 @@ class NetLayout:
 
 def hpwl(
     design: Design,
-    cell_x: Optional[xp.ndarray] = None,
-    cell_y: Optional[xp.ndarray] = None,
-    net_weights: Optional[xp.ndarray] = None,
+    cell_x: Optional[np.ndarray] = None,
+    cell_y: Optional[np.ndarray] = None,
+    net_weights: Optional[np.ndarray] = None,
 ) -> float:
     """(Weighted) half-perimeter wirelength of all nets.
 
@@ -239,20 +239,20 @@ class WAWirelength:
 
     def hpwl(
         self,
-        cell_x: xp.ndarray,
-        cell_y: xp.ndarray,
-        net_weights: Optional[xp.ndarray] = None,
+        cell_x: np.ndarray,
+        cell_y: np.ndarray,
+        net_weights: Optional[np.ndarray] = None,
     ) -> float:
         """(Weighted) half-perimeter wirelength of all nets."""
         return self.layout.hpwl(cell_x, cell_y, net_weights)
 
     def evaluate(
         self,
-        cell_x: xp.ndarray,
-        cell_y: xp.ndarray,
+        cell_x: np.ndarray,
+        cell_y: np.ndarray,
         gamma: float,
-        net_weights: Optional[xp.ndarray] = None,
-    ) -> Tuple[float, xp.ndarray, xp.ndarray]:
+        net_weights: Optional[np.ndarray] = None,
+    ) -> Tuple[float, np.ndarray, np.ndarray]:
         """Return (smooth WL, dWL/dcell_x, dWL/dcell_y).
 
         The max side (``[0]``) and the min side (``[1]``) of both axes run
@@ -266,39 +266,39 @@ class WAWirelength:
         """
         lay = self.layout
         coord = lay.pin_coords(cell_x, cell_y)
-        scale = xp.array([gamma, -gamma], dtype=xp.float64)[:, None, None]
+        scale = np.array([gamma, -gamma], dtype=np.float64)[:, None, None]
 
         # a = exp((x - max) / gamma) | exp((min - x) / gamma)
         a = lay.spread(
-            xp.subtract,
+            np.subtract,
             coord,
             lay.extremes(coord),
-            xp.empty((2,) + coord.shape, dtype=xp.float64),
+            np.empty((2,) + coord.shape, dtype=np.float64),
         )
         a /= scale
-        xp.exp(a, out=a)
-        b = lay.reduce(xp.add, a)
+        np.exp(a, out=a)
+        b = lay.reduce(np.add, a)
         tmp = coord * a
-        wa = lay.reduce(xp.add, tmp)
+        wa = lay.reduce(np.add, tmp)
         wa /= b
 
         span = wa[0] - wa[1]
         if net_weights is not None:
-            weight = xp.take(net_weights, lay.net)
+            weight = np.take(net_weights, lay.net)
             span *= weight
-        span = xp.sum(lay.to_design_nets(span), axis=1)
+        span = np.sum(lay.to_design_nets(span), axis=1)
 
         # dWL/dpin = (a+/b+)(1 + (x - WA+)/gamma) - (a-/b-)(1 - (x - WA-)/gamma)
-        lay.spread(xp.divide, a, b, a)
-        lay.spread(xp.subtract, coord, wa, tmp)
+        lay.spread(np.divide, a, b, a)
+        lay.spread(np.subtract, coord, wa, tmp)
         del coord
         tmp /= scale
         tmp += 1.0
         a *= tmp
         del tmp
-        grad = xp.subtract(a[0], a[1], out=a[0])
+        grad = np.subtract(a[0], a[1], out=a[0])
         if net_weights is not None:
-            lay.spread(xp.multiply, grad, weight, grad)
+            lay.spread(np.multiply, grad, weight, grad)
         grad = grad.take(lay.csr_order, axis=1)
         del a
         return (

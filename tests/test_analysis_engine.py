@@ -43,30 +43,6 @@ def findings_of(report, rule):
 # Seeded counterexamples, one dict per rule family.  Each is also reused
 # by the baseline/suppression parametrisation below.
 # ----------------------------------------------------------------------
-_DTYPE_FLOW_FILES = {
-    # dtype-flow only polices the real kernel module paths.
-    "src/repro/place/density.py": (
-        "from repro.core.backend import xp\n"
-        "def fresh_no_dtype(n):\n"
-        "    return xp.zeros(n)\n"
-        "def promote(v):\n"
-        "    return v.astype(xp.float64)\n"
-        "def literal_content():\n"
-        "    return xp.asarray([1.0, 2.0])\n"
-        "def bad_default(scale=xp.float64):\n"
-        "    return scale\n"
-        "def sanitised(n, dtype):\n"
-        "    m = xp.zeros(n)\n"
-        "    m = m.astype(dtype)\n"
-        "    return m\n"
-        "def explicit(n):\n"
-        "    return xp.zeros(n, dtype=xp.float64)\n"
-        "class Model:\n"
-        "    def __init__(self):\n"
-        "        self.table = xp.zeros(4)\n"
-    ),
-}
-
 _SPAWN_SAFETY_FILES = {
     "src/repro/work.py": (
         "import multiprocessing\n"
@@ -115,7 +91,6 @@ _CONTRACT_FILES = {
 }
 
 _FAMILY_FIXTURES = {
-    "dtype-flow": (_DTYPE_FLOW_FILES, 4),
     "spawn-safety": (_SPAWN_SAFETY_FILES, 2),
     "determinism-taint": (_DETERMINISM_FILES, 3),
     "contract-closure": (_CONTRACT_FILES, 1),
@@ -123,38 +98,6 @@ _FAMILY_FIXTURES = {
 
 
 # ----------------------------------------------------------------------
-class TestDtypeFlow:
-    def test_counterexamples_flagged_and_clean_variants_pass(self, tmp_path):
-        root = make_repo(tmp_path, _DTYPE_FLOW_FILES)
-        found = findings_of(run_analysis(root), "dtype-flow")
-        assert len(found) == 4
-        messages = " ".join(f.message for f in found)
-        assert "fresh_no_dtype" in messages  # implicit allocation
-        assert ".astype(float64)" in messages  # explicit promotion
-        assert "float-literal content" in messages  # asarray of floats
-        assert "defaults a parameter to float64" in messages
-        # The sanitised / explicit-dtype / __init__ sites never appear
-        # (each message embeds its function as "name()").
-        assert "sanitised()" not in messages
-        assert "explicit()" not in messages
-        assert "__init__()" not in messages
-
-    def test_only_kernel_modules_are_policed(self, tmp_path):
-        files = {
-            "src/repro/other.py": _DTYPE_FLOW_FILES[
-                "src/repro/place/density.py"
-            ]
-        }
-        root = make_repo(tmp_path, files)
-        assert findings_of(run_analysis(root), "dtype-flow") == []
-
-    def test_real_kernels_fixed(self):
-        """The density/wirelength/smoothing allocations found by the
-        first v2 run carry explicit dtypes now."""
-        report = run_analysis(REPO_ROOT)
-        assert findings_of(report, "dtype-flow") == []
-
-
 class TestSpawnSafety:
     def test_writes_on_worker_closure_flagged(self, tmp_path):
         root = make_repo(tmp_path, _SPAWN_SAFETY_FILES)
@@ -316,7 +259,7 @@ class TestBaselineAndSuppressionPerFamily:
 
 # ----------------------------------------------------------------------
 _CACHE_FILES = {}
-_CACHE_FILES.update(_DTYPE_FLOW_FILES)
+_CACHE_FILES.update(_SPAWN_SAFETY_FILES)
 _CACHE_FILES.update(_DETERMINISM_FILES)
 _CACHE_FILES["src/repro/provider.py"] = (
     # A self-suppressing rule (checkpoint-completeness consumes its
@@ -480,10 +423,10 @@ class TestSemanticIndexUnit:
 # ----------------------------------------------------------------------
 class TestCliV2:
     def test_explain_known_rule(self, capsys):
-        assert cli_main(["explain", "dtype-flow"]) == 0
+        assert cli_main(["explain", "spawn-safety"]) == 0
         out = capsys.readouterr().out
-        assert "dtype-flow" in out
-        assert "float64" in out.lower()
+        assert "spawn-safety" in out
+        assert "module-level" in out.lower()
 
     def test_explain_unknown_rule(self, capsys):
         assert cli_main(["explain", "no-such-rule"]) == 1

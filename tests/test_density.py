@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.fft import dctn, idctn
 
+from repro.harness import load_design
 from repro.netlist import DesignBuilder, default_library
 from repro.place import DensityModel
 
@@ -176,110 +178,121 @@ class TestAllFixedEarlyOut:
     def test_all_fixed_design_returns_exact_zeros(self):
         d = _macro_design(extra_movable=False)
         assert not (~d.cell_fixed).any()
-        for solver in ("scipy", "planned"):
-            model = DensityModel(d, n_bins=16, solver=solver)
-            res = model.evaluate(d.cell_x, d.cell_y)
-            assert res.energy == 0.0
-            assert res.overflow == 0.0
-            assert np.abs(res.grad_x).max() == 0.0
-            assert np.abs(res.grad_y).max() == 0.0
-            assert res.potential is None
+        res = DensityModel(d, n_bins=16).evaluate(d.cell_x, d.cell_y)
+        assert res.energy == 0.0
+        assert res.overflow == 0.0
+        assert np.abs(res.grad_x).max() == 0.0
+        assert np.abs(res.grad_y).max() == 0.0
+        assert res.potential is None
 
 
-class TestSolverOptions:
-    def test_unknown_solver_rejected(self, small_design):
-        with pytest.raises(ValueError, match="unknown density solver"):
-            DensityModel(small_design, n_bins=16, solver="fftw")
-
-    def test_unknown_precision_rejected(self, small_design):
-        with pytest.raises(ValueError, match="unknown density precision"):
-            DensityModel(small_design, n_bins=16, precision="fp16")
-
-    def test_fp32_requires_planned_solver(self, small_design):
-        with pytest.raises(ValueError, match="requires solver='planned'"):
-            DensityModel(small_design, n_bins=16, solver="scipy",
-                         precision="fp32")
-
-    def test_fp32_gradients_are_float64_at_the_boundary(
-        self, small_design, spread_positions
-    ):
-        x, y = spread_positions
-        model = DensityModel(small_design, n_bins=16, solver="planned",
-                             precision="fp32")
-        res = model.evaluate(x, y)
-        assert res.grad_x.dtype == np.float64
-        assert res.grad_y.dtype == np.float64
+def _seed_splat(model, x, y, mass):
+    """The seed's cloud-in-cell splat: four sequential ``np.add.at`` passes."""
+    nb = model.nb
+    gx = np.clip((x - model.xl) / model.hx - 0.5, 0.0, nb - 1.000001)
+    gy = np.clip((y - model.yl) / model.hy - 0.5, 0.0, nb - 1.000001)
+    ix = np.floor(gx).astype(np.int64)
+    iy = np.floor(gy).astype(np.int64)
+    fx = gx - ix
+    fy = gy - iy
+    rho = np.zeros((nb, nb))
+    np.add.at(rho, (ix, iy), mass * (1 - fx) * (1 - fy))
+    np.add.at(rho, (ix + 1, iy), mass * fx * (1 - fy))
+    np.add.at(rho, (ix, iy + 1), mass * (1 - fx) * fy)
+    np.add.at(rho, (ix + 1, iy + 1), mass * fx * fy)
+    return rho, (ix, iy, fx, fy)
 
 
-class TestSolverEquivalence:
-    """fp64 planned vs scipy, including an odd bin count.
+def _seed_evaluate(model, x, y):
+    """The seed density formulation, kept as the test-only oracle.
 
-    The splat is shared (identical rho, hence identical overflow), the
-    energy agrees to machine precision via Parseval, and the gradients
-    differ only by the spectral-vs-central-difference field (a few
-    percent on these maps; O(1) if an axis or scale were wrong).
+    Four ``np.add.at`` splat passes, ``dctn`` / divide / ``idctn``,
+    ``np.gradient`` and a fancy-indexed 2-D gather that recomputes the
+    bilinear weights per corner.  Only the grid geometry is read off
+    ``model``; fixed macro area is deposited by the same splat.
     """
+    d = model.design
+    area = d.cell_w * d.cell_h
+    mov = ~d.cell_fixed
+    mass = area[mov]
+    rho, (ix, iy, fx, fy) = _seed_splat(model, x[mov], y[mov], mass)
+    fixed = d.cell_fixed & (area > 0.0)
+    if fixed.any():
+        rho = rho + _seed_splat(
+            model, d.cell_x[fixed], d.cell_y[fixed], area[fixed]
+        )[0]
+    bin_area = model.hx * model.hy
+    eigen = 2.0 - 2.0 * np.cos(np.pi * np.arange(model.nb) / model.nb)
+    denom = eigen[:, None] / model.hx**2 + eigen[None, :] / model.hy**2
+    denom[0, 0] = 1.0
+    source = rho / bin_area
+    coeff = dctn(source - source.mean(), type=2, norm="ortho") / denom
+    coeff[0, 0] = 0.0
+    phi = idctn(coeff, type=2, norm="ortho")
+    ex = -np.gradient(phi, model.hx, axis=0)
+    ey = -np.gradient(phi, model.hy, axis=1)
 
-    @pytest.mark.parametrize("n_bins", [17, 64, 128])
-    def test_planned_matches_scipy_fp64(
-        self, small_design, spread_positions, n_bins
-    ):
-        x, y = spread_positions
-        ref = DensityModel(small_design, n_bins=n_bins).evaluate(x, y)
-        fast = DensityModel(
-            small_design, n_bins=n_bins, solver="planned"
-        ).evaluate(x, y)
-        assert fast.overflow == ref.overflow
-        assert fast.energy == pytest.approx(ref.energy, rel=1e-12)
-        np.testing.assert_allclose(fast.density, ref.density, rtol=1e-12)
-        for g_ref, g_fast in ((ref.grad_x, fast.grad_x),
-                              (ref.grad_y, fast.grad_y)):
-            rel = np.linalg.norm(g_fast - g_ref) / np.linalg.norm(g_ref)
-            assert rel < 0.15
-
-    @pytest.mark.parametrize("n_bins", [17, 64])
-    def test_fp32_tracks_fp64_planned(
-        self, small_design, spread_positions, n_bins
-    ):
-        x, y = spread_positions
-        ref = DensityModel(
-            small_design, n_bins=n_bins, solver="planned"
-        ).evaluate(x, y)
-        fp32 = DensityModel(
-            small_design, n_bins=n_bins, solver="planned", precision="fp32"
-        ).evaluate(x, y)
-        assert fp32.overflow == ref.overflow  # splat stays fp64
-        assert fp32.energy == pytest.approx(ref.energy, rel=1e-5)
-        for g_ref, g_fp32 in ((ref.grad_x, fp32.grad_x),
-                              (ref.grad_y, fp32.grad_y)):
-            rel = np.linalg.norm(g_fp32 - g_ref) / np.linalg.norm(g_ref)
-            assert rel < 1e-5
-
-    def test_keep_potential_materialises_grid(
-        self, small_design, spread_positions
-    ):
-        x, y = spread_positions
-        fast = DensityModel(
-            small_design, n_bins=16, solver="planned", keep_potential=True
-        ).evaluate(x, y)
-        ref = DensityModel(small_design, n_bins=16).evaluate(x, y)
-        assert fast.potential is not None
-        np.testing.assert_allclose(
-            fast.potential, ref.potential, rtol=1e-9, atol=1e-12
+    def gather(field):
+        return (
+            field[ix, iy] * (1 - fx) * (1 - fy)
+            + field[ix + 1, iy] * fx * (1 - fy)
+            + field[ix, iy + 1] * (1 - fx) * fy
+            + field[ix + 1, iy + 1] * fx * fy
         )
 
-    def test_planned_skips_potential_by_default(
-        self, small_design, spread_positions
-    ):
-        x, y = spread_positions
-        fast = DensityModel(
-            small_design, n_bins=16, solver="planned"
-        ).evaluate(x, y)
-        assert fast.potential is None
+    grad_x = np.zeros(d.n_cells)
+    grad_y = np.zeros(d.n_cells)
+    grad_x[mov] = -mass * gather(ex)
+    grad_y[mov] = -mass * gather(ey)
+    energy = 0.5 * float(np.sum(rho / bin_area * phi)) * bin_area
+    overflow = float(np.maximum(rho - model.target_density * bin_area, 0.0).sum())
+    return rho / bin_area, energy, overflow / mass.sum(), grad_x, grad_y
+
+
+def _jittered(design, seed):
+    rng = np.random.default_rng(seed)
+    span = 0.1 * (design.die[2] - design.die[0])
+    x = design.cell_x + rng.normal(0, span, design.n_cells)
+    y = design.cell_y + rng.normal(0, span, design.n_cells)
+    x[design.cell_fixed] = design.cell_x[design.cell_fixed]
+    y[design.cell_fixed] = design.cell_y[design.cell_fixed]
+    return x, y
+
+
+class TestSeedReference:
+    """``DensityModel.evaluate`` against the seed formulation.
+
+    Density map, energy and overflow are bit-equal (the single
+    ``scatter_add`` folds each bin in the seed's pass-major order);
+    the gradients differ in the last bit or two because the fused
+    stencil weights associate ``mass * (1 - fx) * (1 - fy)`` differently.
+    """
+
+    @pytest.mark.parametrize(
+        "design_name, n_bins",
+        [("miniblue18", 32), ("miniblue18", 64), ("macro", 16)],
+    )
+    def test_matches_seed_formulation(self, design_name, n_bins):
+        if design_name == "macro":
+            d = _macro_design()
+        else:
+            d = load_design(design_name)
+        x, y = _jittered(d, seed=5)
+        model = DensityModel(d, n_bins=n_bins)
+        res = model.evaluate(x, y)
+        density, energy, overflow, grad_x, grad_y = _seed_evaluate(model, x, y)
+        assert np.array_equal(res.density, density)
+        assert res.energy == energy
+        assert res.overflow == overflow
+        assert res.grad_x.dtype == res.grad_y.dtype == np.float64
+        for got, ref in ((res.grad_x, grad_x), (res.grad_y, grad_y)):
+            np.testing.assert_allclose(
+                got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max()
+            )
 
 
 class TestFiniteDifferenceGradcheck:
-    """Central-difference check of d(energy)/dx for both solvers.
+    """Central-difference check of d(energy)/dx.
 
     The analytic gradient interpolates the field at the cell center
     while the FD quotient differentiates through the splat weights, so
@@ -288,13 +301,13 @@ class TestFiniteDifferenceGradcheck:
     swapped axis fails by an order of magnitude.
     """
 
-    @pytest.mark.parametrize("solver", ["scipy", "planned"])
+    @pytest.mark.parametrize("solver", ["scipy"])  # the one pipeline's DCT
     def test_energy_gradient_matches_fd(
         self, small_design, spread_positions, solver
     ):
         d = small_design
         x, y = spread_positions
-        model = DensityModel(d, n_bins=16, solver=solver)
+        model = DensityModel(d, n_bins=16)
         res = model.evaluate(x, y)
         probes = np.nonzero(~d.cell_fixed)[0][:24]
         eps = 1e-5 * model.hx
