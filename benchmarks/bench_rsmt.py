@@ -5,9 +5,10 @@ kernels writing the flat ``Forest`` directly) against flattening one
 scalar :func:`repro.route.rsmt.build_rsmt` tree per net, on miniblue7
 (the largest suite design, launch-bound) and midiblue50 (55k cells,
 bandwidth-bound); checks that every forest array is equal; reports where
-the array-native build spends its time per degree class (2 / 3 / 4..8 /
-9..24 / >24 / flatten); writes ``benchmarks/results/BENCH_rsmt.json`` and
-appends an ``rsmt_forest`` record to the perf ledger.
+the array-native build spends its time per degree class (2 / 3 / 4..8
+Steiner-searched / >8 plain RMST / flatten); writes
+``benchmarks/results/BENCH_rsmt.json`` and appends an ``rsmt_forest``
+record to the perf ledger.
 
 Exit status is non-zero when a forest differs or the speedup on any
 design is below ``--min-speedup`` - the CI perf-smoke job runs this
@@ -30,7 +31,7 @@ import time
 import numpy as np
 
 from repro.harness.suite import load_design
-from repro.route import Forest, route_plan
+from repro.route import MAX_STEINER_DEGREE, Forest, route_plan
 from repro.route.batch import bucket_rows
 from repro.route.rsmt import build_forest, build_rsmt
 from repro.telemetry.history import append_record
@@ -52,7 +53,12 @@ FOREST_ARRAYS = (
     "pin_node",
 )
 #: (label, largest bucket width of the class)
-DEGREE_CLASSES = (("2", 2), ("3", 3), ("4..8", 8), ("9..24", 24), (">24", None))
+DEGREE_CLASSES = (
+    ("2", 2),
+    ("3", 3),
+    (f"4..{MAX_STEINER_DEGREE}", MAX_STEINER_DEGREE),
+    (f">{MAX_STEINER_DEGREE}", None),
+)
 
 
 def _forests_equal(a, b) -> bool:

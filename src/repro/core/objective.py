@@ -16,14 +16,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..netlist.design import Design
-from ..place.wirelength import NetLayout
-from ..route.plan import route_plan
-from ..route.rsmt import (
-    build_forest,
-    build_forest_for_nets,
-    build_forest_from_pins,
-)
-from ..route.tree import Forest, gather_csr
+from ..route.rsmt import build_forest_from_pins
+from ..route.tree import Forest
 from ..sta.graph import TimingGraph
 from ..telemetry.events import current_recorder
 from ..telemetry.registry import current_heartbeat
@@ -58,16 +52,6 @@ class TimingObjectiveOptions:
     wns_grad_frac: float = 0.05
     grad_frac_max: float = 0.25  # ceiling for each ramped fraction
     ramp_freeze_overflow: Optional[float] = 0.25  # stop ramping below this
-    # Dirty-net incremental rebuilds between full RSMT rebuilds: a net is
-    # rebuilt early when any of its pins moved more than this rectilinear
-    # distance since the net's tree was last built (the Figure-4 owner-pin
-    # reuse rule degrades as pins drift).  ``None`` (default) disables the
-    # incremental path; the forest then only changes on ``rsmt_period``.
-    rsmt_dirty_threshold: Optional[float] = None
-    # When more than this fraction of routable nets is dirty, a full
-    # rebuild is cheaper than splicing (the batched kernels amortise best
-    # over large buckets); the rebuild also resets the period counter.
-    rsmt_dirty_full_frac: float = 0.5
 
 
 class TimingObjective:
@@ -88,28 +72,12 @@ class TimingObjective:
         #: (x, y) the current forest was built from; checkpointed so a
         #: resumed run can rebuild the identical forest deterministically.
         self._forest_coords: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: Per-pin coordinates each net's tree was last built at.  With
-        #: dirty-net splicing the forest mixes trees of different ages, so
-        #: the checkpointable "coordinates the forest was built from" are
-        #: per *pin*, not one (x, y) snapshot (each tree is a pure
-        #: function of its own pins' build-time coordinates).
-        self._built_px: Optional[np.ndarray] = None
-        self._built_py: Optional[np.ndarray] = None
-        #: Per-net max of a per-pin array, for the dirty-net policy only.
-        self._net_layout = (
-            NetLayout(design)
-            if self.options.rsmt_dirty_threshold is not None
-            else None
-        )
         self._iters_since_rsmt = 0
         self._frozen_k: Optional[int] = None
         self.n_rsmt_calls = 0
         self.n_rsmt_reuses = 0
         self.n_timer_calls = 0
         self.n_backward_calls = 0
-        #: Cumulative dirty-net policy counters (telemetry mirrors these).
-        self.n_dirty_nets = 0
-        self.n_rebuilt_nets = 0
         self._last_forest_reused = False
 
     # ------------------------------------------------------------------
@@ -120,17 +88,13 @@ class TimingObjective:
 
         Between rebuilds, Steiner points track their owner pins (the
         paper's Figure 4 reuse rule), so the forest stays valid while
-        cells move.  With ``rsmt_dirty_threshold`` set, nets whose pins
-        drifted beyond the threshold since their tree was built are
-        re-routed early and spliced into the cached forest.
+        cells move.
         """
         if (
             self._forest is None
             or self._iters_since_rsmt >= self.options.rsmt_period
         ):
-            self._full_rebuild(cell_x, cell_y, iteration)
-        elif self.options.rsmt_dirty_threshold is not None:
-            self._dirty_rebuild(cell_x, cell_y, iteration)
+            self._rebuild(cell_x, cell_y, iteration)
         else:
             self.n_rsmt_reuses += 1
             # reprolint: allow[checkpoint-completeness] per-call transient flag, overwritten by every forest_for() call
@@ -138,24 +102,25 @@ class TimingObjective:
         self._iters_since_rsmt += 1
         return self._forest
 
-    def _full_rebuild(
+    def _route(self, cell_x: np.ndarray, cell_y: np.ndarray) -> None:
+        """The forest is a pure function of the cell coordinates kept here."""
+        # reprolint: allow[checkpoint-completeness] rebuilt by set_state from the stored forest_coords
+        self._forest = build_forest_from_pins(
+            self.design, *self.design.pin_positions(cell_x, cell_y)
+        )
+        self._forest_coords = (cell_x.copy(), cell_y.copy())
+
+    def _rebuild(
         self, cell_x: np.ndarray, cell_y: np.ndarray, iteration: int
     ) -> None:
         heartbeat = current_heartbeat()
         if heartbeat is not None:
-            # A full forest rebuild is the longest single stage inside an
+            # A forest rebuild is the longest single stage inside an
             # iteration; stamping it lets `status` distinguish "hung in
             # rsmt_rebuild" from a stalled gradient step.  The placer
             # loop restores phase="place" on its next beat.
             heartbeat.update(phase="rsmt_rebuild", iteration=iteration)
-        px, py = self.design.pin_positions(cell_x, cell_y)
-        # reprolint: allow[checkpoint-completeness] rebuilt by set_state from the stored built_pin_coords
-        self._forest = build_forest_from_pins(self.design, px, py)
-        self._forest_coords = (cell_x.copy(), cell_y.copy())
-        # reprolint: allow[checkpoint-completeness] persisted jointly as the built_pin_coords state entry
-        self._built_px = px
-        # reprolint: allow[checkpoint-completeness] persisted jointly as the built_pin_coords state entry
-        self._built_py = py
+        self._route(cell_x, cell_y)
         self._iters_since_rsmt = 0
         self.n_rsmt_calls += 1
         self._last_forest_reused = False
@@ -163,60 +128,6 @@ class TimingObjective:
         if recorder is not None:
             recorder.counter(
                 "rsmt_rebuilds", self.n_rsmt_calls, iteration=iteration
-            )
-        if self.options.rsmt_dirty_threshold is not None:
-            self.n_rebuilt_nets += len(route_plan(self.design).net_ids)
-            if recorder is not None:
-                recorder.counter(
-                    "rsmt_rebuilt_nets",
-                    self.n_rebuilt_nets,
-                    iteration=iteration,
-                )
-
-    def _dirty_rebuild(
-        self, cell_x: np.ndarray, cell_y: np.ndarray, iteration: int
-    ) -> None:
-        """Re-route nets whose pins drifted past the dirty threshold."""
-        design = self.design
-        opts = self.options
-        px, py = design.pin_positions(cell_x, cell_y)
-        disp = np.abs(px - self._built_px) + np.abs(py - self._built_py)
-        net_disp = self._net_layout.segment_max(disp)
-        ids = route_plan(design).net_ids
-        dirty = ids[net_disp[ids] > opts.rsmt_dirty_threshold]
-        if len(dirty) == 0:
-            self.n_rsmt_reuses += 1
-            self._last_forest_reused = True
-            return
-        self.n_dirty_nets += len(dirty)
-        if len(dirty) > opts.rsmt_dirty_full_frac * len(ids):
-            # Splicing would rebuild most of the forest anyway; a full
-            # rebuild batches better and restarts the period counter
-            # (forest_for's increment lands it at 1, as after a periodic
-            # rebuild).
-            self._full_rebuild(cell_x, cell_y, iteration)
-            self._iters_since_rsmt = 0
-        else:
-            heartbeat = current_heartbeat()
-            if heartbeat is not None:
-                heartbeat.update(phase="rsmt_rebuild", iteration=iteration)
-            self._forest = self._forest.splice(
-                build_forest_for_nets(design, px, py, dirty)
-            )
-            pins = design.net2pin[
-                gather_csr(design.net2pin_start[dirty], design.net_degrees[dirty])
-            ]
-            self._built_px[pins] = px[pins]
-            self._built_py[pins] = py[pins]
-            self.n_rebuilt_nets += len(dirty)
-            self._last_forest_reused = False
-        recorder = current_recorder()
-        if recorder is not None:
-            recorder.counter(
-                "rsmt_dirty_nets", self.n_dirty_nets, iteration=iteration
-            )
-            recorder.counter(
-                "rsmt_rebuilt_nets", self.n_rebuilt_nets, iteration=iteration
             )
 
     def weights_at(self, iteration: int) -> Tuple[float, float]:
@@ -249,59 +160,35 @@ class TimingObjective:
     # ------------------------------------------------------------------
     def get_state(self) -> Dict[str, object]:
         fc = self._forest_coords
-        bp = self._built_px
         return {
             "forest_coords": None if fc is None else (fc[0].copy(), fc[1].copy()),
-            # Authoritative with dirty-net splicing: the per-pin build-time
-            # coordinates reconstruct the mixed-age forest exactly.
-            "built_pin_coords": None
-            if bp is None
-            else (bp.copy(), self._built_py.copy()),
             "iters_since_rsmt": self._iters_since_rsmt,
             "frozen_k": self._frozen_k,
             "n_rsmt_calls": self.n_rsmt_calls,
             "n_rsmt_reuses": self.n_rsmt_reuses,
             "n_timer_calls": self.n_timer_calls,
             "n_backward_calls": self.n_backward_calls,
-            "n_dirty_nets": self.n_dirty_nets,
-            "n_rebuilt_nets": self.n_rebuilt_nets,
         }
 
     def set_state(self, state: Dict[str, object]) -> None:
-        bp = state.get("built_pin_coords")
+        # Checkpoints written before the dirty-net path was deleted also
+        # carry ``built_pin_coords`` / ``n_dirty_nets`` / ``n_rebuilt_nets``;
+        # with that path off they restate ``forest_coords`` and are ignored.
         fc = state.get("forest_coords")
-        if bp is not None:
-            # Each tree is a pure function of its own pins' coordinates at
-            # build time, so routing from the per-pin snapshot reproduces
-            # the checkpointed forest (including mid-period splices).
-            px, py = bp
-            self._forest = build_forest_from_pins(self.design, px, py)
-            self._built_px = px.copy()
-            self._built_py = py.copy()
-            self._forest_coords = (
-                None if fc is None else (fc[0].copy(), fc[1].copy())
-            )
-        elif fc is not None:
-            fx, fy = fc
-            # Legacy checkpoints: build_forest is deterministic in its
-            # inputs, so rebuilding from the stored cell coordinates
-            # reproduces the checkpointed forest without pickling topology.
-            self._forest = build_forest(self.design, fx, fy)
-            self._forest_coords = (fx.copy(), fy.copy())
-            self._built_px, self._built_py = self.design.pin_positions(fx, fy)
+        if fc is not None:
+            # The build is deterministic in its inputs, so rebuilding from
+            # the stored cell coordinates reproduces the checkpointed
+            # forest without pickling topology.
+            self._route(*fc)
         else:
             self._forest = None
             self._forest_coords = None
-            self._built_px = None
-            self._built_py = None
         self._iters_since_rsmt = int(state.get("iters_since_rsmt", 0))
         self._frozen_k = state.get("frozen_k")
         self.n_rsmt_calls = int(state.get("n_rsmt_calls", 0))
         self.n_rsmt_reuses = int(state.get("n_rsmt_reuses", 0))
         self.n_timer_calls = int(state.get("n_timer_calls", 0))
         self.n_backward_calls = int(state.get("n_backward_calls", 0))
-        self.n_dirty_nets = int(state.get("n_dirty_nets", 0))
-        self.n_rebuilt_nets = int(state.get("n_rebuilt_nets", 0))
 
     # ------------------------------------------------------------------
     def __call__(

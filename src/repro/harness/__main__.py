@@ -85,15 +85,11 @@ def _run_resume(path: str, designs, mode: str, args) -> int:
 
 def _timing_options(args):
     """TimingObjectiveOptions from CLI flags, or None for the defaults."""
-    if args.rsmt_period is None and args.rsmt_dirty_threshold is None:
+    if args.rsmt_period is None:
         return None
     from ..core.objective import TimingObjectiveOptions
 
-    opts = TimingObjectiveOptions()
-    if args.rsmt_period is not None:
-        opts.rsmt_period = args.rsmt_period
-    opts.rsmt_dirty_threshold = args.rsmt_dirty_threshold
-    return opts
+    return TimingObjectiveOptions(rsmt_period=args.rsmt_period)
 
 
 def _cmd_run(args) -> int:
@@ -165,7 +161,6 @@ def _cmd_suite(args) -> int:
             seed=seed,
             max_iters=args.max_iters,
             rsmt_period=args.rsmt_period,
-            rsmt_dirty_threshold=args.rsmt_dirty_threshold,
             telemetry_dir=args.telemetry,
             collect_spans=bool(args.trace_out),
         )
@@ -363,14 +358,6 @@ def _subcommand_parser() -> argparse.ArgumentParser:
         "(default: the timing objective's built-in period)",
     )
     run_p.add_argument(
-        "--rsmt-dirty-threshold",
-        type=float,
-        default=None,
-        metavar="DIST",
-        help="between full rebuilds, re-route nets whose pins moved more "
-        "than DIST um since their tree was built (default: off)",
-    )
-    run_p.add_argument(
         "--trace-out",
         metavar="FILE",
         default=None,
@@ -425,9 +412,6 @@ def _subcommand_parser() -> argparse.ArgumentParser:
         "benchmarks/.design_cache, or $REPRO_DESIGN_CACHE)",
     )
     suite_p.add_argument("--rsmt-period", type=int, default=None, metavar="N")
-    suite_p.add_argument(
-        "--rsmt-dirty-threshold", type=float, default=None, metavar="DIST"
-    )
     suite_p.add_argument(
         "--task-timeout",
         type=float,

@@ -357,7 +357,6 @@ def run_suite(
     max_iters: int = 600,
     telemetry_dir: Optional[str] = None,
     rsmt_period: Optional[int] = None,
-    rsmt_dirty_threshold: Optional[float] = None,
     verbose: bool = False,
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
@@ -372,7 +371,6 @@ def run_suite(
             seed=seed,
             max_iters=max_iters,
             rsmt_period=rsmt_period,
-            rsmt_dirty_threshold=rsmt_dirty_threshold,
             telemetry_dir=telemetry_dir,
         )
         for design in designs

@@ -283,7 +283,6 @@ class SuiteTask:
     max_iters: int = 600
     checkpoint_every: int = 0
     rsmt_period: Optional[int] = None
-    rsmt_dirty_threshold: Optional[float] = None
     telemetry_dir: Optional[str] = None
     profile: bool = False
     #: Record the span tree onto the result (for suite trace export)
@@ -298,13 +297,9 @@ class SuiteTask:
         return f"{self.design}_{self.mode}_s{self.seed}"
 
     def timing_options(self) -> Optional[TimingObjectiveOptions]:
-        if self.rsmt_period is None and self.rsmt_dirty_threshold is None:
+        if self.rsmt_period is None:
             return None
-        opts = TimingObjectiveOptions()
-        if self.rsmt_period is not None:
-            opts.rsmt_period = self.rsmt_period
-        opts.rsmt_dirty_threshold = self.rsmt_dirty_threshold
-        return opts
+        return TimingObjectiveOptions(rsmt_period=self.rsmt_period)
 
 
 def _execute_task(

@@ -184,13 +184,6 @@ class NetLayout:
         self.reduce(np.minimum, pins, out=out[1])
         return out
 
-    def segment_max(self, per_pin: np.ndarray) -> np.ndarray:
-        """Per design net, the maximum of a per-design-pin array over the
-        net's pins (0 for nets of fewer than 2 pins)."""
-        return self.to_design_nets(
-            self.reduce(np.maximum, np.take(per_pin, self.pin))
-        )
-
     def hpwl(
         self,
         cell_x: np.ndarray,

@@ -1,7 +1,7 @@
 """Rectilinear Steiner tree routing substrate (FLUTE substitute)."""
 
 from .tree import Forest, RoutingTree
-from .batch import MAX_CANDIDATES, MAX_STEINER_DEGREE
+from .batch import MAX_STEINER_DEGREE
 from .plan import RoutePlan, route_plan
 from .rsmt import (
     build_forest,
@@ -17,7 +17,6 @@ __all__ = [
     "Forest",
     "RoutingTree",
     "RoutePlan",
-    "MAX_CANDIDATES",
     "MAX_STEINER_DEGREE",
     "build_forest",
     "build_forest_for_nets",

@@ -6,12 +6,14 @@ the kernels here build every net of a degree at once on rectangular
 node arrays (:func:`bucket_rows`), never as per-net objects:
 
 - degree 3: the closed-form median point (a star around it);
-- degree 4..``MAX_STEINER_DEGREE``: batched iterated 1-Steiner - every
-  Hanan candidate of every active net is scored in one Prim sweep that
-  reads node distances from a per-round table; when a net has more than
-  ``MAX_CANDIDATES`` candidates the scalar path's deterministic
-  3-nearest-distance ranking picks the same ``MAX_CANDIDATES`` of them;
-- degree 2 and larger nets: a plain rectilinear MST (no Steiner points).
+- degree 4..``MAX_STEINER_DEGREE`` (the exact-width buckets of the route
+  plan): batched iterated 1-Steiner - every Hanan candidate of every
+  active net is scored in one Prim sweep that reads node distances from
+  a per-round table;
+- degree 2 and every padded bucket (degree > ``MAX_STEINER_DEGREE``): a
+  plain rectilinear MST, no Steiner points.  FLUTE is exact only up to
+  degree 9 and breaks larger nets; searching them bought < 1% of their
+  own length at converged placements for 3/4 of the build time.
 
 The tail is shared: one batched Prim over the padded ``(B, d + T)`` node
 arrays (rows with fewer inserted points finish early), childless Steiner
@@ -34,16 +36,16 @@ from .tree import tree_depths
 
 __all__ = [
     "MAX_STEINER_DEGREE",
-    "MAX_CANDIDATES",
     "batched_prim",
     "batched_one_steiner",
     "bucket_rows",
 ]
 
-#: Nets with more pins than this get a plain rectilinear MST.
-MAX_STEINER_DEGREE = 24
-#: Hanan candidates scored per 1-Steiner round (nearest-first beyond it).
-MAX_CANDIDATES = 64
+#: The one forest-policy number.  Nets of up to this many pins are routed
+#: in buckets of exactly their degree and searched for Steiner points
+#: (all ``d * d <= 64`` Hanan candidates scored every round); larger nets
+#: share padded buckets and get a plain rectilinear MST.
+MAX_STEINER_DEGREE = 8
 #: float64 entries of one candidate-Prim distance table (32 MB); larger
 #: buckets are scored in row blocks.
 _TABLE_ENTRIES = 1 << 22
@@ -107,21 +109,17 @@ def batched_prim(
     return parent, total
 
 
-def _candidate_lengths(
-    base: np.ndarray, cand: np.ndarray, n_nodes: np.ndarray
-) -> np.ndarray:
+def _candidate_lengths(base: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """MST length of (row's points + one candidate) per (row, candidate).
 
-    ``base`` is the ``(A, n, n)`` distance table of each row's points, of
-    which the first ``n_nodes[a]`` lanes are real, and ``cand`` the
-    ``(A, C, n)`` distances of its candidates to them.  Each (row,
-    candidate) pair runs Prim over its own ``(n+1, n+1)`` slice of one
-    distance table with the candidate in the last lane, so a step is an
-    ``argmin``, one ``take`` of the picked nodes' table rows and a
-    ``minimum``; visited and padding lanes are held at ``+inf`` by a
-    penalty array.  The picked keys are summed in pick order, which makes
-    the lengths those of :func:`repro.route.rsmt._prim_lengths_batch`
-    bit for bit.
+    ``base`` is the ``(A, n, n)`` distance table of each row's points and
+    ``cand`` the ``(A, C, n)`` distances of its candidates to them.  Each
+    (row, candidate) pair runs Prim over its own ``(n+1, n+1)`` slice of
+    one distance table with the candidate in the last lane, so a step is
+    an ``argmin``, one ``take`` of the picked nodes' table rows and a
+    ``minimum``; visited lanes are held at ``+inf`` by a penalty array.
+    The picked keys are summed in pick order, which makes the lengths
+    those of :func:`repro.route.rsmt._prim_lengths_batch` bit for bit.
     """
     A, C, n = cand.shape
     m = n + 1
@@ -129,9 +127,7 @@ def _candidate_lengths(
     if A > block:
         return np.concatenate(
             [
-                _candidate_lengths(
-                    base[i : i + block], cand[i : i + block], n_nodes[i : i + block]
-                )
+                _candidate_lengths(base[i : i + block], cand[i : i + block])
                 for i in range(0, A, block)
             ]
         )
@@ -141,10 +137,8 @@ def _candidate_lengths(
     table[:, :, :n, n] = cand
     table[:, :, n, n] = 0.0
     table = table.reshape(A * C * m, m)
-    penalty = np.zeros((A, C, m))
-    penalty[:, :, :n] = np.where(np.arange(n) >= n_nodes[:, None], np.inf, 0.0)[:, None]
-    penalty[:, :, 0] = np.inf
-    penalty = penalty.reshape(A * C, m)
+    penalty = np.zeros((A * C, m))
+    penalty[:, 0] = np.inf
     row0 = np.arange(A * C) * m
     best_dist = np.maximum(table[row0], penalty)  # distances to the seed
     picked = np.empty((n, A * C))
@@ -155,39 +149,31 @@ def _candidate_lengths(
         penalty.put(flat, np.inf)
         np.minimum(best_dist, table.take(flat, axis=0), out=best_dist)
         np.maximum(best_dist, penalty, out=best_dist)
-    # A row is complete after one pick per point (it picks +inf after).
-    lengths = picked.cumsum(axis=0)[np.repeat(n_nodes, C) - 1, np.arange(A * C)]
-    return lengths.reshape(A, C)
+    return picked.cumsum(axis=0)[-1].reshape(A, C)
 
 
 # ----------------------------------------------------------------------
 # Batched iterated 1-Steiner
 # ----------------------------------------------------------------------
 def batched_one_steiner(
-    X: np.ndarray, Y: np.ndarray, degree: Optional[np.ndarray] = None, tol: float = 1e-9
+    X: np.ndarray, Y: np.ndarray, tol: float = 1e-9
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Iterated 1-Steiner over a bucket of nets of (up to) one degree.
+    """Iterated 1-Steiner over a bucket of nets of one degree.
 
-    ``X``/``Y`` are ``(B, d)`` pin coordinates of which row ``r`` uses
-    the first ``degree[r]`` (default: all).  Returns padded node arrays
-    ``(XS, YS)`` of shape ``(B, d + d - 2)`` - each row's pins, then its
-    Steiner points in insertion order - the per-net inserted counts
-    ``n_ins`` and the ``(B, d-2)`` owner-index arrays of the inserted
-    points.
+    ``X``/``Y`` are ``(B, d)`` pin coordinates.  Returns padded node
+    arrays ``(XS, YS)`` of shape ``(B, d + d - 2)`` - each row's pins,
+    then its Steiner points in insertion order - the per-net inserted
+    counts ``n_ins`` and the ``(B, d-2)`` owner-index arrays of the
+    inserted points.
 
-    Candidates coincident with existing nodes are masked to ``+inf``
-    instead of dropped, which preserves the scalar path's first-minimum
-    tie-breaking (kept candidates keep their raveled Hanan-grid order).
-    When ``d * d`` exceeds ``MAX_CANDIDATES``, a net with more kept
-    candidates than that is cut to the ``MAX_CANDIDATES`` with the
-    smallest sum of three nearest node distances (stable, so in the
-    scalar path's order); all nets of the bucket advance one insertion
-    per round together.
+    Every Hanan candidate is scored every round.  Candidates coincident
+    with existing nodes are masked to ``+inf`` instead of dropped, which
+    preserves the scalar path's first-minimum tie-breaking (kept
+    candidates keep their raveled Hanan-grid order).  All nets of the
+    bucket advance one insertion per round together.
     """
     B, d = X.shape
     T = max(d - 2, 0)
-    if degree is None:
-        degree = np.full(B, d, dtype=np.int64)
     XS = np.zeros((B, d + T))
     YS = np.zeros((B, d + T))
     XS[:, :d] = X
@@ -201,40 +187,24 @@ def batched_one_steiner(
     cj = np.tile(np.arange(d), d)
     CX, CY = X[:, ci], Y[:, cj]
     # Distance tables, grown by one lane per insertion instead of being
-    # recomputed per round: node-node and candidate-node (padding = inf).
-    padding = np.where(np.arange(d) >= degree[:, None], np.inf, 0.0)
+    # recomputed per round: node-node and candidate-node.
     base = np.full((B, d + T, d + T), np.inf)
     base[:, :d, :d] = _pairwise(X, Y, X, Y)
     dist = np.full((B, d * d, d + T), np.inf)
-    dist[:, :, :d] = _pairwise(CX, CY, X, Y) + padding[:, None]
+    dist[:, :, :d] = _pairwise(CX, CY, X, Y)
     coincide = (dist[:, :, :d] == 0.0).any(axis=2)
-    coincide |= np.maximum(ci, cj) >= degree[:, None]
-    prune = d * d > MAX_CANDIDATES
-    if prune:  # the three smallest node distances of each candidate
-        near = np.sort(np.partition(dist[:, :, :d], 2, axis=2)[:, :, :3], axis=2)
-    _, cur_len = batched_prim(X, Y, degree)
+    _, cur_len = batched_prim(X, Y)
     active = np.arange(B)
     for t in range(T):
-        active = active[degree[active] - 2 > t]
         if len(active) == 0:
             break
-        rows = np.arange(len(active))
-        n_nodes = degree[active] + t
-        cand, masked, pick = dist[active, :, : d + t], coincide[active], None
-        if prune:
-            score = near[active, :, 0] + near[active, :, 1] + near[active, :, 2]
-            pruned = (~masked).sum(axis=1) > MAX_CANDIDATES
-            key = np.where(pruned[:, None], score, np.arange(d * d, dtype=float))
-            key[masked] = np.inf
-            pick = np.argsort(key, axis=1, kind="stable")[:, :MAX_CANDIDATES]
-            cand, masked = cand[rows[:, None], pick], masked[rows[:, None], pick]
-        lens = _candidate_lengths(base[active, : d + t, : d + t], cand, n_nodes)
-        lens[masked] = np.inf
+        lane = d + t  # every active net has inserted t points so far
+        lens = _candidate_lengths(base[active, :lane, :lane], dist[active, :, :lane])
+        lens[coincide[active]] = np.inf
         best = lens.argmin(axis=1)
-        best_len = lens[rows, best]
+        best_len = lens[np.arange(len(active)), best]
         improves = (cur_len[active] - best_len) > tol
-        active, best, lane = active[improves], best[improves], n_nodes[improves]
-        sel = best if pick is None else pick[improves, best]
+        active, sel = active[improves], best[improves]
         XS[active, lane] = X[active, ci[sel]]
         YS[active, lane] = Y[active, cj[sel]]
         own_i[active, t] = ci[sel]
@@ -249,11 +219,6 @@ def batched_one_steiner(
         dist[active, :, lane] = new
         coincide[active] |= new == 0.0
         base[active, lane] = base[active, :, lane] = dist[active, sel]
-        if prune:
-            for k in range(3):  # insert into the sorted three smallest
-                lo = np.minimum(near[active, :, k], new)
-                new = np.maximum(near[active, :, k], new)
-                near[active, :, k] = lo
     return XS, YS, n_ins, own_i, own_j
 
 
@@ -342,8 +307,8 @@ def bucket_rows(
     if d == 3:
         parent, alive, own_i, own_j = _median3(X, Y)
     else:
-        if 4 <= d <= MAX_STEINER_DEGREE:
-            X, Y, n_ins, own_i, own_j = batched_one_steiner(X, Y, degree)
+        if 4 <= d <= MAX_STEINER_DEGREE:  # an exact-width bucket: degree == d
+            X, Y, n_ins, own_i, own_j = batched_one_steiner(X, Y)
         else:
             n_ins = np.zeros(B, dtype=np.int64)
             own_i = own_j = np.zeros((B, 0), dtype=np.int64)

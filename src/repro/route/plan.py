@@ -16,6 +16,7 @@ from typing import Dict, Iterator, NamedTuple, Optional
 import numpy as np
 
 from ..netlist.design import Design
+from .batch import MAX_STEINER_DEGREE
 from .tree import gather_csr
 
 __all__ = ["Bucket", "RoutePlan", "route_plan"]
@@ -33,13 +34,13 @@ class Bucket(NamedTuple):
 def bucket_width(degree: np.ndarray) -> np.ndarray:
     """Lane count of the bucket a net of the given degree is routed in.
 
-    Degrees up to 8 (every Hanan candidate is scored, nets are plentiful)
-    get exact buckets.  Larger nets are few and each kernel step is a
-    fixed launch cost whatever the row count, so they share buckets
-    padded to the next multiple of 4; ``MAX_STEINER_DEGREE`` is one, so a
-    bucket never mixes Steiner-routed and plain-MST nets.
+    Degrees up to ``MAX_STEINER_DEGREE`` (every Hanan candidate is scored,
+    nets are plentiful) get exact buckets, which is what marks them for
+    the Steiner search.  Larger nets are few, get a plain MST, and each
+    kernel step is a fixed launch cost whatever the row count, so they
+    share buckets padded to the next multiple of 4.
     """
-    return np.where(degree <= 8, degree, -(-degree // 4) * 4)
+    return np.where(degree <= MAX_STEINER_DEGREE, degree, -(-degree // 4) * 4)
 
 
 class RoutePlan:

@@ -5,10 +5,11 @@ replaceable by any RSMT generator).  Strategy by net degree:
 
 - degree 2: a single edge;
 - degree 3: the median point (the exact RSMT for three terminals);
-- degree 4..``MAX_STEINER_DEGREE``: iterated 1-Steiner over the Hanan grid
-  (Kahng-Robins), inserting the candidate with the best exact MST-length
-  gain until no candidate helps;
-- larger nets: plain rectilinear minimum spanning tree (no Steiner points).
+- degree 4..``MAX_STEINER_DEGREE`` (= 8): iterated 1-Steiner over the whole
+  Hanan grid (Kahng-Robins), inserting the candidate with the best exact
+  MST-length gain until no candidate helps;
+- larger nets: plain rectilinear minimum spanning tree (no Steiner points;
+  FLUTE likewise stops being exact at degree 9 and breaks larger nets).
 
 :func:`build_rsmt` is the single-net scalar reference (and the clock-tree
 router); whole forests are built by :func:`build_forest_for_nets` from
@@ -28,7 +29,7 @@ import numpy as np
 
 from ..netlist.design import Design
 from ..perf import PROFILER
-from .batch import MAX_CANDIDATES, MAX_STEINER_DEGREE, bucket_rows
+from .batch import MAX_STEINER_DEGREE, bucket_rows
 from .plan import route_plan
 from .tree import Forest, RoutingTree
 
@@ -196,18 +197,14 @@ def _reroot(tree: RoutingTree, new_root: int) -> RoutingTree:
 
 
 def _iterated_one_steiner(
-    x: np.ndarray,
-    y: np.ndarray,
-    max_candidates: int,
-    tol: float = 1e-9,
+    x: np.ndarray, y: np.ndarray, tol: float = 1e-9
 ) -> Tuple[np.ndarray, np.ndarray, List[Tuple[int, int]]]:
     """Insert Hanan-grid Steiner points while they shorten the MST.
 
     Returns the augmented coordinates and the (x-owner, y-owner) pin index
     pair for each inserted Steiner point.  Construction is a pure function
-    of the coordinates (candidate pruning is deterministic), which the
-    incremental timer relies on: rebuilding an unmoved net must reproduce
-    the identical tree.
+    of the coordinates, which the incremental timer relies on: rebuilding
+    an unmoved net must reproduce the identical tree.
     """
     n_pins = len(x)
     xs = x.copy()
@@ -231,17 +228,6 @@ def _iterated_one_steiner(
         cand_i, cand_j, cx, cy = cand_i[keep], cand_j[keep], cx[keep], cy[keep]
         if len(cx) == 0:
             break
-        if len(cx) > max_candidates:
-            # Deterministic pruning: a useful Steiner point sits close to
-            # several existing nodes, so rank candidates by the sum of
-            # their three smallest node distances.
-            dist = np.abs(cx[:, None] - xs[None, :]) + np.abs(
-                cy[:, None] - ys[None, :]
-            )
-            k = min(3, dist.shape[1])
-            score = np.sort(dist, axis=1)[:, :k].sum(axis=1)
-            pick = np.argsort(score, kind="stable")[:max_candidates]
-            cand_i, cand_j, cx, cy = cand_i[pick], cand_j[pick], cx[pick], cy[pick]
         new_lens = _prim_lengths_batch(xs, ys, cx, cy)
         best = int(np.argmin(new_lens))
         best_len = float(new_lens[best])
@@ -339,8 +325,6 @@ def build_rsmt(
     pin_y: np.ndarray,
     pin_ids: np.ndarray,
     driver_local: int = 0,
-    max_steiner_degree: int = MAX_STEINER_DEGREE,
-    max_candidates: int = MAX_CANDIDATES,
 ) -> RoutingTree:
     """Build a rooted RSMT over one net's pins (the scalar reference).
 
@@ -352,8 +336,6 @@ def build_rsmt(
         Global pin indices (stored in the tree's ``pins`` array).
     driver_local:
         Local index of the driver pin; the tree is rooted there.
-    max_steiner_degree:
-        Nets larger than this use a plain rectilinear MST.
     """
     x = np.asarray(pin_x, dtype=np.float64)
     y = np.asarray(pin_y, dtype=np.float64)
@@ -386,8 +368,8 @@ def build_rsmt(
     if n == 3:
         return _median3_tree(x, y, pins, driver_local)
 
-    if n <= max_steiner_degree:
-        xs, ys, owners = _iterated_one_steiner(x, y, max_candidates)
+    if n <= MAX_STEINER_DEGREE:
+        xs, ys, owners = _iterated_one_steiner(x, y)
     else:
         xs, ys, owners = x.copy(), y.copy(), []
 
@@ -405,12 +387,11 @@ def build_forest_for_nets(
 
     Routes every routable net (>= 2 pins, driven, non-clock unless
     ``include_clock``), or with ``net_ids`` only those of them (the
-    dirty-net splice, the incremental timer); unroutable ids are silently
-    skipped.  Each degree bucket of the design's route plan goes through
-    one batched kernel call and the rows are compacted into the flat
-    :class:`Forest` once; no per-net object is created.  Each tree is a
-    pure function of its own pins' coordinates, which is what lets a
-    per-pin coordinate snapshot reconstruct a mixed-age forest.
+    incremental timer); unroutable ids are silently skipped.  Each degree
+    bucket of the design's route plan goes through one batched kernel
+    call and the rows are compacted into the flat :class:`Forest` once;
+    no per-net object is created.  Each tree is a pure function of its
+    own pins' coordinates.
     """
     plan = route_plan(design, include_clock)
     nets, rows = [], []
@@ -438,12 +419,7 @@ def build_forest(
 
 
 def build_forest_from_pins(design: Design, px: np.ndarray, py: np.ndarray) -> Forest:
-    """Route every timing net from explicit per-pin coordinates.
-
-    Used by checkpoint restoration: a dirty-net incremental forest is a
-    mixture of trees built at different iterations, restored from the
-    per-pin coordinates each tree was built at.
-    """
+    """Route every timing net from explicit per-pin coordinates."""
     with PROFILER.stage("route.build_forest"):
         return build_forest_for_nets(design, px, py)
 

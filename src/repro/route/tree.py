@@ -328,47 +328,6 @@ class Forest:
         """Every net's tree view (``None`` for unrouted nets)."""
         return [self.tree(ni, pin_x, pin_y) for ni in range(self.n_nets)]
 
-    def splice(self, sub: "Forest") -> "Forest":
-        """Forest with the nets routed in ``sub`` replaced by its trees.
-
-        The dirty-net incremental rebuild path calls this between full
-        RSMT rebuilds with the sub-forest the builder returned for the
-        dirty nets.  The untouched rows of ``self`` and the rows of
-        ``sub`` go through the same compaction as a fresh build, so a
-        replacement may change a net's node count.
-        """
-        sizes = np.diff(self.node_offset)
-        sub_sizes = np.diff(sub.node_offset)
-        fresh = np.nonzero(sub_sizes)[0]
-        if not len(fresh):
-            return self
-        kept = np.nonzero((sizes > 0) & (sub_sizes == 0))[0]
-        nodes = np.nonzero(sub_sizes[self.node_net] == 0)[0]
-        local = np.where(
-            self.has_parent[nodes],
-            self.parent[nodes] - self.node_offset[self.node_net[nodes]],
-            -1,
-        )
-        sub_local = np.where(
-            sub.has_parent, sub.parent - sub.node_offset[sub.node_net], -1
-        )
-
-        def both(name: str) -> np.ndarray:
-            return np.concatenate([getattr(self, name)[nodes], getattr(sub, name)])
-
-        return Forest.from_rows(
-            self.n_nets,
-            self.n_pins_total,
-            np.concatenate([kept, fresh]),
-            np.concatenate([sizes[kept], sub_sizes[fresh]]),
-            np.concatenate([local, sub_local]),
-            both("node_pin"),
-            both("owner_x_pin"),
-            both("owner_y_pin"),
-            both("is_root"),
-            both("depth"),
-        )
-
     def node_coords(
         self, pin_x: np.ndarray, pin_y: np.ndarray
     ) -> tuple:

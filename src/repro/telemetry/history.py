@@ -5,9 +5,13 @@ record per invocation to ``benchmarks/history/<bench>.jsonl``:
 
 ::
 
-    {"bench": "rsmt_forest", "git_rev": "<sha>", "ts": "<iso8601>",
-     "metrics": {"speedup": 3.28, ...},
+    {"bench": "rsmt_forest", "git_rev": "<sha>", "tree_dirty": false,
+     "ts": "<iso8601>", "metrics": {"speedup": 3.28, ...},
      "gates": {"speedup": "higher"}}
+
+``tree_dirty`` says whether the work tree differed from ``git_rev`` when
+the record was taken: a perf PR measures its own tree before committing
+it, so its record carries the *parent's* revision and ``true``.
 
 ``gates`` names the metrics that matter for regression detection and
 their good direction: ``"higher"`` (a speedup - dropping is a
@@ -28,7 +32,7 @@ import os
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from .manifest import git_revision
+from .manifest import git_revision, git_tree_dirty
 
 __all__ = [
     "HISTORY_DIR",
@@ -73,6 +77,7 @@ def append_record(
     record = {
         "bench": bench,
         "git_rev": git_rev if git_rev is not None else git_revision(),
+        "tree_dirty": git_tree_dirty(),
         "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "metrics": dict(metrics),
         "gates": dict(gates or {}),

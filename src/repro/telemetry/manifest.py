@@ -22,7 +22,7 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from .events import EVENTS_FILENAME, SCHEMA_VERSION
 
@@ -31,6 +31,7 @@ __all__ = [
     "RunManifest",
     "make_run_id",
     "git_revision",
+    "git_tree_dirty",
     "write_manifest",
     "load_manifest",
 ]
@@ -47,19 +48,28 @@ def make_run_id(design: str, mode: str) -> str:
     return f"{design}_{mode}_{stamp}_{os.getpid()}_{next(_RUN_COUNTER)}"
 
 
-def git_revision(cwd: Optional[str] = None) -> str:
-    """Current git revision, or ``"unknown"`` outside a repo/git."""
+def _git(args: List[str], cwd: Optional[str]) -> Optional[str]:
+    """Stdout of one git command, or ``None`` outside a repo/git."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            timeout=5,
+            ["git", *args], cwd=cwd, capture_output=True, text=True, timeout=5
         )
     except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def git_revision(cwd: Optional[str] = None) -> str:
+    """Current git revision, or ``"unknown"`` outside a repo/git."""
+    out = _git(["rev-parse", "HEAD"], cwd)
+    return "unknown" if out is None else out
+
+
+def git_tree_dirty(cwd: Optional[str] = None) -> Optional[bool]:
+    """Whether the work tree differs from ``HEAD`` (modified, staged or
+    untracked files); ``None`` outside a repo/git."""
+    out = _git(["status", "--porcelain"], cwd)
+    return None if out is None else bool(out)
 
 
 def _numpy_version() -> str:

@@ -6,8 +6,6 @@ import pytest
 from repro.route import (
     Forest,
     build_forest,
-    build_forest_for_nets,
-    build_forest_from_pins,
     build_rsmt,
     build_trees,
 )
@@ -86,63 +84,6 @@ class TestTreeViews:
         px, py = small_design.pin_positions(x, y)
         again = Forest(forest.trees(px, py), small_design.n_pins)
         assert_forests_equal(forest, again)
-
-
-class TestSplice:
-    def _moved_pins(self, design, rng, frac):
-        x = rng.uniform(0, 120, design.n_cells)
-        y = rng.uniform(0, 120, design.n_cells)
-        moved = rng.random(design.n_cells) < frac
-        x2 = np.where(moved, rng.uniform(0, 120, design.n_cells), x)
-        y2 = np.where(moved, rng.uniform(0, 120, design.n_cells), y)
-        return design.pin_positions(x, y), design.pin_positions(x2, y2)
-
-    def test_dirty_subset_equals_full_rebuild_at_build_coords(self, small_design):
-        """Splicing re-routed nets == a full build at the per-pin build
-        coordinates (the ``built_pin_coords`` checkpoint contract)."""
-        design = small_design
-        rng = np.random.default_rng(21)
-        (px, py), (px2, py2) = self._moved_pins(design, rng, 0.3)
-        forest = build_forest_from_pins(design, px, py)
-        dirty = np.arange(0, design.n_nets, 3)
-        spliced = forest.splice(build_forest_for_nets(design, px2, py2, dirty))
-        built_x, built_y = px.copy(), py.copy()
-        for ni in dirty:
-            pins = design.net_pins(ni)
-            built_x[pins], built_y[pins] = px2[pins], py2[pins]
-        assert_forests_equal(
-            spliced, build_forest_from_pins(design, built_x, built_y)
-        )
-        assert_forests_equal(spliced, reference_forest(design, built_x, built_y))
-
-    def test_size_changing_splice(self, small_design):
-        """A replacement tree with a different Steiner count shifts every
-        later net; the spliced forest still equals the fresh build."""
-        design = small_design
-        rng = np.random.default_rng(22)
-        x = rng.uniform(0, 120, design.n_cells)
-        y = rng.uniform(0, 120, design.n_cells)
-        px, py = design.pin_positions(x, y)
-        forest = build_forest_from_pins(design, px, py)
-        sizes = np.diff(forest.node_offset)
-        degrees = design.net_degrees
-        dirty = np.nonzero(sizes > degrees)[0][:5]  # nets with Steiner points
-        assert len(dirty)
-        px2, py2 = px.copy(), py.copy()
-        for ni in dirty:  # collinear pins: every Steiner point disappears
-            pins = design.net_pins(ni)
-            py2[pins] = py[pins[0]]
-        spliced = forest.splice(build_forest_for_nets(design, px2, py2, dirty))
-        assert (np.diff(spliced.node_offset)[dirty] == degrees[dirty]).all()
-        assert spliced.n_nodes < forest.n_nodes
-        assert_forests_equal(spliced, build_forest_from_pins(design, px2, py2))
-
-    def test_empty_splice_returns_self(self, small_design):
-        forest = build_forest(small_design)
-        px, py = small_design.pin_positions()
-        empty = build_forest_for_nets(small_design, px, py, [])
-        assert empty.n_nodes == 0
-        assert forest.splice(empty) is forest
 
 
 class TestCoordinates:

@@ -4,8 +4,8 @@
 Elmore passes of every timer call index with (parent-or-self pointers,
 per-level parents and compact parent groups, pin and driver nodes).  The
 kernels on them are held, bit for bit, to a per-tree Python reference
-that walks one node at a time, and every way of building a forest -
-explicit trees, bucket rows, a splice - must lay out the same tables.
+that walks one node at a time, and both ways of building a forest -
+explicit trees, bucket rows - must lay out the same tables.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.route import (
     Forest,
     RoutingTree,
     build_forest,
-    build_forest_for_nets,
     build_rsmt,
 )
 from repro.sta.elmore import elmore_forward, node_caps
@@ -180,18 +179,15 @@ def assert_kernels_match_per_tree_reference(forest, node_x, node_y, caps, wire, 
 
 
 class TestKernelsAgainstPerTreeReference:
-    def test_spliced_forest(self, small_design, spread_positions):
+    def test_design_forest(self, small_design, spread_positions):
         design = small_design
         x, y = spread_positions
-        base = build_forest(design, x, y)
+        forest = build_forest(design, x, y)
+        # The forest reused (Figure 4) after the cells have moved on.
         rng = np.random.default_rng(2)
-        moved_x = x + rng.normal(0, 9, design.n_cells)
-        moved_y = y + rng.normal(0, 9, design.n_cells)
-        px, py = design.pin_positions(moved_x, moved_y)
-        routed = np.flatnonzero(np.diff(base.node_offset))
-        dirty = routed[:: 3]
-        forest = base.splice(build_forest_for_nets(design, px, py, dirty))
-        assert forest is not base
+        px, py = design.pin_positions(
+            x + rng.normal(0, 9, design.n_cells), y + rng.normal(0, 9, design.n_cells)
+        )
         node_x, node_y = forest.node_coords(px, py)
         caps = node_caps(forest, design.pin_cap)
         assert_kernels_match_per_tree_reference(
@@ -222,25 +218,13 @@ class TestKernelsAgainstPerTreeReference:
 
 
 class TestStaticsAreTheSameHoweverBuilt:
-    def test_trees_rows_and_splice(self, small_design, spread_positions):
+    def test_trees_and_rows(self, small_design, spread_positions):
         design = small_design
         x, y = spread_positions
         px, py = design.pin_positions(x, y)
         from_rows = build_forest(design, x, y)
         from_trees = Forest(from_rows.trees(px, py), design.n_pins)
         assert_same_statics(from_rows, from_trees)
-
-        rng = np.random.default_rng(8)
-        stale = build_forest(
-            design, x + rng.normal(0, 9, design.n_cells), y + rng.normal(0, 9, design.n_cells)
-        )
-        routed = np.flatnonzero(np.diff(stale.node_offset))
-        spliced = stale.splice(build_forest_for_nets(design, px, py, routed))
-        assert_same_statics(from_rows, spliced)
-        # Replacing some nets by the trees they already have changes nothing.
-        again = from_rows.splice(build_forest_for_nets(design, px, py, routed[::2]))
-        assert again is not from_rows
-        assert_same_statics(from_rows, again)
 
     def test_groups_name_each_levels_distinct_parents(self, small_design, spread_positions):
         forest = build_forest(small_design, *spread_positions)

@@ -207,11 +207,11 @@ class TestBatchedSweepEquivalence:
 
 class TestOneRoutingPolicy:
     """Re-routed nets and the `reset`/`verify` baseline share one builder
-    and one Steiner policy (`repro.route.MAX_STEINER_DEGREE` /
-    `MAX_CANDIDATES`); there is no per-timer knob to make them differ."""
+    and one Steiner policy (`repro.route.MAX_STEINER_DEGREE`); there is
+    no per-timer knob to make them differ."""
 
     def test_no_policy_knobs(self, small_design):
-        from repro.route import build_forest, build_forest_from_pins
+        from repro.route import build_forest, build_forest_from_pins, build_rsmt
 
         with pytest.raises(TypeError):
             IncrementalTimer(small_design, max_steiner_degree=8)
@@ -220,11 +220,13 @@ class TestOneRoutingPolicy:
             build_forest(small_design, max_steiner_degree=8)
         with pytest.raises(TypeError):
             build_forest_from_pins(small_design, px, py, max_candidates=16)
+        with pytest.raises(TypeError):
+            build_rsmt(px[:12], py[:12], np.arange(12), max_steiner_degree=24)
 
-    def test_moves_on_pruned_degree_nets_verify(self, timer, small_design):
-        # Degree-18/19 nets go through the candidate-pruned rounds; moving
-        # their cells re-routes them through the sub-forest build, which
-        # must give the trees the full re-analysis builds.
+    def test_moves_on_high_degree_nets_verify(self, timer, small_design):
+        # Degree-18/19 nets sit in a padded plain-RMST bucket; moving their
+        # cells re-routes them through the sub-forest build, which must
+        # give the trees the full re-analysis builds.
         design = small_design
         big = np.nonzero((design.net_degrees >= 9) & ~design.net_is_clock)[0]
         assert len(big)

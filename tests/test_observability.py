@@ -15,7 +15,7 @@ from repro.harness.__main__ import main as harness_main
 from repro.harness.observe import EventFollower, format_status
 from repro.perf import PROFILER, span_tree_to_trace_events, write_chrome_trace
 from repro.telemetry.events import MetricsRecorder
-from repro.telemetry.history import append_record
+from repro.telemetry.history import append_record, load_history
 from repro.telemetry.registry import Heartbeat, HeartbeatRecord, RunRegistry
 
 
@@ -252,6 +252,29 @@ class TestTrend:
         ) == 1
         assert "no history for bench 'absent_bench'" in \
             capsys.readouterr().out
+
+    def test_record_says_whether_the_tree_was_dirty(self, tmp_path):
+        import subprocess
+
+        from repro.telemetry.manifest import git_tree_dirty
+
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run(git + ["init", "-q"], cwd=repo, check=True)
+        (repo / "a.txt").write_text("a")
+        subprocess.run(git + ["add", "a.txt"], cwd=repo, check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "a"], cwd=repo, check=True)
+        assert git_tree_dirty(str(repo)) is False
+        (repo / "a.txt").write_text("b")
+        assert git_tree_dirty(str(repo)) is True
+        assert git_tree_dirty(str(tmp_path / "absent")) is None
+        # The ledger stores it next to git_rev; trend reads past it.
+        self._seed(tmp_path / "h", [3.0, 3.1])
+        record = load_history("rsmt_forest", str(tmp_path / "h"))[-1]
+        assert list(record)[:3] == ["bench", "git_rev", "tree_dirty"]
+        assert record["tree_dirty"] == git_tree_dirty()
+        assert harness_main(["trend", "--history", str(tmp_path / "h")]) == 0
 
     def test_empty_history_reports_nothing_to_check(self, tmp_path, capsys):
         assert harness_main(["trend", "--history", str(tmp_path)]) == 0

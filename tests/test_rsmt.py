@@ -109,7 +109,7 @@ class TestProperties:
         rng = np.random.default_rng(8)
         n = 40
         x, y = random_net(rng, n)
-        t = build_rsmt(x, y, np.arange(n), 0, max_steiner_degree=24)
+        t = build_rsmt(x, y, np.arange(n), 0)
         t.validate()
         assert t.n_nodes == n  # no Steiner points
         assert t.wirelength() == pytest.approx(rmst_length(x, y))

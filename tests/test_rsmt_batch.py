@@ -3,9 +3,10 @@
 The route plan + degree-bucket kernels of ``repro.route`` must write a
 flat ``Forest`` whose every array equals flattening per-net
 :func:`repro.route.rsmt.build_rsmt` trees (same node order, same parents,
-same coordinate owners), because the dirty-net splice mixes trees built
-at different times and checkpoint restoration replays construction from
-coordinates alone.
+same coordinate owners), because the incremental timer re-routes single
+nets next to a full build and checkpoint restoration replays construction
+from coordinates alone.  The forest policy itself is pinned here too:
+Steiner search in the exact buckets (degree 4-8), plain RMST above.
 """
 
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harness.suite import load_design
-from repro.route import Forest, route_plan
+from repro.route import MAX_STEINER_DEGREE, Forest, route_plan
 from repro.route.batch import batched_one_steiner, batched_prim
 from repro.route.plan import bucket_width
 from repro.route.rsmt import (
@@ -183,36 +184,45 @@ class TestBucketEquivalence:
 
 
 class TestLargeDegrees:
-    @pytest.mark.parametrize("degree", [9, 12, 13, 18, 19, 24])
-    def test_pruned_degrees_bit_identical(self, degree):
-        # More than MAX_CANDIDATES Hanan candidates: the batched rounds
-        # must make the scalar path's deterministic top-64 pick.
+    """Every padded bucket (degree > MAX_STEINER_DEGREE) is a plain RMST."""
+
+    @staticmethod
+    def assert_plain_rmst(nets):
+        """Batched == scalar, no Steiner node, and every tree's length is
+        ``batched_prim``'s total bit for bit (the coordinates below are
+        multiples of 1/4, so the sums are exact in any order)."""
+        forest, design, px, py = check_nets(nets)
+        assert not forest.is_steiner.any()
+        for ni, tree in enumerate(forest.trees(px, py)):
+            lo, hi = design.net2pin_start[ni], design.net2pin_start[ni + 1]
+            _, total = batched_prim(px[None, lo:hi], py[None, lo:hi])
+            assert tree.n_nodes == hi - lo
+            assert tree.wirelength() == total[0]
+
+    @pytest.mark.parametrize("degree", [9, 12, 19, 24, 37])
+    def test_padded_degrees_are_plain_rmst(self, degree):
         rng = np.random.default_rng(degree)
         nets = _random_nets(rng, 3, degree)
-        nets += [
-            (rng.uniform(0, 200, degree), rng.uniform(0, 200, degree), 0)
-            for _ in range(2)
-        ]
-        check_nets(nets)
+        nets += _random_nets(rng, 2, degree, coord_pool=np.arange(1200) * 0.25)
+        # Few distinct coordinates: duplicate pins and argmin ties.
+        nets += _random_nets(rng, 2, degree, coord_pool=np.array([0.0, 3.0, 7.0, 12.0]))
+        self.assert_plain_rmst(nets)
 
     def test_padded_bucket_mixes_degrees(self):
-        # 17..20 share one 20-lane bucket, 21 and 24 one of 24 lanes.
-        assert bucket_width(np.array([8, 9, 17, 20, 21, 24, 25])).tolist() == [
-            8, 12, 20, 20, 24, 24, 28,
+        # 9..12 share one 12-lane bucket, 17..20 one of 20 lanes.
+        assert bucket_width(np.array([8, 9, 12, 17, 20, 21, 24, 25])).tolist() == [
+            8, 12, 12, 20, 20, 24, 24, 28,
         ]
+        assert bucket_width(np.array([MAX_STEINER_DEGREE])) == MAX_STEINER_DEGREE
         rng = np.random.default_rng(31)
-        nets = [
-            (rng.uniform(0, 300, d), rng.uniform(0, 300, d), int(rng.integers(0, d)))
-            for d in (17, 18, 19, 20, 21, 24, 9, 10, 11, 12, 20, 17)
-        ]
-        check_nets(nets)
-
-    def test_many_duplicate_pins_in_a_pruned_degree(self):
-        # Few distinct coordinates: most candidates coincide with nodes,
-        # so the kept set drops to <= MAX_CANDIDATES and must not be cut.
-        rng = np.random.default_rng(32)
-        pool = np.array([0.0, 3.0, 7.0, 12.0])
-        check_nets(_random_nets(rng, 6, 10, coord_pool=pool))
+        pool = np.arange(1200) * 0.25
+        self.assert_plain_rmst(
+            [
+                net
+                for d in (17, 18, 19, 20, 21, 24, 9, 10, 11, 12, 20, 17)
+                for net in _random_nets(rng, 1, d, coord_pool=pool)
+            ]
+        )
 
     def test_big_net_mst_path(self):
         rng = np.random.default_rng(33)
@@ -228,9 +238,7 @@ def net_mixes(draw):
     and collinear pins, ties) or on floats, driver at any local index."""
     nets = []
     for _ in range(draw(st.integers(1, 8))):
-        degree = draw(
-            st.one_of(st.integers(2, 8), st.integers(9, 24), st.integers(25, 40))
-        )
+        degree = draw(st.one_of(st.integers(2, 8), st.integers(9, 40)))
         if draw(st.booleans()):
             coord = st.integers(0, draw(st.integers(1, 12))).map(float)
         else:
@@ -247,19 +255,41 @@ class TestNetMixes:
     def test_forest_equals_reference(self, nets):
         check_nets(nets)
 
-    @pytest.mark.parametrize("degree", [4, 5, 6, 9, 12])
+    @given(
+        st.integers(4, MAX_STEINER_DEGREE).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.integers(0, 6) | st.integers(0, 400)] * 2),
+                min_size=d,
+                max_size=d,
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_steiner_buckets_never_longer_than_rmst(self, points):
+        # Coordinates from a 7-value pool (duplicate and collinear pins)
+        # mixed with a wide one; integers keep every sum exact.
+        x, y = np.array(points, dtype=float).T
+        forest, _, px, py = check_nets([(x, y, 0)])
+        _, rmst = batched_prim(x[None], y[None])
+        assert forest.total_wirelength(px, py) <= rmst[0]
+
+    @pytest.mark.parametrize("degree", [4, 5, 6, 8, 9, 12])
     def test_every_driver_index_and_insert_count(self, degree):
         # The driver at every local index, over nets whose 1-Steiner pass
         # inserts nothing (collinear pins) up to the full degree - 2
-        # (integer-grid nets reach every count for the small degrees).
+        # (integer-grid nets reach every count for the small degrees;
+        # the padded buckets 9 and 12 insert nothing at all).
         rng = np.random.default_rng(degree)
         nets = [(np.arange(degree) * 3.0, np.zeros(degree), 0)]
         nets += _random_nets(rng, 400, degree, coord_pool=np.arange(25.0))
         nets = [(x, y, k % degree) for k, (x, y, _) in enumerate(nets)]
         forest, design, _, _ = check_nets(nets)
         inserted = np.diff(forest.node_offset) - design.net_degrees
-        top = degree - 2 if degree <= 6 else degree // 2
-        assert set(range(top + 1)) <= set(inserted.tolist())
+        if degree > MAX_STEINER_DEGREE:
+            assert not inserted.any()
+        else:
+            top = degree - 2 if degree <= 6 else degree // 2
+            assert set(range(top + 1)) <= set(inserted.tolist())
 
     def test_unroutable_nets_get_no_tree(self):
         nets = _random_nets(np.random.default_rng(5), 5, 4)

@@ -168,6 +168,56 @@ class TestPlacerResume:
             )
         np.testing.assert_array_equal(full.x, resumed.x)
 
+    def test_parent_checkpoint_resumes_bit_identically(self, monkeypatch):
+        """A checkpoint written by the PR 21 tree, which still stored the
+        dirty-net path's ``built_pin_coords`` next to ``forest_coords``
+        (iteration 20 of this 40-iteration `ours` run, dirty path off),
+        loads here, the extra key is ignored, and the run resumes to the
+        positions of a fresh run on this tree.  The design has no net
+        above degree 5, so both trees route it identically."""
+        from repro.core.objective import TimingObjectiveOptions
+        from repro.core.timing_placer import (
+            TimingDrivenPlacer,
+            TimingPlacerOptions,
+        )
+        from repro.netlist.generator import GeneratorSpec, generate_design
+
+        # The fixture was written fault-free (CI's fault matrix arms one
+        # before iteration 20 in every placer of the process).
+        monkeypatch.delenv("REPRO_INJECT_FAULT", raising=False)
+        design = generate_design(
+            GeneratorSpec(
+                name="small", n_cells=150, depth=6, seed=7, n_high_fanout_nets=0
+            )
+        )
+        assert design.net_degrees[~design.net_is_clock].max() <= 8
+        fixture = os.path.join(
+            os.path.dirname(__file__), "data", "ours_parent_pr21_iter20.ckpt"
+        )
+        stored = load_checkpoint(fixture).extra["timing_objective"]
+        assert stored["built_pin_coords"] is not None
+
+        def run(**placer_opts):
+            placer = TimingDrivenPlacer(
+                design,
+                TimingPlacerOptions(
+                    placer=PlacerOptions(
+                        max_iters=40, min_iters=5, seed=3, **placer_opts
+                    ),
+                    timing=TimingObjectiveOptions(start_iteration=5, rsmt_period=4),
+                ),
+            )
+            return placer.run(), placer.objective
+
+        fresh, fresh_obj = run()
+        resumed, resumed_obj = run(resume_from=fixture)
+        np.testing.assert_array_equal(resumed.x, fresh.x)
+        np.testing.assert_array_equal(resumed.y, fresh.y)
+        assert resumed_obj.n_rsmt_calls == fresh_obj.n_rsmt_calls
+        assert set(stored) - set(resumed_obj.get_state()) == {
+            "built_pin_coords", "n_dirty_nets", "n_rebuilt_nets",
+        }
+
     def test_optimizer_state_round_trip(self):
         from repro.place.optimizer import make_optimizer
 

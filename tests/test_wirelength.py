@@ -255,15 +255,6 @@ class TestLayoutMatchesReduceat:
         assert_matches_reference(small_design)
         assert_matches_reference(medium_design)
 
-    def test_segment_max(self):
-        rng = np.random.default_rng(5)
-        design = CsrDesign([0, 3, 1, 12, 2, 0, 2, 300, 0], 20, rng)
-        per_pin = rng.uniform(0.0, 9.0, len(design.pin2cell))
-        got = NetLayout(design).segment_max(per_pin)
-        for net, degree in enumerate(design.net_degrees):
-            pins = design.net2pin[design.net2pin_start[net] : design.net2pin_start[net + 1]]
-            assert got[net] == (per_pin[pins].max() if degree >= 2 else 0.0)
-
 
 class TestDegenerateNets:
     """Nets of 0 or 1 pins sit in no bucket and contribute exactly 0.
