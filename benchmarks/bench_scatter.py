@@ -7,9 +7,18 @@ sweeps), times ``repro.core.scatter`` against the equivalent
 ``np.add.at`` call form it replaced, asserts the results are **bit
 identical**, and writes ``benchmarks/results/BENCH_scatter.json``.
 
-Exit is non-zero if any result differs bitwise, or if the geometric-mean
+A second group of cases takes the operand **from the design cache**:
+``pickle`` gives every array it rebuilds a dtype object of its own, and
+``ufunc.at`` leaves its indexed loop (15-26x) unless target and values
+share one.  Raw ``np.add.at`` / ``np.maximum.at`` and the two helpers
+that wrap them (``scatter_accumulate``, ``segment_max``) are timed on a
+fresh and on a pickle-round-tripped operand, at 300 elements (one level
+of a miniblue timer sweep) and at 5000.
+
+Exit is non-zero if any result differs bitwise, if the geometric-mean
 speedup falls below ``--min-speedup`` (CI gates at 1.0: the helpers must
-never be slower overall).
+never be slower overall), or if a helper on a round-tripped operand takes
+more than ``MAX_CACHED_RATIO`` times its fresh-operand time.
 
 Usage::
 
@@ -22,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
 import time
 
@@ -34,8 +44,14 @@ from repro.core.scatter import (
     scatter_add_2d,
     scatter_add_rows,
 )
+from repro.core.smoothing import segment_max
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+#: A helper on a pickle-round-tripped operand may take at most this many
+#: times its fresh-operand time: on the indexed loop the ratio is ~1
+#: (1.0-1.25 measured: the view itself at 300 elements), off it 5-30.
+MAX_CACHED_RATIO = 1.5
 
 
 def _time(fn, repeat: int) -> float:
@@ -138,6 +154,67 @@ def _cases(size: int, rng: np.random.Generator):
     yield "scatter_accumulate_at", new_pairs, old_pairs
 
 
+def _time_calls(fn, number: int = 200, repeat: int = 7) -> float:
+    """Best per-call time of ``number`` back-to-back calls (microsecond
+    kernels: one call is below the clock's useful resolution)."""
+
+    def calls():
+        for _ in range(number):
+            fn()
+
+    return _time(calls, repeat) / number
+
+
+def _cached_operand_cases(rng: np.random.Generator):
+    """One record per (kernel, size): raw ``ufunc.at`` and the helper, on
+    a fresh operand and on one that went through ``pickle``."""
+    for size in (300, 5000):
+        n_out = max(size // 4, 4)
+        index = rng.integers(0, n_out, size)
+        fresh = rng.standard_normal(size)
+        cached = pickle.loads(pickle.dumps(fresh))
+        base = rng.standard_normal(n_out)
+
+        def raw_add(values):
+            out = base.copy()
+            np.add.at(out, index, values)
+            return out
+
+        def raw_max(values):
+            out = np.full(n_out, -1e30)
+            np.maximum.at(out, index, values)
+            return out
+
+        kernels = (
+            (
+                "scatter_accumulate",
+                lambda v: scatter_accumulate(base.copy(), index, v),
+                raw_add,
+            ),
+            ("segment_max", lambda v: segment_max(v, index, n_out), raw_max),
+        )
+        for name, helper, raw in kernels:
+            identical = bool(
+                np.array_equal(helper(cached), raw(fresh))
+                and np.array_equal(helper(fresh), raw(fresh))
+            )
+            times = {
+                f"{kind}_{operand}_s": _time_calls(lambda: fn(values))
+                for kind, fn in (("helper", helper), ("raw", raw))
+                for operand, values in (("fresh", fresh), ("cached", cached))
+            }
+            yield {
+                "case": f"{name}_{size}",
+                "size": size,
+                **times,
+                "helper_cached_over_fresh": (
+                    times["helper_cached_s"] / times["helper_fresh_s"]
+                ),
+                "raw_cached_over_fresh": times["raw_cached_s"] / times["raw_fresh_s"],
+                "bit_identical": identical,
+            }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", type=int, default=200_000)
@@ -173,12 +250,27 @@ def main(argv=None) -> int:
     geomean = float(np.exp(np.mean([np.log(c["speedup"]) for c in cases])))
     print(f"{'geomean':28s} {geomean:44.2f}x")
 
+    print("operand from the design cache (pickle round trip), us per call:")
+    cached_cases = list(_cached_operand_cases(rng))
+    for c in cached_cases:
+        all_identical &= c["bit_identical"]
+        print(
+            f"{c['case']:28s} helper {c['helper_fresh_s'] * 1e6:7.2f} ->"
+            f" {c['helper_cached_s'] * 1e6:7.2f} "
+            f"({c['helper_cached_over_fresh']:5.2f}x)   raw ufunc.at "
+            f"{c['raw_fresh_s'] * 1e6:7.2f} -> {c['raw_cached_s'] * 1e6:7.2f} "
+            f"({c['raw_cached_over_fresh']:5.2f}x)"
+        )
+    worst_cached = max(c["helper_cached_over_fresh"] for c in cached_cases)
+
     payload = {
         "size": args.size,
         "repeat": args.repeat,
         "seed": args.seed,
         "cases": cases,
         "geomean_speedup": geomean,
+        "cached_operand_cases": cached_cases,
+        "worst_helper_cached_over_fresh": worst_cached,
         "all_bit_identical": all_identical,
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -190,6 +282,13 @@ def main(argv=None) -> int:
 
     if not all_identical:
         print("FAIL: scatter helpers are not bit-identical to np.add.at")
+        return 1
+    if worst_cached > MAX_CACHED_RATIO:
+        print(
+            f"FAIL: a helper is {worst_cached:.2f}x slower on a pickle-"
+            f"round-tripped operand (limit {MAX_CACHED_RATIO:g}x): "
+            f"ufunc.at left its indexed loop"
+        )
         return 1
     if args.min_speedup is not None and geomean < args.min_speedup:
         print(

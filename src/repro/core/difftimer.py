@@ -357,6 +357,9 @@ class DifferentiableTimer:
                 g_delay_ext, g_imp2_ext, g_load_ext, g_beta_ext,
             )
             g_px, g_py = forest.scatter_coord_grad(g_nx, g_ny)
+        # Last use of the node-sized gradients: still referenced, they sat
+        # under the scatter below, where the call's RSS peaked (midiblue50).
+        del g_delay_ext, g_imp2_ext, g_load_ext, g_beta_ext, g_nx, g_ny
 
         # Pins move rigidly with their cells: x and y of every seed in one
         # scatter onto (2 * n_seeds, n_cells).

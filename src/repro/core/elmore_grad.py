@@ -30,6 +30,7 @@ Every step is validated against central finite differences in the tests.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -37,7 +38,7 @@ import numpy as np
 from ..netlist.library import WireModel
 from ..route.tree import Forest
 from ..sta.elmore import ElmoreResult
-from .scatter import scatter_accumulate
+from .scatter import flat_view, scatter_accumulate
 
 __all__ = ["elmore_backward"]
 
@@ -76,7 +77,9 @@ def elmore_backward(
         Gradients with respect to the node coordinates used in the
         forward pass, shaped like the inputs.
     """
-    depths = range(1, forest.max_depth + 1)
+    # All seeds travel as one flat array: each level is one launch over
+    # the forest's per-seed-count tables, whatever the number of seeds.
+    steps = forest.seed_steps(math.prod(g_delay_ext.shape[:-1]))
 
     def rows(values: np.ndarray):
         """The per-seed rows of a gradient array, as writable views."""
@@ -84,17 +87,15 @@ def elmore_backward(
 
     def sum_into_parents(values: np.ndarray) -> None:
         """Adjoint of a top-down pass: ``g[fa(v)] += g[v]``, deepest first."""
-        for row in rows(values):
-            for depth in reversed(depths):
-                scatter_accumulate(
-                    row, forest.level_parent[depth], row[forest.levels[depth]]
-                )
+        flat = flat_view(values)
+        for level, parent in reversed(steps):
+            scatter_accumulate(flat, parent, flat.take(level))
 
     def add_from_parents(values: np.ndarray) -> None:
         """Adjoint of a bottom-up pass: ``g[v] += g[fa(v)]``, roots first."""
-        for row in rows(values):
-            for depth in depths:
-                row[forest.levels[depth]] += row[forest.level_parent[depth]]
+        flat = flat_view(values)
+        for level, parent in steps:
+            flat[level] = flat.take(level) + flat.take(parent)
 
     # Only the two sums along the tree edges run level by level; a node's
     # local terms read its own final values, so each is one whole-forest

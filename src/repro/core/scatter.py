@@ -25,10 +25,23 @@ forms they replaced):
   row-major and applies the 1-D contiguous fast path of ``np.add.at``
   itself - trivially bit-identical, and the fastest primitive at every
   update density (a bincount rebuild would cost O(n) per call, which the
-  per-level Elmore sweeps cannot afford).  Flattening preserves the
-  element order of the tuple-indexed form, so per-slot fold order is
-  unchanged; it merely bypasses numpy's slow multi-dimensional
-  ``ufunc.at`` dispatch.
+  per-level Elmore sweeps cannot afford) *provided numpy takes its
+  indexed loop*, see below.  Flattening preserves the element order of
+  the tuple-indexed form, so per-slot fold order is unchanged; it merely
+  bypasses numpy's slow multi-dimensional ``ufunc.at`` dispatch.
+
+``ufunc.at`` has two inner paths: an indexed loop (one C loop over the
+index array) and a buffered one that casts and dispatches element by
+element, 7x slower at 300 elements and 25x at 5000.  It takes the
+indexed loop only when the dtype *descriptors* of target and values are
+the same object - a pointer compare, not ``==``.  Arrays NumPy creates
+share one float64 singleton, but ``pickle`` rebuilds each array's
+descriptor as a fresh object (``np.load`` does not), and arithmetic
+hands that object on to its results.  So everything computed from a
+design that came through the bundle cache, a worker pipe or a
+checkpoint would run buffered.
+:func:`same_descr` closes that: both ``ufunc.at`` sites pass values as
+a zero-copy view carrying the target's own descriptor.
 
 The equivalences are asserted bit-for-bit in ``tests/test_scatter.py``.
 
@@ -42,7 +55,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "flat_view",
     "in_rows",
+    "same_descr",
     "scatter_add",
     "scatter_add_2d",
     "scatter_add_rows",
@@ -106,7 +121,17 @@ def scatter_add_rows(
     )
 
 
-def _flat_view(out: np.ndarray) -> np.ndarray:
+def same_descr(out: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` carrying the dtype object of ``out``: what ``ufunc.at``
+    needs to take its indexed loop.  A zero-copy view when the two dtypes
+    are equal but distinct objects (one of the arrays descends from an
+    unpickled one); ``values`` itself otherwise."""
+    if values.dtype is not out.dtype and values.dtype == out.dtype:
+        return values.view(out.dtype)
+    return values
+
+
+def flat_view(out: np.ndarray) -> np.ndarray:
     """C-contiguous flat view of ``out`` (in-place kernels mutate it)."""
     if not out.flags.c_contiguous:
         raise ValueError(
@@ -123,11 +148,12 @@ def scatter_accumulate(
 
     ``out`` must be 1-D.  This is the module's one blessed ``ufunc.at``
     call: on a 1-D contiguous float64 target numpy takes its indexed
-    inner loop, which outperforms any bincount rebuild of ``out`` at
-    every update density the sweeps produce.
+    inner loop (given operands of one dtype object, which
+    :func:`same_descr` sees to), which outperforms any bincount rebuild
+    of ``out`` at every update density the sweeps produce.
     """
     # reprolint: allow[no-scatter-add-at] the single audited accumulation site every converted call site routes through
-    np.add.at(out, index, values)
+    np.add.at(out, index, same_descr(out, values))
     return out
 
 
@@ -145,7 +171,7 @@ def scatter_accumulate_at(
     in the same element order, several times faster.
     """
     flat, values = np.broadcast_arrays(rows * out.shape[1] + cols, values)
-    scatter_accumulate(_flat_view(out), flat.ravel(), values.ravel())
+    scatter_accumulate(flat_view(out), flat.ravel(), values.ravel())
     return out
 
 
@@ -155,5 +181,5 @@ def scatter_accumulate_rows(
     """In-place ``np.add.at(out, rows, values)`` row scatter on ``(n, c)``."""
     c = out.shape[1]
     flat = (rows[:, None] * c + np.arange(c)).ravel()
-    scatter_accumulate(_flat_view(out), flat, values.ravel())
+    scatter_accumulate(flat_view(out), flat, values.ravel())
     return out

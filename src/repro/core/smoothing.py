@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from ..contracts import differentiable
-from .scatter import scatter_add
+from .scatter import same_descr, scatter_add
 
 __all__ = [
     "lse_max",
@@ -100,7 +100,7 @@ def segment_max(
     """
     m = np.full(n_segments, _SENTINEL, dtype=np.float64)
     # reprolint: allow[no-scatter-add-at] the one audited scatter-max: 1-D contiguous target, exact in any fold order
-    np.maximum.at(m, segment_ids, candidates)
+    np.maximum.at(m, segment_ids, same_descr(m, candidates))
     return m
 
 

@@ -12,7 +12,8 @@ metric of the paper's experiments - is measured on the same grid.
 One pipeline, no switches: splat (a single deterministic
 :func:`~repro.core.scatter.scatter_add`), ``scipy.fft`` ``dctn`` / divide
 by the Laplacian eigenvalues / ``idctn``, a central-difference field
-(``np.gradient``), and a gather that reuses the splat's stencil weights.
+(the expressions of ``np.gradient``), and a gather that reuses the splat's
+stencil weights.
 It is bit-compatible with the original implementation (four sequential
 ``np.add.at`` passes, fancy-indexed gather) in density map, energy and
 overflow, and to the last bit or two in the gradients - asserted against
@@ -96,6 +97,16 @@ class DensityModel:
         denom[0, 0] = 1.0  # DC mode is projected out before division
         self._denominator = denom
 
+        # Divisors of the field's differences, negated (the field is
+        # minus the gradient; dividing by -d flips exactly the sign):
+        # two bins apart inside the grid, one at its two edges.
+        def spans(h: float) -> np.ndarray:
+            d = np.full(n_bins, -(2.0 * h))
+            d[0] = d[-1] = -h
+            return d
+
+        self._field_div = spans(self.hx)[:, None], spans(self.hy)[None, :]
+
     # ------------------------------------------------------------------
     def _stencil(self, x: np.ndarray, y: np.ndarray, mass: np.ndarray):
         """Cloud-in-cell deposition of ``mass`` at ``(x, y)`` onto the grid.
@@ -111,8 +122,9 @@ class DensityModel:
         nb = self.nb
         gx = (x - self.xl) / self.hx - 0.5
         gy = (y - self.yl) / self.hy - 0.5
-        gx = np.clip(gx, 0.0, nb - 1.000001)
-        gy = np.clip(gy, 0.0, nb - 1.000001)
+        # np.clip, without its Python wrapper.
+        for g in (gx, gy):
+            np.minimum(np.maximum(g, 0.0, out=g), nb - 1.000001, out=g)
         ix = np.floor(gx).astype(np.int64)
         iy = np.floor(gy).astype(np.int64)
         fx = gx - ix
@@ -149,6 +161,21 @@ class DensityModel:
         coeff = coeff / self._denominator
         coeff[0, 0] = 0.0
         return idctn(coeff, type=2, norm="ortho")
+
+    def _field(self, phi: np.ndarray):
+        """Field ``-grad(phi)`` on the bin grid: central differences,
+        one-sided at the edges - ``-np.gradient(phi, h, axis=)`` of each
+        axis, bit for bit, at half the cost of its two wrapper calls."""
+        ex, ey = np.empty_like(phi), np.empty_like(phi)
+        np.subtract(phi[2:], phi[:-2], out=ex[1:-1])
+        np.subtract(phi[1], phi[0], out=ex[0])
+        np.subtract(phi[-1], phi[-2], out=ex[-1])
+        np.subtract(phi[:, 2:], phi[:, :-2], out=ey[:, 1:-1])
+        np.subtract(phi[:, 1], phi[:, 0], out=ey[:, 0])
+        np.subtract(phi[:, -1], phi[:, -2], out=ey[:, -1])
+        ex /= self._field_div[0]
+        ey /= self._field_div[1]
+        return ex, ey
 
     # ------------------------------------------------------------------
     def _gather(self, field, stencil):
@@ -195,9 +222,7 @@ class DensityModel:
         with PROFILER.stage("density.solve"):
             phi = self._solve_poisson(rho)
         with PROFILER.stage("density.field"):
-            # Field = -grad(phi), central differences on the bin grid.
-            ex = -np.gradient(phi, self.hx, axis=0)
-            ey = -np.gradient(phi, self.hy, axis=1)
+            ex, ey = self._field(phi)
         with PROFILER.stage("density.gather"):
             grad_x = np.zeros(self.design.n_cells, dtype=np.float64)
             grad_y = np.zeros(self.design.n_cells, dtype=np.float64)

@@ -17,6 +17,14 @@ import numpy as np
 __all__ = ["NesterovOptimizer", "AdamOptimizer", "make_optimizer"]
 
 
+def _project(x: np.ndarray, bounds: Optional[tuple]) -> np.ndarray:
+    """Clip ``x`` into the box ``bounds = (lo, hi)`` in place, if there is
+    one: ``np.clip(x, lo, hi, out=x)`` without its Python wrapper."""
+    if bounds is not None:
+        np.minimum(np.maximum(x, bounds[0], out=x), bounds[1], out=x)
+    return x
+
+
 class NesterovOptimizer:
     """Nesterov accelerated gradient with Barzilai-Borwein step size."""
 
@@ -37,13 +45,6 @@ class NesterovOptimizer:
         self.bounds = bounds
         self._prev_v: Optional[np.ndarray] = None
         self._prev_grad: Optional[np.ndarray] = None
-
-    def _project(self, x: np.ndarray) -> np.ndarray:
-        """Clip into the feasible box (gradients are evaluated at the
-        lookahead point, so it must stay inside the placement region)."""
-        if self.bounds is not None:
-            np.clip(x, self.bounds[0], self.bounds[1], out=x)
-        return x
 
     @property
     def params(self) -> np.ndarray:
@@ -98,14 +99,16 @@ class NesterovOptimizer:
             if np.isfinite(denom) and denom > 1e-20:
                 bb = abs(float(dv @ dg)) / denom
                 if np.isfinite(bb) and bb > 0:
-                    self.lr = float(np.clip(bb, self.lr_min, self.lr_max))
+                    self.lr = min(max(bb, self.lr_min), self.lr_max)
         self._prev_v = self.v.copy()
         self._prev_grad = grad.copy()
 
-        u_next = self._project(self.v - self.lr * grad)
+        # Both points are clipped into the feasible box: gradients are
+        # evaluated at the lookahead, which must stay inside the die.
+        u_next = _project(self.v - self.lr * grad, self.bounds)
         a_next = 0.5 * (1.0 + np.sqrt(4.0 * self.a * self.a + 1.0))
-        self.v = self._project(
-            u_next + ((self.a - 1.0) / a_next) * (u_next - self.u)
+        self.v = _project(
+            u_next + ((self.a - 1.0) / a_next) * (u_next - self.u), self.bounds
         )
         self.u = u_next
         self.a = a_next
@@ -144,9 +147,9 @@ class AdamOptimizer:
         self.s = self.beta2 * self.s + (1 - self.beta2) * grad * grad
         m_hat = self.m / (1 - self.beta1**self.t)
         s_hat = self.s / (1 - self.beta2**self.t)
-        self.x = self.x - self.lr * m_hat / (np.sqrt(s_hat) + self.eps)
-        if self.bounds is not None:
-            np.clip(self.x, self.bounds[0], self.bounds[1], out=self.x)
+        self.x = _project(
+            self.x - self.lr * m_hat / (np.sqrt(s_hat) + self.eps), self.bounds
+        )
         return self.x
 
     def get_state(self) -> dict:

@@ -30,6 +30,7 @@ The driver runs inside the guarded runtime of :mod:`repro.runtime`:
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -519,9 +520,8 @@ class GlobalPlacer:
                                 recorder.truncate_from(iteration)
                             continue
 
+                # Inside the die: the optimizer projects onto (lo, hi).
                 pos = optimizer.step(grad)
-                np.clip(pos[:n], xl, xh, out=pos[:n])
-                np.clip(pos[n:], yl, yh, out=pos[n:])
 
                 # Adaptive density-weight schedule: grow at the full rate
                 # only while the overflow is actually shrinking; otherwise
@@ -590,11 +590,10 @@ class GlobalPlacer:
                 recent_hpwl.append(current_hpwl)
                 if len(recent_hpwl) > 20:
                     recent_hpwl.pop(0)
-                recent_median = float(np.median(recent_hpwl))
                 if (
                     len(recent_hpwl) == 20
-                    and current_hpwl > 4.0 * recent_median
                     and hasattr(optimizer, "restart")
+                    and current_hpwl > 4.0 * statistics.median(recent_hpwl)
                 ):
                     optimizer.restart()
                     pos = optimizer.params

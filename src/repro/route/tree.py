@@ -16,7 +16,7 @@ and the differentiable timer) consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -293,15 +293,40 @@ class Forest:
         self.level_groups = np.split(compact(groups), first[:-1])
         #: (pin_cap, extra_pin_cap, caps) of the last ``design_elmore``.
         self.caps_cache = None
+        self._seed_steps: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+
+    def seed_steps(self, n_rows: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """``(levels[d], level_parent[d])`` for d = 1 .. max_depth, each at
+        its flat positions in every row of ``(n_rows, n_nodes)`` gradients.
+
+        One launch per tree level then serves all the seeds of an Elmore
+        adjoint.  A forest sees about ten of those with the same number of
+        seeds, so the tables (int32, like their sources) are built on the
+        first; they are the only per-seed-count tables kept - 10 bytes a
+        node for two seeds.
+        """
+        steps = self._seed_steps.get(n_rows)
+        if steps is None:
+            steps = self._seed_steps[n_rows] = [
+                tuple(
+                    in_rows(index, n_rows, self.n_nodes).astype(np.int32)
+                    for index in step
+                )
+                for step in zip(self.levels[1:], self.level_parent[1:])
+            ]
+        return steps
 
     @property
     def statics_nbytes(self) -> int:
-        """Bytes of the integer tables ``_finalize`` lays out for the timers."""
+        """Bytes of the integer tables laid out for the timers: those of
+        ``_finalize`` and the :meth:`seed_steps` built so far."""
         tables = [
             self.up, self.pin_nodes, self.pins_of_nodes, self.driver_nodes,
             self.driver_pins, *self.level_parent, *self.level_group_of,
             *self.level_groups,
         ]
+        for steps in self._seed_steps.values():
+            tables += [t for step in steps for t in step]
         return sum(t.nbytes for t in tables)
 
     def tree(

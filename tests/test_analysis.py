@@ -600,6 +600,33 @@ class TestRepoSelfCheck:
         assert baseline.entries == []
         assert baseline.integrity_hash is not None
 
+    def test_ufunc_at_is_called_from_exactly_the_three_audited_sites(self):
+        """What ``no-scatter-add-at`` finds in the library before the
+        inline ``allow`` markers are honoured: the two float helpers every
+        kernel routes through (both hand numpy values carrying the
+        target's dtype object, see ``core/scatter.py``) and the integer
+        levelisation that runs once per graph build."""
+        from repro.analysis.core import ProjectIndex
+        from repro.analysis.rules import NoScatterAddAt
+
+        index = ProjectIndex.build(REPO_ROOT)
+        rule = NoScatterAddAt()
+        sites = sorted(
+            (ctx.relpath, finding.message.split(" ")[0])
+            for ctx in index.files.values()
+            for finding in rule.check(ctx, index)
+            if "reduceat" not in finding.message
+        )
+        assert sites == [
+            ("src/repro/core/scatter.py", "np.add.at"),
+            ("src/repro/core/smoothing.py", "np.maximum.at"),
+            ("src/repro/sta/graph.py", "np.maximum.at"),
+        ]
+        for relpath, _ in sites:
+            ctx = index.files[relpath]
+            (found,) = rule.check(ctx, index)
+            assert ctx.is_suppressed(found.line, rule.id)
+
 
 # ----------------------------------------------------------------------
 class TestProvenanceAndTelemetry:

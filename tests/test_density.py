@@ -291,6 +291,37 @@ class TestSeedReference:
             )
 
 
+class TestWrapperFreeKernels:
+    """The per-iteration pieces written out in place of a NumPy wrapper
+    function equal the wrapper they replace."""
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 8, 33, 64])
+    def test_field_is_minus_np_gradient(self, small_design, n_bins):
+        model = DensityModel(small_design, n_bins=n_bins)
+        assert model.hx != model.hy
+        rng = np.random.default_rng(n_bins)
+        phi = rng.standard_normal((n_bins, n_bins))
+        phi[-1] = phi[-2]  # exact zeros: the sign of zero must match too
+        ex, ey = model._field(phi)
+        for got, axis, h in ((ex, 0, model.hx), (ey, 1, model.hy)):
+            ref = -np.gradient(phi, h, axis=axis)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_stencil_clamps_like_np_clip(self, small_design):
+        """Cells pushed far outside the die on every side deposit where
+        the seed's ``np.clip`` put them."""
+        d = small_design
+        model = DensityModel(d, n_bins=16)
+        xl, yl, xh, yh = d.die
+        rng = np.random.default_rng(8)
+        x = rng.uniform(xl - (xh - xl), xh + (xh - xl), d.n_cells)
+        y = rng.uniform(yl - (yh - yl), yh + (yh - yl), d.n_cells)
+        mass = d.cell_w * d.cell_h
+        rho, _ = model._stencil(x, y, mass)
+        assert np.array_equal(rho, _seed_splat(model, x, y, mass)[0])
+
+
 class TestFiniteDifferenceGradcheck:
     """Central-difference check of d(energy)/dx.
 

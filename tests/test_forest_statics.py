@@ -240,7 +240,35 @@ class TestStaticsAreTheSameHoweverBuilt:
         assert np.array_equal(forest.up[roots], roots)
         assert np.array_equal(forest.up[forest.has_parent], forest.parent[forest.has_parent])
 
-    def test_empty_and_single_level_forests(self):
+    def test_empty_and_single_level_forests(self, library):
         empty = Forest([None, None], 4)
         assert empty.n_nodes == 0 and len(empty.levels) == len(empty.level_parent) == 1
         assert empty.statics_nbytes == 0
+        # Backward over no nodes: nothing to index, nothing returned.
+        wire = library.wire
+        elm = elmore_forward(empty, np.zeros(0), np.zeros(0), np.zeros(0), wire)
+        for shape in ((0,), (2, 0)):
+            g = np.zeros(shape)
+            g_x, g_y = elmore_backward(empty, elm, wire, g, g, g)
+            assert g_x.shape == g_y.shape == shape
+
+    def test_seed_steps_repeat_each_level_for_every_row(
+        self, small_design, spread_positions
+    ):
+        """``seed_steps(k)`` holds each level's nodes and parents at their
+        flat positions in every row of ``(k, n_nodes)``, built once per k."""
+        forest = build_forest(small_design, *spread_positions)
+        n = forest.n_nodes
+        before = forest.statics_nbytes
+        steps = forest.seed_steps(3)
+        assert forest.seed_steps(3) is steps and forest.seed_steps(1) is not steps
+        assert forest.statics_nbytes > before
+
+        def in_every_row(table):
+            return np.concatenate([table + r * n for r in range(3)])
+
+        assert len(steps) == forest.max_depth
+        for depth, (level, parent) in enumerate(steps, start=1):
+            assert np.array_equal(level, in_every_row(forest.levels[depth]))
+            assert np.array_equal(parent, in_every_row(forest.level_parent[depth]))
+            assert level.dtype == parent.dtype == np.int32

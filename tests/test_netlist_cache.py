@@ -98,6 +98,30 @@ class TestBitIdenticalHit:
         assert a.wns_setup == b.wns_setup
         assert a.tns_setup == b.tns_setup
 
+    def test_ours_flow_identical_on_miss_and_hit(self, cdir):
+        """The whole timing-driven flow (differentiable timer from
+        iteration 100, golden sign-off) on the bundle as generated and on
+        the one read back from disk, whose arrays all carry unpickled
+        dtype objects: same trajectory, same result."""
+        from repro.harness.runners import run_mode
+        from repro.place import PlacerOptions
+
+        records = []
+        for expect_hit in (False, True):
+            clear_memo()
+            bundle, info = load_bundle(_SPEC, cdir)
+            assert info.hit is expect_hit
+            records.append(
+                run_mode(
+                    bundle.design, "ours", PlacerOptions(seed=3, max_iters=140),
+                    sta_graph=bundle.graph,
+                )
+            )
+        miss, hit = records
+        assert miss.iterations == hit.iterations > 100
+        assert (miss.wns, miss.tns, miss.hpwl) == (hit.wns, hit.tns, hit.hpwl)
+        assert np.array_equal(miss.x, hit.x) and np.array_equal(miss.y, hit.y)
+
 
 class TestKeySensitivity:
     def test_every_field_changes_the_key(self):

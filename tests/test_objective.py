@@ -9,8 +9,24 @@ from repro.core import (
     TimingObjectiveOptions,
     TimingPlacerOptions,
 )
+from repro.core.objective import _percentile
 from repro.place import GlobalPlacer, PlacerOptions
 from repro.sta import run_sta
+
+
+class TestSpikeClipPercentile:
+    def test_equals_np_percentile(self):
+        """The spike-clip limit is ``np.percentile(nonzero, 98.0)`` to the
+        bit, from the smallest input the caller passes (9) upwards."""
+        rng = np.random.default_rng(12)
+        sizes = list(range(9, 60)) + [int(n) for n in rng.integers(60, 4000, 150)]
+        for n in sizes:
+            values = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-9, 9)
+            assert _percentile(values, 98.0) == np.percentile(values, 98.0), n
+            q = float(rng.uniform(0.0, 99.9))
+            assert _percentile(values, q) == np.percentile(values, q), (n, q)
+        ties = np.repeat(rng.standard_normal(5), 7)
+        assert _percentile(ties, 98.0) == np.percentile(ties, 98.0)
 
 
 class TestTimingObjectiveHook:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.place import AdamOptimizer, NesterovOptimizer, make_optimizer
+from repro.place.optimizer import _project
 
 
 def quadratic(center, scale):
@@ -49,6 +50,20 @@ class TestNesterov:
         assert 0.0 <= opt.u[0] <= 2.0
         assert 0.0 <= opt.params[0] <= 2.0  # lookahead also projected
         assert opt.u[0] == pytest.approx(2.0, abs=1e-6)
+
+    def test_projection_is_np_clip(self):
+        """``_project`` is ``np.clip(x, lo, hi, out=x)`` less the wrapper:
+        same values in place (NaN kept), nothing done without bounds."""
+        rng = np.random.default_rng(5)
+        lo, hi = rng.uniform(-2, 0, 400), rng.uniform(0, 2, 400)
+        x = rng.normal(0, 3, 400)
+        x[::37] = np.nan
+        x[1::41] = np.inf
+        expect = np.clip(x, lo, hi)
+        assert _project(x, (lo, hi)) is x
+        assert np.array_equal(x, expect, equal_nan=True)
+        free = rng.normal(0, 3, 9)
+        assert np.array_equal(_project(free.copy(), None), free)
 
     def test_restart_clears_momentum(self):
         opt = NesterovOptimizer(np.zeros(2), lr=0.1)

@@ -100,6 +100,29 @@ class TestHooks:
         assert placer.last_overflow <= 1.5
 
 
+class TestPlainStep:
+    @pytest.mark.parametrize("optimizer", ["nesterov", "adam"])
+    def test_iterate_never_leaves_the_die(self, small_design, optimizer):
+        """The run loop does not clip: both optimizers project the point
+        they return onto the die, exactly."""
+        result = GlobalPlacer(
+            small_design,
+            PlacerOptions(max_iters=60, optimizer=optimizer, lr_fraction=2.0),
+        ).run()
+        xl, yl, xh, yh = small_design.die
+        assert result.x.min() >= xl and result.x.max() <= xh
+        assert result.y.min() >= yl and result.y.max() <= yh
+
+    def test_hpwl_window_median_is_np_median(self):
+        """The blow-up guard's median of the 20 recent HPWLs."""
+        import statistics
+
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            window = [float(v) for v in rng.lognormal(10, 3, 20)]
+            assert statistics.median(window) == float(np.median(window))
+
+
 class TestOptions:
     def test_adam_also_converges(self, small_design):
         result = GlobalPlacer(

@@ -12,6 +12,9 @@ Two layers of proof:
    any result, only the speed.
 """
 
+import pickle
+import time
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,7 @@ import repro.place.wirelength as wirelength_mod
 import repro.route.tree as tree_mod
 from repro.core import DifferentiableTimer
 from repro.core.scatter import (
+    same_descr,
     scatter_accumulate,
     scatter_accumulate_at,
     scatter_accumulate_rows,
@@ -166,6 +170,70 @@ class TestHelperEquivalence:
         out = np.zeros((4, 6)).T  # F-ordered view: reshape(-1) would copy
         with pytest.raises(ValueError, match="C-contiguous"):
             scatter_accumulate_rows(out, np.array([0, 1]), np.ones((2, 4)))
+
+
+def unpickled(array):
+    """``array`` as it comes out of the bundle cache, a worker pipe or a
+    checkpoint: equal dtype, but a descriptor object of its own."""
+    return pickle.loads(pickle.dumps(array))
+
+
+def best_of(fn, repeats=40):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+class TestUnpickledOperands:
+    """``ufunc.at`` takes its indexed loop only when target and values
+    share one dtype *object*; pickle gives every array its own, and
+    arithmetic hands it on.  The helper must not care where its operands
+    came from: same bits, and no 15-26x buffered-path cliff."""
+
+    N = 5000
+
+    @pytest.fixture()
+    def operands(self):
+        rng = np.random.default_rng(4)
+        index = rng.integers(0, self.N // 4, self.N)
+        return index, rng.standard_normal(self.N), rng.standard_normal(self.N // 4)
+
+    def test_same_descr_is_a_view_with_the_targets_dtype_object(self):
+        out, values = np.zeros(4), unpickled(np.arange(4.0))
+        seen = same_descr(out, values)
+        assert seen.dtype is out.dtype
+        assert np.shares_memory(seen, values)
+        # Nothing to share between different dtypes: left to numpy's cast.
+        single = values.astype(np.float32)
+        assert same_descr(out, single) is single
+        assert same_descr(out, out) is out
+
+    @pytest.mark.parametrize("which", ["values", "out", "both", "derived"])
+    def test_results_do_not_depend_on_provenance(self, operands, which):
+        index, values, base = operands
+        expect = ref_scatter_accumulate(base.copy(), index, values)
+        out = unpickled(base) if which in ("out", "both") else base.copy()
+        if which in ("values", "both"):
+            values = unpickled(values)
+        elif which == "derived":
+            values = unpickled(values * 0.5) * 2.0  # exact: same values
+        assert_bit_identical(scatter_accumulate(out, index, values), expect)
+
+    @pytest.mark.parametrize("which", ["values", "out"])
+    def test_no_buffered_path_cliff(self, operands, which):
+        """The cliff is ~26x at this size; 3x leaves room for a noisy box."""
+        index, values, base = operands
+        out = base.copy()
+        fresh = best_of(lambda: scatter_accumulate(out, index, values))
+        if which == "values":
+            values = unpickled(values)
+        else:
+            out = unpickled(base)
+        cached = best_of(lambda: scatter_accumulate(out, index, values))
+        assert cached < 3.0 * fresh
 
 
 # ----------------------------------------------------------------------

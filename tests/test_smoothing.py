@@ -1,5 +1,8 @@
 """Unit and property tests for the LSE smoothing kernels (Section 3.2)."""
 
+import pickle
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from repro.core.smoothing import (
     lse_min,
     segment_lse_max,
     segment_lse_weights,
+    segment_max,
     soft_clamp_neg,
     soft_clamp_neg_grad,
 )
@@ -159,3 +163,41 @@ class TestSegmentKernels:
         w = segment_lse_weights(values, seg, smoothed, 2.0)
         assert w[0] == pytest.approx(0.0, abs=1e-12)
         assert w[1] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSegmentMaxOnUnpickledCandidates:
+    """Candidates computed from a design that was read back from the
+    bundle cache carry a dtype object of their own; ``np.maximum.at``
+    would fall off its indexed loop on them (see ``core/scatter.py``)."""
+
+    N = 5000
+
+    @pytest.fixture()
+    def grouped(self):
+        rng = np.random.default_rng(6)
+        return rng.uniform(-50, 50, self.N), rng.integers(0, self.N // 4, self.N)
+
+    def test_same_result(self, grouped):
+        values, seg = grouped
+        expect = segment_max(values, seg, self.N // 4)
+        cached = pickle.loads(pickle.dumps(values))
+        assert np.array_equal(segment_max(cached, seg, self.N // 4), expect)
+        assert np.array_equal(
+            -segment_max(-cached, seg, self.N // 4),
+            -segment_max(-values, seg, self.N // 4),
+        )
+
+    def test_no_buffered_path_cliff(self, grouped):
+        """The cliff is ~15-26x; 3x leaves room for a noisy box."""
+        values, seg = grouped
+        cached = pickle.loads(pickle.dumps(values))
+
+        def best_of(candidates, repeats=40):
+            best = float("inf")
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                segment_max(candidates, seg, self.N // 4)
+                best = min(best, time.perf_counter() - t0)
+            return best
+
+        assert best_of(cached) < 3.0 * best_of(values)
