@@ -19,15 +19,20 @@ about where the time goes:
   inside a single wall-clock number again.  The bench fails if setup
   exceeds ``--max-setup-frac`` of the parallel wall clock.
 
-Gates (non-zero exit): warm/cold metric mismatch, setup fraction above
-``--max-setup-frac``, and speedup below ``--min-speedup`` at the curve's
-``--jobs`` point.  Writes ``benchmarks/results/BENCH_placer.json``.
+Gates (non-zero exit): warm/cold metric mismatch and setup fraction
+above ``--max-setup-frac``.  The cold->warm speedup is reported and
+recorded but no longer gated: it is a ratio over the cold path's set-up
+cost, so making cold set-up cheaper (PR 24: ~2 s -> ~0.3 s per task on
+midiblue50) lowers it by design.  What set-up costs is gated where it is
+measured directly - ``setup_s`` and ``netlist.load_bundle.warm_s`` of
+the end-to-end benchmark (``benchmarks/e2e``, ROADMAP item 6).  Writes
+``benchmarks/results/BENCH_placer.json``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_placer.py
         [--design midiblue50] [--seeds 0 1 2 3] [--jobs 2]
-        [--jobs-curve 1 2 4] [--max-iters 6] [--min-speedup 1.5]
+        [--jobs-curve 1 2 4] [--max-iters 6] [--max-setup-frac 0.2]
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ def main(argv=None) -> int:
         "--jobs",
         type=int,
         default=2,
-        help="the scaling-curve point the speedup gate applies to",
+        help="the scaling-curve point the reported speedup is taken at",
     )
     parser.add_argument(
         "--jobs-curve",
@@ -94,12 +99,6 @@ def main(argv=None) -> int:
         help="warm-path jobs settings to measure",
     )
     parser.add_argument("--max-iters", type=int, default=6)
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="fail below this cold->warm speedup at --jobs (CI uses 1.5)",
-    )
     parser.add_argument(
         "--max-setup-frac",
         type=float,
@@ -219,7 +218,7 @@ def main(argv=None) -> int:
                 "parallel_s": parallel_s,
                 "setup_frac": setup_frac,
             },
-            gates={"speedup": "higher"},
+            # Trajectory only: neither ratio is a trend gate (see above).
             history_dir=args.history,
         )
         print(f"history: appended placer_suite record under {args.history}")
@@ -232,12 +231,6 @@ def main(argv=None) -> int:
         print(
             f"FAIL: setup is {setup_frac:.1%} of parallel wall clock "
             f"(limit {args.max_setup_frac:.0%}) - setup-dominated run"
-        )
-        failed = True
-    if speedup < args.min_speedup:
-        print(
-            f"FAIL: speedup {speedup:.2f}x below required "
-            f"{args.min_speedup:.2f}x"
         )
         failed = True
     return 1 if failed else 0

@@ -13,8 +13,10 @@ which is why ``BENCH_placer.json`` once recorded a 0.99x parallel
 - bundles are pickled to ``benchmarks/.design_cache/`` (override with
   ``REPRO_DESIGN_CACHE`` or an explicit ``cache_dir=``), keyed by the
   full :class:`~repro.netlist.generator.GeneratorSpec` (generator name,
-  every parameter, seed) *and* a hash of the generator source, so any
-  change to the generator code or a single knob invalidates the entry;
+  every parameter, seed) *and* a hash of the source of the generator and
+  of every module whose instances a bundle pickles (design, library,
+  LUT, timing graph, LUT bank), so a change to any of that code or to a
+  single knob invalidates the entry;
 - files carry a magic header and a SHA-256 payload checksum: a
   truncated, corrupted or stale-format file is detected, reported as a
   miss and regenerated in place (atomic ``os.replace``), never trusted;
@@ -30,7 +32,9 @@ contract.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import importlib
 import json
 import os
 import pickle
@@ -114,14 +118,29 @@ def cache_dir(explicit: Optional[str] = None) -> str:
     return os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
 
 
+#: The generator, and every module that defines a class a bundle
+#: pickles an instance of: a bundle written by other code of any of
+#: them is stale.
+_BUNDLE_MODULES = (
+    "repro.netlist.generator",
+    "repro.netlist.cache",
+    "repro.netlist.design",
+    "repro.netlist.library",
+    "repro.netlist.lut",
+    "repro.sta.graph",
+    "repro.sta.nldm",
+)
+
+
 def generator_code_version() -> str:
-    """Hash of the generator source: code changes invalidate the cache."""
+    """Hash of the sources behind a bundle: code changes invalidate the cache."""
     global _CODE_VERSION
     if _CODE_VERSION is None:
-        from . import generator as _generator_module
-
-        with open(_generator_module.__file__, "rb") as handle:
-            _CODE_VERSION = hashlib.sha256(handle.read()).hexdigest()[:16]
+        digest = hashlib.sha256()
+        for name in _BUNDLE_MODULES:
+            with open(importlib.import_module(name).__file__, "rb") as handle:
+                digest.update(hashlib.sha256(handle.read()).digest())
+        _CODE_VERSION = digest.hexdigest()[:16]
     return _CODE_VERSION
 
 
@@ -189,9 +208,14 @@ def _write_bundle(path: str, bundle: DesignBundle) -> None:
     blob = _MAGIC + hashlib.sha256(payload).digest() + payload
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(blob)
+        os.replace(tmp, path)
+    finally:
+        # Gone after the replace; a failed write must not leave it behind.
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def load_bundle(

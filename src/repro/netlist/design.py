@@ -26,7 +26,15 @@ from .library import (
     PinSpec,
 )
 
-__all__ = ["Constraints", "Design", "DesignBuilder", "PORT_IN_TYPE", "PORT_OUT_TYPE"]
+__all__ = [
+    "Constraints",
+    "Design",
+    "DesignBuilder",
+    "PORT_IN_TYPE",
+    "PORT_OUT_TYPE",
+    "flatten_pins",
+    "rows_by_cell",
+]
 
 #: Reserved type names for the synthetic port cells.
 PORT_IN_TYPE = "<PORT_IN>"
@@ -141,13 +149,13 @@ class Design:
         self.net_is_clock = net_is_clock
         self.constraints = constraints
 
-        self.cell_w = np.array([cell_types[t].width for t in cell_type], float)
-        self.cell_h = np.array([cell_types[t].height for t in cell_type], float)
+        self.cell_w = np.array([t.width for t in cell_types], float)[cell_type]
+        self.cell_h = np.array([t.height for t in cell_types], float)[cell_type]
         self.cell_is_port = np.array(
-            [cell_types[t].name in (PORT_IN_TYPE, PORT_OUT_TYPE) for t in cell_type]
-        )
-        self._cell_index = {n: i for i, n in enumerate(cell_name)}
-        self._net_index = {n: i for i, n in enumerate(net_name)}
+            [t.name in (PORT_IN_TYPE, PORT_OUT_TYPE) for t in cell_types], bool
+        )[cell_type]
+        self._cell_index = dict(zip(cell_name, range(len(cell_name))))
+        self._net_index = dict(zip(net_name, range(len(net_name))))
 
     def __getstate__(self) -> Dict[str, object]:
         """Pickle the netlist only: per-design derived plans (see
@@ -234,6 +242,58 @@ class Design:
         )
 
 
+def rows_by_cell(
+    rows_per_type: np.ndarray, cell_type: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A type-major row table expanded cell-major.
+
+    Type ``t`` owns ``rows_per_type[t]`` consecutive rows of some table,
+    after the rows of the types before it; every cell gets a copy of its
+    type's rows, cells in order.  Returns the number of rows per cell and,
+    for every expanded row, its index in the table.
+    """
+    per_cell = rows_per_type[cell_type]
+    first_row = (np.cumsum(rows_per_type) - rows_per_type)[cell_type]
+    ends = np.cumsum(per_cell)
+    # Row r of a cell whose rows start at s is table row first_row + (r - s).
+    shift = np.repeat(first_row - (ends - per_cell), per_cell)
+    return per_cell, np.arange(len(shift), dtype=np.int64) + shift
+
+
+def flatten_pins(
+    cell_types: Sequence[CellType], cell_type: np.ndarray, cell_name: Sequence[str]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pins of a design: cell by cell, each cell's in library order.
+
+    Returns ``pin2cell``, every pin's index in the type-major list of all
+    pin specs (``[spec for t in cell_types for spec in t.pins]``) and the
+    pin names ``cell/pin`` (an object array).  This order is what lets a
+    pin be addressed as its cell's first pin plus a slot in the type's
+    ``pins``; :class:`DesignBuilder` produces it and
+    :class:`~repro.sta.graph.TimingGraph` checks for it.
+    """
+    n_type_pins = np.array([len(t.pins) for t in cell_types], dtype=np.int64)
+    per_cell, spec_of_pin = rows_by_cell(n_type_pins, cell_type)
+    pin2cell = np.repeat(np.arange(len(cell_type), dtype=np.int64), per_cell)
+    suffix = np.array(
+        ["/" + spec.name for t in cell_types for spec in t.pins], dtype=object
+    )
+    names = np.array(cell_name, dtype=object)[pin2cell] + suffix[spec_of_pin]
+    return pin2cell, spec_of_pin, names
+
+
+def _claim(taken: Dict[str, int], names: Sequence[str], what: str) -> None:
+    """Index ``names`` after the ones ``taken`` holds; all must be new."""
+    index = dict(zip(names, range(len(taken), len(taken) + len(names))))
+    if len(index) != len(names) or not taken.keys().isdisjoint(index):
+        seen = set(taken)
+        for name in names:
+            if name in seen:
+                raise ValueError(f"duplicate {what} {name!r}")
+            seen.add(name)
+    taken.update(index)
+
+
 class DesignBuilder:
     """Incrementally assemble a :class:`Design`.
 
@@ -247,6 +307,14 @@ class DesignBuilder:
         b.add_net("n_a", ["a", "u1/A"])
         b.add_net("n_y", ["u1/Y", "y"])
         design = b.build()
+
+    Cells are held one list per field and nets as one CSR over
+    ``(cell index, pin slot)`` references - a cell's index is its position
+    in the order cells were added, a pin's slot its position in its
+    type's ``pins`` - so :meth:`build` is an array program over per-type
+    pin templates (DESIGN.md "Graph-rate construction").  The text
+    readers reach that form through :meth:`add_net`, a producer that
+    already holds indices through :meth:`add_cells` / :meth:`add_nets`.
     """
 
     def __init__(
@@ -265,10 +333,20 @@ class DesignBuilder:
         port_in, port_out = _make_port_types()
         self._types: List[CellType] = [port_in, port_out]
         self._type_index: Dict[str, int] = {PORT_IN_TYPE: 0, PORT_OUT_TYPE: 1}
-        self._cells: List[Tuple[str, int, float, float, bool]] = []
+        self._cell_name: List[str] = []
+        self._cell_type: List[int] = []
+        self._cell_x: List[Optional[float]] = []  # None: unplaced
+        self._cell_y: List[Optional[float]] = []
+        self._cell_fixed: List[bool] = []
         self._cell_index: Dict[str, int] = {}
-        self._nets: List[Tuple[str, List[str]]] = []
+        self._net_name: List[str] = []
         self._net_index: Dict[str, int] = {}
+        self._net_start: List[int] = [0]
+        self._ref_cell: List[int] = []
+        self._ref_slot: List[int] = []
+        #: (position, text) of the references :meth:`add_net` could not
+        #: resolve; :meth:`build` tries them again and reports the failure.
+        self._unresolved: List[Tuple[int, str]] = []
 
     # ------------------------------------------------------------------
     def _type_id(self, type_name: str) -> int:
@@ -280,8 +358,12 @@ class DesignBuilder:
     def _add(self, name: str, type_id: int, x, y, fixed: bool) -> None:
         if name in self._cell_index:
             raise ValueError(f"duplicate cell {name!r}")
-        self._cell_index[name] = len(self._cells)
-        self._cells.append((name, type_id, x, y, fixed))
+        self._cell_index[name] = len(self._cell_name)
+        self._cell_name.append(name)
+        self._cell_type.append(type_id)
+        self._cell_x.append(x)
+        self._cell_y.append(y)
+        self._cell_fixed.append(fixed)
 
     def add_cell(
         self,
@@ -306,104 +388,195 @@ class DesignBuilder:
         """Connect pins; each pin is ``"cell/pin"`` or a bare port name."""
         if name in self._net_index:
             raise ValueError(f"duplicate net {name!r}")
-        self._net_index[name] = len(self._nets)
-        self._nets.append((name, list(pins)))
+        self._net_index[name] = len(self._net_name)
+        self._net_name.append(name)
+        for ref in pins:
+            try:
+                cell, slot = self._resolve_pin_ref(ref)
+            except KeyError:
+                # Its cell may be added later: settled in build().
+                self._unresolved.append((len(self._ref_cell), ref))
+                cell = slot = -1
+            self._ref_cell.append(cell)
+            self._ref_slot.append(slot)
+        self._net_start.append(len(self._ref_cell))
+
+    def add_cells(
+        self, names: Sequence[str], type_names: Sequence[str], type_of: np.ndarray
+    ) -> None:
+        """Add unplaced movable instances in bulk.
+
+        Cell ``i`` is named ``names[i]`` and is a ``type_names[type_of[i]]``.
+        Equivalent to one :meth:`add_cell` per cell, in order.
+        """
+        type_of = np.asarray(type_of, dtype=np.int64)
+        if len(type_of) != len(names):
+            raise ValueError(f"{len(names)} cell names for {len(type_of)} types")
+        _claim(self._cell_index, names, "cell")
+        # Types register in the order their first cell appears.
+        used, first = np.unique(type_of, return_index=True)
+        type_id = np.zeros(len(type_names), dtype=np.int64)
+        for t in used[np.argsort(first)].tolist():
+            type_id[t] = self._type_id(type_names[t])
+        self._cell_name.extend(names)
+        self._cell_type.extend(type_id[type_of].tolist())
+        self._cell_x.extend([None] * len(names))
+        self._cell_y.extend([None] * len(names))
+        self._cell_fixed.extend([False] * len(names))
+
+    def add_nets(
+        self,
+        names: Sequence[str],
+        start: np.ndarray,
+        cell: np.ndarray,
+        slot: np.ndarray,
+    ) -> None:
+        """Connect pins in bulk, by index instead of by name.
+
+        Net ``j`` joins the references ``start[j] : start[j + 1]``;
+        reference ``k`` is pin ``slot[k]`` (position in its type's
+        ``pins``) of cell ``cell[k]`` (position in the order cells were
+        added; the cells must exist already).
+        """
+        start = np.asarray(start, dtype=np.int64)
+        cell = np.asarray(cell, dtype=np.int64)
+        slot = np.asarray(slot, dtype=np.int64)
+        if (
+            len(start) != len(names) + 1
+            or len(cell) != len(slot)
+            or start[0] != 0
+            or start[-1] != len(cell)
+            or np.any(np.diff(start) < 0)
+        ):
+            raise ValueError("net CSR does not match its names and references")
+        if np.any(cell < 0) or np.any(cell >= len(self._cell_name)):
+            raise IndexError("net reference to a cell that was not added")
+        n_type_pins = np.array([len(t.pins) for t in self._types])
+        cell_type = np.array(self._cell_type, dtype=np.int64)
+        if np.any(slot < 0) or np.any(slot >= n_type_pins[cell_type[cell]]):
+            raise IndexError("net reference to a pin slot its cell does not have")
+        _claim(self._net_index, names, "net")
+        self._net_name.extend(names)
+        self._net_start.extend((start[1:] + len(self._ref_cell)).tolist())
+        self._ref_cell.extend(cell.tolist())
+        self._ref_slot.extend(slot.tolist())
 
     # ------------------------------------------------------------------
-    def _resolve_pin_ref(self, ref: str) -> Tuple[int, str]:
-        """Turn ``"cell/pin"`` or a port name into (cell index, pin name)."""
+    def _resolve_pin_ref(self, ref: str) -> Tuple[int, int]:
+        """Turn ``"cell/pin"`` or a port name into (cell index, pin slot)."""
         if "/" in ref:
             cell_name, pin_name = ref.rsplit("/", 1)
         else:
             cell_name = ref
             if cell_name not in self._cell_index:
                 raise KeyError(f"unknown port {ref!r}")
-            type_id = self._cells[self._cell_index[cell_name]][1]
+            type_id = self._cell_type[self._cell_index[cell_name]]
             pin_name = "O" if type_id == 0 else "I"
         if cell_name not in self._cell_index:
             raise KeyError(f"unknown cell {cell_name!r} in pin ref {ref!r}")
-        return self._cell_index[cell_name], pin_name
+        cell = self._cell_index[cell_name]
+        slot = self._types[self._cell_type[cell]].pin_slot(pin_name)
+        if slot is None:
+            raise KeyError(f"cell {cell_name!r} has no pin {pin_name!r}")
+        return cell, slot
 
     def build(self) -> Design:
         """Freeze the builder into an immutable :class:`Design`."""
         rng = np.random.default_rng(0)
         xl, yl, xh, yh = self.die
 
-        n_cells = len(self._cells)
-        cell_name = [c[0] for c in self._cells]
-        cell_type = np.array([c[1] for c in self._cells], dtype=np.int64)
-        cell_x = np.empty(n_cells)
-        cell_y = np.empty(n_cells)
-        cell_fixed = np.array([c[4] for c in self._cells])
-        for i, (_, _, x, y, _) in enumerate(self._cells):
-            cell_x[i] = 0.5 * (xl + xh) if x is None else x
-            cell_y[i] = 0.5 * (yl + yh) if y is None else y
+        n_cells = len(self._cell_name)
+        cell_name = list(self._cell_name)
+        cell_type = np.array(self._cell_type, dtype=np.int64)
+        cell_fixed = np.array(self._cell_fixed, dtype=bool)
+        given_x = np.array(self._cell_x, dtype=float)  # None -> nan
+        given_y = np.array(self._cell_y, dtype=float)
+        no_x, no_y = np.isnan(given_x), np.isnan(given_y)
+        cell_x = np.where(no_x, 0.5 * (xl + xh), given_x)
+        cell_y = np.where(no_y, 0.5 * (yl + yh), given_y)
         # Unplaced fixed ports are scattered on the boundary deterministically.
-        for i, (_, tid, x, y, _) in enumerate(self._cells):
-            if tid in (0, 1) and x is None and y is None:
-                t = rng.uniform(0.0, 4.0)
-                side = int(t)
-                frac = t - side
-                if side == 0:
-                    cell_x[i], cell_y[i] = xl + frac * (xh - xl), yl
-                elif side == 1:
-                    cell_x[i], cell_y[i] = xh, yl + frac * (yh - yl)
-                elif side == 2:
-                    cell_x[i], cell_y[i] = xl + frac * (xh - xl), yh
-                else:
-                    cell_x[i], cell_y[i] = xl, yl + frac * (yh - yl)
+        loose = np.flatnonzero((cell_type <= 1) & no_x & no_y)
+        t = rng.uniform(0.0, 4.0, size=len(loose))
+        side = t.astype(np.int64)
+        frac = t - side
+        along_x = xl + frac * (xh - xl)
+        along_y = yl + frac * (yh - yl)
+        cell_x[loose] = np.select([side == 1, side == 3], [xh, xl], along_x)
+        cell_y[loose] = np.select([side == 0, side == 2], [yl, yh], along_y)
 
-        # Flatten pins cell by cell.
-        pin_name: List[str] = []
-        pin2cell: List[int] = []
-        pin_offset_x: List[float] = []
-        pin_offset_y: List[float] = []
-        pin_dir: List[int] = []
-        pin_cap: List[float] = []
-        pin_is_clock: List[bool] = []
-        pin_lookup: Dict[Tuple[int, str], int] = {}
-        for ci in range(n_cells):
-            ctype = self._types[cell_type[ci]]
-            for pi, spec in enumerate(ctype.pins):
-                pin_lookup[(ci, spec.name)] = len(pin_name)
-                pin_name.append(f"{cell_name[ci]}/{spec.name}")
-                pin2cell.append(ci)
-                # Spread pin offsets across the cell so trees are nondegenerate.
-                n_cell_pins = len(ctype.pins)
-                frac = (pi + 1) / (n_cell_pins + 1)
-                pin_offset_x.append((frac - 0.5) * ctype.width)
-                pin_offset_y.append(0.0)
-                pin_dir.append(1 if spec.direction is PinDirection.OUTPUT else 0)
-                pin_cap.append(spec.capacitance)
-                pin_is_clock.append(spec.is_clock)
+        # One pin template per type, expanded cell by cell.  Pin offsets
+        # are spread across the cell so trees are nondegenerate.
+        specs = [spec for ctype in self._types for spec in ctype.pins]
+        tpl_offset_x = np.array(
+            [
+                ((pi + 1) / (len(ctype.pins) + 1) - 0.5) * ctype.width
+                for ctype in self._types
+                for pi in range(len(ctype.pins))
+            ]
+        )
+        tpl_dir = np.array(
+            [spec.direction is PinDirection.OUTPUT for spec in specs], dtype=np.int8
+        )
+        tpl_cap = np.array([spec.capacitance for spec in specs], dtype=float)
+        tpl_is_clock = np.array([spec.is_clock for spec in specs], dtype=bool)
 
-        n_pins = len(pin_name)
+        pin2cell, tpl, pin_name = flatten_pins(self._types, cell_type, cell_name)
+        pin_name = pin_name.tolist()
+        n_pins = len(pin2cell)
+        pin_start = np.searchsorted(pin2cell, np.arange(n_cells))
+        pin_dir = tpl_dir[tpl]
+
+        # Nets: every reference becomes a pin, and is checked as one.
+        n_nets = len(self._net_name)
+        net_name = list(self._net_name)
+        net2pin_start = np.array(self._net_start, dtype=np.int64)
+        ref_cell = np.array(self._ref_cell, dtype=np.int64)
+        ref_slot = np.array(self._ref_slot, dtype=np.int64)
+        # What add_net could not resolve (nothing, when cells come before
+        # nets) gets its second chance; the first that still names nothing
+        # ends the netlist there.
+        unknown = None
+        for pos, ref in self._unresolved:
+            try:
+                ref_cell[pos], ref_slot[pos] = self._resolve_pin_ref(ref)
+            except KeyError as exc:
+                unknown = exc
+                ref_cell, ref_slot = ref_cell[:pos], ref_slot[:pos]
+                break
+        net2pin = pin_start[ref_cell] + ref_slot
+        ref_net = np.repeat(np.arange(n_nets, dtype=np.int64), np.diff(net2pin_start))
+        ref_net = ref_net[: len(net2pin)]
+        drives = np.flatnonzero(pin_dir[net2pin] == 1)
+        driven = ref_net[drives]
+        # Errors surface in reference order: what comes first in the nets
+        # as given, and for one reference a second net before a second
+        # driver, both before any later reference that names nothing.
+        faults = []
+        if len(net2pin) and np.bincount(net2pin).max() > 1:
+            repeat = np.ones(len(net2pin), dtype=bool)
+            repeat[np.unique(net2pin, return_index=True)[1]] = False
+            pos = int(np.argmax(repeat))
+            faults.append(
+                (pos, 0, ValueError(f"pin {pin_name[net2pin[pos]]!r} connected to two nets"))
+            )
+        second = np.flatnonzero(driven[1:] == driven[:-1])
+        if len(second):
+            pos = int(drives[second[0] + 1])
+            faults.append(
+                (pos, 1, ValueError(f"net {net_name[ref_net[pos]]!r} has multiple drivers"))
+            )
+        if faults:
+            raise min(faults)[2]
+        if unknown is not None:
+            raise unknown
+
         pin2net = np.full(n_pins, -1, dtype=np.int64)
-
-        net_name = [n[0] for n in self._nets]
-        net2pin_start = np.zeros(len(self._nets) + 1, dtype=np.int64)
-        net2pin: List[int] = []
-        net_driver = np.full(len(self._nets), -1, dtype=np.int64)
-        net_is_clock = np.zeros(len(self._nets), dtype=bool)
-        clock_port = self.constraints.clock_port
-        for ni, (nname, refs) in enumerate(self._nets):
-            for ref in refs:
-                ci, pname = self._resolve_pin_ref(ref)
-                key = (ci, pname)
-                if key not in pin_lookup:
-                    raise KeyError(f"cell {cell_name[ci]!r} has no pin {pname!r}")
-                p = pin_lookup[key]
-                if pin2net[p] != -1:
-                    raise ValueError(f"pin {pin_name[p]!r} connected to two nets")
-                pin2net[p] = ni
-                net2pin.append(p)
-                if pin_dir[p] == 1:
-                    if net_driver[ni] != -1:
-                        raise ValueError(f"net {nname!r} has multiple drivers")
-                    net_driver[ni] = p
-                    if cell_name[ci] == clock_port:
-                        net_is_clock[ni] = True
-            net2pin_start[ni + 1] = len(net2pin)
+        pin2net[net2pin] = ref_net
+        net_driver = np.full(n_nets, -1, dtype=np.int64)
+        net_driver[driven] = net2pin[drives]
+        net_is_clock = np.zeros(n_nets, dtype=bool)
+        clock_cell = self._cell_index.get(self.constraints.clock_port, -1)
+        net_is_clock[driven] = ref_cell[drives] == clock_cell
 
         return Design(
             name=self.name,
@@ -417,17 +590,18 @@ class DesignBuilder:
             cell_y=cell_y,
             cell_fixed=cell_fixed,
             pin_name=pin_name,
-            pin2cell=np.array(pin2cell, dtype=np.int64),
-            pin_offset_x=np.array(pin_offset_x),
-            pin_offset_y=np.array(pin_offset_y),
-            pin_dir=np.array(pin_dir, dtype=np.int8),
-            pin_cap=np.array(pin_cap),
-            pin_is_clock=np.array(pin_is_clock, dtype=bool),
+            pin2cell=pin2cell,
+            pin_offset_x=tpl_offset_x[tpl],
+            pin_offset_y=np.zeros(n_pins),
+            pin_dir=pin_dir,
+            pin_cap=tpl_cap[tpl],
+            pin_is_clock=tpl_is_clock[tpl],
             pin2net=pin2net,
             net_name=net_name,
             net2pin_start=net2pin_start,
-            net2pin=np.array(net2pin, dtype=np.int64),
+            net2pin=net2pin,
             net_driver=net_driver,
             net_is_clock=net_is_clock,
             constraints=self.constraints,
         )
+

@@ -34,7 +34,6 @@ The miniblue/midiblue suites (Table 2 equivalent) are defined in
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -183,19 +182,24 @@ def _emit_design(
     spec: GeneratorSpec,
     lib: Library,
     constraints: Constraints,
-    cell_list: Sequence[Tuple[str, str]],
-    nets: Dict[str, List[str]],
+    cell_names: Sequence[str],
+    type_names: Sequence[str],
+    type_of: np.ndarray,
     pi_names: Sequence[str],
     po_names: Sequence[str],
     collector_po: Optional[str],
-    ff_names: Sequence[str],
-) -> Design:
-    """Die sizing from the *actual* cell list, then emission.
+) -> DesignBuilder:
+    """Die sizing from the *actual* cell list, then ports and cells.
 
-    Shared by both engines: everything engine-specific (connectivity,
-    randomness) is already frozen into ``cell_list``/``nets``.
+    Shared by both engines: cell ``i`` is a ``type_names[type_of[i]]``.
+    The builder's cells are, in order: ``clk``, the inputs, the outputs,
+    the collector output if any, then the cells.  The engine adds its
+    nets to the returned builder and builds.
     """
-    total_area = float(sum(lib[t].area for _, t in cell_list))
+    # Summed cell by cell, left to right: the die (and every coordinate
+    # after it) must not move with the order of a float reduction.
+    type_area = np.array([lib[t].area for t in type_names])
+    total_area = float(sum(type_area[type_of].tolist()))
     die_area = total_area / spec.utilization
     row_h = lib["DFF_X1"].height
     side = math.sqrt(die_area)
@@ -217,15 +221,8 @@ def _emit_design(
         builder.add_output(name, x=xh, y=yl + frac * (yh - yl))
     if collector_po is not None:
         builder.add_output(collector_po, x=xh, y=yh)
-    for name, type_name in cell_list:
-        builder.add_cell(name, type_name)
-
-    net_counter = 0
-    for driver_ref, sinks in nets.items():
-        builder.add_net(f"n{net_counter}", [driver_ref] + sinks)
-        net_counter += 1
-    builder.add_net("clknet", ["clk"] + [f"{name}/CK" for name in ff_names])
-    return builder.build()
+    builder.add_cells(cell_names, type_names, type_of)
+    return builder
 
 
 def _generate_reference(spec: GeneratorSpec, lib: Library) -> Design:
@@ -326,10 +323,25 @@ def _generate_reference(spec: GeneratorSpec, lib: Library) -> Design:
         constraints.output_loads[collector_po] = 4.0
         nets.setdefault(collector_inputs[0], []).append(collector_po)
 
-    return _emit_design(
-        spec, lib, constraints, cell_list, nets,
-        pi_names, po_names, collector_po, ff_names,
+    type_index = {t: i for i, t in enumerate(dict.fromkeys(t for _, t in cell_list))}
+    builder = _emit_design(
+        spec, lib, constraints,
+        [name for name, _ in cell_list],
+        list(type_index),
+        np.array([type_index[t] for _, t in cell_list], dtype=np.int64),
+        pi_names, po_names, collector_po,
     )
+    for k, (driver_ref, sinks) in enumerate(nets.items()):
+        builder.add_net(f"n{k}", [driver_ref] + sinks)
+    builder.add_net("clknet", ["clk"] + [f"{name}/CK" for name in ff_names])
+    return builder.build()
+
+
+def _slot(lib: Library, type_name: str, pin_name: str) -> int:
+    """Position of a named pin in its cell type's ``pins``."""
+    ctype = lib[type_name]
+    ctype.pin(pin_name)  # KeyError when the cell has no such pin
+    return ctype.pin_slot(pin_name)
 
 
 def _generate_vectorized(spec: GeneratorSpec, lib: Library) -> Design:
@@ -349,6 +361,13 @@ def _generate_vectorized(spec: GeneratorSpec, lib: Library) -> Design:
 
     Strictly layer-forward drivers make the netlist acyclic by
     construction; the collector tree guarantees every net has a sink.
+
+    Pins are never named here: a signal is the ``(cell, pin slot)`` of
+    its driver, an edge the signal id of its driver plus the ``(cell,
+    pin slot)`` of its sink, and the nets are handed to the builder in
+    that form.  Until the number of ports is known (the collector output
+    comes last) a cell is its position in the cell list and a port the
+    complement ``~q`` of its builder index ``q``.
     """
     rng = np.random.default_rng(spec.seed)
 
@@ -358,44 +377,84 @@ def _generate_vectorized(spec: GeneratorSpec, lib: Library) -> Design:
     type_names = list(spec.comb_type_weights)
     type_probs = np.array([spec.comb_type_weights[t] for t in type_names])
     type_probs = type_probs / type_probs.sum()
-    type_in_pins = [
-        [p.name for p in lib[t].input_pins] for t in type_names
+    type_in_slots = [
+        [i for i, p in enumerate(lib[t].pins) if p.direction is PinDirection.INPUT]
+        for t in type_names
     ]
-    type_out_pin = [lib[t].output_pins[0].name for t in type_names]
-    type_n_in = np.array([len(pins) for pins in type_in_pins])
+    type_n_in = np.array([len(slots) for slots in type_in_slots])
+    #: in_slot[t, j]: slot of type t's j-th input pin.
+    in_slot = np.zeros((len(type_names), int(type_n_in.max(initial=1))), dtype=np.int64)
+    for t, slots in enumerate(type_in_slots):
+        in_slot[t, : len(slots)] = slots
+    out_slot = np.array(
+        [_slot(lib, t, lib[t].output_pins[0].name) for t in type_names],
+        dtype=np.int64,
+    )
+    # Cell types, as indices into this palette.
+    palette = ["DFF_X1", *type_names, "BUF_X1", "NAND2_X1"]
+    dff, buf, nand = 0, len(type_names) + 1, len(type_names) + 2
 
     pi_names = [f"in{i}" for i in range(spec.n_inputs)]
     po_names = [f"out{i}" for i in range(spec.n_outputs)]
     constraints = _make_constraints(spec, rng, pi_names, po_names)
 
-    cell_list: List[Tuple[str, str]] = []
-    ff_names = [f"ff{i}" for i in range(n_ff)]
-    cell_list.extend((name, "DFF_X1") for name in ff_names)
+    # Ports in the order _emit_design adds them: clk, inputs, outputs.
+    pi_cells = ~(1 + np.arange(spec.n_inputs, dtype=np.int64))
+    po_cells = ~(1 + spec.n_inputs + np.arange(spec.n_outputs, dtype=np.int64))
+    n_ports = 1 + spec.n_inputs + spec.n_outputs
+
+    cell_names: List[str] = [f"ff{i}" for i in range(n_ff)]
+    cell_type: List[np.ndarray] = [np.full(n_ff, dff, dtype=np.int64)]
+    cell_counter = 0  # numbers the u/hf/col cells
+    ff_cells = np.arange(n_ff, dtype=np.int64)
 
     # Signals are appended level block by level block: level L's driver
-    # ids occupy [level_start[L], level_start[L + 1]).
-    sig_refs: List[str] = list(pi_names)
-    sig_refs.extend(f"{name}/Q" for name in ff_names)
-    level_start: List[int] = [0, len(sig_refs)]
+    # ids occupy [level_start[L], level_start[L + 1]).  Signals below
+    # ``n_inputs`` are the input ports.
+    sig_cell: List[np.ndarray] = [pi_cells, ff_cells]
+    sig_slot: List[np.ndarray] = [
+        np.zeros(spec.n_inputs, dtype=np.int64),
+        np.full(n_ff, _slot(lib, "DFF_X1", "Q"), dtype=np.int64),
+    ]
+    n_signals = spec.n_inputs + n_ff
+    level_start: List[int] = [0, n_signals]
 
     per_layer = [n_comb // spec.depth] * spec.depth
     for i in range(n_comb - sum(per_layer)):
         per_layer[i % spec.depth] += 1
 
-    # Edges accumulate as (driver signal id array, sink pin-ref list)
-    # chunks; flattened once at the end.
+    # Edges accumulate as chunks of (driver signal id, sink cell, sink
+    # pin slot); flattened once at the end.
     edge_driver: List[np.ndarray] = []
-    edge_sinks: List[List[str]] = []
+    edge_cell: List[np.ndarray] = []
+    edge_slot: List[np.ndarray] = []
 
-    cell_counter = 0
+    def new_cells(prefix: str, count: int, type_of: np.ndarray) -> np.ndarray:
+        """Name and type ``count`` more cells; returns their positions."""
+        nonlocal cell_counter
+        cells = len(cell_names) + np.arange(count, dtype=np.int64)
+        cell_names.extend([f"{prefix}{cell_counter + i}" for i in range(count)])
+        cell_type.append(type_of)
+        cell_counter += count
+        return cells
+
+    def new_signals(cells: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        nonlocal n_signals
+        ids = n_signals + np.arange(len(cells), dtype=np.int64)
+        sig_cell.append(cells)
+        sig_slot.append(slots)
+        n_signals += len(cells)
+        return ids
+
+    def connect(drivers: np.ndarray, cells: np.ndarray, slots: np.ndarray) -> None:
+        edge_driver.append(drivers)
+        edge_cell.append(cells)
+        edge_slot.append(slots)
+
     for layer in range(1, spec.depth + 1):
         k = per_layer[layer - 1]
         t_idx = rng.choice(len(type_names), size=k, p=type_probs)
-        names = [f"u{cell_counter + i}" for i in range(k)]
-        cell_counter += k
-        cell_list.extend(
-            (names[i], type_names[t_idx[i]]) for i in range(k)
-        )
+        cells = new_cells("u", k, 1 + t_idx)
 
         # First input: cover the previous layer before any repeats.
         prev_lo, prev_hi = level_start[layer - 1], level_start[layer]
@@ -406,10 +465,7 @@ def _generate_vectorized(spec: GeneratorSpec, lib: Library) -> Design:
             first = np.concatenate(
                 [perm, prev_lo + rng.integers(0, perm.size, size=k - perm.size)]
             )
-        edge_driver.append(first)
-        edge_sinks.append(
-            [f"{names[i]}/{type_in_pins[t_idx[i]][0]}" for i in range(k)]
-        )
+        connect(first, cells, in_slot[t_idx, 0])
 
         # Later inputs reach back up to 4 levels for reconvergence.
         starts = np.asarray(level_start, dtype=np.int64)
@@ -426,81 +482,106 @@ def _generate_vectorized(spec: GeneratorSpec, lib: Library) -> Design:
                 np.floor(rng.random(which.size) * (hi - lo)).astype(np.int64),
                 hi - lo - 1,
             )
-            edge_driver.append(picks)
-            edge_sinks.append(
-                [f"{names[i]}/{type_in_pins[t_idx[i]][slot]}" for i in which]
-            )
+            connect(picks, cells[which], in_slot[t_idx[which], slot])
 
-        sig_refs.extend(f"{names[i]}/{type_out_pin[t_idx[i]]}" for i in range(k))
-        level_start.append(len(sig_refs))
+        new_signals(cells, out_slot[t_idx])
+        level_start.append(n_signals)
 
     # Endpoint hookup: FF D pins and POs consume late-layer signals.
-    for sinks, lo_level in (
-        ([f"{name}/D" for name in ff_names], max(1, spec.depth - 3)),
-        (list(po_names), max(1, spec.depth - 2)),
+    for cells, slot, lo_level in (
+        (ff_cells, _slot(lib, "DFF_X1", "D"), max(1, spec.depth - 3)),
+        (po_cells, 0, max(1, spec.depth - 2)),
     ):
-        lo, hi = level_start[lo_level], len(sig_refs)
-        edge_driver.append(lo + rng.integers(0, hi - lo, size=len(sinks)))
-        edge_sinks.append(sinks)
+        lo, hi = level_start[lo_level], n_signals
+        connect(
+            lo + rng.integers(0, hi - lo, size=len(cells)),
+            cells,
+            np.full(len(cells), slot, dtype=np.int64),
+        )
 
     # A few deliberately high-fanout nets (enable/select-style signals).
+    fan = spec.high_fanout
     for _ in range(spec.n_high_fanout_nets):
-        idx = int(rng.integers(0, len(sig_refs)))
-        if "/" not in sig_refs[idx]:
+        idx = int(rng.integers(0, n_signals))
+        if idx < spec.n_inputs:
             continue
-        buf_names = [f"hf{cell_counter + i}" for i in range(spec.high_fanout)]
-        cell_counter += spec.high_fanout
-        cell_list.extend((name, "BUF_X1") for name in buf_names)
-        edge_driver.append(np.full(spec.high_fanout, idx, dtype=np.int64))
-        edge_sinks.append([f"{name}/A" for name in buf_names])
+        bufs = new_cells("hf", fan, np.full(fan, buf, dtype=np.int64))
+        connect(
+            np.full(fan, idx, dtype=np.int64),
+            bufs,
+            np.full(fan, _slot(lib, "BUF_X1", "A"), dtype=np.int64),
+        )
         # Buffer outputs register as signals; unused ones are swept below.
-        sig_refs.extend(f"{name}/Y" for name in buf_names)
+        new_signals(bufs, np.full(fan, _slot(lib, "BUF_X1", "Y"), dtype=np.int64))
 
     # Sweep dangling cell outputs into a PO via shared collector gates so
     # every net has at least one sink (port signals may legally dangle).
-    driver_ids = (
-        np.concatenate(edge_driver)
-        if edge_driver
-        else np.empty(0, dtype=np.int64)
-    )
-    fanout = np.bincount(driver_ids, minlength=len(sig_refs))
-    is_cell_out = np.array(["/" in ref for ref in sig_refs])
-    dangling_ids = np.nonzero((fanout == 0) & is_cell_out)[0]
+    fanout = np.bincount(np.concatenate(edge_driver), minlength=n_signals)
+    inputs = np.nonzero((fanout == 0) & (np.arange(n_signals) >= spec.n_inputs))[0]
+    nand_in = np.array([_slot(lib, "NAND2_X1", "A"), _slot(lib, "NAND2_X1", "B")])
+    while len(inputs) > 1:
+        n_pairs = len(inputs) // 2
+        gates = new_cells("col", n_pairs, np.full(n_pairs, nand, dtype=np.int64))
+        connect(inputs[: 2 * n_pairs], np.repeat(gates, 2), np.tile(nand_in, n_pairs))
+        outputs = new_signals(
+            gates, np.full(n_pairs, _slot(lib, "NAND2_X1", "Y"), dtype=np.int64)
+        )
+        inputs = np.concatenate([outputs, inputs[2 * n_pairs :]])
 
-    ref_edges: List[Tuple[str, str]] = []  # (driver ref, sink ref)
-    collector_inputs: List[str] = [sig_refs[i] for i in dangling_ids.tolist()]
-    while len(collector_inputs) > 1:
-        n_pairs = len(collector_inputs) // 2
-        gate_names = [f"col{cell_counter + i}" for i in range(n_pairs)]
-        cell_counter += n_pairs
-        cell_list.extend((name, "NAND2_X1") for name in gate_names)
-        for j, gate in enumerate(gate_names):
-            ref_edges.append((collector_inputs[2 * j], f"{gate}/A"))
-            ref_edges.append((collector_inputs[2 * j + 1], f"{gate}/B"))
-        next_round = [f"{gate}/Y" for gate in gate_names]
-        if len(collector_inputs) % 2 == 1:
-            next_round.append(collector_inputs[-1])
-        collector_inputs = next_round
-
-    collector_po = f"col_out{cell_counter}" if collector_inputs else None
+    collector_po = f"col_out{cell_counter}" if len(inputs) else None
     if collector_po is not None:
         constraints.output_delays[collector_po] = 0.0
         constraints.output_loads[collector_po] = 4.0
-        ref_edges.append((collector_inputs[0], collector_po))
+        connect(inputs[:1], np.array([~n_ports]), np.array([0]))
+        n_ports += 1
 
-    # Group sinks by driver, preserving first-appearance net order.
-    nets: Dict[str, List[str]] = {}
-    driver_refs = [sig_refs[i] for i in driver_ids.tolist()]
-    all_sinks = itertools.chain.from_iterable(edge_sinks)
-    for driver_ref, sink_ref in zip(driver_refs, all_sinks):
-        nets.setdefault(driver_ref, []).append(sink_ref)
-    for driver_ref, sink_ref in ref_edges:
-        nets.setdefault(driver_ref, []).append(sink_ref)
+    def builder_index(cells: np.ndarray) -> np.ndarray:
+        return np.where(cells < 0, ~cells, n_ports + cells)
 
-    return _emit_design(
-        spec, lib, constraints, cell_list, nets,
-        pi_names, po_names, collector_po, ff_names,
+    signal_cell = builder_index(np.concatenate(sig_cell))
+    signal_slot = np.concatenate(sig_slot)
+    driver = np.concatenate(edge_driver)
+    sink_cell = builder_index(np.concatenate(edge_cell))
+    sink_slot = np.concatenate(edge_slot)
+
+    # Group sinks by driver, preserving first-appearance net order; each
+    # net lists its driver, then its sinks in edge order.
+    net_signal, first, net_of_edge = np.unique(
+        driver, return_index=True, return_inverse=True
     )
+    by_first = np.argsort(first)
+    rank = np.empty(len(net_signal), dtype=np.int64)
+    rank[by_first] = np.arange(len(net_signal))
+    net_of_edge = rank[net_of_edge]
+    net_signal = net_signal[by_first]
+    by_net = np.argsort(net_of_edge, kind="stable")
+    size = 1 + np.bincount(net_of_edge, minlength=len(net_signal))
+    # ... and the clock net last: clk, then every flip-flop's CK pin.
+    size = np.append(size, 1 + n_ff)
+    start = np.zeros(len(size) + 1, dtype=np.int64)
+    np.cumsum(size, out=start[1:])
+    clk_at = int(start[-2])
+    is_sink = np.ones(clk_at, dtype=bool)
+    is_sink[start[:-2]] = False
+    ref_cell = np.empty(int(start[-1]), dtype=np.int64)
+    ref_slot = np.empty(int(start[-1]), dtype=np.int64)
+    ref_cell[start[:-2]] = signal_cell[net_signal]
+    ref_slot[start[:-2]] = signal_slot[net_signal]
+    ref_cell[:clk_at][is_sink] = sink_cell[by_net]
+    ref_slot[:clk_at][is_sink] = sink_slot[by_net]
+    ref_cell[clk_at] = ref_slot[clk_at] = 0
+    ref_cell[clk_at + 1 :] = builder_index(ff_cells)
+    ref_slot[clk_at + 1 :] = _slot(lib, "DFF_X1", "CK")
+
+    builder = _emit_design(
+        spec, lib, constraints, cell_names, palette, np.concatenate(cell_type),
+        pi_names, po_names, collector_po,
+    )
+    builder.add_nets(
+        [f"n{k}" for k in range(len(net_signal))] + ["clknet"],
+        start, ref_cell, ref_slot,
+    )
+    return builder.build()
 
 
 def make_chain_design(

@@ -146,12 +146,20 @@ class CellType:
     def __post_init__(self) -> None:
         self._pin_index: Dict[str, int] = {p.name: i for i, p in enumerate(self.pins)}
 
+    def pin_slot(self, name: str) -> Optional[int]:
+        """Position of the named pin in :attr:`pins` (``None``: no such pin).
+
+        A design flattens each cell's pins in this order, so a pin of a
+        cell is its cell's first pin plus this slot.
+        """
+        return self._pin_index.get(name)
+
     def pin(self, name: str) -> PinSpec:
         """Look up a pin spec by name."""
-        try:
-            return self.pins[self._pin_index[name]]
-        except KeyError:
-            raise KeyError(f"cell {self.name!r} has no pin {name!r}") from None
+        slot = self.pin_slot(name)
+        if slot is None:
+            raise KeyError(f"cell {self.name!r} has no pin {name!r}")
+        return self.pins[slot]
 
     @property
     def input_pins(self) -> List[PinSpec]:

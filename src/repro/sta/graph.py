@@ -22,8 +22,14 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..netlist.design import Design, PORT_IN_TYPE, PORT_OUT_TYPE
-from ..netlist.library import ArcKind, FALL, RISE
+from ..netlist.design import (
+    Design,
+    PORT_IN_TYPE,
+    PORT_OUT_TYPE,
+    flatten_pins,
+    rows_by_cell,
+)
+from ..netlist.library import ArcKind, CellType, FALL, RISE, TimingArc
 from ..route.tree import gather_csr
 from .nldm import LoadSide, LutBank, LutQuery
 
@@ -444,105 +450,131 @@ class LevelPlan:
         return out
 
 
+def _pin_starts(design: Design) -> np.ndarray:
+    """First pin of every cell, after checking what makes it meaningful.
+
+    Every table of :class:`TimingGraph` addresses a pin as its cell's
+    first pin plus the pin's slot in the cell type's ``pins``.  That
+    holds for pins flattened the way
+    :func:`~repro.netlist.design.flatten_pins` (hence ``DesignBuilder``)
+    does it, which is checked here once, by array comparison, instead of
+    looking every pin up by name.
+    """
+    pin2cell, _, pin_name = flatten_pins(
+        design.cell_types, design.cell_type, design.cell_name
+    )
+    if not np.array_equal(design.pin2cell, pin2cell) or not np.array_equal(
+        np.array(design.pin_name, dtype=object), pin_name
+    ):
+        raise ValueError(
+            f"design {design.name!r}: pins are not flattened cell by cell in "
+            "library pin order (build designs with DesignBuilder)"
+        )
+    return np.searchsorted(pin2cell, np.arange(design.n_cells))
+
+
+class _ArcTemplate:
+    """The timing arcs of one cell type over local pin slots.
+
+    Integer tables whose rows expand to one row per cell of the type:
+
+    - ``contribs``: ``(from slot, to slot, t_in, t_out, delay LUT, slew
+      LUT)`` per transition pair of every delay arc,
+    - ``setups`` / ``holds``: ``(clock slot, data slot, rise LUT, fall
+      LUT)`` per check arc.
+
+    Building one registers the tables of ``arcs`` with ``lutbank``, in
+    order.
+    """
+
+    def __init__(
+        self, ctype: CellType, arcs: Sequence[TimingArc], lutbank: LutBank
+    ) -> None:
+        contribs: List[Tuple[int, ...]] = []
+        checks = {ArcKind.SETUP: [], ArcKind.HOLD: []}
+        for arc in arcs:
+            src, dst = ctype.pin_slot(arc.from_pin), ctype.pin_slot(arc.to_pin)
+            if src is None or dst is None:
+                continue
+            if arc.kind.is_delay_arc:
+                for t_out in (RISE, FALL):
+                    lut_d = lutbank.register(arc.delay_lut(t_out))
+                    lut_s = lutbank.register(arc.transition_lut(t_out))
+                    for t_in in arc.unateness.transition_sources(t_out):
+                        contribs.append((src, dst, t_in, t_out, lut_d, lut_s))
+            else:
+                checks[arc.kind].append(
+                    (
+                        src,
+                        dst,
+                        lutbank.register(arc.constraint_lut(RISE)),
+                        lutbank.register(arc.constraint_lut(FALL)),
+                    )
+                )
+        self.contribs = np.array(contribs, dtype=np.int64).reshape(-1, 6)
+        self.setups = np.array(checks[ArcKind.SETUP], dtype=np.int64).reshape(-1, 4)
+        self.holds = np.array(checks[ArcKind.HOLD], dtype=np.int64).reshape(-1, 4)
+
+
 class TimingGraph:
     """The static structure shared by the golden and differentiable timers."""
 
     def __init__(self, design: Design) -> None:
         self.design = design
         n_pins = design.n_pins
+        cell_type = design.cell_type
         lutbank = LutBank()
+        pin_start = _pin_starts(design)
 
         # ------------------------------------------------------------------
         # Net arcs: driver -> sink for every routed (non-clock) net.
         # ------------------------------------------------------------------
-        net_sink: List[int] = []
-        net_src: List[int] = []
-        net_of_sink: List[int] = []
-        self.timing_nets: List[int] = []
-        for ni in range(design.n_nets):
-            driver = design.net_driver[ni]
-            if driver < 0 or design.net_is_clock[ni] or design.net_degree(ni) < 2:
-                continue
-            self.timing_nets.append(ni)
-            for p in design.net_pins(ni):
-                if p != driver:
-                    net_sink.append(int(p))
-                    net_src.append(int(driver))
-                    net_of_sink.append(ni)
-        net_sink_arr = np.array(net_sink, dtype=np.int64)
-        net_src_arr = np.array(net_src, dtype=np.int64)
-        net_of_sink_arr = np.array(net_of_sink, dtype=np.int64)
+        degree = design.net_degrees
+        timed = (design.net_driver >= 0) & ~design.net_is_clock & (degree >= 2)
+        self.timing_nets: List[int] = np.flatnonzero(timed).tolist()
+        net_of_pin = np.repeat(np.arange(design.n_nets, dtype=np.int64), degree)
+        driver_of_pin = design.net_driver[net_of_pin]
+        is_arc = timed[net_of_pin] & (design.net2pin != driver_of_pin)
+        net_sink_arr = design.net2pin[is_arc]
+        net_src_arr = driver_of_pin[is_arc]
+        net_of_sink_arr = net_of_pin[is_arc]
 
         # ------------------------------------------------------------------
-        # Cell arcs expanded into per-transition contributions.
+        # Cell arcs expanded into per-transition contributions: one
+        # template per cell type, over local pin slots, registered type by
+        # type in the order the types first appear among the cells - the
+        # order a cell-by-cell walk meets their tables, so LUT ids are
+        # those of the walk.  A type without a cell registers nothing.
         # ------------------------------------------------------------------
-        c_src: List[int] = []
-        c_dst: List[int] = []
-        c_tin: List[int] = []
-        c_tout: List[int] = []
-        c_lut_delay: List[int] = []
-        c_lut_slew: List[int] = []
-        setup_d: List[int] = []
-        setup_ck: List[int] = []
-        setup_lut: List[Tuple[int, int]] = []
-        hold_d: List[int] = []
-        hold_ck: List[int] = []
-        hold_lut: List[Tuple[int, int]] = []
+        templates = [_ArcTemplate(t, (), lutbank) for t in design.cell_types]
+        used, first = np.unique(cell_type, return_index=True)
+        for t in used[np.argsort(first)].tolist():
+            ctype = design.cell_types[t]
+            templates[t] = _ArcTemplate(ctype, ctype.arcs, lutbank)
 
-        pin_lookup = {}
-        for p in range(n_pins):
-            cell = design.pin2cell[p]
-            pin_lookup[(int(cell), design.pin_name[p].rsplit("/", 1)[1])] = p
+        def expand(table: str) -> Tuple[np.ndarray, np.ndarray]:
+            """Cell-major rows of one template table: (first pin of the
+            row's cell, the row's template columns)."""
+            rows = [getattr(template, table) for template in templates]
+            counts = np.array([len(r) for r in rows], dtype=np.int64)
+            per_cell, index = rows_by_cell(counts, cell_type)
+            return np.repeat(pin_start, per_cell), np.concatenate(rows)[index]
 
-        for ci in range(design.n_cells):
-            ctype = design.cell_type_of(ci)
-            for arc in ctype.arcs:
-                src = pin_lookup.get((ci, arc.from_pin))
-                dst = pin_lookup.get((ci, arc.to_pin))
-                if src is None or dst is None:
-                    continue
-                if arc.kind.is_delay_arc:
-                    for t_out in (RISE, FALL):
-                        lut_d = lutbank.register(arc.delay_lut(t_out))
-                        lut_s = lutbank.register(arc.transition_lut(t_out))
-                        for t_in in arc.unateness.transition_sources(t_out):
-                            c_src.append(src)
-                            c_dst.append(dst)
-                            c_tin.append(t_in)
-                            c_tout.append(t_out)
-                            c_lut_delay.append(lut_d)
-                            c_lut_slew.append(lut_s)
-                elif arc.kind is ArcKind.SETUP:
-                    setup_d.append(dst)
-                    setup_ck.append(src)
-                    setup_lut.append(
-                        (
-                            lutbank.register(arc.constraint_lut(RISE)),
-                            lutbank.register(arc.constraint_lut(FALL)),
-                        )
-                    )
-                elif arc.kind is ArcKind.HOLD:
-                    hold_d.append(dst)
-                    hold_ck.append(src)
-                    hold_lut.append(
-                        (
-                            lutbank.register(arc.constraint_lut(RISE)),
-                            lutbank.register(arc.constraint_lut(FALL)),
-                        )
-                    )
-
-        c_src_arr = np.array(c_src, dtype=np.int64)
-        c_dst_arr = np.array(c_dst, dtype=np.int64)
+        base, cols = expand("contribs")
+        c_src_arr, c_dst_arr = base + cols[:, 0], base + cols[:, 1]
+        c_tin, c_tout, c_lut_delay, c_lut_slew = cols[:, 2:].T
 
         # ------------------------------------------------------------------
         # Levelisation: longest-path levels over the propagation DAG.
         # ------------------------------------------------------------------
-        edges_src = np.concatenate([net_src_arr, c_src_arr])
-        edges_dst = np.concatenate([net_sink_arr, c_dst_arr])
-        # Deduplicate parallel edges (a non-unate arc contributes 4 tuples).
-        if len(edges_src):
-            pairs = np.unique(np.stack([edges_src, edges_dst], axis=1), axis=0)
-            edges_src, edges_dst = pairs[:, 0], pairs[:, 1]
+        # Deduplicate parallel edges (a non-unate arc contributes 4 tuples):
+        # the distinct (src, dst) rows in lexicographic order, as one key.
+        key = np.sort(
+            np.concatenate([net_src_arr, c_src_arr]) * n_pins
+            + np.concatenate([net_sink_arr, c_dst_arr])
+        )
+        key = key[np.diff(key, prepend=-1) > 0]
+        edges_src, edges_dst = np.divmod(key, max(n_pins, 1))
         level = levelize(edges_src, edges_dst, n_pins, pin_names=design.pin_name)
         self.level = level
         self.n_levels = int(level.max()) + 1 if n_pins else 1
@@ -563,35 +595,34 @@ class TimingGraph:
         order, offsets = _sort_by_level(level[c_dst_arr], self.n_levels)
         self.c_src = c_src_arr[order]
         self.c_dst = c_dst_arr[order]
-        self.c_tin = np.array(c_tin, dtype=np.int64)[order]
-        self.c_tout = np.array(c_tout, dtype=np.int64)[order]
-        self.c_lut_delay = np.array(c_lut_delay, dtype=np.int64)[order]
-        self.c_lut_slew = np.array(c_lut_slew, dtype=np.int64)[order]
+        self.c_tin = c_tin[order]
+        self.c_tout = c_tout[order]
+        self.c_lut_delay = c_lut_delay[order]
+        self.c_lut_slew = c_lut_slew[order]
         self.cell_arcs = LevelizedArcs(offsets)
 
         # ------------------------------------------------------------------
         # Checks and endpoints.
         # ------------------------------------------------------------------
-        self.setup_d = np.array(setup_d, dtype=np.int64)
-        self.setup_ck = np.array(setup_ck, dtype=np.int64)
-        self.setup_lut = np.array(setup_lut, dtype=np.int64).reshape(-1, 2)
-        self.hold_d = np.array(hold_d, dtype=np.int64)
-        self.hold_ck = np.array(hold_ck, dtype=np.int64)
-        self.hold_lut = np.array(hold_lut, dtype=np.int64).reshape(-1, 2)
+        base, cols = expand("setups")
+        self.setup_d, self.setup_ck = base + cols[:, 1], base + cols[:, 0]
+        self.setup_lut = cols[:, 2:].copy()
+        base, cols = expand("holds")
+        self.hold_d, self.hold_ck = base + cols[:, 1], base + cols[:, 0]
+        self.hold_lut = cols[:, 2:].copy()
 
-        po_pins = []
-        po_ports = []
-        for p in range(n_pins):
-            ci = design.pin2cell[p]
-            if design.cell_types[design.cell_type[ci]].name == PORT_OUT_TYPE:
-                po_pins.append(p)
-                po_ports.append(design.cell_name[ci])
-        self.po_pins = np.array(po_pins, dtype=np.int64)
+        type_names = np.array([t.name for t in design.cell_types], dtype=object)
+        pin_type = type_names[cell_type][design.pin2cell]
+        cell_name = np.array(design.cell_name, dtype=object)
+        constraints = design.constraints
+
+        self.po_pins = np.flatnonzero(pin_type == PORT_OUT_TYPE)
+        po_ports = cell_name[design.pin2cell[self.po_pins]].tolist()
         self.po_output_delay = np.array(
-            [design.constraints.output_delay(name) for name in po_ports]
+            [constraints.output_delay(name) for name in po_ports]
         )
         self.po_extra_load = np.array(
-            [design.constraints.output_load(name) for name in po_ports]
+            [constraints.output_load(name) for name in po_ports]
         )
 
         #: Endpoint pins = FF D pins with setup checks, then PO pins.
@@ -602,18 +633,21 @@ class TimingGraph:
         self.extra_pin_cap = np.zeros(n_pins)
         self.extra_pin_cap[self.po_pins] = self.po_extra_load
 
-        # Start-point boundary conditions.
+        # Start-point boundary conditions: the input ports' SDC values.
         self.start_at = np.zeros((n_pins, 2))
         self.start_slew = np.full(
             (n_pins, 2), design.library.default_input_slew
         )
-        for p in self.start_pins:
-            ci = design.pin2cell[p]
-            if design.cell_types[design.cell_type[ci]].name == PORT_IN_TYPE:
-                port = design.cell_name[ci]
-                if port != design.constraints.clock_port:
-                    self.start_at[p, :] = design.constraints.input_delay(port)
-                    self.start_slew[p, :] = design.constraints.input_slew(port)
+        pi_pins = self.start_pins[pin_type[self.start_pins] == PORT_IN_TYPE]
+        pi_ports = cell_name[design.pin2cell[pi_pins]]
+        data = pi_ports != constraints.clock_port
+        pi_pins, pi_ports = pi_pins[data], pi_ports[data].tolist()
+        self.start_at[pi_pins] = np.array(
+            [constraints.input_delay(name) for name in pi_ports]
+        ).reshape(-1, 1)
+        self.start_slew[pi_pins] = np.array(
+            [constraints.input_slew(name) for name in pi_ports]
+        ).reshape(-1, 1)
 
         #: Constant clock slew seen by constraint LUTs (ideal clock).
         self.clock_slew = design.library.default_input_slew

@@ -7,11 +7,14 @@ detected and regenerated, never trusted.
 """
 
 import dataclasses
+import importlib
 import os
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.netlist import cache
 from repro.netlist.cache import (
     CACHE_ENV_VAR,
     cache_dir,
@@ -148,6 +151,60 @@ class TestKeySensitivity:
         load_bundle(_SPEC, cdir)
         load_bundle(dataclasses.replace(_SPEC, seed=8), cdir)
         assert len(os.listdir(cdir)) == 2
+
+    @pytest.mark.parametrize("module", cache._BUNDLE_MODULES)
+    def test_touching_a_source_behind_the_bundle_changes_the_key(
+        self, module, tmp_path, monkeypatch
+    ):
+        """A bundle pickles instances of classes from these modules; one
+        written by other code of any of them must not be served."""
+        monkeypatch.setattr(cache, "_CODE_VERSION", None)
+        base = design_cache_key(_SPEC)
+        mod = importlib.import_module(module)
+        touched = tmp_path / "touched.py"
+        with open(mod.__file__, "rb") as handle:
+            touched.write_bytes(handle.read() + b"\n")
+        monkeypatch.setattr(mod, "__file__", str(touched))
+        monkeypatch.setattr(cache, "_CODE_VERSION", None)
+        assert design_cache_key(_SPEC) != base
+
+    def test_every_module_a_bundle_pickles_from_is_hashed(self, cdir):
+        load_bundle(_SPEC, cdir)
+        modules = set()
+
+        class Recorder(pickle.Unpickler):
+            def find_class(self, module, name):
+                modules.add(module)
+                return super().find_class(module, name)
+
+        with open(_bundle_file(cdir), "rb") as handle:
+            handle.seek(len(cache._MAGIC) + cache._CHECKSUM_BYTES)
+            Recorder(handle).load()
+        ours = {m for m in modules if m.startswith("repro.")}
+        assert ours and ours <= set(cache._BUNDLE_MODULES)
+
+
+class TestFailedWrite:
+    """A write that fails leaves neither a bundle nor its temp file."""
+
+    def test_unpicklable_bundle(self, cdir):
+        bundle = cache.DesignBundle(design=lambda: None, graph=None, key="k")
+        path = os.path.join(cdir, "x.bundle.pkl")
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            cache._write_bundle(path, bundle)
+        assert not os.path.exists(cdir) or os.listdir(cdir) == []
+
+    def test_replace_fails(self, cdir, monkeypatch):
+        bundle, _ = load_bundle(_SPEC, cdir, memoize=False)
+        before = os.listdir(cdir)
+
+        def refuse(src, dst):
+            raise OSError("disk says no")
+
+        monkeypatch.setattr(cache.os, "replace", refuse)
+        with pytest.raises(OSError, match="disk says no"):
+            cache._write_bundle(os.path.join(cdir, "y.bundle.pkl"), bundle)
+        assert os.listdir(cdir) == before
 
 
 class TestCorruptionRecovery:
