@@ -12,7 +12,7 @@ about where the time goes:
   shipped before the cache existed.
 - **warm scaling curve**: the fixed path at ``--jobs-curve`` settings
   (default 1/2/4) - designs served from the content-keyed bundle cache,
-  spawn workers preloaded by the pool initializer, final STA reusing the
+  spawn workers preloading the design once, final STA reusing the
   cached levelized graph.
 - every run reports ``setup_s`` (design acquisition) and ``solve_s``
   (placement) separately, so setup-dominated regressions can't hide
@@ -43,8 +43,8 @@ import os
 import sys
 import time
 
-from repro.harness.parallel import SuiteTask, run_parallel, suite_metrics
 from repro.harness.suite import design_spec
+from repro.harness.supervisor import SuiteTask, run_tasks, suite_metrics
 from repro.netlist.cache import clear_memo, ensure_cached
 from repro.telemetry.history import append_record
 
@@ -55,8 +55,8 @@ HISTORY_DIR = os.path.join(os.path.dirname(__file__), "history")
 def _run_pass(tasks, jobs, use_cache, cache_dir):
     """One timed pass; returns (records, wall_s)."""
     t0 = time.perf_counter()
-    records = run_parallel(
-        tasks, jobs=jobs, use_cache=use_cache, cache_dir=cache_dir
+    records, _ = run_tasks(
+        tasks, jobs, use_cache=use_cache, cache_dir=cache_dir
     )
     return records, time.perf_counter() - t0
 

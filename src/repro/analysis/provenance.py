@@ -3,7 +3,7 @@
 :func:`analysis_provenance` runs the analyzer over the repo the process
 was launched from and condenses the result into a small dict stamped
 into every run manifest (see :mod:`repro.telemetry.manifest`), so
-``python -m repro.harness compare`` can flag results produced from a
+``python -m repro compare`` can flag results produced from a
 tree with unbaselined lint findings ("dirty" runs) or under a different
 rule set.  It must never break a placement run: any failure degrades to
 an ``{"error": ...}`` payload.

@@ -20,7 +20,7 @@ __all__ = ["RULES_VERSION"]
 #: Bumped whenever a rule is added, removed, or changes what it flags;
 #: recorded in baselines, in telemetry run manifests, and in the
 #: incremental result cache key.
-RULES_VERSION = "2.3"
+RULES_VERSION = "2.4"
 
 
 def _is_numpy(node: ast.AST, resolver: Optional[NameResolver] = None) -> bool:
@@ -429,15 +429,16 @@ class SupervisedPoolOnly(Rule):
     worker breaks the whole pool and discards every completed result.
     ``repro.harness.supervisor`` owns process fan-out (task timeouts,
     bounded deterministic retry, quarantine, partial-result salvage) and
-    is the only module allowed to construct pools - it also hosts the
-    legacy unsupervised executor kept as the byte-identity reference.
-    Tests are exempt (they exercise pool behaviour directly).
+    is the only module allowed to construct pools: suite tasks run
+    through ``repro.harness.supervisor.run_tasks``, anything else through
+    ``supervised_map``.  Tests are exempt (they exercise pool behaviour
+    directly).
     """
 
     id = "supervised-pool-only"
     description = (
         "construct process pools only in repro.harness.supervisor "
-        "(use run_tasks/run_supervised elsewhere)"
+        "(use run_tasks/supervised_map elsewhere)"
     )
     cacheable = True
 
@@ -461,6 +462,6 @@ class SupervisedPoolOnly(Rule):
                     node,
                     "bare ProcessPoolExecutor construction is banned "
                     "outside repro.harness.supervisor; fan out through "
-                    "repro.harness.parallel.run_tasks (supervised: crash "
-                    "isolation, retry, quarantine, salvage)",
+                    "repro.harness.supervisor.run_tasks (crash isolation, "
+                    "retry, quarantine, salvage)",
                 )

@@ -1,10 +1,8 @@
 """Experiment harness: benchmark suite, runners, tables, curves.
 
-Suite fan-out (:mod:`repro.harness.parallel`) runs under the task
-supervisor (:mod:`repro.harness.supervisor`) by default: worker-crash
-isolation, per-task timeouts, bounded deterministic retry, and
-poisoned-task quarantine, with fault-free output byte-identical to the
-legacy unsupervised pool.
+Every suite task runs through :func:`repro.harness.supervisor.run_tasks`:
+in-process or on spawn workers, with worker-crash isolation, per-task
+timeouts, bounded deterministic retry, and poisoned-task quarantine.
 """
 
 from .suite import SUITE, SuiteEntry, format_table2, load_design, suite_statistics
@@ -12,25 +10,22 @@ from .runners import MODES, RunRecord, run_mode
 from .table3 import Table3Result, average_ratios, format_table3, run_table3
 from .curves import CurveData, format_fig8, run_fig8, to_csv
 from .plots import curves_svg, placement_svg, save_svg
-from .parallel import run_parallel, run_suite, run_tasks, suite_metrics
 from .supervisor import (
     SupervisorError,
     SupervisorOptions,
     SuiteTask,
-    PoolBrokenError,
-    TaskFailedError,
+    run_tasks,
+    suite_metrics,
+    write_suite_manifest,
 )
 
 __all__ = [
-    "run_parallel",
-    "run_suite",
     "run_tasks",
     "suite_metrics",
+    "write_suite_manifest",
     "SupervisorError",
     "SupervisorOptions",
     "SuiteTask",
-    "PoolBrokenError",
-    "TaskFailedError",
     "SUITE",
     "SuiteEntry",
     "format_table2",

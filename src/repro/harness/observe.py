@@ -91,7 +91,7 @@ def cmd_status(
     as_json: bool = False,
     gc: bool = False,
 ) -> int:
-    """Implementation of ``python -m repro.harness status``."""
+    """Implementation of ``python -m repro status``."""
     registry = RunRegistry(telemetry_dir)
     if gc:
         for record in registry.gc():
@@ -289,7 +289,7 @@ def cmd_tail(
     timeout_s: Optional[float] = None,
     out=None,
 ) -> int:
-    """Implementation of ``python -m repro.harness tail``.
+    """Implementation of ``python -m repro tail``.
 
     ``once`` parses whatever the stream currently holds and prints a
     summary line (CI mode; exits 0 even mid-run).  Otherwise the stream

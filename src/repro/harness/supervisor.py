@@ -1,10 +1,16 @@
-"""Supervised process fan-out for the suite runner.
+"""The suite runner: every (design, mode, seed) task runs through here.
 
-:mod:`repro.harness.parallel` used to hand tasks to a bare
-``ProcessPoolExecutor``; one SIGKILL'd or hung worker then surfaced as a
-``BrokenProcessPool`` traceback and every completed run's results were
-discarded.  This module replaces that fan-out with a task-granular
-supervisor built directly on ``multiprocessing`` spawn workers:
+:func:`run_tasks` is the one way a :class:`SuiteTask` runs - the Table-3
+matrix, the ``suite`` subcommand and the benchmarks all call it.  It
+primes the design-bundle cache, then hands the tasks to a task-granular
+supervisor: in-process when ``jobs <= 1``, otherwise on ``spawn``
+workers (fork would inherit the parent's warmed NumPy/RNG state), each
+preloading the task designs once through the bundle cache.  Every task
+seeds its own run and derives its telemetry run id from the task, and
+results come back in task order, so ``--jobs N`` changes wall-clock
+only: final metrics are bit-identical to ``--jobs 1``.
+
+The supervisor adds:
 
 - **crash isolation** - each worker owns a duplex pipe; a dead worker
   (SIGKILL, segfault) costs exactly its in-flight task, which is retried
@@ -23,30 +29,27 @@ supervisor built directly on ``multiprocessing`` spawn workers:
   remaining tasks run serially in-process (retry/quarantine still apply;
   timeouts cannot preempt in-process tasks).
 
-Task execution is byte-identical to the legacy path: the same
-:func:`_execute_task` body runs in both, every task seeds its own run,
-and a zero-fault supervised suite produces the same records, metrics and
-manifests as an unsupervised one.  Supervisor outcomes stream to
+A zero-fault suite carries no trace of supervision: no ``supervision``
+block in its manifests and no event file.  Supervisor outcomes stream to
 telemetry (``task_retry`` / ``task_quarantine`` / ``worker_respawn``
-events, written lazily so zero-fault runs add no files) and into the
-suite manifest's ``supervision`` provenance.
+events, written lazily) and into the suite manifest's ``supervision``
+provenance; a failure of the supervisor itself salvages every completed
+run into a partial suite manifest before a typed
+:class:`SupervisorError` propagates.
 
 This is the **only** module allowed to construct process pools
-(reprolint rule ``supervised-pool-only``): the legacy unsupervised
-executor fan-out lives here too (:func:`run_pool_unsupervised`), kept as
-the byte-identity reference and wrapped so its raw failures surface as
-typed :class:`SupervisorError`\\ s with completed results salvaged.
+(reprolint rule ``supervised-pool-only``).
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import multiprocessing
 import os
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -54,28 +57,30 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.objective import TimingObjectiveOptions
-from ..netlist.cache import load_bundle
-from ..perf import PROFILER
+from ..netlist.cache import ensure_cached, load_bundle
+from ..perf import PROFILER, merge_span_trees
 from ..place.placer import PlacerOptions
 from ..runtime.faults import BundleCorruptionError, maybe_inject_process_fault
 from ..telemetry.events import MetricsRecorder
+from ..telemetry.manifest import load_manifest
 from ..telemetry.registry import RunRegistry
 from ..telemetry.resources import resource_delta, sample_resources
 from .runners import RunRecord, run_mode
 from .suite import design_spec, load_design
 
 __all__ = [
+    "DuplicateTaskError",
     "FAILURE_KINDS",
+    "SUITE_MANIFEST_FILENAME",
     "SupervisorError",
-    "TaskFailedError",
-    "PoolBrokenError",
     "SupervisorOptions",
     "TaskAttempt",
     "TaskOutcome",
-    "SupervisedResult",
     "SuiteTask",
-    "run_supervised",
-    "run_pool_unsupervised",
+    "run_tasks",
+    "suite_metrics",
+    "write_suite_manifest",
+    "supervised_map",
 ]
 
 #: The supervisor's failure taxonomy, as recorded in outcomes/manifests.
@@ -84,14 +89,21 @@ FAILURE_KINDS = ("crash", "timeout", "exception", "cache-corrupt")
 #: Filename of the lazily created suite-level supervisor event stream.
 SUPERVISOR_EVENTS_FILENAME = "supervisor_events.jsonl"
 
-#: True inside a spawned suite worker process (set by the worker entry
-#: points); gates the process-killing fault injections.
+#: Filename of the merged suite summary inside a telemetry directory.
+SUITE_MANIFEST_FILENAME = "suite_manifest.json"
+
+#: True inside a spawned worker process (set by :func:`_mark_worker`);
+#: gates the process-killing fault injections and nested fan-out.
 _IN_WORKER = False
 
 
+def _mark_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+
+
 # ----------------------------------------------------------------------
-# Typed error hierarchy (satellite: no raw BrokenProcessPool/TimeoutError
-# reaches the CLI).
+# The typed error: no raw multi-process traceback reaches the CLI.
 # ----------------------------------------------------------------------
 class SupervisorError(RuntimeError):
     """A suite execution failure with enough context for a one-line report.
@@ -131,16 +143,8 @@ class SupervisorError(RuntimeError):
         return line
 
 
-class TaskFailedError(SupervisorError):
-    """One task failed terminally (unsupervised path, or aborted suite)."""
-
-
-class PoolBrokenError(SupervisorError):
-    """The worker pool died and could not be used or rebuilt."""
-
-    def __init__(self, message: str, **kwargs: Any) -> None:
-        kwargs.setdefault("failure", "crash")
-        super().__init__(message, **kwargs)
+class DuplicateTaskError(ValueError):
+    """Two suite tasks share a run id (a usage error, raised before work)."""
 
 
 # ----------------------------------------------------------------------
@@ -231,47 +235,8 @@ class TaskOutcome:
         }
 
 
-@dataclass
-class SupervisedResult:
-    """Everything a supervised fan-out produced."""
-
-    records: List[RunRecord]
-    outcomes: List[TaskOutcome]
-    options: SupervisorOptions
-    worker_respawns: int = 0
-    degraded_to_serial: bool = False
-
-    @property
-    def quarantined(self) -> List[TaskOutcome]:
-        return [o for o in self.outcomes if o.quarantined is not None]
-
-    @property
-    def eventful(self) -> bool:
-        """True when supervision actually intervened (retry, quarantine,
-        respawn, or serial degradation) - fault-free runs stay False so
-        their output remains byte-identical to unsupervised runs."""
-        return (
-            self.worker_respawns > 0
-            or self.degraded_to_serial
-            or any(o.eventful for o in self.outcomes)
-        )
-
-    def supervision_dict(self) -> Dict[str, Any]:
-        """Suite-manifest ``supervision`` provenance (deterministic)."""
-        return {
-            "enabled": True,
-            "options": self.options.to_dict(),
-            "worker_respawns": self.worker_respawns,
-            "degraded_to_serial": self.degraded_to_serial,
-            "retries": sum(len(o.failures) for o in self.outcomes)
-            - len(self.quarantined),
-            "quarantined": [o.run_id for o in self.quarantined],
-            "tasks": [o.to_dict() for o in self.outcomes if o.eventful],
-        }
-
-
 # ----------------------------------------------------------------------
-# Task definition + execution body (shared by every execution path)
+# Task definition + execution body (in-process and in workers alike)
 # ----------------------------------------------------------------------
 @dataclass
 class SuiteTask:
@@ -314,9 +279,9 @@ def _execute_task(
     With ``use_cache`` the design (and its prebuilt timing graph) comes
     from the bundle cache: in a warm worker the per-process memo serves
     it with zero disk traffic, so ``setup_s`` collapses to microseconds
-    after the first task.  Without, the legacy cold path regenerates the
-    design from scratch - kept as the benchmark baseline and as a
-    cross-check that cached runs are bit-identical.
+    after the first task.  Without, the cold path regenerates the design
+    from scratch - kept as the benchmark baseline and as a cross-check
+    that cached runs are bit-identical.
 
     ``task_index``/``attempt`` feed the process-level fault injections
     (fired mid-task, after design setup) and stamp retry provenance into
@@ -429,8 +394,7 @@ def _worker_main(
     a crash (SIGKILL, hard fault) simply drops the pipe, which the parent
     observes as EOF.
     """
-    global _IN_WORKER
-    _IN_WORKER = True
+    _mark_worker()
     if use_cache:
         _preload_designs(cache_dir, names)
     while True:
@@ -567,10 +531,7 @@ class _Supervisor:
         self.verbose = verbose
         self.use_cache = use_cache
         self.cache_dir = cache_dir
-        self.names: List[str] = []
-        for task in self.tasks:
-            if task.design not in self.names:
-                self.names.append(task.design)
+        self.names = _design_names(self.tasks)
         n = len(self.tasks)
         self.results: List[Optional[RunRecord]] = [None] * n
         self.outcomes = [
@@ -595,20 +556,13 @@ class _Supervisor:
         )
 
     # ------------------------------------------------------------------
-    def run(self) -> SupervisedResult:
+    def run(self) -> None:
         try:
             if self.jobs <= 1 or len(self.tasks) <= 1:
                 self._run_serial(list(self.pending))
                 self.pending.clear()
             else:
                 self._run_pool()
-            return SupervisedResult(
-                records=[r for r in self.results if r is not None],
-                outcomes=self.outcomes,
-                options=self.options,
-                worker_respawns=self.worker_respawns,
-                degraded_to_serial=self.degraded,
-            )
         finally:
             self.telemetry.close()
             if self.registry is not None:
@@ -644,15 +598,24 @@ class _Supervisor:
             where = f"at iteration {heartbeat['iteration']} {where}"
         return f"; last seen {where}, silent for {heartbeat['age_s']:.0f}s"
 
-    def records_in_task_order(self) -> List[RunRecord]:
-        out: List[RunRecord] = []
-        for index, record in enumerate(self.results):
-            if record is None:  # pragma: no cover - defensive
-                record = quarantined_record(
-                    self.tasks[index], self.outcomes[index]
-                )
-            out.append(record)
-        return out
+    def supervision(self) -> Optional[Dict[str, Any]]:
+        """Suite-manifest ``supervision`` provenance (deterministic), or
+        None when nothing intervened (no retry, quarantine, respawn or
+        serial degradation) - fault-free suites carry no provenance."""
+        eventful = [o for o in self.outcomes if o.eventful]
+        if not (eventful or self.worker_respawns or self.degraded):
+            return None
+        quarantined = [o.run_id for o in eventful if o.quarantined]
+        return {
+            "enabled": True,
+            "options": self.options.to_dict(),
+            "worker_respawns": self.worker_respawns,
+            "degraded_to_serial": self.degraded,
+            "retries": sum(len(o.failures) for o in eventful)
+            - len(quarantined),
+            "quarantined": quarantined,
+            "tasks": [o.to_dict() for o in eventful],
+        }
 
     # ------------------------------------------------------------------
     # Parallel path
@@ -975,22 +938,48 @@ class _DegradedToSerial(Exception):
     """Internal control flow: the pool is unrecoverable, finish serially."""
 
 
-def run_supervised(
+def _design_names(tasks: Sequence[SuiteTask]) -> List[str]:
+    """Distinct task designs, in first-appearance order."""
+    return list(dict.fromkeys(task.design for task in tasks))
+
+
+def run_tasks(
     tasks: Sequence[SuiteTask],
     jobs: int = 1,
     options: Optional[SupervisorOptions] = None,
-    verbose: bool = False,
+    *,
     use_cache: bool = True,
     cache_dir: Optional[str] = None,
-) -> Tuple[List[RunRecord], SupervisedResult]:
-    """Run tasks under supervision; returns task-ordered records + outcome.
+    verbose: bool = False,
+) -> Tuple[List[RunRecord], Optional[Dict[str, Any]]]:
+    """Run tasks; returns ``(task-ordered records, supervision provenance)``.
 
-    Records are aligned with ``tasks``; a quarantined task contributes a
-    placeholder record (``stop_reason="quarantined:<kind>"``, NaN
-    metrics, ``quarantine`` provenance) so downstream zips keep working.
-    The suite always completes - only ``KeyboardInterrupt``/``SystemExit``
-    escape.
+    The one way a :class:`SuiteTask` runs.  Tasks run in-process when
+    ``jobs <= 1``, on ``jobs`` spawn workers otherwise; with ``use_cache``
+    the parent first primes the on-disk bundle cache serially, so workers
+    never race to generate the same design.  A quarantined task
+    contributes a placeholder record (``stop_reason="quarantined:<kind>"``,
+    NaN metrics, ``quarantine`` provenance) so downstream zips keep
+    working.  The provenance dict is None unless supervision intervened.
+
+    Raises :class:`DuplicateTaskError` (a ``ValueError``) before any work
+    starts when two tasks share a run id (they would share a telemetry
+    directory and a metrics key).
+    A failure of the supervisor itself salvages every completed record
+    into a partial suite manifest, then propagates as
+    :class:`SupervisorError` with ``.partial_manifest`` set.
     """
+    tasks = list(tasks)
+    counts = Counter(task.run_id for task in tasks)
+    duplicates = [run_id for run_id, n in counts.items() if n > 1]
+    if duplicates:
+        raise DuplicateTaskError(
+            f"duplicate suite tasks: run id(s) {', '.join(duplicates)} "
+            "occur more than once"
+        )
+    if use_cache:
+        for name in _design_names(tasks):
+            ensure_cached(design_spec(name), cache_dir)
     supervisor = _Supervisor(
         tasks,
         jobs=jobs,
@@ -1000,107 +989,156 @@ def run_supervised(
         cache_dir=cache_dir,
     )
     try:
-        result = supervisor.run()
-    except (KeyboardInterrupt, SystemExit, SupervisorError):
-        raise
+        supervisor.run()
     except Exception as exc:
-        # A failure of the supervisor itself (not of a task): salvage
-        # whatever completed before surfacing it as a typed error.
-        raise SupervisorError(
-            _one_line(exc),
-            completed=[
-                (i, r)
-                for i, r in enumerate(supervisor.results)
-                if r is not None
-            ],
-        ) from exc
-    return supervisor.records_in_task_order(), result
-
-
-# ----------------------------------------------------------------------
-# Legacy unsupervised executor fan-out (byte-identity reference)
-# ----------------------------------------------------------------------
-def _pool_worker_init(cache_dir: Optional[str], names: Sequence[str]) -> None:
-    """Unsupervised-pool initializer: mark the worker + warm the designs."""
-    global _IN_WORKER
-    _IN_WORKER = True
-    _preload_designs(cache_dir, names)
-
-
-def run_pool_unsupervised(
-    tasks: Sequence[SuiteTask],
-    jobs: int,
-    verbose: bool = False,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-) -> List[RunRecord]:
-    """The pre-supervisor ``ProcessPoolExecutor`` fan-out (``--no-supervise``).
-
-    No retries, no timeouts, no crash isolation: the first failure aborts
-    the suite.  But raw ``BrokenProcessPool``/task tracebacks no longer
-    escape - failures are wrapped in the typed :class:`SupervisorError`
-    hierarchy with every already-completed record attached for salvage.
-    """
-    tasks = list(tasks)
-    names: List[str] = []
-    for task in tasks:
-        if task.design not in names:
-            names.append(task.design)
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)),
-        mp_context=ctx,
-        initializer=_pool_worker_init,
-        initargs=(cache_dir, tuple(names) if use_cache else ()),
-    ) as pool:
-        futures = [
-            pool.submit(_execute_task, task, use_cache, cache_dir, i, 1)
-            for i, task in enumerate(tasks)
+        # Task failures are retried and quarantined inside the run; only
+        # a failure of the supervisor itself lands here.
+        completed = [
+            (i, r) for i, r in enumerate(supervisor.results) if r is not None
         ]
-        records: List[RunRecord] = []
-        # Ordered collection: wait for tasks in submission order so the
-        # output (and any verbose printing) is independent of scheduling.
-        for index, future in enumerate(futures):
+        error = SupervisorError(_one_line(exc), completed=completed)
+        directory = supervisor.telemetry.directory
+        if directory is not None and completed:
             try:
-                record = future.result()
-            except BaseException as exc:
-                # Salvage everything that can still finish: cancel tasks
-                # not yet started, drain the in-flight ones (a task
-                # exception leaves the pool alive; a broken pool makes
-                # every remaining future fail instantly).
-                completed = list(enumerate(records))
-                for later in range(index + 1, len(futures)):
-                    f = futures[later]
-                    if f.cancel():
-                        continue
-                    try:
-                        completed.append((later, f.result()))
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except BaseException:
-                        pass
-                if isinstance(exc, BrokenProcessPool):
-                    raise PoolBrokenError(
-                        "a worker process died; run with supervision "
-                        "(drop --no-supervise) to isolate and retry the "
-                        "failed task",
-                        task_index=index,
-                        run_id=tasks[index].run_id,
-                        completed=completed,
-                    ) from exc
-                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                    raise
-                raise TaskFailedError(
-                    _one_line(exc),
-                    failure=_classify_exception(exc),
-                    task_index=index,
-                    run_id=tasks[index].run_id,
-                    completed=completed,
-                ) from exc
-            records.append(record)
-            if verbose:
-                print(record.summary())
-    return records
+                error.partial_manifest = write_suite_manifest(
+                    directory,
+                    [tasks[i] for i, _ in completed],
+                    [rec for _, rec in completed],
+                    jobs,
+                    partial=True,
+                )
+            except OSError:  # pragma: no cover - must not mask the failure
+                pass
+        raise error from exc
+    return supervisor.results, supervisor.supervision()
+
+
+# ----------------------------------------------------------------------
+# Suite results: deterministic metrics + the merged suite manifest
+# ----------------------------------------------------------------------
+def _final_metrics(rec: RunRecord) -> Dict[str, Any]:
+    """Deterministic final metrics of one run (no wall-clock fields)."""
+    return {
+        "wns": rec.wns,
+        "tns": rec.tns,
+        "hpwl": rec.hpwl,
+        "iterations": rec.iterations,
+        "stop_reason": rec.stop_reason,
+    }
+
+
+def suite_metrics(
+    tasks: Sequence[SuiteTask], records: Sequence[RunRecord]
+) -> Dict[str, Any]:
+    """Final metrics keyed ``design -> mode -> s<seed>``.
+
+    Runtime (and other wall-clock quantities) are deliberately excluded:
+    this dict must be byte-identical between ``--jobs 1`` and
+    ``--jobs N`` runs of the same matrix.  Quarantined placeholder
+    records are excluded too - their NaN metrics would poison the JSON
+    and they carry no real result; the suite manifest records them under
+    ``supervision`` instead.
+    """
+    out: Dict[str, Any] = {}
+    for task, rec in zip(tasks, records):
+        if rec.quarantined:
+            continue
+        out.setdefault(rec.design, {}).setdefault(rec.mode, {})[
+            f"s{task.seed}"
+        ] = _final_metrics(rec)
+    return out
+
+
+def _suite_resources(
+    records: Sequence[RunRecord],
+) -> Optional[Dict[str, Any]]:
+    """Suite-level resource rollup: summed CPU/faults, max of the peaks.
+
+    CPU seconds and fault counts are per-run deltas, so they sum to a
+    suite total; peak RSS is per *process* (workers run tasks serially),
+    so the honest aggregate is the worst single process, not a sum.
+    Returns None when no record carries a sample (off-POSIX).
+    """
+    sampled = [r.resources for r in records if r.resources is not None]
+    if not sampled:
+        return None
+    return {
+        "peak_rss_bytes": max(int(s["peak_rss_bytes"]) for s in sampled),
+        "cpu_user_s": sum(float(s["cpu_user_s"]) for s in sampled),
+        "cpu_sys_s": sum(float(s["cpu_sys_s"]) for s in sampled),
+        "minor_faults": sum(int(s["minor_faults"]) for s in sampled),
+        "major_faults": sum(int(s["major_faults"]) for s in sampled),
+        "sampled_runs": len(sampled),
+    }
+
+
+def write_suite_manifest(
+    directory: str,
+    tasks: Sequence[SuiteTask],
+    records: Sequence[RunRecord],
+    jobs: int,
+    supervision: Optional[Dict[str, Any]] = None,
+    partial: bool = False,
+) -> str:
+    """Merge per-run telemetry into one ``suite_manifest.json``.
+
+    Collects each run's manifest (when the run streamed telemetry) and
+    merges the per-run profiler span trees into a single aggregate tree,
+    so a parallel suite still yields one hierarchical profile.
+
+    ``supervision`` is :func:`run_tasks`' provenance dict; it (and the
+    per-run ``attempts``/``quarantine`` fields) only appears when
+    supervision intervened.  ``partial=True`` marks a salvage manifest
+    written on a terminal failure: it holds only the completed subset of
+    the suite.
+    """
+    runs = []
+    for task, rec in zip(tasks, records):
+        entry: Dict[str, Any] = {
+            "design": rec.design,
+            "mode": rec.mode,
+            "seed": task.seed,
+            "run_id": task.run_id,
+            "final_metrics": None if rec.quarantined else _final_metrics(rec),
+            "runtime": rec.runtime,
+            "setup_s": rec.setup_s,
+            "design_cache": rec.design_cache,
+        }
+        if rec.attempts > 1:
+            entry["attempts"] = rec.attempts
+        if rec.resources is not None:
+            entry["resources"] = rec.resources
+        if rec.quarantined:
+            entry["quarantined"] = True
+            entry["quarantine"] = rec.quarantine
+        if rec.run_dir:
+            entry["run_dir"] = rec.run_dir
+            try:
+                entry["manifest"] = load_manifest(rec.run_dir).to_dict()
+            except (OSError, ValueError):
+                entry["manifest"] = None
+        runs.append(entry)
+    trees = [rec.span_tree for rec in records if rec.span_tree]
+    payload = {
+        "jobs": jobs,
+        "n_runs": len(runs),
+        "runs": runs,
+        "merged_span_tree": merge_span_trees(trees) if trees else None,
+        "metrics": suite_metrics(tasks, records),
+        "resources": _suite_resources(records),
+    }
+    if supervision is not None:
+        payload["supervision"] = supervision
+    if partial:
+        payload["partial"] = True
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, SUITE_MANIFEST_FILENAME)
+    tmp = path + ".tmp"
+    with open(tmp, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True, default=str)
+        handle.write("\n")
+    os.replace(tmp, path)
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -1113,7 +1151,7 @@ def supervised_map(
 ) -> List[Any]:
     """Map a picklable ``fn`` over ``items`` across spawn workers.
 
-    The general-purpose sibling of the suite fan-out, for workloads
+    The general-purpose sibling of :func:`run_tasks`, for workloads
     (e.g. the reprolint ``--jobs`` analyzer shards) that want process
     parallelism without the suite-task machinery.  It keeps the two
     properties that matter: pools are constructed *here* (the
@@ -1133,8 +1171,7 @@ def supervised_map(
         with ProcessPoolExecutor(
             max_workers=jobs,
             mp_context=ctx,
-            initializer=_pool_worker_init,
-            initargs=(None, ()),
+            initializer=_mark_worker,
         ) as pool:
             futures = [pool.submit(fn, item) for item in items]
             for i, future in enumerate(futures):

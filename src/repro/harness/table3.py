@@ -14,9 +14,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..place.placer import PlacerOptions
-from .runners import MODES, RunRecord, run_mode
-from .suite import SUITE, load_design
+from .runners import MODES, RunRecord
+from .suite import SUITE
+from .supervisor import SupervisorError, SuiteTask, run_tasks
 
 __all__ = ["Table3Result", "run_table3", "format_table3", "average_ratios"]
 
@@ -56,58 +56,41 @@ def run_table3(
     mode) run into ``benchmarks/results/`` (see :func:`run_mode`).
     ``validate`` runs structural design validation before each placement;
     ``checkpoint_every`` saves resumable placer checkpoints on that period
-    (see :mod:`repro.runtime`).  ``jobs > 1`` fans the matrix out to that
-    many worker processes (see :mod:`repro.harness.parallel`); results
-    and final metrics are identical to the serial run.  ``use_cache``
-    serves designs through the bundle cache (bit-identical, loads once
-    per process); ``cache_dir`` overrides its location.
+    (see :mod:`repro.runtime`).  The matrix runs through
+    :func:`repro.harness.supervisor.run_tasks`: ``jobs > 1`` fans it out
+    to that many worker processes, with final metrics identical to
+    ``jobs=1``.  ``use_cache`` serves designs through the bundle cache
+    (bit-identical, loads once per process); ``cache_dir`` overrides its
+    location.  A quarantined cell raises :class:`SupervisorError` naming
+    its run id - the table never holds a NaN row.
     """
     names = list(designs) if designs is not None else [e.name for e in SUITE]
+    tasks = [
+        SuiteTask(
+            design=name,
+            mode=mode,
+            max_iters=max_iters,
+            checkpoint_every=checkpoint_every,
+            profile=profile,
+            extra_placer_options={"validate": validate},
+        )
+        for name in names
+        for mode in modes
+    ]
+    records, _ = run_tasks(
+        tasks, jobs, use_cache=use_cache, cache_dir=cache_dir, verbose=verbose
+    )
     result = Table3Result()
-    if jobs > 1 and all(isinstance(n, str) for n in names):
-        from .parallel import SuiteTask, run_parallel
-
-        tasks = [
-            SuiteTask(
-                design=name,
-                mode=mode,
-                max_iters=max_iters,
-                checkpoint_every=checkpoint_every,
-                profile=profile,
-                extra_placer_options={"validate": validate},
+    for task, record in zip(tasks, records):
+        if record.quarantined:
+            failure = record.quarantine["failures"][-1]
+            raise SupervisorError(
+                f"Table 3 cell {task.run_id} quarantined: {failure['error']}",
+                failure=failure["failure"],
+                run_id=task.run_id,
+                attempts=record.attempts,
             )
-            for name in names
-            for mode in modes
-        ]
-        records = run_parallel(
-            tasks,
-            jobs=jobs,
-            verbose=verbose,
-            use_cache=use_cache,
-            cache_dir=cache_dir,
-        )
-        for record in records:
-            result.add(record)
-        return result
-    for name in names:
-        design = (
-            load_design(name, cache=use_cache, cache_dir=cache_dir)
-            if isinstance(name, str)
-            else name
-        )
-        for mode in modes:
-            record = run_mode(
-                design, mode,
-                placer_options=PlacerOptions(
-                    max_iters=max_iters,
-                    validate=validate,
-                    checkpoint_every=checkpoint_every,
-                ),
-                profile=profile,
-            )
-            result.add(record)
-            if verbose:
-                print(record.summary())
+        result.add(record)
     return result
 
 

@@ -11,7 +11,7 @@ The observability layer of the placement stack:
 - :mod:`repro.telemetry.registry` - the *live* layer: on-disk heartbeat
   records per active run (:class:`RunRegistry`/:class:`Heartbeat`,
   armed per run via :func:`heartbeating`/:func:`current_heartbeat`)
-  with stale/dead detection behind ``python -m repro.harness status``;
+  with stale/dead detection behind ``python -m repro status``;
 - :mod:`repro.telemetry.resources` - zero-dependency CPU/RSS/fault
   sampling streamed as ``resource`` events and rolled into manifests;
 - :mod:`repro.telemetry.manifest` - run manifests (design, mode,
@@ -19,10 +19,10 @@ The observability layer of the placement stack:
 - :mod:`repro.telemetry.session` - run-directory lifecycle
   (:func:`start_run` -> :class:`RunSession`);
 - :mod:`repro.telemetry.history` - append-only perf-regression ledger
-  under ``benchmarks/history/`` behind ``python -m repro.harness
+  under ``benchmarks/history/`` behind ``python -m repro
   trend``;
 - :mod:`repro.telemetry.report` / :mod:`repro.telemetry.compare` - the
-  ``python -m repro.harness report|compare`` toolchain (imported by the
+  ``python -m repro report|compare`` toolchain (imported by the
   harness CLI; not re-exported here to keep import edges acyclic).
 """
 

@@ -1,6 +1,6 @@
 """Diff two telemetry runs: manifests, final metrics, span trees.
 
-``python -m repro.harness compare <run_a> <run_b>`` is the CI-usable
+``python -m repro compare <run_a> <run_b>`` is the CI-usable
 regression gate: it exits non-zero when the runs' final metrics drift
 past a configurable relative tolerance.  Two identical-seed runs of the
 deterministic placer compare clean (wall-clock differences are

@@ -17,7 +17,7 @@ it, so its record carries the *parent's* revision and ``true``.
 their good direction: ``"higher"`` (a speedup - dropping is a
 regression) or ``"lower"`` (a runtime - growing is a regression).
 
-``python -m repro.harness trend`` renders the trajectory per bench and
+``python -m repro trend`` renders the trajectory per bench and
 gates the *latest* record against the median of up to
 :data:`BASELINE_WINDOW` prior records: the median absorbs isolated noisy
 runs, while a real regression shifts the latest point past the ``rtol``

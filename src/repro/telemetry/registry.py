@@ -14,7 +14,7 @@ JSON record under ``<telemetry_base>/registry/`` that it re-writes
          rss_bytes, cpu_user_s, cpu_sys_s}
 
 ``ts`` is the wall clock of the last beat; readers in *other* processes
-(``repro.harness status``) classify each record by it:
+(``python -m repro status``) classify each record by it:
 
 ``live``
     The pid exists and the last beat is recent.

@@ -1,6 +1,6 @@
 """Render one telemetry run into a human-readable report.
 
-``python -m repro.harness report <run_dir>`` loads the run's manifest
+``python -m repro report <run_dir>`` loads the run's manifest
 and event stream and produces:
 
 - ``report.md`` - a markdown summary (manifest, final metrics, event

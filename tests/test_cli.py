@@ -1,11 +1,20 @@
-"""Tests for the command-line interfaces."""
+"""Tests for the command-line interface (``python -m repro``)."""
 
 import os
+import re
+import shlex
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro.__main__ import build_parser
 from repro.__main__ import main as repro_main
-from repro.harness.__main__ import main as harness_main
+
+_README = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md"
+)
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +93,8 @@ class TestPlace:
 class TestHarnessCli:
     def test_table2_only(self, capsys):
         # Run with a single tiny design to keep this test fast.
-        code = harness_main(
-            ["--designs", "miniblue18", "--max-iters", "120"]
+        code = repro_main(
+            ["table3", "--designs", "miniblue18", "--max-iters", "120"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -93,9 +102,54 @@ class TestHarnessCli:
         assert "miniblue18" in out
         assert "Avg. Ratio" in out
 
-    def test_bench_forwarding(self, capsys):
-        code = repro_main(
-            ["bench", "--designs", "miniblue18", "--max-iters", "120"]
-        )
-        assert code == 0
-        assert "Table 3" in capsys.readouterr().out
+    def test_repro_harness_runs_the_same_parser(self):
+        def help_text(module):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.path.dirname(
+                os.path.dirname(os.path.abspath(repro.__file__))
+            )
+            return subprocess.run(
+                [sys.executable, "-m", module, "--help"],
+                capture_output=True, text=True, check=True, env=env,
+            ).stdout
+
+        assert help_text("repro.harness") == help_text("repro")
+
+
+def _readme_commands():
+    """Every ``python -m repro[.harness] ...`` line in README's fenced
+    blocks, with ``\\`` continuations joined, as argv lists."""
+    with open(_README) as handle:
+        lines = handle.read().splitlines()
+    commands = []
+    in_block = False
+    pending = ""
+    for line in lines:
+        if line.startswith("```"):
+            in_block = not in_block
+            continue
+        if not in_block:
+            continue
+        line = pending + line.strip()
+        if line.endswith("\\"):
+            pending = line[:-1] + " "
+            continue
+        pending = ""
+        match = re.search(r"python -m repro(\.harness)?\s(.*)", line)
+        if match:
+            commands.append(shlex.split(match.group(2), comments=True))
+    return commands
+
+
+class TestReadmeCommands:
+    def test_readme_has_cli_examples(self):
+        assert len(_readme_commands()) >= 10
+
+    @pytest.mark.parametrize(
+        "argv", _readme_commands(), ids=lambda argv: " ".join(argv)[:60]
+    )
+    def test_readme_line_parses(self, argv):
+        """Parse only: argparse validates subcommands, flags, choices
+        and types without running anything."""
+        args = build_parser().parse_args(argv)
+        assert callable(args.func)

@@ -2,16 +2,17 @@
 
 The acceptance scenarios of the process-boundary robustness layer:
 
-- a fault-free supervised suite is byte-identical to the legacy
-  unsupervised fan-out (supervision is a wall-clock-only knob);
+- a fault-free suite leaves no supervision trace (no provenance, no
+  supervisor event file);
 - a SIGKILL'd worker costs exactly its in-flight task one retry - every
   other task's metrics stay byte-identical and the suite completes;
 - a hung worker is killed at the task timeout and its task retried;
 - a persistently failing task is quarantined after ``max_retries`` and
   the suite still completes, with the quarantine recorded in telemetry;
 - an unbuildable pool degrades to serial in-process execution;
-- the legacy unsupervised path aborts with a typed error but salvages
-  completed runs into a partial suite manifest.
+- a failure of the supervisor itself raises a typed error but salvages
+  completed runs into a partial suite manifest;
+- duplicate tasks are refused before any work starts.
 
 Runs use tiny iteration counts - supervision must be invariant to the
 workload, and these tests exercise scheduling, not placement quality.
@@ -24,18 +25,16 @@ import numpy as np
 import pytest
 
 import repro.harness.supervisor as supervisor_mod
-from repro.harness.parallel import (
-    SUITE_MANIFEST_FILENAME,
-    run_parallel,
-    run_tasks,
-    suite_metrics,
-)
+from repro.__main__ import main
 from repro.harness.supervisor import (
-    PoolBrokenError,
+    SUITE_MANIFEST_FILENAME,
+    DuplicateTaskError,
     SupervisorError,
     SupervisorOptions,
     SuiteTask,
-    TaskFailedError,
+    run_tasks,
+    suite_metrics,
+    write_suite_manifest,
 )
 
 
@@ -68,17 +67,10 @@ def _assert_records_identical(a, b):
 
 
 class TestZeroFaultByteIdentity:
-    def test_supervised_identical_to_unsupervised(self, tmp_path):
-        tasks = _tasks()
-        raw = run_parallel(tasks, jobs=2, supervise=False)
-        sup, provenance = run_tasks(tasks, jobs=2, supervise=True)
-        _assert_records_identical(raw, sup)
-        assert provenance is None  # nothing intervened -> no provenance
-        assert all(r.attempts == 1 for r in sup)
-
     def test_no_events_file_without_interventions(self, tmp_path):
         tasks = _tasks(telemetry_dir=str(tmp_path))
-        run_parallel(tasks, jobs=2, supervise=True)
+        _, provenance = run_tasks(tasks, 2)
+        assert provenance is None  # nothing intervened -> no provenance
         assert not (tmp_path / "supervisor_events.jsonl").exists()
 
 
@@ -89,7 +81,7 @@ class TestCrashRecovery:
         """Satellite: SIGKILL one worker mid-task; the suite completes,
         non-faulted tasks are byte-identical, the victim retried once."""
         tasks = _tasks()
-        clean = run_parallel(tasks, jobs=2)
+        clean, _ = run_tasks(tasks, 2)
         monkeypatch.setenv("REPRO_INJECT_FAULT", "worker_kill:1")
         records, result = run_tasks(tasks, jobs=2)
         _assert_records_identical(clean, records)
@@ -106,7 +98,7 @@ class TestCrashRecovery:
         records, result = run_tasks(
             tasks,
             jobs=2,
-            supervisor_options=SupervisorOptions(task_timeout=5.0),
+            options=SupervisorOptions(task_timeout=5.0),
         )
         assert records[0].attempts == 2 and records[1].attempts == 1
         (outcome,) = result["tasks"]
@@ -117,7 +109,7 @@ class TestCrashRecovery:
         records, result = run_tasks(
             _tasks(2),
             jobs=1,
-            supervisor_options=SupervisorOptions(backoff_base=0.001),
+            options=SupervisorOptions(backoff_base=0.001),
         )
         assert [r.attempts for r in records] == [2, 1]
         assert result["retries"] == 1
@@ -130,7 +122,7 @@ class TestCrashRecovery:
             _tasks(1),
             jobs=1,
             cache_dir=str(tmp_path),
-            supervisor_options=SupervisorOptions(backoff_base=0.001),
+            options=SupervisorOptions(backoff_base=0.001),
         )
         assert records[0].attempts == 2
         (outcome,) = result["tasks"]
@@ -148,7 +140,7 @@ class TestQuarantine:
         records, result = run_tasks(
             tasks,
             jobs=2,
-            supervisor_options=SupervisorOptions(
+            options=SupervisorOptions(
                 max_retries=1, backoff_base=0.001
             ),
         )
@@ -177,14 +169,12 @@ class TestQuarantine:
         assert quarantine["attempts"] == 2
 
     def test_suite_manifest_records_quarantine(self, monkeypatch, tmp_path):
-        from repro.harness.parallel import write_suite_manifest
-
         monkeypatch.setenv("REPRO_INJECT_FAULT", "task_exc:0@99")
         tasks = _tasks(2, telemetry_dir=str(tmp_path))
         records, supervision = run_tasks(
             tasks,
             jobs=1,
-            supervisor_options=SupervisorOptions(
+            options=SupervisorOptions(
                 max_retries=1, backoff_base=0.001
             ),
         )
@@ -198,6 +188,19 @@ class TestQuarantine:
         assert entry["quarantine"]["failures"][0]["failure"] == "exception"
         assert payload["supervision"]["quarantined"] == ["miniblue4_ours_s0"]
 
+    def test_table3_refuses_a_nan_row(self, monkeypatch):
+        from repro.harness.table3 import run_table3
+
+        monkeypatch.setenv("REPRO_INJECT_FAULT", "task_exc:0@99")
+        with pytest.raises(SupervisorError) as info:
+            run_table3(
+                designs=["miniblue4"], modes=("ours",), max_iters=6,
+                verbose=False,
+            )
+        assert info.value.run_id == "miniblue4_ours_s0"
+        assert "miniblue4_ours_s0" in str(info.value)
+        assert info.value.failure == "exception"
+
 
 class TestDegradation:
     def test_unbuildable_pool_degrades_to_serial(self, monkeypatch):
@@ -206,45 +209,94 @@ class TestDegradation:
 
         monkeypatch.setattr(supervisor_mod, "_spawn_worker", boom)
         tasks = _tasks(2)
-        clean = run_parallel(tasks, jobs=1)
+        clean, _ = run_tasks(tasks, 1)
         records, result = run_tasks(tasks, jobs=2)
         _assert_records_identical(clean, records)
         assert result is not None and result["degraded_to_serial"]
 
 
+def _fail_second_registration(monkeypatch):
+    """Make the supervisor's own bookkeeping blow up on the second task."""
+    real = supervisor_mod._Supervisor._register_success
+
+    def fail_second(self, index, record):
+        if index == 1:
+            raise RuntimeError("bookkeeping\nexploded")
+        real(self, index, record)
+
+    monkeypatch.setattr(
+        supervisor_mod._Supervisor, "_register_success", fail_second
+    )
+
+
 class TestUnsupervisedSalvage:
+    """A failure of the supervisor itself (not of a task) is terminal."""
+
     def test_task_failure_writes_partial_manifest(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "task_exc:0")
+        _fail_second_registration(monkeypatch)
         tasks = _tasks(2, telemetry_dir=str(tmp_path))
-        with pytest.raises(TaskFailedError) as info:
-            run_tasks(tasks, jobs=2, supervise=False)
+        with pytest.raises(SupervisorError) as info:
+            run_tasks(tasks, 1)
         exc = info.value
-        assert exc.run_id == "miniblue4_ours_s0"
-        assert exc.failure == "exception"
-        assert [i for i, _ in exc.completed] == [1]
+        summary = exc.summary()
+        assert "\n" not in summary
+        assert "RuntimeError: bookkeeping exploded" in summary
+        assert "1 completed run(s) salvaged" in summary
+        assert [i for i, _ in exc.completed] == [0]
         assert exc.partial_manifest == str(
             tmp_path / SUITE_MANIFEST_FILENAME
         )
         payload = json.loads(open(exc.partial_manifest).read())
         assert payload["partial"] is True
         assert payload["n_runs"] == 1
-        assert payload["runs"][0]["run_id"] == "miniblue18_ours_s0"
+        assert payload["runs"][0]["run_id"] == "miniblue4_ours_s0"
 
     def test_summary_is_one_actionable_line(self):
-        exc = PoolBrokenError(
-            "a worker process died",
+        exc = SupervisorError(
+            "worker pid 7 died mid-task",
+            failure="crash",
             task_index=2,
             run_id="miniblue18_ours_s0",
             completed=[(0, object())],
         )
         summary = exc.summary()
         assert "\n" not in summary
-        assert "PoolBrokenError" in summary
+        assert "SupervisorError" in summary
         assert "miniblue18_ours_s0" in summary
         assert "crash" in summary
         assert "1 completed run(s) salvaged" in summary
+
+
+class TestDuplicateTasks:
+    def test_refused_before_any_worker_is_spawned(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started despite duplicate tasks")
+
+        monkeypatch.setattr(supervisor_mod, "_spawn_worker", forbidden)
+        monkeypatch.setattr(supervisor_mod, "ensure_cached", forbidden)
+        monkeypatch.setattr(supervisor_mod, "_execute_task", forbidden)
+        tasks = [SuiteTask(design="miniblue4", mode="ours")] * 2 + [
+            SuiteTask(design="miniblue18", mode="ours")
+        ]
+        with pytest.raises(
+            DuplicateTaskError, match="miniblue4_ours_s0"
+        ) as info:
+            run_tasks(tasks, 2)
+        assert isinstance(info.value, ValueError)
+        assert "miniblue18" not in str(info.value)
+
+    def test_cli_exits_2_with_the_duplicate_run_ids(self, tmp_path, capsys):
+        status = main(
+            [
+                "suite", "--designs", "miniblue4", "--seeds", "0", "0",
+                "--jobs", "2", "--telemetry", str(tmp_path),
+            ]
+        )
+        assert status == 2
+        assert "miniblue4_ours_s0" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
 
 class TestBackoffDeterminism:
@@ -275,8 +327,6 @@ class TestCliSupervision:
     def test_quarantine_exits_nonzero_with_summary(
         self, monkeypatch, tmp_path, capsys
     ):
-        from repro.harness.__main__ import main
-
         monkeypatch.setenv("REPRO_INJECT_FAULT", "task_exc:0@99")
         status = main(
             [
@@ -301,31 +351,30 @@ class TestCliSupervision:
         err = capsys.readouterr().err
         assert "QUARANTINED" in err and "quarantined" in err
 
-    def test_no_supervise_aborts_with_typed_one_liner(
+    def test_supervisor_failure_is_a_typed_one_liner(
         self, monkeypatch, tmp_path, capsys
     ):
-        from repro.harness.__main__ import main
-
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "task_exc:0")
+        _fail_second_registration(monkeypatch)
         status = main(
             [
-                "suite",
-                "--designs",
-                "miniblue4",
-                "--modes",
-                "ours",
-                "--seeds",
-                "0",
-                "--max-iters",
-                "6",
-                "--jobs",
-                "1",
-                "--no-supervise",
-                "--telemetry",
-                str(tmp_path),
+                "suite", "--designs", "miniblue4", "--seeds", "0", "1",
+                "--max-iters", "6", "--telemetry", str(tmp_path),
             ]
         )
         assert status == 1
         err = capsys.readouterr().err
-        assert "TaskFailedError" in err
         assert "Traceback" not in err
+        summary, manifest = err.strip().splitlines()
+        assert summary.startswith("SupervisorError: ")
+        assert "1 completed run(s) salvaged" in summary
+        assert manifest == (
+            f"partial suite manifest: {tmp_path / SUITE_MANIFEST_FILENAME}"
+        )
+
+    def test_other_value_errors_are_not_usage_errors(self, monkeypatch):
+        def broken_generator(*args, **kwargs):
+            raise ValueError("generator bug")
+
+        monkeypatch.setattr(supervisor_mod, "ensure_cached", broken_generator)
+        with pytest.raises(ValueError, match="generator bug"):
+            main(["suite", "--designs", "miniblue4", "--max-iters", "6"])
