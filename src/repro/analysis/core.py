@@ -6,20 +6,16 @@ only):
 - :class:`Finding` - one rule violation at a file/line;
 - :class:`FileContext` - a parsed source file plus its inline
   suppression comments (``# reprolint: allow[rule-id] reason``);
-- :class:`ProjectIndex` - repo-wide lookup tables (module functions,
-  test node ids, the telemetry event-kind vocabulary) plus the
+- :class:`ProjectIndex` - repo-wide lookup tables (test node ids, the
+  telemetry event-kind vocabulary) plus the
   :class:`repro.analysis.index.SemanticIndex` (import graph, symbol
   tables, call graph) that the whole-program rules run on;
 - :class:`Rule` / :data:`RULE_REGISTRY` - the rule plug-in surface.
   Rules declare a ``scope``: ``"file"`` rules run per lint target,
-  ``"project"`` rules run once over the semantic index.  File rules
-  whose output depends only on their own file set ``cacheable = True``
-  and participate in the incremental result cache;
-- :class:`Analyzer` - hashes and (on cache miss) parses the lint
-  targets, applies every registered rule - optionally fanning file
-  analysis out over supervised worker processes - filters suppressed
-  findings, and emits the meta findings (``bad-suppression``,
-  ``unused-suppression``);
+  ``"project"`` rules run once over the semantic index;
+- :class:`Analyzer` - parses the lint targets, applies every registered
+  rule, filters suppressed findings, and emits the meta findings
+  (``bad-suppression``, ``unused-suppression``);
 - :class:`Report` - the result bundle the CLI and the telemetry
   provenance hook consume.
 """
@@ -27,7 +23,6 @@ only):
 from __future__ import annotations
 
 import ast
-import inspect
 import io
 import os
 import re
@@ -46,6 +41,7 @@ __all__ = [
     "Analyzer",
     "Report",
     "run_analysis",
+    "find_repo_root",
     "DEFAULT_LINT_PATHS",
 ]
 
@@ -86,27 +82,6 @@ class Finding:
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "snippet": self.snippet,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Finding":
-        return cls(
-            rule=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            message=str(data["message"]),
-            snippet=str(data.get("snippet", "")),
-        )
-
 
 @dataclass
 class Suppression:
@@ -129,7 +104,6 @@ class FileContext:
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=relpath)
         self.suppressions: List[Suppression] = []
-        self.parse_errors: List[str] = []
         self._scan_suppressions()
 
     # ------------------------------------------------------------------
@@ -205,7 +179,6 @@ class ProjectIndex:
     def __init__(self, root: str) -> None:
         self.root = root
         self.files: Dict[str, FileContext] = {}
-        self._functions: Optional[Set[str]] = None
         self._event_kinds: Optional[Tuple[str, ...]] = None
         self._semantic = None
 
@@ -229,7 +202,6 @@ class ProjectIndex:
         except (OSError, SyntaxError, ValueError):
             return None
         self.files[relpath] = ctx
-        self._functions = None
         self._semantic = None
         return ctx
 
@@ -246,24 +218,6 @@ class ProjectIndex:
 
             self._semantic = SemanticIndex.build(self.files)
         return self._semantic
-
-    # ------------------------------------------------------------------
-    @property
-    def functions(self) -> Set[str]:
-        """Dotted names of every function/method under ``src/``."""
-        if self._functions is None:
-            names: Set[str] = set()
-            for ctx in self.files.values():
-                module = ctx.module_name()
-                if module is None:
-                    continue
-                for qualname in _iter_qualnames(ctx.tree):
-                    names.add(f"{module}.{qualname}")
-            self._functions = names
-        return self._functions
-
-    def has_function(self, dotted: str) -> bool:
-        return dotted in self.functions
 
     # ------------------------------------------------------------------
     def has_test(self, node_id: str) -> bool:
@@ -332,28 +286,18 @@ class Rule:
 
     ``scope = "file"`` rules run once per lint target; ``"project"``
     rules run once per analysis over the full semantic index and may
-    anchor findings in any indexed file.  A file rule whose findings
-    depend only on its own file's content sets ``cacheable = True`` and
-    is skipped on warm incremental runs; rules that read other files
-    through the index (event vocabularies, symbol resolution) must leave
-    it False.
+    anchor findings in any indexed file.
     """
 
     id: str = ""
     description: str = ""
     scope: str = "file"
-    cacheable: bool = False
 
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
         raise NotImplementedError
 
     def check_project(self, index: ProjectIndex) -> Iterable[Finding]:
         raise NotImplementedError
-
-    def explain(self) -> str:
-        """Long-form policy text for ``reprolint explain <rule-id>``."""
-        doc = inspect.getdoc(type(self))
-        return doc or self.description
 
     # Helper for subclasses.
     def finding(
@@ -387,12 +331,24 @@ def register_rule(cls):
 
 
 def load_rules() -> None:
-    """Import every rule module, populating :data:`RULE_REGISTRY`."""
+    """Import the rule module, populating :data:`RULE_REGISTRY`."""
     from . import rules as _rules  # noqa: F401
-    from . import flowrules as _flowrules  # noqa: F401
 
 
 # ----------------------------------------------------------------------
+def find_repo_root(start: Optional[str] = None) -> str:
+    """Walk up from ``start`` (default cwd) to the dir holding ``src/repro``."""
+    here = os.path.abspath(start or os.getcwd())
+    probe = here
+    while True:
+        if os.path.isdir(os.path.join(probe, "src", "repro")):
+            return probe
+        parent = os.path.dirname(probe)
+        if parent == probe:
+            return here
+        probe = parent
+
+
 def iter_python_files(root: str, paths: Sequence[str]) -> List[str]:
     """Repo-relative ``.py`` files under ``paths`` (sorted, deduped)."""
     out: Set[str] = set()
@@ -418,174 +374,42 @@ class Report:
     root: str
     rules_version: str
     files_checked: int
-    new_findings: List[Finding] = field(default_factory=list)
-    baselined_findings: List[Finding] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
     suppressed_count: int = 0
-    baseline_hash: Optional[str] = None
 
     @property
     def clean(self) -> bool:
-        return not self.new_findings
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rules_version": self.rules_version,
-            "files_checked": self.files_checked,
-            "clean": self.clean,
-            "new_findings": [f.to_dict() for f in self.new_findings],
-            "baselined_findings": [f.to_dict() for f in self.baselined_findings],
-            "suppressed_count": self.suppressed_count,
-            "baseline_hash": self.baseline_hash,
-        }
-
-
-def _analyze_shard(args: Tuple[str, Tuple[str, ...]]):
-    """Worker entrypoint for ``--jobs`` fan-out: lint one file shard.
-
-    Runs in a spawned process (via
-    :func:`repro.harness.supervisor.supervised_map`), so it rebuilds the
-    project index from disk and returns plain JSON-able data: per file,
-    the raw pre-suppression findings of every file-scope rule plus the
-    suppressions consumed during the check phase (the parent replays the
-    marks into its own contexts - worker state dies with the worker).
-    """
-    root, rels = args
-    analyzer = Analyzer(root)
-    index = analyzer.index
-    out = []
-    for rel in rels:
-        ctx = index.files.get(rel) or index.add_file(rel)
-        if ctx is None:
-            out.append((rel, None, []))
-            continue
-        per_rule, _, used_all = analyzer._run_file_rules(ctx)
-        out.append(
-            (
-                rel,
-                {rid: [f.to_dict() for f in fs] for rid, fs in per_rule.items()},
-                used_all,
-            )
-        )
-    return out
+        return not self.findings
 
 
 class Analyzer:
-    """Run every registered rule over the lint targets.
+    """Run every registered rule over the lint targets."""
 
-    ``cache_path`` enables the incremental result cache
-    (:mod:`repro.analysis.cache`); ``jobs > 1`` fans file-scope rule
-    execution out over supervised worker processes.
-    """
-
-    def __init__(
-        self,
-        root: str,
-        paths: Optional[Sequence[str]] = None,
-        rules: Optional[Dict[str, Rule]] = None,
-        cache_path: Optional[str] = None,
-        jobs: int = 1,
-    ) -> None:
+    def __init__(self, root: str, paths: Optional[Sequence[str]] = None) -> None:
         load_rules()
         self.root = os.path.abspath(root)
         self.paths = list(paths) if paths else [
             p for p in DEFAULT_LINT_PATHS if os.path.exists(os.path.join(root, p))
         ]
-        self.rules = dict(rules) if rules is not None else dict(RULE_REGISTRY)
-        self.cache_path = cache_path
-        self.jobs = max(1, int(jobs))
-        # Parsed lazily: the warm full-hit cache path never needs it.
-        self._index: Optional[ProjectIndex] = None
-
-    @property
-    def index(self) -> ProjectIndex:
-        if self._index is None:
-            self._index = ProjectIndex.build(self.root)
-        return self._index
+        self.rules = dict(RULE_REGISTRY)
+        self.index = ProjectIndex.build(self.root)
 
     # ------------------------------------------------------------------
-    def _rule_groups(self):
-        file_rules = [r for r in self.rules.values() if r.scope == "file"]
-        return (
-            [r for r in file_rules if r.cacheable],
-            [r for r in file_rules if not r.cacheable],
-            [r for r in self.rules.values() if r.scope == "project"],
-        )
-
-    def _run_file_rules(self, ctx: FileContext):
-        """All file-scope rules on one context.
-
-        Returns ``(per_rule_findings, used_cacheable, used_all)`` where
-        the ``used_*`` lists are ``[line, rule-id]`` pairs of
-        suppressions consumed *during the check phase* (only
-        self-suppressing rules do that); ``used_cacheable`` is the
-        snapshot after the cacheable rules and is what the cache stores.
-        """
-        cacheable, uncacheable, _ = self._rule_groups()
-        per_rule: Dict[str, List[Finding]] = {}
-        for rule in cacheable:
-            per_rule[rule.id] = list(rule.check(ctx, self.index))
-        used_cacheable = [
-            [sup.target_line, sup.rule] for sup in ctx.suppressions if sup.used
-        ]
-        for rule in uncacheable:
-            per_rule[rule.id] = list(rule.check(ctx, self.index))
-        used_all = [
-            [sup.target_line, sup.rule] for sup in ctx.suppressions if sup.used
-        ]
-        return per_rule, used_cacheable, used_all
-
-    @staticmethod
-    def _replay_used(ctx: FileContext, used: Iterable[Sequence[object]]) -> None:
-        for pair in used:
-            line, rule_id = int(pair[0]), str(pair[1])
-            for sup in ctx.suppressions:
-                if sup.target_line == line and sup.rule == rule_id:
-                    sup.used = True
-
-    # ------------------------------------------------------------------
-    def run(self) -> Tuple[List[Finding], int, int]:
-        """All unsuppressed findings, files-checked count, and the number
-        of honoured suppression comments."""
+    def run(self) -> Report:
+        """Lint the targets: unsuppressed findings, the files-checked
+        count, and the number of honoured suppression comments."""
         from .rules import RULES_VERSION
 
         targets = iter_python_files(self.root, self.paths)
+        file_rules = [r for r in self.rules.values() if r.scope == "file"]
+        project_rules = [r for r in self.rules.values() if r.scope == "project"]
 
-        cache = sig = hashes = None
-        if self.cache_path:
-            from .cache import ResultCache, hash_file, project_signature
-
-            cache = ResultCache.load(self.cache_path, RULES_VERSION)
-            hashes = {
-                rel: hash_file(os.path.join(self.root, rel))
-                for rel in iter_python_files(self.root, INDEX_PATHS)
-            }
-            for rel in targets:  # targets outside INDEX_PATHS still key
-                if rel not in hashes:
-                    hashes[rel] = hash_file(os.path.join(self.root, rel))
-            sig = project_signature(
-                RULES_VERSION, sorted(self.rules), hashes, targets
-            )
-            hit = cache.full_result(sig)
-            if hit is not None:
-                findings = [
-                    Finding.from_dict(d) for d in hit.get("findings", [])
-                ]
-                return findings, int(hit["files_checked"]), int(hit["suppressed"])
-
+        findings: List[Finding] = []
         raw: List[Finding] = []
-        parse_failures: List[Finding] = []
-        file_entries: Dict[str, Dict[str, object]] = {}
-        cacheable, uncacheable, project_rules = self._rule_groups()
-        cacheable_ids = {r.id for r in cacheable}
-
-        shard_results: Dict[str, Tuple[Optional[Dict], List]] = {}
-        if self.jobs > 1 and len(targets) > 1:
-            shard_results = self._fan_out(targets)
-
         for rel in targets:
             ctx = self.index.files.get(rel) or self.index.add_file(rel)
             if ctx is None:
-                parse_failures.append(
+                findings.append(
                     Finding(
                         rule="parse-error",
                         path=rel,
@@ -595,49 +419,12 @@ class Analyzer:
                     )
                 )
                 continue
-            if rel in shard_results:
-                per_dicts, used_all = shard_results[rel]
-                per_rule = {
-                    rid: [Finding.from_dict(d) for d in ds]
-                    for rid, ds in (per_dicts or {}).items()
-                }
-                self._replay_used(ctx, used_all)
-                used_cacheable = [
-                    pair for pair in used_all if pair[1] in cacheable_ids
-                ]
-            else:
-                entry = (
-                    cache.file_entry(rel, hashes.get(rel))
-                    if cache is not None
-                    else None
-                )
-                if entry is not None:
-                    per_rule = {
-                        rid: [Finding.from_dict(d) for d in ds]
-                        for rid, ds in entry.get("raw", {}).items()
-                    }
-                    used_cacheable = list(entry.get("used", []))
-                    self._replay_used(ctx, used_cacheable)
-                    for rule in uncacheable:
-                        per_rule[rule.id] = list(rule.check(ctx, self.index))
-                else:
-                    per_rule, used_cacheable, _ = self._run_file_rules(ctx)
-            for findings in per_rule.values():
-                raw.extend(findings)
-            if cache is not None:
-                file_entries[rel] = {
-                    "hash": hashes.get(rel),
-                    "raw": {
-                        rid: [f.to_dict() for f in per_rule.get(rid, [])]
-                        for rid in sorted(cacheable_ids)
-                    },
-                    "used": used_cacheable,
-                }
+            for rule in file_rules:
+                raw.extend(rule.check(ctx, self.index))
 
         for rule in project_rules:
             raw.extend(rule.check_project(self.index))
 
-        findings = list(parse_failures)
         for finding in raw:
             ctx = self.index.files.get(finding.path)
             if ctx is not None:
@@ -655,47 +442,13 @@ class Analyzer:
             findings.extend(self._meta_findings(ctx))
             suppressed += sum(1 for sup in ctx.suppressions if sup.used)
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-
-        if cache is not None and sig is not None:
-            cache.store(
-                sig,
-                {
-                    "findings": [f.to_dict() for f in findings],
-                    "files_checked": len(targets),
-                    "suppressed": suppressed,
-                },
-                file_entries,
-            )
-            cache.write()
-        return findings, len(targets), suppressed
-
-    # ------------------------------------------------------------------
-    def _fan_out(self, targets: Sequence[str]):
-        """Shard targets over supervised worker processes.
-
-        Degrades silently to the serial path on any fan-out failure -
-        multi-process lint is an optimisation, never a correctness
-        dependency.
-        """
-        try:
-            from ..harness.supervisor import supervised_map
-        except Exception:
-            return {}
-        n_shards = min(self.jobs, len(targets))
-        shards = [
-            (self.root, tuple(targets[i::n_shards])) for i in range(n_shards)
-        ]
-        try:
-            results = supervised_map(_analyze_shard, shards, jobs=self.jobs)
-        except Exception:
-            return {}
-        out: Dict[str, Tuple[Optional[Dict], List]] = {}
-        for shard in results:
-            if shard is None:
-                continue
-            for rel, per_dicts, used_all in shard:
-                out[rel] = (per_dicts, used_all)
-        return out
+        return Report(
+            root=self.root,
+            rules_version=RULES_VERSION,
+            files_checked=len(targets),
+            findings=findings,
+            suppressed_count=suppressed,
+        )
 
     # ------------------------------------------------------------------
     def _meta_findings(self, ctx: FileContext) -> List[Finding]:
@@ -745,36 +498,10 @@ class Analyzer:
         return out
 
 
-def run_analysis(
-    root: str,
-    paths: Optional[Sequence[str]] = None,
-    baseline_path: Optional[str] = None,
-    cache_path: Optional[str] = None,
-    jobs: int = 1,
-) -> Report:
-    """Lint ``root`` and split findings against the committed baseline.
+def run_analysis(root: str, paths: Optional[Sequence[str]] = None) -> Report:
+    """Lint ``paths`` (default: ``src`` and ``benchmarks``) under ``root``.
 
-    The incremental cache is OFF unless ``cache_path`` is given: this
-    function also runs inside placements (telemetry provenance) and must
-    never write files into the tree.  The CLI passes the conventional
-    cache path explicitly.
-
-    Raises :class:`repro.analysis.baseline.BaselineIntegrityError` if the
-    baseline file exists but fails its integrity check (hand-edited).
+    Read-only: this also runs inside placements (telemetry provenance)
+    and never writes into the tree.
     """
-    from .baseline import Baseline
-    from .rules import RULES_VERSION
-
-    analyzer = Analyzer(root, paths=paths, cache_path=cache_path, jobs=jobs)
-    findings, n_files, suppressed = analyzer.run()
-    baseline = Baseline.load(baseline_path) if baseline_path else Baseline.empty()
-    new, grandfathered = baseline.split(findings)
-    return Report(
-        root=analyzer.root,
-        rules_version=RULES_VERSION,
-        files_checked=n_files,
-        new_findings=new,
-        baselined_findings=grandfathered,
-        suppressed_count=suppressed,
-        baseline_hash=baseline.integrity_hash,
-    )
+    return Analyzer(root, paths=paths).run()

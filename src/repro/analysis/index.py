@@ -10,7 +10,7 @@ file and extracts per-module facts:
 - the **import table** (local alias -> canonical dotted name, relative
   imports resolved against the module's package);
 - the **symbol table** (functions, classes, methods, module-level
-  assignments, and which module-level names are *mutable* containers);
+  assignments);
 - per-function **local binding sets** (parameters, assignments, loop and
   ``with`` targets, ...), so a name use resolves through real Python
   scoping instead of string matching;
@@ -20,9 +20,9 @@ file and extracts per-module facts:
   **entrypoint** (functions passed as ``target=`` to a ``Process`` or
   ``initializer=`` to a pool).
 
-Pass two is the rules in :mod:`repro.analysis.flowrules`, which run
-closures and dataflow over these tables.  Everything here is resolved
-*statically* - the index never imports the code it describes.
+Pass two is the whole-program rules in :mod:`repro.analysis.rules`,
+which run closures and dataflow over these tables.  Everything here is
+resolved *statically* - the index never imports the code it describes.
 
 The call graph is deliberately an under-approximation: an attribute call
 on an object of unknown type contributes no edge.  For lint that is the
@@ -34,7 +34,7 @@ what is and is not resolved.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
     "ARRAY_NAMESPACES",
@@ -49,18 +49,15 @@ __all__ = [
 #: that police "numpy contracts" accept any of them.
 ARRAY_NAMESPACES = ("numpy",)
 
-_MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-
 
 class ContractSite:
     """One ``@differentiable(backward=..., gradcheck=...)`` decorator."""
 
-    __slots__ = ("relpath", "qualname", "forward", "backward", "gradcheck", "node")
+    __slots__ = ("relpath", "qualname", "backward", "gradcheck", "node")
 
-    def __init__(self, relpath, qualname, forward, backward, gradcheck, node):
+    def __init__(self, relpath, qualname, backward, gradcheck, node):
         self.relpath = relpath
         self.qualname = qualname  # e.g. "lse_max" or "Cls.method"
-        self.forward = forward  # canonical dotted name of the forward
         self.backward = backward  # declared string (may be None)
         self.gradcheck = gradcheck  # declared string (may be None)
         self.node = node  # the decorator AST node
@@ -97,8 +94,6 @@ class ModuleInfo:
         self.classes: Dict[str, List[str]] = {}
         #: Module-level assigned names -> first assignment lineno.
         self.module_assigns: Dict[str, int] = {}
-        #: Module-level names bound to mutable container literals/calls.
-        self.mutable_globals: Set[str] = set()
         self.contracts: List[ContractSite] = []
 
 
@@ -342,12 +337,8 @@ class SemanticIndex:
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         mod.module_assigns.setdefault(target.id, node.lineno)
-                        if self._is_mutable_value(node.value):
-                            mod.mutable_globals.add(target.id)
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 mod.module_assigns.setdefault(node.target.id, node.lineno)
-                if node.value is not None and self._is_mutable_value(node.value):
-                    mod.mutable_globals.add(node.target.id)
         self.modules[relpath] = mod
         if mod.module:
             self._by_module[mod.module] = mod
@@ -356,17 +347,6 @@ class SemanticIndex:
         info = FunctionInfo(qualname, node)
         _collect_locals(node, info)
         mod.functions[qualname] = info
-
-    @staticmethod
-    def _is_mutable_value(value: ast.AST) -> bool:
-        if isinstance(value, _MUTABLE_LITERALS):
-            return True
-        if isinstance(value, ast.Call):
-            chain = attribute_chain(value.func)
-            if chain is not None:
-                name = (chain[0] if not chain[1] else chain[1][-1])
-                return name in ("dict", "list", "set", "deque", "defaultdict", "OrderedDict")
-        return False
 
     # -- pass 2: cross-module linking -----------------------------------
     def _link_module(self, relpath: str, ctx) -> None:
@@ -446,7 +426,6 @@ class SemanticIndex:
                 ContractSite(
                     mod.relpath,
                     qual,
-                    _canonical(mod.module, qual, mod.relpath),
                     backward,
                     gradcheck,
                     deco,
@@ -456,9 +435,6 @@ class SemanticIndex:
     # ------------------------------------------------------------------
     def resolver(self, relpath: str) -> Optional[NameResolver]:
         return self._resolvers.get(relpath)
-
-    def module(self, dotted: str) -> Optional[ModuleInfo]:
-        return self._by_module.get(dotted)
 
     def resolve_symbol(self, dotted: str, _depth: int = 0) -> Optional[str]:
         """Follow import aliases to the defining module's canonical name.
@@ -490,9 +466,6 @@ class SemanticIndex:
                 return dotted
             return None
         return None
-
-    def has_symbol(self, dotted: str) -> bool:
-        return self.resolve_symbol(dotted) is not None
 
     def is_module_global(self, dotted: str) -> bool:
         """True if ``dotted`` roots at a module-level assignment of an
@@ -542,10 +515,3 @@ class SemanticIndex:
                 if resolved is not None and resolved not in seen:
                     stack.append(resolved)
         return seen
-
-    def function_node(self, canonical: str):
-        """(relpath, FunctionInfo) for a canonical name, or None."""
-        resolved = self.resolve_symbol(canonical)
-        if resolved is None:
-            return None
-        return self.functions.get(resolved)

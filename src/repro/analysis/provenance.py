@@ -4,9 +4,9 @@
 was launched from and condenses the result into a small dict stamped
 into every run manifest (see :mod:`repro.telemetry.manifest`), so
 ``python -m repro compare`` can flag results produced from a
-tree with unbaselined lint findings ("dirty" runs) or under a different
-rule set.  It must never break a placement run: any failure degrades to
-an ``{"error": ...}`` payload.
+tree with lint findings ("dirty" runs) or under a different rule set.
+It must never break a placement run: any failure degrades to an
+``{"error": ...}`` payload.
 """
 
 from __future__ import annotations
@@ -22,30 +22,20 @@ _CACHE: Optional[Dict[str, Any]] = None
 def analysis_provenance(root: Optional[str] = None) -> Dict[str, Any]:
     """Summary of the repo's reprolint state (cached per process).
 
-    Keys: ``rules_version``, ``finding_count`` (total, incl. baselined),
-    ``new_finding_count``, ``suppressed_count``, ``baseline_hash``,
+    Keys: ``rules_version``, ``finding_count``, ``suppressed_count``,
     ``clean`` - or a single ``error`` key if analysis itself failed.
     """
     global _CACHE
     if _CACHE is not None and root is None:
         return dict(_CACHE)
     try:
-        from .baseline import BASELINE_FILENAME
-        from .cli import find_repo_root
-        from .core import run_analysis
+        from .core import find_repo_root, run_analysis
 
-        repo_root = root or find_repo_root(os.path.dirname(__file__))
-        report = run_analysis(
-            repo_root,
-            baseline_path=os.path.join(repo_root, BASELINE_FILENAME),
-        )
+        report = run_analysis(root or find_repo_root(os.path.dirname(__file__)))
         result: Dict[str, Any] = {
             "rules_version": report.rules_version,
-            "finding_count": len(report.new_findings)
-            + len(report.baselined_findings),
-            "new_finding_count": len(report.new_findings),
+            "finding_count": len(report.findings),
             "suppressed_count": report.suppressed_count,
-            "baseline_hash": report.baseline_hash,
             "clean": report.clean,
         }
     except Exception as exc:  # noqa: BLE001 - must never break a run

@@ -4,37 +4,54 @@ Each rule encodes one reproducibility contract of the codebase; see
 ``DESIGN.md`` ("Static analysis & enforced invariants") for the policy
 behind each.  Importing this module registers every rule in
 :data:`repro.analysis.core.RULE_REGISTRY`.
+
+Most rules match patterns inside one file.  Three whole-program
+families run on :class:`repro.analysis.index.SemanticIndex` (import
+graph, symbol tables, approximate call graph) via ``index.semantic``:
+
+- ``spawn-safety`` - module-level state written on spawn-worker paths;
+- ``determinism-taint`` - clock/entropy/set-order values flowing into
+  telemetry manifests and gated metrics (it also carries the old
+  syntactic ``seeded-rng`` checks);
+- ``contract-closure`` - every ``@differentiable`` string resolves to a
+  live symbol and a gradcheck test that still exercises the kernel.
 """
 
 from __future__ import annotations
 
 import ast
 import difflib
+import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .core import FileContext, Finding, ProjectIndex, Rule, register_rule
 from .index import ARRAY_NAMESPACES, NameResolver
 
-__all__ = ["RULES_VERSION"]
+__all__ = ["RULES_VERSION", "SPAWN_SAFE_GLOBALS"]
 
 #: Bumped whenever a rule is added, removed, or changes what it flags;
-#: recorded in baselines, in telemetry run manifests, and in the
-#: incremental result cache key.
-RULES_VERSION = "2.4"
+#: recorded in telemetry run manifests.
+RULES_VERSION = "2.5"
 
 
-def _is_numpy(node: ast.AST, resolver: Optional[NameResolver] = None) -> bool:
-    # With a resolver the name is traced through the module's import
-    # table, so a local variable that merely shadows ``np`` does not
-    # count as numpy; the bare-name fallback survives only for files
-    # absent from the semantic index.
-    if resolver is not None:
-        return resolver.resolve_expr(node) in ARRAY_NAMESPACES
-    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+def _in_tests(relpath: str) -> bool:
+    return relpath.startswith("tests/") or "/tests/" in relpath
 
 
-def _in_tests(ctx: FileContext) -> bool:
-    return ctx.relpath.startswith("tests/") or "/tests/" in ctx.relpath
+def _resolved(resolver: Optional[NameResolver], node: ast.AST) -> Optional[str]:
+    """Canonical dotted name of a Name/Attribute chain, or None.
+
+    A local variable that merely shadows an imported name (``np``)
+    resolves to None.
+    """
+    if resolver is None:
+        return None
+    return resolver.resolve_expr(node)
+
+
+def _is_numpy(resolver: Optional[NameResolver], node: ast.AST) -> bool:
+    """True if ``node`` denotes the numpy namespace *by import*."""
+    return _resolved(resolver, node) in ARRAY_NAMESPACES
 
 
 # ----------------------------------------------------------------------
@@ -65,7 +82,6 @@ class NoScatterAddAt(Rule):
         "use repro.core.scatter / repro.core.smoothing helpers instead of "
         "np.add.at / np.subtract.at / np.maximum.at / np.minimum.at"
     )
-    cacheable = True
 
     _UFUNCS = ("add", "subtract", "maximum", "minimum")
     _ALLOWED_FILES = ("benchmarks/bench_scatter.py",)
@@ -73,7 +89,7 @@ class NoScatterAddAt(Rule):
     _BUCKETED_LAYOUT_FILES = ("src/repro/place/wirelength.py",)
 
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
-        if _in_tests(ctx) or ctx.relpath in self._ALLOWED_FILES:
+        if _in_tests(ctx.relpath) or ctx.relpath in self._ALLOWED_FILES:
             return
         resolver = index.semantic.resolver(ctx.relpath)
         bucketed = ctx.relpath in self._BUCKETED_LAYOUT_FILES
@@ -96,7 +112,7 @@ class NoScatterAddAt(Rule):
             if (
                 isinstance(inner, ast.Attribute)
                 and inner.attr in self._UFUNCS
-                and _is_numpy(inner.value, resolver)
+                and _is_numpy(resolver, inner.value)
             ):
                 yield self.finding(
                     ctx,
@@ -124,12 +140,11 @@ class NoSilentNanFix(Rule):
     description = (
         "np.nan_to_num / np.errstate(invalid='ignore') outside runtime/guard.py"
     )
-    cacheable = True
 
     _ALLOWED_FILES = ("src/repro/runtime/guard.py",)
 
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
-        if ctx.relpath in self._ALLOWED_FILES or _in_tests(ctx):
+        if ctx.relpath in self._ALLOWED_FILES or _in_tests(ctx.relpath):
             return
         resolver = index.semantic.resolver(ctx.relpath)
         for node in ast.walk(ctx.tree):
@@ -139,7 +154,7 @@ class NoSilentNanFix(Rule):
             if (
                 isinstance(func, ast.Attribute)
                 and func.attr == "nan_to_num"
-                and _is_numpy(func.value, resolver)
+                and _is_numpy(resolver, func.value)
             ):
                 yield self.finding(
                     ctx,
@@ -151,7 +166,7 @@ class NoSilentNanFix(Rule):
             elif (
                 isinstance(func, ast.Attribute)
                 and func.attr == "errstate"
-                and _is_numpy(func.value, resolver)
+                and _is_numpy(resolver, func.value)
             ):
                 for kw in node.keywords:
                     if (
@@ -167,12 +182,6 @@ class NoSilentNanFix(Rule):
                             "suppress with a reason",
                         )
                         break
-
-
-# ----------------------------------------------------------------------
-# The syntactic SeededRng rule lived here through RULES_VERSION 1.x; its
-# checks moved into flowrules.DeterminismTaint ("determinism-taint"),
-# which additionally traces tainted values into telemetry sinks.
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +201,7 @@ class TelemetryKindLiteral(Rule):
 
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
         kinds = index.event_kinds
-        if not kinds or _in_tests(ctx):
+        if not kinds or _in_tests(ctx.relpath):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -239,7 +248,6 @@ class CheckpointCompleteness(Rule):
 
     id = "checkpoint-completeness"
     description = "attributes mutated by state providers must be in get_state"
-    cacheable = True
 
     _EXCLUDED_METHODS = {"__init__", "get_state", "set_state"}
 
@@ -359,7 +367,6 @@ class BackwardPair(Rule):
     description = (
         "forward kernels in core//sta/ must declare backward + gradcheck"
     )
-    cacheable = True
 
     _KERNEL_DIRS = ("src/repro/core/", "src/repro/sta/")
 
@@ -429,23 +436,21 @@ class SupervisedPoolOnly(Rule):
     worker breaks the whole pool and discards every completed result.
     ``repro.harness.supervisor`` owns process fan-out (task timeouts,
     bounded deterministic retry, quarantine, partial-result salvage) and
-    is the only module allowed to construct pools: suite tasks run
-    through ``repro.harness.supervisor.run_tasks``, anything else through
-    ``supervised_map``.  Tests are exempt (they exercise pool behaviour
-    directly).
+    is the only module allowed to construct pools: work fans out through
+    ``repro.harness.supervisor.run_tasks``.  Tests are exempt (they
+    exercise pool behaviour directly).
     """
 
     id = "supervised-pool-only"
     description = (
         "construct process pools only in repro.harness.supervisor "
-        "(use run_tasks/supervised_map elsewhere)"
+        "(use repro.harness.supervisor.run_tasks elsewhere)"
     )
-    cacheable = True
 
     _ALLOWED_FILES = ("src/repro/harness/supervisor.py",)
 
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
-        if _in_tests(ctx) or ctx.relpath in self._ALLOWED_FILES:
+        if _in_tests(ctx.relpath) or ctx.relpath in self._ALLOWED_FILES:
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -464,4 +469,477 @@ class SupervisedPoolOnly(Rule):
                     "outside repro.harness.supervisor; fan out through "
                     "repro.harness.supervisor.run_tasks (crash isolation, "
                     "retry, quarantine, salvage)",
+                )
+
+
+# ----------------------------------------------------------------------
+#: Module-level state that spawn workers are *allowed* to write, with the
+#: audit rationale.  Every entry is per-process by construction: a spawn
+#: worker gets a fresh module copy, mutates only its own, and nothing
+#: reads the value back across the process boundary.  An attribute write
+#: under an allowed prefix (e.g. ``PROFILER.enabled``) is covered by the
+#: prefix entry.
+SPAWN_SAFE_GLOBALS = {
+    # The worker marks itself as in-worker so process-killing fault
+    # injections may fire; written exactly once per process before any
+    # task runs.
+    "repro.harness.supervisor._IN_WORKER": "per-process worker marker",
+    # Per-process design-bundle memo; workers warm their own copy on
+    # spawn (that is the point of _preload_designs).
+    "repro.netlist.cache._MEMO": "per-process design cache",
+    "repro.netlist.cache._CODE_VERSION": "per-process cache-key memo",
+    # The profiler is per-process observability; records are exported
+    # through the task result, never shared memory.
+    "repro.perf.PROFILER": "per-process profiler state",
+    # Telemetry context slots: each worker installs its own recorder /
+    # heartbeat registration for the task it runs.
+    "repro.telemetry.events._CURRENT": "per-process recorder slot",
+    "repro.telemetry.registry._CURRENT": "per-process heartbeat slot",
+    # Cached os.sysconf page size; idempotent scalar.
+    "repro.telemetry.resources._PAGE_SIZE": "idempotent sysconf memo",
+}
+
+
+@register_rule
+class SpawnSafety(Rule):
+    """Spawn-worker code must not write unaudited module-level state.
+
+    Worker entrypoints are discovered syntactically (functions passed as
+    ``target=`` to a ``Process`` or ``initializer=`` to a pool) and the
+    approximate call graph is closed over them.  Any function in that
+    closure writing module-level state - ``global`` rebinding, attribute
+    assignment on a module-level object, subscript stores or mutating
+    method calls (``append``/``update``/``clear``/...) on module-level
+    containers - is flagged unless the state is in the audited
+    :data:`SPAWN_SAFE_GLOBALS` allowlist.
+
+    Module globals are per-process under the spawn start method, so such
+    writes are not data races in the classic sense; the failure mode is
+    subtler and worse: state mutated in a worker silently diverges from
+    the parent's copy, and code that later reads it in the parent (or in
+    a fork-started context) sees different values per process.  The
+    allowlist records exactly which globals are *designed* to be
+    per-process, with the audit rationale next to each entry.
+    """
+
+    id = "spawn-safety"
+    description = (
+        "unaudited module-level state written on a spawn-worker call path"
+    )
+    scope = "project"
+
+    _MUTATORS = {
+        "append",
+        "appendleft",
+        "extend",
+        "insert",
+        "add",
+        "update",
+        "setdefault",
+        "pop",
+        "popitem",
+        "remove",
+        "discard",
+        "clear",
+    }
+
+    def check_project(self, index: ProjectIndex) -> Iterable[Finding]:
+        sem = index.semantic
+        closure = sem.call_closure(sorted(sem.spawn_entrypoints))
+        for canonical in sorted(closure):
+            entry = sem.functions.get(canonical)
+            if entry is None:
+                continue
+            relpath, info = entry
+            if _in_tests(relpath):
+                continue
+            ctx = index.files.get(relpath)
+            resolver = sem.resolver(relpath)
+            if ctx is None or resolver is None:
+                continue
+            yield from self._check_function(
+                ctx, resolver, sem, canonical, info.node
+            )
+
+    def _check_function(self, ctx, resolver, sem, canonical, fn):
+        seen: Set[Tuple[int, str]] = set()
+        for node in ast.walk(fn):
+            targets: List[ast.AST] = []
+            if isinstance(node, ast.Assign):
+                targets = list(node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for target in targets:
+                written = self._written_global(resolver, target)
+                if written is not None and sem.is_module_global(written):
+                    yield from self._flag(
+                        ctx, canonical, node, written, seen
+                    )
+            if isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute
+            ):
+                if node.func.attr in self._MUTATORS:
+                    resolved = _resolved(resolver, node.func.value)
+                    if resolved is not None and sem.is_module_global(resolved):
+                        yield from self._flag(
+                            ctx, canonical, node, resolved, seen
+                        )
+
+    @staticmethod
+    def _written_global(resolver, target: ast.AST) -> Optional[str]:
+        """Canonical name of the module-level state a store hits, if any."""
+        # Unwrap subscript stores: X[k] = v mutates X.
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, (ast.Name, ast.Attribute)):
+            return _resolved(resolver, target)
+        return None
+
+    def _allowed(self, canonical_state: str) -> bool:
+        for allowed in SPAWN_SAFE_GLOBALS:
+            if canonical_state == allowed or canonical_state.startswith(
+                allowed + "."
+            ):
+                return True
+        return False
+
+    def _flag(self, ctx, canonical_fn, node, state, seen):
+        if self._allowed(state):
+            return
+        key = (node.lineno, state)
+        if key in seen:
+            return
+        seen.add(key)
+        yield self.finding(
+            ctx,
+            node,
+            f"{canonical_fn}() is reachable from a spawn-worker entrypoint "
+            f"and writes module-level state {state!r}; per-process divergence "
+            "is invisible until it bites - pass the state through the task "
+            "payload, or audit it into SPAWN_SAFE_GLOBALS with a rationale",
+        )
+
+
+# ----------------------------------------------------------------------
+@register_rule
+class DeterminismTaint(Rule):
+    """Nondeterministic values must not flow into gated telemetry sinks.
+
+    The CI byte-identity gates compare manifests and metric records
+    across runs; anything derived from wall clocks, OS entropy, or set
+    iteration order breaks them one flaky build at a time.  This rule
+    runs an intraprocedural taint analysis per function:
+
+    - **sources**: ``time.time``/``time.time_ns``/``monotonic``/
+      ``perf_counter``, ``datetime.now``/``utcnow``/``today`` (clock);
+      ``os.urandom`` and unseeded ``default_rng()`` (entropy); iteration
+      of set displays/constructors into ordered containers (order);
+    - **sanitizers**: ``sorted(...)`` clears order taint;
+    - **sinks**: ``.event(...)`` telemetry calls,
+      ``append_record``/``write_manifest``, and
+      ``RunManifest``/``RunRecord`` construction.
+
+    Wall-clock-*class* fields (``ts``, ``runtime_s``, ``setup_s``, ...)
+    are exempt at the sink: the comparator in
+    ``repro.telemetry.compare`` never gates on them, so timestamps may
+    flow there freely.  Everything else - metrics, ids, counts - must be
+    derived deterministically.
+
+    The old syntactic ``seeded-rng`` checks live on here as standalone
+    findings: process-global ``np.random`` state and ``default_rng()``
+    without a seed are flagged wherever they appear (sink or not), now
+    resolved through the import index instead of bare-name matching.
+    """
+
+    id = "determinism-taint"
+    description = (
+        "clock/entropy/set-order values flowing into telemetry sinks; "
+        "global np.random state; unseeded default_rng()"
+    )
+    scope = "file"
+
+    _CLOCK_FUNCS = {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.date.today",
+    }
+    _ENTROPY_FUNCS = {"os.urandom"}
+    #: Sink fields the comparator never gates on (wall-clock class); see
+    #: repro.telemetry.compare.GATED_METRICS for what *is* gated.
+    _EXEMPT_FIELDS = {
+        "ts",
+        "ts_mono",
+        "anchor_ts",
+        "timestamp",
+        "started_at",
+        "finished_at",
+        "runtime",
+        "runtime_s",
+        "setup_s",
+        "elapsed_s",
+        "duration_s",
+        "wall_s",
+        "delay_s",
+        "time_s",
+    }
+    _SINK_ATTRS = {"event"}
+    _SINK_NAMES = {"append_record", "write_manifest", "RunManifest", "RunRecord"}
+
+    _GLOBAL_STATE = {
+        "seed",
+        "rand",
+        "randn",
+        "randint",
+        "random",
+        "random_sample",
+        "choice",
+        "shuffle",
+        "permutation",
+        "uniform",
+        "normal",
+        "standard_normal",
+        "exponential",
+        "get_state",
+        "set_state",
+        "RandomState",
+    }
+
+    def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
+        if _in_tests(ctx.relpath):
+            return
+        resolver = index.semantic.resolver(ctx.relpath)
+        yield from self._standalone(ctx, resolver)
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from self._check_function(ctx, resolver, node)
+
+    # -- standalone RNG hygiene (the seeded-rng heritage) ---------------
+    def _standalone(self, ctx, resolver):
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Attribute):
+                inner = node.value
+                if (
+                    isinstance(inner, ast.Attribute)
+                    and inner.attr == "random"
+                    and _is_numpy(resolver, inner.value)
+                    and node.attr in self._GLOBAL_STATE
+                ):
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"np.random.{node.attr} uses process-global RNG state; "
+                        "thread an explicitly seeded np.random.default_rng "
+                        "through instead",
+                    )
+            if isinstance(node, ast.Call) and self._is_unseeded_rng(node):
+                yield self.finding(
+                    ctx,
+                    node,
+                    "default_rng() without a seed draws OS entropy and is "
+                    "not reproducible; pass an explicit seed",
+                )
+
+    @staticmethod
+    def _is_unseeded_rng(call: ast.Call) -> bool:
+        if call.args or call.keywords:
+            return False
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id == "default_rng"
+        return isinstance(func, ast.Attribute) and func.attr == "default_rng"
+
+    # -- intraprocedural taint ------------------------------------------
+    def _check_function(self, ctx, resolver, fn):
+        tainted: Dict[str, str] = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                kind = self._expr_taint(resolver, node.value, tainted)
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        if kind is not None:
+                            tainted[target.id] = kind
+                        else:
+                            tainted.pop(target.id, None)
+            elif isinstance(node, ast.Call):
+                yield from self._check_sink(ctx, resolver, node, tainted)
+
+    def _check_sink(self, ctx, resolver, call, tainted):
+        func = call.func
+        is_sink = False
+        sink_name = None
+        if isinstance(func, ast.Attribute) and func.attr in self._SINK_ATTRS:
+            is_sink, sink_name = True, func.attr
+        else:
+            resolved = _resolved(resolver, func)
+            leaf = resolved.split(".")[-1] if resolved else None
+            bare = func.id if isinstance(func, ast.Name) else None
+            if leaf in self._SINK_NAMES or bare in self._SINK_NAMES:
+                is_sink, sink_name = True, leaf or bare
+        if not is_sink:
+            return
+        for arg in call.args:
+            kind = self._expr_taint(resolver, arg, tainted)
+            if kind is not None:
+                yield self._taint_finding(ctx, arg, kind, sink_name, None)
+        for kw in call.keywords:
+            if kw.arg is not None and kw.arg in self._EXEMPT_FIELDS:
+                continue
+            kind = self._expr_taint(resolver, kw.value, tainted)
+            if kind is not None:
+                yield self._taint_finding(ctx, kw.value, kind, sink_name, kw.arg)
+
+    def _taint_finding(self, ctx, node, kind, sink, field):
+        where = f"field {field!r} of" if field else "an argument of"
+        return self.finding(
+            ctx,
+            node,
+            f"{kind}-tainted value flows into {where} telemetry sink "
+            f"{sink}(); gated comparisons will differ across runs - derive "
+            "it deterministically (or route wall-clock data through the "
+            "exempt ts/runtime fields)",
+        )
+
+    def _expr_taint(
+        self, resolver, expr: ast.AST, tainted: Dict[str, str]
+    ) -> Optional[str]:
+        """Taint kind of an expression, or None if clean."""
+        if isinstance(expr, ast.Name):
+            return tainted.get(expr.id)
+        if isinstance(expr, ast.Call):
+            func = expr.func
+            if isinstance(func, ast.Name) and func.id == "sorted":
+                # sorted() is the order sanitizer; clock/entropy taint in
+                # the sorted values still flows through.
+                kinds = [
+                    self._expr_taint(resolver, a, tainted) for a in expr.args
+                ]
+                kinds = [k for k in kinds if k is not None and k != "order"]
+                return kinds[0] if kinds else None
+            resolved = _resolved(resolver, func)
+            if resolved in self._CLOCK_FUNCS:
+                return "clock"
+            if resolved in self._ENTROPY_FUNCS or self._is_unseeded_rng(expr):
+                return "entropy"
+            if self._is_set_expr(func, expr):
+                return "order"
+            for sub in list(expr.args) + [kw.value for kw in expr.keywords]:
+                kind = self._expr_taint(resolver, sub, tainted)
+                if kind is not None:
+                    return kind
+            # A method call on a tainted receiver stays tainted:
+            # os.urandom(8).hex(), datetime.now().isoformat(), ...
+            if isinstance(func, ast.Attribute):
+                return self._expr_taint(resolver, func.value, tainted)
+            return None
+        if isinstance(expr, (ast.ListComp, ast.GeneratorExp)):
+            for comp in expr.generators:
+                if self._is_set_valued(comp.iter, tainted):
+                    return "order"
+            kind = self._expr_taint(resolver, expr.elt, tainted)
+            return kind
+        if isinstance(expr, ast.Set):
+            return None  # a set itself is fine; *ordering* it taints
+        for child in ast.iter_child_nodes(expr):
+            kind = self._expr_taint(resolver, child, tainted)
+            if kind is not None:
+                return kind
+        return None
+
+    @staticmethod
+    def _is_set_expr(func: ast.AST, call: ast.Call) -> bool:
+        """``list(<set-ish>)``: ordering a set without sorting."""
+        if not (isinstance(func, ast.Name) and func.id in ("list", "tuple")):
+            return False
+        return bool(call.args) and DeterminismTaint._is_set_valued(
+            call.args[0], {}
+        )
+
+    @staticmethod
+    def _is_set_valued(expr: ast.AST, tainted: Dict[str, str]) -> bool:
+        if isinstance(expr, (ast.Set, ast.SetComp)):
+            return True
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+            return expr.func.id in ("set", "frozenset")
+        if isinstance(expr, ast.Name):
+            return tainted.get(expr.id) == "order"
+        return False
+
+
+# ----------------------------------------------------------------------
+@register_rule
+class ContractClosure(Rule):
+    """Every ``@differentiable`` contract string must close the loop.
+
+    ``backward-pair`` checks the decorator is *present* and well-formed;
+    this rule checks the strings still *mean* something after renames:
+
+    - the declared ``backward=`` dotted name must resolve - through
+      import aliases - to a function in the semantic index;
+    - the declared ``gradcheck=`` pytest node id must resolve to a real
+      test function under ``tests/``;
+    - the gradcheck's test file must still reference the forward or
+      backward kernel by name, so renaming a kernel (and fixing the
+      decorator) cannot leave the gradcheck silently exercising nothing.
+
+    Together with ``repro.contracts.KERNEL_REGISTRY`` (the runtime view
+    of the same decorators), this keeps the differentiability contracts
+    of the paper's kernels verifiable from either side.
+    """
+
+    id = "contract-closure"
+    description = (
+        "@differentiable backward=/gradcheck= strings must resolve to live "
+        "symbols and a test that references the kernel"
+    )
+    scope = "project"
+
+    def check_project(self, index: ProjectIndex) -> Iterable[Finding]:
+        sem = index.semantic
+        for site in sem.contracts:
+            if not site.relpath.startswith("src/"):
+                continue
+            ctx = index.files.get(site.relpath)
+            if ctx is None:
+                continue
+            if site.backward is None or site.gradcheck is None:
+                continue  # malformed decorators are backward-pair findings
+            name = site.qualname
+            backward_ok = sem.resolve_symbol(site.backward) is not None
+            if not backward_ok:
+                yield self.finding(
+                    ctx,
+                    site.node,
+                    f"{name}() declares backward {site.backward!r}, which "
+                    "does not resolve to any function in the project index",
+                )
+            if not index.has_test(site.gradcheck):
+                yield self.finding(
+                    ctx,
+                    site.node,
+                    f"{name}() declares gradcheck {site.gradcheck!r}, which "
+                    "does not resolve to a test in the suite",
+                )
+                continue
+            test_rel = site.gradcheck.split("::")[0]
+            tctx = index.files.get(test_rel) or index.add_file(test_rel)
+            if tctx is None:
+                continue
+            leaves = {name.split(".")[-1], site.backward.split(".")[-1]}
+            pattern = re.compile(
+                r"\b(" + "|".join(re.escape(leaf) for leaf in leaves) + r")\b"
+            )
+            if not pattern.search(tctx.source):
+                yield self.finding(
+                    ctx,
+                    site.node,
+                    f"gradcheck {site.gradcheck!r} of {name}() never "
+                    f"references {sorted(leaves)}; the test no longer "
+                    "exercises this kernel (renamed without updating the "
+                    "gradcheck?)",
                 )

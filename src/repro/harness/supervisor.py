@@ -49,7 +49,6 @@ import multiprocessing
 import os
 import time
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -80,7 +79,6 @@ __all__ = [
     "run_tasks",
     "suite_metrics",
     "write_suite_manifest",
-    "supervised_map",
 ]
 
 #: The supervisor's failure taxonomy, as recorded in outcomes/manifests.
@@ -93,7 +91,7 @@ SUPERVISOR_EVENTS_FILENAME = "supervisor_events.jsonl"
 SUITE_MANIFEST_FILENAME = "suite_manifest.json"
 
 #: True inside a spawned worker process (set by :func:`_mark_worker`);
-#: gates the process-killing fault injections and nested fan-out.
+#: gates the process-killing fault injections.
 _IN_WORKER = False
 
 
@@ -1139,50 +1137,3 @@ def write_suite_manifest(
         handle.write("\n")
     os.replace(tmp, path)
     return path
-
-
-# ----------------------------------------------------------------------
-# Generic supervised fan-out for non-suite workloads
-# ----------------------------------------------------------------------
-def supervised_map(
-    fn: Any,
-    items: Sequence[Any],
-    jobs: int,
-) -> List[Any]:
-    """Map a picklable ``fn`` over ``items`` across spawn workers.
-
-    The general-purpose sibling of :func:`run_tasks`, for workloads
-    (e.g. the reprolint ``--jobs`` analyzer shards) that want process
-    parallelism without the suite-task machinery.  It keeps the two
-    properties that matter: pools are constructed *here* (the
-    ``supervised-pool-only`` contract) and failures degrade instead of
-    crashing - any pool-level fault falls back to computing the
-    remaining items serially in-process.  Results are in ``items``
-    order.  Nested fan-out from inside a worker runs serially.
-    """
-    items = list(items)
-    jobs = max(1, min(jobs, len(items)))
-    if jobs <= 1 or len(items) <= 1 or _IN_WORKER:
-        return [fn(item) for item in items]
-    results: List[Any] = [None] * len(items)
-    done = [False] * len(items)
-    try:
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=ctx,
-            initializer=_mark_worker,
-        ) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            for i, future in enumerate(futures):
-                results[i] = future.result()
-                done[i] = True
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except BaseException:
-        # Worker death, unpicklable payloads, spawn failure: finish the
-        # outstanding items serially rather than losing the run.
-        for i, item in enumerate(items):
-            if not done[i]:
-                results[i] = fn(item)
-    return results

@@ -124,20 +124,15 @@ def compare_runs(
         elif analysis.get("clean") is False:
             result.notes.append(
                 f"run {label} ({manifest.run_id}) was produced from a dirty "
-                f"tree: {analysis.get('new_finding_count', '?')} "
-                "non-baselined reprolint finding(s)"
+                f"tree: {analysis.get('finding_count', '?')} "
+                "reprolint finding(s)"
             )
     aa, ab = ma.analysis or {}, mb.analysis or {}
-    if aa and ab:
-        for key, what in (
-            ("rules_version", "reprolint rule set"),
-            ("baseline_hash", "reprolint baseline"),
-        ):
-            if aa.get(key) != ab.get(key):
-                result.notes.append(
-                    f"{what} differs between runs: "
-                    f"{aa.get(key)!r} != {ab.get(key)!r}"
-                )
+    if aa and ab and aa.get("rules_version") != ab.get("rules_version"):
+        result.notes.append(
+            "reprolint rule set differs between runs: "
+            f"{aa.get('rules_version')!r} != {ab.get('rules_version')!r}"
+        )
 
     # ------------------------------------------------------------------
     # Final metrics: the regression gate.

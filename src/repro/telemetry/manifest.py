@@ -104,8 +104,8 @@ class RunManifest:
     final_metrics: Dict[str, Any] = field(default_factory=dict)
     #: Profiler span tree snapshot (``repro.perf.Timer.tree`` shape).
     span_tree: Optional[Dict[str, Any]] = None
-    #: reprolint provenance: rules_version, finding counts, baseline
-    #: hash, and the ``clean`` verdict of the producing tree (see
+    #: reprolint provenance: rules_version, finding and suppression
+    #: counts, and the ``clean`` verdict of the producing tree (see
     #: :func:`repro.analysis.provenance.analysis_provenance`).
     analysis: Optional[Dict[str, Any]] = None
     #: Design-bundle cache provenance (key, hit/miss, setup seconds) when

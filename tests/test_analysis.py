@@ -1,29 +1,21 @@
-"""reprolint framework + rules: fixtures, suppressions, baseline, CLI.
+"""reprolint framework + rules: fixtures, suppressions, CLI, provenance.
 
 Each rule gets a good and a bad fixture inside a synthetic mini-repo
 under ``tmp_path``; the framework tests cover inline suppressions (both
-placements, plus the meta findings for malformed/unused ones), baseline
-round-trips including the tamper check, CLI exit codes, and the
-telemetry provenance hooks.  Finally the real repository itself must
-lint clean - the self-check CI relies on.
+placements, plus the meta findings for malformed/unused ones), CLI exit
+codes, and the telemetry provenance hooks.  Finally the real repository
+itself must lint clean - the self-check CI relies on.  The real-repo
+tests share one session-scoped lint (``repo_lint``).
 """
 
-import json
 import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
-from repro.analysis import (
-    Baseline,
-    BaselineIntegrityError,
-    RULES_VERSION,
-    run_analysis,
-)
-from repro.analysis.baseline import BASELINE_FILENAME
-from repro.analysis.cli import main as cli_main
+from repro.analysis import Analyzer, RULES_VERSION, run_analysis
+from repro.analysis.__main__ import main as cli_main
 from repro.analysis.provenance import analysis_provenance
 from repro.telemetry.compare import compare_runs
 from repro.telemetry.events import (
@@ -51,7 +43,14 @@ def make_repo(tmp_path, files):
 
 
 def findings_of(report, rule):
-    return [f for f in report.new_findings if f.rule == rule]
+    return [f for f in report.findings if f.rule == rule]
+
+
+@pytest.fixture(scope="session")
+def repo_lint():
+    """One analyzer run over this repository: ``(analyzer, report)``."""
+    analyzer = Analyzer(REPO_ROOT)
+    return analyzer, analyzer.run()
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +437,7 @@ class TestSuppressions:
         )
         root = make_repo(tmp_path, {"src/repro/mod.py": src})
         report = run_analysis(root)
-        assert report.new_findings == []
+        assert report.findings == []
         assert report.suppressed_count == 1
 
     def test_previous_line_suppression(self, tmp_path):
@@ -448,7 +447,7 @@ class TestSuppressions:
             "    np.add.at(o, i, v)",
         )
         root = make_repo(tmp_path, {"src/repro/mod.py": src})
-        assert run_analysis(root).new_findings == []
+        assert run_analysis(root).findings == []
 
     def test_reasonless_suppression_rejected(self, tmp_path):
         src = self._BAD.replace(
@@ -457,7 +456,7 @@ class TestSuppressions:
         )
         root = make_repo(tmp_path, {"src/repro/mod.py": src})
         report = run_analysis(root)
-        rules = {f.rule for f in report.new_findings}
+        rules = {f.rule for f in report.findings}
         assert rules == {"no-scatter-add-at", "bad-suppression"}
 
     def test_unknown_rule_and_unused_suppressions_flagged(self, tmp_path):
@@ -470,7 +469,7 @@ class TestSuppressions:
                 )
             },
         )
-        rules = sorted(f.rule for f in run_analysis(root).new_findings)
+        rules = sorted(f.rule for f in run_analysis(root).findings)
         assert rules == ["bad-suppression", "unused-suppression"]
 
     def test_marker_in_docstring_ignored(self, tmp_path):
@@ -484,59 +483,15 @@ class TestSuppressions:
             },
         )
         report = run_analysis(root)
-        assert report.new_findings == []
+        assert report.findings == []
         assert report.suppressed_count == 0
-
-
-# ----------------------------------------------------------------------
-class TestBaseline:
-    _BAD = "import numpy as np\ndef f(o, i, v):\n    np.add.at(o, i, v)\n"
-
-    def test_grandfathers_old_but_catches_new(self, tmp_path):
-        root = make_repo(tmp_path, {"src/repro/mod.py": self._BAD})
-        baseline_path = os.path.join(root, BASELINE_FILENAME)
-        assert cli_main(["--root", root, "--write-baseline"]) == 0
-
-        report = run_analysis(root, baseline_path=baseline_path)
-        assert report.new_findings == []
-        assert len(report.baselined_findings) == 1
-
-        # A second, new occurrence is NOT covered by the baseline.
-        (tmp_path / "src/repro/mod.py").write_text(
-            self._BAD + "def g(o, i, v):\n    np.subtract.at(o, i, v)\n"
-        )
-        report = run_analysis(root, baseline_path=baseline_path)
-        assert len(report.new_findings) == 1
-        assert len(report.baselined_findings) == 1
-
-    def test_hand_edited_baseline_fails_integrity(self, tmp_path):
-        root = make_repo(tmp_path, {"src/repro/mod.py": self._BAD})
-        baseline_path = os.path.join(root, BASELINE_FILENAME)
-        cli_main(["--root", root, "--write-baseline"])
-        data = json.loads((tmp_path / BASELINE_FILENAME).read_text())
-        data["entries"] = []  # shrink without regenerating
-        (tmp_path / BASELINE_FILENAME).write_text(json.dumps(data))
-        with pytest.raises(BaselineIntegrityError):
-            run_analysis(root, baseline_path=baseline_path)
-        assert cli_main(["--root", root]) == 2
-
-    def test_roundtrip_preserves_entries(self, tmp_path):
-        baseline = Baseline.from_findings([], RULES_VERSION)
-        path = str(tmp_path / "b.json")
-        baseline.write(path)
-        loaded = Baseline.load(path)
-        assert loaded.entries == []
-        assert loaded.rules_version == RULES_VERSION
-        assert loaded.integrity_hash == baseline.integrity_hash
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        loaded = Baseline.load(str(tmp_path / "nope.json"))
-        assert loaded.entries == [] and loaded.integrity_hash is None
 
 
 # ----------------------------------------------------------------------
 class TestCli:
     def test_exit_codes_and_json_report(self, tmp_path, capsys):
+        """Exit 1 with one stdout line per finding plus a summary line;
+        exit 0 once the tree is clean."""
         root = make_repo(
             tmp_path,
             {
@@ -546,15 +501,17 @@ class TestCli:
                 )
             },
         )
-        json_path = str(tmp_path / "report.json")
-        assert cli_main(["--root", root, "--json", json_path]) == 1
-        payload = json.loads(open(json_path).read())
-        assert payload["clean"] is False
-        assert payload["new_findings"][0]["rule"] == "no-scatter-add-at"
+        assert cli_main(["--root", root]) == 1
+        out = capsys.readouterr().out
+        assert "src/repro/mod.py:3:4: [no-scatter-add-at]" in out
+        assert "    np.add.at(o, i, v)" in out
+        assert out.splitlines()[-1] == (
+            f"reprolint v{RULES_VERSION}: 2 files, 1 finding(s), 0 suppressed"
+        )
 
         (tmp_path / "src/repro/mod.py").write_text("x = 1\n")
         assert cli_main(["--root", root]) == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
         assert cli_main(["--list-rules"]) == 0
@@ -565,6 +522,7 @@ class TestCli:
             "telemetry-kind-literal",
             "checkpoint-completeness",
             "backward-pair",
+            "supervised-pool-only",
             "spawn-safety",
             "determinism-taint",
             "contract-closure",
@@ -572,44 +530,53 @@ class TestCli:
             "unused-suppression",
         ):
             assert rule_id in out
+        assert len(out.splitlines()) == 11
 
-    def test_module_entrypoint_on_real_repo(self):
-        """``python -m repro.analysis`` exits 0 on this repository."""
-        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "--root", REPO_ROOT],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=REPO_ROOT,
-            timeout=120,
+    def test_module_entrypoint_on_tmp_repo(self, tmp_path):
+        """``python -m repro.analysis`` exits 1 on a finding, 0 when clean,
+        and writes nothing into the tree it lints."""
+        root = make_repo(
+            tmp_path,
+            {"src/repro/mod.py": "import numpy as np\nnp.nan_to_num(1.0)\n"},
         )
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+
+        def lint():
+            return subprocess.run(
+                [sys.executable, "-m", "repro.analysis", "--root", root],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=root,
+                timeout=120,
+            )
+
+        proc = lint()
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "[no-silent-nanfix]" in proc.stdout
+        (tmp_path / "src/repro/mod.py").write_text("x = 1\n")
+        proc = lint()
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert os.listdir(root) == ["src"]
 
 
 class TestRepoSelfCheck:
-    def test_repo_lints_clean_against_committed_baseline(self):
-        report = run_analysis(
-            REPO_ROOT,
-            baseline_path=os.path.join(REPO_ROOT, BASELINE_FILENAME),
-        )
-        assert report.new_findings == []
+    def test_repo_lints_clean(self, repo_lint):
+        _, report = repo_lint
+        assert report.findings == []
+        assert report.suppressed_count > 0
 
-    def test_committed_baseline_is_empty(self):
-        baseline = Baseline.load(os.path.join(REPO_ROOT, BASELINE_FILENAME))
-        assert baseline.entries == []
-        assert baseline.integrity_hash is not None
-
-    def test_ufunc_at_is_called_from_exactly_the_three_audited_sites(self):
+    def test_ufunc_at_is_called_from_exactly_the_three_audited_sites(
+        self, repo_lint
+    ):
         """What ``no-scatter-add-at`` finds in the library before the
         inline ``allow`` markers are honoured: the two float helpers every
         kernel routes through (both hand numpy values carrying the
         target's dtype object, see ``core/scatter.py``) and the integer
         levelisation that runs once per graph build."""
-        from repro.analysis.core import ProjectIndex
         from repro.analysis.rules import NoScatterAddAt
 
-        index = ProjectIndex.build(REPO_ROOT)
+        index = repo_lint[0].index
         rule = NoScatterAddAt()
         sites = sorted(
             (ctx.relpath, finding.message.split(" ")[0])
@@ -630,12 +597,15 @@ class TestRepoSelfCheck:
 
 # ----------------------------------------------------------------------
 class TestProvenanceAndTelemetry:
-    def test_provenance_shape(self):
-        prov = analysis_provenance(REPO_ROOT)
-        assert prov["rules_version"] == RULES_VERSION
-        assert prov["new_finding_count"] == 0
-        assert prov["clean"] is True
-        assert prov["baseline_hash"]
+    def test_provenance_shape(self, repo_lint):
+        # No root: the repo this package lives in, linted once per process
+        # and memoised (the manifest test below reads the same memo).
+        assert analysis_provenance() == {
+            "rules_version": RULES_VERSION,
+            "finding_count": 0,
+            "suppressed_count": repo_lint[1].suppressed_count,
+            "clean": True,
+        }
 
     def test_provenance_never_raises(self, tmp_path):
         prov = analysis_provenance(str(tmp_path))  # not a repo at all
@@ -655,10 +625,10 @@ class TestProvenanceAndTelemetry:
                            "overflow": 0.1, "iterations": 3,
                            "stop_reason": "max_iters"},
         )
-        clean = {"rules_version": RULES_VERSION, "new_finding_count": 0,
-                 "clean": True, "baseline_hash": "abc"}
-        dirty = {"rules_version": "0.9", "new_finding_count": 4,
-                 "clean": False, "baseline_hash": "xyz"}
+        clean = {"rules_version": RULES_VERSION, "finding_count": 0,
+                 "clean": True}
+        dirty = {"rules_version": "0.9", "finding_count": 4,
+                 "clean": False}
         ma = RunManifest(run_id="a", analysis=clean, **base)
         mb = RunManifest(run_id="b", analysis=dirty, **base)
         write_manifest(ma, str(tmp_path / "a"))
@@ -666,8 +636,9 @@ class TestProvenanceAndTelemetry:
         result = compare_runs(str(tmp_path / "a"), str(tmp_path / "b"))
         assert result.ok  # dirty tree must not gate
         notes = " ".join(result.notes)
-        assert "dirty tree" in notes and "4 non-baselined" in notes
-        assert "rule set" in notes and "baseline" in notes
+        assert "dirty tree: 4 reprolint finding(s)" in notes
+        assert "rule set differs" in notes
+        assert "baseline" not in notes
 
     def test_event_kind_suggestion_helpers(self, tmp_path):
         assert suggest_kind("iterations") == "iteration"

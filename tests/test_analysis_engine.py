@@ -1,24 +1,16 @@
-"""reprolint v2 engine: semantic index, whole-program rules, cache, CLI.
+"""reprolint v2 engine: semantic index and whole-program rules.
 
-The four whole-program families each get a seeded counterexample proving
-they fire (plus the clean variants proving they don't over-fire), every
-new rule id gets a baseline round-trip and an inline-suppression test,
-and the incremental cache is proven byte-identical to a cold run on both
-the full-hit (nothing parsed) and partial-hit (one file changed) paths.
+The whole-program families each get a seeded counterexample proving
+they fire (plus the clean variants proving they don't over-fire), and
+every one of their rule ids gets an inline-suppression test.
 """
 
-import json
 import os
-import subprocess
-import sys
 
 import pytest
 
-from repro.analysis import RULES_VERSION, run_analysis
-from repro.analysis.baseline import BASELINE_FILENAME
-from repro.analysis.cache import ResultCache, hash_file, project_signature
-from repro.analysis.cli import main as cli_main
-from repro.analysis.core import Analyzer, ProjectIndex
+from repro.analysis import run_analysis
+from repro.analysis.core import ProjectIndex
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,12 +28,12 @@ def make_repo(tmp_path, files):
 
 
 def findings_of(report, rule):
-    return [f for f in report.new_findings if f.rule == rule]
+    return [f for f in report.findings if f.rule == rule]
 
 
 # ----------------------------------------------------------------------
 # Seeded counterexamples, one dict per rule family.  Each is also reused
-# by the baseline/suppression parametrisation below.
+# by the suppression parametrisation below.
 # ----------------------------------------------------------------------
 _SPAWN_SAFETY_FILES = {
     "src/repro/work.py": (
@@ -212,22 +204,6 @@ class TestContractClosure:
 # ----------------------------------------------------------------------
 class TestBaselineAndSuppressionPerFamily:
     @pytest.mark.parametrize("rule_id", sorted(_FAMILY_FIXTURES))
-    def test_baseline_roundtrip(self, tmp_path, rule_id):
-        files, expected = _FAMILY_FIXTURES[rule_id]
-        root = make_repo(tmp_path, files)
-        baseline_path = os.path.join(root, BASELINE_FILENAME)
-        report = run_analysis(root)
-        assert len(findings_of(report, rule_id)) == expected
-
-        assert cli_main(["--root", root, "--write-baseline"]) == 0
-        report = run_analysis(root, baseline_path=baseline_path)
-        assert findings_of(report, rule_id) == []
-        baselined = [
-            f for f in report.baselined_findings if f.rule == rule_id
-        ]
-        assert len(baselined) == expected
-
-    @pytest.mark.parametrize("rule_id", sorted(_FAMILY_FIXTURES))
     def test_inline_suppression(self, tmp_path, rule_id):
         files, expected = _FAMILY_FIXTURES[rule_id]
         root = make_repo(tmp_path, files)
@@ -255,105 +231,6 @@ class TestBaselineAndSuppressionPerFamily:
         assert findings_of(report, rule_id) == []
         assert findings_of(report, "unused-suppression") == []
         assert report.suppressed_count >= len(by_file)
-
-
-# ----------------------------------------------------------------------
-_CACHE_FILES = {}
-_CACHE_FILES.update(_SPAWN_SAFETY_FILES)
-_CACHE_FILES.update(_DETERMINISM_FILES)
-_CACHE_FILES["src/repro/provider.py"] = (
-    # A self-suppressing rule (checkpoint-completeness consumes its
-    # suppressions during the check phase): the warm path must replay
-    # the consumed marks or it would emit a spurious unused-suppression.
-    "class Thing:\n"
-    "    def get_state(self):\n"
-    "        return {'a': self.a}\n"
-    "    def set_state(self, s):\n"
-    "        self.a = s['a']\n"
-    "    def step(self):\n"
-    "        self.a = 1\n"
-    "        self.cache = 2  # reprolint: allow[checkpoint-completeness] rebuilt on resume\n"
-)
-
-
-class TestIncrementalCache:
-    def _run(self, root, cache_path):
-        analyzer = Analyzer(root, cache_path=cache_path)
-        findings, n_files, suppressed = analyzer.run()
-        return analyzer, [f.to_dict() for f in findings], n_files, suppressed
-
-    def test_warm_full_hit_is_byte_identical_and_parses_nothing(
-        self, tmp_path
-    ):
-        root = make_repo(tmp_path, _CACHE_FILES)
-        cache_path = os.path.join(root, ".reprolint-cache.json")
-        _, cold, n1, s1 = self._run(root, cache_path)
-        assert cold  # the fixtures do produce findings
-        warm_analyzer, warm, n2, s2 = self._run(root, cache_path)
-        assert (warm, n2, s2) == (cold, n1, s1)
-        # Full hit: the warm analyzer returned from hashes alone.
-        assert warm_analyzer._index is None
-
-    def test_partial_hit_matches_cold_rerun(self, tmp_path):
-        root = make_repo(tmp_path, _CACHE_FILES)
-        cache_path = os.path.join(root, ".reprolint-cache.json")
-        self._run(root, cache_path)
-
-        # Change one file: add a fresh finding to the determinism module.
-        mod = tmp_path / "src/repro/mod.py"
-        mod.write_text(
-            mod.read_text() + "def extra(rec):\n"
-            "    import time\n"
-            "    rec.event('alpha', value=time.time())\n"
-        )
-        _, warm, n2, s2 = self._run(root, cache_path)
-        cold_analyzer, cold, n3, s3 = self._run(
-            root, os.path.join(root, ".cold-cache.json")
-        )
-        assert (warm, n2, s2) == (cold, n3, s3)
-
-    def test_rules_version_change_invalidates(self, tmp_path):
-        path = str(tmp_path / "c.json")
-        cache = ResultCache(path)
-        cache._rules_version = "2.0"
-        cache.store("sig", {"findings": [], "files_checked": 1,
-                            "suppressed": 0}, {})
-        cache.write()
-        assert ResultCache.load(path, "2.0").full_result("sig") is not None
-        assert ResultCache.load(path, "2.1").full_result("sig") is None
-
-    def test_corrupt_cache_degrades_to_cold(self, tmp_path):
-        root = make_repo(tmp_path, _DETERMINISM_FILES)
-        cache_path = os.path.join(root, ".reprolint-cache.json")
-        with open(cache_path, "w") as handle:
-            handle.write("{ not json")
-        _, findings, _, _ = self._run(root, cache_path)
-        assert findings  # analysis ran despite the corrupt cache
-
-    def test_signature_covers_rules_files_and_targets(self, tmp_path):
-        hashes = {"a.py": "h1", "b.py": "h2"}
-        base = project_signature("2.0", ["r1"], hashes, ["a.py"])
-        assert base == project_signature("2.0", ["r1"], hashes, ["a.py"])
-        assert base != project_signature("2.1", ["r1"], hashes, ["a.py"])
-        assert base != project_signature("2.0", ["r2"], hashes, ["a.py"])
-        assert base != project_signature(
-            "2.0", ["r1"], {"a.py": "h1", "b.py": "X"}, ["a.py"]
-        )
-        assert base != project_signature("2.0", ["r1"], hashes, ["b.py"])
-
-    def test_hash_file_missing_is_none(self, tmp_path):
-        assert hash_file(str(tmp_path / "nope.py")) is None
-
-
-class TestParallelJobs:
-    def test_jobs_fanout_matches_serial(self, tmp_path):
-        root = make_repo(tmp_path, _CACHE_FILES)
-        serial = run_analysis(root)
-        parallel = run_analysis(root, jobs=2)
-        assert [f.to_dict() for f in parallel.new_findings] == [
-            f.to_dict() for f in serial.new_findings
-        ]
-        assert parallel.suppressed_count == serial.suppressed_count
 
 
 # ----------------------------------------------------------------------
@@ -418,106 +295,3 @@ class TestSemanticIndexUnit:
                     return node
         assert resolver.resolve(np_name(real)) == "numpy"
         assert resolver.resolve(np_name(shadowed)) is None
-
-
-# ----------------------------------------------------------------------
-class TestCliV2:
-    def test_explain_known_rule(self, capsys):
-        assert cli_main(["explain", "spawn-safety"]) == 0
-        out = capsys.readouterr().out
-        assert "spawn-safety" in out
-        assert "module-level" in out.lower()
-
-    def test_explain_unknown_rule(self, capsys):
-        assert cli_main(["explain", "no-such-rule"]) == 1
-        err = capsys.readouterr().err
-        assert "unknown rule" in err
-
-    def test_explain_meta_rule(self, capsys):
-        assert cli_main(["explain", "unused-suppression"]) == 0
-        assert "meta" in capsys.readouterr().out
-
-    def test_sarif_output(self, tmp_path):
-        root = make_repo(tmp_path, _DETERMINISM_FILES)
-        sarif_path = str(tmp_path / "out.sarif")
-        code = cli_main(["--root", root, "--no-cache", "--sarif", sarif_path])
-        assert code == 1  # findings exist
-        with open(sarif_path) as handle:
-            data = json.load(handle)
-        assert data["version"] == "2.1.0"
-        run = data["runs"][0]
-        assert run["tool"]["driver"]["name"] == "reprolint"
-        assert run["tool"]["driver"]["version"] == RULES_VERSION
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert "determinism-taint" in rule_ids
-        results = run["results"]
-        assert len(results) == 3
-        assert all(r["ruleId"] == "determinism-taint" for r in results)
-        loc = results[0]["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "src/repro/mod.py"
-        assert loc["region"]["startLine"] >= 1
-
-    def test_changed_mode_lints_only_diffed_files(self, tmp_path, capsys):
-        root = make_repo(
-            tmp_path,
-            {
-                "src/repro/clean.py": "x = 1\n",
-                **_DETERMINISM_FILES,
-            },
-        )
-
-        def git(*args):
-            subprocess.run(
-                ["git", *args],
-                cwd=root,
-                check=True,
-                capture_output=True,
-                env={
-                    **os.environ,
-                    "GIT_AUTHOR_NAME": "t",
-                    "GIT_AUTHOR_EMAIL": "t@t",
-                    "GIT_COMMITTER_NAME": "t",
-                    "GIT_COMMITTER_EMAIL": "t@t",
-                },
-            )
-
-        git("init", "-q")
-        git("add", "-A")
-        git("commit", "-qm", "base")
-        # Nothing changed: exits 0 without linting the dirty fixture.
-        assert cli_main(["--root", root, "--changed", "HEAD"]) == 0
-        assert "no files changed" in capsys.readouterr().out
-
-        # Touch only the clean file: still exits 0, lints one file.
-        (tmp_path / "src/repro/clean.py").write_text("x = 2\n")
-        assert cli_main(["--root", root, "--changed", "HEAD"]) == 0
-        assert "1 files" in capsys.readouterr().out
-
-        # Touch the finding-bearing file too: now it fails.
-        mod = tmp_path / "src/repro/mod.py"
-        mod.write_text(mod.read_text() + "\n")
-        assert cli_main(["--root", root, "--changed", "HEAD"]) == 1
-
-    def test_module_entrypoint_runs_warm_cached(self, tmp_path):
-        """Two back-to-back CLI runs on the real repo: the second must
-        hit the cache (cache file written, same exit/stdout summary)."""
-        env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-        cache = str(tmp_path / "cache.json")
-        # Point the cache at tmp via cwd-independent --root plus a
-        # symlinked home: simplest is to run in a scratch copy of the
-        # CLI invocation with the default cache path under REPO_ROOT;
-        # use --no-cache=absent and tolerate an existing cache file.
-        outs = []
-        for _ in range(2):
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro.analysis", "--root", REPO_ROOT],
-                capture_output=True,
-                text=True,
-                env=env,
-                cwd=REPO_ROOT,
-                timeout=240,
-            )
-            assert proc.returncode == 0, proc.stdout + proc.stderr
-            outs.append(proc.stdout.strip().splitlines()[-1])
-        assert outs[0] == outs[1]
-        assert os.path.exists(os.path.join(REPO_ROOT, ".reprolint-cache.json"))
