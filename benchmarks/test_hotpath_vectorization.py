@@ -6,7 +6,7 @@ engine - were replaced by wave/level batched NumPy kernels.  This
 benchmark re-implements the scalar loops as oracles, times both variants
 on the largest miniblue design (miniblue7) and asserts the acceptance
 floor of a >= 2x speedup for each, dumping the measured times plus the
-``--profile``-style per-kernel breakdown to ``benchmarks/results/``.
+``--profile``-style per-layer span table to ``benchmarks/results/``.
 """
 
 import time
@@ -17,7 +17,7 @@ import pytest
 from conftest import write_artifact
 
 from repro.harness import load_design
-from repro.perf import PROFILER
+from repro.perf import PROFILER, flow_stats, format_stats, install
 from repro.sta import IncrementalTimer, TimingGraph, levelize
 from repro.sta.graph import levelize as vector_levelize
 
@@ -149,15 +149,16 @@ def measurements(miniblue7, propagation_edges):
     )
     vector_timer = IncrementalTimer(miniblue7, graph)
     vector_timer.reset()
-    PROFILER.reset()
-    PROFILER.enable()
+    uninstall = install(PROFILER)
     try:
         t_vector_sweep, wns_v, tns_v = _run_moves(
             vector_timer, miniblue7, cells, dx, dy, die
         )
-        profile = PROFILER.report("miniblue7 incremental move sequence")
+        profile = format_stats(
+            flow_stats(PROFILER.spans), "miniblue7 incremental move sequence"
+        )
     finally:
-        PROFILER.disable()
+        uninstall()
         PROFILER.reset()
     assert wns_v == pytest.approx(wns_s, abs=1e-6)
     assert tns_v == pytest.approx(tns_s, abs=1e-5)
@@ -210,8 +211,8 @@ def test_incremental_sweep_speedup_floor(measurements):
 
 def test_profile_breakdown_covers_sweep_stages(measurements):
     for stage in (
-        "incremental.reroute",
-        "incremental.sweep",
-        "incremental.endpoints",
+        "sta.incremental.reroute",
+        "sta.incremental.sweep",
+        "sta.incremental.endpoints",
     ):
         assert stage in measurements["profile"]

@@ -17,7 +17,7 @@ Subpackages
 - ``repro.place``: nonlinear global placement substrate, net-weighting
   baseline, legalization.
 - ``repro.harness``: benchmark suite and experiment reproduction.
-- ``repro.perf``: per-stage wall-time instrumentation of the hot paths.
+- ``repro.perf``: the span recorder - per-layer wall time of a run.
 - ``repro.runtime``: guarded placement runtime - design validation,
   numerical fault quarantine, checkpoint/restart, fault injection.
 """

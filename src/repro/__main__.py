@@ -132,13 +132,15 @@ def _cmd_run(args) -> int:
         print(f"guard events: {record.nonfinite_events}")
     if record.run_dir:
         print(f"telemetry: {record.run_dir}")
+    label = f"{record.design}/{record.mode}"
+    if args.profile:
+        from .perf import format_stats
+
+        print(format_stats(record.spans, label))
     if args.trace_out:
         from .perf import write_chrome_trace
 
-        write_chrome_trace(
-            args.trace_out,
-            [(f"{record.design}/{record.mode}", record.span_tree)],
-        )
+        write_chrome_trace(args.trace_out, record.timeline, [label])
         print(f"trace: {args.trace_out}")
     return 0
 
@@ -206,23 +208,15 @@ def _cmd_suite(args) -> int:
         )
         print(f"suite manifest: {path}")
     if args.trace_out:
-        from .perf import merge_span_trees, write_chrome_trace
+        from .perf import join_flows, write_chrome_trace
 
-        named = [
-            (task.run_id, rec.span_tree)
-            for task, rec in zip(tasks, records)
-            if rec.span_tree
-        ]
-        if named:
-            named.append(
-                ("suite (merged)", merge_span_trees([t for _, t in named]))
-            )
-            write_chrome_trace(args.trace_out, named)
-            print(f"trace: {args.trace_out}")
-        else:
-            print(
-                "no span trees collected; trace not written", file=sys.stderr
-            )
+        traced = [(t, r) for t, r in zip(tasks, records) if r.timeline]
+        write_chrome_trace(
+            args.trace_out,
+            join_flows([(rec.timeline, 0) for _, rec in traced]),
+            [task.run_id for task, _ in traced],
+        )
+        print(f"trace: {args.trace_out}")
     if args.metrics_out:
         with open(args.metrics_out, "w") as handle:
             json.dump(
@@ -282,6 +276,13 @@ def _cmd_table3(args) -> int:
         return 1
     print()
     print(format_table3(result))
+    if args.profile:
+        from .perf import format_stats
+
+        for design, runs in result.records.items():
+            for mode, record in runs.items():
+                print()
+                print(format_stats(record.spans, f"{design}/{mode}"))
     if args.fig8:
         print("\nFigure 8 - optimization curves (miniblue4)")
         data = run_fig8("miniblue4", max_iters=args.max_iters)
@@ -435,7 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--max-iters", type=int, default=600)
-    run_p.add_argument("--profile", action="store_true")
+    run_p.add_argument(
+        "--profile",
+        action="store_true",
+        help="print the per-layer calls / total / self / share-of-wall "
+        "span table of the run",
+    )
     run_p.add_argument("--checkpoint-every", type=int, default=0, metavar="N")
     run_p.add_argument(
         "--resume",
@@ -456,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         metavar="FILE",
         default=None,
-        help="export the run's span tree as Chrome trace_event JSON "
-        "(open in chrome://tracing or ui.perfetto.dev)",
+        help="export the run's spans as Chrome trace_event JSON on their "
+        "real timeline (open in chrome://tracing or ui.perfetto.dev)",
     )
     run_p.set_defaults(func=_cmd_run)
 
@@ -528,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         metavar="FILE",
         default=None,
-        help="export every run's span tree plus the suite-merged "
-        "aggregate as Chrome trace_event JSON (one track per run)",
+        help="export every run's spans as Chrome trace_event JSON on "
+        "their real timeline (one track per run)",
     )
     suite_p.set_defaults(func=_cmd_suite)
 
@@ -560,8 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     t3_p.add_argument(
         "--profile",
         action="store_true",
-        help="record per-kernel wall-time breakdowns and dump them to "
-        "benchmarks/results/profile_<design>_<mode>.txt",
+        help="print each run's per-layer span table after Table 3",
     )
     t3_p.add_argument(
         "--checkpoint-every",

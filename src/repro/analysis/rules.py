@@ -31,7 +31,7 @@ __all__ = ["RULES_VERSION", "SPAWN_SAFE_GLOBALS"]
 
 #: Bumped whenever a rule is added, removed, or changes what it flags;
 #: recorded in telemetry run manifests.
-RULES_VERSION = "2.5"
+RULES_VERSION = "2.6"
 
 
 def _in_tests(relpath: str) -> bool:
@@ -477,8 +477,8 @@ class SupervisedPoolOnly(Rule):
 #: audit rationale.  Every entry is per-process by construction: a spawn
 #: worker gets a fresh module copy, mutates only its own, and nothing
 #: reads the value back across the process boundary.  An attribute write
-#: under an allowed prefix (e.g. ``PROFILER.enabled``) is covered by the
-#: prefix entry.
+#: under an allowed prefix (e.g. ``PROFILER.enabled``, which ``install``
+#: sets and its undo clears) is covered by the prefix entry.
 SPAWN_SAFE_GLOBALS = {
     # The worker marks itself as in-worker so process-killing fault
     # injections may fire; written exactly once per process before any
@@ -488,9 +488,10 @@ SPAWN_SAFE_GLOBALS = {
     # spawn (that is the point of _preload_designs).
     "repro.netlist.cache._MEMO": "per-process design cache",
     "repro.netlist.cache._CODE_VERSION": "per-process cache-key memo",
-    # The profiler is per-process observability; records are exported
-    # through the task result, never shared memory.
-    "repro.perf.PROFILER": "per-process profiler state",
+    # The span recorder is per-process observability: a worker installs
+    # it around one task, and the task's per-layer stats and timeline
+    # travel back in the result, never through shared memory.
+    "repro.perf.PROFILER": "per-process span recorder",
     # Telemetry context slots: each worker installs its own recorder /
     # heartbeat registration for the task it runs.
     "repro.telemetry.events._CURRENT": "per-process recorder slot",

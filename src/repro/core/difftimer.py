@@ -34,7 +34,6 @@ from ..sta.elmore import (
     design_elmore,
     pin_elmore,
 )
-from ..perf import PROFILER
 from ..runtime import faults
 from ..sta.graph import TimingGraph
 from .cell_prop import cell_backward_level
@@ -126,41 +125,37 @@ class DifferentiableTimer:
         if inj is not None:
             inj.corrupt_lutbank(graph.lutbank)
 
-        with PROFILER.stage("difftimer.forward.elmore"):
-            elm = design_elmore(
-                design, forest, *design.pin_positions(x, y), graph.extra_pin_cap
-            )
+        elm = design_elmore(
+            design, forest, *design.pin_positions(x, y), graph.extra_pin_cap
+        )
         net_delay, impulse2, driver_load = pin_elmore(
             forest, elm, design.n_pins, self.wire_delay_model
         )
 
         at, slew = start_state(self.plan, _SENTINEL, 0.0)
-        with PROFILER.stage("difftimer.forward.levels"):
-            sweep = propagate(
-                self.plan, graph.lutbank, net_delay, impulse2, driver_load,
-                at, slew, "lse", gamma, partials=True,
-            )
+        sweep = propagate(
+            self.plan, graph.lutbank, net_delay, impulse2, driver_load,
+            at, slew, "lse", gamma, partials=True,
+        )
 
         # ------------------------------------------------------------------
         # Endpoint slacks, smoothed TNS/WNS.
         # ------------------------------------------------------------------
-        with PROFILER.stage("difftimer.forward.endpoints"):
-            rat, dsetup_dslew = endpoint_rat(graph, slew, grad=True)
-            ep_slack_t = rat - at.reshape(-1).take(self.plan.endpoints.slots)
-            # Softmin across the two transitions per endpoint.
-            ep_slack = lse_min(ep_slack_t, gamma, axis=1)
-            # No setup checks or output ports: timing is trivially met
-            # (lse_min over an empty array would raise).
-            tns = wns = saturation = 0.0
-            if graph.n_endpoints:
-                tns = float(soft_clamp_neg(ep_slack, gamma).sum())
-                wns = float(lse_min(ep_slack, gamma))
-                saturation = float(
-                    np.mean(
-                        np.abs(ep_slack_t[:, 0] - ep_slack_t[:, 1])
-                        > 20.0 * gamma
-                    )
+        rat, dsetup_dslew = endpoint_rat(graph, slew, grad=True)
+        ep_slack_t = rat - at.reshape(-1).take(self.plan.endpoints.slots)
+        # Softmin across the two transitions per endpoint.
+        ep_slack = lse_min(ep_slack_t, gamma, axis=1)
+        # No setup checks or output ports: timing is trivially met
+        # (lse_min over an empty array would raise).
+        tns = wns = saturation = 0.0
+        if graph.n_endpoints:
+            tns = float(soft_clamp_neg(ep_slack, gamma).sum())
+            wns = float(lse_min(ep_slack, gamma))
+            saturation = float(
+                np.mean(
+                    np.abs(ep_slack_t[:, 0] - ep_slack_t[:, 1]) > 20.0 * gamma
                 )
+            )
         return TimerTape(
             forest=forest,
             elmore=elm,
@@ -251,7 +246,9 @@ class DifferentiableTimer:
         np.exp(w_cand, out=w_cand)
         # Net arcs: Slew(v) = sqrt(Slew(u)^2 + Impulse(v)^2).
         safe = np.maximum(tape.slew, 1e-12)
-        slew_ratio = (tape.slew[graph.net_src] / safe[graph.net_sink]).reshape(-1)
+        slew_ratio = (
+            tape.slew.take(graph.net_src, axis=0) / safe.take(graph.net_sink, axis=0)
+        ).reshape(-1)
 
         # Seed the endpoint slots of every seed's flat gradient:
         # slack = rat - at;  for setup endpoints rat = T - setup(slew_D).
@@ -276,18 +273,13 @@ class DifferentiableTimer:
         )
 
         seed_slots = np.arange(n_seeds)[:, None] * n_slots
-        with PROFILER.stage("difftimer.backward.levels"):
-            for net, cell in reversed(plan.levels):
-                if cell is not None:
-                    with PROFILER.stage("difftimer.backward.cell_level"):
-                        cell_backward_level(
-                            cell, w_cand, tape.d_dslew, g_at, g_slew, seed_slots
-                        )
-                if net is not None:
-                    with PROFILER.stage("difftimer.backward.net_level"):
-                        net_backward_level(
-                            net, slew_ratio, g_at, g_slew, seed_slots
-                        )
+        for net, cell in reversed(plan.levels):
+            if cell is not None:
+                cell_backward_level(
+                    cell, w_cand, tape.d_dslew, g_at, g_slew, seed_slots
+                )
+            if net is not None:
+                net_backward_level(net, slew_ratio, g_at, g_slew, seed_slots)
 
         # Sinks of a level's arcs are final when it is swept, so what the
         # Elmore model receives is folded once, after the sweep: the
@@ -351,12 +343,11 @@ class DifferentiableTimer:
         else:
             g_delay_ext = on_nodes(pin_nodes, g_delay_pins)
 
-        with PROFILER.stage("difftimer.backward.elmore"):
-            g_nx, g_ny = elmore_backward(
-                forest, tape.elmore, design.library.wire,
-                g_delay_ext, g_imp2_ext, g_load_ext, g_beta_ext,
-            )
-            g_px, g_py = forest.scatter_coord_grad(g_nx, g_ny)
+        g_nx, g_ny = elmore_backward(
+            forest, tape.elmore, design.library.wire,
+            g_delay_ext, g_imp2_ext, g_load_ext, g_beta_ext,
+        )
+        g_px, g_py = forest.scatter_coord_grad(g_nx, g_ny)
         # Last use of the node-sized gradients: still referenced, they sat
         # under the scatter below, where the call's RSS peaked (midiblue50).
         del g_delay_ext, g_imp2_ext, g_load_ext, g_beta_ext, g_nx, g_ny

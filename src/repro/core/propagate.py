@@ -17,7 +17,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..perf import PROFILER
 from ..sta.graph import LevelPlan, TimingGraph
 from ..sta.nldm import LutBank
 from .cell_prop import (
@@ -96,16 +95,12 @@ def propagate(
     at_flat, slew_flat = at.reshape(-1), slew.reshape(-1)
     for net, cell in sweep.levels:
         if net is not None:
-            with PROFILER.stage("propagate.net_level"):
-                net_forward_level(
-                    net, arc_delay, arc_impulse2, at_flat, slew_flat
-                )
+            net_forward_level(net, arc_delay, arc_impulse2, at_flat, slew_flat)
         if cell is not None:
-            with PROFILER.stage("propagate.cell_level"):
-                cell_forward_level(
-                    cell, lutbank, load.at(cell.sl), merge, gamma,
-                    at_flat, slew_flat, tape,
-                )
+            cell_forward_level(
+                cell, lutbank, load.at(cell.sl), merge, gamma,
+                at_flat, slew_flat, tape,
+            )
     if partials:
         zero_clipped_partials(sweep.src, slew_flat, tape)
     return tape

@@ -8,7 +8,6 @@ placement itself, and the per-iteration trace for curve plots.
 from __future__ import annotations
 
 import contextlib
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -18,19 +17,15 @@ import numpy as np
 from ..core.objective import TimingObjectiveOptions
 from ..core.timing_placer import TimingDrivenPlacer, TimingPlacerOptions
 from ..netlist.design import Design
-from ..perf import PROFILER
+from ..perf import FLOW, FLOW_SPAN, PROFILER, flow_stats, install, join_flows
 from ..place.netweight import NetWeightingPlacer, NetWeightOptions
 from ..place.placer import GlobalPlacer, PlacerOptions, PlacerResult
 from ..sta.analysis import run_sta
 from ..telemetry.events import recording
-from ..telemetry.manifest import make_run_id
 from ..telemetry.registry import heartbeating
 from ..telemetry.session import RunSession, start_run
 
-__all__ = ["MODES", "RunRecord", "run_mode", "PROFILE_DIR"]
-
-#: Default destination of ``--profile`` breakdowns (relative to the cwd).
-PROFILE_DIR = os.path.join("benchmarks", "results")
+__all__ = ["MODES", "RunRecord", "run_mode"]
 
 #: The three placers of Table 3.
 MODES = ("dreamplace", "netweight", "ours")
@@ -51,17 +46,18 @@ class RunRecord:
     x: np.ndarray
     y: np.ndarray
     trace: List[Dict[str, float]] = field(default_factory=list)
-    #: Per-kernel profiler stats of the run (``--profile`` only).
-    profile: Optional[Dict[str, Dict[str, float]]] = None
     #: Numerical-guard event counts (non-empty only when faults occurred).
     nonfinite_events: Dict[str, int] = field(default_factory=dict)
     #: Escalated recoveries (step-shrink retries + checkpoint rollbacks).
     recoveries: int = 0
     #: Telemetry run directory (``telemetry_dir`` runs only).
     run_dir: Optional[str] = None
-    #: Hierarchical profiler span tree (parallel/profiled runs; merged
-    #: across workers by the suite runner).
-    span_tree: Optional[Dict[str, object]] = None
+    #: Per-layer span stats ``{name: {calls, total_s, self_s}}`` of the
+    #: run (profiled, traced and telemetry runs; summed by the suite).
+    spans: Optional[Dict[str, Dict[str, float]]] = None
+    #: The run's spans as one flow (``collect_spans`` runs), for
+    #: :func:`repro.perf.write_chrome_trace`.
+    timeline: Optional[List[list]] = None
     #: Seconds spent acquiring the design (generation or cache load)
     #: before the solve.  Wall-clock: excluded from suite metrics.
     setup_s: float = 0.0
@@ -108,7 +104,6 @@ def run_mode(
     nw_options: Optional[NetWeightOptions] = None,
     with_trace_sta: bool = False,
     profile: bool = False,
-    profile_dir: Optional[str] = None,
     collect_spans: bool = False,
     telemetry_dir: Optional[str] = None,
     run_id: Optional[str] = None,
@@ -131,24 +126,21 @@ def run_mode(
     Figure 8 curves); it is excluded from the reported runtime, which is
     re-measured around the placement call only.
 
-    ``profile=True`` turns the shared :data:`repro.perf.PROFILER` on for
-    the duration of the run and dumps the hierarchical span breakdown to
-    ``<profile_dir>/profile_<design>_<mode>_<run_id>.txt`` (default
-    directory ``benchmarks/results/``), updating a
-    ``profile_<design>_<mode>_latest.txt`` pointer; the flat stats dict
-    is also attached to the returned record.
-
-    ``collect_spans=True`` records the hierarchical span tree onto the
-    returned record (for ``--trace-out`` exports) without the text-dump
-    side effects of ``profile``; implied by ``profile``/``telemetry_dir``.
+    ``profile=True`` records the run's spans with
+    :data:`repro.perf.PROFILER` (installed for the call unless a caller
+    already installed it) and attaches the flat per-layer stats to the
+    record (``spans``); their root, ``harness.run_mode``, covers the
+    placement and the sign-off STA, and the self times add up to it.
+    ``collect_spans=True`` also attaches the flow's span timeline
+    (``timeline``, for ``--trace-out`` exports).  Results never change.
 
     ``telemetry_dir`` opens a telemetry run under that directory (see
     :func:`repro.telemetry.session.start_run`): every layer's recorder
     events stream to ``events.jsonl`` and the run manifest is finalized
-    with the golden-STA outcome and the span tree.  When the placer
-    options carry ``resume_from``, the telemetry run resumes too
-    (``telemetry_dir`` may then point directly at the original run
-    directory).
+    with the golden-STA outcome and the per-layer span stats (implies
+    ``profile``).  When the placer options carry ``resume_from``, the
+    telemetry run resumes too (``telemetry_dir`` may then point directly
+    at the original run directory).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -179,65 +171,42 @@ def run_mode(
         if supervision is not None:
             session.manifest.supervision = dict(supervision)
 
-    # The session enables the profiler itself (the manifest carries the
-    # span tree); --profile without telemetry keeps the legacy behaviour.
-    use_prof = profile or collect_spans or session is not None
-    was_enabled = PROFILER.enabled
-    if (profile or collect_spans) and session is None:
-        PROFILER.reset()
-        PROFILER.enable()
-
+    use_spans = profile or collect_spans or session is not None
+    uninstall = install(PROFILER) if use_spans and not PROFILER.enabled else None
+    stats = timeline = None
     try:
-        with contextlib.ExitStack() as stack:
-            if session is not None:
-                stack.enter_context(recording(session.recorder))
-                stack.enter_context(heartbeating(session.heartbeat))
-            start = time.perf_counter()
-            if mode == "dreamplace":
-                hook = (
-                    _sta_trace_hook(design, every=10)
-                    if with_trace_sta
-                    else None
+        root = PROFILER.begin_flow(FLOW_SPAN) if use_spans else None
+        try:
+            with contextlib.ExitStack() as stack:
+                if session is not None:
+                    stack.enter_context(recording(session.recorder))
+                    stack.enter_context(heartbeating(session.heartbeat))
+                start = time.perf_counter()
+                result = _place(
+                    design, mode, popts, timing_options, nw_options,
+                    with_trace_sta, sta_graph,
                 )
-                result: PlacerResult = GlobalPlacer(
-                    design, popts, extra_grad_fn=hook
-                ).run()
-            elif mode == "netweight":
-                result = NetWeightingPlacer(
-                    design, popts, nw_options, graph=sta_graph
-                ).run()
-            else:
-                tp_options = TimingPlacerOptions(
-                    placer=popts,
-                    timing=timing_options
-                    if timing_options is not None
-                    else TimingObjectiveOptions(),
-                    sta_in_trace=with_trace_sta,
-                )
-                result = TimingDrivenPlacer(
-                    design, tp_options, graph=sta_graph
-                ).run()
-            runtime = time.perf_counter() - start
+                runtime = time.perf_counter() - start
+            if session is not None and session.heartbeat is not None:
+                session.heartbeat.update(phase="sta", force=True)
+            final = run_sta(design, result.x, result.y, graph=sta_graph)
+        finally:
+            if root is not None:
+                PROFILER.end_flow(root)
+        if root is not None:
+            flow = PROFILER.spans[root][FLOW]
+            stats = flow_stats(PROFILER.spans, flow)
+            if collect_spans:
+                timeline = join_flows([(PROFILER.spans, flow)])
     except BaseException:
         if session is not None:
             session.finalize(final_metrics={"stop_reason": "exception"})
         raise
+    finally:
+        if uninstall is not None:
+            uninstall()
+            PROFILER.reset()
 
-    stats = None
-    if use_prof:
-        stats = PROFILER.stats()
-    if profile:
-        out_dir = profile_dir if profile_dir is not None else PROFILE_DIR
-        rid = session.run_id if session is not None else make_run_id(
-            design.name, mode
-        )
-        _dump_profile(out_dir, design.name, mode, rid)
-    if (profile or collect_spans) and session is None:
-        PROFILER.enabled = was_enabled
-
-    if session is not None and session.heartbeat is not None:
-        session.heartbeat.update(phase="sta", force=True)
-    final = run_sta(design, result.x, result.y, graph=sta_graph)
     if session is not None:
         session.finalize(
             final_metrics={
@@ -248,11 +217,9 @@ def run_mode(
                 "iterations": result.iterations,
                 "stop_reason": result.stop_reason,
                 "runtime": runtime,
-            }
+            },
+            spans=stats,
         )
-    # Spans accumulate until the next reset, so the tree is still
-    # readable after finalize restored the profiler's enabled state.
-    span_tree = PROFILER.tree() if use_prof else None
     return RunRecord(
         design=design.name,
         mode=mode,
@@ -265,44 +232,39 @@ def run_mode(
         x=result.x,
         y=result.y,
         trace=result.trace,
-        profile=stats,
         nonfinite_events=result.nonfinite_events,
         recoveries=result.recoveries,
         run_dir=session.run_dir if session is not None else None,
-        span_tree=span_tree,
+        spans=stats,
+        timeline=timeline,
         design_cache=dict(design_cache) if design_cache is not None else None,
         resources=session.manifest.resources if session is not None else None,
     )
 
 
-def _dump_profile(out_dir: str, design: str, mode: str, run_id: str) -> str:
-    """Write this run's span breakdown without clobbering earlier runs.
-
-    Each dump gets a unique ``profile_<design>_<mode>_<run_id>.txt``; a
-    ``profile_<design>_<mode>_latest.txt`` symlink points at the newest
-    one (on filesystems without symlink support it degrades to a pointer
-    file containing the dump's filename).
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    # Auto run ids already start with "<design>_<mode>_"; don't repeat it.
-    suffix = run_id[len(f"{design}_{mode}_"):] if run_id.startswith(
-        f"{design}_{mode}_"
-    ) else run_id
-    name = f"profile_{design}_{mode}_{suffix}.txt"
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as handle:
-        handle.write(PROFILER.report(f"{design} / {mode}") + "\n")
-        handle.write("\n")
-        handle.write(PROFILER.span_report(f"{design} / {mode} spans") + "\n")
-    latest = os.path.join(out_dir, f"profile_{design}_{mode}_latest.txt")
-    try:
-        if os.path.islink(latest) or os.path.exists(latest):
-            os.remove(latest)
-        os.symlink(name, latest)
-    except OSError:
-        with open(latest, "w") as handle:
-            handle.write(name + "\n")
-    return path
+def _place(
+    design: Design,
+    mode: str,
+    popts: PlacerOptions,
+    timing_options: Optional[TimingObjectiveOptions],
+    nw_options: Optional[NetWeightOptions],
+    with_trace_sta: bool,
+    sta_graph,
+) -> PlacerResult:
+    """The placement of one :func:`run_mode` call."""
+    if mode == "dreamplace":
+        hook = _sta_trace_hook(design, every=10) if with_trace_sta else None
+        return GlobalPlacer(design, popts, extra_grad_fn=hook).run()
+    if mode == "netweight":
+        return NetWeightingPlacer(design, popts, nw_options, graph=sta_graph).run()
+    tp_options = TimingPlacerOptions(
+        placer=popts,
+        timing=timing_options
+        if timing_options is not None
+        else TimingObjectiveOptions(),
+        sta_in_trace=with_trace_sta,
+    )
+    return TimingDrivenPlacer(design, tp_options, graph=sta_graph).run()
 
 
 def _sta_trace_hook(design: Design, every: int = 10):

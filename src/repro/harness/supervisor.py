@@ -57,7 +57,6 @@ import numpy as np
 
 from ..core.objective import TimingObjectiveOptions
 from ..netlist.cache import ensure_cached, load_bundle
-from ..perf import PROFILER, merge_span_trees
 from ..place.placer import PlacerOptions
 from ..runtime.faults import BundleCorruptionError, maybe_inject_process_fault
 from ..telemetry.events import MetricsRecorder
@@ -247,9 +246,9 @@ class SuiteTask:
     checkpoint_every: int = 0
     rsmt_period: Optional[int] = None
     telemetry_dir: Optional[str] = None
+    #: Attach the run's per-layer span stats to the result.
     profile: bool = False
-    #: Record the span tree onto the result (for suite trace export)
-    #: without --profile's text-dump side effects.
+    #: Also attach the run's span timeline (for suite trace export).
     collect_spans: bool = False
     with_trace_sta: bool = False
     extra_placer_options: Dict[str, Any] = field(default_factory=dict)
@@ -272,7 +271,7 @@ def _execute_task(
     task_index: int = 0,
     attempt: int = 1,
 ) -> RunRecord:
-    """Worker body: run one task and attach its profiler span tree.
+    """Worker body: run one task and record its set-up provenance.
 
     With ``use_cache`` the design (and its prebuilt timing graph) comes
     from the bundle cache: in a warm worker the per-process memo serves
@@ -324,8 +323,6 @@ def _execute_task(
     )
     record.setup_s = setup_s
     record.attempts = attempt
-    if task.profile or task.collect_spans or task.telemetry_dir:
-        record.span_tree = PROFILER.tree()
     # Whole-task attribution (setup + solve + golden STA): CPU/fault
     # deltas stay per-task even in a warm worker whose getrusage counters
     # accumulate across tasks.  Overrides the session-scoped rollup
@@ -1081,8 +1078,8 @@ def write_suite_manifest(
     """Merge per-run telemetry into one ``suite_manifest.json``.
 
     Collects each run's manifest (when the run streamed telemetry) and
-    merges the per-run profiler span trees into a single aggregate tree,
-    so a parallel suite still yields one hierarchical profile.
+    sums the runs' per-layer span stats, so a parallel suite still yields
+    one profile.
 
     ``supervision`` is :func:`run_tasks`' provenance dict; it (and the
     per-run ``attempts``/``quarantine`` fields) only appears when
@@ -1116,12 +1113,17 @@ def write_suite_manifest(
             except (OSError, ValueError):
                 entry["manifest"] = None
         runs.append(entry)
-    trees = [rec.span_tree for rec in records if rec.span_tree]
+    spans: Dict[str, Dict[str, float]] = {}
+    for rec in records:
+        for name, row in (rec.spans or {}).items():
+            total = spans.setdefault(name, dict.fromkeys(row, 0))
+            for key, value in row.items():
+                total[key] += value
     payload = {
         "jobs": jobs,
         "n_runs": len(runs),
         "runs": runs,
-        "merged_span_tree": merge_span_trees(trees) if trees else None,
+        "spans": spans or None,
         "metrics": suite_metrics(tasks, records),
         "resources": _suite_resources(records),
     }

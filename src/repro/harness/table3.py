@@ -52,8 +52,8 @@ def run_table3(
 ) -> Table3Result:
     """Run the full (designs x modes) comparison matrix.
 
-    ``profile=True`` dumps a per-kernel timing breakdown per (design,
-    mode) run into ``benchmarks/results/`` (see :func:`run_mode`).
+    ``profile=True`` attaches each (design, mode) run's per-layer span
+    stats to its record (see :func:`run_mode`).
     ``validate`` runs structural design validation before each placement;
     ``checkpoint_every`` saves resumable placer checkpoints on that period
     (see :mod:`repro.runtime`).  The matrix runs through

@@ -42,7 +42,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from ..perf import PROFILER
 from .design import Design
 from .generator import GeneratorSpec, generate_design
 
@@ -236,21 +235,20 @@ def load_bundle(
             key=key, path=path, hit=True, memo_hit=True
         )
 
-    with PROFILER.stage("netlist.design_cache"):
-        t0 = time.perf_counter()
-        existed = os.path.exists(path)
-        bundle = _read_bundle(path, key)
-        hit = bundle is not None
-        if bundle is None:
-            bundle = _build_bundle(spec, key)
-            _write_bundle(path, bundle)
-        info = CacheInfo(
-            key=key,
-            path=path,
-            hit=hit,
-            corrupt_recovered=existed and not hit,
-            setup_s=time.perf_counter() - t0,
-        )
+    t0 = time.perf_counter()
+    existed = os.path.exists(path)
+    bundle = _read_bundle(path, key)
+    hit = bundle is not None
+    if bundle is None:
+        bundle = _build_bundle(spec, key)
+        _write_bundle(path, bundle)
+    info = CacheInfo(
+        key=key,
+        path=path,
+        hit=hit,
+        corrupt_recovered=existed and not hit,
+        setup_s=time.perf_counter() - t0,
+    )
     if memoize:
         _MEMO[key] = bundle
     return bundle, info

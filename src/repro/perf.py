@@ -1,474 +1,250 @@
-"""Hierarchical per-stage instrumentation for the timing hot paths.
+"""The span recorder: where the wall clock of a run goes, layer by layer.
 
-Every kernel stage of the differentiable timer, the golden routing pass
-and the incremental engine is wrapped in a named :meth:`Timer.stage`
-context.  When profiling is off (the default) the context manager is a
-shared no-op singleton, so the overhead on the hot path is a single
-attribute check per stage.  When on, nested ``stage`` contexts build a
-*call tree*: each span accumulates wall-clock time, an invocation
-counter, and optional named counters (:meth:`Timer.incr`), with
-self-time (time not attributed to child spans) derived per node.
-
-Accumulation is thread-safe: each thread keeps its own span stack
-(``threading.local``) while all threads merge into one shared tree under
-a lock, so two threads timing the same stage name sum their calls and
-seconds instead of corrupting each other.
-
-Three read-out shapes are offered:
-
-- :meth:`Timer.stats` - flat ``{stage: {calls, total_s, mean_s}}``
-  aggregated over every tree position of a name (the historical API;
-  every pre-existing call site keeps working);
-- :meth:`Timer.tree` - the nested span tree as plain dicts (JSON-ready,
-  embedded in telemetry run manifests);
-- :meth:`Timer.span_report` - an indented table with total vs self time.
-
-Profiling is enabled either explicitly (``Timer(enabled=True)``,
-``PROFILER.enable()``, the harness ``--profile`` flag, a telemetry run)
-or globally via the ``REPRO_PROFILE`` environment variable (any
-non-empty value other than ``0``/``false``/``off``).  Library code
-shares the module-level :data:`PROFILER` instance so one switch captures
-every layer of a run.
+The program is not edited to be measured: :func:`install` wraps the
+layers' entry points (:data:`TARGETS`) in thin span-opening wrappers and
+returns the undo, so nothing is paid while no recorder is installed.
+Spans are ``[name, start_ns, end_ns, parent id, flow id]`` in integer
+nanoseconds, so the self times of one flow (one ``run_mode`` call, root
+span :data:`FLOW_SPAN`) add up exactly to its wall clock.
+:data:`PROFILER` is the recorder the harness installs for profiled,
+traced and telemetry runs; its ``enabled`` is true only while installed.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import json
 import os
-import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "Timer",
-    "PROFILER",
-    "get_profiler",
-    "profile_enabled_by_env",
-    "format_span_tree",
-    "merge_span_trees",
-    "span_tree_to_trace_events",
+    "FLOW_SPAN", "PROFILER", "Recorder", "TARGETS", "count_children",
+    "flow_stats", "format_stats", "install", "join_flows", "layer_stats",
     "write_chrome_trace",
 ]
 
+NAME, START, END, PARENT, FLOW = range(5)  # span fields, by index
 
-def profile_enabled_by_env() -> bool:
-    """True when the ``REPRO_PROFILE`` environment variable turns us on."""
-    value = os.environ.get("REPRO_PROFILE", "")
-    return value.lower() not in ("", "0", "false", "off")
+#: Root span of one flow: the whole of one ``run_mode`` call.
+FLOW_SPAN = "harness.run_mode"
 
-
-class _NullStage:
-    """Shared do-nothing context manager for the disabled fast path."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_STAGE = _NullStage()
-
-
-class _SpanNode:
-    """One position in the span tree: a stage name under a parent path."""
-
-    __slots__ = ("name", "total_s", "calls", "counters", "children")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.total_s = 0.0
-        self.calls = 0
-        self.counters: Dict[str, int] = {}
-        self.children: Dict[str, "_SpanNode"] = {}
-
-    def self_s(self) -> float:
-        return self.total_s - sum(c.total_s for c in self.children.values())
-
-    def as_dict(self) -> Dict[str, object]:
-        children = sorted(
-            self.children.values(), key=lambda c: -c.total_s
-        )
-        return {
-            "name": self.name,
-            "calls": self.calls,
-            "total_s": self.total_s,
-            "self_s": self.self_s(),
-            "counters": dict(self.counters),
-            "children": [c.as_dict() for c in children],
-        }
-
-
-class _Stage:
-    """Times one ``with`` block and accumulates into its timer's tree."""
-
-    __slots__ = ("_timer", "_name", "_t0")
-
-    def __init__(self, timer: "Timer", name: str) -> None:
-        self._timer = timer
-        self._name = name
-
-    def __enter__(self):
-        self._timer._push(self._name)
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self._timer._pop(self._name, time.perf_counter() - self._t0)
-        return False
+#: (module, attribute path, span name).  A dotted attribute path is a
+#: method patched on its class; a bare name is a module global patched
+#: in the namespace of the module that *calls* it (the import site).
+TARGETS: Tuple[Tuple[str, str, str], ...] = (
+    ("repro.netlist.cache", "generate_design", "netlist.generate"),
+    ("repro.sta.graph", "TimingGraph.__init__", "sta.graph.build"),
+    ("repro.place.placer", "GlobalPlacer.__init__", "place.placer.init"),
+    ("repro.place.placer", "GlobalPlacer.run", "place.placer.run"),
+    ("repro.place.wirelength", "WAWirelength.evaluate", "place.wirelength.evaluate"),
+    ("repro.place.density", "DensityModel.evaluate", "place.density.evaluate"),
+    ("repro.place.optimizer", "NesterovOptimizer.step", "place.optimizer.step"),
+    ("repro.runtime.guard", "NumericalGuard.check_term", "runtime.guard"),
+    ("repro.runtime.guard", "NumericalGuard.scrub", "runtime.guard"),
+    ("repro.core.timing_placer", "TimingDrivenPlacer.__init__", "core.timing_placer.init"),
+    ("repro.core.objective", "TimingObjective.__call__", "core.objective.call"),
+    ("repro.core.difftimer", "DifferentiableTimer.forward", "core.difftimer.forward"),
+    ("repro.core.difftimer", "DifferentiableTimer.backward", "core.difftimer.backward"),
+    ("repro.place.netweight", "MomentumNetWeighter.__call__", "place.netweight.update"),
+    ("repro.sta.analysis", "StaticTimingAnalyzer.run", "sta.analysis.run"),
+    ("repro.core.objective", "build_forest_from_pins", "route.build_forest"),
+    ("repro.sta.analysis", "build_forest", "route.build_forest"),
+    ("repro.harness.runners", "run_sta", "harness.final_sta"),
+    # Inside the layers above.
+    ("repro.core.difftimer", "build_forest", "route.build_forest"),
+    ("repro.core.difftimer", "design_elmore", "core.difftimer.elmore"),
+    ("repro.core.difftimer", "propagate", "core.difftimer.levels"),
+    ("repro.core.difftimer", "endpoint_rat", "core.difftimer.endpoints"),
+    ("repro.core.difftimer", "elmore_backward", "core.difftimer.elmore_backward"),
+    ("repro.core.propagate", "net_forward_level", "core.net_prop.forward_level"),
+    ("repro.core.propagate", "cell_forward_level", "core.cell_prop.forward_level"),
+    ("repro.core.difftimer", "net_backward_level", "core.net_prop.backward_level"),
+    ("repro.core.difftimer", "cell_backward_level", "core.cell_prop.backward_level"),
+    ("repro.place.density", "DensityModel._splat", "place.density.splat"),
+    ("repro.place.density", "DensityModel._solve_poisson", "place.density.solve"),
+    ("repro.place.density", "DensityModel._field", "place.density.field"),
+    ("repro.place.density", "DensityModel._gather", "place.density.gather"),
+    ("repro.runtime.checkpoint", "save_checkpoint", "runtime.checkpoint.save"),
+    ("repro.runtime.checkpoint", "load_checkpoint", "runtime.checkpoint.load"),
+    ("repro.place.placer", "load_checkpoint", "runtime.checkpoint.load"),
+    ("repro.place.placer", "validate_design", "runtime.validate"),
+    ("repro.sta.incremental", "IncrementalTimer._reroute_nets", "sta.incremental.reroute"),
+    ("repro.sta.incremental", "IncrementalTimer._sweep", "sta.incremental.sweep"),
+    ("repro.sta.incremental", "IncrementalTimer._refresh_endpoint_slacks",
+     "sta.incremental.endpoints"),
+)
 
 
-class Timer:
-    """Hierarchical per-stage wall-time accumulator with counters."""
+class Recorder:
+    """In-memory spans.  A span's id is its index in :attr:`spans`, its
+    parent whichever span was open when it began (-1 at top level), its
+    flow the flow active then (-1 outside one)."""
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = bool(enabled) or profile_enabled_by_env()
-        self._lock = threading.Lock()
-        self._root = _SpanNode("")
-        self._tls = threading.local()
-
-    # ------------------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
+    def __init__(self, clock: Callable[[], int] = time.perf_counter_ns) -> None:
+        #: True while :func:`install` has the entry points wrapped.
         self.enabled = False
+        self._clock = clock
+        self.reset()
 
     def reset(self) -> None:
-        """Drop all accumulated span data (the on/off state is kept)."""
-        with self._lock:
-            self._root = _SpanNode("")
+        """Drop every span; ``enabled`` is left as it is."""
+        self.spans: List[list] = []
+        self._stack: List[int] = []
+        self._flow = -1
+        self._n_flows = 0
 
-    # ------------------------------------------------------------------
-    # Per-thread span stack.  Stacks hold *names*; the tree node is
-    # resolved (and created) under the lock at accumulation time, so a
-    # concurrent reset() never leaves a thread holding a stale node.
-    # ------------------------------------------------------------------
-    def _stack(self) -> List[str]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = []
-            self._tls.stack = stack
-        return stack
+    def begin(self, name: str) -> int:
+        parent = self._stack[-1] if self._stack else -1
+        sid = len(self.spans)
+        self.spans.append([name, 0, 0, parent, self._flow])
+        self._stack.append(sid)
+        # Stamped last: the recorder's bookkeeping is the parent's self time.
+        self.spans[sid][START] = self._clock()
+        return sid
 
-    def _push(self, name: str) -> None:
-        self._stack().append(name)
+    def end(self, sid: int) -> None:
+        now = self._clock()
+        if not self._stack or self._stack[-1] != sid:
+            raise RuntimeError(f"span {sid} closed out of order")
+        self._stack.pop()
+        self.spans[sid][END] = now
 
-    def _pop(self, name: str, seconds: float) -> None:
-        stack = self._stack()
-        if stack and stack[-1] == name:
-            stack.pop()
-        self._accumulate(tuple(stack) + (name,), seconds, 1)
+    def begin_flow(self, name: str) -> int:
+        """Open the root span of a new flow (one per ``run_mode`` call)."""
+        self._flow = self._n_flows
+        self._n_flows += 1
+        return self.begin(name)
 
-    def _node_at(self, path: Tuple[str, ...]) -> _SpanNode:
-        node = self._root
-        for name in path:
-            child = node.children.get(name)
-            if child is None:
-                child = _SpanNode(name)
-                node.children[name] = child
-            node = child
-        return node
-
-    def _accumulate(
-        self, path: Tuple[str, ...], seconds: float, calls: int
-    ) -> None:
-        with self._lock:
-            node = self._node_at(path)
-            node.total_s += seconds
-            node.calls += calls
-
-    # ------------------------------------------------------------------
-    def stage(self, name: str):
-        """Context manager timing one named stage (no-op when disabled).
-
-        Nested ``stage`` contexts - including across the existing call
-        sites, which already nest naturally - build the span tree.
-        """
-        if not self.enabled:
-            return _NULL_STAGE
-        return _Stage(self, name)
-
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Record ``seconds`` of wall time against ``name`` directly.
-
-        The span is attached under the calling thread's current stage
-        (or at the top level outside any stage).  Thread-safe.
-        """
-        self._accumulate(tuple(self._stack()) + (name,), seconds, calls)
-
-    def incr(self, counter: str, n: int = 1) -> None:
-        """Bump a named counter on the calling thread's current span.
-
-        No-op when profiling is disabled (counters ride on the span
-        tree, which only exists while profiling).
-        """
-        if not self.enabled:
-            return
-        path = tuple(self._stack())
-        with self._lock:
-            node = self._node_at(path)
-            node.counters[counter] = node.counters.get(counter, 0) + n
-
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, Dict[str, float]]:
-        """Flat snapshot ``{stage: {calls, total_s, mean_s}}``.
-
-        A name appearing at several tree positions (e.g. a shared helper
-        stage under different parents) is aggregated, matching the
-        behaviour of the historical flat profiler.
-        """
-        totals: Dict[str, float] = {}
-        calls: Dict[str, int] = {}
-
-        def walk(node: _SpanNode) -> None:
-            for child in node.children.values():
-                totals[child.name] = totals.get(child.name, 0.0) + child.total_s
-                calls[child.name] = calls.get(child.name, 0) + child.calls
-                walk(child)
-
-        with self._lock:
-            walk(self._root)
-        return {
-            name: {
-                "calls": calls[name],
-                "total_s": totals[name],
-                "mean_s": totals[name] / max(calls[name], 1),
-            }
-            for name in totals
-        }
-
-    def tree(self) -> Dict[str, object]:
-        """The span tree as nested plain dicts (JSON-serializable).
-
-        The synthetic root aggregates every top-level span; each node
-        carries ``name``/``calls``/``total_s``/``self_s``/``counters``
-        and a ``children`` list sorted by descending total time.
-        """
-        with self._lock:
-            out = self._root.as_dict()
-        out["name"] = "run"
-        out["total_s"] = sum(c["total_s"] for c in out["children"])
-        out["self_s"] = 0.0
-        return out
-
-    def counters(self) -> Dict[str, int]:
-        """All counters aggregated by name across the whole tree."""
-        out: Dict[str, int] = {}
-
-        def walk(node: _SpanNode) -> None:
-            for name, n in node.counters.items():
-                out[name] = out.get(name, 0) + n
-            for child in node.children.values():
-                walk(child)
-
-        with self._lock:
-            walk(self._root)
-        return out
-
-    # ------------------------------------------------------------------
-    def report(self, title: str = "per-kernel breakdown") -> str:
-        """Render the flat per-stage aggregate as an aligned text table."""
-        stats = self.stats()
-        lines = [
-            f"# {title}",
-            f"{'stage':<32} {'calls':>8} {'total(s)':>10} {'mean(ms)':>10}",
-        ]
-        for name in sorted(stats, key=lambda n: -stats[n]["total_s"]):
-            s = stats[name]
-            lines.append(
-                f"{name:<32} {s['calls']:>8d} {s['total_s']:>10.4f} "
-                f"{1e3 * s['mean_s']:>10.4f}"
-            )
-        if not stats:
-            lines.append("(no stages recorded)")
-        return "\n".join(lines)
-
-    def span_report(self, title: str = "span tree") -> str:
-        """Render the hierarchical span tree with total vs self time."""
-        return format_span_tree(self.tree(), title)
+    def end_flow(self, sid: int) -> None:
+        self.end(sid)
+        self._flow = -1
 
 
-def format_span_tree(tree: Dict[str, object], title: str = "span tree") -> str:
-    """Render a :meth:`Timer.tree`-shaped dict as an indented table."""
-    lines = [
-        f"# {title}",
-        f"{'span':<44} {'calls':>8} {'total(s)':>10} {'self(s)':>10}",
-    ]
+def _wrap(rec: Recorder, name: str, orig: Callable) -> Callable:
+    @functools.wraps(orig)
+    def traced(*args, **kwargs):
+        sid = rec.begin(name)
+        try:
+            return orig(*args, **kwargs)
+        finally:
+            rec.end(sid)
 
-    def walk(node: Dict[str, object], depth: int) -> None:
-        label = "  " * depth + str(node["name"])
-        lines.append(
-            f"{label:<44} {node['calls']:>8d} {node['total_s']:>10.4f} "
-            f"{node['self_s']:>10.4f}"
-        )
-        for key, value in sorted(dict(node.get("counters", {})).items()):
-            lines.append(f"{'  ' * (depth + 1) + '#' + key:<44} {value:>8d}")
-        for child in node.get("children", []):
-            walk(child, depth + 1)
-
-    children = tree.get("children", [])
-    for child in children:
-        walk(child, 0)
-    if not children:
-        lines.append("(no spans recorded)")
-    return "\n".join(lines)
+    return traced
 
 
-def merge_span_trees(
-    trees: List[Dict[str, object]], name: str = "run"
-) -> Dict[str, object]:
-    """Merge several :meth:`Timer.tree`-shaped dicts into one aggregate.
+def install(rec: Recorder) -> Callable[[], None]:
+    """Wrap every entry point in :data:`TARGETS`; returns the undo."""
+    undo: List[Tuple[object, str, Callable]] = []
+    for module_name, path, name in TARGETS:
+        *holders, attr = path.split(".")
+        owner = functools.reduce(getattr, holders, importlib.import_module(module_name))
+        orig = getattr(owner, attr)
+        setattr(owner, attr, _wrap(rec, name, orig))
+        undo.append((owner, attr, orig))
+    rec.enabled = True
 
-    Used by the process-parallel suite runner: each worker returns its
-    own span tree, and the parent folds them into a single hierarchical
-    profile.  Nodes are matched by name per tree level; ``calls``,
-    ``total_s`` and counters are summed, ``self_s`` is re-derived, and
-    children are re-sorted by descending total time.
+    def uninstall() -> None:
+        for owner, attr, orig in reversed(undo):
+            setattr(owner, attr, orig)
+        rec.enabled = False
+
+    return uninstall
+
+
+def layer_stats(spans: List[list], flow: Optional[int] = None) -> Dict[str, Dict[str, int]]:
+    """Per-name ``calls``, ``total_ns`` and ``self_ns`` of one flow.
+
+    ``self`` is a span's duration minus what its direct children cover
+    (one thread, so children never overlap).  ``total`` counts a span
+    only when no ancestor has the same name, so a layer that re-enters
+    itself is not counted twice.  ``flow=None`` takes every span.
     """
+    picked = [i for i, s in enumerate(spans) if flow is None or s[FLOW] == flow]
+    child_ns = {i: 0 for i in picked}
+    for i in picked:
+        parent = spans[i][PARENT]
+        if parent in child_ns:
+            child_ns[parent] += spans[i][END] - spans[i][START]
+    stats: Dict[str, Dict[str, int]] = {}
+    for i in picked:
+        name, start, end, parent, _ = spans[i]
+        row = stats.setdefault(name, {"calls": 0, "total_ns": 0, "self_ns": 0})
+        row["calls"] += 1
+        row["self_ns"] += (end - start) - child_ns[i]
+        while parent in child_ns and spans[parent][NAME] != name:
+            parent = spans[parent][PARENT]
+        if parent not in child_ns:
+            row["total_ns"] += end - start
+    return stats
 
-    def merge_children(
-        groups: List[List[Dict[str, object]]]
-    ) -> List[Dict[str, object]]:
-        by_name: Dict[str, List[Dict[str, object]]] = {}
-        for children in groups:
-            for child in children:
-                by_name.setdefault(str(child["name"]), []).append(child)
-        merged = []
-        for child_name, nodes in by_name.items():
-            total = sum(float(n.get("total_s", 0.0)) for n in nodes)
-            counters: Dict[str, int] = {}
-            for n in nodes:
-                for key, value in dict(n.get("counters", {})).items():
-                    counters[key] = counters.get(key, 0) + int(value)
-            children = merge_children(
-                [list(n.get("children", [])) for n in nodes]
-            )
-            merged.append(
-                {
-                    "name": child_name,
-                    "calls": sum(int(n.get("calls", 0)) for n in nodes),
-                    "total_s": total,
-                    "self_s": total
-                    - sum(float(c["total_s"]) for c in children),
-                    "counters": counters,
-                    "children": children,
-                }
-            )
-        merged.sort(key=lambda n: -float(n["total_s"]))
-        return merged
 
-    children = merge_children([list(t.get("children", [])) for t in trees])
+def flow_stats(spans: List[list], flow: Optional[int] = None) -> Dict[str, Dict[str, float]]:
+    """:func:`layer_stats` in seconds: ``{name: {calls, total_s, self_s}}``."""
     return {
-        "name": name,
-        "calls": sum(int(t.get("calls", 0)) for t in trees),
-        "total_s": sum(float(c["total_s"]) for c in children),
-        "self_s": 0.0,
-        "counters": {},
-        "children": children,
+        name: {"calls": r["calls"], "total_s": r["total_ns"] / 1e9, "self_s": r["self_ns"] / 1e9}
+        for name, r in layer_stats(spans, flow).items()
     }
 
 
-# ----------------------------------------------------------------------
-# Chrome/Perfetto trace export
-# ----------------------------------------------------------------------
-def span_tree_to_trace_events(
-    tree: Dict[str, object],
-    pid: int = 1,
-    tid: int = 1,
-    t0_us: float = 0.0,
-) -> List[Dict[str, object]]:
-    """Convert a :meth:`Timer.tree`-shaped dict to ``trace_event`` spans.
+def count_children(spans: List[list], flow: int, name: str, parent_name: str) -> int:
+    """Spans called ``name`` in ``flow`` whose direct parent is ``parent_name``."""
+    return sum(
+        1 for s in spans
+        if s[FLOW] == flow and s[NAME] == name
+        and s[PARENT] >= 0 and spans[s[PARENT]][NAME] == parent_name
+    )
 
-    Span trees are *aggregates* - total seconds per tree position, not a
-    timeline - so the export synthesizes one: every node becomes a
-    single complete (``"X"``) event whose duration is its accumulated
-    total time, with siblings laid out back-to-back from the parent's
-    start.  Opened in ``chrome://tracing`` or Perfetto the flame chart
-    then reads as "share of parent time", the zoomable equivalent of
-    :func:`format_span_tree`'s table.  Per-node call counts, self time
-    and counters ride along in ``args``.
 
-    Timestamps/durations are microseconds, per the ``trace_event`` spec.
-    """
-    events: List[Dict[str, object]] = []
+def join_flows(flows: Sequence[Tuple[List[list], int]]) -> List[list]:
+    """The spans of each ``(spans, flow)`` pair, renumbered, pair k as flow k."""
+    out: List[list] = []
+    for k, (spans, flow) in enumerate(flows):
+        ids = [i for i, s in enumerate(spans) if s[FLOW] == flow]
+        new_id = {old: len(out) + j for j, old in enumerate(ids)}
+        out += [[spans[i][NAME], spans[i][START], spans[i][END],
+                 new_id.get(spans[i][PARENT], -1), k] for i in ids]
+    return out
 
-    def walk(node: Dict[str, object], start_us: float) -> None:
-        duration_us = max(float(node.get("total_s", 0.0)), 0.0) * 1e6
-        args: Dict[str, object] = {
-            "calls": int(node.get("calls", 0)),
-            "self_s": float(node.get("self_s", 0.0)),
-        }
-        counters = dict(node.get("counters", {}) or {})
-        if counters:
-            args["counters"] = counters
-        events.append(
-            {
-                "name": str(node.get("name", "")) or "run",
-                "ph": "X",
-                "cat": "span",
-                "ts": round(start_us, 3),
-                "dur": round(duration_us, 3),
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            }
+
+def format_stats(stats: Dict[str, Dict[str, float]], title: str = "spans") -> str:
+    """Per-layer ``calls / total / self / share of wall`` as a text table;
+    the wall is the :data:`FLOW_SPAN` total, else the sum of self times."""
+    self_sum = sum(row["self_s"] for row in stats.values())
+    wall = stats[FLOW_SPAN]["total_s"] if FLOW_SPAN in stats else self_sum
+    lines = [f"# {title}",
+             f"{'span':<36} {'calls':>8} {'total(s)':>11} {'self(s)':>11} {'share':>7}"]
+    for name in sorted(stats, key=lambda n: -stats[n]["self_s"]):
+        row = stats[name]
+        lines.append(
+            f"{name:<36} {row['calls']:>8d} {row['total_s']:>11.6f} "
+            f"{row['self_s']:>11.6f} {row['self_s'] / wall if wall else 0.0:>7.1%}"
         )
-        child_start = start_us
-        for child in node.get("children", []):
-            walk(child, child_start)
-            child_start += max(float(child.get("total_s", 0.0)), 0.0) * 1e6
-
-    walk(tree, float(t0_us))
-    return events
+    if not stats:
+        lines.append("(no spans recorded)")
+    lines.append(f"{'wall / sum of self':<36} {'':>8} {wall:>11.6f} {self_sum:>11.6f}")
+    return "\n".join(lines)
 
 
-def write_chrome_trace(
-    path: str,
-    named_trees: List[Tuple[str, Dict[str, object]]],
-    pid: int = 1,
-) -> str:
-    """Write span trees as one Chrome ``trace_event`` JSON object file.
-
-    Each ``(name, tree)`` pair gets its own track (``tid``) labelled via
-    an ``"M"``-phase ``thread_name`` metadata event - a suite export puts
-    every run on its own track plus one for the merged aggregate.  The
-    file is the JSON-object flavour of the format
-    (``{"traceEvents": [...], "displayTimeUnit": "ms"}``), loadable by
-    ``chrome://tracing`` and https://ui.perfetto.dev.
-    """
-    trace_events: List[Dict[str, object]] = []
-    for tid, (name, tree) in enumerate(named_trees, start=1):
-        trace_events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": name},
-            }
-        )
-        trace_events.extend(
-            span_tree_to_trace_events(tree, pid=pid, tid=tid)
-        )
-    payload = {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
-    os.replace(tmp, path)
-    return path
+def write_chrome_trace(path: str, spans: List[list], names: Sequence[str] = ()) -> None:
+    """Dump spans as complete (``ph: X``) events on their real timeline: one
+    ``tid`` per flow (flow -1, set-up, on tid 0), ``names[k]`` labelling flow
+    k's track.  Open the file in ``chrome://tracing`` or Perfetto."""
+    t0 = min((s[START] for s in spans), default=0)
+    events: List[dict] = [
+        {"name": "thread_name", "ph": "M", "pid": 1, "tid": k + 1, "args": {"name": name}}
+        for k, name in enumerate(names)
+    ]
+    events += [
+        {"name": s[NAME], "ph": "X", "ts": (s[START] - t0) / 1e3, "dur": (s[END] - s[START]) / 1e3,
+         "pid": 1, "tid": s[FLOW] + 1, "args": {"id": i, "parent": s[PARENT]}}
+        for i, s in enumerate(spans)
+    ]
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as handle:
+        json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
 
 
-#: Shared default profiler; library hot paths time against this instance.
-PROFILER = Timer()
-
-
-def get_profiler() -> Timer:
-    """The module-level shared :class:`Timer`."""
-    return PROFILER
+#: The recorder the harness installs; ``enabled`` only while installed.
+PROFILER = Recorder()

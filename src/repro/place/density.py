@@ -35,7 +35,6 @@ from scipy.fft import dctn, idctn
 
 from ..core.scatter import scatter_add
 from ..netlist.design import Design
-from ..perf import PROFILER
 
 __all__ = ["DensityModel", "DensityResult"]
 
@@ -217,17 +216,13 @@ class DensityModel:
         """Density energy, overflow and per-cell gradient at (x, y)."""
         if self.movable_area_total <= 0.0:
             return self._empty_result()
-        with PROFILER.stage("density.splat"):
-            rho, stencil = self._splat(x, y)
-        with PROFILER.stage("density.solve"):
-            phi = self._solve_poisson(rho)
-        with PROFILER.stage("density.field"):
-            ex, ey = self._field(phi)
-        with PROFILER.stage("density.gather"):
-            grad_x = np.zeros(self.design.n_cells, dtype=np.float64)
-            grad_y = np.zeros(self.design.n_cells, dtype=np.float64)
-            grad_x[self.movable] = -self._gather(ex, stencil)
-            grad_y[self.movable] = -self._gather(ey, stencil)
+        rho, stencil = self._splat(x, y)
+        phi = self._solve_poisson(rho)
+        ex, ey = self._field(phi)
+        grad_x = np.zeros(self.design.n_cells, dtype=np.float64)
+        grad_y = np.zeros(self.design.n_cells, dtype=np.float64)
+        grad_x[self.movable] = -self._gather(ex, stencil)
+        grad_y[self.movable] = -self._gather(ey, stencil)
         energy = 0.5 * float(np.sum(rho / self.bin_area * phi)) * self.bin_area
         capacity = self.target_density * self.bin_area
         overflow = float(np.maximum(rho - capacity, 0.0).sum())

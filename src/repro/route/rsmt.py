@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..netlist.design import Design
-from ..perf import PROFILER
 from .batch import MAX_STEINER_DEGREE, bucket_rows
 from .plan import route_plan
 from .tree import Forest, RoutingTree
@@ -414,14 +413,12 @@ def build_forest(
     cell_y: Optional[np.ndarray] = None,
 ) -> Forest:
     """Route every timing net of a placement into a flat Forest."""
-    with PROFILER.stage("route.build_forest"):
-        return build_forest_for_nets(design, *design.pin_positions(cell_x, cell_y))
+    return build_forest_for_nets(design, *design.pin_positions(cell_x, cell_y))
 
 
 def build_forest_from_pins(design: Design, px: np.ndarray, py: np.ndarray) -> Forest:
     """Route every timing net from explicit per-pin coordinates."""
-    with PROFILER.stage("route.build_forest"):
-        return build_forest_for_nets(design, px, py)
+    return build_forest_for_nets(design, px, py)
 
 
 def build_trees_for_nets(

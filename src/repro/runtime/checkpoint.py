@@ -29,7 +29,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..perf import PROFILER
 from ..telemetry.events import current_recorder
 
 __all__ = [
@@ -72,22 +71,20 @@ class PlacerCheckpoint:
 
 def save_checkpoint(checkpoint: PlacerCheckpoint, path: str) -> str:
     """Serialize a checkpoint to ``path`` (parent directories created)."""
-    with PROFILER.stage("runtime.checkpoint.save"):
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            pickle.dump(checkpoint, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)  # atomic: a killed run never leaves half a file
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as handle:
+        pickle.dump(checkpoint, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    os.replace(tmp, path)  # atomic: a killed run never leaves half a file
     return path
 
 
 def load_checkpoint(path: str) -> PlacerCheckpoint:
     """Load a checkpoint written by :func:`save_checkpoint`."""
-    with PROFILER.stage("runtime.checkpoint.load"):
-        with open(path, "rb") as handle:
-            checkpoint = pickle.load(handle)
+    with open(path, "rb") as handle:
+        checkpoint = pickle.load(handle)
     if not isinstance(checkpoint, PlacerCheckpoint):
         raise ValueError(f"{path!r} is not a placer checkpoint")
     if checkpoint.version != _FORMAT_VERSION:

@@ -15,8 +15,8 @@ of the same term signal a persistent fault and are used by the placer to
 escalate (step-shrink retry, then checkpoint rollback).  Exceptions
 raised by a term (a timer crash mid-backward) are recorded the same way.
 
-Guard checks run inside the ``runtime.guard`` PROFILER stage so their
-overhead shows up in ``--profile`` dumps.
+Both checks are ``runtime.guard`` spans in :mod:`repro.perf`, so their
+overhead shows up in ``--profile`` tables.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..perf import PROFILER
 from ..telemetry.events import current_recorder
 
 __all__ = ["NumericalGuard", "LOGGER"]
@@ -57,18 +56,17 @@ class NumericalGuard:
         the event is counted against ``term`` and logged, and False is
         returned.
         """
-        with PROFILER.stage("runtime.guard"):
-            bad = 0
-            for a in arrays:
-                finite = np.isfinite(a)
-                if not finite.all():
-                    bad += int(a.size - np.count_nonzero(finite))
-            if bad == 0:
-                self.consecutive[term] = 0
-                return True
-            self.nonfinite_entries += bad
-            for a in arrays:
-                a[...] = 0.0
+        bad = 0
+        for a in arrays:
+            finite = np.isfinite(a)
+            if not finite.all():
+                bad += int(a.size - np.count_nonzero(finite))
+        if bad == 0:
+            self.consecutive[term] = 0
+            return True
+        self.nonfinite_entries += bad
+        for a in arrays:
+            a[...] = 0.0
         self._record(term)
         recorder = current_recorder()
         if recorder is not None:
@@ -109,11 +107,10 @@ class NumericalGuard:
         (the healthy terms' contributions survive).  Returns the number of
         entries replaced.
         """
-        with PROFILER.stage("runtime.guard"):
-            finite = np.isfinite(grad)
-            bad = int(grad.size - np.count_nonzero(finite))
-            if bad:
-                grad[~finite] = 0.0
+        finite = np.isfinite(grad)
+        bad = int(grad.size - np.count_nonzero(finite))
+        if bad:
+            grad[~finite] = 0.0
         if bad:
             self.nonfinite_entries += bad
             self._record(term)

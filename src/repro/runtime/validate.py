@@ -33,7 +33,6 @@ import numpy as np
 from ..netlist.design import Design
 from ..netlist.library import FALL, RISE, ArcKind
 from ..netlist.lut import LUT
-from ..perf import PROFILER
 from ..sta.graph import CombinationalCycleError, TimingGraph
 
 __all__ = [
@@ -301,13 +300,12 @@ def validate_design(
     prove acyclicity without a second levelisation; with ``check_graph``
     False the (comparatively expensive) cycle check is skipped entirely.
     """
-    with PROFILER.stage("runtime.validate"):
-        report = ValidationReport(design=design.name)
-        _check_pins(design, report)
-        _check_nets(design, report)
-        _check_cells(design, report)
-        _check_library(design, report)
-        _check_geometry(design, report)
-        if check_graph:
-            _check_cycles(design, report, graph)
+    report = ValidationReport(design=design.name)
+    _check_pins(design, report)
+    _check_nets(design, report)
+    _check_cells(design, report)
+    _check_library(design, report)
+    _check_geometry(design, report)
+    if check_graph:
+        _check_cycles(design, report, graph)
     return report

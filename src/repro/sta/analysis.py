@@ -236,10 +236,12 @@ class StaticTimingAnalyzer:
                 )
             if net is not None:
                 worst = np.minimum.reduceat(
-                    rat[net.sinks] - net_delay[net.sinks][:, None],
+                    rat.take(net.sinks, axis=0) - net_delay[net.sinks][:, None],
                     runs.starts, axis=0,
                 )
-                rat[runs.drivers] = np.minimum(rat[runs.drivers], worst)
+                rat[runs.drivers] = np.minimum(
+                    rat.take(runs.drivers, axis=0), worst
+                )
         return rat
 
 

@@ -32,7 +32,6 @@ import numpy as np
 from ..core.propagate import endpoint_rat, propagate
 from ..netlist.design import Design
 from ..netlist.library import FALL, RISE
-from ..perf import PROFILER
 from ..route.rsmt import build_forest_for_nets
 from ..route.tree import gather_csr
 from ..telemetry.events import current_recorder
@@ -238,20 +237,15 @@ class IncrementalTimer:
         counts = self._cell_pin_start[cells + 1] - starts
         nets = np.unique(design.pin2net[self._cell_pins[gather_csr(starts, counts)]])
         nets = nets[nets >= 0]
-        with PROFILER.stage("incremental.reroute"):
-            self._reroute_nets(nets)
+        self._reroute_nets(nets)
 
         # Dirty pins: sinks of changed nets (net-arc values changed) and
         # drivers of changed nets (their input cell arcs see a new load).
         nets = nets[~design.net_is_clock[nets]]
         starts = design.net2pin_start[nets]
         counts = design.net2pin_start[nets + 1] - starts
-        with PROFILER.stage("incremental.sweep"):
-            touched_endpoints = self._sweep(
-                design.net2pin[gather_csr(starts, counts)]
-            )
-        with PROFILER.stage("incremental.endpoints"):
-            self._refresh_endpoint_slacks(touched_endpoints)
+        touched_endpoints = self._sweep(design.net2pin[gather_csr(starts, counts)])
+        self._refresh_endpoint_slacks(touched_endpoints)
         self._refresh_totals()
         recorder = current_recorder()
         # Throttled: one event per 32 moves keeps high-churn ECO loops

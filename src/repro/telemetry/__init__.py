@@ -2,9 +2,9 @@
 
 The observability layer of the placement stack:
 
-- :mod:`repro.perf` (sibling module) - hierarchical span profiling the
-  library's ``PROFILER.stage(...)`` call sites feed, plus Chrome
-  ``trace_event`` export of span trees;
+- :mod:`repro.perf` (sibling module) - the span recorder: wraps the
+  layers' entry points while installed, per-layer stats that add up to
+  the wall clock, Chrome ``trace_event`` export on the real timeline;
 - :mod:`repro.telemetry.events` - typed per-iteration metric events
   streamed to JSONL (:class:`MetricsRecorder`, armed per run via
   :func:`recording`/:func:`current_recorder`);
@@ -15,7 +15,7 @@ The observability layer of the placement stack:
 - :mod:`repro.telemetry.resources` - zero-dependency CPU/RSS/fault
   sampling streamed as ``resource`` events and rolled into manifests;
 - :mod:`repro.telemetry.manifest` - run manifests (design, mode,
-  options, seed, git rev, interpreter versions, outcome, span tree);
+  options, seed, git rev, interpreter versions, outcome, span stats);
 - :mod:`repro.telemetry.session` - run-directory lifecycle
   (:func:`start_run` -> :class:`RunSession`);
 - :mod:`repro.telemetry.history` - append-only perf-regression ledger

@@ -1,4 +1,4 @@
-"""Diff two telemetry runs: manifests, final metrics, span trees.
+"""Diff two telemetry runs: manifests, final metrics, per-layer spans.
 
 ``python -m repro compare <run_a> <run_b>`` is the CI-usable
 regression gate: it exits non-zero when the runs' final metrics drift
@@ -7,7 +7,7 @@ deterministic placer compare clean (wall-clock differences are
 informational only); a perturbed seed or a behavioural change trips the
 threshold.
 
-Span-tree timing comparison is informational by default (wall-clock is
+Span timing comparison is informational by default (wall-clock is
 machine-noisy); pass a ``span_rtol`` to additionally gate on per-span
 total-time drift.
 """
@@ -15,7 +15,7 @@ total-time drift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from .manifest import RunManifest, load_manifest
 
@@ -64,18 +64,6 @@ class CompareResult:
 
 def _rel_close(a: float, b: float, rtol: float, atol: float) -> bool:
     return abs(a - b) <= atol + rtol * max(abs(a), abs(b))
-
-
-def _flatten_spans(
-    node: Dict[str, Any], prefix: str = ""
-) -> Dict[str, Tuple[float, int]]:
-    """``{path: (total_s, calls)}`` over a Timer.tree()-shaped dict."""
-    out: Dict[str, Tuple[float, int]] = {}
-    for child in node.get("children", []):
-        path = f"{prefix}/{child['name']}" if prefix else str(child["name"])
-        out[path] = (float(child.get("total_s", 0.0)), int(child.get("calls", 0)))
-        out.update(_flatten_spans(child, path))
-    return out
 
 
 def compare_runs(
@@ -171,29 +159,27 @@ def compare_runs(
         )
 
     # ------------------------------------------------------------------
-    # Span trees: total-time drift per span path.
+    # Spans: total-time drift per span name.
     # ------------------------------------------------------------------
-    spans_a = _flatten_spans(ma.span_tree or {})
-    spans_b = _flatten_spans(mb.span_tree or {})
+    spans_a, spans_b = ma.spans or {}, mb.spans or {}
     drifts: List[Tuple[float, str]] = []
-    for path in sorted(set(spans_a) | set(spans_b)):
-        if path not in spans_a or path not in spans_b:
-            line = f"span {path}: present in only one run"
+    for name in sorted(set(spans_a) | set(spans_b)):
+        if name not in spans_a or name not in spans_b:
+            line = f"span {name}: present in only one run"
             if span_rtol is not None:
                 result.regressions.append(line)
             else:
                 result.notes.append(line)
             continue
-        ta, _ = spans_a[path]
-        tb, _ = spans_b[path]
+        ta, tb = spans_a[name]["total_s"], spans_b[name]["total_s"]
         rel = _reldiff(ta, tb)
         if span_rtol is not None and not _rel_close(ta, tb, span_rtol, 1e-4):
             result.regressions.append(
-                f"span {path}: {ta:.4f}s vs {tb:.4f}s "
+                f"span {name}: {ta:.4f}s vs {tb:.4f}s "
                 f"(rel diff {rel:.3g} > span rtol {span_rtol:g})"
             )
         elif rel > 0:
-            drifts.append((rel, f"span {path}: {ta:.4f}s vs {tb:.4f}s"))
+            drifts.append((rel, f"span {name}: {ta:.4f}s vs {tb:.4f}s"))
     if span_rtol is None and drifts:
         drifts.sort(reverse=True)
         for rel, line in drifts[:5]:

@@ -2,8 +2,8 @@
 
 A manifest is the diffable identity card of one run: design, mode,
 placer options, seed, source revision, interpreter/numpy versions, plus
-- once the run finishes - wall-clock, final metrics, and the profiler's
-span tree.  ``repro.telemetry.compare`` diffs two manifests to decide
+- once the run finishes - wall-clock, final metrics, and the per-layer
+span stats.  ``repro.telemetry.compare`` diffs two manifests to decide
 whether a run regressed; ``repro.telemetry.report`` renders one into a
 human summary.
 
@@ -102,8 +102,10 @@ class RunManifest:
     wall_clock_s: Optional[float] = None
     #: Final scalar outcome (wns/tns/hpwl/overflow/iterations/...).
     final_metrics: Dict[str, Any] = field(default_factory=dict)
-    #: Profiler span tree snapshot (``repro.perf.Timer.tree`` shape).
-    span_tree: Optional[Dict[str, Any]] = None
+    #: Per-layer span stats ``{name: {calls, total_s, self_s}}``
+    #: (:func:`repro.perf.flow_stats`); manifests of older runs carry a
+    #: ``span_tree`` instead, which loading drops.
+    spans: Optional[Dict[str, Any]] = None
     #: reprolint provenance: rules_version, finding and suppression
     #: counts, and the ``clean`` verdict of the producing tree (see
     #: :func:`repro.analysis.provenance.analysis_provenance`).

@@ -4,8 +4,8 @@
 and event stream and produces:
 
 - ``report.md`` - a markdown summary (manifest, final metrics, event
-  breakdown, guard/recovery activity, hierarchical span tree with
-  self-time), also printed to stdout;
+  breakdown, guard/recovery activity, per-layer span table with
+  self-time and share of wall), also printed to stdout;
 - ``curve_<metric>.svg`` - one dependency-free convergence plot per
   recorded iteration series (hpwl, overflow, wns, tns, ...), via
   :mod:`repro.harness.plots`.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional
 
-from ..perf import format_span_tree
+from ..perf import format_stats
 from .events import iteration_series, read_events
 from .manifest import RunManifest, load_manifest
 
@@ -182,18 +182,14 @@ def render_report(
         lines.append("(no iteration series recorded)")
     lines.append("")
 
-    lines.append("## Span tree")
+    lines.append("## Spans")
     lines.append("")
-    if manifest.span_tree:
+    if manifest.spans:
         lines.append("```")
-        lines.append(
-            format_span_tree(
-                manifest.span_tree, title=f"{manifest.run_id} span tree"
-            )
-        )
+        lines.append(format_stats(manifest.spans, f"{manifest.run_id} spans"))
         lines.append("```")
     else:
-        lines.append("(no span tree recorded; run with profiling enabled)")
+        lines.append("(no spans recorded)")
     lines.append("")
 
     markdown = "\n".join(lines)

@@ -10,9 +10,7 @@
 
 and hands back a :class:`RunSession` whose recorder is armed around the
 placement with :func:`repro.telemetry.events.recording`.  The session
-also turns the shared profiler on for its duration so the finalized
-manifest carries the hierarchical span tree of the run, registers a
-live heartbeat record in the telemetry base's registry
+also registers a live heartbeat record in the telemetry base's registry
 (:mod:`repro.telemetry.registry`), and snapshots process resources so
 ``finalize`` can roll a CPU/RSS summary into the manifest.
 """
@@ -23,7 +21,6 @@ import os
 import time
 from typing import Any, Dict, Optional
 
-from ..perf import PROFILER
 from .events import EVENTS_FILENAME, MetricsRecorder
 from .manifest import (
     MANIFEST_FILENAME,
@@ -46,7 +43,6 @@ class RunSession:
         run_dir: str,
         manifest: RunManifest,
         recorder: MetricsRecorder,
-        profile: bool = True,
         registry_dir: Optional[str] = None,
         attempt: int = 1,
     ) -> None:
@@ -54,11 +50,6 @@ class RunSession:
         self.manifest = manifest
         self.recorder = recorder
         self._t0 = time.perf_counter()
-        self._profile = profile
-        self._profiler_was_enabled = PROFILER.enabled
-        if profile:
-            PROFILER.reset()
-            PROFILER.enable()
         self._resources_start = sample_resources()
         self.heartbeat: Optional[Heartbeat] = None
         if registry_dir is not None:
@@ -84,24 +75,20 @@ class RunSession:
     def finalize(
         self,
         final_metrics: Optional[Dict[str, Any]] = None,
-        span_tree: Optional[Dict[str, Any]] = None,
+        spans: Optional[Dict[str, Any]] = None,
     ) -> RunManifest:
         """Record the outcome, write the manifest, release the stream.
 
-        ``span_tree`` defaults to the shared profiler's current tree
-        (captured before the profiler's enabled state is restored).
-        A clean finalize also removes the run's registry record - a
-        record that outlives its pid is the signature of a killed run.
+        ``spans`` are the run's per-layer span stats
+        (:func:`repro.perf.flow_stats`).  A clean finalize also removes
+        the run's registry record - a record that outlives its pid is the
+        signature of a killed run.
         """
         self.manifest.wall_clock_s = time.perf_counter() - self._t0
         if final_metrics:
             self.manifest.final_metrics = dict(final_metrics)
-        if span_tree is None and self._profile:
-            span_tree = PROFILER.tree()
-        if span_tree is not None:
-            self.manifest.span_tree = span_tree
-        if self._profile:
-            PROFILER.enabled = self._profiler_was_enabled
+        if spans is not None:
+            self.manifest.spans = spans
         rollup = resource_delta(self._resources_start, sample_resources())
         if rollup is not None:
             self.manifest.resources = rollup
@@ -120,7 +107,6 @@ def start_run(
     options: Optional[Dict[str, Any]] = None,
     run_id: Optional[str] = None,
     resume: bool = False,
-    profile: bool = True,
     attempt: int = 1,
 ) -> RunSession:
     """Open a telemetry run under ``base_dir``.
@@ -143,7 +129,6 @@ def start_run(
             run_dir,
             manifest,
             recorder,
-            profile=profile,
             registry_dir=os.path.dirname(os.path.abspath(run_dir)),
             attempt=attempt,
         )
@@ -176,7 +161,6 @@ def start_run(
         run_dir,
         manifest,
         recorder,
-        profile=profile,
         registry_dir=base_dir,
         attempt=attempt,
     )

@@ -283,3 +283,47 @@ class TestSlewClipBoundary:
             rtol=2e-3,
         )
         assert report.ok, str(report)
+
+
+class TestRowGathers:
+    def test_take_rows_equal_fancy_indexing(self, env):
+        """``(n_pins, 2)`` rows are gathered with ``take(axis=0)`` on the
+        timing paths: bit for bit what fancy indexing returned."""
+        from repro.core.propagate import endpoint_rat
+        from repro.core.smoothing import segment_max
+
+        design, x, y, forest = env
+        timer = DifferentiableTimer(design)
+        graph = timer.graph
+        tape = timer.forward(x, y, forest)
+        safe = np.maximum(tape.slew, 1e-12)
+        old_ratio = tape.slew[graph.net_src] / safe[graph.net_sink]
+        new_ratio = tape.slew.take(graph.net_src, axis=0) / safe.take(
+            graph.net_sink, axis=0
+        )
+        assert np.array_equal(old_ratio, new_ratio)
+
+        # StaticTimingAnalyzer._required_times with the old row reads.
+        res = run_sta(design, x, y)
+        plan = graph.plan
+        rat = np.full((design.n_pins, 2), 1e30)
+        rat[graph.endpoint_pins] = endpoint_rat(graph, res.slew)[0]
+        rat_flat = rat.reshape(-1)
+        for (net, cell), (runs, sources) in zip(
+            reversed(plan.levels), reversed(plan.reverse)
+        ):
+            if cell is not None:
+                worst = -segment_max(
+                    res.tape.delay[cell.sl] - rat_flat[cell.dst],
+                    sources.seg, len(sources.touched),
+                )
+                rat_flat[sources.touched] = np.minimum(
+                    rat_flat[sources.touched], worst
+                )
+            if net is not None:
+                worst = np.minimum.reduceat(
+                    rat[net.sinks] - res.net_delay[net.sinks][:, None],
+                    runs.starts, axis=0,
+                )
+                rat[runs.drivers] = np.minimum(rat[runs.drivers], worst)
+        assert np.array_equal(rat, res.rat)

@@ -2,7 +2,7 @@
 
 ``--jobs N`` must be a wall-clock-only knob: the per-design final
 metrics it produces are identical to a serial run, the merged suite
-manifest aggregates per-run telemetry and span trees, and the CLI
+manifest aggregates per-run telemetry and span stats, and the CLI
 ``suite`` subcommand writes byte-stable metric files.  The warm-worker
 path (spawn workers + design-bundle cache) must be byte-identical to the
 cold path - the cache is a wall-clock optimisation only.
@@ -23,7 +23,6 @@ from repro.harness.supervisor import (
     suite_metrics,
     write_suite_manifest,
 )
-from repro.perf import merge_span_trees
 
 
 def run_records(tasks, jobs, **kwargs):
@@ -42,36 +41,6 @@ _TIMING_TASKS = [
     SuiteTask(design="miniblue4", mode="ours", max_iters=200),
     SuiteTask(design="miniblue18", mode="ours", max_iters=200),
 ]
-
-
-class TestMergeSpanTrees:
-    def test_sums_matched_nodes_and_rederives_self(self):
-        leaf = {"name": "k", "calls": 1, "total_s": 1.0, "self_s": 1.0,
-                "counters": {"n": 2}, "children": []}
-        tree = {"name": "run", "calls": 1, "total_s": 3.0, "self_s": 2.0,
-                "counters": {}, "children": [leaf]}
-        merged = merge_span_trees([tree, tree])
-        assert merged["calls"] == 2
-        (child,) = merged["children"]
-        assert child["calls"] == 2
-        assert child["total_s"] == 2.0
-        assert child["counters"] == {"n": 4}
-        # The root is a synthetic wrapper: its total is the child sum.
-        assert merged["total_s"] == 2.0
-        assert merged["self_s"] == 0.0
-
-    def test_disjoint_children_union(self):
-        def tree(child_name):
-            return {
-                "name": "run", "calls": 1, "total_s": 1.0, "self_s": 0.0,
-                "counters": {},
-                "children": [{"name": child_name, "calls": 1,
-                              "total_s": 1.0, "self_s": 1.0,
-                              "counters": {}, "children": []}],
-            }
-
-        merged = merge_span_trees([tree("a"), tree("b")])
-        assert {c["name"] for c in merged["children"]} == {"a", "b"}
 
 
 class TestRunParallelDeterminism:
@@ -185,17 +154,22 @@ class TestSuiteManifest:
             assert entry["manifest"]["design_cache"]["key"] == (
                 entry["design_cache"]["key"]
             )
-        merged = payload["merged_span_tree"]
-        assert merged is not None
-        names = {c["name"] for c in merged["children"]}
-        assert "route.build_forest" in names
+        # Per-layer span stats are summed over the runs.
+        spans = payload["spans"]
+        per_run = [rec.spans for rec in records]
+        assert spans["harness.run_mode"]["calls"] == 2
+        for name in ("place.wirelength.evaluate", "place.density.splat"):
+            assert spans[name]["calls"] == sum(s[name]["calls"] for s in per_run)
+            assert spans[name]["self_s"] == pytest.approx(
+                sum(s[name]["self_s"] for s in per_run)
+            )
 
     def test_no_telemetry_runs_produce_null_tree(self, tmp_path):
         tasks = [SuiteTask(design="miniblue4", mode="ours", max_iters=30)]
         records = run_records(tasks, 1)
         path = write_suite_manifest(str(tmp_path), tasks, records, jobs=1)
         payload = json.loads(open(path).read())
-        assert payload["merged_span_tree"] is None
+        assert payload["spans"] is None
         assert payload["runs"][0]["final_metrics"]["iterations"] > 0
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.harness.__main__ import main as harness_main
 from repro.harness.observe import EventFollower, format_status
-from repro.perf import PROFILER, span_tree_to_trace_events, write_chrome_trace
+from repro.perf import PROFILER, write_chrome_trace
 from repro.telemetry.events import MetricsRecorder
 from repro.telemetry.history import append_record, load_history
 from repro.telemetry.registry import Heartbeat, HeartbeatRecord, RunRegistry
@@ -166,7 +166,7 @@ class TestTail:
 
 class TestTraceExport:
     @pytest.fixture()
-    def span_tree(self, small_design):
+    def timeline(self, small_design):
         from repro.harness.runners import run_mode
         from repro.place.placer import PlacerOptions
 
@@ -176,23 +176,29 @@ class TestTraceExport:
             placer_options=PlacerOptions(max_iters=4, min_iters=1, seed=0),
             collect_spans=True,
         )
-        assert record.span_tree is not None
-        return record.span_tree
+        assert record.timeline is not None
+        return record.timeline
 
-    def test_span_tree_to_trace_events_shape(self, span_tree):
-        events = span_tree_to_trace_events(span_tree)
-        assert events, "a placer run must produce spans"
-        for event in events:
-            assert event["ph"] == "X"
-            assert event["ts"] >= 0.0 and event["dur"] >= 0.0
-            assert isinstance(event["name"], str)
-        # Children nest inside their parent's interval.
-        roots = [e for e in events if e["ts"] == 0.0]
-        assert roots
-
-    def test_write_chrome_trace_is_loadable(self, span_tree, tmp_path):
+    def test_trace_events_nest_inside_their_parents(self, timeline, tmp_path):
         out = str(tmp_path / "trace.json")
-        write_chrome_trace(out, [("small/ours", span_tree)])
+        write_chrome_trace(out, timeline)
+        with open(out) as handle:
+            events = json.load(handle)["traceEvents"]
+        assert events, "a placer run must produce spans"
+        assert events[0]["name"] == "harness.run_mode"
+        assert events[0]["ts"] == 0.0
+        for event in events:
+            assert event["ph"] == "X" and event["tid"] == 1
+            assert event["ts"] >= 0.0 and event["dur"] >= 0.0
+            parent = event["args"]["parent"]
+            if parent >= 0:
+                outer = events[parent]
+                assert outer["ts"] <= event["ts"]
+                assert event["ts"] + event["dur"] <= outer["ts"] + outer["dur"] + 1e-3
+
+    def test_write_chrome_trace_is_loadable(self, timeline, tmp_path):
+        out = str(tmp_path / "trace.json")
+        write_chrome_trace(out, timeline, ["small/ours"])
         with open(out) as handle:
             trace = json.load(handle)
         assert trace["displayTimeUnit"] == "ms"
@@ -202,10 +208,11 @@ class TestTraceExport:
         assert meta[0]["name"] == "thread_name"
         assert meta[0]["args"]["name"] == "small/ours"
 
-    def test_collect_spans_leaves_profiler_state_alone(self, span_tree):
-        # collect_spans without a session must restore the shared
-        # profiler's enabled flag (the fixture ran with it off).
+    def test_collect_spans_leaves_profiler_state_alone(self, timeline):
+        # run_mode installs the shared recorder for the call only, and
+        # leaves it empty.
         assert not PROFILER.enabled
+        assert PROFILER.spans == []
 
 
 class TestTrend:

@@ -1,212 +1,158 @@
-"""Tests for the per-stage profiling layer (:mod:`repro.perf`)."""
+"""Tests for the span recorder (:mod:`repro.perf`)."""
 
-import threading
+import functools
+import importlib
+import importlib.util
+import json
+import os
+import re
+import time
 
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.core import DifferentiableTimer
 from repro.perf import (
+    FLOW_SPAN,
     PROFILER,
-    Timer,
-    format_span_tree,
-    get_profiler,
-    profile_enabled_by_env,
+    TARGETS,
+    Recorder,
+    format_stats,
+    install,
+    join_flows,
+    layer_stats,
+    write_chrome_trace,
 )
 from repro.sta import IncrementalTimer
+
+_E2E_TRACE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "e2e", "trace.py",
+)
+
+
+class FakeClock:
+    """Returns the scripted instants, one per call."""
+
+    def __init__(self, *instants):
+        self._instants = list(instants)
+
+    def __call__(self):
+        return self._instants.pop(0)
 
 
 @pytest.fixture()
 def profiler():
-    """The shared profiler, enabled and reset for one test."""
-    was_enabled = PROFILER.enabled
+    """The shared recorder, installed and empty for one test."""
     PROFILER.reset()
-    PROFILER.enable()
+    uninstall = install(PROFILER)
     yield PROFILER
+    uninstall()
     PROFILER.reset()
-    PROFILER.enabled = was_enabled
+
+
+def _resolve(module_name, path):
+    return functools.reduce(
+        getattr, path.split("."), importlib.import_module(module_name)
+    )
+
+
+def _names(spans):
+    return {s[0] for s in spans}
 
 
 class TestTimer:
     def test_stage_accumulates_time_and_calls(self):
-        t = Timer(enabled=True)
+        rec = Recorder(FakeClock(0, 3, 10, 14, 20, 25))
         for _ in range(3):
-            with t.stage("work"):
-                pass
-        stats = t.stats()
-        assert stats["work"]["calls"] == 3
-        assert stats["work"]["total_s"] >= 0.0
-        assert stats["work"]["mean_s"] == pytest.approx(
-            stats["work"]["total_s"] / 3
-        )
-
-    def test_disabled_timer_records_nothing(self):
-        t = Timer()
-        with t.stage("ignored"):
-            pass
-        assert t.stats() == {}
-
-    def test_reset_clears_but_keeps_enabled(self):
-        t = Timer(enabled=True)
-        with t.stage("a"):
-            pass
-        t.reset()
-        assert t.stats() == {}
-        assert t.enabled
-
-    def test_add_direct(self):
-        t = Timer(enabled=True)
-        t.add("manual", 0.5, calls=2)
-        assert t.stats()["manual"] == {
-            "calls": 2,
-            "total_s": 0.5,
-            "mean_s": 0.25,
+            rec.end(rec.begin("work"))
+        assert layer_stats(rec.spans)["work"] == {
+            "calls": 3, "total_ns": 12, "self_ns": 12,
         }
 
+    def test_disabled_timer_records_nothing(self, small_design, spread_positions):
+        uninstall = install(PROFILER)
+        uninstall()
+        assert not PROFILER.enabled
+        DifferentiableTimer(small_design).tns_wns_with_grad(*spread_positions)
+        assert PROFILER.spans == []
+
+    def test_reset_clears_but_keeps_enabled(self, profiler):
+        profiler.end(profiler.begin("a"))
+        profiler.reset()
+        assert profiler.spans == [] and profiler.enabled
+
     def test_report_lists_every_stage(self):
-        t = Timer(enabled=True)
-        t.add("alpha", 0.1)
-        t.add("beta", 0.2)
-        text = t.report("unit")
-        assert "alpha" in text and "beta" in text and "unit" in text
+        stats = {
+            FLOW_SPAN: {"calls": 1, "total_s": 2.0, "self_s": 0.5},
+            "alpha": {"calls": 3, "total_s": 1.5, "self_s": 1.5},
+        }
+        lines = format_stats(stats, "unit").splitlines()
+        assert lines[0] == "# unit"
+        # Rows by descending self time, each with its share of the wall.
+        assert lines[2].split() == ["alpha", "3", "1.500000", "1.500000", "75.0%"]
+        assert lines[3].split()[0] == FLOW_SPAN and lines[3].endswith("25.0%")
+        assert lines[-1].split()[-2:] == ["2.000000", "2.000000"]
 
     def test_report_handles_empty(self):
-        assert "no stages" in Timer(enabled=True).report()
-
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert profile_enabled_by_env()
-        assert Timer().enabled
-        monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert not profile_enabled_by_env()
-        monkeypatch.delenv("REPRO_PROFILE")
-        assert not Timer().enabled
-
-    def test_get_profiler_is_shared(self):
-        assert get_profiler() is PROFILER
+        assert "no spans" in format_stats({})
 
 
 class TestSpanTree:
     def test_nested_stages_build_tree_with_self_time(self):
-        t = Timer(enabled=True)
-        with t.stage("outer"):
-            t.add("inner", 0.25)
-            t.add("inner", 0.25)
-        tree = t.tree()
-        (outer,) = tree["children"]
-        assert outer["name"] == "outer"
-        assert outer["calls"] == 1
-        (inner,) = outer["children"]
-        assert inner["name"] == "inner"
-        assert inner["calls"] == 2
-        assert inner["total_s"] == pytest.approx(0.5)
-        # Self-time is total minus children (synthetic child seconds can
-        # exceed the parent's measured wall-clock).
-        assert outer["self_s"] == pytest.approx(outer["total_s"] - 0.5)
-        assert tree["name"] == "run"
-        assert tree["total_s"] == pytest.approx(outer["total_s"])
+        # flow[0..100] > a[10..60] > b[20..30], b[35..50]; then a[70..90].
+        rec = Recorder(FakeClock(0, 10, 20, 30, 35, 50, 60, 70, 90, 100))
+        root = rec.begin_flow("flow")
+        a = rec.begin("a")
+        for _ in range(2):
+            rec.end(rec.begin("b"))
+        rec.end(a)
+        rec.end(rec.begin("a"))
+        rec.end_flow(root)
+        stats = layer_stats(rec.spans, 0)
+        assert stats["flow"] == {"calls": 1, "total_ns": 100, "self_ns": 30}
+        assert stats["a"] == {"calls": 2, "total_ns": 70, "self_ns": 45}
+        assert stats["b"] == {"calls": 2, "total_ns": 25, "self_ns": 25}
+        assert sum(row["self_ns"] for row in stats.values()) == 100
 
     def test_flat_stats_aggregate_across_tree_positions(self):
-        t = Timer(enabled=True)
-        with t.stage("a"):
-            t.add("shared", 0.1)
-        with t.stage("b"):
-            t.add("shared", 0.3)
-        stats = t.stats()
-        assert stats["shared"]["calls"] == 2
-        assert stats["shared"]["total_s"] == pytest.approx(0.4)
-
-    def test_two_threads_same_stage_name_sum_cleanly(self):
-        """Regression: concurrent stages must not corrupt shared state."""
-        t = Timer(enabled=True)
-        n_per_thread = 200
-        barrier = threading.Barrier(2)
-
-        def worker():
-            barrier.wait()
-            for _ in range(n_per_thread):
-                with t.stage("hot"):
-                    t.add("leaf", 0.001)
-
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        stats = t.stats()
-        assert stats["hot"]["calls"] == 2 * n_per_thread
-        assert stats["leaf"]["calls"] == 2 * n_per_thread
-        assert stats["leaf"]["total_s"] == pytest.approx(
-            2 * n_per_thread * 0.001
-        )
-        # Each thread's leaf spans nest under "hot", never interleave.
-        tree = t.tree()
-        (hot,) = tree["children"]
-        assert [c["name"] for c in hot["children"]] == ["leaf"]
-
-    def test_counters_attach_to_current_span(self):
-        t = Timer(enabled=True)
-        with t.stage("work"):
-            t.incr("cache_hit")
-            t.incr("cache_hit", 2)
-        t.incr("top_level")
-        assert t.counters() == {"cache_hit": 3, "top_level": 1}
-        (work,) = [c for c in t.tree()["children"] if c["name"] == "work"]
-        assert work["counters"] == {"cache_hit": 3}
-
-    def test_counters_noop_when_disabled(self):
-        t = Timer()
-        t.incr("ignored")
-        assert t.counters() == {}
-
-    def test_span_report_indents_children(self):
-        t = Timer(enabled=True)
-        with t.stage("outer"):
-            t.add("inner", 0.1)
-        text = t.span_report("unit spans")
-        lines = text.splitlines()
-        assert "unit spans" in lines[0]
-        outer_line = next(l for l in lines if l.startswith("outer"))
-        inner_line = next(l for l in lines if "inner" in l)
-        assert inner_line.startswith("  inner")
-        assert outer_line.index("outer") < inner_line.index("inner")
-
-    def test_format_span_tree_handles_empty(self):
-        assert "no spans" in format_span_tree(Timer(enabled=True).tree())
-
-    def test_reset_during_open_stage_is_safe(self):
-        t = Timer(enabled=True)
-        with t.stage("outer"):
-            t.reset()
-            with t.stage("inner"):
-                pass
-        stats = t.stats()
-        # The re-accumulated spans land in the fresh tree without error.
-        assert "inner" in stats and "outer" in stats
+        # a[0..10] > shared[1..4]; b[10..20] > shared[12..13] > shared[12..13].
+        rec = Recorder(FakeClock(0, 1, 4, 10, 10, 12, 12, 13, 13, 20))
+        for parent in ("a", "b"):
+            sid = rec.begin(parent)
+            inner = rec.begin("shared")
+            if parent == "b":
+                rec.end(rec.begin("shared"))
+            rec.end(inner)
+            rec.end(sid)
+        # A re-entered layer is totalled once.
+        assert layer_stats(rec.spans)["shared"] == {
+            "calls": 3, "total_ns": 4, "self_ns": 4,
+        }
 
 
 class TestThreadedStages:
     def test_tns_wns_with_grad_records_every_stage(
         self, profiler, small_design, spread_positions
     ):
-        """One forward+backward call must hit each instrumented kernel."""
-        x, y = spread_positions
-        DifferentiableTimer(small_design).tns_wns_with_grad(x, y)
-        stats = profiler.stats()
-        for stage in (
+        """One forward+backward call must hit each wrapped kernel."""
+        timer = DifferentiableTimer(small_design)
+        profiler.reset()
+        timer.tns_wns_with_grad(*spread_positions)
+        assert _names(profiler.spans) == {
+            "core.difftimer.forward",
+            "core.difftimer.backward",
             "route.build_forest",
-            "difftimer.forward.elmore",
-            "difftimer.forward.levels",
-            "propagate.net_level",
-            "propagate.cell_level",
-            "difftimer.forward.endpoints",
-            "difftimer.backward.levels",
-            "difftimer.backward.cell_level",
-            "difftimer.backward.net_level",
-            "difftimer.backward.elmore",
-        ):
-            assert stage in stats, f"missing stage {stage}"
-            assert stats[stage]["calls"] >= 1
+            "core.difftimer.elmore",
+            "core.difftimer.levels",
+            "core.net_prop.forward_level",
+            "core.cell_prop.forward_level",
+            "core.difftimer.endpoints",
+            "core.cell_prop.backward_level",
+            "core.net_prop.backward_level",
+            "core.difftimer.elmore_backward",
+        }
 
     def test_incremental_move_records_stages(
         self, profiler, small_design, spread_positions
@@ -217,23 +163,114 @@ class TestThreadedStages:
         profiler.reset()
         ci = int(np.nonzero(~small_design.cell_fixed)[0][0])
         timer.move([ci], [x[ci] + 2.0], [y[ci] + 1.0])
-        stats = profiler.stats()
-        for stage in (
-            "incremental.reroute",
-            "incremental.sweep",
-            "incremental.endpoints",
-        ):
-            assert stage in stats, f"missing stage {stage}"
+        assert {
+            "sta.incremental.reroute",
+            "sta.incremental.sweep",
+            "sta.incremental.endpoints",
+        } <= _names(profiler.spans)
 
-    def test_disabled_profiler_stays_empty(
+    def test_disabled_profiler_stays_empty(self, small_design, spread_positions):
+        assert not PROFILER.enabled
+        DifferentiableTimer(small_design).tns_wns_with_grad(*spread_positions)
+        assert PROFILER.spans == []
+
+
+class TestTargets:
+    def test_every_target_resolves(self):
+        for module_name, path, name in TARGETS:
+            assert callable(_resolve(module_name, path)), (module_name, path)
+
+    def test_superset_of_the_benchmark_table(self):
+        spec = importlib.util.spec_from_file_location("e2e_trace", _E2E_TRACE)
+        trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trace)
+        assert set(trace.TARGETS) <= set(TARGETS)
+
+    def test_install_changes_no_result_and_undo_restores(
         self, small_design, spread_positions
     ):
-        was_enabled = PROFILER.enabled
-        PROFILER.disable()
-        PROFILER.reset()
+        originals = [_resolve(m, p) for m, p, _ in TARGETS]
+        timer = DifferentiableTimer(small_design)
+        plain = timer.tns_wns_with_grad(*spread_positions)
+        uninstall = install(PROFILER)
         try:
-            x, y = spread_positions
-            DifferentiableTimer(small_design).tns_wns_with_grad(x, y)
-            assert PROFILER.stats() == {}
+            assert PROFILER.enabled
+            traced = timer.tns_wns_with_grad(*spread_positions)
         finally:
-            PROFILER.enabled = was_enabled
+            uninstall()
+            PROFILER.reset()
+        assert [_resolve(m, p) for m, p, _ in TARGETS] == originals
+        assert not PROFILER.enabled
+        assert plain[:2] == traced[:2]
+        assert np.array_equal(plain[2], traced[2])
+        assert np.array_equal(plain[3], traced[3])
+
+
+class TestChromeTrace:
+    def test_join_flows_renumbers_parents(self):
+        rec = Recorder(FakeClock(*range(10)))
+        rec.end(rec.begin("setup"))
+        for _ in range(2):
+            root = rec.begin_flow("flow")
+            rec.end(rec.begin("a"))
+            rec.end_flow(root)
+        joined = join_flows([(rec.spans, 1), (rec.spans, 0)])
+        assert [(s[0], s[3], s[4]) for s in joined] == [
+            ("flow", -1, 0), ("a", 0, 0), ("flow", -1, 1), ("a", 2, 1),
+        ]
+
+    def test_tracks_are_named_and_spans_nest(self, tmp_path):
+        rec = Recorder(FakeClock(5000, 6000, 8000, 9000))
+        root = rec.begin_flow("flow")
+        rec.end(rec.begin("a"))
+        rec.end_flow(root)
+        path = tmp_path / "sub" / "t.json"
+        write_chrome_trace(str(path), rec.spans, ["run0"])
+        events = json.loads(path.read_text())["traceEvents"]
+        assert events[0] == {
+            "name": "thread_name", "ph": "M", "pid": 1, "tid": 1,
+            "args": {"name": "run0"},
+        }
+        assert [(e["name"], e["ts"], e["dur"], e["tid"]) for e in events[1:]] == [
+            ("flow", 0.0, 4.0, 1), ("a", 1.0, 2.0, 1),
+        ]
+
+
+class TestReconciliation:
+    def test_profile_table_reconciles_to_run_mode_wall(self, capsys):
+        """``run --profile``: the self times add up to the flow's wall."""
+        t0 = time.perf_counter()
+        assert main([
+            "run", "--design", "miniblue18", "--mode", "ours",
+            "--max-iters", "150", "--profile",
+        ]) == 0
+        outside = time.perf_counter() - t0
+        out = capsys.readouterr().out
+        table = out[out.index("# miniblue18/ours"):].splitlines()
+        row = re.compile(r"^(\S+)\s+(\d+)\s+([\d.]+)\s+([\d.]+)\s+[\d.]+%$")
+        rows = {
+            m.group(1): (int(m.group(2)), float(m.group(3)), float(m.group(4)))
+            for m in map(row.match, table) if m
+        }
+        wall, self_sum = map(float, table[-1].split()[-2:])
+        assert wall == rows[FLOW_SPAN][1] and 0.0 < wall < outside
+        assert abs(sum(r[2] for r in rows.values()) - wall) <= 1e-3 * wall
+        assert abs(self_sum - wall) <= 1e-3 * wall
+        for name in (
+            "core.difftimer.elmore",
+            "core.difftimer.levels",
+            "core.difftimer.endpoints",
+            "core.net_prop.forward_level",
+            "core.cell_prop.forward_level",
+            "core.net_prop.backward_level",
+            "core.cell_prop.backward_level",
+            "place.density.splat",
+            "place.density.solve",
+            "place.density.field",
+            "place.density.gather",
+            "route.build_forest",
+            "runtime.guard",
+            "harness.final_sta",
+        ):
+            assert rows[name][0] > 0, name
+        assert not PROFILER.enabled and PROFILER.spans == []

@@ -224,7 +224,12 @@ class TestRunModeTelemetry:
         assert manifest.wall_clock_s is not None
         assert manifest.final_metrics["wns"] == pytest.approx(record.wns)
         assert manifest.final_metrics["stop_reason"] == record.stop_reason
-        assert manifest.span_tree["children"], "span tree is empty"
+        spans = manifest.spans
+        assert spans["harness.run_mode"]["calls"] == 1
+        assert sum(row["self_s"] for row in spans.values()) == pytest.approx(
+            spans["harness.run_mode"]["total_s"]
+        )
+        assert spans == record.spans
         events = read_events(os.path.join(record.run_dir, "events.jsonl"))
         kinds = {e["kind"] for e in events}
         assert {"run_start", "iteration", "run_end"} <= kinds
@@ -234,7 +239,8 @@ class TestRunModeTelemetry:
         out = str(tmp_path / "report")
         markdown = render_report(records["a"].run_dir, out_dir=out)
         assert "# Run report: a" in markdown
-        assert "## Span tree" in markdown
+        assert "## Spans" in markdown
+        assert "harness.run_mode" in markdown
         assert os.path.exists(os.path.join(out, "report.md"))
         assert os.path.exists(os.path.join(out, "curve_hpwl.svg"))
 
@@ -251,40 +257,27 @@ class TestRunModeTelemetry:
         text = result.format()
         assert "REGRESSION" in text
 
+    def test_manifest_of_an_older_run_still_loads(self, run_pair, tmp_path):
+        base, _ = run_pair
+        with open(base / "a" / "manifest.json") as handle:
+            payload = json.load(handle)
+        # Before per-layer stats, manifests carried a nested span tree.
+        payload["span_tree"] = {"name": "run", "children": []}
+        del payload["spans"]
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "manifest.json").write_text(json.dumps(payload))
+        assert load_manifest(str(old)).spans is None
+        result = compare_runs(str(old), str(base / "b"))
+        assert result.ok, result.format()
+        assert any("present in only one run" in n for n in result.notes)
+
     def test_compare_span_rtol_gates_timing(self, run_pair):
         base, _ = run_pair
         # Wall-clock never reproduces at rtol=0 between two real runs.
         result = compare_runs(str(base / "a"), str(base / "b"),
                               span_rtol=0.0)
         assert any("span" in r for r in result.regressions)
-
-
-class TestProfileDumps:
-    def test_profile_files_unique_with_latest_pointer(
-        self, small_design, tmp_path
-    ):
-        prof_dir = str(tmp_path / "profiles")
-        popts = PlacerOptions(max_iters=6, min_iters=2)
-        for _ in range(2):
-            run_mode(small_design, "dreamplace", placer_options=popts,
-                     profile=True, profile_dir=prof_dir)
-        dumps = sorted(glob.glob(os.path.join(
-            prof_dir, "profile_small_dreamplace_*.txt")))
-        latest = os.path.join(prof_dir, "profile_small_dreamplace_latest.txt")
-        assert latest in dumps
-        dumps.remove(latest)
-        assert len(dumps) == 2, "each --profile run must keep its own dump"
-        if os.path.islink(latest):
-            target = os.path.join(prof_dir, os.readlink(latest))
-        else:  # pointer-file fallback on symlink-less filesystems
-            with open(latest) as fh:
-                target = os.path.join(prof_dir, fh.read().strip())
-        assert os.path.realpath(target) in [os.path.realpath(d) for d in dumps]
-        with open(target) as fh:
-            text = fh.read()
-        # Both the flat table and the hierarchical span section are dumped.
-        assert "dreamplace" in text
-        assert "spans" in text
 
 
 class TestSeriesKeyError:
