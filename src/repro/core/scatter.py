@@ -55,6 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "WORK_SET_ENTRIES",
     "flat_view",
     "in_rows",
     "same_descr",
@@ -65,6 +66,11 @@ __all__ = [
     "scatter_accumulate_at",
     "scatter_accumulate_rows",
 ]
+
+#: float64 entries of one cache-sized working set: 2 MiB, a per-core L2.
+#: Kernels whose work arrays would stream far past it run slice by slice
+#: (the WA wirelength strips, the 1-Steiner candidate table blocks).
+WORK_SET_ENTRIES = 1 << 18
 
 
 def in_rows(index: np.ndarray, n_rows: int, stride: int) -> np.ndarray:

@@ -7,9 +7,10 @@ node arrays (:func:`bucket_rows`), never as per-net objects:
 
 - degree 3: the closed-form median point (a star around it);
 - degree 4..``MAX_STEINER_DEGREE`` (the exact-width buckets of the route
-  plan): batched iterated 1-Steiner - every Hanan candidate of every
-  active net is scored in one Prim sweep that reads node distances from
-  a per-round table;
+  plan): batched iterated 1-Steiner - every off-diagonal Hanan candidate
+  of every active net is scored in one Prim sweep that reads node
+  distances from a per-round table, in blocks of rows that fit a
+  per-core L2;
 - degree 2 and every padded bucket (degree > ``MAX_STEINER_DEGREE``): a
   plain rectilinear MST, no Steiner points.  FLUTE is exact only up to
   degree 9 and breaks larger nets; searching them bought < 1% of their
@@ -23,7 +24,12 @@ drivers, depths by frontier propagation.
 Every kernel reproduces the scalar construction *exactly* (same floating
 point operations in the same order, same tie-breaking), so the forest
 arrays are bit-identical to flattening per-net ``build_rsmt`` trees - the
-equivalence suite in ``tests/test_rsmt_batch.py`` enforces this.
+equivalence suite in ``tests/test_rsmt_batch.py`` enforces this.  The
+scalar path drops candidates coincident with a node; here they are scored
+and masked to ``+inf``, except the diagonal ones ``(x_i, y_i)``: each is
+pin ``i`` itself, coincident in every round, so it is never computed.
+Dropping an always-``+inf`` candidate keeps the others in their raveled
+order, and the first minimum stays the scalar path's choice.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..core.scatter import WORK_SET_ENTRIES
 from .tree import tree_depths
 
 __all__ = [
@@ -43,12 +50,14 @@ __all__ = [
 
 #: The one forest-policy number.  Nets of up to this many pins are routed
 #: in buckets of exactly their degree and searched for Steiner points
-#: (all ``d * d <= 64`` Hanan candidates scored every round); larger nets
-#: share padded buckets and get a plain rectilinear MST.
+#: (all ``d * (d - 1) <= 56`` off-diagonal Hanan candidates scored every
+#: round); larger nets share padded buckets and get a plain rectilinear MST.
 MAX_STEINER_DEGREE = 8
-#: float64 entries of one candidate-Prim distance table (32 MB); larger
-#: buckets are scored in row blocks.
-_TABLE_ENTRIES = 1 << 22
+#: float64 entries of one candidate-Prim distance table block (1 MiB): a
+#: bucket is scored in row blocks of this size, so that the table and the
+#: per-step key, penalty and picked-row arrays (about as large again) fit
+#: one per-core L2 and each Prim step re-reads them from cache.
+_TABLE_ENTRIES = WORK_SET_ENTRIES // 2
 
 
 def _pairwise(ax, ay, bx, by) -> np.ndarray:
@@ -166,11 +175,13 @@ def batched_one_steiner(
     counts ``n_ins`` and the ``(B, d-2)`` owner-index arrays of the
     inserted points.
 
-    Every Hanan candidate is scored every round.  Candidates coincident
-    with existing nodes are masked to ``+inf`` instead of dropped, which
-    preserves the scalar path's first-minimum tie-breaking (kept
-    candidates keep their raveled Hanan-grid order).  All nets of the
-    bucket advance one insertion per round together.
+    Every off-diagonal Hanan candidate is scored every round.  Candidates
+    coincident with existing nodes are masked to ``+inf`` instead of
+    dropped, which preserves the scalar path's first-minimum tie-breaking
+    (kept candidates keep their raveled Hanan-grid order); the diagonal
+    ones ``(X[i], Y[i])`` are pin ``i`` and would always be masked, so
+    they are left out.  All nets of the bucket advance one insertion per
+    round together.
     """
     B, d = X.shape
     T = max(d - 2, 0)
@@ -182,15 +193,15 @@ def batched_one_steiner(
     own_i = np.zeros((B, T), dtype=np.int64)
     own_j = np.zeros((B, T), dtype=np.int64)
 
-    # Hanan candidates in the scalar path's raveled (i-major) order.
-    ci = np.repeat(np.arange(d), d)
-    cj = np.tile(np.arange(d), d)
+    # Off-diagonal Hanan candidates in the scalar path's raveled (i-major)
+    # order.
+    ci, cj = np.nonzero(~np.eye(d, dtype=bool))
     CX, CY = X[:, ci], Y[:, cj]
     # Distance tables, grown by one lane per insertion instead of being
     # recomputed per round: node-node and candidate-node.
     base = np.full((B, d + T, d + T), np.inf)
     base[:, :d, :d] = _pairwise(X, Y, X, Y)
-    dist = np.full((B, d * d, d + T), np.inf)
+    dist = np.full((B, len(ci), d + T), np.inf)
     dist[:, :, :d] = _pairwise(CX, CY, X, Y)
     coincide = (dist[:, :, :d] == 0.0).any(axis=2)
     _, cur_len = batched_prim(X, Y)

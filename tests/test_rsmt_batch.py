@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.harness.suite import load_design
 from repro.route import MAX_STEINER_DEGREE, Forest, route_plan
+from repro.route import batch
 from repro.route.batch import batched_one_steiner, batched_prim
 from repro.route.plan import bucket_width
 from repro.route.rsmt import (
@@ -107,7 +108,13 @@ def netlist(nets):
 def check_nets(nets):
     design, px, py = netlist(nets)
     forest = build_forest_for_nets(design, px, py)
-    assert_forests_equal(forest, reference_forest(design, px, py))
+    reference = reference_forest(design, px, py)
+    assert_forests_equal(forest, reference)
+    # Candidates scored in many row blocks: three rows each at degree 4,
+    # one row each from degree 5 on.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch, "_TABLE_ENTRIES", 1000)
+        assert_forests_equal(build_forest_for_nets(design, px, py), reference)
     return forest, design, px, py
 
 

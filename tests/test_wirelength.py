@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.place import WAWirelength, hpwl
-from repro.place.wirelength import NetLayout
+from repro.place import wirelength
+from repro.place.wirelength import STRIP_PINS, NetLayout
 
 
 # ----------------------------------------------------------------------
@@ -106,18 +107,27 @@ def ref_evaluate(design, cell_x, cell_y, gamma, net_weights=None):
     return float(span[0]) + float(span[1]), grad_xy[:n_cells], grad_xy[n_cells:]
 
 
+#: Strip sizes the layout is checked at: the real one, and a few pins, at
+#: which buckets split across strips, strips span buckets and the tail is
+#: a strip of its own.
+STRIP_SIZES = (STRIP_PINS, 7, 3)
+
+
 def assert_matches_reference(design, gamma=1.7):
     rng = np.random.default_rng(design.n_nets)
-    wa = WAWirelength(design)
     x, y = design.cell_x, design.cell_y
-    for weights in (None, rng.uniform(0.0, 3.0, design.n_nets)):
-        got = wa.evaluate(x, y, gamma, weights)
-        want = ref_evaluate(design, x, y, gamma, weights)
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1])
-        assert np.array_equal(got[2], want[2])
-        assert hpwl(design, x, y, weights) == ref_hpwl(design, x, y, weights)
-        assert wa.hpwl(x, y, weights) == ref_hpwl(design, x, y, weights)
+    for strip_pins in STRIP_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wirelength, "STRIP_PINS", strip_pins)
+            wa = WAWirelength(design)
+            for weights in (None, rng.uniform(0.0, 3.0, design.n_nets)):
+                got = wa.evaluate(x, y, gamma, weights)
+                want = ref_evaluate(design, x, y, gamma, weights)
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1])
+                assert np.array_equal(got[2], want[2])
+                assert hpwl(design, x, y, weights) == ref_hpwl(design, x, y, weights)
+                assert wa.hpwl(x, y, weights) == ref_hpwl(design, x, y, weights)
 
 
 class TestHPWL:
@@ -251,9 +261,21 @@ class TestLayoutMatchesReduceat:
         assert hpwl(design) == 0.0
         assert_matches_reference(design)
 
-    def test_real_designs(self, small_design, medium_design):
+    def test_real_designs(self, small_design, medium_design, monkeypatch):
         assert_matches_reference(small_design)
         assert_matches_reference(medium_design)
+        # A design of a few thousand pins is one strip: no more NumPy calls
+        # than one pass over the whole layout.
+        assert len(NetLayout(medium_design).strips) == 1
+        monkeypatch.setattr(wirelength, "STRIP_PINS", 7)
+        strips = NetLayout(medium_design).strips
+        degrees = [[c[0] for c in s.chunks] for s in strips]
+        assert any(len(set(d)) > 1 for d in degrees)  # a strip spans buckets
+        firsts, lasts = [d[0] for d in degrees if d], [d[-1] for d in degrees if d]
+        assert any(a == b for a, b in zip(lasts, firsts[1:]))  # a bucket splits
+        assert strips[-1].tail is not None and not strips[-1].chunks
+        assert all(s.tail is None for s in strips[:-1])
+        assert max(s.pins.stop - s.pins.start for s in strips[:-1]) <= 7
 
 
 class TestDegenerateNets:
