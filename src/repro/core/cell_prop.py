@@ -61,11 +61,13 @@ class SweepTape(NamedTuple):
     """Per-contribution record of one forward sweep.
 
     Row 0 of the ``(2, n_contribs)`` arrays belongs to the delay table,
-    row 1 to the slew table.
+    row 1 to the slew table.  All fields are views of one block that the
+    cell levels fill in (their slices tile the contributions), so it
+    starts uninitialised.
     """
 
     cand: np.ndarray  # AT(u) + Delay_u(v) | Slew_u(v): the merge candidates
-    delay: np.ndarray  # (n_contribs,) Delay_u(v)
+    delay: Optional[np.ndarray]  # (n_contribs,) Delay_u(v), for exact merges
     d_dslew: Optional[np.ndarray]  # LUT partials, when asked for
     d_dload: Optional[np.ndarray]
 
@@ -92,9 +94,9 @@ def cell_forward_level(
     views of the timer's arrays and ``load`` the level's slice of the
     sweep's load-side lookup.  ``merge`` is ``"max"``, ``"min"`` or
     ``"lse"`` (smoothed by ``gamma``).  ``tape`` receives the merge
-    candidates and arc delays, and the LUT partials the backward pass
-    needs if it has room for them (:func:`zero_clipped_partials` finishes
-    those after the sweep).
+    candidates, and the arc delays and the LUT partials where it has rows
+    for them (:func:`zero_clipped_partials` finishes the partials after
+    the sweep).
     """
     sl = lv.sl
     partials = None
@@ -102,7 +104,8 @@ def cell_forward_level(
         partials = tape.d_dslew[:, sl], tape.d_dload[:, sl]
     slew_in = clip_slew(slew[lv.src], SLEW_CLIP_MAX)
     cand = lutbank.interpolate(lv.query, slew_in, load, partials)
-    tape.delay[sl] = cand[0]
+    if tape.delay is not None:
+        tape.delay[sl] = cand[0]
     cand[0] += at[lv.src]
     tape.cand[:, sl] = cand
 

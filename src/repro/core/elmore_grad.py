@@ -31,7 +31,7 @@ Every step is validated against central finite differences in the tests.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from ..route.tree import Forest
 from ..sta.elmore import ElmoreResult
 from .scatter import flat_view, scatter_accumulate
 
-__all__ = ["elmore_backward"]
+__all__ = ["elmore_backward", "elmore_adjoint"]
 
 
 def elmore_backward(
@@ -57,6 +57,8 @@ def elmore_backward(
     Every gradient array is ``(n_nodes,)`` or, for several objectives
     (seeds) at once, ``(n_seeds, n_nodes)``; the adjoint is linear, and
     each row of the result is bit for bit what its own call returns.
+    The inputs are left as they are (the same array may be passed for
+    several of them).
 
     Parameters
     ----------
@@ -77,9 +79,31 @@ def elmore_backward(
         Gradients with respect to the node coordinates used in the
         forward pass, shaped like the inputs.
     """
+    grads = [
+        np.array(g, dtype=np.float64, order="C")
+        for g in (g_delay_ext, g_imp2_ext, g_load_ext)
+    ]
+    if g_beta_ext is not None:
+        grads.append(g_beta_ext)  # only read
+    return elmore_adjoint(forest, elm, wire, grads)
+
+
+def elmore_adjoint(
+    forest: Forest, elm: ElmoreResult, wire: WireModel, grads: List[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`elmore_backward` in the caller's own gradient buffers.
+
+    ``grads`` is the list ``[g_delay_ext, g_imp2_ext, g_load_ext]``
+    (distinct C-contiguous float64 arrays), with ``g_beta_ext`` appended
+    if there is one.  The caller hands the arrays over: the list is
+    emptied, the sweeps run in the first three and each is freed at its
+    last use.  Results are bit for bit those of :func:`elmore_backward`.
+    """
+    g_delay, g_imp2, g_load, *g_beta_ext = grads
+    grads.clear()
     # All seeds travel as one flat array: each level is one launch over
     # the forest's per-seed-count tables, whatever the number of seeds.
-    steps = forest.seed_steps(math.prod(g_delay_ext.shape[:-1]))
+    steps = forest.seed_steps(math.prod(g_delay.shape[:-1]))
 
     def rows(values: np.ndarray):
         """The per-seed rows of a gradient array, as writable views."""
@@ -101,17 +125,21 @@ def elmore_backward(
     # local terms read its own final values, so each is one whole-forest
     # expression after the sweep that completes them.  At a root the edge
     # terms vanish (zero edge resistance, zero delay); its ``g_res`` entry
-    # is unused.  Each array is dropped after its last use: with several
-    # seeds this function holds the timer's largest temporaries.
-    g_beta = 2.0 * g_imp2_ext
-    if g_beta_ext is not None:
-        g_beta = g_beta + g_beta_ext
-    g_delay = g_delay_ext - 2.0 * elm.delay * g_imp2_ext
+    # is unused.  With several seeds these are the timer's largest arrays,
+    # so each adjoint reuses the buffer of one that is dead by then
+    # (g_beta and g_ldelay that of g_imp2, g_len and g_x that of g_res)
+    # and each buffer is dropped at its last use.
+    g_delay -= 2.0 * elm.delay * g_imp2
+    g_beta = g_imp2
+    g_beta *= 2.0
+    if g_beta_ext:
+        g_beta += g_beta_ext.pop()
+    del g_imp2
 
     # Reverse of pass 4 (Beta top-down).
     sum_into_parents(g_beta)
-    g_ldelay = elm.edge_res * g_beta
     g_res = elm.ldelay * g_beta  # gradient of the edge-to-parent res
+    g_ldelay = np.multiply(elm.edge_res, g_beta, out=g_beta)
     del g_beta
     # Reverse of pass 3 (LDelay bottom-up).
     add_from_parents(g_ldelay)
@@ -121,7 +149,7 @@ def elmore_backward(
     # Reverse of pass 2 (Delay top-down).
     sum_into_parents(g_delay)
     g_res += elm.load * g_delay
-    g_load = g_load_ext + elm.edge_res * g_delay
+    g_load += elm.edge_res * g_delay
     del g_delay
     # Reverse of pass 1 (Load bottom-up).
     add_from_parents(g_load)
@@ -130,16 +158,19 @@ def elmore_backward(
 
     # Chain into edge lengths:  res = r * len;  each edge's wire cap is
     # half-lumped onto both endpoints.
-    up = forest.up
-    g_len = wire.res_per_um * g_res
-    g_len += 0.5 * wire.cap_per_um * (g_cap + np.take(g_cap, up, axis=-1))
-    del g_res, g_cap
+    g_len = np.multiply(wire.res_per_um, g_res, out=g_res)
+    g_wire = np.take(g_cap, forest.up, axis=-1)
+    g_wire += g_cap
+    del g_cap
+    g_wire *= 0.5 * wire.cap_per_um
+    g_len += g_wire
+    del g_res, g_wire
 
     # Rectilinear length -> coordinates (sign subgradient at zero): each
     # edge pulls its node one way and its parent the other.
-    g_x = np.sign(elm.node_x - elm.node_x[up]) * g_len
-    g_y = np.sign(elm.node_y - elm.node_y[up]) * g_len
+    g_y = elm.dir_y * g_len
+    g_x = np.multiply(elm.dir_x, g_len, out=g_len)
     for g in (g_x, g_y):
         for row in rows(g):
-            scatter_accumulate(row, up, -row)
+            scatter_accumulate(row, forest.up, -row)
     return g_x, g_y

@@ -74,7 +74,9 @@ def propagate(
     ``merge`` - ``"max"``, ``"min"`` or ``"lse"`` smoothed by ``gamma``.
     With ``pins`` only those sink pins are recomputed, each from all of
     its fan-ins.  Returns the per-contribution tape (of the full plan, or
-    compact over the restriction), with the LUT partials if ``partials``.
+    compact over the restriction): the merge candidates, the arc delays
+    under an exact merge (the required-time pass of golden STA reads
+    them) and the LUT partials if ``partials``.
 
     Every load and wire delay is known before the sweep starts, so all
     cell arcs are placed on the load axis of their tables and the net
@@ -83,11 +85,15 @@ def propagate(
     """
     sweep = plan.sweep if pins is None else plan.restrict(pins)
     n = sweep.n_contribs
+    # One block, rows filled level by level: the cell levels' slices tile
+    # ``[0, n)``, so no row is read before its level writes it.
+    exact = merge != "lse"
+    block = np.empty((2 + (1 if exact else 0) + (4 if partials else 0), n))
     tape = SweepTape(
-        np.zeros((2, n)),
-        np.zeros(n),
-        np.zeros((2, n)) if partials else None,
-        np.zeros((2, n)) if partials else None,
+        block[:2],
+        block[2] if exact else None,
+        block[-4:-2] if partials else None,
+        block[-2:] if partials else None,
     )
     load = lutbank.locate_load(sweep.query, driver_load[sweep.pin])
     arc_delay = np.repeat(net_delay[sweep.net_sink], 2)

@@ -57,7 +57,7 @@ TARGETS: Tuple[Tuple[str, str, str], ...] = (
     ("repro.core.difftimer", "design_elmore", "core.difftimer.elmore"),
     ("repro.core.difftimer", "propagate", "core.difftimer.levels"),
     ("repro.core.difftimer", "endpoint_rat", "core.difftimer.endpoints"),
-    ("repro.core.difftimer", "elmore_backward", "core.difftimer.elmore_backward"),
+    ("repro.core.difftimer", "elmore_adjoint", "core.difftimer.elmore_backward"),
     ("repro.core.propagate", "net_forward_level", "core.net_prop.forward_level"),
     ("repro.core.propagate", "cell_forward_level", "core.cell_prop.forward_level"),
     ("repro.core.difftimer", "net_backward_level", "core.net_prop.backward_level"),

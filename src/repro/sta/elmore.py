@@ -70,21 +70,23 @@ class ElmoreResult:
     """Per-node outputs of the Elmore forward pass.
 
     All arrays are indexed by forest node.  ``delay`` is the Elmore delay
-    from the net's driver to the node; ``impulse`` is the slew-degradation
-    component ``sqrt(2*beta - delay^2)``; ``load`` at a net's root node is
-    the total capacitive load seen by the driving cell.
+    from the net's driver to the node and ``beta`` the second moment whose
+    ``2*beta - delay^2`` is the squared slew-degradation impulse (read at
+    the pins through :func:`pin_elmore`); ``load`` at a net's root node is
+    the total capacitive load seen by the driving cell.  The rest is what
+    the backward pass reads: ``dir_x``/``dir_y`` are the signs (int8) of
+    each edge's extent along x and y, node minus parent - the subgradient
+    of its rectilinear length (zero at roots).
     """
 
     edge_res: np.ndarray
-    edge_len: np.ndarray
     cap: np.ndarray
     load: np.ndarray
     delay: np.ndarray
     ldelay: np.ndarray
     beta: np.ndarray
-    impulse: np.ndarray
-    node_x: np.ndarray
-    node_y: np.ndarray
+    dir_x: np.ndarray
+    dir_y: np.ndarray
 
     def root_load(
         self, forest: Forest, n_pins: int, out: Optional[np.ndarray] = None
@@ -193,7 +195,9 @@ def elmore_forward(
     wire:
         Per-unit-length RC parameters.
     """
-    edge_len = forest.edge_lengths(node_x, node_y)
+    dx = node_x - node_x[forest.up]
+    dy = node_y - node_y[forest.up]
+    edge_len = np.abs(dx) + np.abs(dy)
     edge_res = wire.res_per_um * edge_len
     # Wire capacitance of each edge is lumped half at each endpoint (a
     # root's own zero-length "edge" adds an exact 0.0 to itself).
@@ -232,18 +236,18 @@ def elmore_forward(
     # Pass 4 (top-down): Beta(u) = Beta(fa(u)) + Res(fa->u) * LDelay(u).
     beta = np.zeros(forest.n_nodes)
     add_from_parents(beta, edge_res * ldelay)
-
-    impulse_sq = np.maximum(2.0 * beta - delay * delay, 0.0)
-    impulse = np.sqrt(impulse_sq)
     return ElmoreResult(
         edge_res=edge_res,
-        edge_len=edge_len,
         cap=cap,
         load=load,
         delay=delay,
         ldelay=ldelay,
         beta=beta,
-        impulse=impulse,
-        node_x=node_x,
-        node_y=node_y,
+        dir_x=_sign8(dx),
+        dir_y=_sign8(dy),
     )
+
+
+def _sign8(values: np.ndarray) -> np.ndarray:
+    """``np.sign`` as int8 (0 at NaN, where a cast would warn)."""
+    return (values > 0).astype(np.int8) - (values < 0)

@@ -64,7 +64,11 @@ class TestElmoreBackward:
         cd[sinks[:10]] = 1.0
         zeros = np.zeros(forest.n_nodes)
         e = elmore_forward(forest, nx, ny, caps, wire)
+        cd_before = cd.copy()
         gx, gy = elmore_backward(forest, e, wire, cd, zeros, zeros)
+        # The public adjoint leaves its inputs as they were, also when one
+        # array is passed for two of them.
+        assert np.array_equal(cd, cd_before) and not zeros.any()
         objective = objective_factory(forest, caps, wire, cd, zeros, zeros)
         eps = 1e-6
         for i in rng.choice(forest.n_nodes, 12, replace=False):

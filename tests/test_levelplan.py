@@ -21,6 +21,7 @@ from repro.core.smoothing import segment_lse_max
 from repro.netlist import Constraints, DesignBuilder, default_library
 from repro.route import build_forest
 from repro.sta import IncrementalTimer, TimingGraph, run_sta
+from repro.sta.elmore import pin_elmore
 
 SEEDS = [(-1.0, 0.0), (0.0, -1.0), (0.6, 0.4)]
 
@@ -34,6 +35,9 @@ def reference_forward(timer, tape, clip_max):
     g = timer.graph
     bank = g.lutbank
     n_pins = timer.design.n_pins
+    net_delay, impulse2, driver_load = pin_elmore(
+        tape.forest, tape.elmore, n_pins, timer.wire_delay_model
+    )
     at = np.full((n_pins, 2), -1e30)
     slew = np.zeros((n_pins, 2))
     at[g.start_pins] = g.start_at[g.start_pins]
@@ -43,15 +47,15 @@ def reference_forward(timer, tape, clip_max):
     for level in range(1, g.n_levels):
         sl = g.net_arcs.level_slice(level)
         sinks, srcs = g.net_sink[sl], g.net_src[sl]
-        at[sinks] = at[srcs] + tape.net_delay[sinks][:, None]
-        slew[sinks] = np.sqrt(slew[srcs] ** 2 + tape.impulse2[sinks][:, None])
+        at[sinks] = at[srcs] + net_delay[sinks][:, None]
+        slew[sinks] = np.sqrt(slew[srcs] ** 2 + impulse2[sinks][:, None])
         sl = g.cell_arcs.level_slice(level)
         if sl.stop == sl.start:
             continue
         s, d, ti, to = g.c_src[sl], g.c_dst[sl], g.c_tin[sl], g.c_tout[sl]
         slew_raw = slew[s, ti]
         slew_in = np.clip(slew_raw, 0.0, clip_max)
-        load = tape.driver_load[d]
+        load = driver_load[d]
         clipped = (slew_raw < 0.0) | (slew_raw > clip_max)
         for row, table in enumerate((g.c_lut_delay, g.c_lut_slew)):
             v, dv_ds, dv_dl = bank.lookup_with_grad(table[sl], slew_in, load)
@@ -101,6 +105,12 @@ class TestPlan:
         assert np.array_equal(
             np.concatenate([c.src for c in cells]), g.c_src * 2 + g.c_tin
         )
+        # The cell levels' tape slices tile [0, n_contribs) in order, so
+        # the sweep's uninitialised tape block is written before it is read.
+        bounds = [(c.sl.start, c.sl.stop) for c in cells]
+        assert bounds[0][0] == 0 and bounds[-1][1] == plan.n_contribs
+        assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
+        assert all(start < stop for start, stop in bounds)
         for c in cells:
             k, n = len(c.dst), len(c.touched)
             # Compact ids name the touched slots, AT block then slew block.
