@@ -29,7 +29,27 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .harness.runners import MODES
+
+
+def _timing_summary(result) -> str:
+    """Setup summary of an STA result and its five worst endpoints."""
+    design, pins = result.graph.design, result.graph.endpoint_pins
+    slack = result.endpoint_slack
+    timed = slack[np.abs(slack) < 1e29]  # unreached endpoints hold +-1e30
+    lines = [
+        f"Timing report for {design.name}",
+        f"  clock period : {design.constraints.clock_period:.1f} ps",
+        f"  endpoints    : {len(timed)} ({int((timed < 0).sum())} violating)",
+        f"  WNS / TNS    : {result.wns_setup:.1f} / {result.tns_setup:.1f} ps",
+        "worst endpoints:",
+    ]
+    for k in np.argsort(slack)[:5]:
+        name = design.pin_name[int(pins[k])]
+        lines.append(f"  {name:<24} slack = {slack[k]:9.1f} ps")
+    return "\n".join(lines)
 
 
 def _cmd_generate(args) -> int:
@@ -53,7 +73,7 @@ def _cmd_place(args) -> int:
     from .harness.runners import run_mode
     from .netlist import load_design_bundle, save_design
     from .place import PlacerOptions, legalize, max_overlap
-    from .sta import report_design, run_sta
+    from .sta import run_sta
 
     design, _, _ = load_design_bundle(args.bundle)
     record = run_mode(
@@ -69,13 +89,13 @@ def _cmd_place(args) -> int:
     save_design(design, out, x, y)
     print(f"placed bundle written to {out}")
     print()
-    print(report_design(run_sta(design, x, y)))
+    print(_timing_summary(run_sta(design, x, y)))
     return 0
 
 
 def _cmd_sta(args) -> int:
     from .netlist import load_design_bundle
-    from .sta import format_path, report_design, run_sta, worst_paths
+    from .sta import format_path, run_sta, worst_paths
 
     design, x, y = load_design_bundle(args.bundle)
     result = run_sta(
@@ -86,7 +106,7 @@ def _cmd_sta(args) -> int:
         propagated_clock=args.propagated_clock,
         wire_delay_model=args.wire_model,
     )
-    print(report_design(result))
+    print(_timing_summary(result))
     if args.hold:
         print(
             f"\nhold: WNS = {result.wns_hold:.1f} ps, "

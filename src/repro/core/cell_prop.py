@@ -89,14 +89,14 @@ def cell_forward_level(
 ) -> None:
     """Forward cell propagation for one level (in place).
 
-    ``lv`` is a level of the graph's :class:`LevelPlan` (or of a
-    restriction of it); ``at``/``slew`` are the flat ``(2 * n_pins,)``
-    views of the timer's arrays and ``load`` the level's slice of the
-    sweep's load-side lookup.  ``merge`` is ``"max"``, ``"min"`` or
-    ``"lse"`` (smoothed by ``gamma``).  ``tape`` receives the merge
-    candidates, and the arc delays and the LUT partials where it has rows
-    for them (:func:`zero_clipped_partials` finishes the partials after
-    the sweep).
+    ``lv`` is a level of the graph's :class:`LevelPlan`; ``at``/``slew``
+    are the flat ``(2 * n_pins,)`` views of the timer's arrays and
+    ``load`` the level's slice of the sweep's load-side lookup.
+    ``merge`` is ``"max"``, ``"min"`` or ``"lse"`` (smoothed by
+    ``gamma``).  ``tape`` receives the merge candidates, and the arc
+    delays and the LUT partials where it has rows for them
+    (:func:`zero_clipped_partials` finishes the partials after the
+    sweep).
     """
     sl = lv.sl
     partials = None

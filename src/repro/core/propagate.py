@@ -3,12 +3,10 @@
 The paper's timer *is* the golden STA with ``max`` swapped for
 ``LSE_gamma`` (Equation (5)) on levels that never depend on placement
 (Section 3.3).  :func:`propagate` is that one sweep: golden STA (late
-``max``, early ``min``), the incremental timer's cone sweep (the plan
-restricted to the dirty pins of a level) and the differentiable timer
-(``LSE``, with the LUT partials taped for the backward pass) all call it
-over the graph's shared :class:`~repro.sta.graph.LevelPlan`.
-:func:`endpoint_rat` is the required-time side of the endpoint slacks they
-all report.
+``max``, early ``min``) and the differentiable timer (``LSE``, with the
+LUT partials taped for the backward pass) both call it over the graph's
+shared :class:`~repro.sta.graph.LevelPlan`.  :func:`endpoint_rat` is the
+required-time side of the endpoint slacks they both report.
 """
 
 from __future__ import annotations
@@ -63,28 +61,23 @@ def propagate(
     merge: str,
     gamma: float = 0.0,
     partials: bool = False,
-    pins: Optional[np.ndarray] = None,
 ) -> SweepTape:
     """Sweep arrival times and slews forward over the levels (in place).
 
     ``at``/``slew`` are ``(n_pins, 2)`` and hold the boundary values at the
-    start pins (and, with ``pins``, the current state everywhere).
-    ``net_delay``/``impulse2``/``driver_load`` are the per-pin Elmore
-    outputs of :func:`repro.sta.elmore.pin_elmore`.  Fan-ins merge with
-    ``merge`` - ``"max"``, ``"min"`` or ``"lse"`` smoothed by ``gamma``.
-    With ``pins`` only those sink pins are recomputed, each from all of
-    its fan-ins.  Returns the per-contribution tape (of the full plan, or
-    compact over the restriction): the merge candidates, the arc delays
-    under an exact merge (the required-time pass of golden STA reads
-    them) and the LUT partials if ``partials``.
+    start pins.  ``net_delay``/``impulse2``/``driver_load`` are the
+    per-pin Elmore outputs of :func:`repro.sta.elmore.pin_elmore`.
+    Fan-ins merge with ``merge`` - ``"max"``, ``"min"`` or ``"lse"``
+    smoothed by ``gamma``.  Returns the per-contribution tape: the merge
+    candidates, the arc delays under an exact merge (the required-time
+    pass of golden STA reads them) and the LUT partials if ``partials``.
 
     Every load and wire delay is known before the sweep starts, so all
     cell arcs are placed on the load axis of their tables and the net
     arcs' Elmore values are gathered here, once; a level only locates the
     slews it has just computed.
     """
-    sweep = plan.sweep if pins is None else plan.restrict(pins)
-    n = sweep.n_contribs
+    n = plan.n_contribs
     # One block, rows filled level by level: the cell levels' slices tile
     # ``[0, n)``, so no row is read before its level writes it.
     exact = merge != "lse"
@@ -95,11 +88,11 @@ def propagate(
         block[-4:-2] if partials else None,
         block[-2:] if partials else None,
     )
-    load = lutbank.locate_load(sweep.query, driver_load[sweep.pin])
-    arc_delay = np.repeat(net_delay[sweep.net_sink], 2)
-    arc_impulse2 = np.repeat(impulse2[sweep.net_sink], 2)
+    load = lutbank.locate_load(plan.query, driver_load[plan.c_pin])
+    arc_delay = np.repeat(net_delay[plan.net_sink], 2)
+    arc_impulse2 = np.repeat(impulse2[plan.net_sink], 2)
     at_flat, slew_flat = at.reshape(-1), slew.reshape(-1)
-    for net, cell in sweep.levels:
+    for net, cell in plan.levels:
         if net is not None:
             net_forward_level(net, arc_delay, arc_impulse2, at_flat, slew_flat)
         if cell is not None:
@@ -108,7 +101,7 @@ def propagate(
                 at_flat, slew_flat, tape,
             )
     if partials:
-        zero_clipped_partials(sweep.src, slew_flat, tape)
+        zero_clipped_partials(plan.c_src, slew_flat, tape)
     return tape
 
 

@@ -55,7 +55,6 @@ from .cache import (
     ensure_cached,
     load_bundle,
 )
-from .edit import clone_design, insert_buffer
 
 __all__ = [
     "LUT",
@@ -110,6 +109,4 @@ __all__ = [
     "design_cache_key",
     "ensure_cached",
     "load_bundle",
-    "clone_design",
-    "insert_buffer",
 ]

@@ -70,10 +70,6 @@ TARGETS: Tuple[Tuple[str, str, str], ...] = (
     ("repro.runtime.checkpoint", "load_checkpoint", "runtime.checkpoint.load"),
     ("repro.place.placer", "load_checkpoint", "runtime.checkpoint.load"),
     ("repro.place.placer", "validate_design", "runtime.validate"),
-    ("repro.sta.incremental", "IncrementalTimer._reroute_nets", "sta.incremental.reroute"),
-    ("repro.sta.incremental", "IncrementalTimer._sweep", "sta.incremental.sweep"),
-    ("repro.sta.incremental", "IncrementalTimer._refresh_endpoint_slacks",
-     "sta.incremental.endpoints"),
 )
 
 

@@ -6,13 +6,7 @@ from .optimizer import AdamOptimizer, NesterovOptimizer, make_optimizer
 from .placer import GlobalPlacer, PlacerOptions, PlacerResult
 from .legalize import greedy_refine, legalize, max_overlap
 from .netweight import MomentumNetWeighter, NetWeightOptions, NetWeightingPlacer
-from .detailed import (
-    DetailedPlacerOptions,
-    TimingDrivenDetailedPlacer,
-)
 from .criticality import CRITICALITY_POLICIES, make_criticality
-from .congestion import CongestionMap, rudy_map
-from .buffering import BufferingOptions, BufferingResult, TimingDrivenBufferizer
 
 __all__ = [
     "WAWirelength",
@@ -31,13 +25,6 @@ __all__ = [
     "MomentumNetWeighter",
     "NetWeightOptions",
     "NetWeightingPlacer",
-    "DetailedPlacerOptions",
-    "TimingDrivenDetailedPlacer",
     "CRITICALITY_POLICIES",
     "make_criticality",
-    "CongestionMap",
-    "rudy_map",
-    "BufferingOptions",
-    "BufferingResult",
-    "TimingDrivenBufferizer",
 ]

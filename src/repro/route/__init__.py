@@ -9,7 +9,6 @@ from .rsmt import (
     build_forest_from_pins,
     build_rsmt,
     build_trees,
-    build_trees_for_nets,
     rmst_length,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "build_forest_from_pins",
     "build_rsmt",
     "build_trees",
-    "build_trees_for_nets",
     "rmst_length",
     "route_plan",
 ]

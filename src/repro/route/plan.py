@@ -11,7 +11,7 @@ bundles and their cache format never contain it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, NamedTuple, Optional
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -66,15 +66,10 @@ class RoutePlan:
             np.where(is_driver, local, degrees.max(initial=0)),
             np.cumsum(self.degree) - self.degree,
         )
-        #: Row of each net in ``net_ids`` / in its degree bucket (-1: unrouted).
-        self.net_row = np.full(self.n_nets, -1, dtype=np.int64)
-        self.net_row[self.net_ids] = np.arange(len(self.net_ids))
-        self.bucket_row = np.zeros(len(self.net_ids), dtype=np.int64)
-        self.width = bucket_width(self.degree)
+        width = bucket_width(self.degree)
         self.buckets: Dict[int, Bucket] = {}
-        for w in np.unique(self.width).tolist():
-            rows = np.nonzero(self.width == w)[0]
-            self.bucket_row[rows] = np.arange(len(rows))
+        for w in np.unique(width).tolist():
+            rows = np.nonzero(width == w)[0]
             lane = np.arange(w)
             pins = np.where(
                 lane < self.degree[rows, None],
@@ -86,17 +81,6 @@ class RoutePlan:
             self.buckets[w] = Bucket(
                 self.net_ids[rows], pins, driver[rows], self.degree[rows]
             )
-
-    def select(self, net_ids: Optional[np.ndarray] = None) -> Iterator[Bucket]:
-        """Degree buckets of all routable nets, or of those in ``net_ids``."""
-        if net_ids is None:
-            yield from self.buckets.values()
-            return
-        rows = self.net_row[np.asarray(net_ids, dtype=np.int64)]
-        rows = np.unique(rows[rows >= 0])
-        for w in np.unique(self.width[rows]).tolist():
-            b = self.bucket_row[rows[self.width[rows] == w]]
-            yield Bucket(*(field[b] for field in self.buckets[w]))
 
 
 def route_plan(design: Design, include_clock: bool = False) -> RoutePlan:

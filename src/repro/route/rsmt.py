@@ -23,7 +23,7 @@ differentiable with respect to pin locations (Figure 4 of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .tree import Forest, RoutingTree
 __all__ = [
     "build_rsmt",
     "build_trees",
-    "build_trees_for_nets",
     "build_forest",
     "build_forest_for_nets",
     "build_forest_from_pins",
@@ -202,8 +201,8 @@ def _iterated_one_steiner(
 
     Returns the augmented coordinates and the (x-owner, y-owner) pin index
     pair for each inserted Steiner point.  Construction is a pure function
-    of the coordinates, which the incremental timer relies on: rebuilding
-    an unmoved net must reproduce the identical tree.
+    of the coordinates: rebuilding an unmoved net reproduces the
+    identical tree.
     """
     n_pins = len(x)
     xs = x.copy()
@@ -379,22 +378,19 @@ def build_forest_for_nets(
     design: Design,
     px: np.ndarray,
     py: np.ndarray,
-    net_ids: Optional[Sequence[int]] = None,
     include_clock: bool = False,
 ) -> Forest:
     """The one forest builder: route nets from explicit *pin* coordinates.
 
     Routes every routable net (>= 2 pins, driven, non-clock unless
-    ``include_clock``), or with ``net_ids`` only those of them (the
-    incremental timer); unroutable ids are silently skipped.  Each degree
-    bucket of the design's route plan goes through one batched kernel
-    call and the rows are compacted into the flat :class:`Forest` once;
-    no per-net object is created.  Each tree is a pure function of its
-    own pins' coordinates.
+    ``include_clock``).  Each degree bucket of the design's route plan
+    goes through one batched kernel call and the rows are compacted into
+    the flat :class:`Forest` once; no per-net object is created.  Each
+    tree is a pure function of its own pins' coordinates.
     """
     plan = route_plan(design, include_clock)
     nets, rows = [], []
-    for bucket in plan.select(net_ids):
+    for bucket in plan.buckets.values():
         nets.append(bucket.nets)
         rows.append(bucket_rows(px[bucket.pins], py[bucket.pins], *bucket[1:]))
     if not rows:
@@ -421,18 +417,6 @@ def build_forest_from_pins(design: Design, px: np.ndarray, py: np.ndarray) -> Fo
     return build_forest_for_nets(design, px, py)
 
 
-def build_trees_for_nets(
-    design: Design,
-    px: np.ndarray,
-    py: np.ndarray,
-    net_ids: Sequence[int],
-    include_clock: bool = False,
-) -> Dict[int, RoutingTree]:
-    """Tree views of a subset of nets (unroutable ids are skipped)."""
-    trees = build_forest_for_nets(design, px, py, net_ids, include_clock).trees(px, py)
-    return {ni: tree for ni, tree in enumerate(trees) if tree is not None}
-
-
 def build_trees(
     design: Design,
     cell_x: Optional[np.ndarray] = None,
@@ -445,4 +429,4 @@ def build_trees(
     as are driverless and single-pin nets.
     """
     px, py = design.pin_positions(cell_x, cell_y)
-    return build_forest_for_nets(design, px, py, None, include_clock).trees(px, py)
+    return build_forest_for_nets(design, px, py, include_clock).trees(px, py)

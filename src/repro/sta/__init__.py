@@ -5,15 +5,7 @@ from .graph import CombinationalCycleError, LevelizedArcs, TimingGraph, levelize
 from .elmore import ElmoreResult, elmore_forward, node_caps
 from .analysis import STAResult, StaticTimingAnalyzer, run_sta
 from .paths import TimingPath, extract_path, format_path, worst_paths
-from .incremental import IncrementalTimer, VerifyReport
 from .clock import ClockArrival, propagate_clock
-from .reports import (
-    SlackHistogram,
-    format_histogram,
-    histogram_compression,
-    report_design,
-    slack_histogram,
-)
 
 __all__ = [
     "LutBank",
@@ -31,13 +23,6 @@ __all__ = [
     "extract_path",
     "format_path",
     "worst_paths",
-    "IncrementalTimer",
-    "VerifyReport",
     "ClockArrival",
     "propagate_clock",
-    "SlackHistogram",
-    "format_histogram",
-    "histogram_compression",
-    "report_design",
-    "slack_histogram",
 ]

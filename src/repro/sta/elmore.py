@@ -148,20 +148,15 @@ def pin_elmore(
     elmore: ElmoreResult,
     n_pins: int,
     wire_delay_model: str,
-    out: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forest-node Elmore outputs as the per-pin inputs of the timers.
 
     Returns ``(net_delay, impulse2, driver_load)``, each ``(n_pins,)``:
     the wire delay (Elmore or D2M, per ``wire_delay_model``) and squared
     impulse ``max(2 * beta - delay^2, 0)`` at the forest's pin nodes and
-    the net load at its driver pins.  Pins off the forest read zero - or
-    keep their values when the three arrays are passed in as ``out``
-    (the incremental timer refreshing a few re-routed nets).
+    the net load at its driver pins.  Pins off the forest read zero.
     """
-    net_delay, impulse2, driver_load = (
-        out if out is not None else (np.zeros(n_pins) for _ in range(3))
-    )
+    net_delay, impulse2, driver_load = (np.zeros(n_pins) for _ in range(3))
     nodes, pins = forest.pin_nodes, forest.pins_of_nodes
     delay, beta = elmore.delay[nodes], elmore.beta[nodes]
     net_delay[pins] = d2m_delay(delay, beta) if wire_delay_model == "d2m" else delay

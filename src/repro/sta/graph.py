@@ -224,17 +224,6 @@ class SourceSegments(NamedTuple):
 Levels = List[Tuple[Optional[NetLevel], Optional[CellLevel]]]
 
 
-class Sweep(NamedTuple):
-    """What one forward sweep runs over: the whole plan or a restriction."""
-
-    levels: Levels
-    n_contribs: int
-    query: LutQuery  # all ``n_contribs`` contributions' tables, (2, n)
-    pin: np.ndarray  # (n,) sink pin of each contribution (its load)
-    src: np.ndarray  # (n,) ``pin * 2 + transition`` of each source
-    net_sink: np.ndarray  # sink pin of every net arc of the sweep
-
-
 class EndpointTables(NamedTuple):
     """Static side of the endpoint slacks (setup checks, then ports)."""
 
@@ -259,9 +248,8 @@ class LevelPlan:
     differentiable timer's backward sweep need - each cell level with its
     table ids bound to the graph's LUT bank (flat offsets, the breakpoint
     axis the level's tables share).  What only some callers read is built
-    on its first use: :attr:`endpoints`, the by-sink CSR,
-    :attr:`level_pins` and :attr:`net_arc_of` of the restricted
-    (incremental) sweep and of path tracing, :attr:`reverse` and
+    on its first use: :attr:`endpoints`, the by-sink CSR and
+    :attr:`net_arc_of` of path tracing, :attr:`reverse` and
     :attr:`net_runs` of the golden required-time sweep.  Beyond the
     start-pin boundary values the plan holds index arrays only -
     O(contributions + net arcs + pins), reported by :attr:`nbytes` - and
@@ -277,11 +265,13 @@ class LevelPlan:
         #: Delay | slew table ids, ``(2, n_contribs)``, and their binding.
         self.lut = np.stack([graph.c_lut_delay, graph.c_lut_slew]).astype(np.int32)
         self._bank = graph.lutbank
-        query = self._bank.bind(self.lut)
+        self.query = query = self._bank.bind(self.lut)
+        #: Sink pin of each contribution (where its load is read).
+        self.c_pin = graph.c_dst
         # The graph tables the lazy members derive from, by reference: no
         # copy, and no graph <-> plan cycle to keep a dropped plan alive.
         self.net_sink, self.net_src = graph.net_sink, graph.net_src
-        self._net_of_sink, self._pin_level = graph.net_of_sink, graph.level
+        self._net_of_sink = graph.net_of_sink
         self._net_offsets = graph.net_arcs.offsets
         self._setup = graph.setup_d, graph.setup_lut, graph.clock_slew
         self._endpoint_pins = graph.endpoint_pins
@@ -328,11 +318,6 @@ class LevelPlan:
                     level_query.ids, level_query,
                 )
             self.levels.append((net, cell))
-        #: The full forward sweep.
-        self.sweep = Sweep(
-            self.levels, self.n_contribs, query, graph.c_dst, self.c_src,
-            graph.net_sink,
-        )
 
     @property
     def nbytes(self) -> int:
@@ -340,13 +325,13 @@ class LevelPlan:
         return sum(arr.nbytes for arr in self._owned)
 
     # ------------------------------------------------------------------
-    # Restricted sweeps (incremental timer) and path tracing
+    # Path tracing
     # ------------------------------------------------------------------
     @cached_property
     def _sink_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Contributions grouped by sink slot: those into slot ``s`` are
         ``order[start[s] : start[s + 1]]``, ascending."""
-        n_slots = 2 * len(self._pin_level)
+        n_slots = 2 * self.n_pins
         order = np.argsort(self.c_dst, kind="stable")
         start = np.zeros(n_slots + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.c_dst, minlength=n_slots), out=start[1:])
@@ -354,17 +339,9 @@ class LevelPlan:
         return order, start
 
     @cached_property
-    def level_pins(self) -> List[np.ndarray]:
-        """Pins of each level, ``level_pins[l]`` ascending."""
-        counts = np.bincount(self._pin_level)
-        order = np.argsort(self._pin_level, kind="stable")
-        self._owned.append(order)
-        return np.split(order, np.cumsum(counts)[:-1])
-
-    @cached_property
     def net_arc_of(self) -> np.ndarray:
         """The one fan-in net arc of each pin (-1: none)."""
-        arc_of = np.full(len(self._pin_level), -1, dtype=np.int64)
+        arc_of = np.full(self.n_pins, -1, dtype=np.int64)
         arc_of[self.net_sink] = np.arange(len(self.net_sink))
         self._owned.append(arc_of)
         return arc_of
@@ -374,36 +351,6 @@ class LevelPlan:
         order, start = self._sink_csr
         starts = start[2 * pins]
         return order[gather_csr(starts, start[2 * pins + 2] - starts)]
-
-    def restrict(self, pins: np.ndarray) -> Sweep:
-        """The forward sweep restricted to recomputing ``pins`` of one level.
-
-        Shaped like the full plan's :attr:`sweep`: the one ``(net, cell)``
-        pair holds every fan-in arc of ``pins`` (so each is recomputed
-        from scratch), with ``sl``/``sl2`` slicing compact tapes of the
-        gathered arcs.
-        """
-        arcs = self.net_arc_of[pins]
-        arcs = arcs[arcs >= 0]
-        sinks, srcs = self.net_sink[arcs], self.net_src[arcs]
-        net = None
-        if len(arcs):
-            net = NetLevel(
-                sinks, srcs, _flat_slots(sinks), _flat_slots(srcs),
-                slice(0, 2 * len(arcs)),
-            )
-        idx = self.fanin(pins)
-        query = self._bank.rebind(self.sweep.query, idx)
-        src, dst = self.c_src[idx], self.c_dst[idx]
-        cell = None
-        if len(idx):
-            slots, inverse = np.unique(dst, return_inverse=True)
-            cell = CellLevel(
-                slice(0, len(idx)), src, dst, dst >> 1,
-                np.concatenate([inverse, inverse + len(slots)]),
-                slots, query.ids, query,
-            )
-        return Sweep([(net, cell)], len(idx), query, dst >> 1, src, sinks)
 
     # ------------------------------------------------------------------
     # Endpoints

@@ -44,8 +44,6 @@ kind               extra fields
                    truncation on restart keeps them)
 ``checkpoint``     ``action`` (``save``/``load``), ``path``,
                    ``overflow``
-``incremental``    ``updates``, ``pins_recomputed`` (incremental-STA
-                   progress, throttled)
 ``resource``       ``rss_bytes``, ``peak_rss_bytes``, ``cpu_user_s``,
                    ``cpu_sys_s``, ``minor_faults``, ``major_faults``
                    (process resource sample from
@@ -116,7 +114,6 @@ EVENT_KINDS = (
     "term_exception",
     "recovery",
     "checkpoint",
-    "incremental",
     "resource",
     "run_end",
     "task_retry",

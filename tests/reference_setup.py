@@ -4,6 +4,7 @@
 cell, text pin references parsed back in ``build()``) and
 ``ReferenceGraph`` the per-pin / per-arc ``TimingGraph.__init__``, both
 moved here verbatim when the library versions became array programs.
+``rebuild_design`` replays a design through either builder.
 ``tests/test_setup_equivalence.py`` holds the array versions to them,
 field for field.  The bulk entry points of the new builder
 (``add_cells`` / ``add_nets``) are adapters here: they format the names
@@ -22,6 +23,7 @@ from repro.netlist.design import (
     PORT_OUT_TYPE,
     Constraints,
     Design,
+    DesignBuilder,
     _make_port_types,
 )
 from repro.netlist.library import (
@@ -451,3 +453,28 @@ def design_digest(design: Design) -> str:
     feed([t.name for t in design.cell_types])
     feed(sorted(vars(design.constraints).items()))
     return digest.hexdigest()
+
+
+def rebuild_design(design: Design, builder_cls=DesignBuilder) -> Design:
+    """The same cells (and positions) and nets, added through ``builder_cls``."""
+    builder = builder_cls(
+        design.name, design.library, die=design.die,
+        row_height=design.row_height, constraints=design.constraints,
+    )
+    ports = {PORT_IN_TYPE: builder.add_input, PORT_OUT_TYPE: builder.add_output}
+    for ci, name in enumerate(design.cell_name):
+        type_name = design.cell_types[design.cell_type[ci]].name
+        x, y = float(design.cell_x[ci]), float(design.cell_y[ci])
+        if type_name in ports:
+            ports[type_name](name, x=x, y=y)
+        else:
+            fixed = bool(design.cell_fixed[ci])
+            builder.add_cell(name, type_name, x=x, y=y, fixed=fixed)
+    for ni, net in enumerate(design.net_name):
+        refs = []
+        for p in design.net_pins(ni):
+            cell = int(design.pin2cell[p])
+            is_port = design.cell_types[design.cell_type[cell]].name in ports
+            refs.append(design.cell_name[cell] if is_port else design.pin_name[p])
+        builder.add_net(net, refs)
+    return builder.build()

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import repro
@@ -46,8 +47,20 @@ class TestSta:
         code = repro_main(["sta", "--bundle", bundle_dir, "--hold"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "Timing report" in out
+        assert "Timing report for clitest" in out
         assert "hold:" in out
+        # The setup summary of the sign-off run, then its five worst endpoints.
+        from repro.netlist import load_design_bundle
+        from repro.sta import run_sta
+
+        design, x, y = load_design_bundle(bundle_dir)
+        result = run_sta(design, x, y)
+        assert f"WNS / TNS    : {result.wns_setup:.1f} / {result.tns_setup:.1f} ps" in out
+        worst = out.split("worst endpoints:\n")[1].splitlines()[:5]
+        pins = result.graph.endpoint_pins[np.argsort(result.endpoint_slack)[:5]]
+        for line, pin in zip(worst, pins):
+            assert line.split()[0] == design.pin_name[int(pin)]
+            assert "slack =" in line
 
     def test_propagated_clock_flag(self, bundle_dir, capsys):
         code = repro_main(

@@ -213,26 +213,6 @@ class TestPinElmore:
         off = np.setdiff1d(np.arange(n_pins), pins)
         assert len(off) and not net_delay[off].any() and not impulse2[off].any()
 
-    def test_out_keeps_pins_off_the_forest(self, small_design, spread_positions):
-        """A sub-forest of a few nets refreshes only its own pins."""
-        from repro.route import build_forest_for_nets
-        from repro.sta.elmore import design_elmore, pin_elmore
-
-        px, py = small_design.pin_positions(*spread_positions)
-        nets = [ni for ni in range(small_design.n_nets) if small_design.net_degree(ni) > 2][:3]
-        mini = build_forest_for_nets(small_design, px, py, nets)
-        elm = design_elmore(small_design, mini, px, py)
-        n_pins = small_design.n_pins
-        out = tuple(np.full(n_pins, -5.0) for _ in range(3))
-        assert pin_elmore(mini, elm, n_pins, "elmore", out=out)[0] is out[0]
-        fresh = pin_elmore(mini, elm, n_pins, "elmore")
-        on = mini.node_pin[mini.node_pin >= 0]
-        drivers = mini.node_pin[np.nonzero(mini.is_root)[0]]
-        for got, ref, touched in zip(out, fresh, (on, on, drivers)):
-            assert np.array_equal(got[touched], ref[touched])
-            rest = np.setdiff1d(np.arange(n_pins), touched)
-            assert (got[rest] == -5.0).all()
-
     def test_unknown_wire_model_rejected(self):
         from repro.sta.elmore import check_wire_delay_model
 

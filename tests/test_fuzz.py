@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netlist import GeneratorSpec, generate_design
-from repro.place import hpwl, legalize, max_overlap, rudy_map
+from repro.place import hpwl, legalize, max_overlap
 from repro.route import build_forest
 from repro.sta import TimingGraph, run_sta
 
@@ -89,10 +89,6 @@ def test_random_placements_route_time_and_legalize(spec, seed):
     movable = ~design.cell_fixed
     assert (lx[movable] - 0.5 * design.cell_w[movable] >= xl - 1e-9).all()
     assert (lx[movable] + 0.5 * design.cell_w[movable] <= xh + 1e-9).all()
-
-    # Congestion map well-formed.
-    cm = rudy_map(design, lx, ly, n_bins=8)
-    assert np.isfinite(cm.density).all()
 
 
 @settings(max_examples=10, deadline=None)

@@ -20,7 +20,7 @@ from repro.core import cell_prop as cell_prop_mod
 from repro.core.smoothing import segment_lse_max
 from repro.netlist import Constraints, DesignBuilder, default_library
 from repro.route import build_forest
-from repro.sta import IncrementalTimer, TimingGraph, run_sta
+from repro.sta import TimingGraph, run_sta, worst_paths
 from repro.sta.elmore import pin_elmore
 
 SEEDS = [(-1.0, 0.0), (0.0, -1.0), (0.6, 0.4)]
@@ -136,14 +136,14 @@ class TestPlan:
 
     def test_single_caller_indices_are_built_on_first_use(self, small_design):
         """The difftimer builds the forward levels only; the golden STA
-        adds its reverse-sweep indices, the incremental timer the by-sink
-        tables - each on its first use, and ``nbytes`` counts them."""
+        adds its reverse-sweep indices, path tracing the by-sink tables -
+        each on its first use, and ``nbytes`` counts them."""
         graph = TimingGraph(small_design)
         plan = graph.plan
         assert not hasattr(plan, "graph")  # no graph <-> plan cycle
         timer = DifferentiableTimer(small_design, graph)
         timer.backward(timer.forward())
-        lazy = {"_sink_csr", "level_pins", "net_arc_of", "net_runs", "reverse"}
+        lazy = {"_sink_csr", "net_arc_of", "net_runs", "reverse"}
         assert not lazy & set(vars(plan))
         forward_only = plan.nbytes
 
@@ -153,10 +153,7 @@ class TestPlan:
         golden = plan.nbytes
         assert golden > forward_only
 
-        incremental = IncrementalTimer(small_design, graph)
-        incremental.reset()
-        cell = int(np.flatnonzero(~small_design.cell_fixed)[0])
-        incremental.move([cell], [incremental.x[cell] + 1.0], [incremental.y[cell]])
+        assert len(worst_paths(result, 2)) == 2
         assert lazy <= set(vars(plan))
         assert plan.nbytes > golden
 

@@ -89,8 +89,8 @@ class TestMidiblue50:
         """The forward levels every timer shares hold index arrays only:
         at most 16 MB here (about 5% of an ``ours`` run's peak RSS on
         this design), growing linearly in contributions + net arcs; what
-        only the golden or the incremental timer reads is built on their
-        first use (``test_levelplan``)."""
+        only golden STA or path tracing reads is built on its first use
+        (``test_levelplan``)."""
         from repro.sta.graph import LevelPlan
 
         def size(graph):
@@ -104,7 +104,7 @@ class TestMidiblue50:
         # built - the endpoint tables.
         big_plan.endpoints
         counted = {id(table) for table in big_plan._owned}
-        bound = [big_plan.sweep.query.offset, big_plan.is_net_sink,
+        bound = [big_plan.query.offset, big_plan.is_net_sink,
                  big_plan.start_at, big_plan.start_slew,
                  big_plan.endpoints.slots, big_plan.endpoints.setup_query.offset]
         for _, cell in big_plan.levels:
@@ -112,7 +112,7 @@ class TestMidiblue50:
                 offset = cell.query.offset
                 bound.append(offset if offset.base is None else offset.base)
         assert all(id(table) in counted for table in bound)
-        assert big_plan.sweep.query.offset.dtype == np.int32
+        assert big_plan.query.offset.dtype == np.int32
         assert big_plan.nbytes <= 16 * 2**20
 
         small = load_bundle(design_spec("miniblue18"))[0].graph

@@ -24,7 +24,6 @@ from repro.perf import (
     layer_stats,
     write_chrome_trace,
 )
-from repro.sta import IncrementalTimer
 
 _E2E_TRACE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -153,21 +152,6 @@ class TestThreadedStages:
             "core.net_prop.backward_level",
             "core.difftimer.elmore_backward",
         }
-
-    def test_incremental_move_records_stages(
-        self, profiler, small_design, spread_positions
-    ):
-        x, y = spread_positions
-        timer = IncrementalTimer(small_design)
-        timer.reset(x, y)
-        profiler.reset()
-        ci = int(np.nonzero(~small_design.cell_fixed)[0][0])
-        timer.move([ci], [x[ci] + 2.0], [y[ci] + 1.0])
-        assert {
-            "sta.incremental.reroute",
-            "sta.incremental.sweep",
-            "sta.incremental.endpoints",
-        } <= _names(profiler.spans)
 
     def test_disabled_profiler_stays_empty(self, small_design, spread_positions):
         assert not PROFILER.enabled

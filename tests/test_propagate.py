@@ -1,11 +1,10 @@
 """The one levelised propagation engine (``repro.core.propagate``).
 
-Golden STA, the incremental cone sweep and the differentiable timer are
-thin callers of :func:`propagate`; these tests hold the engine itself to
-the properties the callers rely on: the LSE merge tends to the hard max
-as gamma shrinks, a sweep restricted to the pins of each level equals the
-full sweep, and the ``min``/propagated-clock modes of golden STA agree
-with a per-pin Python reference.
+Golden STA and the differentiable timer are thin callers of
+:func:`propagate`; these tests hold the engine itself to the properties
+the callers rely on: the LSE merge tends to the hard max as gamma
+shrinks, and the ``min``/propagated-clock modes of golden STA agree with
+a per-pin Python reference.
 """
 
 import numpy as np
@@ -22,17 +21,12 @@ def graph(small_design):
     return TimingGraph(small_design)
 
 
-def sweep(graph, inputs, merge, gamma=0.0, fill=(-1e30, 0.0), pins=None, state=None):
-    at, slew = state if state is not None else (
-        np.full((len(graph.level), 2), fill[0]),
-        np.full((len(graph.level), 2), fill[1]),
-    )
-    if state is None:
-        at[graph.start_pins] = graph.start_at[graph.start_pins]
-        slew[graph.start_pins] = graph.start_slew[graph.start_pins]
-    tape = propagate(
-        graph.plan, graph.lutbank, *inputs, at, slew, merge, gamma, pins=pins
-    )
+def sweep(graph, inputs, merge, gamma=0.0, fill=(-1e30, 0.0)):
+    at = np.full((len(graph.level), 2), fill[0])
+    slew = np.full((len(graph.level), 2), fill[1])
+    at[graph.start_pins] = graph.start_at[graph.start_pins]
+    slew[graph.start_pins] = graph.start_slew[graph.start_pins]
+    tape = propagate(graph.plan, graph.lutbank, *inputs, at, slew, merge, gamma)
     return at, slew, tape
 
 
@@ -93,28 +87,6 @@ class TestLseTendsToHardMax:
     def test_unknown_merge_rejected(self, graph, inputs):
         with pytest.raises(ValueError, match="merge"):
             sweep(graph, inputs, "mean")
-
-
-class TestRestrictedSweep:
-    @pytest.mark.parametrize(
-        "merge,gamma,fill",
-        [("max", 0.0, (-1e30, 0.0)), ("min", 0.0, (1e30, 1e30)), ("lse", 5.0, (-1e30, 0.0))],
-    )
-    def test_level_by_level_equals_full_sweep(self, graph, inputs, merge, gamma, fill):
-        """Recomputing the pins of each level in turn, from a state that
-        holds only the boundary values, is the full sweep bit for bit -
-        and so is redoing any one level on the finished state."""
-        at, slew, tape = sweep(graph, inputs, merge, gamma, fill)
-        state = sweep(graph, inputs, merge, gamma, fill, pins=np.zeros(0, dtype=np.int64))[:2]
-        for level_pins in graph.plan.level_pins:
-            part = sweep(graph, inputs, merge, gamma, pins=level_pins, state=state)[2]
-            idx = graph.plan.fanin(level_pins)
-            # The compact tape holds the same candidates, grouped by sink.
-            assert np.array_equal(np.sort(part.cand, axis=1), np.sort(tape.cand[:, idx], axis=1))
-        assert np.array_equal(state[0], at) and np.array_equal(state[1], slew)
-        for level_pins in graph.plan.level_pins[::3]:
-            sweep(graph, inputs, merge, gamma, pins=level_pins, state=state)
-            assert np.array_equal(state[0], at) and np.array_equal(state[1], slew)
 
 
 def reference_sta(design, graph, result, late):

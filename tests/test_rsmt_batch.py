@@ -3,10 +3,9 @@
 The route plan + degree-bucket kernels of ``repro.route`` must write a
 flat ``Forest`` whose every array equals flattening per-net
 :func:`repro.route.rsmt.build_rsmt` trees (same node order, same parents,
-same coordinate owners), because the incremental timer re-routes single
-nets next to a full build and checkpoint restoration replays construction
-from coordinates alone.  The forest policy itself is pinned here too:
-Steiner search in the exact buckets (degree 4-8), plain RMST above.
+same coordinate owners), because checkpoint restoration replays
+construction from coordinates alone.  The forest policy itself is pinned
+here too: Steiner search in the exact buckets (degree 4-8), plain RMST above.
 """
 
 from types import SimpleNamespace
@@ -28,7 +27,6 @@ from repro.route.rsmt import (
     build_forest_for_nets,
     build_rsmt,
     build_trees,
-    build_trees_for_nets,
 )
 
 FOREST_ARRAYS = (
@@ -327,8 +325,8 @@ class TestDesignLevel:
 
     def test_midiblue50_sample_equals_reference(self):
         # Every net above degree 6 (incl. the padded 12-lane and plain-MST
-        # buckets) plus a stride over the rest; the sub-forest build must
-        # equal the reference restricted to those nets.
+        # buckets) plus a stride over the rest, the others masked out as
+        # undriven: the forest of the masked view must equal its reference.
         design = load_design("midiblue50")
         rng = np.random.default_rng(4)
         xl, yl, xh, yh = design.die
@@ -350,10 +348,9 @@ class TestDesignLevel:
             net_driver=np.where(keep, design.net_driver, -1),
             net_is_clock=design.net_is_clock,
         )
-        assert_forests_equal(
-            build_forest_for_nets(design, px, py, sample),
-            reference_forest(masked, px, py),
-        )
+        forest = build_forest_for_nets(masked, px, py)
+        assert_forests_equal(forest, reference_forest(masked, px, py))
+        assert 12 in route_plan(masked).buckets
 
     def test_build_trees_are_views_of_the_forest(self, small_design):
         rng = np.random.default_rng(77)
@@ -369,17 +366,6 @@ class TestDesignLevel:
                 assert tree is None and ref is None
             else:
                 assert _trees_identical(tree, ref)
-
-    def test_build_trees_for_nets_subset(self, small_design):
-        px, py = small_design.pin_positions()
-        subset = [ni for ni in range(small_design.n_nets) if ni % 3 == 0]
-        by_net = build_trees_for_nets(small_design, px, py, subset)
-        full = build_trees(small_design)
-        assert set(by_net) <= set(subset)
-        for ni, tree in by_net.items():
-            assert _trees_identical(tree, full[ni])
-        # Unroutable nets are silently skipped, never None entries.
-        assert all(t is not None for t in by_net.values())
 
     def test_tree_pins_do_not_alias_design_csr(self, small_design):
         for tree in build_trees(small_design):

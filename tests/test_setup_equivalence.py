@@ -18,7 +18,6 @@ from repro.netlist import (
     DesignBuilder,
     GeneratorSpec,
     apply_def_placement,
-    clone_design,
     default_library,
     generate_design,
     parse_def,
@@ -26,7 +25,7 @@ from repro.netlist import (
     write_def,
     write_verilog,
 )
-from repro.netlist import edit, generator, verilog
+from repro.netlist import generator, verilog
 from repro.netlist.bookshelf import load_placement, save_placement
 from repro.sta.graph import LevelizedArcs, TimingGraph
 from repro.sta.nldm import LutBank
@@ -34,6 +33,7 @@ from tests.reference_setup import (
     ReferenceBuilder,
     ReferenceGraph,
     design_digest,
+    rebuild_design,
     reference_cell_fields,
 )
 
@@ -181,21 +181,21 @@ def _moved(design, seed):
     return rng.uniform(xl, xh, design.n_cells), rng.uniform(yl, yh, design.n_cells)
 
 
-def test_bookshelf_read_design(netlist_text, tmp_path, monkeypatch):
+def test_bookshelf_read_design(netlist_text, tmp_path):
     design = parse_verilog(netlist_text, _LIB)
     path = str(tmp_path / "moved.pl")
     save_placement(design, *_moved(design, 1), path)
     design.cell_x, design.cell_y = load_placement(design, path)
-    ref, new = _both(monkeypatch, edit, lambda: clone_design(design))
+    ref, new = rebuild_design(design, ReferenceBuilder), rebuild_design(design)
     assert_same_design(ref, new)
     assert_same_graph(new)
 
 
-def test_def_read_design(netlist_text, monkeypatch):
+def test_def_read_design(netlist_text):
     design = parse_verilog(netlist_text, _LIB)
     text = write_def(design, *_moved(design, 2))
     design.cell_x, design.cell_y = apply_def_placement(design, parse_def(text))
-    ref, new = _both(monkeypatch, edit, lambda: clone_design(design))
+    ref, new = rebuild_design(design, ReferenceBuilder), rebuild_design(design)
     assert_same_design(ref, new)
     assert_same_graph(new)
 
