@@ -39,14 +39,15 @@ def start_state(
     """Fresh ``(n_pins, 2)`` arrival-time and slew arrays for a sweep.
 
     The fill values everywhere but at the start pins, which hold the
-    graph's boundary conditions - or those of ``start``, full ``(at,
-    slew)`` arrays (a propagated clock's launch arrivals).
+    graph's boundary conditions - or those of ``start``, ``(at, slew)``
+    rows aligned with ``plan.start_pins`` (a propagated clock's launch
+    arrivals).
     """
     at = np.full((plan.n_pins, 2), fill_at)
     slew = np.full((plan.n_pins, 2), fill_slew)
-    pins = plan.start_pins
-    at[pins] = plan.start_at if start is None else start[0][pins]
-    slew[pins] = plan.start_slew if start is None else start[1][pins]
+    start_at, start_slew = (plan.start_at, plan.start_slew) if start is None else start
+    at[plan.start_pins] = start_at
+    slew[plan.start_pins] = start_slew
     return at, slew
 
 

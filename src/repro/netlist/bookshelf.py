@@ -267,10 +267,10 @@ def load_placement(design: Design, path: str) -> Tuple[np.ndarray, np.ndarray]:
     y = design.cell_y.copy()
     for line in _data_lines(path):
         parts = line.replace(":", " ").split()
-        name = parts[0]
-        if name not in design._cell_index:
+        try:
+            i = design.cell_index(parts[0])
+        except KeyError:
             continue
-        i = design.cell_index(name)
         x[i] = float(parts[1]) + 0.5 * design.cell_w[i]
         y[i] = float(parts[2]) + 0.5 * design.cell_h[i]
     return x, y

@@ -67,7 +67,7 @@ CACHE_ENV_VAR = "REPRO_DESIGN_CACHE"
 
 #: Bundle file magic + format version.  Bump when the payload layout
 #: changes; old files then read as misses and are regenerated.
-_MAGIC = b"RDCB0001"
+_MAGIC = b"RDCB0002"
 
 _CHECKSUM_BYTES = hashlib.sha256(b"").digest_size
 
@@ -189,7 +189,7 @@ def _read_bundle(path: str, key: str) -> Optional[DesignBundle]:
     if len(blob) <= header or not blob.startswith(_MAGIC):
         return None
     checksum = blob[len(_MAGIC):header]
-    payload = blob[header:]
+    payload = memoryview(blob)[header:]  # slicing the bytes would copy them
     if hashlib.sha256(payload).digest() != checksum:
         return None
     try:
@@ -204,12 +204,12 @@ def _read_bundle(path: str, key: str) -> Optional[DesignBundle]:
 def _write_bundle(path: str, bundle: DesignBundle) -> None:
     """Atomic write: concurrent writers race benignly to identical bytes."""
     payload = pickle.dumps(bundle, protocol=pickle.HIGHEST_PROTOCOL)
-    blob = _MAGIC + hashlib.sha256(payload).digest() + payload
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as handle:
-            handle.write(blob)
+            handle.write(_MAGIC + hashlib.sha256(payload).digest())
+            handle.write(payload)
         os.replace(tmp, path)
     finally:
         # Gone after the replace; a failed write must not leave it behind.

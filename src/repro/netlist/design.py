@@ -14,8 +14,9 @@ of special cases.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "DesignBuilder",
     "PORT_IN_TYPE",
     "PORT_OUT_TYPE",
+    "PinNames",
     "flatten_pins",
     "rows_by_cell",
 ]
@@ -109,7 +111,6 @@ class Design:
         cell_x: np.ndarray,
         cell_y: np.ndarray,
         cell_fixed: np.ndarray,
-        pin_name: List[str],
         pin2cell: np.ndarray,
         pin_offset_x: np.ndarray,
         pin_offset_y: np.ndarray,
@@ -134,7 +135,6 @@ class Design:
         self.cell_x = cell_x
         self.cell_y = cell_y
         self.cell_fixed = cell_fixed
-        self.pin_name = pin_name
         self.pin2cell = pin2cell
         self.pin_offset_x = pin_offset_x
         self.pin_offset_y = pin_offset_y
@@ -154,14 +154,14 @@ class Design:
         self.cell_is_port = np.array(
             [t.name in (PORT_IN_TYPE, PORT_OUT_TYPE) for t in cell_types], bool
         )[cell_type]
-        self._cell_index = dict(zip(cell_name, range(len(cell_name))))
-        self._net_index = dict(zip(net_name, range(len(net_name))))
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle the netlist only: per-design derived plans (see
-        :func:`repro.route.plan.route_plan`) are rebuilt on demand."""
+        """Pickle the netlist only: the name indexes and per-design derived
+        plans (see :func:`repro.route.plan.route_plan`) are rebuilt on
+        demand."""
         state = self.__dict__.copy()
-        state.pop("_route_plan", None)
+        for derived in ("_cell_index", "_net_index", "_route_plan"):
+            state.pop(derived, None)
         return state
 
     # ------------------------------------------------------------------
@@ -183,10 +183,21 @@ class Design:
     def n_movable(self) -> int:
         return int(np.count_nonzero(~self.cell_fixed))
 
+    @property
+    def pin_name(self) -> "PinNames":
+        """``cell/pin`` of every pin, formatted per access (not stored)."""
+        return PinNames(self)
+
     def cell_index(self, name: str) -> int:
+        """Index of the cell ``name`` (``KeyError`` if there is none)."""
+        if "_cell_index" not in self.__dict__:
+            self._cell_index = dict(zip(self.cell_name, range(self.n_cells)))
         return self._cell_index[name]
 
     def net_index(self, name: str) -> int:
+        """Index of the net ``name`` (``KeyError`` if there is none)."""
+        if "_net_index" not in self.__dict__:
+            self._net_index = dict(zip(self.net_name, range(self.n_nets)))
         return self._net_index[name]
 
     def net_pins(self, net: int) -> np.ndarray:
@@ -261,25 +272,69 @@ def rows_by_cell(
 
 
 def flatten_pins(
-    cell_types: Sequence[CellType], cell_type: np.ndarray, cell_name: Sequence[str]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    cell_types: Sequence[CellType], cell_type: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """The pins of a design: cell by cell, each cell's in library order.
 
-    Returns ``pin2cell``, every pin's index in the type-major list of all
-    pin specs (``[spec for t in cell_types for spec in t.pins]``) and the
-    pin names ``cell/pin`` (an object array).  This order is what lets a
-    pin be addressed as its cell's first pin plus a slot in the type's
-    ``pins``; :class:`DesignBuilder` produces it and
+    Returns ``pin2cell`` and every pin's index in the type-major list of
+    all pin specs (``[spec for t in cell_types for spec in t.pins]``).
+    This order is what lets a pin be addressed as its cell's first pin
+    plus a slot in the type's ``pins`` - and named from the two
+    (:class:`PinNames`); :class:`DesignBuilder` produces it and
     :class:`~repro.sta.graph.TimingGraph` checks for it.
     """
     n_type_pins = np.array([len(t.pins) for t in cell_types], dtype=np.int64)
     per_cell, spec_of_pin = rows_by_cell(n_type_pins, cell_type)
     pin2cell = np.repeat(np.arange(len(cell_type), dtype=np.int64), per_cell)
-    suffix = np.array(
-        ["/" + spec.name for t in cell_types for spec in t.pins], dtype=object
-    )
-    names = np.array(cell_name, dtype=object)[pin2cell] + suffix[spec_of_pin]
-    return pin2cell, spec_of_pin, names
+    return pin2cell, spec_of_pin
+
+
+class PinNames(abc.Sequence):
+    """The ``cell/pin`` names of a design's pins, derived per access.
+
+    Pins are flattened in :func:`flatten_pins` order, so pin ``p`` is slot
+    ``p - first`` of its cell's type, ``first`` being the cell's first
+    pin: a name is formatted from the cell name and the type's pin spec
+    when it is read, and :meth:`index` parses one back through
+    :meth:`Design.cell_index`.  No per-pin string is ever stored.
+    """
+
+    __slots__ = ("_design",)
+
+    def __init__(self, design: "Design") -> None:
+        self._design = design
+
+    def __len__(self) -> int:
+        return self._design.n_pins
+
+    def __getitem__(self, pin):
+        if isinstance(pin, slice):
+            return [self[p] for p in range(len(self))[pin]]
+        pin = range(len(self))[pin]  # bounds-checked; negative counts from the end
+        d = self._design
+        cell = int(d.pin2cell[pin])
+        slot = pin - int(np.searchsorted(d.pin2cell, cell))
+        return f"{d.cell_name[cell]}/{d.cell_type_of(cell).pins[slot].name}"
+
+    def __iter__(self) -> Iterator[str]:
+        d = self._design
+        for name, t in zip(d.cell_name, d.cell_type.tolist()):
+            for spec in d.cell_types[t].pins:
+                yield f"{name}/{spec.name}"
+
+    def index(self, name: str) -> int:
+        """The pin named ``name`` (``ValueError`` if there is none)."""
+        d = self._design
+        cell_name, _, pin = name.rpartition("/")
+        try:
+            cell = d.cell_index(cell_name)
+        except KeyError:
+            slot = None
+        else:
+            slot = d.cell_type_of(cell).pin_slot(pin)
+        if slot is None:
+            raise ValueError(f"{name!r} is not a pin of design {d.name!r}")
+        return int(np.searchsorted(d.pin2cell, cell)) + slot
 
 
 def _claim(taken: Dict[str, int], names: Sequence[str], what: str) -> None:
@@ -520,8 +575,7 @@ class DesignBuilder:
         tpl_cap = np.array([spec.capacitance for spec in specs], dtype=float)
         tpl_is_clock = np.array([spec.is_clock for spec in specs], dtype=bool)
 
-        pin2cell, tpl, pin_name = flatten_pins(self._types, cell_type, cell_name)
-        pin_name = pin_name.tolist()
+        pin2cell, tpl = flatten_pins(self._types, cell_type)
         n_pins = len(pin2cell)
         pin_start = np.searchsorted(pin2cell, np.arange(n_cells))
         pin_dir = tpl_dir[tpl]
@@ -556,9 +610,10 @@ class DesignBuilder:
             repeat = np.ones(len(net2pin), dtype=bool)
             repeat[np.unique(net2pin, return_index=True)[1]] = False
             pos = int(np.argmax(repeat))
-            faults.append(
-                (pos, 0, ValueError(f"pin {pin_name[net2pin[pos]]!r} connected to two nets"))
-            )
+            cell = int(ref_cell[pos])
+            spec = self._types[cell_type[cell]].pins[ref_slot[pos]]
+            pin = f"{cell_name[cell]}/{spec.name}"
+            faults.append((pos, 0, ValueError(f"pin {pin!r} connected to two nets")))
         second = np.flatnonzero(driven[1:] == driven[:-1])
         if len(second):
             pos = int(drives[second[0] + 1])
@@ -589,7 +644,6 @@ class DesignBuilder:
             cell_x=cell_x,
             cell_y=cell_y,
             cell_fixed=cell_fixed,
-            pin_name=pin_name,
             pin2cell=pin2cell,
             pin_offset_x=tpl_offset_x[tpl],
             pin_offset_y=np.zeros(n_pins),

@@ -25,6 +25,8 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .design import Constraints, Design, DesignBuilder, PORT_IN_TYPE, PORT_OUT_TYPE
 from .library import Library, PinDirection
 
@@ -227,14 +229,15 @@ def write_verilog(design: Design) -> str:
         lines.append(f"  assign {lhs} = {rhs};")
     lines.append("")
 
-    pin_index = {name: i for i, name in enumerate(design.pin_name)}
+    # A cell's pins are its first pin plus their slots (flatten_pins order).
+    first_pin = np.searchsorted(design.pin2cell, np.arange(design.n_cells)).tolist()
     for ci in range(design.n_cells):
         ctype = design.cell_types[design.cell_type[ci]]
         if ctype.name in (PORT_IN_TYPE, PORT_OUT_TYPE):
             continue
         conns = []
-        for spec in ctype.pins:
-            p = pin_index[f"{design.cell_name[ci]}/{spec.name}"]
+        for slot, spec in enumerate(ctype.pins):
+            p = first_pin[ci] + slot
             if p in net_of_pin:
                 conns.append(f".{spec.name}({net_of_pin[p]})")
         lines.append(

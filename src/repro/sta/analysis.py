@@ -154,9 +154,10 @@ class StaticTimingAnalyzer:
         if propagated_clock:
             clock = propagate_clock(design, graph, x, y)
             start = graph.start_at.copy(), graph.start_slew.copy()
-            sinks = clock.is_clock_sink
-            start[0][sinks] = clock.at[sinks, None]
-            start[1][sinks] = clock.slew[sinks, None]
+            rows = np.flatnonzero(clock.is_clock_sink[graph.start_pins])
+            sinks = graph.start_pins[rows]
+            start[0][rows] = clock.at[sinks, None]
+            start[1][rows] = clock.slew[sinks, None]
 
         def sweep(merge: str, fill_at: float, fill_slew: float):
             at, slew = start_state(graph.plan, fill_at, fill_slew, start)

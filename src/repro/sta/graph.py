@@ -263,7 +263,7 @@ class LevelPlan:
         self.c_dst = graph.c_dst * 2 + graph.c_tout
         self.c_src = graph.c_src * 2 + graph.c_tin
         #: Delay | slew table ids, ``(2, n_contribs)``, and their binding.
-        self.lut = np.stack([graph.c_lut_delay, graph.c_lut_slew]).astype(np.int32)
+        self.lut = np.stack([graph.c_lut_delay, graph.c_lut_slew])
         self._bank = graph.lutbank
         self.query = query = self._bank.bind(self.lut)
         #: Sink pin of each contribution (where its load is read).
@@ -278,10 +278,9 @@ class LevelPlan:
         #: Pins with a fan-in net arc.
         self.is_net_sink = np.zeros(self.n_pins, dtype=bool)
         self.is_net_sink[graph.net_sink] = True
-        #: Boundary values at the start pins, compact.
+        #: Boundary values at the start pins, aligned with them.
         self.start_pins = graph.start_pins
-        self.start_at = graph.start_at[graph.start_pins]
-        self.start_slew = graph.start_slew[graph.start_pins]
+        self.start_at, self.start_slew = graph.start_at, graph.start_slew
 
         n_sink, n_src = _flat_slots(graph.net_sink), _flat_slots(graph.net_src)
         seg = np.empty(2 * self.n_contribs, dtype=np.int64)
@@ -405,14 +404,10 @@ def _pin_starts(design: Design) -> np.ndarray:
     holds for pins flattened the way
     :func:`~repro.netlist.design.flatten_pins` (hence ``DesignBuilder``)
     does it, which is checked here once, by array comparison, instead of
-    looking every pin up by name.
+    looking every pin up by name (the names are derived in that order).
     """
-    pin2cell, _, pin_name = flatten_pins(
-        design.cell_types, design.cell_type, design.cell_name
-    )
-    if not np.array_equal(design.pin2cell, pin2cell) or not np.array_equal(
-        np.array(design.pin_name, dtype=object), pin_name
-    ):
+    pin2cell, _ = flatten_pins(design.cell_types, design.cell_type)
+    if not np.array_equal(design.pin2cell, pin2cell):
         raise ValueError(
             f"design {design.name!r}: pins are not flattened cell by cell in "
             "library pin order (build designs with DesignBuilder)"
@@ -478,7 +473,6 @@ class TimingGraph:
         # ------------------------------------------------------------------
         degree = design.net_degrees
         timed = (design.net_driver >= 0) & ~design.net_is_clock & (degree >= 2)
-        self.timing_nets: List[int] = np.flatnonzero(timed).tolist()
         net_of_pin = np.repeat(np.arange(design.n_nets, dtype=np.int64), degree)
         driver_of_pin = design.net_driver[net_of_pin]
         is_arc = timed[net_of_pin] & (design.net2pin != driver_of_pin)
@@ -509,7 +503,9 @@ class TimingGraph:
 
         base, cols = expand("contribs")
         c_src_arr, c_dst_arr = base + cols[:, 0], base + cols[:, 1]
-        c_tin, c_tout, c_lut_delay, c_lut_slew = cols[:, 2:].T
+        # Transitions are 0/1 and table ids index a bank of thousands.
+        c_tin, c_tout = cols[:, 2:4].T.astype(np.int8)
+        c_lut_delay, c_lut_slew = cols[:, 4:].T.astype(np.int32)
 
         # ------------------------------------------------------------------
         # Levelisation: longest-path levels over the propagation DAG.
@@ -580,19 +576,19 @@ class TimingGraph:
         self.extra_pin_cap = np.zeros(n_pins)
         self.extra_pin_cap[self.po_pins] = self.po_extra_load
 
-        # Start-point boundary conditions: the input ports' SDC values.
-        self.start_at = np.zeros((n_pins, 2))
-        self.start_slew = np.full(
-            (n_pins, 2), design.library.default_input_slew
-        )
-        pi_pins = self.start_pins[pin_type[self.start_pins] == PORT_IN_TYPE]
-        pi_ports = cell_name[design.pin2cell[pi_pins]]
+        # Start-point boundary conditions, one row per start pin: the
+        # input ports' SDC values.
+        n_start = len(self.start_pins)
+        self.start_at = np.zeros((n_start, 2))
+        self.start_slew = np.full((n_start, 2), design.library.default_input_slew)
+        pi_rows = np.flatnonzero(pin_type[self.start_pins] == PORT_IN_TYPE)
+        pi_ports = cell_name[design.pin2cell[self.start_pins[pi_rows]]]
         data = pi_ports != constraints.clock_port
-        pi_pins, pi_ports = pi_pins[data], pi_ports[data].tolist()
-        self.start_at[pi_pins] = np.array(
+        pi_rows, pi_ports = pi_rows[data], pi_ports[data].tolist()
+        self.start_at[pi_rows] = np.array(
             [constraints.input_delay(name) for name in pi_ports]
         ).reshape(-1, 1)
-        self.start_slew[pi_pins] = np.array(
+        self.start_slew[pi_rows] = np.array(
             [constraints.input_slew(name) for name in pi_ports]
         ).reshape(-1, 1)
 

@@ -3,8 +3,12 @@
 ``ReferenceBuilder`` is the per-object ``DesignBuilder`` (one tuple per
 cell, text pin references parsed back in ``build()``) and
 ``ReferenceGraph`` the per-pin / per-arc ``TimingGraph.__init__``, both
-moved here verbatim when the library versions became array programs.
-``rebuild_design`` replays a design through either builder.
+moved here verbatim when the library versions became array programs;
+since then only the stored forms follow the library's (no pin-name list,
+int8 transition and int32 table-id columns, start values one row per
+start pin), and ``reference_pin_names`` keeps the per-pin names the old
+builder stored.  ``rebuild_design`` replays a design through either
+builder.
 ``tests/test_setup_equivalence.py`` holds the array versions to them,
 field for field.  The bulk entry points of the new builder
 (``add_cells`` / ``add_nets``) are adapters here: they format the names
@@ -208,7 +212,6 @@ class ReferenceBuilder:
             cell_x=cell_x,
             cell_y=cell_y,
             cell_fixed=cell_fixed,
-            pin_name=pin_name,
             pin2cell=np.array(pin2cell, dtype=np.int64),
             pin_offset_x=np.array(pin_offset_x),
             pin_offset_y=np.array(pin_offset_y),
@@ -256,12 +259,10 @@ class ReferenceGraph:
         net_sink: List[int] = []
         net_src: List[int] = []
         net_of_sink: List[int] = []
-        self.timing_nets: List[int] = []
         for ni in range(design.n_nets):
             driver = design.net_driver[ni]
             if driver < 0 or design.net_is_clock[ni] or design.net_degree(ni) < 2:
                 continue
-            self.timing_nets.append(ni)
             for p in design.net_pins(ni):
                 if p != driver:
                     net_sink.append(int(p))
@@ -288,9 +289,9 @@ class ReferenceGraph:
         hold_lut: List[Tuple[int, int]] = []
 
         pin_lookup = {}
-        for p in range(n_pins):
+        for p, name in enumerate(reference_pin_names(design)):
             cell = design.pin2cell[p]
-            pin_lookup[(int(cell), design.pin_name[p].rsplit("/", 1)[1])] = p
+            pin_lookup[(int(cell), name.rsplit("/", 1)[1])] = p
 
         for ci in range(design.n_cells):
             ctype = design.cell_type_of(ci)
@@ -361,10 +362,10 @@ class ReferenceGraph:
         order, offsets = _sort_by_level(level[c_dst_arr], self.n_levels)
         self.c_src = c_src_arr[order]
         self.c_dst = c_dst_arr[order]
-        self.c_tin = np.array(c_tin, dtype=np.int64)[order]
-        self.c_tout = np.array(c_tout, dtype=np.int64)[order]
-        self.c_lut_delay = np.array(c_lut_delay, dtype=np.int64)[order]
-        self.c_lut_slew = np.array(c_lut_slew, dtype=np.int64)[order]
+        self.c_tin = np.array(c_tin, dtype=np.int8)[order]
+        self.c_tout = np.array(c_tout, dtype=np.int8)[order]
+        self.c_lut_delay = np.array(c_lut_delay, dtype=np.int32)[order]
+        self.c_lut_slew = np.array(c_lut_slew, dtype=np.int32)[order]
         self.cell_arcs = LevelizedArcs(offsets)
 
         # ------------------------------------------------------------------
@@ -400,24 +401,34 @@ class ReferenceGraph:
         self.extra_pin_cap = np.zeros(n_pins)
         self.extra_pin_cap[self.po_pins] = self.po_extra_load
 
-        # Start-point boundary conditions.
-        self.start_at = np.zeros((n_pins, 2))
+        # Start-point boundary conditions, one row per start pin.
+        self.start_at = np.zeros((len(self.start_pins), 2))
         self.start_slew = np.full(
-            (n_pins, 2), design.library.default_input_slew
+            (len(self.start_pins), 2), design.library.default_input_slew
         )
-        for p in self.start_pins:
+        for row, p in enumerate(self.start_pins):
             ci = design.pin2cell[p]
             if design.cell_types[design.cell_type[ci]].name == PORT_IN_TYPE:
                 port = design.cell_name[ci]
                 if port != design.constraints.clock_port:
-                    self.start_at[p, :] = design.constraints.input_delay(port)
-                    self.start_slew[p, :] = design.constraints.input_slew(port)
+                    self.start_at[row, :] = design.constraints.input_delay(port)
+                    self.start_slew[row, :] = design.constraints.input_slew(port)
 
         #: Constant clock slew seen by constraint LUTs (ideal clock).
         self.clock_slew = design.library.default_input_slew
 
         lutbank.finalize()
         self.lutbank = lutbank
+
+
+def reference_pin_names(design: Design) -> List[str]:
+    """Pin names as the per-object builder stored them: cell by cell,
+    each cell's pins in library order."""
+    names: List[str] = []
+    for ci in range(design.n_cells):
+        for spec in design.cell_types[design.cell_type[ci]].pins:
+            names.append(f"{design.cell_name[ci]}/{spec.name}")
+    return names
 
 
 def reference_cell_fields(design: Design) -> Dict[str, np.ndarray]:
@@ -449,7 +460,8 @@ def design_digest(design: Design) -> str:
         "pin_offset_y", "pin_dir", "pin_cap", "pin_is_clock", "pin2net",
         "net_name", "net2pin_start", "net2pin", "net_driver", "net_is_clock",
     ):
-        feed(getattr(design, field))
+        value = getattr(design, field)
+        feed(list(value) if field == "pin_name" else value)
     feed([t.name for t in design.cell_types])
     feed(sorted(vars(design.constraints).items()))
     return digest.hexdigest()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.netlist import Constraints, DesignBuilder, PinDirection
+from repro.netlist import Constraints, DesignBuilder, GeneratorSpec, PinDirection
+from repro.netlist.cache import clear_memo, load_bundle
 
 
 class TestBuilderBasics:
@@ -107,10 +108,28 @@ class TestDesignQueries:
         )
         assert d.movable_area == pytest.approx(manual)
 
-    def test_cell_index_roundtrip(self, chain_design):
-        d = chain_design
-        for i, name in enumerate(d.cell_name):
-            assert d.cell_index(name) == i
+    def test_cell_index_roundtrip(self, chain_design, tmp_path):
+        """Names index their cells, nets and pins, also on a design read
+        back from a bundle file, which stores neither the name indexes nor
+        the per-pin names."""
+        spec = GeneratorSpec(name="names", n_cells=120, depth=5, seed=4)
+        clear_memo()
+        load_bundle(spec, str(tmp_path))
+        clear_memo()
+        reloaded, info = load_bundle(spec, str(tmp_path))
+        assert info.hit
+        state = vars(reloaded.design)
+        assert "pin_name" not in state
+        assert not any(isinstance(value, dict) for value in state.values())
+        for d in (chain_design, reloaded.design):
+            for i, name in enumerate(d.cell_name):
+                assert d.cell_index(name) == i
+            for j, name in enumerate(d.net_name):
+                assert d.net_index(name) == j
+            for p, name in enumerate(d.pin_name):
+                assert d.pin_name.index(name) == p
+            assert len(d.pin_name) == d.n_pins
+        clear_memo()
 
     def test_repr(self, chain_design):
         assert "chain" in repr(chain_design)

@@ -40,8 +40,8 @@ def reference_forward(timer, tape, clip_max):
     )
     at = np.full((n_pins, 2), -1e30)
     slew = np.zeros((n_pins, 2))
-    at[g.start_pins] = g.start_at[g.start_pins]
-    slew[g.start_pins] = g.start_slew[g.start_pins]
+    at[g.start_pins] = g.start_at
+    slew[g.start_pins] = g.start_slew
     n = len(g.c_dst)
     cand, d_dslew, d_dload = np.zeros((2, n)), np.zeros((2, n)), np.zeros((2, n))
     for level in range(1, g.n_levels):

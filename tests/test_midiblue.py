@@ -7,6 +7,8 @@ Table 3 modes.  Loaded once per test session through the bundle cache -
 generation at this scale is the expensive part.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,30 @@ class TestMidiblue50:
         assert np.isfinite(record.wns)
         assert np.isfinite(record.hpwl) and record.hpwl > 0
         assert record.x.shape == (midiblue50.design.n_cells,)
+
+    def test_bundle_holds_each_fact_once(self, midiblue50):
+        """What a bundle file carries: no per-pin names, name indexes or
+        net list of the timing graph; 0/1 transitions as int8, table ids
+        as int32, start values one row per start pin; every index the
+        level sweeps take with stays intp."""
+        bundle = pickle.loads(pickle.dumps(midiblue50, pickle.HIGHEST_PROTOCOL))
+        design, graph = bundle.design, bundle.graph
+        state = vars(design)
+        assert "pin_name" not in state and len(design.pin_name) == design.n_pins
+        assert not any(isinstance(value, dict) for value in state.values())
+        assert not any(
+            isinstance(value, list) and len(value) == design.n_pins
+            for value in state.values()
+        )
+        assert not hasattr(graph, "timing_nets")
+        assert graph.c_tin.dtype == graph.c_tout.dtype == np.int8
+        assert graph.c_lut_delay.dtype == graph.c_lut_slew.dtype == np.int32
+        assert graph.start_at.shape == graph.start_slew.shape == (len(graph.start_pins), 2)
+        for table in (graph.c_src, graph.c_dst, graph.net_src, graph.net_sink):
+            assert table.dtype == np.intp
+        plan = graph.plan
+        assert plan.start_at is graph.start_at and plan.start_slew is graph.start_slew
+        assert plan.c_src.dtype == plan.c_dst.dtype == np.intp
 
     def test_level_plan_memory_budget(self, midiblue50):
         """The forward levels every timer shares hold index arrays only:

@@ -88,6 +88,16 @@ class TestBrokenDesigns:
         assert "multi_driver_net" in report.counts()
         assert not report.ok
 
+    def test_messages_name_the_pins(self, library):
+        """Pin names are derived per access; the messages still read them."""
+        d = _healthy(library)
+        d.pin_dir[d.pin_name.index("u1/A")] = 1
+        d.cell_x[d.cell_index("a")] = -500.0  # a fixed port far outside
+        report = validate_design(d, check_graph=False)
+        messages = [i.message for i in report.errors]
+        assert "net 'na' has 2 drivers (a/O, u1/A)" in messages
+        assert any(m.startswith("pin 'a/O' at (-500.00, ") for m in messages)
+
     def test_undriven_net_is_error(self, library):
         b = DesignBuilder("undriven", library, die=(0, 0, 40, 20))
         b.add_input("clk", x=0, y=0)
