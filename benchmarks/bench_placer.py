@@ -55,9 +55,7 @@ HISTORY_DIR = os.path.join(os.path.dirname(__file__), "history")
 def _run_pass(tasks, jobs, use_cache, cache_dir):
     """One timed pass; returns (records, wall_s)."""
     t0 = time.perf_counter()
-    records, _ = run_tasks(
-        tasks, jobs, use_cache=use_cache, cache_dir=cache_dir
-    )
+    records = run_tasks(tasks, jobs, use_cache=use_cache, cache_dir=cache_dir)
     return records, time.perf_counter() - t0
 
 

@@ -168,16 +168,14 @@ def _cmd_run(args) -> int:
 def _cmd_suite(args) -> int:
     """``suite``: designs x modes x seeds matrix, optionally parallel.
 
-    Failures surface as one-line :class:`SupervisorError` summaries,
-    never multi-process tracebacks.  Exits 2 on duplicate tasks, 1 when
-    the supervisor failed or any task was quarantined - completed
-    results are still written.
+    Exits 2 on duplicate tasks, 1 when any task was quarantined - every
+    other result is still written - or when the supervisor itself failed
+    (a one-line :class:`SupervisorError` summary, no traceback).
     """
     from .harness.suite import SUITE
     from .harness.supervisor import (
         DuplicateTaskError,
         SupervisorError,
-        SupervisorOptions,
         SuiteTask,
         run_tasks,
         suite_metrics,
@@ -199,14 +197,11 @@ def _cmd_suite(args) -> int:
         for mode in args.modes
         for seed in args.seeds
     ]
-    options = SupervisorOptions(
-        task_timeout=args.task_timeout, max_retries=args.max_retries
-    )
     try:
-        records, supervision = run_tasks(
+        records = run_tasks(
             tasks,
             args.jobs,
-            options,
+            task_timeout=args.task_timeout,
             use_cache=not args.no_design_cache,
             cache_dir=args.cache_dir,
             verbose=True,
@@ -216,16 +211,9 @@ def _cmd_suite(args) -> int:
         return 2
     except SupervisorError as exc:
         print(exc.summary(), file=sys.stderr)
-        if exc.partial_manifest:
-            print(
-                f"partial suite manifest: {exc.partial_manifest}",
-                file=sys.stderr,
-            )
         return 1
     if args.telemetry:
-        path = write_suite_manifest(
-            args.telemetry, tasks, records, args.jobs, supervision=supervision
-        )
+        path = write_suite_manifest(args.telemetry, tasks, records, args.jobs)
         print(f"suite manifest: {path}")
     if args.trace_out:
         from .perf import join_flows, write_chrome_trace
@@ -251,11 +239,7 @@ def _cmd_suite(args) -> int:
     if quarantined:
         for rec in quarantined:
             print(rec.summary(), file=sys.stderr)
-        print(
-            f"{len(quarantined)} task(s) quarantined; "
-            "see the suite manifest's supervision block",
-            file=sys.stderr,
-        )
+        print(f"{len(quarantined)} task(s) quarantined", file=sys.stderr)
         return 1
     return 0
 
@@ -538,17 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-task wall-clock timeout; a worker exceeding it is "
-        "killed and the task retried (default: none)",
-    )
-    suite_p.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="retries per task before quarantine (default 2; the suite "
-        "completes either way, quarantined tasks are recorded in the "
-        "suite manifest)",
+        help="per-task wall-clock timeout, counted from dispatch; a "
+        "worker exceeding it is killed and its task quarantined; any "
+        "timeout runs tasks on workers, even at --jobs 1 (default: none)",
     )
     suite_p.add_argument(
         "--trace-out",

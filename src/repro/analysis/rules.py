@@ -31,7 +31,7 @@ __all__ = ["RULES_VERSION", "SPAWN_SAFE_GLOBALS"]
 
 #: Bumped whenever a rule is added, removed, or changes what it flags;
 #: recorded in telemetry run manifests.
-RULES_VERSION = "2.6"
+RULES_VERSION = "2.7"
 
 
 def _in_tests(relpath: str) -> bool:
@@ -430,24 +430,29 @@ class BackwardPair(Rule):
 # ----------------------------------------------------------------------
 @register_rule
 class SupervisedPoolOnly(Rule):
-    """Process pools must go through the supervised execution layer.
+    """Processes and process pools are built only by the suite runner.
 
-    A bare ``ProcessPoolExecutor`` has no crash isolation: one SIGKILL'd
-    worker breaks the whole pool and discards every completed result.
-    ``repro.harness.supervisor`` owns process fan-out (task timeouts,
-    bounded deterministic retry, quarantine, partial-result salvage) and
-    is the only module allowed to construct pools: work fans out through
+    A bare ``ProcessPoolExecutor`` or ``multiprocessing.Pool`` has no
+    crash isolation: one SIGKILL'd worker breaks the whole pool and
+    discards every completed result, and a bare ``Process`` has no
+    timeout.  ``repro.harness.supervisor`` owns process fan-out (crash
+    isolation, task timeouts, quarantine) and is the only module allowed
+    to construct them - ``ProcessPoolExecutor(...)``, ``Pool(...)`` and
+    ``Process(...)`` under any prefix (``multiprocessing.``,
+    ``get_context(...).``): work fans out through
     ``repro.harness.supervisor.run_tasks``.  Tests are exempt (they
     exercise pool behaviour directly).
     """
 
     id = "supervised-pool-only"
     description = (
-        "construct process pools only in repro.harness.supervisor "
-        "(use repro.harness.supervisor.run_tasks elsewhere)"
+        "construct processes and process pools only in "
+        "repro.harness.supervisor (use repro.harness.supervisor.run_tasks "
+        "elsewhere)"
     )
 
     _ALLOWED_FILES = ("src/repro/harness/supervisor.py",)
+    _CTORS = ("ProcessPoolExecutor", "Pool", "Process")
 
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
         if _in_tests(ctx.relpath) or ctx.relpath in self._ALLOWED_FILES:
@@ -461,14 +466,14 @@ class SupervisedPoolOnly(Rule):
                 name = func.id
             elif isinstance(func, ast.Attribute):
                 name = func.attr
-            if name == "ProcessPoolExecutor":
+            if name in self._CTORS:
                 yield self.finding(
                     ctx,
                     node,
-                    "bare ProcessPoolExecutor construction is banned "
-                    "outside repro.harness.supervisor; fan out through "
+                    f"bare {name} construction is banned outside "
+                    "repro.harness.supervisor; fan out through "
                     "repro.harness.supervisor.run_tasks (crash isolation, "
-                    "retry, quarantine, salvage)",
+                    "timeout, quarantine)",
                 )
 
 
@@ -480,10 +485,6 @@ class SupervisedPoolOnly(Rule):
 #: under an allowed prefix (e.g. ``PROFILER.enabled``, which ``install``
 #: sets and its undo clears) is covered by the prefix entry.
 SPAWN_SAFE_GLOBALS = {
-    # The worker marks itself as in-worker so process-killing fault
-    # injections may fire; written exactly once per process before any
-    # task runs.
-    "repro.harness.supervisor._IN_WORKER": "per-process worker marker",
     # Per-process design-bundle memo; workers warm their own copy on
     # spawn (that is the point of _preload_designs).
     "repro.netlist.cache._MEMO": "per-process design cache",

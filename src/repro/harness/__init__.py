@@ -1,8 +1,9 @@
 """Experiment harness: benchmark suite, runners, tables, curves.
 
-Every suite task runs through :func:`repro.harness.supervisor.run_tasks`:
-in-process or on spawn workers, with worker-crash isolation, per-task
-timeouts, bounded deterministic retry, and poisoned-task quarantine.
+Every suite task runs once through
+:func:`repro.harness.supervisor.run_tasks`: in-process or on spawn
+workers, with worker-crash isolation and a per-task timeout; a task that
+fails is quarantined under its run id.
 """
 
 from .suite import SUITE, SuiteEntry, format_table2, load_design, suite_statistics
@@ -12,7 +13,6 @@ from .curves import CurveData, format_fig8, run_fig8, to_csv
 from .plots import curves_svg, placement_svg, save_svg
 from .supervisor import (
     SupervisorError,
-    SupervisorOptions,
     SuiteTask,
     run_tasks,
     suite_metrics,
@@ -24,7 +24,6 @@ __all__ = [
     "suite_metrics",
     "write_suite_manifest",
     "SupervisorError",
-    "SupervisorOptions",
     "SuiteTask",
     "SUITE",
     "SuiteEntry",

@@ -64,7 +64,7 @@ def format_status(
     """The registry as an aligned table (one row per run)."""
     header = (
         f"{'RUN':<28} {'DESIGN':<12} {'MODE':<10} {'PHASE':<12} "
-        f"{'ITER':>6} {'IT/S':>6} {'RSS':>9} {'ATT':>3} {'AGE':>5} STATE"
+        f"{'ITER':>6} {'IT/S':>6} {'RSS':>9} {'AGE':>5} STATE"
     )
     if not records:
         return header + "\n(no active runs)"
@@ -78,7 +78,6 @@ def format_status(
             f"{record.iteration if record.iteration is not None else '-':>6} "
             f"{f'{rate:.1f}' if rate is not None else '-':>6} "
             f"{_format_bytes(record.rss_bytes):>9} "
-            f"{record.attempt:>3} "
             f"{_format_age(record.age_s(now)):>5} "
             f"{record.state(stale_after_s, now)}"
         )
@@ -179,7 +178,7 @@ class _TailState:
         self.max_iters = event.get("max_iters")
         return (
             f"run_start design={event.get('design')} "
-            f"optimizer={event.get('optimizer')} seed={event.get('seed')} "
+            f"seed={event.get('seed')} "
             f"max_iters={self.max_iters} resumed={event.get('resumed')}"
         )
 

@@ -64,12 +64,9 @@ class RunRecord:
     #: Design-bundle cache provenance for this run (``CacheInfo`` dict;
     #: ``None`` when the design was constructed without the cache).
     design_cache: Optional[Dict[str, object]] = None
-    #: Execution attempts the supervised suite runner spent on this task
-    #: (1 = first attempt succeeded; >1 = retried after a failure).
-    attempts: int = 1
-    #: Quarantine provenance when the task exhausted its retries
-    #: (``TaskOutcome`` dict with the failure taxonomy); None for runs
-    #: that produced real metrics.
+    #: ``{failure, error}`` when the suite runner quarantined the task
+    #: (see :mod:`repro.harness.supervisor`); None for runs that
+    #: produced real metrics.
     quarantine: Optional[Dict[str, object]] = None
     #: Resource rollup of the run (peak RSS bytes, CPU user/sys second
     #: deltas, fault counts; see :mod:`repro.telemetry.resources`);
@@ -84,10 +81,9 @@ class RunRecord:
 
     def summary(self) -> str:
         if self.quarantined:
-            failure = (self.quarantine or {}).get("failure", "unknown")
             return (
                 f"{self.design:<12} {self.mode:<10} QUARANTINED "
-                f"({failure} after {self.attempts} attempts)"
+                f"({self.quarantine['failure']}: {self.quarantine['error']})"
             )
         return (
             f"{self.design:<12} {self.mode:<10} WNS={self.wns:9.1f} "
@@ -109,7 +105,6 @@ def run_mode(
     run_id: Optional[str] = None,
     sta_graph=None,
     design_cache: Optional[Dict[str, object]] = None,
-    supervision: Optional[Dict[str, object]] = None,
 ) -> RunRecord:
     """Run one of the three Table 3 placers on a design.
 
@@ -118,9 +113,7 @@ def run_mode(
     timing-aware placers (``ours``, ``netweight``) and the final golden
     STA all skip their per-run graph rebuild; results are bit-identical
     to a fresh build.  ``design_cache`` is the cache-provenance dict
-    stamped into the run's telemetry manifest and record;
-    ``supervision`` likewise stamps supervised-retry provenance
-    (``{"attempt": n, ...}``) when the suite supervisor re-ran the task.
+    stamped into the run's telemetry manifest and record.
 
     ``with_trace_sta`` adds periodic golden-STA samples to the trace (for
     Figure 8 curves); it is excluded from the reported runtime, which is
@@ -156,7 +149,6 @@ def run_mode(
             mode=mode,
             seed=popts.seed,
             options={
-                "optimizer": popts.optimizer,
                 "max_iters": popts.max_iters,
                 "trace_every": popts.trace_every,
                 "checkpoint_every": popts.checkpoint_every,
@@ -164,12 +156,9 @@ def run_mode(
             },
             run_id=run_id,
             resume=bool(popts.resume_from),
-            attempt=int((supervision or {}).get("attempt", 1)),
         )
         if design_cache is not None:
             session.manifest.design_cache = dict(design_cache)
-        if supervision is not None:
-            session.manifest.supervision = dict(supervision)
 
     use_spans = profile or collect_spans or session is not None
     uninstall = install(PROFILER) if use_spans and not PROFILER.enabled else None

@@ -77,18 +77,17 @@ def run_table3(
         for name in names
         for mode in modes
     ]
-    records, _ = run_tasks(
+    records = run_tasks(
         tasks, jobs, use_cache=use_cache, cache_dir=cache_dir, verbose=verbose
     )
     result = Table3Result()
     for task, record in zip(tasks, records):
         if record.quarantined:
-            failure = record.quarantine["failures"][-1]
             raise SupervisorError(
-                f"Table 3 cell {task.run_id} quarantined: {failure['error']}",
-                failure=failure["failure"],
+                f"Table 3 cell {task.run_id} quarantined: "
+                f"{record.quarantine['error']}",
+                failure=record.quarantine["failure"],
                 run_id=task.run_id,
-                attempts=record.attempts,
             )
         result.add(record)
     return result

@@ -2,7 +2,7 @@
 
 from .wirelength import WAWirelength, hpwl
 from .density import DensityModel, DensityResult
-from .optimizer import AdamOptimizer, NesterovOptimizer, make_optimizer
+from .optimizer import NesterovOptimizer
 from .placer import GlobalPlacer, PlacerOptions, PlacerResult
 from .legalize import greedy_refine, legalize, max_overlap
 from .netweight import MomentumNetWeighter, NetWeightOptions, NetWeightingPlacer
@@ -13,9 +13,7 @@ __all__ = [
     "hpwl",
     "DensityModel",
     "DensityResult",
-    "AdamOptimizer",
     "NesterovOptimizer",
-    "make_optimizer",
     "GlobalPlacer",
     "PlacerOptions",
     "PlacerResult",

@@ -2,10 +2,9 @@
 
 :class:`NesterovOptimizer` follows the ePlace/DREAMPlace recipe: Nesterov
 acceleration with a Barzilai-Borwein step size estimated from consecutive
-lookahead iterates, plus step clamping for robustness.
-:class:`AdamOptimizer` is a simpler fallback with the same interface.
-Both operate on a flat parameter vector; masking of fixed cells is the
-caller's job (their gradient entries are zero).
+lookahead iterates, plus step clamping for robustness.  It operates on
+a flat parameter vector; masking of fixed cells is the caller's job
+(their gradient entries are zero).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["NesterovOptimizer", "AdamOptimizer", "make_optimizer"]
+__all__ = ["NesterovOptimizer"]
 
 
 def _project(x: np.ndarray, bounds: Optional[tuple]) -> np.ndarray:
@@ -113,71 +112,3 @@ class NesterovOptimizer:
         self.u = u_next
         self.a = a_next
         return self.u
-
-
-class AdamOptimizer:
-    """Adam with the same ``params``/``step`` interface."""
-
-    def __init__(
-        self,
-        x0: np.ndarray,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-12,
-        bounds: Optional[tuple] = None,
-    ) -> None:
-        self.x = x0.astype(np.float64).copy()
-        self.bounds = bounds
-        self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = np.zeros_like(self.x)
-        self.s = np.zeros_like(self.x)
-        self.t = 0
-
-    @property
-    def params(self) -> np.ndarray:
-        return self.x
-
-    def step(self, grad: np.ndarray) -> np.ndarray:
-        self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.s = self.beta2 * self.s + (1 - self.beta2) * grad * grad
-        m_hat = self.m / (1 - self.beta1**self.t)
-        s_hat = self.s / (1 - self.beta2**self.t)
-        self.x = _project(
-            self.x - self.lr * m_hat / (np.sqrt(s_hat) + self.eps), self.bounds
-        )
-        return self.x
-
-    def get_state(self) -> dict:
-        """Complete serializable state (checkpoint/restart support)."""
-        return {
-            "kind": "adam",
-            "x": self.x.copy(),
-            "lr": self.lr,
-            "m": self.m.copy(),
-            "s": self.s.copy(),
-            "t": self.t,
-        }
-
-    def set_state(self, state: dict) -> None:
-        """Restore state captured by :meth:`get_state` (bit-exact resume)."""
-        if state.get("kind") != "adam":
-            raise ValueError(f"state is for optimizer {state.get('kind')!r}")
-        self.x = state["x"].copy()
-        self.lr = float(state["lr"])
-        self.m = state["m"].copy()
-        self.s = state["s"].copy()
-        self.t = int(state["t"])
-
-
-def make_optimizer(kind: str, x0: np.ndarray, lr: float, bounds=None):
-    """Factory for the optimizers above ('nesterov' or 'adam')."""
-    if kind == "nesterov":
-        return NesterovOptimizer(x0, lr, bounds=bounds)
-    if kind == "adam":
-        return AdamOptimizer(x0, lr, bounds=bounds)
-    raise ValueError(f"unknown optimizer {kind!r}")

@@ -2,7 +2,7 @@
 
 Implements the wirelength + density optimization of Equation (3) of the
 paper: weighted-average wirelength, electrostatic density with a scheduled
-penalty weight, Nesterov/Adam optimization, and a density-overflow stopping
+penalty weight, Nesterov optimization, and a density-overflow stopping
 criterion.  Two extension hooks make it the shared engine for all three
 placers compared in Table 3:
 
@@ -54,7 +54,7 @@ from ..telemetry.events import current_recorder
 from ..telemetry.registry import current_heartbeat
 from ..telemetry.resources import ResourceSampler
 from .density import DensityModel
-from .optimizer import make_optimizer
+from .optimizer import NesterovOptimizer
 from .wirelength import WAWirelength
 
 __all__ = ["PlacerOptions", "PlacerResult", "GlobalPlacer"]
@@ -92,7 +92,6 @@ class PlacerOptions:
     lambda_init_ratio: float = 5e-4  # initial density weight vs gradient norms
     lambda_mult: float = 1.05
     lambda_max: float = 1e6
-    optimizer: str = "nesterov"
     lr_fraction: float = 0.05  # initial step as fraction of die span
     noise_fraction: float = 0.02  # initial spread of movable cells
     seed: int = 0
@@ -270,7 +269,7 @@ class GlobalPlacer:
 
         manager = CheckpointManager(
             directory=opts.checkpoint_dir,
-            prefix=f"{design.name}_{opts.optimizer}",
+            prefix=f"{design.name}_nesterov",
             every=opts.checkpoint_every,
         )
 
@@ -281,9 +280,8 @@ class GlobalPlacer:
 
         if resume_cp is not None:
             pos = resume_cp.pos.copy()
-            optimizer = make_optimizer(
-                opts.optimizer, pos, lr=opts.lr_fraction * die_span,
-                bounds=(lo, hi),
+            optimizer = NesterovOptimizer(
+                pos, lr=opts.lr_fraction * die_span, bounds=(lo, hi)
             )
             optimizer.set_state(resume_cp.optimizer)
             rng.bit_generator.state = resume_cp.rng_state
@@ -306,9 +304,8 @@ class GlobalPlacer:
             else:
                 x, y = x0.copy(), y0.copy()
             pos = np.concatenate([x, y])
-            optimizer = make_optimizer(
-                opts.optimizer, pos, lr=opts.lr_fraction * die_span,
-                bounds=(lo, hi),
+            optimizer = NesterovOptimizer(
+                pos, lr=opts.lr_fraction * die_span, bounds=(lo, hi)
             )
             lam = None
             net_weights = np.ones(design.n_nets)
@@ -328,7 +325,6 @@ class GlobalPlacer:
                 "run_start",
                 iteration=start_iter,
                 design=design.name,
-                optimizer=opts.optimizer,
                 seed=opts.seed,
                 max_iters=opts.max_iters,
                 resumed=resume_cp is not None,
@@ -475,9 +471,7 @@ class GlobalPlacer:
                         # the usual amplifier), then roll back to the best
                         # checkpoint; out of options, keep quarantining (the
                         # run degrades to its healthy terms).
-                        if retries < opts.max_recoveries and hasattr(
-                            optimizer, "restart"
-                        ):
+                        if retries < opts.max_recoveries:
                             LOGGER.warning(
                                 "iteration %d: %d consecutive quarantines; "
                                 "dropping momentum and shrinking step bound",
@@ -512,8 +506,7 @@ class GlobalPlacer:
                                     target_iteration=cp.iteration,
                                 )
                             restore_checkpoint(cp)
-                            if hasattr(optimizer, "restart"):
-                                optimizer.restart()
+                            optimizer.restart()
                             guard.reset_consecutive()
                             rollbacks += 1
                             if recorder is not None:
@@ -564,8 +557,7 @@ class GlobalPlacer:
                                 target_iteration=cp.iteration,
                             )
                         restore_checkpoint(cp)
-                        if hasattr(optimizer, "restart"):
-                            optimizer.restart()
+                        optimizer.restart()
                         guard.reset_consecutive()
                         rollbacks += 1
                         if recorder is not None:
@@ -592,7 +584,6 @@ class GlobalPlacer:
                     recent_hpwl.pop(0)
                 if (
                     len(recent_hpwl) == 20
-                    and hasattr(optimizer, "restart")
                     and current_hpwl > 4.0 * statistics.median(recent_hpwl)
                 ):
                     optimizer.restart()

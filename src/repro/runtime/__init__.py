@@ -23,12 +23,10 @@ from .checkpoint import (
 )
 from .faults import (
     ENV_VAR as FAULT_ENV_VAR,
-    BundleCorruptionError,
     FaultInjectionError,
     FaultInjector,
     FaultSpec,
-    ProcessFaultSpec,
-    maybe_inject_process_fault,
+    maybe_kill_worker,
 )
 from .guard import NumericalGuard
 from .validate import (
@@ -45,12 +43,10 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "FAULT_ENV_VAR",
-    "BundleCorruptionError",
     "FaultInjectionError",
     "FaultInjector",
     "FaultSpec",
-    "ProcessFaultSpec",
-    "maybe_inject_process_fault",
+    "maybe_kill_worker",
     "NumericalGuard",
     "DesignValidationError",
     "ValidationIssue",

@@ -19,35 +19,15 @@ failure mode of the differentiable STA stack:
     A :class:`FaultInjectionError` raised from the middle of the
     differentiable timer's backward pass, emulating a kernel crash.
 
-**Process-level faults** break a supervised suite worker
-(:mod:`repro.harness.supervisor`) mid-task, each matching one entry of
-the supervisor's failure taxonomy:
+**One process-level fault** breaks a supervised suite worker
+(:mod:`repro.harness.supervisor`) mid-task:
 
 ``worker_kill[:task]``
     SIGKILL the worker process while it executes suite task ``task``
-    (default 0) - the supervisor must respawn the worker and retry only
-    that task (taxonomy ``crash``).
-``worker_hang[:task][@seconds]``
-    The worker sleeps ``seconds`` (default 3600) mid-task, tripping the
-    supervisor's per-task wall-clock timeout (taxonomy ``timeout``).
-    The sleep is bounded so an unsupervised run eventually errors
-    instead of hanging forever.
-``task_exc[:task][@n]``
-    Raise :class:`FaultInjectionError` from the task body on its first
-    ``n`` attempts (default 1; large ``n`` forces quarantine) -
-    taxonomy ``exception``.
-``bundle_corrupt_midrun[:task]``
-    Corrupt the task's on-disk design bundle, drop the in-process memo,
-    and raise :class:`BundleCorruptionError` - taxonomy ``cache-corrupt``;
-    the retry must heal through the cache's checksum-validated
-    regeneration path.
-
-Process faults fire on the task's **first attempt only** (except
-``task_exc@n``), so a single bounded retry always recovers and the
-injected schedule is deterministic.  The process-killing kinds
-(``worker_kill``, ``worker_hang``) additionally fire only inside a
-spawned suite worker (``in_worker=True``), never in the parent or a
-serial in-process run.
+    (default 0) - the supervisor must quarantine exactly that task as
+    ``crash`` and respawn the worker for the tasks that remain.  It fires
+    only inside a spawned worker, never in the parent or an in-process
+    run.
 
 In-process faults are *armed* only for the duration of a guarded placer
 run (see :func:`armed` / :func:`current_injector`), so unit tests of the
@@ -63,16 +43,13 @@ Specs are parsed from the ``REPRO_INJECT_FAULT`` environment variable::
     REPRO_INJECT_FAULT="lut_corrupt@20"       # corrupt LUT bank at iter 20
     REPRO_INJECT_FAULT="timer_exc@15"         # raise in backward at iter 15
     REPRO_INJECT_FAULT="worker_kill:1"        # SIGKILL worker on task 1
-    REPRO_INJECT_FAULT="worker_hang:0@600"    # hang 600s on task 0
-    REPRO_INJECT_FAULT="task_exc:0@99"        # poison task 0, 99 attempts
-    REPRO_INJECT_FAULT="bundle_corrupt_midrun:0"
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -82,16 +59,14 @@ import numpy as np
 __all__ = [
     "ENV_VAR",
     "FAULT_KINDS",
-    "PROCESS_FAULT_KINDS",
     "GRAD_TERMS",
     "FaultInjectionError",
-    "BundleCorruptionError",
     "FaultSpec",
-    "ProcessFaultSpec",
     "FaultInjector",
     "armed",
     "current_injector",
-    "maybe_inject_process_fault",
+    "maybe_kill_worker",
+    "worker_kill_task",
 ]
 
 #: Environment variable holding the fault spec.
@@ -100,31 +75,12 @@ ENV_VAR = "REPRO_INJECT_FAULT"
 #: Supported in-process fault kinds.
 FAULT_KINDS = ("grad_nan", "lut_corrupt", "timer_exc")
 
-#: Supported process-level fault kinds (supervised suite workers).
-PROCESS_FAULT_KINDS = (
-    "worker_kill",
-    "worker_hang",
-    "task_exc",
-    "bundle_corrupt_midrun",
-)
-
 #: Objective terms a ``grad_nan`` fault may target.
 GRAD_TERMS = ("wirelength", "density", "timing")
 
 
 class FaultInjectionError(RuntimeError):
-    """The synthetic exception raised by ``timer_exc``/``task_exc`` faults."""
-
-
-class BundleCorruptionError(RuntimeError):
-    """Synthetic mid-run design-bundle corruption (``bundle_corrupt_midrun``).
-
-    Emulates discovering a corrupt cached bundle *after* the design was
-    handed to a run - too late for the cache's transparent regeneration,
-    so the task must fail and be retried (the retry heals through the
-    cache's checksum validation).  The supervisor classifies it as
-    ``cache-corrupt``.
-    """
+    """The synthetic exception raised by the ``timer_exc`` fault."""
 
 
 @dataclass(frozen=True)
@@ -166,14 +122,14 @@ class FaultSpec:
     def from_env(cls) -> Optional["FaultSpec"]:
         """The spec in ``REPRO_INJECT_FAULT``, or None when unset/empty.
 
-        Process-level specs (``worker_kill``, ...) are *not* errors here:
-        they target the suite supervisor, so the in-process injector
-        treats them as "no fault armed".
+        A ``worker_kill`` spec is *not* an error here: it targets the
+        suite supervisor, so the in-process injector treats it as "no
+        fault armed".
         """
         text = os.environ.get(ENV_VAR, "").strip()
         if not text or text.lower() in ("0", "false", "off"):
             return None
-        if _spec_kind(text) in PROCESS_FAULT_KINDS:
+        if _spec_kind(text) == "worker_kill":
             return None
         return cls.parse(text)
 
@@ -183,122 +139,28 @@ def _spec_kind(text: str) -> str:
     return text.partition("@")[0].partition(":")[0].strip()
 
 
-@dataclass(frozen=True)
-class ProcessFaultSpec:
-    """One parsed process-level fault: which suite task to break, and how.
+def worker_kill_task() -> Optional[int]:
+    """The suite task a ``worker_kill[:task]`` spec targets, or None.
 
-    ``param`` is kind-specific: hang duration in seconds for
-    ``worker_hang`` (default 3600), number of poisoned attempts for
-    ``task_exc`` (default 1); unused otherwise.
+    In-process specs (``grad_nan``, ...) read as "no process fault", so
+    both families share the one environment variable.
     """
-
-    kind: str
-    task_index: int = 0
-    param: float = 0.0
-
-    @classmethod
-    def parse(cls, text: str) -> "ProcessFaultSpec":
-        """Parse ``kind[:task_index][@param]`` (see the module docstring)."""
-        spec = text.strip()
-        param = 0.0
-        if "@" in spec:
-            spec, _, raw = spec.partition("@")
-            param = float(raw)
-        kind, _, idx = spec.partition(":")
-        kind = kind.strip()
-        if kind not in PROCESS_FAULT_KINDS:
-            raise ValueError(
-                f"unknown process fault kind {kind!r}; expected one of "
-                f"{PROCESS_FAULT_KINDS}"
-            )
-        task_index = int(idx) if idx.strip() else 0
-        return cls(kind=kind, task_index=task_index, param=param)
-
-    @classmethod
-    def from_env(cls) -> Optional["ProcessFaultSpec"]:
-        """The process-level spec in ``REPRO_INJECT_FAULT``, or None.
-
-        In-process specs (``grad_nan``, ...) read as "no process fault"
-        so both injector families can share the one environment variable.
-        """
-        text = os.environ.get(ENV_VAR, "").strip()
-        if not text or text.lower() in ("0", "false", "off"):
-            return None
-        if _spec_kind(text) not in PROCESS_FAULT_KINDS:
-            return None
-        return cls.parse(text)
-
-    # ------------------------------------------------------------------
-    @property
-    def hang_seconds(self) -> float:
-        return self.param if self.param > 0 else 3600.0
-
-    @property
-    def poisoned_attempts(self) -> int:
-        return int(self.param) if self.param > 0 else 1
+    text = os.environ.get(ENV_VAR, "").strip()
+    if _spec_kind(text) != "worker_kill":
+        return None
+    task = text.partition(":")[2].strip()
+    return int(task) if task else 0
 
 
-def _corrupt_bundle_file(path: str) -> None:
-    """Flip payload bytes so the cache's checksum validation rejects it."""
-    try:
-        size = os.path.getsize(path)
-        with open(path, "r+b") as handle:
-            handle.seek(max(size // 2, 0))
-            handle.write(b"\xde\xad\xbe\xef")
-    except OSError:
-        pass  # missing/unwritable file: the raised error alone suffices
-
-
-def maybe_inject_process_fault(
-    task_index: int,
-    attempt: int,
-    in_worker: bool = False,
-    bundle_path: Optional[str] = None,
-) -> None:
-    """Fire the armed process-level fault for ``(task_index, attempt)``.
-
-    Called by the supervised task executor mid-task (after design setup,
-    before the solve).  Faults target exactly one task index and fire on
-    attempt 1 only (``task_exc@n`` poisons the first ``n`` attempts), so
-    every injection is deterministic and a bounded retry recovers.  The
-    process-killing kinds require ``in_worker=True``: a serial in-process
-    run must never SIGKILL or stall the parent.
-    """
-    spec = ProcessFaultSpec.from_env()
-    if spec is None or spec.task_index != task_index:
-        return
-    if spec.kind == "task_exc":
-        if attempt <= spec.poisoned_attempts:
-            raise FaultInjectionError(
-                f"injected task exception in task {task_index} "
-                f"(attempt {attempt})"
-            )
-        return
-    if attempt != 1:
-        return
-    if spec.kind == "worker_kill":
-        if in_worker:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return
-    if spec.kind == "worker_hang":
-        if in_worker:
-            time.sleep(spec.hang_seconds)
-            raise FaultInjectionError(
-                f"worker hang on task {task_index} elapsed without a "
-                "supervisor timeout kill"
-            )
-        return
-    if spec.kind == "bundle_corrupt_midrun":
-        if bundle_path:
-            _corrupt_bundle_file(bundle_path)
-            # Drop the per-process memo so the retry re-reads the (now
-            # corrupt) file and exercises checksum-validated regeneration.
-            from ..netlist.cache import clear_memo
-
-            clear_memo()
-        raise BundleCorruptionError(
-            f"injected design-bundle corruption mid-run on task {task_index}"
-        )
+def maybe_kill_worker(task_index: int) -> None:
+    """SIGKILL this process if it is a spawned worker running the task
+    ``worker_kill`` targets; inert in any other process (a parent or an
+    in-process suite must never kill itself)."""
+    if (
+        multiprocessing.parent_process() is not None
+        and worker_kill_task() == task_index
+    ):
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 class FaultInjector:

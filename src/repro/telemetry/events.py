@@ -28,8 +28,7 @@ Kind-specific payloads:
 =================  ====================================================
 kind               extra fields
 =================  ====================================================
-``run_start``      ``design``, ``optimizer``, ``seed``, ``max_iters``,
-                   ``resumed``
+``run_start``      ``design``, ``seed``, ``max_iters``, ``resumed``
 ``iteration``      ``metrics`` - dict of scalar series values (hpwl,
                    overflow, lambda, tns_smoothed, wns_smoothed,
                    tns_frac, wns_frac, lse_saturation, rsmt_cache_hit,
@@ -52,13 +51,6 @@ kind               extra fields
 ``run_end``        ``stop_reason``, ``iterations``, ``hpwl``,
                    ``overflow``, ``recoveries``,
                    ``quarantined_iterations``, ``nonfinite_events``
-``task_retry``     ``run_id``, ``task_index``, ``attempt``,
-                   ``failure`` (supervisor taxonomy kind), ``error``,
-                   ``delay_s`` (suite supervisor; iteration is null)
-``task_quarantine`` ``run_id``, ``task_index``, ``attempts``,
-                   ``failure``, ``error`` (task exhausted its retries)
-``worker_respawn`` ``pid`` (dead worker), ``run_id`` (in-flight task),
-                   ``failure`` (why the worker died)
 ``note``           free-form ``message``
 =================  ====================================================
 
@@ -72,7 +64,9 @@ Version history:
 - v1: initial 13-kind schema (PR 3/7), wall-clock ``ts`` only.
 - v2: adds ``ts_mono`` to every event and the ``resource`` kind.
   Readers stay back-compatible: v1 records are valid v2 records minus
-  the monotonic stamp.
+  the monotonic stamp.  The suite supervisor's ``task_retry`` /
+  ``task_quarantine`` / ``worker_respawn`` kinds left v2 with their
+  writer; no run stream ever carried them.
 """
 
 from __future__ import annotations
@@ -116,9 +110,6 @@ EVENT_KINDS = (
     "checkpoint",
     "resource",
     "run_end",
-    "task_retry",
-    "task_quarantine",
-    "worker_respawn",
     "note",
 )
 

@@ -113,11 +113,6 @@ class RunManifest:
     #: Design-bundle cache provenance (key, hit/miss, setup seconds) when
     #: the run's design came from :mod:`repro.netlist.cache`.
     design_cache: Optional[Dict[str, Any]] = None
-    #: Supervised-execution provenance (``{"attempt": n, ...}``) stamped
-    #: when the suite supervisor re-ran this task after a failure; None
-    #: for first-attempt (zero-fault) runs, keeping them byte-comparable
-    #: with unsupervised output.
-    supervision: Optional[Dict[str, Any]] = None
     #: Resource rollup of the run (peak RSS, CPU user/sys deltas, fault
     #: counts) from :mod:`repro.telemetry.resources`; None off-POSIX or
     #: when sampling was off.  Wall-clock-class provenance: ignored by

@@ -9,7 +9,7 @@ JSON record under ``<telemetry_base>/registry/`` that it re-writes
 ::
 
     <telemetry_base>/registry/<run_id>.json
-        {run_id, pid, design, mode, phase, iteration, attempt,
+        {run_id, pid, design, mode, phase, iteration,
          started, ts, ts_mono, anchor_iteration, anchor_ts,
          rss_bytes, cpu_user_s, cpu_sys_s}
 
@@ -86,7 +86,6 @@ class HeartbeatRecord:
     mode: str
     phase: str = "setup"
     iteration: Optional[int] = None
-    attempt: int = 1
     #: Wall clock when the run registered.
     started: float = 0.0
     #: Wall clock of the last beat (staleness is judged against this).

@@ -44,7 +44,6 @@ class RunSession:
         manifest: RunManifest,
         recorder: MetricsRecorder,
         registry_dir: Optional[str] = None,
-        attempt: int = 1,
     ) -> None:
         self.run_dir = run_dir
         self.manifest = manifest
@@ -64,7 +63,6 @@ class RunSession:
                     design=manifest.design,
                     mode=manifest.mode,
                     phase="setup",
-                    attempt=attempt,
                 ),
             )
 
@@ -107,7 +105,6 @@ def start_run(
     options: Optional[Dict[str, Any]] = None,
     run_id: Optional[str] = None,
     resume: bool = False,
-    attempt: int = 1,
 ) -> RunSession:
     """Open a telemetry run under ``base_dir``.
 
@@ -115,9 +112,6 @@ def start_run(
     (one containing ``manifest.json``); with ``resume=True`` that run is
     continued - its manifest is kept and new events append to its stream
     (the placer truncates any post-restart duplicates first).
-
-    ``attempt`` stamps the registry heartbeat so ``status`` can show
-    which supervisor retry a run belongs to.
     """
     if resume and os.path.exists(os.path.join(base_dir, MANIFEST_FILENAME)):
         run_dir = base_dir
@@ -130,7 +124,6 @@ def start_run(
             manifest,
             recorder,
             registry_dir=os.path.dirname(os.path.abspath(run_dir)),
-            attempt=attempt,
         )
 
     rid = run_id if run_id else make_run_id(design, mode)
@@ -162,5 +155,4 @@ def start_run(
         manifest,
         recorder,
         registry_dir=base_dir,
-        attempt=attempt,
     )

@@ -683,6 +683,38 @@ class TestSupervisedPoolOnly:
         assert len(found) == 2
         assert "repro.harness.supervisor" in found[0].message
 
+    @pytest.mark.parametrize(
+        "source, ctor",
+        [
+            (
+                "import multiprocessing\n"
+                "def fan_out():\n"
+                "    return multiprocessing.Pool(2)\n",
+                "Pool",
+            ),
+            (
+                "import multiprocessing as mp\n"
+                "def fan_out():\n"
+                "    return mp.get_context('spawn').Pool(2)\n",
+                "Pool",
+            ),
+            (
+                "import multiprocessing\n"
+                "def fan_out(work):\n"
+                "    ctx = multiprocessing.get_context('spawn')\n"
+                "    return ctx.Process(target=work)\n",
+                "Process",
+            ),
+        ],
+        ids=["multiprocessing-pool", "context-pool", "context-process"],
+    )
+    def test_flags_bare_multiprocessing_constructors(
+        self, tmp_path, source, ctor
+    ):
+        root = make_repo(tmp_path, {"src/repro/mod.py": source})
+        (finding,) = findings_of(run_analysis(root), "supervised-pool-only")
+        assert f"bare {ctor} construction" in finding.message
+
     def test_supervisor_module_and_tests_exempt(self, tmp_path):
         root = make_repo(
             tmp_path,

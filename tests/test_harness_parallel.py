@@ -25,11 +25,6 @@ from repro.harness.supervisor import (
 )
 
 
-def run_records(tasks, jobs, **kwargs):
-    records, _ = run_tasks(tasks, jobs, **kwargs)
-    return records
-
-
 # Small matrix over two designs and two seeds; it stops before the timing
 # objective engages (iteration 100), which _TIMING_TASKS runs past.
 _TASKS = [
@@ -45,13 +40,13 @@ _TIMING_TASKS = [
 
 class TestRunParallelDeterminism:
     def test_jobs2_metrics_identical_to_serial(self):
-        serial = run_records(_TASKS, 1)
-        parallel = run_records(_TASKS, 2)
+        serial = run_tasks(_TASKS, 1)
+        parallel = run_tasks(_TASKS, 2)
         assert suite_metrics(_TASKS, serial) == suite_metrics(_TASKS, parallel)
 
     def test_jobs2_identical_with_timing_objective_engaged(self):
-        serial = run_records(_TIMING_TASKS, 1)
-        parallel = run_records(_TIMING_TASKS, 2)
+        serial = run_tasks(_TIMING_TASKS, 1)
+        parallel = run_tasks(_TIMING_TASKS, 2)
         assert all(r.iterations > 100 for r in serial)
         assert suite_metrics(_TIMING_TASKS, serial) == suite_metrics(
             _TIMING_TASKS, parallel
@@ -61,11 +56,11 @@ class TestRunParallelDeterminism:
             np.testing.assert_array_equal(a.y, b.y)
 
     def test_results_in_task_order(self):
-        records = run_records(_TASKS, 2)
+        records = run_tasks(_TASKS, 2)
         assert [r.design for r in records] == [t.design for t in _TASKS]
 
     def test_seeds_keyed_separately(self):
-        records = run_records(_TASKS, 1)
+        records = run_tasks(_TASKS, 1)
         metrics = suite_metrics(_TASKS, records)
         assert set(metrics["miniblue4"]["ours"]) == {"s0", "s1"}
         assert set(metrics["miniblue18"]["ours"]) == {"s0"}
@@ -84,13 +79,13 @@ class TestWarmWorkers:
         monkeypatch.setattr(
             supervisor_mod.multiprocessing, "get_context", spy
         )
-        run_records(_TASKS[:2], 2)
+        run_tasks(_TASKS[:2], 2)
         assert seen == ["spawn"]
 
     def test_cold_and_warm_serial_byte_identical(self, tmp_path):
         """The cache is wall-clock-only: records must not change at all."""
-        cold = run_records(_TASKS, 1, use_cache=False)
-        warm = run_records(
+        cold = run_tasks(_TASKS, 1, use_cache=False)
+        warm = run_tasks(
             _TASKS, 1, use_cache=True, cache_dir=str(tmp_path)
         )
         assert suite_metrics(_TASKS, cold) == suite_metrics(_TASKS, warm)
@@ -100,8 +95,8 @@ class TestWarmWorkers:
             assert c.wns == w.wns and c.tns == w.tns and c.hpwl == w.hpwl
 
     def test_cold_serial_vs_warm_parallel_byte_identical(self, tmp_path):
-        cold = run_records(_TASKS, 1, use_cache=False)
-        warm = run_records(
+        cold = run_tasks(_TASKS, 1, use_cache=False)
+        warm = run_tasks(
             _TASKS, 2, use_cache=True, cache_dir=str(tmp_path)
         )
         for c, w in zip(cold, warm):
@@ -110,7 +105,7 @@ class TestWarmWorkers:
         assert suite_metrics(_TASKS, cold) == suite_metrics(_TASKS, warm)
 
     def test_warm_records_carry_cache_provenance(self, tmp_path):
-        records = run_records(
+        records = run_tasks(
             _TASKS, 1, use_cache=True, cache_dir=str(tmp_path)
         )
         for rec in records:
@@ -121,7 +116,7 @@ class TestWarmWorkers:
             assert rec.design_cache["hit"]
 
     def test_cold_records_have_no_cache_provenance(self):
-        (rec,) = run_records(_TASKS[:1], 1, use_cache=False)
+        (rec,) = run_tasks(_TASKS[:1], 1, use_cache=False)
         assert rec.design_cache is None
         assert rec.setup_s > 0.0
 
@@ -135,7 +130,7 @@ class TestSuiteManifest:
             SuiteTask(design="miniblue18", mode="ours", max_iters=40,
                       telemetry_dir=tdir),
         ]
-        records = run_records(tasks, 2)
+        records = run_tasks(tasks, 2)
         path = write_suite_manifest(tdir, tasks, records, jobs=2)
         assert os.path.basename(path) == SUITE_MANIFEST_FILENAME
         payload = json.loads(open(path).read())
@@ -166,7 +161,7 @@ class TestSuiteManifest:
 
     def test_no_telemetry_runs_produce_null_tree(self, tmp_path):
         tasks = [SuiteTask(design="miniblue4", mode="ours", max_iters=30)]
-        records = run_records(tasks, 1)
+        records = run_tasks(tasks, 1)
         path = write_suite_manifest(str(tmp_path), tasks, records, jobs=1)
         payload = json.loads(open(path).read())
         assert payload["spans"] is None

@@ -71,7 +71,7 @@ def _write_stream(path, iterations=3, end=True, torn_tail=False):
     with MetricsRecorder(str(path)) as rec:
         rec.event(
             "run_start", iteration=0, design="miniblue1",
-            optimizer="nesterov", seed=0, max_iters=30, resumed=False,
+            seed=0, max_iters=30, resumed=False,
         )
         for it in range(iterations):
             rec.iteration(it, {"hpwl": 1000.0 - 10.0 * it, "overflow": 0.9})

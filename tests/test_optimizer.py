@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.place import AdamOptimizer, NesterovOptimizer, make_optimizer
+from repro.place import NesterovOptimizer
 from repro.place.optimizer import _project
 
 
@@ -80,30 +80,3 @@ class TestNesterov:
         opt.step(np.array([1.0, 1.0]))
         opt.step(np.array([np.inf, 1.0]))  # BB update must not poison lr
         assert np.isfinite(opt.lr)
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        center = np.array([3.0, -2.0])
-        grad, value = quadratic(center, 1.0)
-        opt = AdamOptimizer(np.zeros(2), lr=0.3)
-        for _ in range(500):
-            opt.step(grad(opt.params))
-        assert value(opt.x) < 1e-4
-
-    def test_bounds(self):
-        grad, _ = quadratic(np.array([10.0]), 1.0)
-        opt = AdamOptimizer(
-            np.array([0.0]), lr=0.5, bounds=(np.array([-1.0]), np.array([2.0]))
-        )
-        for _ in range(100):
-            opt.step(grad(opt.params))
-        assert opt.x[0] <= 2.0
-
-
-class TestFactory:
-    def test_kinds(self):
-        assert isinstance(make_optimizer("nesterov", np.zeros(2), 0.1), NesterovOptimizer)
-        assert isinstance(make_optimizer("adam", np.zeros(2), 0.1), AdamOptimizer)
-        with pytest.raises(ValueError):
-            make_optimizer("sgd", np.zeros(2), 0.1)

@@ -101,13 +101,11 @@ class TestHooks:
 
 
 class TestPlainStep:
-    @pytest.mark.parametrize("optimizer", ["nesterov", "adam"])
-    def test_iterate_never_leaves_the_die(self, small_design, optimizer):
-        """The run loop does not clip: both optimizers project the point
-        they return onto the die, exactly."""
+    def test_iterate_never_leaves_the_die(self, small_design):
+        """The run loop does not clip: the optimizer projects the point
+        it returns onto the die, exactly."""
         result = GlobalPlacer(
-            small_design,
-            PlacerOptions(max_iters=60, optimizer=optimizer, lr_fraction=2.0),
+            small_design, PlacerOptions(max_iters=60, lr_fraction=2.0)
         ).run()
         xl, yl, xh, yh = small_design.die
         assert result.x.min() >= xl and result.x.max() <= xh
@@ -124,12 +122,6 @@ class TestPlainStep:
 
 
 class TestOptions:
-    def test_adam_also_converges(self, small_design):
-        result = GlobalPlacer(
-            small_design, PlacerOptions(max_iters=500, optimizer="adam")
-        ).run()
-        assert result.overflow < 0.15
-
     def test_initial_positions_near_center(self, small_design):
         placer = GlobalPlacer(small_design, PlacerOptions(noise_fraction=0.01))
         x, y = placer.initial_positions()

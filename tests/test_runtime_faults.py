@@ -21,10 +21,9 @@ from repro.runtime import (
     FaultInjectionError,
     FaultInjector,
     FaultSpec,
-    ProcessFaultSpec,
-    maybe_inject_process_fault,
+    maybe_kill_worker,
 )
-from repro.runtime.faults import armed, current_injector
+from repro.runtime.faults import armed, current_injector, worker_kill_task
 
 
 class TestFaultSpec:
@@ -307,24 +306,24 @@ def test_resumed_run_does_not_refire_taken_fault(tmp_path, monkeypatch):
 
 
 class TestProcessFaultSpec:
-    """The process-level fault family (supervised suite runner)."""
+    """The one process-level fault, ``worker_kill[:task]``."""
 
-    def test_parse_full(self):
-        spec = ProcessFaultSpec.parse("worker_hang:2@30")
-        assert spec.kind == "worker_hang"
-        assert spec.task_index == 2
-        assert spec.hang_seconds == 30.0
+    def test_parse_full(self, monkeypatch):
+        monkeypatch.setenv("REPRO_INJECT_FAULT", "worker_kill:2")
+        assert worker_kill_task() == 2
 
-    def test_parse_defaults(self):
-        spec = ProcessFaultSpec.parse("worker_kill")
-        assert spec.kind == "worker_kill" and spec.task_index == 0
-        assert ProcessFaultSpec.parse("worker_hang").hang_seconds == 3600.0
-        assert ProcessFaultSpec.parse("task_exc").poisoned_attempts == 1
-        assert ProcessFaultSpec.parse("task_exc@3").poisoned_attempts == 3
+    def test_parse_defaults(self, monkeypatch):
+        monkeypatch.setenv("REPRO_INJECT_FAULT", "worker_kill")
+        assert worker_kill_task() == 0
 
-    def test_parse_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown process fault kind"):
-            ProcessFaultSpec.parse("grad_nan:timing@10")
+    def test_parse_rejects_unknown_kind(self, monkeypatch):
+        # A process kind this tree does not have is not silently ignored:
+        # the in-process parser, which every guarded run consults,
+        # rejects it.
+        monkeypatch.setenv("REPRO_INJECT_FAULT", "worker_hang:0@600")
+        assert worker_kill_task() is None
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultSpec.from_env()
 
     def test_env_families_do_not_cross(self, monkeypatch):
         # A process-level spec must be invisible to the in-process
@@ -332,26 +331,15 @@ class TestProcessFaultSpec:
         # versa: both read the same REPRO_INJECT_FAULT variable.
         monkeypatch.setenv("REPRO_INJECT_FAULT", "worker_kill:1")
         assert FaultSpec.from_env() is None
-        assert ProcessFaultSpec.from_env().kind == "worker_kill"
+        assert worker_kill_task() == 1
         monkeypatch.setenv("REPRO_INJECT_FAULT", "grad_nan:timing@10")
-        assert ProcessFaultSpec.from_env() is None
+        assert worker_kill_task() is None
         assert FaultSpec.from_env().kind == "grad_nan"
         monkeypatch.delenv("REPRO_INJECT_FAULT", raising=False)
-        assert ProcessFaultSpec.from_env() is None
+        assert worker_kill_task() is None
 
     def test_parent_process_never_killed(self, monkeypatch):
-        # worker_kill/worker_hang must be inert outside spawned workers:
-        # firing them in-process would kill or stall pytest itself.
+        # worker_kill must be inert outside spawned workers: firing it
+        # in-process would kill pytest itself.
         monkeypatch.setenv("REPRO_INJECT_FAULT", "worker_kill:0")
-        maybe_inject_process_fault(0, 1, in_worker=False)
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "worker_hang:0@60")
-        maybe_inject_process_fault(0, 1, in_worker=False)
-
-    def test_task_exc_poisons_counted_attempts(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "task_exc:3@2")
-        maybe_inject_process_fault(0, 1, in_worker=False)  # other task
-        with pytest.raises(FaultInjectionError):
-            maybe_inject_process_fault(3, 1, in_worker=False)
-        with pytest.raises(FaultInjectionError):
-            maybe_inject_process_fault(3, 2, in_worker=False)
-        maybe_inject_process_fault(3, 3, in_worker=False)  # healed
+        maybe_kill_worker(0)

@@ -1,21 +1,22 @@
-"""Supervised suite execution: crash isolation, retry, quarantine.
+"""The suite runner: every task runs once, a failed task is quarantined.
 
-The acceptance scenarios of the process-boundary robustness layer:
+The promises of the process boundary:
 
-- a fault-free suite leaves no supervision trace (no provenance, no
-  supervisor event file);
-- a SIGKILL'd worker costs exactly its in-flight task one retry - every
-  other task's metrics stay byte-identical and the suite completes;
-- a hung worker is killed at the task timeout and its task retried;
-- a persistently failing task is quarantined after ``max_retries`` and
-  the suite still completes, with the quarantine recorded in telemetry;
-- an unbuildable pool degrades to serial in-process execution;
-- a failure of the supervisor itself raises a typed error but salvages
-  completed runs into a partial suite manifest;
-- duplicate tasks are refused before any work starts.
+- a SIGKILL'd worker quarantines exactly its in-flight task as ``crash``;
+  every other task's metrics equal a fault-free run byte for byte;
+- a task past ``task_timeout`` is killed and quarantined as ``timeout`` -
+  also at ``jobs=1`` and in a one-task suite, since a set timeout always
+  means a worker;
+- a task that raises is quarantined as ``exception`` and the suite
+  completes;
+- a clean suite leaves no trace of supervision;
+- Table 3 refuses a quarantined cell instead of printing a NaN row;
+- duplicate tasks are refused before any work starts;
+- the CLI exits 1 on a quarantine and 2 on duplicate run ids, and a
+  failure of the supervisor itself reaches it as one typed line.
 
-Runs use tiny iteration counts - supervision must be invariant to the
-workload, and these tests exercise scheduling, not placement quality.
+Runs use tiny iteration counts: these tests exercise scheduling, not
+placement quality.
 """
 
 import json
@@ -27,15 +28,16 @@ import pytest
 import repro.harness.supervisor as supervisor_mod
 from repro.__main__ import main
 from repro.harness.supervisor import (
-    SUITE_MANIFEST_FILENAME,
     DuplicateTaskError,
     SupervisorError,
-    SupervisorOptions,
     SuiteTask,
     run_tasks,
     suite_metrics,
     write_suite_manifest,
 )
+
+#: Far below a spawned worker's start-up, so the task is always past it.
+TINY_TIMEOUT = 0.05
 
 
 @pytest.fixture(autouse=True)
@@ -66,207 +68,128 @@ def _assert_records_identical(a, b):
         assert (ra.wns, ra.tns, ra.hpwl) == (rb.wns, rb.tns, rb.hpwl)
 
 
+def _metrics_json(tasks, records):
+    return json.dumps(suite_metrics(tasks, records), sort_keys=True)
+
+
 class TestZeroFaultByteIdentity:
     def test_no_events_file_without_interventions(self, tmp_path):
         tasks = _tasks(telemetry_dir=str(tmp_path))
-        _, provenance = run_tasks(tasks, 2)
-        assert provenance is None  # nothing intervened -> no provenance
+        records = run_tasks(tasks, 2)
+        path = write_suite_manifest(str(tmp_path), tasks, records, jobs=2)
+        payload = json.loads(open(path).read())
+        assert not any("quarantined" in run for run in payload["runs"])
+        assert "supervision" not in payload
         assert not (tmp_path / "supervisor_events.jsonl").exists()
 
 
-class TestCrashRecovery:
-    def test_sigkilled_worker_retried_others_byte_identical(
-        self, monkeypatch
-    ):
-        """Satellite: SIGKILL one worker mid-task; the suite completes,
-        non-faulted tasks are byte-identical, the victim retried once."""
+class TestCrashIsolation:
+    def test_sigkilled_worker_quarantines_only_its_task(self, monkeypatch):
+        """SIGKILL task 1's worker: exactly that task is quarantined as
+        ``crash``, and the others match a fault-free run byte for byte."""
         tasks = _tasks()
-        clean, _ = run_tasks(tasks, 2)
+        clean = run_tasks(tasks, 2)
         monkeypatch.setenv("REPRO_INJECT_FAULT", "worker_kill:1")
-        records, result = run_tasks(tasks, jobs=2)
-        _assert_records_identical(clean, records)
-        assert [r.attempts for r in records] == [1, 2, 1]
-        assert result["worker_respawns"] == 1
-        assert result["quarantined"] == []
-        (outcome,) = result["tasks"]
-        assert outcome["run_id"] == "miniblue18_ours_s0"
-        assert outcome["failures"][0]["failure"] == "crash"
+        records = run_tasks(tasks, jobs=2)
+        assert [r.quarantined for r in records] == [False, True, False]
+        victim = records[1]
+        assert victim.stop_reason == "quarantined:crash"
+        assert victim.quarantine["failure"] == "crash"
+        assert "died mid-task" in victim.quarantine["error"]
+        _assert_records_identical(
+            [clean[0], clean[2]], [records[0], records[2]]
+        )
+        assert _metrics_json(tasks, records) == _metrics_json(
+            [tasks[0], tasks[2]], [clean[0], clean[2]]
+        )
 
-    def test_timeout_kills_hung_worker_and_retries(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "worker_hang:0@60")
+
+class TestTimeout:
+    def test_hung_task_is_killed_and_quarantined(self):
+        records = run_tasks(_tasks(2), jobs=2, task_timeout=TINY_TIMEOUT)
+        for record in records:
+            assert record.stop_reason == "quarantined:timeout"
+            assert "wall-clock timeout" in record.quarantine["error"]
+
+    def test_one_task_suite_honours_the_timeout(self):
+        """A one-task suite at jobs=2 still runs its task on a worker."""
+        task = SuiteTask(design="miniblue1", mode="ours", max_iters=150)
+        (record,) = run_tasks([task], jobs=2, task_timeout=TINY_TIMEOUT)
+        assert record.stop_reason == "quarantined:timeout"
+
+    def test_jobs1_honours_the_timeout(self):
+        """At jobs=1 a set timeout moves the tasks onto one worker."""
+        records = run_tasks(_tasks(2), jobs=1, task_timeout=TINY_TIMEOUT)
+        assert [r.stop_reason for r in records] == [
+            "quarantined:timeout"
+        ] * 2
+
+    def test_generous_timeout_changes_no_result(self):
         tasks = _tasks(2)
-        records, result = run_tasks(
-            tasks,
-            jobs=2,
-            options=SupervisorOptions(task_timeout=5.0),
-        )
-        assert records[0].attempts == 2 and records[1].attempts == 1
-        (outcome,) = result["tasks"]
-        assert outcome["failures"][0]["failure"] == "timeout"
-
-    def test_serial_path_retries_task_exception(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "task_exc:0")
-        records, result = run_tasks(
-            _tasks(2),
-            jobs=1,
-            options=SupervisorOptions(backoff_base=0.001),
-        )
-        assert [r.attempts for r in records] == [2, 1]
-        assert result["retries"] == 1
-
-    def test_bundle_corruption_classified_and_healed(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "bundle_corrupt_midrun:0")
-        records, result = run_tasks(
-            _tasks(1),
-            jobs=1,
-            cache_dir=str(tmp_path),
-            options=SupervisorOptions(backoff_base=0.001),
-        )
-        assert records[0].attempts == 2
-        (outcome,) = result["tasks"]
-        assert outcome["failures"][0]["failure"] == "cache-corrupt"
-        # The retry re-read the corrupted file and regenerated it.
-        assert records[0].design_cache["corrupt_recovered"]
+        in_process = run_tasks(tasks, jobs=1)
+        on_worker = run_tasks(tasks, jobs=1, task_timeout=600.0)
+        assert not any(r.quarantined for r in on_worker)
+        _assert_records_identical(in_process, on_worker)
 
 
 class TestQuarantine:
-    def test_poisoned_task_quarantined_suite_completes(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "task_exc:0@99")
-        tasks = _tasks(3, telemetry_dir=str(tmp_path))
-        records, result = run_tasks(
-            tasks,
-            jobs=2,
-            options=SupervisorOptions(
-                max_retries=1, backoff_base=0.001
-            ),
-        )
+    def test_poisoned_task_quarantined_suite_completes(self):
+        tasks = _tasks(3)
+        tasks[0] = SuiteTask(design="miniblue4", mode="bogus", max_iters=6)
+        records = run_tasks(tasks, jobs=2)
         bad, ok1, ok2 = records
-        assert bad.quarantined and bad.attempts == 2
+        assert bad.quarantined
         assert bad.stop_reason == "quarantined:exception"
+        assert "ValueError: unknown mode 'bogus'" in bad.quarantine["error"]
         assert np.isnan(bad.wns) and bad.x.size == 0
         assert not ok1.quarantined and not ok2.quarantined
-        assert result["quarantined"] == ["miniblue4_ours_s0"]
         # Quarantined placeholders are excluded from suite metrics (their
         # NaNs would poison the deterministic JSON).
         metrics = suite_metrics(tasks, records)
-        assert "s0" not in metrics.get("miniblue4", {}).get("ours", {})
+        assert "bogus" not in metrics["miniblue4"]
         assert "s1" in metrics["miniblue4"]["ours"]
-        # ... and the events stream recorded the retry + quarantine.
-        events = [
-            json.loads(line)
-            for line in (tmp_path / "supervisor_events.jsonl")
-            .read_text()
-            .splitlines()
-        ]
-        kinds = [e["kind"] for e in events]
-        assert "task_retry" in kinds and "task_quarantine" in kinds
-        quarantine = next(e for e in events if e["kind"] == "task_quarantine")
-        assert quarantine["run_id"] == "miniblue4_ours_s0"
-        assert quarantine["attempts"] == 2
 
-    def test_suite_manifest_records_quarantine(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "task_exc:0@99")
+    def test_suite_manifest_records_quarantine(self, tmp_path):
         tasks = _tasks(2, telemetry_dir=str(tmp_path))
-        records, supervision = run_tasks(
-            tasks,
-            jobs=1,
-            options=SupervisorOptions(
-                max_retries=1, backoff_base=0.001
-            ),
+        tasks[0] = SuiteTask(
+            design="miniblue4", mode="bogus", telemetry_dir=str(tmp_path)
         )
-        path = write_suite_manifest(
-            str(tmp_path), tasks, records, jobs=1, supervision=supervision
-        )
+        records = run_tasks(tasks, jobs=1)
+        path = write_suite_manifest(str(tmp_path), tasks, records, jobs=1)
         payload = json.loads(open(path).read())
-        entry = payload["runs"][0]
-        assert entry["quarantined"] is True
-        assert entry["final_metrics"] is None
-        assert entry["quarantine"]["failures"][0]["failure"] == "exception"
-        assert payload["supervision"]["quarantined"] == ["miniblue4_ours_s0"]
+        bad, ok = payload["runs"]
+        assert bad["run_id"] == "miniblue4_bogus_s0"
+        assert bad["quarantined"] is True
+        assert bad["final_metrics"] is None
+        assert bad["quarantine"]["failure"] == "exception"
+        assert "quarantined" not in ok
 
-    def test_table3_refuses_a_nan_row(self, monkeypatch):
+    def test_table3_refuses_a_nan_row(self):
         from repro.harness.table3 import run_table3
 
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "task_exc:0@99")
         with pytest.raises(SupervisorError) as info:
             run_table3(
-                designs=["miniblue4"], modes=("ours",), max_iters=6,
+                designs=["miniblue4"], modes=("bogus",), max_iters=6,
                 verbose=False,
             )
-        assert info.value.run_id == "miniblue4_ours_s0"
-        assert "miniblue4_ours_s0" in str(info.value)
+        assert info.value.run_id == "miniblue4_bogus_s0"
+        assert "miniblue4_bogus_s0" in str(info.value)
         assert info.value.failure == "exception"
 
 
-class TestDegradation:
-    def test_unbuildable_pool_degrades_to_serial(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise OSError("no more processes")
-
-        monkeypatch.setattr(supervisor_mod, "_spawn_worker", boom)
-        tasks = _tasks(2)
-        clean, _ = run_tasks(tasks, 1)
-        records, result = run_tasks(tasks, jobs=2)
-        _assert_records_identical(clean, records)
-        assert result is not None and result["degraded_to_serial"]
-
-
-def _fail_second_registration(monkeypatch):
-    """Make the supervisor's own bookkeeping blow up on the second task."""
-    real = supervisor_mod._Supervisor._register_success
-
-    def fail_second(self, index, record):
-        if index == 1:
-            raise RuntimeError("bookkeeping\nexploded")
-        real(self, index, record)
-
-    monkeypatch.setattr(
-        supervisor_mod._Supervisor, "_register_success", fail_second
-    )
-
-
-class TestUnsupervisedSalvage:
-    """A failure of the supervisor itself (not of a task) is terminal."""
-
-    def test_task_failure_writes_partial_manifest(
-        self, monkeypatch, tmp_path
-    ):
-        _fail_second_registration(monkeypatch)
-        tasks = _tasks(2, telemetry_dir=str(tmp_path))
-        with pytest.raises(SupervisorError) as info:
-            run_tasks(tasks, 1)
-        exc = info.value
-        summary = exc.summary()
-        assert "\n" not in summary
-        assert "RuntimeError: bookkeeping exploded" in summary
-        assert "1 completed run(s) salvaged" in summary
-        assert [i for i, _ in exc.completed] == [0]
-        assert exc.partial_manifest == str(
-            tmp_path / SUITE_MANIFEST_FILENAME
-        )
-        payload = json.loads(open(exc.partial_manifest).read())
-        assert payload["partial"] is True
-        assert payload["n_runs"] == 1
-        assert payload["runs"][0]["run_id"] == "miniblue4_ours_s0"
-
+class TestSupervisorError:
     def test_summary_is_one_actionable_line(self):
         exc = SupervisorError(
-            "worker pid 7 died mid-task",
+            "Table 3 cell miniblue18_ours_s0 quarantined: worker pid 7 "
+            "died mid-task",
             failure="crash",
-            task_index=2,
             run_id="miniblue18_ours_s0",
-            completed=[(0, object())],
         )
         summary = exc.summary()
         assert "\n" not in summary
-        assert "SupervisorError" in summary
+        assert summary.startswith("SupervisorError: ")
         assert "miniblue18_ours_s0" in summary
         assert "crash" in summary
-        assert "1 completed run(s) salvaged" in summary
 
 
 class TestDuplicateTasks:
@@ -299,77 +222,50 @@ class TestDuplicateTasks:
         assert not os.listdir(tmp_path)
 
 
-class TestBackoffDeterminism:
-    def test_schedule_is_pure_function_of_seed_task_attempt(self):
-        opts = SupervisorOptions(backoff_seed=7)
-        again = SupervisorOptions(backoff_seed=7)
-        for task in range(3):
-            for attempt in range(1, 4):
-                assert opts.backoff_delay(task, attempt) == again.backoff_delay(
-                    task, attempt
-                )
-        assert opts.backoff_delay(0, 1) != SupervisorOptions(
-            backoff_seed=8
-        ).backoff_delay(0, 1)
-
-    def test_exponential_growth_and_cap(self):
-        opts = SupervisorOptions(
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5
-        )
-        delays = [opts.backoff_delay(0, n) for n in range(1, 6)]
-        # Jitter is +/-20%, so successive uncapped delays still grow.
-        assert delays[1] > delays[0]
-        assert all(d <= 0.5 * 1.2 for d in delays)
-        assert all(d >= 0.1 * 0.8 for d in delays)
-
-
 class TestCliSupervision:
-    def test_quarantine_exits_nonzero_with_summary(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        monkeypatch.setenv("REPRO_INJECT_FAULT", "task_exc:0@99")
+    def test_quarantine_exits_nonzero_with_summary(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.json"
         status = main(
             [
-                "suite",
-                "--designs",
-                "miniblue4",
-                "--modes",
-                "ours",
-                "--seeds",
-                "0",
-                "--max-iters",
-                "6",
-                "--jobs",
-                "1",
-                "--max-retries",
-                "1",
-                "--telemetry",
-                str(tmp_path),
+                "suite", "--designs", "miniblue4", "--seeds", "0",
+                "--max-iters", "6", "--task-timeout", str(TINY_TIMEOUT),
+                "--telemetry", str(tmp_path), "--metrics-out", str(metrics),
             ]
         )
         assert status == 1
         err = capsys.readouterr().err
-        assert "QUARANTINED" in err and "quarantined" in err
+        assert "QUARANTINED (timeout" in err
+        assert "1 task(s) quarantined" in err
+        # Completed results are still written; the quarantined run is
+        # named in the suite manifest.
+        assert json.loads(metrics.read_text()) == {}
+        payload = json.loads((tmp_path / "suite_manifest.json").read_text())
+        assert payload["runs"][0]["run_id"] == "miniblue4_ours_s0"
+        assert payload["runs"][0]["quarantine"]["failure"] == "timeout"
 
     def test_supervisor_failure_is_a_typed_one_liner(
-        self, monkeypatch, tmp_path, capsys
+        self, monkeypatch, capsys
     ):
-        _fail_second_registration(monkeypatch)
+        real = supervisor_mod._Supervisor._finish
+
+        def fail_second(self, index, record):
+            if index == 1:
+                raise RuntimeError("bookkeeping\nexploded")
+            real(self, index, record)
+
+        monkeypatch.setattr(supervisor_mod._Supervisor, "_finish", fail_second)
         status = main(
             [
                 "suite", "--designs", "miniblue4", "--seeds", "0", "1",
-                "--max-iters", "6", "--telemetry", str(tmp_path),
+                "--max-iters", "6",
             ]
         )
         assert status == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        summary, manifest = err.strip().splitlines()
+        (summary,) = err.strip().splitlines()
         assert summary.startswith("SupervisorError: ")
-        assert "1 completed run(s) salvaged" in summary
-        assert manifest == (
-            f"partial suite manifest: {tmp_path / SUITE_MANIFEST_FILENAME}"
-        )
+        assert "RuntimeError: bookkeeping exploded" in summary
 
     def test_other_value_errors_are_not_usage_errors(self, monkeypatch):
         def broken_generator(*args, **kwargs):
