@@ -32,7 +32,7 @@ def differentiable(backward: str, gradcheck: str) -> Callable:
     ----------
     backward:
         Fully qualified dotted path of the adjoint kernel
-        (``"repro.core.net_prop.net_backward_level"``).
+        (``"repro.core.sweep.sweep_backward"``).
     gradcheck:
         Pytest node id of the finite-difference test that covers the pair
         (``"tests/test_elmore_grad.py::TestElmoreBackward::test_..."``).

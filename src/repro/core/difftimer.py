@@ -36,12 +36,11 @@ from ..sta.elmore import (
 )
 from ..runtime import faults
 from ..sta.graph import TimingGraph
-from .cell_prop import cell_backward_level
 from .elmore_grad import elmore_adjoint
-from .net_prop import net_backward_level
 from .propagate import endpoint_rat, propagate, start_state
 from .scatter import in_rows, scatter_accumulate, scatter_add
 from .smoothing import lse_min, soft_clamp_neg, soft_clamp_neg_grad
+from .sweep import sweep_backward
 
 __all__ = ["DifferentiableTimer", "TimerTape"]
 
@@ -239,11 +238,6 @@ class DifferentiableTimer:
         w_cand /= gamma
         np.minimum(np.maximum(w_cand, -700.0, out=w_cand), 0.0, out=w_cand)
         np.exp(w_cand, out=w_cand)
-        # Net arcs: Slew(v) = sqrt(Slew(u)^2 + Impulse(v)^2).
-        slew_ratio = (
-            tape.slew.take(graph.net_src, axis=0)
-            / np.maximum(tape.slew, 1e-12).take(graph.net_sink, axis=0)
-        ).reshape(-1)
 
         # Seed the endpoint slots of every seed's flat gradient:
         # slack = rat - at;  for setup endpoints rat = T - setup(slew_D).
@@ -267,16 +261,9 @@ class DifferentiableTimer:
             (-g_slack_t[:, :n_setup] * tape.setup_dsetup_dslew).reshape(-1),
         )
 
-        seed_slots = np.arange(n_seeds)[:, None] * n_slots
-        for net, cell in reversed(plan.levels):
-            if cell is not None:
-                cell_backward_level(
-                    cell, w_cand, tape.d_dslew, g_at, g_slew, seed_slots
-                )
-            if net is not None:
-                net_backward_level(net, slew_ratio, g_at, g_slew, seed_slots)
-
-        del slew_ratio
+        # The level sweep, every seed at once (net arcs: Slew(v) =
+        # sqrt(Slew(u)^2 + Impulse(v)^2), so Slew(u) gets Slew(u) / Slew(v)).
+        sweep_backward(plan, w_cand, tape.d_dslew, slew_flat, g_at, g_slew, n_seeds)
 
         # Sinks of a level's arcs are final when it is swept, so what the
         # Elmore model receives is folded once, after the sweep: the

@@ -30,7 +30,6 @@ Every step is validated against central finite differences in the tests.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -38,7 +37,8 @@ import numpy as np
 from ..netlist.library import WireModel
 from ..route.tree import Forest
 from ..sta.elmore import ElmoreResult
-from .scatter import flat_view, scatter_accumulate
+from .scatter import scatter_accumulate
+from .sweep import tree_add_from_parents, tree_sum_into_parents
 
 __all__ = ["elmore_backward", "elmore_adjoint"]
 
@@ -101,27 +101,9 @@ def elmore_adjoint(
     """
     g_delay, g_imp2, g_load, *g_beta_ext = grads
     grads.clear()
-    # All seeds travel as one flat array: each level is one launch over
-    # the forest's per-seed-count tables, whatever the number of seeds.
-    steps = forest.seed_steps(math.prod(g_delay.shape[:-1]))
-
-    def rows(values: np.ndarray):
-        """The per-seed rows of a gradient array, as writable views."""
-        return values.reshape(-1, forest.n_nodes) if forest.n_nodes else ()
-
-    def sum_into_parents(values: np.ndarray) -> None:
-        """Adjoint of a top-down pass: ``g[fa(v)] += g[v]``, deepest first."""
-        flat = flat_view(values)
-        for level, parent in reversed(steps):
-            scatter_accumulate(flat, parent, flat.take(level))
-
-    def add_from_parents(values: np.ndarray) -> None:
-        """Adjoint of a bottom-up pass: ``g[v] += g[fa(v)]``, roots first."""
-        flat = flat_view(values)
-        for level, parent in steps:
-            flat[level] = flat.take(level) + flat.take(parent)
-
-    # Only the two sums along the tree edges run level by level; a node's
+    # All seeds travel together: each of the two sums along the tree edges
+    # is one compiled pass over the rows of its (n_seeds, n_nodes) array
+    # (repro.core.sweep), in the array's own buffer.  A node's
     # local terms read its own final values, so each is one whole-forest
     # expression after the sweep that completes them.  At a root the edge
     # terms vanish (zero edge resistance, zero delay); its ``g_res`` entry
@@ -137,22 +119,22 @@ def elmore_adjoint(
     del g_imp2
 
     # Reverse of pass 4 (Beta top-down).
-    sum_into_parents(g_beta)
+    tree_sum_into_parents(forest, g_beta)
     g_res = elm.ldelay * g_beta  # gradient of the edge-to-parent res
     g_ldelay = np.multiply(elm.edge_res, g_beta, out=g_beta)
     del g_beta
     # Reverse of pass 3 (LDelay bottom-up).
-    add_from_parents(g_ldelay)
+    tree_add_from_parents(forest, g_ldelay)
     g_cap = elm.delay * g_ldelay
     g_delay += elm.cap * g_ldelay
     del g_ldelay
     # Reverse of pass 2 (Delay top-down).
-    sum_into_parents(g_delay)
+    tree_sum_into_parents(forest, g_delay)
     g_res += elm.load * g_delay
     g_load += elm.edge_res * g_delay
     del g_delay
     # Reverse of pass 1 (Load bottom-up).
-    add_from_parents(g_load)
+    tree_add_from_parents(forest, g_load)
     g_cap += g_load
     del g_load
 
@@ -171,6 +153,6 @@ def elmore_adjoint(
     g_y = elm.dir_y * g_len
     g_x = np.multiply(elm.dir_x, g_len, out=g_len)
     for g in (g_x, g_y):
-        for row in rows(g):
+        for row in g.reshape(-1, forest.n_nodes) if forest.n_nodes else ():
             scatter_accumulate(row, forest.up, -row)
     return g_x, g_y

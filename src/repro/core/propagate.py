@@ -17,15 +17,8 @@ import numpy as np
 
 from ..sta.graph import LevelPlan, TimingGraph
 from ..sta.nldm import LutBank
-from .cell_prop import (
-    SLEW_CLIP_MAX,
-    SweepTape,
-    cell_forward_level,
-    clip_slew,
-    slew_clipped,
-    zero_clipped_partials,
-)
-from .net_prop import net_forward_level
+from .cell_prop import SLEW_CLIP_MAX, SweepTape, clip_slew, slew_clipped
+from .sweep import sweep_forward
 
 __all__ = ["propagate", "start_state", "capture_clock", "endpoint_rat"]
 
@@ -73,10 +66,10 @@ def propagate(
     candidates, the arc delays under an exact merge (the required-time
     pass of golden STA reads them) and the LUT partials if ``partials``.
 
-    Every load and wire delay is known before the sweep starts, so all
-    cell arcs are placed on the load axis of their tables and the net
-    arcs' Elmore values are gathered here, once; a level only locates the
-    slews it has just computed.
+    Every load is known before the sweep starts, so all cell arcs are
+    placed on the load axis of their tables here, once; the level loop
+    itself is one compiled sweep (:func:`repro.core.sweep.sweep_forward`)
+    that locates the slews a level has just computed.
     """
     n = plan.n_contribs
     # One block, rows filled level by level: the cell levels' slices tile
@@ -90,19 +83,10 @@ def propagate(
         block[-2:] if partials else None,
     )
     load = lutbank.locate_load(plan.query, driver_load[plan.c_pin])
-    arc_delay = np.repeat(net_delay[plan.net_sink], 2)
-    arc_impulse2 = np.repeat(impulse2[plan.net_sink], 2)
-    at_flat, slew_flat = at.reshape(-1), slew.reshape(-1)
-    for net, cell in plan.levels:
-        if net is not None:
-            net_forward_level(net, arc_delay, arc_impulse2, at_flat, slew_flat)
-        if cell is not None:
-            cell_forward_level(
-                cell, lutbank, load.at(cell.sl), merge, gamma,
-                at_flat, slew_flat, tape,
-            )
-    if partials:
-        zero_clipped_partials(plan.c_src, slew_flat, tape)
+    sweep_forward(
+        plan, lutbank, load, net_delay, impulse2, at.reshape(-1),
+        slew.reshape(-1), merge, gamma, tape,
+    )
     return tape
 
 

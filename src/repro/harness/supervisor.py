@@ -16,8 +16,9 @@ A task that fails is **quarantined** on the spot with its failure kind
 - ``exception`` - the task raised;
 - ``crash`` - its worker died (SIGKILL, segfault, OOM); each worker owns
   a duplex pipe, so a dead worker costs exactly its in-flight task;
-- ``timeout`` - it ran past ``task_timeout`` seconds and its worker was
-  killed.
+- ``timeout`` - it ran past ``task_timeout`` seconds, counted from when
+  its worker reported the task started (a fresh worker's start-up and
+  preload are not the task's), and its worker was killed.
 
 A dead or killed worker is respawned for the tasks that remain.  Tasks
 are deterministic, so there are no retries: a second attempt would
@@ -231,8 +232,9 @@ def _worker_main(
 ) -> None:
     """Spawned-worker loop: warm up, then execute tasks until told to stop.
 
-    Replies ``("ok", index, record)`` or ``("exc", index, error)``; a
-    crash (SIGKILL, hard fault) simply drops the pipe, which the parent
+    Reports ``("started", index)`` when it takes a task up, then replies
+    ``("ok", index, record)`` or ``("exc", index, error)``; a crash
+    (SIGKILL, hard fault) simply drops the pipe, which the parent
     observes as EOF.
     """
     if use_cache:
@@ -245,6 +247,7 @@ def _worker_main(
         if message[0] == "stop":
             return
         _, index, task = message
+        conn.send(("started", index))
         try:
             record = _execute_task(task, use_cache, cache_dir, task_index=index)
         except BaseException as exc:  # noqa: BLE001 - forwarded, not hidden
@@ -264,11 +267,13 @@ class _Worker:
         self.task_index: Optional[int] = None
         self.deadline: Optional[float] = None
 
-    def assign(
-        self, index: int, task: SuiteTask, timeout: Optional[float]
-    ) -> None:
+    def assign(self, index: int, task: SuiteTask) -> None:
         self.conn.send(("task", index, task))
         self.task_index = index
+
+    def started(self, timeout: Optional[float]) -> None:
+        """The worker began the task: its timeout runs from here, so a
+        fresh worker's start-up and preload do not count against it."""
         self.deadline = time.monotonic() + timeout if timeout else None
 
     def shutdown(self, timeout: float = 5.0) -> None:
@@ -410,9 +415,7 @@ class _Supervisor:
                     if worker.task_index is None and self.pending:
                         index = self.pending.popleft()
                         try:
-                            worker.assign(
-                                index, self.tasks[index], self.task_timeout
-                            )
+                            worker.assign(index, self.tasks[index])
                         except (OSError, ValueError):
                             # The worker died while idle: the task never
                             # started, so it goes back to the queue.
@@ -463,6 +466,9 @@ class _Supervisor:
                 worker, "crash",
                 f"worker pid {worker.process.pid} died mid-task",
             )
+            return
+        if message[0] == "started":
+            worker.started(self.task_timeout)
             return
         worker.task_index = worker.deadline = None
         if message[0] == "ok":

@@ -58,10 +58,9 @@ TARGETS: Tuple[Tuple[str, str, str], ...] = (
     ("repro.core.difftimer", "propagate", "core.difftimer.levels"),
     ("repro.core.difftimer", "endpoint_rat", "core.difftimer.endpoints"),
     ("repro.core.difftimer", "elmore_adjoint", "core.difftimer.elmore_backward"),
-    ("repro.core.propagate", "net_forward_level", "core.net_prop.forward_level"),
-    ("repro.core.propagate", "cell_forward_level", "core.cell_prop.forward_level"),
-    ("repro.core.difftimer", "net_backward_level", "core.net_prop.backward_level"),
-    ("repro.core.difftimer", "cell_backward_level", "core.cell_prop.backward_level"),
+    ("repro.core.propagate", "sweep_forward", "core.sweep.forward"),
+    ("repro.core.difftimer", "sweep_backward", "core.sweep.backward"),
+    ("repro.sta.analysis", "sweep_required", "core.sweep.required"),
     ("repro.place.density", "DensityModel._splat", "place.density.splat"),
     ("repro.place.density", "DensityModel._solve_poisson", "place.density.solve"),
     ("repro.place.density", "DensityModel._field", "place.density.field"),

@@ -16,7 +16,7 @@ and the differentiable timer) consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -139,9 +139,10 @@ class Forest:
     first node of net ``ni``, unrouted nets are empty); each tree lists
     its pins first, in net pin order, then its Steiner points.  ``levels``
     groups node indices by tree depth so bottom-up/top-down
-    dynamic-programming passes run as a short sequence of vectorised
-    scatter/gather steps (one per depth level), mirroring the paper's GPU
-    kernel structure.  The batched router (:mod:`repro.route.batch`)
+    dynamic-programming passes run one depth level at a time, mirroring
+    the paper's GPU kernel structure (the compiled passes of
+    :mod:`repro.core.sweep` read them as ``level_tables``).  The batched
+    router (:mod:`repro.route.batch`)
     writes these arrays directly through :meth:`from_rows`; a
     :class:`RoutingTree` is only a view materialised on request by
     :meth:`tree`.
@@ -288,45 +289,31 @@ class Forest:
         )
         group_of = group_id[rank[par]] - np.repeat(first[:-1], counts[1:])
         cuts = np.cumsum(counts[:-1]) - n_roots
-        self.level_parent = np.split(compact(par), cuts)
-        self.level_group_of = np.split(compact(group_of), cuts)
-        self.level_groups = np.split(compact(groups), first[:-1])
+        par, group_of, groups = compact(par), compact(group_of), compact(groups)
+        self.level_parent = np.split(par, cuts)
+        self.level_group_of = np.split(group_of, cuts)
+        self.level_groups = np.split(groups, first[:-1])
+        #: The arrays the per-level lists above are views of, and where
+        #: each depth starts in them (``order`` and the parent columns by
+        #: ``level_start``, less the roots; ``groups`` by ``group_start``):
+        #: what the compiled Elmore passes read.
+        level_start = np.zeros(self.max_depth + 2, dtype=np.int64)
+        np.cumsum(counts, out=level_start[1:])
+        self.level_tables = (order, par, group_of, groups, level_start, first)
+        #: The forest as the compiled passes read it (built on first use).
+        self.kernel_view = None
         #: (pin_cap, extra_pin_cap, caps) of the last ``design_elmore``.
         self.caps_cache = None
-        self._seed_steps: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-
-    def seed_steps(self, n_rows: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """``(levels[d], level_parent[d])`` for d = 1 .. max_depth, each at
-        its flat positions in every row of ``(n_rows, n_nodes)`` gradients.
-
-        One launch per tree level then serves all the seeds of an Elmore
-        adjoint.  A forest sees about ten of those with the same number of
-        seeds, so the tables (int32, like their sources) are built on the
-        first; they are the only per-seed-count tables kept - 10 bytes a
-        node for two seeds.
-        """
-        steps = self._seed_steps.get(n_rows)
-        if steps is None:
-            steps = self._seed_steps[n_rows] = [
-                tuple(
-                    in_rows(index, n_rows, self.n_nodes).astype(np.int32)
-                    for index in step
-                )
-                for step in zip(self.levels[1:], self.level_parent[1:])
-            ]
-        return steps
 
     @property
     def statics_nbytes(self) -> int:
-        """Bytes of the integer tables laid out for the timers: those of
-        ``_finalize`` and the :meth:`seed_steps` built so far."""
+        """Bytes of the integer tables ``_finalize`` lays out for the
+        timers."""
         tables = [
             self.up, self.pin_nodes, self.pins_of_nodes, self.driver_nodes,
             self.driver_pins, *self.level_parent, *self.level_group_of,
             *self.level_groups,
         ]
-        for steps in self._seed_steps.values():
-            tables += [t for step in steps for t in step]
         return sum(t.nbytes for t in tables)
 
     def tree(

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.cell_prop import SweepTape
 from ..core.propagate import capture_clock, endpoint_rat, propagate, start_state
-from ..core.smoothing import segment_max
+from ..core.sweep import sweep_required
 from ..netlist.design import Design
 from ..route.rsmt import build_forest
 from ..route.tree import Forest
@@ -215,34 +215,15 @@ class StaticTimingAnalyzer:
         """Backward RAT propagation for the late (setup) mode.
 
         Walks the plan's levels in reverse with the arc delays the forward
-        sweep recorded: the ``min`` over a cell level's compact source
-        segments is ``-max(-x)``, over a net level one ``reduceat`` of the
-        nets' contiguous arc runs.
+        sweep recorded (one compiled sweep,
+        :func:`repro.core.sweep.sweep_required`): a cell level's sources
+        take the ``min`` over their compact source segments, a net's
+        driver the ``min`` over its contiguous arc run.
         """
         graph = self.graph
-        plan = graph.plan
         rat = np.full((self.design.n_pins, 2), _POS_INF)
         rat[graph.endpoint_pins] = endpoint_rat(graph, slew, clock=clock)[0]
-        rat_flat = rat.reshape(-1)
-        for (net, cell), (runs, sources) in zip(
-            reversed(plan.levels), reversed(plan.reverse)
-        ):
-            if cell is not None:
-                worst = -segment_max(
-                    arc_delay[cell.sl] - rat_flat[cell.dst],
-                    sources.seg, len(sources.touched),
-                )
-                rat_flat[sources.touched] = np.minimum(
-                    rat_flat[sources.touched], worst
-                )
-            if net is not None:
-                worst = np.minimum.reduceat(
-                    rat.take(net.sinks, axis=0) - net_delay[net.sinks][:, None],
-                    runs.starts, axis=0,
-                )
-                rat[runs.drivers] = np.minimum(
-                    rat.take(runs.drivers, axis=0), worst
-                )
+        sweep_required(graph.plan, rat.reshape(-1), arc_delay, net_delay)
         return rat
 
 

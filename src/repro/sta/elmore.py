@@ -3,10 +3,10 @@
 Implements the four tree dynamic-programming passes of Equation (7) of the
 paper (and of the TAU 2015 reference timer): a bottom-up load accumulation,
 a top-down delay pass, a bottom-up load-delay (LDelay) pass and a top-down
-Beta pass, yielding per-node delay and impulse (slew component).  All four
-passes are executed level-by-level over the flattened
-:class:`~repro.route.tree.Forest`, which is the same scheduling the paper's
-GPU kernels use.
+Beta pass, yielding per-node delay and impulse (slew component).  The four
+passes run depth by depth over the flattened
+:class:`~repro.route.tree.Forest` - the scheduling of the paper's GPU
+kernels - as one compiled loop (:func:`repro.core.sweep.elmore_moments`).
 
 The backward (gradient) counterpart, Equation (8), lives in
 :mod:`repro.core.elmore_grad`.
@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..contracts import differentiable
+from ..core.sweep import elmore_moments
 from ..netlist.design import Design
 from ..netlist.library import WireModel
 from ..route.tree import Forest
@@ -202,35 +203,7 @@ def elmore_forward(
     cap = intrinsic_cap + half_wire
     cap += np.bincount(forest.up, weights=half_wire, minlength=forest.n_nodes)
 
-    def sum_into_parents(values: np.ndarray) -> None:
-        """Bottom-up ``values[u] += sum_child values[v]``, a level at a
-        time, each level adding one compact sum per distinct parent."""
-        for depth in range(forest.max_depth, 0, -1):
-            groups = forest.level_groups[depth]
-            values[groups] += np.bincount(
-                forest.level_group_of[depth],
-                weights=values[forest.levels[depth]],
-                minlength=len(groups),
-            )
-
-    def add_from_parents(values: np.ndarray, step: np.ndarray) -> None:
-        """Top-down ``values[v] = values[fa(v)] + step[v]``."""
-        for depth in range(1, forest.max_depth + 1):
-            level = forest.levels[depth]
-            values[level] = values[forest.level_parent[depth]] + step[level]
-
-    # Pass 1 (bottom-up): Load(u) = Cap(u) + sum_child Load(v).
-    load = cap.copy()
-    sum_into_parents(load)
-    # Pass 2 (top-down): Delay(u) = Delay(fa(u)) + Res(fa->u) * Load(u).
-    delay = np.zeros(forest.n_nodes)
-    add_from_parents(delay, edge_res * load)
-    # Pass 3 (bottom-up): LDelay(u) = Cap(u)*Delay(u) + sum_child LDelay(v).
-    ldelay = cap * delay
-    sum_into_parents(ldelay)
-    # Pass 4 (top-down): Beta(u) = Beta(fa(u)) + Res(fa->u) * LDelay(u).
-    beta = np.zeros(forest.n_nodes)
-    add_from_parents(beta, edge_res * ldelay)
+    load, delay, ldelay, beta = elmore_moments(forest, cap, edge_res)
     return ElmoreResult(
         edge_res=edge_res,
         cap=cap,

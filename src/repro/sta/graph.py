@@ -288,6 +288,9 @@ class LevelPlan:
             self.c_dst, self.c_src, self.lut, query.offset, n_sink, n_src, seg,
             self.start_at, self.start_slew, self.is_net_sink,
         ]
+        #: The plan as the compiled sweep reads it (:mod:`repro.core.sweep`,
+        #: pointers into the arrays here), built on the first sweep.
+        self.kernel_view = None
         self.levels: Levels = []
         for level in range(1, graph.n_levels):
             sl = graph.net_arcs.level_slice(level)

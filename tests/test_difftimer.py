@@ -58,23 +58,18 @@ class TestForwardAgainstGolden:
 
 class TestBackwardFiniteDifference:
     def test_exercises_registered_level_kernels(self):
-        """The finite-difference gradchecks below certify the propagation
-        kernels the timer composes; pin that composition by name so a
+        """The finite-difference gradchecks below certify the compiled
+        level sweep the timer composes; pin that composition by name so a
         kernel rename breaks this file loudly instead of leaving the
         registry's gradcheck pointing at a test that no longer touches
         it (reprolint ``contract-closure``)."""
         from repro.contracts import KERNEL_REGISTRY
-        from repro.core.cell_prop import cell_backward_level, cell_forward_level
-        from repro.core.net_prop import net_backward_level, net_forward_level
+        from repro.core.sweep import sweep_backward, sweep_forward
 
-        for forward, backward in (
-            (cell_forward_level, cell_backward_level),
-            (net_forward_level, net_backward_level),
-        ):
-            key = f"{forward.__module__}.{forward.__qualname__}"
-            contract = KERNEL_REGISTRY[key]
-            assert contract["backward"].endswith(backward.__qualname__)
-            assert "test_difftimer.py" in contract["gradcheck"]
+        key = f"{sweep_forward.__module__}.{sweep_forward.__qualname__}"
+        contract = KERNEL_REGISTRY[key]
+        assert contract["backward"].endswith(sweep_backward.__qualname__)
+        assert "test_difftimer.py" in contract["gradcheck"]
 
     @pytest.mark.parametrize(
         "d_tns,d_wns", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4)]

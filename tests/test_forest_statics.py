@@ -252,23 +252,20 @@ class TestStaticsAreTheSameHoweverBuilt:
             g_x, g_y = elmore_backward(empty, elm, wire, g, g, g)
             assert g_x.shape == g_y.shape == shape
 
-    def test_seed_steps_repeat_each_level_for_every_row(
-        self, small_design, spread_positions
-    ):
-        """``seed_steps(k)`` holds each level's nodes and parents at their
-        flat positions in every row of ``(k, n_nodes)``, built once per k."""
+    def test_level_tables(self, small_design, spread_positions):
+        """The per-level lists are views of the flat ``level_tables`` the
+        compiled passes read, cut at ``level_start`` / ``group_start``."""
         forest = build_forest(small_design, *spread_positions)
-        n = forest.n_nodes
-        before = forest.statics_nbytes
-        steps = forest.seed_steps(3)
-        assert forest.seed_steps(3) is steps and forest.seed_steps(1) is not steps
-        assert forest.statics_nbytes > before
-
-        def in_every_row(table):
-            return np.concatenate([table + r * n for r in range(3)])
-
-        assert len(steps) == forest.max_depth
-        for depth, (level, parent) in enumerate(steps, start=1):
-            assert np.array_equal(level, in_every_row(forest.levels[depth]))
-            assert np.array_equal(parent, in_every_row(forest.level_parent[depth]))
-            assert level.dtype == parent.dtype == np.int32
+        order, parent, group_of, groups, level_start, group_start = forest.level_tables
+        roots = level_start[1]
+        assert len(level_start) == forest.max_depth + 2
+        assert len(group_start) == forest.max_depth + 1
+        for depth in range(forest.max_depth + 1):
+            a, b = level_start[depth : depth + 2]
+            assert np.array_equal(forest.levels[depth], order[a:b])
+            assert np.shares_memory(forest.levels[depth], order) or a == b
+            if depth:
+                assert np.array_equal(forest.level_parent[depth], parent[a - roots : b - roots])
+                assert np.array_equal(forest.level_group_of[depth], group_of[a - roots : b - roots])
+                lo, hi = group_start[depth - 1 : depth + 1]
+                assert np.array_equal(forest.level_groups[depth], groups[lo:hi])

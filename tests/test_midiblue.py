@@ -159,8 +159,3 @@ class TestMidiblue50:
         assert forest.n_nodes > 100_000
         assert forest.up.dtype == forest.level_parent[1].dtype == np.int32
         assert forest.statics_nbytes <= 24 * forest.n_nodes
-        # The level tables of a two-seed Elmore adjoint, kept from its
-        # first call on: int32 too, two rows of (node, parent) per
-        # non-root node.
-        forest.seed_steps(2)
-        assert forest.statics_nbytes <= (24 + 2 * 2 * 4) * forest.n_nodes

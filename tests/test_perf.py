@@ -145,11 +145,9 @@ class TestThreadedStages:
             "route.build_forest",
             "core.difftimer.elmore",
             "core.difftimer.levels",
-            "core.net_prop.forward_level",
-            "core.cell_prop.forward_level",
+            "core.sweep.forward",
             "core.difftimer.endpoints",
-            "core.cell_prop.backward_level",
-            "core.net_prop.backward_level",
+            "core.sweep.backward",
             "core.difftimer.elmore_backward",
         }
 
@@ -244,10 +242,9 @@ class TestReconciliation:
             "core.difftimer.elmore",
             "core.difftimer.levels",
             "core.difftimer.endpoints",
-            "core.net_prop.forward_level",
-            "core.cell_prop.forward_level",
-            "core.net_prop.backward_level",
-            "core.cell_prop.backward_level",
+            "core.sweep.forward",
+            "core.sweep.backward",
+            "core.sweep.required",
             "place.density.splat",
             "place.density.solve",
             "place.density.field",

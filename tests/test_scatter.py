@@ -18,10 +18,8 @@ import time
 import numpy as np
 import pytest
 
-import repro.core.cell_prop as cell_prop
 import repro.core.difftimer as difftimer_mod
 import repro.core.elmore_grad as elmore_grad_mod
-import repro.core.net_prop as net_prop
 import repro.core.smoothing as smoothing_mod
 import repro.place.density as density_mod
 import repro.place.wirelength as wirelength_mod
@@ -246,8 +244,6 @@ _PATCH_SITES = (
     (tree_mod, "scatter_add", ref_scatter_add),
     (smoothing_mod, "scatter_add", ref_scatter_add),
     (elmore_grad_mod, "scatter_accumulate", ref_scatter_accumulate),
-    (net_prop, "scatter_accumulate", ref_scatter_accumulate),
-    (cell_prop, "scatter_accumulate", ref_scatter_accumulate),
     (difftimer_mod, "scatter_add", ref_scatter_add),
     (difftimer_mod, "scatter_accumulate", ref_scatter_accumulate),
 )

@@ -7,6 +7,7 @@ the number of cell types (and levels), not the number of cells, pins or
 arcs.
 """
 
+import gc
 import sys
 
 import pytest
@@ -20,18 +21,25 @@ from repro.sta.nldm import LutBank
 
 
 def _python_calls(fn):
-    """``fn()`` and the number of Python-level calls it made."""
+    """``fn()`` and the number of Python-level calls it made.
+
+    With the collector off: finalizers that a collection would run in
+    the middle of ``fn()`` are not ``fn``'s calls.
+    """
     calls = 0
 
     def hook(frame, event, arg):
         nonlocal calls
         calls += event == "call"
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(hook)
     try:
         result = fn()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return result, calls
 
 

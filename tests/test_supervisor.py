@@ -21,6 +21,7 @@ placement quality.
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -36,8 +37,12 @@ from repro.harness.supervisor import (
     write_suite_manifest,
 )
 
-#: Far below a spawned worker's start-up, so the task is always past it.
+#: Far below what a 150-iteration task takes, so the task is always past
+#: it (the timeout runs from the task's start, not from the worker's).
 TINY_TIMEOUT = 0.05
+#: Extra start-up of a slow worker, and a timeout its task fits in with
+#: room to spare but the start-up alone would overrun.
+SLOW_START, ROOMY_TIMEOUT = 1.5, 1.0
 
 
 @pytest.fixture(autouse=True)
@@ -59,6 +64,12 @@ def _tasks(n=3, max_iters=6, telemetry_dir=None):
         )
         for i in range(n)
     ]
+
+
+def _slow_start_worker(*args):
+    """A suite worker that takes SLOW_START seconds longer to warm up."""
+    time.sleep(SLOW_START)
+    supervisor_mod._worker_main(*args)
 
 
 def _assert_records_identical(a, b):
@@ -106,7 +117,9 @@ class TestCrashIsolation:
 
 class TestTimeout:
     def test_hung_task_is_killed_and_quarantined(self):
-        records = run_tasks(_tasks(2), jobs=2, task_timeout=TINY_TIMEOUT)
+        records = run_tasks(
+            _tasks(2, max_iters=150), jobs=2, task_timeout=TINY_TIMEOUT
+        )
         for record in records:
             assert record.stop_reason == "quarantined:timeout"
             assert "wall-clock timeout" in record.quarantine["error"]
@@ -119,10 +132,19 @@ class TestTimeout:
 
     def test_jobs1_honours_the_timeout(self):
         """At jobs=1 a set timeout moves the tasks onto one worker."""
-        records = run_tasks(_tasks(2), jobs=1, task_timeout=TINY_TIMEOUT)
+        records = run_tasks(
+            _tasks(2, max_iters=150), jobs=1, task_timeout=TINY_TIMEOUT
+        )
         assert [r.stop_reason for r in records] == [
             "quarantined:timeout"
         ] * 2
+
+    def test_slow_worker_start_is_not_the_tasks(self, monkeypatch):
+        """The timeout runs from the task's start: a worker slow to warm
+        up does not get a task that fits in the timeout quarantined."""
+        monkeypatch.setattr(supervisor_mod, "_worker_main", _slow_start_worker)
+        (record,) = run_tasks(_tasks(1), jobs=1, task_timeout=ROOMY_TIMEOUT)
+        assert not record.quarantined
 
     def test_generous_timeout_changes_no_result(self):
         tasks = _tasks(2)
@@ -228,7 +250,7 @@ class TestCliSupervision:
         status = main(
             [
                 "suite", "--designs", "miniblue4", "--seeds", "0",
-                "--max-iters", "6", "--task-timeout", str(TINY_TIMEOUT),
+                "--max-iters", "150", "--task-timeout", str(TINY_TIMEOUT),
                 "--telemetry", str(tmp_path), "--metrics-out", str(metrics),
             ]
         )
