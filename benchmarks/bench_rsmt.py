@@ -1,14 +1,14 @@
-"""RSMT forest benchmark: array-native build vs the per-net scalar reference.
+"""RSMT forest benchmark: the compiled builder vs the per-net scalar reference.
 
-Times :func:`repro.route.rsmt.build_forest` (route plan + degree-bucket
-kernels writing the flat ``Forest`` directly) against flattening one
-scalar :func:`repro.route.rsmt.build_rsmt` tree per net, on miniblue7
-(the largest suite design, launch-bound) and midiblue50 (55k cells,
-bandwidth-bound); checks that every forest array is equal; reports where
-the array-native build spends its time per degree class (2 / 3 / 4..8
-Steiner-searched / >8 plain RMST / flatten); writes
-``benchmarks/results/BENCH_rsmt.json`` and appends an ``rsmt_forest``
-record to the perf ledger.
+Times :func:`repro.route.rsmt.build_forest` (one call of the compiled
+builder ``rsmt.c`` over the design's route plan, writing the flat
+``Forest``) against flattening one scalar ``build_rsmt`` tree per net
+(the oracle kept in ``tests/reference_rsmt.py``), on miniblue7 (the
+largest suite design) and midiblue50 (55k cells); checks that every
+forest array is equal; reports the build time per degree class (2 / 3 /
+4..8 Steiner-searched / >8 plain RMST), each class routed on its own
+plan; writes ``benchmarks/results/BENCH_rsmt.json`` and appends an
+``rsmt_forest`` record to the perf ledger.
 
 Exit status is non-zero when a forest differs or the speedup on any
 design is below ``--min-speedup`` - the CI perf-smoke job runs this
@@ -30,11 +30,13 @@ import time
 
 import numpy as np
 
-from repro.harness.suite import load_design
-from repro.route import MAX_STEINER_DEGREE, Forest, route_plan
-from repro.route.batch import bucket_rows
-from repro.route.rsmt import build_forest, build_rsmt
-from repro.telemetry.history import append_record
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from repro.harness.suite import load_design  # noqa: E402
+from repro.route import MAX_STEINER_DEGREE, RoutePlan  # noqa: E402
+from repro.route.rsmt import build_forest, build_forest_from_plan  # noqa: E402
+from repro.telemetry.history import append_record  # noqa: E402
+from tests.reference_rsmt import reference_forest  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 HISTORY_DIR = os.path.join(os.path.dirname(__file__), "history")
@@ -52,33 +54,21 @@ FOREST_ARRAYS = (
     "node_offset",
     "pin_node",
 )
-#: (label, largest bucket width of the class)
+#: (label, lowest degree, highest degree) of each class
 DEGREE_CLASSES = (
-    ("2", 2),
-    ("3", 3),
-    (f"4..{MAX_STEINER_DEGREE}", MAX_STEINER_DEGREE),
-    (f">{MAX_STEINER_DEGREE}", None),
+    ("2", 2, 2),
+    ("3", 3, 3),
+    (f"4..{MAX_STEINER_DEGREE}", 4, MAX_STEINER_DEGREE),
+    (f">{MAX_STEINER_DEGREE}", MAX_STEINER_DEGREE + 1, None),
 )
 
 
 def _forests_equal(a, b) -> bool:
-    return all(
-        np.array_equal(getattr(a, attr), getattr(b, attr)) for attr in FOREST_ARRAYS
-    ) and all(np.array_equal(la, lb) for la, lb in zip(a.levels, b.levels))
-
-
-def reference_forest(design, px, py):
-    """One scalar ``build_rsmt`` per routable net, flattened."""
-    trees = []
-    for ni in range(design.n_nets):
-        pins = design.net_pins(ni)
-        driver = design.net_driver[ni]
-        if len(pins) < 2 or driver < 0 or design.net_is_clock[ni]:
-            trees.append(None)
-            continue
-        local = int(np.nonzero(pins == driver)[0][0])
-        trees.append(build_rsmt(px[pins], py[pins], pins, driver_local=local))
-    return Forest(trees, design.n_pins)
+    arrays = [(getattr(a, attr), getattr(b, attr)) for attr in FOREST_ARRAYS]
+    arrays += list(zip(a.levels, b.levels))
+    return len(a.levels) == len(b.levels) and all(
+        p.dtype == q.dtype and np.array_equal(p, q) for p, q in arrays
+    )
 
 
 def _best_of(fn, repeats: int):
@@ -91,30 +81,18 @@ def _best_of(fn, repeats: int):
 
 
 def _class_split(design, px, py, repeats: int):
-    """Seconds per degree class of one array-native build (best of N)."""
-    plan = route_plan(design)
-    split = {label: 0.0 for label, _ in DEGREE_CLASSES}
-    nets, rows = [], []
-    for width, bucket in plan.buckets.items():
-        label = next(
-            lab for lab, top in DEGREE_CLASSES if top is None or width <= top
+    """Seconds of one compiled build per degree class (best of N), each
+    class's non-clock nets routed on a plan of their own."""
+    degrees = design.net_degrees
+    split = {}
+    for label, low, high in DEGREE_CLASSES:
+        nets = (degrees >= low) & ~design.net_is_clock
+        if high is not None:
+            nets &= degrees <= high
+        plan = RoutePlan(design, nets)
+        split[label], _ = _best_of(
+            lambda: build_forest_from_plan(plan, px, py), repeats
         )
-        seconds, out = _best_of(
-            lambda: bucket_rows(px[bucket.pins], py[bucket.pins], *bucket[1:]),
-            repeats,
-        )
-        split[label] += seconds
-        nets.append(bucket.nets)
-        rows.append(out)
-    split["flatten"], _ = _best_of(
-        lambda: Forest.from_rows(
-            plan.n_nets,
-            plan.n_pins,
-            np.concatenate(nets),
-            *(np.concatenate(field) for field in zip(*rows)),
-        ),
-        repeats,
-    )
     return split
 
 
@@ -130,7 +108,7 @@ def bench_design(name: str, seed: int, repeats: int) -> dict:
     scalar_s, scalar_forest = _best_of(
         lambda: reference_forest(design, px, py), max(1, repeats // 3)
     )
-    batched_s, forest = _best_of(lambda: build_forest(design, x, y), repeats)
+    compiled_s, forest = _best_of(lambda: build_forest(design, x, y), repeats)
     degrees = design.net_degrees
     return {
         "design": name,
@@ -142,8 +120,8 @@ def bench_design(name: str, seed: int, repeats: int) -> dict:
             for d, c in zip(*np.unique(degrees[degrees >= 2], return_counts=True))
         },
         "scalar_s": scalar_s,
-        "batched_s": batched_s,
-        "speedup": scalar_s / batched_s if batched_s > 0 else float("inf"),
+        "compiled_s": compiled_s,
+        "speedup": scalar_s / compiled_s if compiled_s > 0 else float("inf"),
         "forests_identical": _forests_equal(scalar_forest, forest),
         "class_split_s": _class_split(design, px, py, repeats),
     }
@@ -157,7 +135,7 @@ def main(argv=None) -> int:
         "--min-speedup",
         type=float,
         default=5.0,
-        help="fail when array-native/scalar speedup is below this on any design",
+        help="fail when the compiled/scalar speedup is below this on any design",
     )
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument(
@@ -175,11 +153,11 @@ def main(argv=None) -> int:
         handle.write("\n")
     for r in results:
         split = "  ".join(
-            f"{label} {seconds * 1e3:.1f}" for label, seconds in r["class_split_s"].items()
+            f"{label} {seconds * 1e3:.2f}" for label, seconds in r["class_split_s"].items()
         )
         print(
             f"{r['design']}: scalar {r['scalar_s'] * 1e3:.1f} ms, "
-            f"array-native {r['batched_s'] * 1e3:.1f} ms -> {r['speedup']:.2f}x "
+            f"compiled {r['compiled_s'] * 1e3:.2f} ms -> {r['speedup']:.1f}x "
             f"(identical={r['forests_identical']})\n    ms by class: {split}"
         )
     print(f"-> {out}")
@@ -189,11 +167,11 @@ def main(argv=None) -> int:
         values = {
             "speedup": results[0]["speedup"],
             "scalar_s": results[0]["scalar_s"],
-            "batched_s": results[0]["batched_s"],
+            "compiled_s": results[0]["compiled_s"],
         }
         for r in results[1:]:
             values[f"speedup_{r['design']}"] = r["speedup"]
-            values[f"batched_s_{r['design']}"] = r["batched_s"]
+            values[f"compiled_s_{r['design']}"] = r["compiled_s"]
         append_record(
             "rsmt_forest",
             values,

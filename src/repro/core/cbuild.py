@@ -1,7 +1,9 @@
-"""Build and load the compiled timing sweep (``sweep.c``) with cffi and gcc.
+"""Build and load the compiled kernels with cffi and gcc: the timing sweep
+(``core/sweep.c``) and the Steiner-forest builder (``route/rsmt.c``), one
+library.
 
-The extension is built on first import, once per source hash and Python
-ABI, into a per-user cache (``$XDG_CACHE_HOME/repro/kernels``, default
+The library is built on first import, once per hash of its sources and
+Python ABI, into a per-user cache (``$XDG_CACHE_HOME/repro/kernels``, default
 ``~/.cache/repro/kernels``): not the design-bundle directory, which a
 cold start may empty.  Every build writes a temporary file and renames it
 into place, so processes that build at the same time all load a whole
@@ -11,6 +13,7 @@ keeps every product and sum separately rounded, as NumPy's are.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -24,13 +27,15 @@ from typing import Tuple
 
 __all__ = ["KernelBuildError", "cache_directory", "load_kernels"]
 
-_HERE = os.path.dirname(os.path.abspath(__file__))
-_SOURCES = ("sweep.h", "sweep.c")
+#: The package directory; every C source is named relative to it.
+_PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: Every C source of the library: all of them are hashed into its name.
+_SOURCES = ("core/sweep.h", "route/rsmt.h", "core/sweep.c", "route/rsmt.c")
 _CFLAGS = ("-O2", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 
 class KernelBuildError(ImportError):
-    """The compiled sweep could not be built (no cffi, no C compiler)."""
+    """The compiled kernels could not be built (no cffi, no C compiler)."""
 
 
 def cache_directory() -> str:
@@ -56,7 +61,7 @@ def _writable_directory() -> str:
 
 def _fail(reason: str) -> KernelBuildError:
     return KernelBuildError(
-        f"cannot build the compiled timing sweep: {reason}; "
+        f"cannot build the compiled timing sweep and router: {reason}; "
         "repro needs gcc (or $CC) and cffi"
     )
 
@@ -71,8 +76,9 @@ def _compile(ffi, name: str, directory: str, suffix: str) -> str:
         target = os.path.join(work, name + suffix)
         command = [
             *compiler, "-shared", *_CFLAGS,
-            "-I", sysconfig.get_paths()["include"], "-I", _HERE,
-            source, "-o", target, "-lm",
+            "-I", sysconfig.get_paths()["include"], "-I", _PACKAGE, source,
+            *(os.path.join(_PACKAGE, s) for s in _SOURCES if s.endswith(".c")),
+            "-o", target, "-lm",
         ]
         try:
             done = subprocess.run(command, capture_output=True, text=True)
@@ -91,31 +97,38 @@ def _compile(ffi, name: str, directory: str, suffix: str) -> str:
         shutil.rmtree(work, ignore_errors=True)
 
 
+@functools.lru_cache(maxsize=None)
 def load_kernels() -> Tuple[object, object]:
-    """``(ffi, lib)`` of the compiled sweep, built first if not cached.
+    """``(ffi, lib)`` of the compiled kernels, built first if not cached.
 
     Loading a built library needs cffi's backend only; the ``cffi``
-    package itself (its C parser) is imported to build one.
+    package itself (its C parser) is imported to build one.  Each C file
+    is its own translation unit; the headers are the cdef.
     """
     try:
         import _cffi_backend
     except ImportError:
         raise _fail("cffi is not installed") from None
-    sources = []
+    sources = {}
     for filename in _SOURCES:
-        with open(os.path.join(_HERE, filename)) as handle:
-            sources.append(handle.read())
-    key = "\0".join([_cffi_backend.__version__, *_CFLAGS, *sources])
-    name = f"_repro_sweep_{hashlib.sha256(key.encode()).hexdigest()[:16]}"
+        with open(os.path.join(_PACKAGE, filename)) as handle:
+            sources[filename] = handle.read()
+    key = "\0".join([_cffi_backend.__version__, *_CFLAGS, *sources.values()])
+    name = f"_repro_kernels_{hashlib.sha256(key.encode()).hexdigest()[:16]}"
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     directory = _writable_directory()
     path = os.path.join(directory, name + suffix)
     if not os.path.exists(path):
         import cffi
 
+        headers = [s for s in _SOURCES if s.endswith(".h")]
         ffi = cffi.FFI()
-        ffi.cdef(sources[0])
-        ffi.set_source(name, '#include "sweep.c"', compiler_verbose=False)
+        ffi.cdef("\n".join(sources[h] for h in headers))
+        ffi.set_source(
+            name,
+            "#include <stdint.h>\n" + "".join(f'#include "{h}"\n' for h in headers),
+            compiler_verbose=False,
+        )
         path = _compile(ffi, name, directory, suffix)
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)

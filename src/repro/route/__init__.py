@@ -1,15 +1,13 @@
 """Rectilinear Steiner tree routing substrate (FLUTE substitute)."""
 
 from .tree import Forest, RoutingTree
-from .batch import MAX_STEINER_DEGREE
-from .plan import RoutePlan, route_plan
+from .plan import MAX_STEINER_DEGREE, RoutePlan, route_plan
 from .rsmt import (
     build_forest,
     build_forest_for_nets,
     build_forest_from_pins,
-    build_rsmt,
+    build_forest_from_plan,
     build_trees,
-    rmst_length,
 )
 
 __all__ = [
@@ -20,8 +18,7 @@ __all__ = [
     "build_forest",
     "build_forest_for_nets",
     "build_forest_from_pins",
-    "build_rsmt",
+    "build_forest_from_plan",
     "build_trees",
-    "rmst_length",
     "route_plan",
 ]

@@ -1,93 +1,82 @@
 """Placement-independent route plan of a design.
 
 Everything the Steiner-forest build needs that does not depend on where
-the cells are - which nets get a tree, their pins as rectangular
-per-degree matrices, where the driver sits in each net's pin list - is
-computed once per :class:`~repro.netlist.design.Design` and reused by
-every rebuild.  The plan is derived data: :func:`route_plan` caches it on
-the design instance and ``Design.__getstate__`` drops it, so design
-bundles and their cache format never contain it.
+the cells are - which nets get a tree, their pins, where the driver sits
+in each net's pin list - is laid out once per
+:class:`~repro.netlist.design.Design` as one CSR over the routable nets,
+which the compiled builder (``rsmt.c``) reads in place on every rebuild.
+The plan is derived data: :func:`route_plan` caches it on the design
+instance and ``Design.__getstate__`` drops it, so design bundles and
+their cache format never contain it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple
-
 import numpy as np
 
 from ..netlist.design import Design
-from .batch import MAX_STEINER_DEGREE
 from .tree import gather_csr
 
-__all__ = ["Bucket", "RoutePlan", "route_plan"]
+__all__ = ["MAX_STEINER_DEGREE", "RoutePlan", "route_plan"]
 
-
-class Bucket(NamedTuple):
-    """All routable nets of one width class ``w`` (see ``bucket_width``)."""
-
-    nets: np.ndarray  # (B,) net ids, ascending
-    pins: np.ndarray  # (B, w) global pin ids in net pin order, -1 padded
-    driver: np.ndarray  # (B,) local index of the driver pin
-    degree: np.ndarray  # (B,) pins of each net, <= w
-
-
-def bucket_width(degree: np.ndarray) -> np.ndarray:
-    """Lane count of the bucket a net of the given degree is routed in.
-
-    Degrees up to ``MAX_STEINER_DEGREE`` (every Hanan candidate is scored,
-    nets are plentiful) get exact buckets, which is what marks them for
-    the Steiner search.  Larger nets are few, get a plain MST, and each
-    kernel step is a fixed launch cost whatever the row count, so they
-    share buckets padded to the next multiple of 4.
-    """
-    return np.where(degree <= MAX_STEINER_DEGREE, degree, -(-degree // 4) * 4)
+#: The one forest-policy number.  Nets of up to this many pins are searched
+#: for Steiner points (iterated 1-Steiner, all ``d * (d - 1) <= 56``
+#: off-diagonal Hanan candidates scored every round); larger nets get a
+#: plain rectilinear MST.
+MAX_STEINER_DEGREE = 8
 
 
 class RoutePlan:
-    """Routable nets (>= 2 pins, driven, non-clock) in degree buckets."""
+    """The routable nets (>= 2 pins, driven) among ``nets`` as one CSR.
 
-    def __init__(self, design: Design, include_clock: bool = False) -> None:
+    ``nets`` is a boolean mask over the design's nets.  Row ``r`` is net
+    ``net_ids[r]`` (ascending): its pins are
+    ``pins[pin_start[r]:pin_start[r + 1]]`` in net pin order, its driver
+    is local pin ``driver[r]``.  ``max_nodes`` bounds the nodes of the
+    forest, Steiner points included.
+    """
+
+    def __init__(self, design: Design, nets: np.ndarray) -> None:
         degrees = design.net_degrees
-        routable = (degrees >= 2) & (design.net_driver >= 0)
-        if not include_clock:
-            routable &= ~design.net_is_clock
+        routable = (degrees >= 2) & (design.net_driver >= 0) & nets
         self.n_nets = design.n_nets
         self.n_pins = design.n_pins
         self.net_ids = np.nonzero(routable)[0]
         self.degree = degrees[self.net_ids]
+        self.pin_start = np.zeros(len(self.net_ids) + 1, dtype=np.int64)
+        np.cumsum(self.degree, out=self.pin_start[1:])
         starts = design.net2pin_start[self.net_ids]
-        # Local index of the driver: first pin of the net equal to it.
         flat = gather_csr(starts, self.degree)
-        local = flat - np.repeat(starts, self.degree)
-        is_driver = design.net2pin[flat] == np.repeat(
+        self.pins = np.ascontiguousarray(design.net2pin[flat], dtype=np.int64)
+        # Local index of the driver: first pin of the net equal to it.
+        local = np.arange(len(flat)) - np.repeat(self.pin_start[:-1], self.degree)
+        is_driver = self.pins == np.repeat(
             design.net_driver[self.net_ids], self.degree
         )
-        driver = np.minimum.reduceat(
+        self.driver = np.minimum.reduceat(
             np.where(is_driver, local, degrees.max(initial=0)),
-            np.cumsum(self.degree) - self.degree,
+            self.pin_start[:-1],
+        ).astype(np.int64, copy=False)
+        # A degree-3 net may gain a Steiner point, one of degree
+        # 4..MAX_STEINER_DEGREE up to degree - 2.
+        steiner = (self.degree >= 4) & (self.degree <= MAX_STEINER_DEGREE)
+        self.max_nodes = int(
+            self.pin_start[-1]
+            + np.count_nonzero(self.degree == 3)
+            + (self.degree[steiner] - 2).sum()
         )
-        width = bucket_width(self.degree)
-        self.buckets: Dict[int, Bucket] = {}
-        for w in np.unique(width).tolist():
-            rows = np.nonzero(width == w)[0]
-            lane = np.arange(w)
-            pins = np.where(
-                lane < self.degree[rows, None],
-                design.net2pin[
-                    np.minimum(starts[rows, None] + lane, len(design.net2pin) - 1)
-                ],
-                -1,
-            )
-            self.buckets[w] = Bucket(
-                self.net_ids[rows], pins, driver[rows], self.degree[rows]
-            )
+        #: The plan as the compiled builder reads it (built on first use).
+        self.kernel_view = None
 
 
 def route_plan(design: Design, include_clock: bool = False) -> RoutePlan:
-    """The design's cached plan (clock-inclusive plans are built fresh)."""
+    """The plan of the design's non-clock nets, cached on the design (with
+    ``include_clock``, of all its nets, built fresh)."""
     if include_clock:
-        return RoutePlan(design, include_clock=True)
+        return RoutePlan(design, np.ones(design.n_nets, dtype=bool))
     plan = design.__dict__.get("_route_plan")
     if plan is None:
-        plan = design.__dict__["_route_plan"] = RoutePlan(design)
+        plan = design.__dict__["_route_plan"] = RoutePlan(
+            design, ~design.net_is_clock
+        )
     return plan

@@ -141,11 +141,10 @@ class Forest:
     groups node indices by tree depth so bottom-up/top-down
     dynamic-programming passes run one depth level at a time, mirroring
     the paper's GPU kernel structure (the compiled passes of
-    :mod:`repro.core.sweep` read them as ``level_tables``).  The batched
-    router (:mod:`repro.route.batch`)
-    writes these arrays directly through :meth:`from_rows`; a
-    :class:`RoutingTree` is only a view materialised on request by
-    :meth:`tree`.
+    :mod:`repro.core.sweep` read them as ``level_tables``).  The compiled
+    builder (``rsmt.c``) writes these arrays directly through
+    :meth:`from_rows`; a :class:`RoutingTree` is only a view materialised
+    on request by :meth:`tree`.
     """
 
     def __init__(
@@ -172,7 +171,7 @@ class Forest:
 
     @classmethod
     def from_rows(cls, *args, **kwargs) -> "Forest":
-        """Forest from per-tree rows in any net order (see ``_assemble``)."""
+        """Forest from per-tree rows in net order (see ``_assemble``)."""
         forest = cls.__new__(cls)
         forest._assemble(*args, **kwargs)
         return forest
@@ -190,43 +189,27 @@ class Forest:
         is_root: np.ndarray,
         depth: Optional[np.ndarray] = None,
     ) -> None:
-        """The one compaction: rows of trees -> net-ordered flat arrays.
+        """The one compaction: rows of trees -> flat arrays.
 
-        Row ``r`` is the tree of net ``net[r]`` with ``size[r]`` nodes; the
-        node arrays are the rows concatenated in the given order,
-        ``parent`` row-local (``-1`` at the root).  ``depth`` is computed
-        here when the caller did not derive it per bucket.
+        Row ``r`` is the tree of net ``net[r]`` (ascending) with ``size[r]``
+        nodes; the node arrays are the rows concatenated, ``parent``
+        row-local (``-1`` at the root).  ``depth`` is computed here when
+        the caller did not derive it per tree.
         """
         self.n_nets = n_nets
         self.n_pins_total = n_pins_total
         self.node_offset = np.zeros(n_nets + 1, dtype=np.int64)
         self.node_offset[net + 1] = size
         np.cumsum(self.node_offset, out=self.node_offset)
-        self.n_nodes = total = int(self.node_offset[-1])
+        self.n_nodes = int(self.node_offset[-1])
         base = np.repeat(self.node_offset[net], size)
-        parent = np.where(parent >= 0, parent + base, -1)
+        self.parent = np.where(parent >= 0, parent + base, -1)
         self.node_net = np.repeat(np.arange(n_nets), np.diff(self.node_offset))
-        if len(net) > 1 and (net[1:] < net[:-1]).any():
-            # Rows arrive bucket-major; dest is each node's net-order slot.
-            dest = base + np.arange(total) - np.repeat(np.cumsum(size) - size, size)
-
-            def place(values: np.ndarray) -> np.ndarray:
-                out = np.empty_like(values)
-                out[dest] = values
-                return out
-
-        else:
-            place = np.asarray
-        self.parent = place(parent)
-        self.node_pin = place(node_pin)
-        self.owner_x_pin = place(owner_x_pin)
-        self.owner_y_pin = place(owner_y_pin)
-        self.is_root = place(is_root)
-        self.depth = (
-            tree_depths(self.parent, self.is_root)
-            if depth is None
-            else place(depth)
-        )
+        self.node_pin = node_pin
+        self.owner_x_pin = owner_x_pin
+        self.owner_y_pin = owner_y_pin
+        self.is_root = is_root
+        self.depth = tree_depths(self.parent, is_root) if depth is None else depth
         self._finalize()
 
     def _finalize(self) -> None:

@@ -22,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from ..netlist.design import Design
-from ..route.rsmt import build_rsmt
-from ..route.tree import Forest
+from ..route.plan import RoutePlan
+from ..route.rsmt import build_forest_from_plan
 from .elmore import design_elmore, pin_elmore
 from .graph import TimingGraph
 
@@ -60,18 +60,9 @@ def propagate_clock(
     is_sink = np.zeros(n_pins, dtype=bool)
     source_slew = design.constraints.input_slew(design.constraints.clock_port)
 
-    trees = []
-    for ni in np.nonzero(design.net_is_clock)[0]:
-        pins = design.net_pins(int(ni))
-        driver = design.net_driver[int(ni)]
-        if len(pins) < 2 or driver < 0:
-            continue
-        driver_local = int(np.nonzero(pins == driver)[0][0])
-        trees.append(
-            build_rsmt(px[pins], py[pins], pins, driver_local=driver_local)
-        )
-    if trees:
-        forest = Forest(trees, n_pins)
+    plan = RoutePlan(design, design.net_is_clock)
+    if len(plan.net_ids):
+        forest = build_forest_from_plan(plan, px, py)
         elm = design_elmore(design, forest, px, py, graph.extra_pin_cap)
         at, impulse2, _ = pin_elmore(forest, elm, n_pins, "elmore")
         is_sink[forest.node_pin[forest.node_pin >= 0]] = True

@@ -1,4 +1,5 @@
-"""Building the compiled sweep: cached per user, safe to race, and a missing
+"""Building the compiled kernels (timing sweep and Steiner-forest builder):
+cached per user, safe to race, keyed on every C source, and a missing
 compiler is one line naming what is needed.
 
 Each test points ``XDG_CACHE_HOME`` at an empty directory, so the spawned
@@ -12,7 +13,10 @@ import sys
 from repro.core import cbuild
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-IMPORT = "import repro.core.sweep as s; print(s.lib.sweep_exact is not None)"
+IMPORT = (
+    "import repro.core.sweep as s, repro.route.rsmt as r; "
+    "print(s.lib.sweep_exact is not None and r.lib is s.lib)"
+)
 
 
 def _python(code, cache, **env):
@@ -37,7 +41,20 @@ def test_two_processes_building_at_once_both_import(tmp_path):
         assert process.returncode == 0, err
         assert out.strip() == "True"
     built = os.listdir(tmp_path / "repro" / "kernels")
-    assert len(built) == 1 and built[0].startswith("_repro_sweep_")
+    assert len(built) == 1 and built[0].startswith("_repro_kernels_")
+
+
+def test_cache_key_covers_every_c_source_of_the_package():
+    # A C file left out of _SOURCES would be compiled from a stale cached
+    # library whose name does not change with it.
+    shipped = {
+        os.path.relpath(os.path.join(root, name), cbuild._PACKAGE)
+        for root, _, names in os.walk(cbuild._PACKAGE)
+        for name in names
+        if name.endswith((".c", ".h"))
+    }
+    assert set(cbuild._SOURCES) == shipped
+    assert len(cbuild._SOURCES) == len(shipped)
 
 
 def test_missing_compiler_is_one_line_naming_gcc_and_cffi(tmp_path):

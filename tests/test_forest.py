@@ -6,14 +6,10 @@ import pytest
 from repro.route import (
     Forest,
     build_forest,
-    build_rsmt,
     build_trees,
 )
-from tests.test_rsmt_batch import (
-    _trees_identical,
-    assert_forests_equal,
-    reference_forest,
-)
+from tests.reference_rsmt import build_rsmt, reference_forest
+from tests.test_rsmt_batch import _trees_identical, assert_forests_equal
 
 
 @pytest.fixture()

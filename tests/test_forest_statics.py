@@ -5,7 +5,7 @@ Elmore passes of every timer call index with (parent-or-self pointers,
 per-level parents and compact parent groups, pin and driver nodes).  The
 kernels on them are held, bit for bit, to a per-tree Python reference
 that walks one node at a time, and both ways of building a forest -
-explicit trees, bucket rows - must lay out the same tables.
+explicit trees, the compiled builder's rows - must lay out the same tables.
 """
 
 import numpy as np
@@ -15,9 +15,9 @@ from repro.route import (
     Forest,
     RoutingTree,
     build_forest,
-    build_rsmt,
 )
 from repro.sta.elmore import elmore_forward, node_caps
+from tests.reference_rsmt import build_rsmt
 
 STATICS = (
     "up", "pin_nodes", "pins_of_nodes", "driver_nodes", "driver_pins", "pin_node",

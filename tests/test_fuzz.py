@@ -98,7 +98,8 @@ def test_random_placements_route_time_and_legalize(spec, seed):
 )
 def test_elmore_delay_monotone_along_root_paths(n, seed):
     """Downstream of the driver, Elmore delay can only accumulate."""
-    from repro.route import Forest, build_rsmt
+    from repro.route import Forest
+    from tests.reference_rsmt import build_rsmt
     from repro.sta.elmore import elmore_forward, node_caps
     from repro.netlist import WireModel
 

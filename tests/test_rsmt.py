@@ -1,12 +1,17 @@
-"""Unit and property tests for rectilinear Steiner tree construction."""
+"""Unit and property tests for the scalar RSMT construction, the oracle the
+compiled Steiner-forest builder is held to (``tests/reference_rsmt.py``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.route import build_rsmt, rmst_length
-from repro.route.rsmt import _prim_edges, _prim_lengths_batch
+from tests.reference_rsmt import (
+    _prim_edges,
+    _prim_lengths_batch,
+    build_rsmt,
+    rmst_length,
+)
 
 
 def random_net(rng, n):

@@ -1,11 +1,11 @@
-"""Equivalence tests: the array-native forest build vs the scalar reference.
+"""Equivalence tests: the compiled Steiner-forest builder vs the scalar oracle.
 
-The route plan + degree-bucket kernels of ``repro.route`` must write a
-flat ``Forest`` whose every array equals flattening per-net
-:func:`repro.route.rsmt.build_rsmt` trees (same node order, same parents,
-same coordinate owners), because checkpoint restoration replays
-construction from coordinates alone.  The forest policy itself is pinned
-here too: Steiner search in the exact buckets (degree 4-8), plain RMST above.
+``rsmt.c`` must write a flat ``Forest`` whose every array (dtypes
+included) equals flattening per-net ``build_rsmt`` trees from
+``tests/reference_rsmt.py`` (same node order, same parents, same
+coordinate owners), because checkpoint restoration replays construction
+from coordinates alone.  The forest policy itself is pinned here too:
+Steiner search up to ``MAX_STEINER_DEGREE`` (degree 4-8), plain RMST above.
 """
 
 from types import SimpleNamespace
@@ -15,18 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness.suite import load_design
-from repro.route import MAX_STEINER_DEGREE, Forest, route_plan
-from repro.route import batch
-from repro.route.batch import batched_one_steiner, batched_prim
-from repro.route.plan import bucket_width
-from repro.route.rsmt import (
+from repro.harness.suite import SUITE, load_design
+from repro.route import MAX_STEINER_DEGREE, route_plan
+from repro.route.rsmt import build_forest, build_forest_for_nets, build_trees
+from tests.reference_rsmt import (
+    _iterated_one_steiner,
     _prim_edges,
     _prune_leaf_steiners,
-    build_forest,
-    build_forest_for_nets,
-    build_rsmt,
-    build_trees,
+    reference_forest,
+    rmst_length,
 )
 
 FOREST_ARRAYS = (
@@ -46,11 +43,13 @@ FOREST_ARRAYS = (
 
 def assert_forests_equal(a, b):
     for attr in FOREST_ARRAYS:
-        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+        left, right = getattr(a, attr), getattr(b, attr)
+        assert left.dtype == right.dtype, attr
+        assert np.array_equal(left, right), attr
     assert a.n_nodes == b.n_nodes and a.max_depth == b.max_depth
     assert len(a.levels) == len(b.levels)
     for la, lb in zip(a.levels, b.levels):
-        assert np.array_equal(la, lb)
+        assert la.dtype == lb.dtype and np.array_equal(la, lb)
 
 
 def _trees_identical(a, b) -> bool:
@@ -63,25 +62,6 @@ def _trees_identical(a, b) -> bool:
         and np.array_equal(a.owner_y, b.owner_y)
         and a.root == b.root
     )
-
-
-def reference_forest(design, px, py, include_clock=False):
-    """``Forest([build_rsmt(...) per net])``: the scalar reference."""
-    trees = []
-    for ni in range(design.n_nets):
-        lo, hi = design.net2pin_start[ni], design.net2pin_start[ni + 1]
-        pins = design.net2pin[lo:hi]
-        driver = design.net_driver[ni]
-        if (
-            len(pins) < 2
-            or driver < 0
-            or (design.net_is_clock[ni] and not include_clock)
-        ):
-            trees.append(None)
-            continue
-        local = int(np.nonzero(pins == driver)[0][0])
-        trees.append(build_rsmt(px[pins], py[pins], pins, driver_local=local))
-    return Forest(trees, design.n_pins)
 
 
 def netlist(nets):
@@ -106,13 +86,7 @@ def netlist(nets):
 def check_nets(nets):
     design, px, py = netlist(nets)
     forest = build_forest_for_nets(design, px, py)
-    reference = reference_forest(design, px, py)
-    assert_forests_equal(forest, reference)
-    # Candidates scored in many row blocks: three rows each at degree 4,
-    # one row each from degree 5 on.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(batch, "_TABLE_ENTRIES", 1000)
-        assert_forests_equal(build_forest_for_nets(design, px, py), reference)
+    assert_forests_equal(forest, reference_forest(design, px, py))
     return forest, design, px, py
 
 
@@ -130,51 +104,10 @@ def _random_nets(rng, n_nets, degree, coord_pool=None):
     return nets
 
 
-class TestBatchedPrim:
-    def test_matches_scalar_prim_rows(self):
-        rng = np.random.default_rng(11)
-        for n in (2, 3, 5, 9):
-            X = rng.integers(0, 30, (17, n)).astype(float)
-            Y = rng.integers(0, 30, (17, n)).astype(float)
-            parent, total = batched_prim(X, Y)
-            for r in range(len(X)):
-                edges, length = _prim_edges(X[r], Y[r])
-                expect = np.full(n, -1)
-                for src, dst in edges:
-                    expect[dst] = src
-                assert np.array_equal(parent[r], expect)
-                assert total[r] == length  # bit-identical sums
-
-    def test_ragged_rows_match_their_prefix(self):
-        rng = np.random.default_rng(12)
-        X = rng.uniform(0, 30, (23, 9))
-        Y = rng.uniform(0, 30, (23, 9))
-        n_nodes = rng.integers(1, 10, 23)
-        parent, total = batched_prim(X, Y, n_nodes)
-        for r, n in enumerate(n_nodes):
-            ref_parent, ref_total = batched_prim(X[r : r + 1, :n], Y[r : r + 1, :n])
-            assert np.array_equal(parent[r, :n], ref_parent[0])
-            assert (parent[r, n:] == -1).all()
-            assert total[r] == ref_total[0]
-
-    def test_degenerate_single_column(self):
-        parent, total = batched_prim(np.zeros((4, 1)), np.zeros((4, 1)))
-        assert parent.shape == (4, 1) and (parent == -1).all()
-        assert np.all(total == 0.0)
-
-
-class TestBatchedOneSteiner:
-    def test_coincident_candidates_masked_not_dropped(self):
-        # All pins on a line: every Hanan candidate coincides with a pin,
-        # so no insertion may happen (the scalar path drops them all).
-        X = np.array([[0.0, 5.0, 9.0, 12.0]])
-        Y = np.array([[2.0, 2.0, 2.0, 2.0]])
-        XS, YS, n_ins, _, _ = batched_one_steiner(X, Y)
-        assert n_ins[0] == 0
-
-
 @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, 7, 8])
 class TestBucketEquivalence:
+    """Each degree of the Steiner-searched range and below, on its own."""
+
     def test_random_nets_bit_identical(self, degree):
         rng = np.random.default_rng(100 + degree)
         forest, _, px, py = check_nets(_random_nets(rng, 40, degree))
@@ -189,20 +122,19 @@ class TestBucketEquivalence:
 
 
 class TestLargeDegrees:
-    """Every padded bucket (degree > MAX_STEINER_DEGREE) is a plain RMST."""
+    """Every net above MAX_STEINER_DEGREE is a plain RMST."""
 
     @staticmethod
     def assert_plain_rmst(nets):
-        """Batched == scalar, no Steiner node, and every tree's length is
-        ``batched_prim``'s total bit for bit (the coordinates below are
+        """Compiled == scalar, no Steiner node, and every tree's length is
+        the scalar Prim's total bit for bit (the coordinates below are
         multiples of 1/4, so the sums are exact in any order)."""
         forest, design, px, py = check_nets(nets)
         assert not forest.is_steiner.any()
         for ni, tree in enumerate(forest.trees(px, py)):
             lo, hi = design.net2pin_start[ni], design.net2pin_start[ni + 1]
-            _, total = batched_prim(px[None, lo:hi], py[None, lo:hi])
             assert tree.n_nodes == hi - lo
-            assert tree.wirelength() == total[0]
+            assert tree.wirelength() == _prim_edges(px[lo:hi], py[lo:hi])[1]
 
     @pytest.mark.parametrize("degree", [9, 12, 19, 24, 37])
     def test_padded_degrees_are_plain_rmst(self, degree):
@@ -212,22 +144,6 @@ class TestLargeDegrees:
         # Few distinct coordinates: duplicate pins and argmin ties.
         nets += _random_nets(rng, 2, degree, coord_pool=np.array([0.0, 3.0, 7.0, 12.0]))
         self.assert_plain_rmst(nets)
-
-    def test_padded_bucket_mixes_degrees(self):
-        # 9..12 share one 12-lane bucket, 17..20 one of 20 lanes.
-        assert bucket_width(np.array([8, 9, 12, 17, 20, 21, 24, 25])).tolist() == [
-            8, 12, 12, 20, 20, 24, 24, 28,
-        ]
-        assert bucket_width(np.array([MAX_STEINER_DEGREE])) == MAX_STEINER_DEGREE
-        rng = np.random.default_rng(31)
-        pool = np.arange(1200) * 0.25
-        self.assert_plain_rmst(
-            [
-                net
-                for d in (17, 18, 19, 20, 21, 24, 9, 10, 11, 12, 20, 17)
-                for net in _random_nets(rng, 1, d, coord_pool=pool)
-            ]
-        )
 
     def test_big_net_mst_path(self):
         rng = np.random.default_rng(33)
@@ -240,12 +156,17 @@ class TestLargeDegrees:
 @st.composite
 def net_mixes(draw):
     """Net mixes over every degree class, on a coarse grid (coincident
-    and collinear pins, ties) or on floats, driver at any local index."""
+    and collinear pins, ties), on a few inexact values or on floats,
+    driver at any local index."""
     nets = []
     for _ in range(draw(st.integers(1, 8))):
         degree = draw(st.one_of(st.integers(2, 8), st.integers(9, 40)))
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["grid", "pool", "float"]))
+        if kind == "grid":
             coord = st.integers(0, draw(st.integers(1, 12))).map(float)
+        elif kind == "pool":
+            # Few values whose sums round: tied keys, order-sensitive sums.
+            coord = st.sampled_from([0.1, 0.3, 0.7, 1.1, 1.9, 3.3, 5.7])
         else:
             coord = st.floats(0.0, 500.0, allow_nan=False, width=64)
         x = draw(st.lists(coord, min_size=degree, max_size=degree))
@@ -254,10 +175,33 @@ def net_mixes(draw):
     return nets
 
 
+@st.composite
+def grid_nets(draw):
+    """One net of degree 2-40 on a coarse integer grid, in one of four
+    shapes: scattered (Hanan candidates on pins, coincident pins), all
+    pins on one point, all on a horizontal or on a vertical line."""
+    degree = draw(st.integers(2, 40))
+    side = draw(st.integers(1, 5))
+    coord = st.integers(0, side).map(float)
+    x = draw(st.lists(coord, min_size=degree, max_size=degree))
+    y = draw(st.lists(coord, min_size=degree, max_size=degree))
+    shape = draw(st.sampled_from(["scatter", "point", "row", "column"]))
+    if shape in ("point", "row"):
+        y = [y[0]] * degree
+    if shape in ("point", "column"):
+        x = [x[0]] * degree
+    return x, y, draw(st.integers(0, degree - 1))
+
+
 class TestNetMixes:
     @given(net_mixes())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_forest_equals_reference(self, nets):
+        check_nets(nets)
+
+    @given(st.lists(grid_nets(), min_size=1, max_size=6))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_grid_nets_equal_reference(self, nets):
         check_nets(nets)
 
     @given(
@@ -275,15 +219,14 @@ class TestNetMixes:
         # mixed with a wide one; integers keep every sum exact.
         x, y = np.array(points, dtype=float).T
         forest, _, px, py = check_nets([(x, y, 0)])
-        _, rmst = batched_prim(x[None], y[None])
-        assert forest.total_wirelength(px, py) <= rmst[0]
+        assert forest.total_wirelength(px, py) <= rmst_length(x, y)
 
     @pytest.mark.parametrize("degree", [4, 5, 6, 8, 9, 12])
     def test_every_driver_index_and_insert_count(self, degree):
         # The driver at every local index, over nets whose 1-Steiner pass
         # inserts nothing (collinear pins) up to the full degree - 2
         # (integer-grid nets reach every count for the small degrees;
-        # the padded buckets 9 and 12 insert nothing at all).
+        # degrees 9 and 12 insert nothing at all).
         rng = np.random.default_rng(degree)
         nets = [(np.arange(degree) * 3.0, np.zeros(degree), 0)]
         nets += _random_nets(rng, 400, degree, coord_pool=np.arange(25.0))
@@ -295,6 +238,58 @@ class TestNetMixes:
         else:
             top = degree - 2 if degree <= 6 else degree // 2
             assert set(range(top + 1)) <= set(inserted.tolist())
+
+    def test_hanan_candidates_on_pins_and_degenerate_nets(self):
+        # Pins on a 2x3 and a 2x4 grid: every Hanan candidate is a pin, so
+        # nothing is inserted; a plus sign whose centre is the one useful
+        # candidate; all pins on one point; a degree-3 median on a pin.
+        # The driver in every lane of each.
+        nets = []
+        for rows in (3, 4):
+            grid = np.array([(i, 2 * j) for i in range(2) for j in range(rows)], float)
+            nets += [(grid[:, 0], grid[:, 1], k) for k in range(len(grid))]
+        plus = np.array([(1, 0), (0, 1), (2, 1), (1, 2)], float)
+        nets += [(plus[:, 0], plus[:, 1], k) for k in range(4)]
+        nets += [(np.full(d, 5.0), np.full(d, 2.0), d - 1) for d in (2, 3, 4, 8, 9)]
+        nets += [([0.0, 1.0, 4.0], [0.0, 1.0, 4.0], k) for k in range(3)]
+        forest, design, _, _ = check_nets(nets)
+        inserted = np.diff(forest.node_offset) - design.net_degrees
+        assert inserted.tolist() == [0] * 14 + [1] * 4 + [0] * 8
+
+    def test_steiner_point_left_a_leaf_is_peeled(self):
+        # Nets where a later insertion leaves an earlier Steiner point a
+        # leaf of the final MST (rare: two in millions of random nets),
+        # the driver in every lane.
+        peeling = [
+            [(48, 8), (18, 39), (30, 36), (29, 47), (8, 48), (7, 36), (40, 11), (20, 22)],
+            [
+                (254.565431, 1467.2712), (2050.619095, 518.776846),
+                (1470.522378, 1767.272507), (1448.166526, 555.474702),
+                (1787.952813, 1397.708143), (2067.613468, 2008.866612),
+                (524.428682, 79.573714),
+            ],
+        ]
+        nets = []
+        for points in peeling:
+            x, y = np.array(points, dtype=float).T
+            xs, _, _ = _iterated_one_steiner(x, y)
+            nets += [(x, y, k) for k in range(len(x))]
+            forest, design, _, _ = check_nets([(x, y, 0)])
+            assert forest.n_nodes < len(xs)  # some inserted point is gone
+        check_nets(nets)
+
+    def test_candidate_tied_with_a_node_key(self):
+        # A candidate whose key ties the least node key is picked after
+        # the node (a lower index), and the sums of these inexact values
+        # depend on that order.  The driver in every lane.
+        points = [
+            (0.6, 0.7), (0.2, 0.30000000000000004),
+            (0.8999999999999999, 0.8999999999999999), (1.1, 2.2),
+            (2.2, 0.8999999999999999), (2.2, 0.2),
+            (0.30000000000000004, 3.3000000000000003), (1.1, 2.2),
+        ]
+        x, y = np.array(points).T
+        check_nets([(x, y, k) for k in range(len(x))])
 
     def test_unroutable_nets_get_no_tree(self):
         nets = _random_nets(np.random.default_rng(5), 5, 4)
@@ -309,24 +304,74 @@ class TestNetMixes:
             with_clock, reference_forest(design, px, py, include_clock=True)
         )
 
+    def test_no_routable_net_is_an_empty_forest(self):
+        design, px, py = netlist(_random_nets(np.random.default_rng(6), 3, 5))
+        design.net_driver[:] = -1
+        assert_forests_equal(
+            build_forest_for_nets(design, px, py), reference_forest(design, px, py)
+        )
+
+
+class TestNonFinitePins:
+    """A non-finite coordinate on a routed pin is one ValueError, raised
+    before any net is routed; pins of unrouted nets are never read.  So
+    are coordinates that are not one value per pin."""
+
+    NETS = [
+        ([0.0, 3.0], [1.0, 2.0], 1),
+        ([0.0, 3.0, 1.0], [1.0, 2.0, 5.0], 2),
+        ([0.0, 3.0, 1.0, 4.0, 2.0], [1.0, 2.0, 5.0, 0.0, 3.0], 0),
+        (list(np.arange(12.0)), list(np.arange(12.0)[::-1]), 4),
+    ]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_routed_pin_raises(self, bad):
+        design, px, py = netlist(self.NETS)
+        for pin in range(design.n_pins):
+            net = int(np.searchsorted(design.net2pin_start, pin, side="right")) - 1
+            for axis in (0, 1):
+                coords = [px.copy(), py.copy()]
+                coords[axis][pin] = bad
+                with pytest.raises(ValueError, match=f"net {net} "):
+                    build_forest_for_nets(design, *coords)
+
+    def test_coordinates_must_be_one_per_pin(self):
+        design, px, py = netlist(self.NETS)
+        with pytest.raises(ValueError, match="pins"):
+            build_forest_for_nets(design, px[:-1], py[:-1])
+        with pytest.raises(ValueError, match="pins"):
+            build_forest_for_nets(design, px, py[:, None])
+
+    def test_unrouted_pin_is_not_read(self):
+        design, px, py = netlist(self.NETS)
+        design.net_driver[2] = -1
+        px[design.net2pin_start[2]] = np.nan
+        assert_forests_equal(
+            build_forest_for_nets(design, px, py), reference_forest(design, px, py)
+        )
+
 
 class TestDesignLevel:
-    @pytest.mark.parametrize("name", ["miniblue18", "miniblue7"])
+    @pytest.mark.parametrize("name", [entry.name for entry in SUITE])
     def test_suite_design_forest_equals_reference(self, name):
+        # At the design's seed placement and at a uniform scatter.
         design = load_design(name)
         rng = np.random.default_rng(3)
         xl, yl, xh, yh = design.die
-        x = rng.uniform(xl, xh, design.n_cells)
-        y = rng.uniform(yl, yh, design.n_cells)
-        px, py = design.pin_positions(x, y)
-        assert_forests_equal(
-            build_forest(design, x, y), reference_forest(design, px, py)
-        )
+        for x, y in (
+            (design.cell_x, design.cell_y),
+            (rng.uniform(xl, xh, design.n_cells), rng.uniform(yl, yh, design.n_cells)),
+        ):
+            px, py = design.pin_positions(x, y)
+            assert_forests_equal(
+                build_forest(design, x, y), reference_forest(design, px, py)
+            )
 
     def test_midiblue50_sample_equals_reference(self):
-        # Every net above degree 6 (incl. the padded 12-lane and plain-MST
-        # buckets) plus a stride over the rest, the others masked out as
-        # undriven: the forest of the masked view must equal its reference.
+        # Every net above degree 6 (the plain-MST degrees included) plus a
+        # stride over the rest, the others masked out as undriven: the
+        # forest of the masked view must equal its reference.  The whole
+        # design is compared in benchmarks/test_rsmt_forest.py.
         design = load_design("midiblue50")
         rng = np.random.default_rng(4)
         xl, yl, xh, yh = design.die
@@ -350,7 +395,7 @@ class TestDesignLevel:
         )
         forest = build_forest_for_nets(masked, px, py)
         assert_forests_equal(forest, reference_forest(masked, px, py))
-        assert 12 in route_plan(masked).buckets
+        assert (route_plan(masked).degree > MAX_STEINER_DEGREE).any()
 
     def test_build_trees_are_views_of_the_forest(self, small_design):
         rng = np.random.default_rng(77)
@@ -383,6 +428,8 @@ class TestDesignLevel:
 
 
 class TestPruneLeafSteiners:
+    """The oracle's leaf-Steiner peel."""
+
     def test_chain_of_dangling_steiners_peels(self):
         # 2 pins + 3 Steiner nodes hanging off pin 1 in a chain; every
         # Steiner has degree <= 1 after its child peels.
