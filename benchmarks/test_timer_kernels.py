@@ -3,9 +3,10 @@
 The paper's efficiency claims rest on fast forward and backward timing
 kernels plus Steiner-tree reuse.  These micro benchmarks measure every
 stage of Figure 3 on a mid-size design: RSMT construction (the FLUTE
-substitute), the 4-pass Elmore DP, its 4-pass adjoint, the levelised
-forward propagation, the full backward pass, and the golden STA for
-comparison.
+substitute), the compiled pre-pass (pin coordinates to the 4-pass Elmore
+DP and the timers' per-pin inputs), the Elmore adjoint, the whole
+forward, the two-seed backward (one compiled adjoint from the endpoint
+seeds to the cells), and the golden STA for comparison.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from repro.core.elmore_grad import elmore_backward
 from repro.place import DensityModel, WAWirelength
 from repro.route import build_forest
 from repro.sta import StaticTimingAnalyzer
-from repro.sta.elmore import elmore_forward, node_caps
+from repro.sta.elmore import design_elmore, elmore_forward, node_caps
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +39,14 @@ def test_bench_rsmt_build(benchmark, kernel_design):
     assert forest.n_nodes > design.n_pins * 0.5
 
 
-def test_bench_elmore_forward(benchmark, env):
-    design, x, y, forest, timer, tape, nx, ny, caps = env
-    result = benchmark(
-        elmore_forward, forest, nx, ny, caps, design.library.wire
+def test_bench_timer_prepass(benchmark, env):
+    """Pin coordinates -> Elmore moments and the per-pin timer inputs."""
+    design, x, y, forest, timer, tape, *_ = env
+    px, py = design.pin_positions(x, y)
+    elm, pins = benchmark(
+        design_elmore, design, forest, px, py, timer.graph.extra_pin_cap
     )
-    assert (result.delay >= 0).all()
+    assert (elm.delay >= 0).all() and (pins >= 0).all()
 
 
 def test_bench_elmore_backward(benchmark, env):
@@ -65,8 +68,10 @@ def test_bench_timer_forward(benchmark, env):
 
 
 def test_bench_timer_backward(benchmark, env):
+    """Both term gradients of the placement objective in one call."""
     design, x, y, forest, timer, tape, *_ = env
-    gx, gy = benchmark(timer.backward, tape, -0.01, -0.001)
+    seeds = [(-1.0, 0.0), (0.0, -1.0)]
+    (gx, gy), _ = benchmark(timer.backward, tape, seeds=seeds)
     assert np.isfinite(gx).all()
 
 

@@ -32,7 +32,7 @@ def differentiable(backward: str, gradcheck: str) -> Callable:
     ----------
     backward:
         Fully qualified dotted path of the adjoint kernel
-        (``"repro.core.sweep.sweep_backward"``).
+        (``"repro.core.sweep.timer_adjoint"``).
     gradcheck:
         Pytest node id of the finite-difference test that covers the pair
         (``"tests/test_elmore_grad.py::TestElmoreBackward::test_..."``).

@@ -16,7 +16,8 @@ to recover merge weights without storing them, then chains through the
 LUT-interpolation gradients of Figure 6 into source slews and net loads
 (Equation (12)).  Both directions run level by level in the compiled sweep
 (:mod:`repro.core.sweep`); this module holds what they share with the
-Python side: the slew clip of every LUT query and the sweep's tape.
+Python side: the bound of the slew clip of every LUT query and the
+sweep's tape.
 """
 
 from __future__ import annotations
@@ -25,23 +26,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-__all__ = ["SLEW_CLIP_MAX", "clip_slew", "slew_clipped", "SweepTape"]
+__all__ = ["SLEW_CLIP_MAX", "SweepTape"]
 
 #: Upper bound applied to slews before LUT queries.  Unreached fan-ins
 #: carry sentinel values, so queries are clamped to the LUT's sane range
 #: (their AT sentinel still dominates the merge); where the clamp is
 #: active the slew derivative of the lookup is zero.
 SLEW_CLIP_MAX = 1e6
-
-
-def clip_slew(slew: np.ndarray, bound: float) -> np.ndarray:
-    """``slew`` clamped to ``[0, bound]``, the range LUT queries are made in."""
-    return np.minimum(np.maximum(slew, 0.0), bound)
-
-
-def slew_clipped(slew: np.ndarray, bound: float) -> np.ndarray:
-    """Where :func:`clip_slew` is active (the lookup sees a constant)."""
-    return (slew < 0.0) | (slew > bound)
 
 
 class SweepTape(NamedTuple):

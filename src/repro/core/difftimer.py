@@ -28,19 +28,12 @@ import numpy as np
 from ..netlist.design import Design
 from ..route.rsmt import build_forest
 from ..route.tree import Forest
-from ..sta.elmore import (
-    ElmoreResult,
-    check_wire_delay_model,
-    design_elmore,
-    pin_elmore,
-)
+from ..sta.elmore import ElmoreResult, check_wire_delay_model, design_elmore
 from ..runtime import faults
 from ..sta.graph import TimingGraph
-from .elmore_grad import elmore_adjoint
-from .propagate import endpoint_rat, propagate, start_state
-from .scatter import in_rows, scatter_accumulate, scatter_add
+from .propagate import endpoint_slacks, propagate, start_state
 from .smoothing import lse_min, soft_clamp_neg, soft_clamp_neg_grad
-from .sweep import sweep_backward
+from .sweep import cand_exponents, timer_adjoint
 
 __all__ = ["DifferentiableTimer", "TimerTape"]
 
@@ -122,24 +115,18 @@ class DifferentiableTimer:
         if inj is not None:
             inj.corrupt_lutbank(graph.lutbank)
 
-        elm = design_elmore(
-            design, forest, *design.pin_positions(x, y), graph.extra_pin_cap
+        elm, pins = design_elmore(
+            design, forest, *design.pin_positions(x, y), graph.extra_pin_cap,
+            self.wire_delay_model,
         )
-        net_delay, impulse2, driver_load = pin_elmore(
-            forest, elm, design.n_pins, self.wire_delay_model
-        )
-
         at, slew = start_state(self.plan, _SENTINEL, 0.0)
         sweep = propagate(
-            self.plan, graph.lutbank, net_delay, impulse2, driver_load,
-            at, slew, "lse", gamma, partials=True,
+            self.plan, graph.lutbank, *pins, at, slew, "lse", gamma,
+            partials=True,
         )
 
-        # ------------------------------------------------------------------
         # Endpoint slacks, smoothed TNS/WNS.
-        # ------------------------------------------------------------------
-        rat, dsetup_dslew = endpoint_rat(graph, slew, grad=True)
-        ep_slack_t = rat - at.reshape(-1).take(self.plan.endpoints.slots)
+        ep_slack_t, dsetup_dslew = endpoint_slacks(graph, at, slew)
         # Softmin across the two transitions per endpoint.
         ep_slack = lse_min(ep_slack_t, gamma, axis=1)
         # No setup checks or output ports: timing is trivially met
@@ -196,18 +183,7 @@ class DifferentiableTimer:
         single = seeds is None
         if single:
             seeds = [(d_tns, d_wns)]
-        n_seeds = len(seeds)
-        design = self.design
-        graph = self.graph
-        plan = self.plan
         gamma = self.gamma
-        n_pins = design.n_pins
-        n_slots = 2 * n_pins
-        at_flat, slew_flat = tape.at.reshape(-1), tape.slew.reshape(-1)
-
-        def in_every_seed(index: np.ndarray, stride: int) -> np.ndarray:
-            """Flat positions of ``index`` in each seed's ``stride`` slots."""
-            return in_rows(index, n_seeds, stride)
 
         # Fault-injection hook: a due timer_exc fault emulates a kernel
         # crash mid-backward (inert outside armed guarded placer runs).
@@ -215,145 +191,39 @@ class DifferentiableTimer:
         if inj is not None:
             inj.maybe_raise("difftimer.backward")
 
-        # d objective / d endpoint slack, up to the seed.  With no
-        # endpoints the objective is constant and the gradient is
-        # identically zero; the empty arrays below propagate that without
-        # special cases, but we still guard the softmin weights against
-        # empty reductions.
+        # d objective / d endpoint slack, up to the seed, and the
+        # transition softmin weights.  With no endpoints the objective is
+        # constant and the gradient identically zero; the empty arrays
+        # propagate that without special cases.
         g_tns = soft_clamp_neg_grad(tape.ep_slack, gamma)
         w_ep = np.exp(np.maximum((tape.wns - tape.ep_slack) / gamma, -700.0))
-        # Transition softmin weights.
         w_t = np.exp(
             np.maximum(
                 (tape.ep_slack[:, None] - tape.ep_slack_t) / gamma, -700.0
             )
         )
-        # Softmax weights of every merge candidate via the identity
-        # w_i = exp((x_i - LSE) / gamma); x_i <= LSE, so the exponent is
-        # clamped to [-700, 0] (a corrupted tape must not overflow).
-        w_cand = np.empty_like(tape.cand)
-        at_flat.take(plan.c_dst, out=w_cand[0])
-        slew_flat.take(plan.c_dst, out=w_cand[1])
-        np.subtract(tape.cand, w_cand, out=w_cand)
-        w_cand /= gamma
-        np.minimum(np.maximum(w_cand, -700.0, out=w_cand), 0.0, out=w_cand)
+        # Softmax weights of every merge candidate.
+        w_cand = cand_exponents(self.plan, tape.at, tape.slew, tape.cand, gamma)
         np.exp(w_cand, out=w_cand)
-
-        # Seed the endpoint slots of every seed's flat gradient:
-        # slack = rat - at;  for setup endpoints rat = T - setup(slew_D).
-        g_sep = np.stack([
-            s_tns * g_tns + s_wns * w_ep
-            if s_wns != 0.0 and tape.ep_slack.size
-            else s_tns * g_tns
-            for s_tns, s_wns in seeds
-        ])
-        g_slack_t = g_sep[:, :, None] * w_t  # (n_seeds, n_ep, 2)
-        g_at = np.zeros(n_seeds * n_slots)
-        g_slew = np.zeros(n_seeds * n_slots)
-        slots = plan.endpoints.slots
-        n_setup = len(graph.setup_d)
-        scatter_accumulate(
-            g_at, in_every_seed(slots.reshape(-1), n_slots), -g_slack_t.reshape(-1)
-        )
-        scatter_accumulate(
-            g_slew,
-            in_every_seed(slots[:n_setup].reshape(-1), n_slots),
-            (-g_slack_t[:, :n_setup] * tape.setup_dsetup_dslew).reshape(-1),
-        )
-
-        # The level sweep, every seed at once (net arcs: Slew(v) =
-        # sqrt(Slew(u)^2 + Impulse(v)^2), so Slew(u) gets Slew(u) / Slew(v)).
-        sweep_backward(plan, w_cand, tape.d_dslew, slew_flat, g_at, g_slew, n_seeds)
-
-        # Sinks of a level's arcs are final when it is swept, so what the
-        # Elmore model receives is folded once, after the sweep: the
-        # net-arc sink gradients into the wire delay and squared impulse
-        # (Eq. 10), the candidate gradients into Load(v) via both LUT
-        # y-derivatives (Eq. 12e).  Each whole-graph array of every seed
-        # is dropped at its last use (g_at before g_slew is read) and the
-        # slew fold divides in place.  The call's traced peak is here,
-        # with the tape, w_cand, g_slew and both candidate-gradient rows
-        # live (midiblue50); the Elmore adjoint below stays under it.
-        def net_sink_grad(g_sink: np.ndarray) -> np.ndarray:
-            per_pin = g_sink.reshape(n_seeds, n_pins, 2)
-            return np.where(plan.is_net_sink, per_pin[..., 0] + per_pin[..., 1], 0.0)
-
-        def candidate_grad(g_sink: np.ndarray, row: int) -> np.ndarray:
-            g = g_sink.reshape(n_seeds, n_slots).take(plan.c_dst, axis=1)
-            g *= w_cand[row]
-            g *= tape.d_dload[row]
-            return g
-
-        g_net_delay = net_sink_grad(g_at)
-        g_cand = candidate_grad(g_at, 0)
-        del g_at
-        g_cand += candidate_grad(g_slew, 1)
-        del w_cand
-        g_slew_pins = g_slew.reshape(n_seeds, n_pins, 2)
-        g_slew_pins /= 2.0 * np.maximum(tape.slew, 1e-12)
-        g_impulse2 = net_sink_grad(g_slew)
-        del g_slew, g_slew_pins
-        g_load = np.empty((n_seeds, n_pins))
-        for s in range(n_seeds):
-            g_load[s] = scatter_add(graph.c_dst, g_cand[s], n_pins)
-        del g_cand
-
-        # Map per-pin gradients onto forest nodes and hand them to the
-        # Elmore adjoint, which runs in their buffers and frees each at its
-        # last use.
-        forest = tape.forest
-        n_nodes = forest.n_nodes
-        pin_nodes = in_every_seed(forest.pin_nodes, n_nodes)
-        node_pins = in_every_seed(forest.pins_of_nodes, n_pins)
-
-        def on_nodes(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-            out = np.zeros(n_seeds * n_nodes)
-            out[nodes] = values
-            return out.reshape(n_seeds, n_nodes)
-
-        g_delay_pins = g_net_delay.reshape(-1).take(node_pins)
-        g_imp2_pins = g_impulse2.reshape(-1).take(node_pins)
-        # The load gradient is nonzero only at driver (root) pins.
-        g_load_roots = g_load.take(in_every_seed(forest.driver_pins, n_pins))
-        del g_net_delay, g_impulse2, g_load, node_pins
-        beta_grads = []
+        dd_dm = None
         if self.wire_delay_model == "d2m":
-            # d2m = ln2 * m1^2 / sqrt(m2): chain the net-delay gradient
+            # d2m = ln2 * m1^2 / sqrt(m2): the net-delay gradient chains
             # into both moments.
+            forest = tape.forest
             m1 = tape.elmore.delay[forest.pin_nodes]
             beta = tape.elmore.beta[forest.pin_nodes]
             m2 = np.maximum(beta, 1e-30)
             valid = beta > 0
-            dd_dm1 = np.where(valid, 2.0 * np.log(2.0) * m1 / np.sqrt(m2), 0.0)
-            dd_dm2 = np.where(
-                valid, -0.5 * np.log(2.0) * m1 * m1 / m2**1.5, 0.0
+            dd_dm = (
+                np.where(valid, 2.0 * np.log(2.0) * m1 / np.sqrt(m2), 0.0),
+                np.where(valid, -0.5 * np.log(2.0) * m1 * m1 / m2**1.5, 0.0),
             )
-            per_seed = g_delay_pins.reshape(n_seeds, -1)
-            beta_grads.append(on_nodes(pin_nodes, (per_seed * dd_dm2).reshape(-1)))
-            g_delay_pins = (per_seed * dd_dm1).reshape(-1)
-            del per_seed
-        grads = [
-            on_nodes(pin_nodes, g_delay_pins),
-            on_nodes(pin_nodes, g_imp2_pins),
-            on_nodes(in_every_seed(forest.driver_nodes, n_nodes), g_load_roots),
-            *beta_grads,
-        ]
-        del g_delay_pins, g_imp2_pins, g_load_roots, beta_grads, pin_nodes
-        g_nx, g_ny = elmore_adjoint(forest, tape.elmore, design.library.wire, grads)
-        g_px, g_py = forest.scatter_coord_grad(g_nx, g_ny)
-        del g_nx, g_ny
-
-        # Pins move rigidly with their cells: x and y of every seed in one
-        # scatter onto (2 * n_seeds, n_cells).
-        n_cells = design.n_cells
-        g_cells = scatter_add(
-            in_rows(design.pin2cell, 2 * n_seeds, n_cells),
-            np.concatenate([g_px, g_py], axis=None),
-            2 * n_seeds * n_cells,
+        g_cells = timer_adjoint(
+            self.plan, self.design, self._fixed_cells, tape,
+            np.array(seeds, dtype=np.float64).reshape(-1, 2),
+            g_tns, w_ep, w_t, w_cand, dd_dm,
         )
-        g_cells[in_rows(self._fixed_cells, 2 * n_seeds, n_cells)] = 0.0
-        g_cx, g_cy = g_cells.reshape(2, n_seeds, n_cells)
-        out = list(zip(g_cx, g_cy))
+        out = list(zip(*g_cells))
         return out[0] if single else out
 
     # ------------------------------------------------------------------

@@ -30,17 +30,16 @@ Every step is validated against central finite differences in the tests.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..netlist.library import WireModel
 from ..route.tree import Forest
 from ..sta.elmore import ElmoreResult
-from .scatter import scatter_accumulate
-from .sweep import tree_add_from_parents, tree_sum_into_parents
+from . import sweep
 
-__all__ = ["elmore_backward", "elmore_adjoint"]
+__all__ = ["elmore_backward"]
 
 
 def elmore_backward(
@@ -58,7 +57,9 @@ def elmore_backward(
     (seeds) at once, ``(n_seeds, n_nodes)``; the adjoint is linear, and
     each row of the result is bit for bit what its own call returns.
     The inputs are left as they are (the same array may be passed for
-    several of them).
+    several of them).  The passes run in the compiled adjoint the
+    differentiable timer's backward pass runs them in
+    (:func:`repro.core.sweep.elmore_adjoint`).
 
     Parameters
     ----------
@@ -79,80 +80,15 @@ def elmore_backward(
         Gradients with respect to the node coordinates used in the
         forward pass, shaped like the inputs.
     """
-    grads = [
-        np.array(g, dtype=np.float64, order="C")
-        for g in (g_delay_ext, g_imp2_ext, g_load_ext)
-    ]
+    given = [g_delay_ext, g_imp2_ext, g_load_ext]
     if g_beta_ext is not None:
-        grads.append(g_beta_ext)  # only read
-    return elmore_adjoint(forest, elm, wire, grads)
-
-
-def elmore_adjoint(
-    forest: Forest, elm: ElmoreResult, wire: WireModel, grads: List[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`elmore_backward` in the caller's own gradient buffers.
-
-    ``grads`` is the list ``[g_delay_ext, g_imp2_ext, g_load_ext]``
-    (distinct C-contiguous float64 arrays), with ``g_beta_ext`` appended
-    if there is one.  The caller hands the arrays over: the list is
-    emptied, the sweeps run in the first three and each is freed at its
-    last use.  Results are bit for bit those of :func:`elmore_backward`.
-    """
-    g_delay, g_imp2, g_load, *g_beta_ext = grads
-    grads.clear()
-    # All seeds travel together: each of the two sums along the tree edges
-    # is one compiled pass over the rows of its (n_seeds, n_nodes) array
-    # (repro.core.sweep), in the array's own buffer.  A node's
-    # local terms read its own final values, so each is one whole-forest
-    # expression after the sweep that completes them.  At a root the edge
-    # terms vanish (zero edge resistance, zero delay); its ``g_res`` entry
-    # is unused.  With several seeds these are the timer's largest arrays,
-    # so each adjoint reuses the buffer of one that is dead by then
-    # (g_beta and g_ldelay that of g_imp2, g_len and g_x that of g_res)
-    # and each buffer is dropped at its last use.
-    g_delay -= 2.0 * elm.delay * g_imp2
-    g_beta = g_imp2
-    g_beta *= 2.0
-    if g_beta_ext:
-        g_beta += g_beta_ext.pop()
-    del g_imp2
-
-    # Reverse of pass 4 (Beta top-down).
-    tree_sum_into_parents(forest, g_beta)
-    g_res = elm.ldelay * g_beta  # gradient of the edge-to-parent res
-    g_ldelay = np.multiply(elm.edge_res, g_beta, out=g_beta)
-    del g_beta
-    # Reverse of pass 3 (LDelay bottom-up).
-    tree_add_from_parents(forest, g_ldelay)
-    g_cap = elm.delay * g_ldelay
-    g_delay += elm.cap * g_ldelay
-    del g_ldelay
-    # Reverse of pass 2 (Delay top-down).
-    tree_sum_into_parents(forest, g_delay)
-    g_res += elm.load * g_delay
-    g_load += elm.edge_res * g_delay
-    del g_delay
-    # Reverse of pass 1 (Load bottom-up).
-    tree_add_from_parents(forest, g_load)
-    g_cap += g_load
-    del g_load
-
-    # Chain into edge lengths:  res = r * len;  each edge's wire cap is
-    # half-lumped onto both endpoints.
-    g_len = np.multiply(wire.res_per_um, g_res, out=g_res)
-    g_wire = np.take(g_cap, forest.up, axis=-1)
-    g_wire += g_cap
-    del g_cap
-    g_wire *= 0.5 * wire.cap_per_um
-    g_len += g_wire
-    del g_res, g_wire
-
-    # Rectilinear length -> coordinates (sign subgradient at zero): each
-    # edge pulls its node one way and its parent the other.
-    g_y = elm.dir_y * g_len
-    g_x = np.multiply(elm.dir_x, g_len, out=g_len)
-    for g in (g_x, g_y):
-        for row in g.reshape(-1, forest.n_nodes) if forest.n_nodes else ():
-            scatter_accumulate(row, forest.up, -row)
-    return g_x, g_y
+        given.append(g_beta_ext)
+    grads = [np.array(g, dtype=np.float64, order="C") for g in given]
+    if any(g.shape != grads[0].shape for g in grads) or (
+        grads[0].shape[-1:] != (forest.n_nodes,)
+    ):
+        raise ValueError(
+            f"node gradients of shapes {[g.shape for g in grads]} for a "
+            f"forest of {forest.n_nodes} nodes"
+        )
+    return sweep.elmore_adjoint(forest, elm, wire, *grads)

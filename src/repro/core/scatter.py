@@ -57,7 +57,6 @@ import numpy as np
 __all__ = [
     "WORK_SET_ENTRIES",
     "flat_view",
-    "in_rows",
     "same_descr",
     "scatter_add",
     "scatter_add_2d",
@@ -71,16 +70,6 @@ __all__ = [
 #: Kernels whose work arrays would stream far past it run slice by slice
 #: (the WA wirelength strips, the 1-Steiner candidate table blocks).
 WORK_SET_ENTRIES = 1 << 18
-
-
-def in_rows(index: np.ndarray, n_rows: int, stride: int) -> np.ndarray:
-    """Flat positions of ``index`` in every row of a ``(n_rows, stride)`` array.
-
-    Several independent problems of one shape (the seeds of a backward
-    pass, x and y of a gradient) laid out as the rows of one C-contiguous
-    array run through the 1-D kernels below as a single call.
-    """
-    return (np.arange(n_rows)[:, None] * stride + index).reshape(-1)
 
 
 def scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:

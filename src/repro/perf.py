@@ -56,10 +56,9 @@ TARGETS: Tuple[Tuple[str, str, str], ...] = (
     ("repro.core.difftimer", "build_forest", "route.build_forest"),
     ("repro.core.difftimer", "design_elmore", "core.difftimer.elmore"),
     ("repro.core.difftimer", "propagate", "core.difftimer.levels"),
-    ("repro.core.difftimer", "endpoint_rat", "core.difftimer.endpoints"),
-    ("repro.core.difftimer", "elmore_adjoint", "core.difftimer.elmore_backward"),
+    ("repro.core.difftimer", "endpoint_slacks", "core.difftimer.endpoints"),
     ("repro.core.propagate", "sweep_forward", "core.sweep.forward"),
-    ("repro.core.difftimer", "sweep_backward", "core.sweep.backward"),
+    ("repro.core.difftimer", "timer_adjoint", "core.sweep.adjoint"),
     ("repro.sta.analysis", "sweep_required", "core.sweep.required"),
     ("repro.place.density", "DensityModel._splat", "place.density.splat"),
     ("repro.place.density", "DensityModel._solve_poisson", "place.density.solve"),

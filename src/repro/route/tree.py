@@ -20,8 +20,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.scatter import in_rows, scatter_add
-
 __all__ = ["RoutingTree", "Forest", "gather_csr", "tree_depths"]
 
 
@@ -334,29 +332,6 @@ class Forest:
         x = pin_x[self.owner_x_pin]
         y = pin_y[self.owner_y_pin]
         return x, y
-
-    def scatter_coord_grad(
-        self, grad_node_x: np.ndarray, grad_node_y: np.ndarray
-    ) -> tuple:
-        """Accumulate node-coordinate gradients onto global pins.
-
-        Steiner-node gradients go to the owning pins (Figure 4); pin-node
-        gradients go to the pins themselves.  ``(n_nodes,)`` gradients
-        give ``(n_pins,)``; the ``(k, n_nodes)`` gradients of ``k``
-        objectives give ``(k, n_pins)``, all rows in one scatter.
-        """
-        shape = grad_node_x.shape[:-1] + (self.n_pins_total,)
-        n_rows = int(np.prod(shape[:-1]))
-
-        def scatter(owner: np.ndarray, grad: np.ndarray) -> np.ndarray:
-            return scatter_add(
-                in_rows(owner, n_rows, self.n_pins_total), grad.reshape(-1),
-                n_rows * self.n_pins_total,
-            ).reshape(shape)
-
-        return scatter(self.owner_x_pin, grad_node_x), scatter(
-            self.owner_y_pin, grad_node_y
-        )
 
     def edge_lengths(self, node_x: np.ndarray, node_y: np.ndarray) -> np.ndarray:
         """Rectilinear edge length to parent per node (0 for roots)."""

@@ -20,17 +20,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.cell_prop import SweepTape
-from ..core.propagate import capture_clock, endpoint_rat, propagate, start_state
+from ..core.propagate import capture_clock, endpoint_required, propagate, start_state
 from ..core.sweep import sweep_required
 from ..netlist.design import Design
 from ..route.rsmt import build_forest
 from ..route.tree import Forest
-from .elmore import (
-    ElmoreResult,
-    check_wire_delay_model,
-    design_elmore,
-    pin_elmore,
-)
+from .elmore import ElmoreResult, check_wire_delay_model, design_elmore
 from .clock import ClockArrival, propagate_clock
 from .graph import TimingGraph
 
@@ -138,11 +133,9 @@ class StaticTimingAnalyzer:
         y = design.cell_y if cell_y is None else cell_y
         if forest is None:
             forest = build_forest(design, x, y)
-        elmore = design_elmore(
-            design, forest, *design.pin_positions(x, y), graph.extra_pin_cap
-        )
-        net_delay, impulse2, driver_load = pin_elmore(
-            forest, elmore, design.n_pins, self.wire_delay_model
+        elmore, (net_delay, impulse2, driver_load) = design_elmore(
+            design, forest, *design.pin_positions(x, y), graph.extra_pin_cap,
+            self.wire_delay_model,
         )
         # Golden slews are defined on the reported (rounded) impulse:
         # sqrt, then square again - the differentiable timer keeps the
@@ -222,7 +215,7 @@ class StaticTimingAnalyzer:
         """
         graph = self.graph
         rat = np.full((self.design.n_pins, 2), _POS_INF)
-        rat[graph.endpoint_pins] = endpoint_rat(graph, slew, clock=clock)[0]
+        endpoint_required(graph, slew, rat, clock)
         sweep_required(graph.plan, rat.reshape(-1), arc_delay, net_delay)
         return rat
 

@@ -24,7 +24,7 @@ import numpy as np
 from ..netlist.design import Design
 from ..route.plan import RoutePlan
 from ..route.rsmt import build_forest_from_plan
-from .elmore import design_elmore, pin_elmore
+from .elmore import design_elmore
 from .graph import TimingGraph
 
 __all__ = ["ClockArrival", "propagate_clock"]
@@ -63,8 +63,9 @@ def propagate_clock(
     plan = RoutePlan(design, design.net_is_clock)
     if len(plan.net_ids):
         forest = build_forest_from_plan(plan, px, py)
-        elm = design_elmore(design, forest, px, py, graph.extra_pin_cap)
-        at, impulse2, _ = pin_elmore(forest, elm, n_pins, "elmore")
+        _, (at, impulse2, _) = design_elmore(
+            design, forest, px, py, graph.extra_pin_cap
+        )
         is_sink[forest.node_pin[forest.node_pin >= 0]] = True
         slew[is_sink] = np.sqrt(source_slew**2 + impulse2[is_sink])
         # The driver (clock port) itself is not a sink.

@@ -1,4 +1,4 @@
-"""Vectorised Elmore delay model over a routing forest.
+"""The Elmore delay model over a routing forest.
 
 Implements the four tree dynamic-programming passes of Equation (7) of the
 paper (and of the TAU 2015 reference timer): a bottom-up load accumulation,
@@ -6,7 +6,10 @@ a top-down delay pass, a bottom-up load-delay (LDelay) pass and a top-down
 Beta pass, yielding per-node delay and impulse (slew component).  The four
 passes run depth by depth over the flattened
 :class:`~repro.route.tree.Forest` - the scheduling of the paper's GPU
-kernels - as one compiled loop (:func:`repro.core.sweep.elmore_moments`).
+kernels - in the compiled pre-pass of the timers
+(:func:`repro.core.sweep.elmore_prepass`), which also reads the pin
+coordinates through the Steiner owners and hands the timers their per-pin
+inputs.
 
 The backward (gradient) counterpart, Equation (8), lives in
 :mod:`repro.core.elmore_grad`.
@@ -14,13 +17,13 @@ The backward (gradient) counterpart, Equation (8), lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..contracts import differentiable
-from ..core.sweep import elmore_moments
+from ..core import sweep
 from ..netlist.design import Design
 from ..netlist.library import WireModel
 from ..route.tree import Forest
@@ -30,13 +33,18 @@ __all__ = [
     "elmore_forward",
     "node_caps",
     "design_elmore",
-    "pin_elmore",
-    "d2m_delay",
     "check_wire_delay_model",
     "WIRE_DELAY_MODELS",
 ]
 
-#: Wire-delay metrics derivable from the Elmore moment passes.
+#: Wire-delay metrics derivable from the Elmore moment passes: the
+#: Elmore delay itself and D2M ("delay with two moments", ``ln2 * m1^2 /
+#: sqrt(m2)``, ``m1`` the Elmore delay and ``m2`` our ``beta``) - for a
+#: single-pole response ``m2 = m1^2`` and D2M is the exact ``ln2 * m1``;
+#: on general RC trees it is a well-known tighter estimate than Elmore.
+#: The paper presents Elmore as one instance of its differentiable
+#: framework; D2M is an analytic function of the same moments, so the
+#: same backward passes apply.
 WIRE_DELAY_MODELS = ("elmore", "d2m")
 
 
@@ -50,22 +58,6 @@ def check_wire_delay_model(name: str) -> str:
     return name
 
 
-def d2m_delay(delay: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """The D2M ("delay with two moments") metric ``ln2 * m1^2 / sqrt(m2)``.
-
-    ``m1`` is the Elmore delay and ``m2`` (our ``beta``) the second moment
-    of the impulse response.  For a single-pole response ``m2 = m1^2`` and
-    D2M reduces to the exact ``ln2 * m1``; on general RC trees it is a
-    well-known tighter (less pessimistic) estimate than Elmore.  The paper
-    presents Elmore as one instance of its differentiable framework; this
-    metric demonstrates the claimed extensibility - it is an analytic
-    function of the same moments, so the same backward passes apply.
-    """
-    safe_beta = np.maximum(beta, 1e-30)
-    out = np.log(2.0) * delay * delay / np.sqrt(safe_beta)
-    return np.where(beta > 0, out, 0.0)
-
-
 @dataclass
 class ElmoreResult:
     """Per-node outputs of the Elmore forward pass.
@@ -73,7 +65,7 @@ class ElmoreResult:
     All arrays are indexed by forest node.  ``delay`` is the Elmore delay
     from the net's driver to the node and ``beta`` the second moment whose
     ``2*beta - delay^2`` is the squared slew-degradation impulse (read at
-    the pins through :func:`pin_elmore`); ``load`` at a net's root node is
+    the pins by :func:`design_elmore`); ``load`` at a net's root node is
     the total capacitive load seen by the driving cell.  The rest is what
     the backward pass reads: ``dir_x``/``dir_y`` are the signs (int8) of
     each edge's extent along x and y, node minus parent - the subgradient
@@ -88,18 +80,11 @@ class ElmoreResult:
     beta: np.ndarray
     dir_x: np.ndarray
     dir_y: np.ndarray
+    #: The arrays as the compiled kernels read them (not pickled).
+    kernel_view: object = field(default=None, repr=False, compare=False)
 
-    def root_load(
-        self, forest: Forest, n_pins: int, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Scatter per-net root load onto the driver pins.
-
-        Into ``out`` if given, else into fresh zeros (0 off the drivers).
-        """
-        if out is None:
-            out = np.zeros(n_pins)
-        out[forest.driver_pins] = self.load[forest.driver_nodes]
-        return out
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "kernel_view": None}
 
 
 def node_caps(
@@ -129,9 +114,17 @@ def design_elmore(
     px: np.ndarray,
     py: np.ndarray,
     extra_pin_cap: Optional[np.ndarray] = None,
-) -> ElmoreResult:
-    """Elmore passes of ``forest`` at the pin positions of ``design``."""
-    nx, ny = forest.node_coords(px, py)
+    wire_delay_model: str = "elmore",
+) -> Tuple[ElmoreResult, np.ndarray]:
+    """The timers' pre-pass: the Elmore passes of ``forest`` at the pin
+    positions of ``design``, and their per-pin outputs.
+
+    Returns the :class:`ElmoreResult` and the ``(3, n_pins)`` per-pin
+    inputs of the timers: the wire delay (Elmore or D2M, per
+    ``wire_delay_model``) and squared impulse ``max(2 * beta - delay^2,
+    0)`` at the forest's pin nodes, and the net load at its driver pins.
+    Pins off the forest read zero.
+    """
     # Capacitances do not move with the cells: computed on the forest's
     # first call and kept with it.
     kept = forest.caps_cache
@@ -141,29 +134,11 @@ def design_elmore(
             extra_pin_cap,
             node_caps(forest, design.pin_cap, extra_pin_cap),
         )
-    return elmore_forward(forest, nx, ny, kept[2], design.library.wire)
-
-
-def pin_elmore(
-    forest: Forest,
-    elmore: ElmoreResult,
-    n_pins: int,
-    wire_delay_model: str,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forest-node Elmore outputs as the per-pin inputs of the timers.
-
-    Returns ``(net_delay, impulse2, driver_load)``, each ``(n_pins,)``:
-    the wire delay (Elmore or D2M, per ``wire_delay_model``) and squared
-    impulse ``max(2 * beta - delay^2, 0)`` at the forest's pin nodes and
-    the net load at its driver pins.  Pins off the forest read zero.
-    """
-    net_delay, impulse2, driver_load = (np.zeros(n_pins) for _ in range(3))
-    nodes, pins = forest.pin_nodes, forest.pins_of_nodes
-    delay, beta = elmore.delay[nodes], elmore.beta[nodes]
-    net_delay[pins] = d2m_delay(delay, beta) if wire_delay_model == "d2m" else delay
-    impulse2[pins] = np.maximum(2.0 * beta - delay**2, 0.0)
-    elmore.root_load(forest, n_pins, out=driver_load)
-    return net_delay, impulse2, driver_load
+    nodes, dirs, pins, view = sweep.elmore_prepass(
+        forest, px, py, kept[2], design.library.wire, at_pins=True,
+        wire_delay_model=wire_delay_model,
+    )
+    return ElmoreResult(*nodes, *dirs, kernel_view=view), pins
 
 
 @differentiable(
@@ -191,31 +166,7 @@ def elmore_forward(
     wire:
         Per-unit-length RC parameters.
     """
-    dx = node_x - node_x[forest.up]
-    dy = node_y - node_y[forest.up]
-    edge_len = np.abs(dx) + np.abs(dy)
-    edge_res = wire.res_per_um * edge_len
-    # Wire capacitance of each edge is lumped half at each endpoint (a
-    # root's own zero-length "edge" adds an exact 0.0 to itself).
-    # bincount is a much faster deterministic scatter-add than np.add.at
-    # (it sums each bin in input order before a single vector add).
-    half_wire = 0.5 * wire.cap_per_um * edge_len
-    cap = intrinsic_cap + half_wire
-    cap += np.bincount(forest.up, weights=half_wire, minlength=forest.n_nodes)
-
-    load, delay, ldelay, beta = elmore_moments(forest, cap, edge_res)
-    return ElmoreResult(
-        edge_res=edge_res,
-        cap=cap,
-        load=load,
-        delay=delay,
-        ldelay=ldelay,
-        beta=beta,
-        dir_x=_sign8(dx),
-        dir_y=_sign8(dy),
+    nodes, dirs, _, view = sweep.elmore_prepass(
+        forest, node_x, node_y, intrinsic_cap, wire
     )
-
-
-def _sign8(values: np.ndarray) -> np.ndarray:
-    """``np.sign`` as int8 (0 at NaN, where a cast would warn)."""
-    return (values > 0).astype(np.int8) - (values < 0)
+    return ElmoreResult(*nodes, *dirs, kernel_view=view)

@@ -31,7 +31,7 @@ from ..netlist.design import (
 )
 from ..netlist.library import ArcKind, CellType, FALL, RISE, TimingArc
 from ..route.tree import gather_csr
-from .nldm import LoadSide, LutBank, LutQuery
+from .nldm import LutBank, LutQuery
 
 __all__ = [
     "CombinationalCycleError",
@@ -228,8 +228,10 @@ class EndpointTables(NamedTuple):
     """Static side of the endpoint slacks (setup checks, then ports)."""
 
     slots: np.ndarray  # (n_endpoints, 2) ``pin * 2 + transition``
-    setup_query: LutQuery  # (2, n_setup) rise | fall constraint tables
-    setup_load: LoadSide  # their clock-slew side under the ideal clock
+    setup_lut: np.ndarray  # (n_setup, 2) rise | fall constraint tables
+    setup_query: LutQuery  # the same, bound: which axes they share
+    output_delay: np.ndarray  # (n_ports,) of the output ports
+    clock_slew: float  # the ideal clock's slew
 
 
 def _flat_slots(pins: np.ndarray) -> np.ndarray:
@@ -266,14 +268,12 @@ class LevelPlan:
         self.lut = np.stack([graph.c_lut_delay, graph.c_lut_slew])
         self._bank = graph.lutbank
         self.query = query = self._bank.bind(self.lut)
-        #: Sink pin of each contribution (where its load is read).
-        self.c_pin = graph.c_dst
         # The graph tables the lazy members derive from, by reference: no
         # copy, and no graph <-> plan cycle to keep a dropped plan alive.
         self.net_sink, self.net_src = graph.net_sink, graph.net_src
         self._net_of_sink = graph.net_of_sink
         self._net_offsets = graph.net_arcs.offsets
-        self._setup = graph.setup_d, graph.setup_lut, graph.clock_slew
+        self._setup = graph.setup_lut, graph.clock_slew, graph.po_output_delay
         self._endpoint_pins = graph.endpoint_pins
         #: Pins with a fan-in net arc.
         self.is_net_sink = np.zeros(self.n_pins, dtype=bool)
@@ -360,12 +360,11 @@ class LevelPlan:
     @cached_property
     def endpoints(self) -> EndpointTables:
         """The placement-independent side of the endpoint slacks."""
-        setup_d, setup_lut, clock_slew = self._setup
+        setup_lut, clock_slew, output_delay = self._setup
         slots = _flat_slots(self._endpoint_pins).reshape(-1, 2)
         query = self._bank.bind(setup_lut.T)
-        load = self._bank.locate_load(query, np.full(len(setup_d), clock_slew))
-        self._owned += [slots, query.offset, *load]
-        return EndpointTables(slots, query, load)
+        self._owned += [slots, query.offset]
+        return EndpointTables(slots, setup_lut, query, output_delay, clock_slew)
 
     # ------------------------------------------------------------------
     # Reverse (required-time) sweep of the golden STA

@@ -7,10 +7,12 @@ kernels of the forward and backward sweeps (``cell_forward_level``,
 with ``zero_clipped_partials``, the level loop of ``propagate``, golden
 STA's ``_required_times`` (a function of the graph here), the Elmore
 forward passes and the Elmore adjoint, whose per-seed-count level tables
-(``Forest.seed_steps``, deleted with it) are built per call here.
-``backward_sweep`` is the level loop of ``DifferentiableTimer.backward``
-with its slew ratios.  ``tests/test_sweep.py`` holds the compiled sweep
-to them bit for bit.
+(``Forest.seed_steps``, deleted with it) are built per call here, with
+the ``in_rows``, ``_sign8`` and slew-clip helpers they use (the sink
+pin of a contribution, once the plan's ``c_pin``, is ``c_dst // 2``).  ``backward_sweep`` is
+the level loop of ``DifferentiableTimer.backward`` with its slew ratios.
+``tests/test_sweep.py`` holds the compiled sweep to them bit for bit;
+``tests/reference_timer.py`` composes them into whole timer calls.
 """
 
 from __future__ import annotations
@@ -21,17 +23,36 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core import cell_prop
-from repro.core.cell_prop import SweepTape, clip_slew, slew_clipped
-from repro.core.propagate import endpoint_rat
-from repro.core.scatter import flat_view, in_rows, scatter_accumulate
+from repro.core.cell_prop import SweepTape
+from repro.core.scatter import flat_view, scatter_accumulate
 from repro.core.smoothing import segment_lse_max, segment_max
 from repro.netlist.library import WireModel
 from repro.route.tree import Forest
-from repro.sta.elmore import ElmoreResult, _sign8
+from repro.sta.elmore import ElmoreResult
 from repro.sta.graph import CellLevel, LevelPlan, NetLevel
 from repro.sta.nldm import LoadSide, LutBank
 
 _POS_INF = 1e30
+
+
+def in_rows(index: np.ndarray, n_rows: int, stride: int) -> np.ndarray:
+    """Flat positions of ``index`` in every row of a ``(n_rows, stride)`` array."""
+    return (np.arange(n_rows)[:, None] * stride + index).reshape(-1)
+
+
+def clip_slew(slew: np.ndarray, bound: float) -> np.ndarray:
+    """``slew`` clamped to ``[0, bound]``, the range LUT queries are made in."""
+    return np.minimum(np.maximum(slew, 0.0), bound)
+
+
+def slew_clipped(slew: np.ndarray, bound: float) -> np.ndarray:
+    """Where :func:`clip_slew` is active (the lookup sees a constant)."""
+    return (slew < 0.0) | (slew > bound)
+
+
+def _sign8(values: np.ndarray) -> np.ndarray:
+    """``np.sign`` as int8 (0 at NaN, where a cast would warn)."""
+    return (values > 0).astype(np.int8) - (values < 0)
 
 
 def cell_forward_level(
@@ -213,7 +234,7 @@ def propagate(
         block[-4:-2] if partials else None,
         block[-2:] if partials else None,
     )
-    load = lutbank.locate_load(plan.query, driver_load[plan.c_pin])
+    load = lutbank.locate_load(plan.query, driver_load[plan.c_dst // 2])
     arc_delay = np.repeat(net_delay[plan.net_sink], 2)
     arc_impulse2 = np.repeat(impulse2[plan.net_sink], 2)
     at_flat, slew_flat = at.reshape(-1), slew.reshape(-1)
@@ -261,6 +282,8 @@ def required_times(graph, slew, net_delay, arc_delay, clock=None) -> np.ndarray:
     segments is ``-max(-x)``, over a net level one ``reduceat`` of the
     nets' contiguous arc runs.
     """
+    from tests.reference_timer import endpoint_rat
+
     plan = graph.plan
     rat = np.full((graph.design.n_pins, 2), _POS_INF)
     rat[graph.endpoint_pins] = endpoint_rat(graph, slew, clock=clock)[0]

@@ -64,11 +64,11 @@ class TestBackwardFiniteDifference:
         registry's gradcheck pointing at a test that no longer touches
         it (reprolint ``contract-closure``)."""
         from repro.contracts import KERNEL_REGISTRY
-        from repro.core.sweep import sweep_backward, sweep_forward
+        from repro.core.sweep import sweep_forward, timer_adjoint
 
         key = f"{sweep_forward.__module__}.{sweep_forward.__qualname__}"
         contract = KERNEL_REGISTRY[key]
-        assert contract["backward"].endswith(sweep_backward.__qualname__)
+        assert contract["backward"].endswith(timer_adjoint.__qualname__)
         assert "test_difftimer.py" in contract["gradcheck"]
 
     @pytest.mark.parametrize(
@@ -322,8 +322,8 @@ class TestRowGathers:
     def test_take_rows_equal_fancy_indexing(self, env):
         """``(n_pins, 2)`` rows are gathered with ``take(axis=0)`` on the
         timing paths: bit for bit what fancy indexing returned."""
-        from repro.core.propagate import endpoint_rat
         from repro.core.smoothing import segment_max
+        from tests.reference_timer import endpoint_rat
 
         design, x, y, forest = env
         timer = DifferentiableTimer(design)

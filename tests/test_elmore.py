@@ -13,7 +13,7 @@ import pytest
 
 from repro.netlist import WireModel
 from repro.route import Forest, RoutingTree, build_forest
-from repro.sta.elmore import elmore_forward, node_caps, pin_elmore
+from repro.sta.elmore import design_elmore, elmore_forward, node_caps
 
 
 def make_tree(x, y, parent, root, pins=None):
@@ -105,7 +105,7 @@ class TestClosedForms:
         # clamp in what the timers read at the pins only removes rounding.
         variance = 2.0 * res.beta - res.delay**2
         assert (variance >= -1e-12 * res.delay.max() ** 2).all()
-        impulse2 = pin_elmore(forest, res, small_design.n_pins, "elmore")[1]
+        impulse2 = design_elmore(small_design, forest, px, py)[1][1]
         pins = forest.pins_of_nodes
         assert (impulse2 >= 0).all()
         np.testing.assert_allclose(
@@ -156,10 +156,7 @@ class TestRootLoad:
         x, y = spread_positions
         forest = build_forest(small_design, x, y)
         px, py = small_design.pin_positions(x, y)
-        nx, ny = forest.node_coords(px, py)
-        caps = node_caps(forest, small_design.pin_cap)
-        res = elmore_forward(forest, nx, ny, caps, small_design.library.wire)
-        loads = res.root_load(forest, small_design.n_pins)
+        res, (_, _, loads) = design_elmore(small_design, forest, px, py)
         roots = np.nonzero(forest.is_root)[0]
         for r in roots:
             pin = forest.node_pin[r]
@@ -188,28 +185,32 @@ class TestPinElmore:
 
     @pytest.fixture(scope="class")
     def routed(self, small_design, spread_positions):
-        from repro.sta.elmore import design_elmore
-
         x, y = spread_positions
         forest = build_forest(small_design, x, y)
-        px, py = small_design.pin_positions(x, y)
-        return forest, design_elmore(small_design, forest, px, py)
+        return forest, small_design.pin_positions(x, y)
 
     @pytest.mark.parametrize("model", ["elmore", "d2m"])
     def test_per_pin_values(self, small_design, routed, model):
-        from repro.sta.elmore import d2m_delay, pin_elmore
-
-        forest, elm = routed
+        forest, (px, py) = routed
         n_pins = small_design.n_pins
-        net_delay, impulse2, driver_load = pin_elmore(forest, elm, n_pins, model)
+        elm, (net_delay, impulse2, driver_load) = design_elmore(
+            small_design, forest, px, py, wire_delay_model=model
+        )
         mask = forest.node_pin >= 0
         pins = forest.node_pin[mask]
-        wire = elm.delay if model == "elmore" else d2m_delay(elm.delay, elm.beta)
+        wire = elm.delay
+        if model == "d2m":
+            m2 = np.maximum(elm.beta, 1e-30)
+            wire = np.where(
+                elm.beta > 0, np.log(2.0) * elm.delay * elm.delay / np.sqrt(m2), 0.0
+            )
         assert np.array_equal(net_delay[pins], wire[mask])
         assert np.array_equal(
             impulse2[pins], np.maximum(2.0 * elm.beta - elm.delay**2, 0.0)[mask]
         )
-        assert np.array_equal(driver_load, elm.root_load(forest, n_pins))
+        roots = np.zeros(n_pins)
+        roots[forest.driver_pins] = elm.load[forest.driver_nodes]
+        assert np.array_equal(driver_load, roots)
         off = np.setdiff1d(np.arange(n_pins), pins)
         assert len(off) and not net_delay[off].any() and not impulse2[off].any()
 

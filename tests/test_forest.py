@@ -114,7 +114,11 @@ class TestCoordinates:
 
 class TestGradientScatter:
     def test_scatter_is_adjoint_of_gather(self, small_forest, small_design):
-        """<g_node, d node/d pin * v> == <scatter(g_node), v> for random v."""
+        """<g_node, d node/d pin * v> == <scatter(g_node), v> for random v,
+        for the Steiner-owner scatter the compiled backward pass is held
+        to (``tests/reference_timer.py``)."""
+        from tests.reference_timer import scatter_coord_grad
+
         forest, (x, y) = small_forest
         design = small_design
         rng = np.random.default_rng(0)
@@ -123,7 +127,7 @@ class TestGradientScatter:
         v_px = rng.normal(size=design.n_pins)
         v_py = rng.normal(size=design.n_pins)
 
-        g_px, g_py = forest.scatter_coord_grad(g_nx, g_ny)
+        g_px, g_py = scatter_coord_grad(forest, g_nx, g_ny)
         lhs = float(g_px @ v_px + g_py @ v_py)
         # Forward directional derivative: node coords are pure gathers.
         d_nx = v_px[forest.owner_x_pin]

@@ -21,7 +21,7 @@ from repro.core.smoothing import segment_lse_max
 from repro.netlist import Constraints, DesignBuilder, default_library
 from repro.route import build_forest
 from repro.sta import TimingGraph, run_sta, worst_paths
-from repro.sta.elmore import pin_elmore
+from tests.reference_timer import pin_elmore
 
 SEEDS = [(-1.0, 0.0), (0.0, -1.0), (0.6, 0.4)]
 

@@ -147,8 +147,7 @@ class TestThreadedStages:
             "core.difftimer.levels",
             "core.sweep.forward",
             "core.difftimer.endpoints",
-            "core.sweep.backward",
-            "core.difftimer.elmore_backward",
+            "core.sweep.adjoint",
         }
 
     def test_disabled_profiler_stays_empty(self, small_design, spread_positions):
@@ -243,7 +242,7 @@ class TestReconciliation:
             "core.difftimer.levels",
             "core.difftimer.endpoints",
             "core.sweep.forward",
-            "core.sweep.backward",
+            "core.sweep.adjoint",
             "core.sweep.required",
             "place.density.splat",
             "place.density.solve",

@@ -13,7 +13,7 @@ import pytest
 from repro.core.propagate import propagate
 from repro.route import build_forest
 from repro.sta import StaticTimingAnalyzer, TimingGraph, run_sta
-from repro.sta.elmore import design_elmore, pin_elmore
+from repro.sta.elmore import design_elmore
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +35,10 @@ def inputs(request, small_design, graph, spread_positions):
     """Per-pin ``(net_delay, impulse2, driver_load)`` of one placement."""
     x, y = spread_positions
     forest = build_forest(small_design, x, y)
-    elm = design_elmore(
+    return design_elmore(
         small_design, forest, *small_design.pin_positions(x, y),
-        graph.extra_pin_cap,
-    )
-    return pin_elmore(forest, elm, small_design.n_pins, request.param)
+        graph.extra_pin_cap, request.param,
+    )[1]
 
 
 class TestLseTendsToHardMax:

@@ -1,11 +1,12 @@
 """The compiled sweep against the NumPy kernels it replaced, bit for bit.
 
 ``tests/reference_sweep.py`` keeps the per-level NumPy kernels and the
-Python tree loops; every compiled entry point must return exactly their
-arrays (NaN where they have NaN) on miniblue18 at a spread placement, on
-the same graph with half its slew axes moved (a mixed-axis LUT batch,
-located by compare-and-count) and on the same graph with an eighth of its
-LUT entries NaN (the ``lut_corrupt`` fault).
+Python tree loops (``tests/reference_timer.py`` the glue around them);
+every compiled entry point must return exactly their arrays (NaN where they have NaN) on miniblue18 at a spread placement, on
+the same graph with half its slew axes and a third of its load axes moved
+(a mixed-axis LUT batch, located by compare-and-count), on the same graph
+with an eighth of its LUT entries NaN (the ``lut_corrupt`` fault) and with
+both (NaN queries located by compare-and-count).
 """
 
 import contextlib
@@ -16,54 +17,41 @@ import numpy as np
 import pytest
 
 import tests.reference_sweep as ref
+import tests.reference_timer as timer_ref
+from tests.test_timer_oracle import assert_call_matches, mixed_axes, nan_entries
 from repro.core import DifferentiableTimer
-from repro.core.elmore_grad import elmore_adjoint
+from repro.core.elmore_grad import elmore_backward
 from repro.core.propagate import propagate, start_state
-from repro.core.sweep import sweep_backward
 from repro.harness import load_design
 from repro.route import build_forest
 from repro.sta import TimingGraph
 from repro.sta.analysis import StaticTimingAnalyzer
-from repro.sta.elmore import design_elmore, elmore_forward, pin_elmore
+from repro.sta.elmore import design_elmore, elmore_forward
 
-CASES = ("miniblue18", "mixed", "nan")
-
-
-def _mixed_axes(graph: TimingGraph) -> None:
-    """Stretch the slew axis of every other table: the plan's batch is no
-    longer on one axis, and neither are most of its levels."""
-    bank = graph.lutbank
-    bank.x[::2] *= 1.25
-    bank.__dict__.pop("_dims", None)
-    graph.__dict__.pop("plan", None)
-
-
-def _nan_entries(graph: TimingGraph) -> None:
-    """What a ``lut_corrupt`` fault does to the bank."""
-    flat = graph.lutbank.values.reshape(-1)
-    rng = np.random.default_rng(0)
-    flat[rng.choice(len(flat), size=len(flat) // 8, replace=False)] = np.nan
+CASES = ("miniblue18", "mixed", "nan", "mixed-nan")
 
 
 @pytest.fixture(scope="module", params=CASES)
 def case(request):
     design = load_design("miniblue18")
     graph = TimingGraph(design)
-    if request.param == "mixed":
-        _mixed_axes(graph)
+    if "mixed" in request.param:
+        mixed_axes(graph)
         levels = [cell for _, cell in graph.plan.levels if cell is not None]
-        assert graph.plan.query.x_axis == -1
+        assert graph.plan.query.x_axis == graph.plan.query.y_axis == -1
         assert any(cell.query.x_axis == -1 for cell in levels)
-    elif request.param == "nan":
-        _nan_entries(graph)
+    if "nan" in request.param:
+        nan_entries(graph)
     rng = np.random.default_rng(18)
     x = design.cell_x + rng.normal(0, 20, design.n_cells)
     y = design.cell_y + rng.normal(0, 20, design.n_cells)
     x[design.cell_fixed] = design.cell_x[design.cell_fixed]
     y[design.cell_fixed] = design.cell_y[design.cell_fixed]
     forest = build_forest(design, x, y)
-    elm = design_elmore(design, forest, *design.pin_positions(x, y), graph.extra_pin_cap)
-    return request.param, design, graph, x, y, forest, elm
+    elm, pins = design_elmore(
+        design, forest, *design.pin_positions(x, y), graph.extra_pin_cap
+    )
+    return request.param, design, graph, x, y, forest, elm, pins
 
 
 def _same(a, b) -> bool:
@@ -77,19 +65,20 @@ def _quiet(case_name):
     """NaN operands make NumPy warn (an error under pytest): on the NaN
     tape both sides run with RuntimeWarnings ignored."""
     with warnings.catch_warnings():
-        if case_name == "nan":
+        if "nan" in case_name:
             warnings.simplefilter("ignore", RuntimeWarning)
         yield
 
 
 @pytest.mark.parametrize("merge", ["lse", "max", "min"])
 def test_forward_sweep(case, merge):
-    name, design, graph, _, _, forest, elm = case
-    pin_values = pin_elmore(forest, elm, design.n_pins, "elmore")
+    name, design, graph, _, _, forest, elm, pin_values = case
+    want = timer_ref.pin_elmore(forest, elm, design.n_pins, "elmore")
+    assert all(_same(a, b) for a, b in zip(pin_values, want))
     fill = (-1e30, 0.0) if merge != "min" else (1e30, 1e30)
     runs = []
-    for sweep in (propagate, ref.propagate):
-        at, slew = start_state(graph.plan, *fill)
+    for sweep, start in ((propagate, start_state), (ref.propagate, timer_ref.start_state)):
+        at, slew = start(graph.plan, *fill)
         with _quiet(name):
             tape = sweep(
                 graph.plan, graph.lutbank, *pin_values, at, slew, merge,
@@ -99,29 +88,24 @@ def test_forward_sweep(case, merge):
     got, want = runs
     for field, a, b in zip(("at", "slew", *tape._fields), got, want):
         assert _same(a, b), field
-    if name == "nan":
+    if "nan" in name:
         assert np.isnan(got[2]).any()
 
 
 @pytest.mark.parametrize("n_seeds", [1, 2])
 def test_backward_sweep(case, n_seeds):
-    name, design, graph, x, y, forest, _ = case
+    """The level sweep inside the compiled timer call: the whole forward
+    and backward against the NumPy sweep and glue, every tape array and
+    every seed's gradients."""
+    name, design, graph, x, y, forest, *_ = case
+    timer = DifferentiableTimer(design, graph=graph)
     with _quiet(name):
-        tape = DifferentiableTimer(design, graph=graph).forward(x, y, forest)
-    plan = graph.plan
-    rng = np.random.default_rng(n_seeds)
-    w_cand = rng.uniform(0.0, 1.0, tape.cand.shape)
-    seeds = rng.standard_normal((2, n_seeds * 2 * plan.n_pins))
-    got, want = seeds.copy(), seeds.copy()
-    with _quiet(name):
-        sweep_backward(plan, w_cand, tape.d_dslew, tape.slew.reshape(-1), *got, n_seeds)
-        ref.backward_sweep(plan, tape.slew, w_cand, tape.d_dslew, *want, n_seeds)
-    assert _same(got[0], want[0]) and _same(got[1], want[1])
-    assert not np.array_equal(got, seeds)
+        _, grads = assert_call_matches(timer, x, y, forest, n_seeds)
+    assert np.any(grads[0][0] != 0.0)
 
 
 def test_required_times(case):
-    name, design, graph, x, y, forest, _ = case
+    name, design, graph, x, y, forest, *_ = case
     analyzer = StaticTimingAnalyzer(design, graph=graph)
     with _quiet(name):
         result = analyzer.run(x, y, forest=forest)
@@ -131,7 +115,7 @@ def test_required_times(case):
 
 
 def test_elmore_forward(case):
-    _, design, _, x, y, forest, elm = case
+    _, design, _, x, y, forest, elm, _ = case
     node_x, node_y = forest.node_coords(*design.pin_positions(x, y))
     caps = forest.caps_cache[2]
     want = ref.elmore_forward(forest, node_x, node_y, caps, design.library.wire)
@@ -143,13 +127,13 @@ def test_elmore_forward(case):
 
 @pytest.mark.parametrize("n_seeds", [1, 2])
 def test_elmore_adjoint(case, n_seeds):
-    _, design, _, _, _, forest, elm = case
+    _, design, _, _, _, forest, elm, _ = case
     rng = np.random.default_rng(7 + n_seeds)
     shape = (n_seeds, forest.n_nodes) if n_seeds > 1 else (forest.n_nodes,)
     grads = [rng.standard_normal(shape) for _ in range(4)]
     wire = design.library.wire
     want = ref.elmore_adjoint(forest, elm, wire, [g.copy() for g in grads])
-    got = elmore_adjoint(forest, elm, wire, [g.copy() for g in grads])
+    got = elmore_backward(forest, elm, wire, *grads)
     assert _same(got[0], want[0]) and _same(got[1], want[1])
 
 

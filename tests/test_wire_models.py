@@ -10,9 +10,18 @@ import pytest
 
 from repro.core import DifferentiableTimer
 from repro.netlist import WireModel
+from repro.core import sweep
 from repro.route import Forest, RoutingTree, build_forest
 from repro.sta import StaticTimingAnalyzer, run_sta
-from repro.sta.elmore import d2m_delay, elmore_forward
+from repro.sta.elmore import elmore_forward
+
+
+def pin_d2m(forest, node_x, node_y, caps, wire):
+    """The D2M wire delay the timers read at the forest's pins."""
+    pins = sweep.elmore_prepass(
+        forest, node_x, node_y, caps, wire, wire_delay_model="d2m"
+    )[2]
+    return pins[0][forest.pins_of_nodes]
 
 
 class TestD2MMetric:
@@ -32,11 +41,21 @@ class TestD2MMetric:
         wire = WireModel(res_per_um=0.02, cap_per_um=0.0)
         caps = np.array([0.0, 5.0])
         elm = elmore_forward(forest, tree.x, tree.y, caps, wire)
-        d2m = d2m_delay(elm.delay, elm.beta)
+        d2m = pin_d2m(forest, tree.x, tree.y, caps, wire)
         assert d2m[1] == pytest.approx(np.log(2.0) * elm.delay[1])
 
     def test_zero_moments_give_zero(self):
-        out = d2m_delay(np.zeros(3), np.zeros(3))
+        tree = RoutingTree(
+            x=np.array([0.0, 10.0, 5.0]),
+            y=np.array([0.0, 0.0, 4.0]),
+            parent=np.array([-1, 0, 0]),
+            pins=np.array([0, 1, 2]),
+            owner_x=np.array([0, 1, 2]),
+            owner_y=np.array([0, 1, 2]),
+            root=0,
+        )
+        forest = Forest([tree], 3)
+        out = pin_d2m(forest, tree.x, tree.y, np.zeros(3), WireModel(0.0, 0.0))
         np.testing.assert_allclose(out, 0.0)
 
     def test_less_pessimistic_than_elmore(self, small_design, spread_positions):
@@ -48,8 +67,8 @@ class TestD2MMetric:
 
         caps = node_caps(forest, small_design.pin_cap)
         elm = elmore_forward(forest, nx, ny, caps, small_design.library.wire)
-        d2m = d2m_delay(elm.delay, elm.beta)
-        assert (d2m <= elm.delay + 1e-9).all()
+        d2m = pin_d2m(forest, nx, ny, caps, small_design.library.wire)
+        assert (d2m <= elm.delay[forest.pin_nodes] + 1e-9).all()
         assert (d2m >= 0).all()
 
 
