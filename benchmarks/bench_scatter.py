@@ -1,24 +1,23 @@
-"""Micro-benchmark: repro.core.scatter helpers vs the old ``np.add.at``.
+"""Micro-benchmark: ``repro.core.scatter.scatter_add`` vs ``np.add.at``.
 
-For each scatter shape the library actually uses (1-D pin->cell
-gradient gather, 2-D density splats, row scatters onto ``(n, 2)``
-rise/fall tables, and in-place accumulation for the levelised Elmore
-sweeps), times ``repro.core.scatter`` against the equivalent
-``np.add.at`` call form it replaced, asserts the results are **bit
-identical**, and writes ``benchmarks/results/BENCH_scatter.json``.
+Times ``scatter_add`` in the two shapes its callers use (a 1-D segment
+sum, and the density splat's flattened bin index) against the
+``np.add.at`` call forms it replaced, asserts
+the results are **bit identical**, and writes
+``benchmarks/results/BENCH_scatter.json``.
 
 A second group of cases takes the operand **from the design cache**:
 ``pickle`` gives every array it rebuilds a dtype object of its own, and
 ``ufunc.at`` leaves its indexed loop (15-26x) unless target and values
-share one.  Raw ``np.add.at`` / ``np.maximum.at`` and the two helpers
-that wrap them (``scatter_accumulate``, ``segment_max``) are timed on a
-fresh and on a pickle-round-tripped operand, at 300 elements (one level
-of a miniblue timer sweep) and at 5000.
+share one.  Raw ``np.maximum.at`` and the helper that wraps it
+(``segment_max``) are timed on a fresh and on a pickle-round-tripped
+operand, at 300 elements (one level of a miniblue timer sweep) and at
+5000.
 
-Exit is non-zero if any result differs bitwise, if the geometric-mean
-speedup falls below ``--min-speedup`` (CI gates at 1.0: the helpers must
-never be slower overall), or if a helper on a round-tripped operand takes
-more than ``MAX_CACHED_RATIO`` times its fresh-operand time.
+Exit is non-zero if any result differs bitwise, if the speedup falls
+below ``--min-speedup`` (CI gates the geometric mean at 1.0: the helper
+must never be slower overall), or if a helper on a round-tripped operand takes more than
+``MAX_CACHED_RATIO`` times its fresh-operand time.
 
 Usage::
 
@@ -37,13 +36,7 @@ import time
 
 import numpy as np
 
-from repro.core.scatter import (
-    scatter_accumulate,
-    scatter_accumulate_at,
-    scatter_add,
-    scatter_add_2d,
-    scatter_add_rows,
-)
+from repro.core.scatter import scatter_add
 from repro.core.smoothing import segment_max
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -79,79 +72,21 @@ def _cases(size: int, rng: np.random.Generator):
 
     yield "scatter_add_1d", new_1d, old_1d
 
+    # The density splat: a flattened bin index, where np.add.at took the
+    # (ix, iy) pair.
     nb = 128
     ix = rng.integers(0, nb, size)
     iy = rng.integers(0, nb, size)
 
-    def new_2d():
-        return scatter_add_2d(ix, iy, values, (nb, nb))
+    def new_splat():
+        return scatter_add(ix * nb + iy, values, nb * nb).reshape(nb, nb)
 
-    def old_2d():
+    def old_splat():
         out = np.zeros((nb, nb))
         np.add.at(out, (ix, iy), values)
         return out
 
-    yield "scatter_add_2d", new_2d, old_2d
-
-    rows = rng.integers(0, n_out, size)
-    row_vals = rng.standard_normal((size, 2))
-
-    def new_rows():
-        return scatter_add_rows(rows, row_vals, n_out)
-
-    def old_rows():
-        out = np.zeros((n_out, 2))
-        np.add.at(out, rows, row_vals)
-        return out
-
-    yield "scatter_add_rows", new_rows, old_rows
-
-    base = rng.standard_normal(n_out)
-
-    def new_acc():
-        out = base.copy()
-        scatter_accumulate(out, index, values)
-        return out
-
-    def old_acc():
-        out = base.copy()
-        np.add.at(out, index, values)
-        return out
-
-    yield "scatter_accumulate_dense", new_acc, old_acc
-
-    # Sparse accumulation: few touched slots in a large array, the
-    # per-level shape of the Elmore sweeps.
-    k = max(size // 64, 2)
-    sparse_idx = rng.integers(0, n_out, k)
-    sparse_vals = rng.standard_normal(k)
-
-    def new_sparse():
-        out = base.copy()
-        scatter_accumulate(out, sparse_idx, sparse_vals)
-        return out
-
-    def old_sparse():
-        out = base.copy()
-        np.add.at(out, sparse_idx, sparse_vals)
-        return out
-
-    yield "scatter_accumulate_sparse", new_sparse, old_sparse
-
-    cols = rng.integers(0, 2, size)
-    table = rng.standard_normal((n_out, 2))
-
-    def new_pairs():
-        out = table.copy()
-        scatter_accumulate_at(out, rows, cols, values)
-        return out
-
-    def old_pairs():
-        out = table.copy()
-        np.add.at(out, (rows, cols), values)
-        return out
-
-    yield "scatter_accumulate_at", new_pairs, old_pairs
+    yield "scatter_add_splat", new_splat, old_splat
 
 
 def _time_calls(fn, number: int = 200, repeat: int = 7) -> float:
@@ -166,53 +101,41 @@ def _time_calls(fn, number: int = 200, repeat: int = 7) -> float:
 
 
 def _cached_operand_cases(rng: np.random.Generator):
-    """One record per (kernel, size): raw ``ufunc.at`` and the helper, on
+    """One record per size: raw ``np.maximum.at`` and ``segment_max``, on
     a fresh operand and on one that went through ``pickle``."""
     for size in (300, 5000):
         n_out = max(size // 4, 4)
         index = rng.integers(0, n_out, size)
         fresh = rng.standard_normal(size)
         cached = pickle.loads(pickle.dumps(fresh))
-        base = rng.standard_normal(n_out)
-
-        def raw_add(values):
-            out = base.copy()
-            np.add.at(out, index, values)
-            return out
 
         def raw_max(values):
             out = np.full(n_out, -1e30)
             np.maximum.at(out, index, values)
             return out
 
-        kernels = (
-            (
-                "scatter_accumulate",
-                lambda v: scatter_accumulate(base.copy(), index, v),
-                raw_add,
-            ),
-            ("segment_max", lambda v: segment_max(v, index, n_out), raw_max),
+        def helper(values):
+            return segment_max(values, index, n_out)
+
+        identical = bool(
+            np.array_equal(helper(cached), raw_max(fresh))
+            and np.array_equal(helper(fresh), raw_max(fresh))
         )
-        for name, helper, raw in kernels:
-            identical = bool(
-                np.array_equal(helper(cached), raw(fresh))
-                and np.array_equal(helper(fresh), raw(fresh))
-            )
-            times = {
-                f"{kind}_{operand}_s": _time_calls(lambda: fn(values))
-                for kind, fn in (("helper", helper), ("raw", raw))
-                for operand, values in (("fresh", fresh), ("cached", cached))
-            }
-            yield {
-                "case": f"{name}_{size}",
-                "size": size,
-                **times,
-                "helper_cached_over_fresh": (
-                    times["helper_cached_s"] / times["helper_fresh_s"]
-                ),
-                "raw_cached_over_fresh": times["raw_cached_s"] / times["raw_fresh_s"],
-                "bit_identical": identical,
-            }
+        times = {
+            f"{kind}_{operand}_s": _time_calls(lambda: fn(values))
+            for kind, fn in (("helper", helper), ("raw", raw_max))
+            for operand, values in (("fresh", fresh), ("cached", cached))
+        }
+        yield {
+            "case": f"segment_max_{size}",
+            "size": size,
+            **times,
+            "helper_cached_over_fresh": (
+                times["helper_cached_s"] / times["helper_fresh_s"]
+            ),
+            "raw_cached_over_fresh": times["raw_cached_s"] / times["raw_fresh_s"],
+            "bit_identical": identical,
+        }
 
 
 def main(argv=None) -> int:

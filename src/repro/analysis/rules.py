@@ -31,7 +31,7 @@ __all__ = ["RULES_VERSION", "SPAWN_SAFE_GLOBALS"]
 
 #: Bumped whenever a rule is added, removed, or changes what it flags;
 #: recorded in telemetry run manifests.
-RULES_VERSION = "2.7"
+RULES_VERSION = "2.8"
 
 
 def _in_tests(relpath: str) -> bool:
@@ -59,22 +59,15 @@ def _is_numpy(resolver: Optional[NameResolver], node: ast.AST) -> bool:
 class NoScatterAddAt(Rule):
     """``ufunc.at`` scatters are banned in favour of the shared helpers.
 
-    ``repro.core.scatter`` provides bit-identical, order-preserving
-    replacements for ``np.add.at`` (``scatter_add`` and friends) that are
-    both faster and a single audited implementation of the
-    deterministic-scatter contract; ``np.maximum.at``/``np.minimum.at``
-    are how a private levelised propagator starts, and the one engine
-    (``repro.core.propagate``) merges through
-    ``repro.core.smoothing.segment_max``.  Reference implementations are
-    exempt: the equivalence tests in ``tests/`` and the scatter
-    micro-benchmark *must* call ``np.add.at`` to compare against.
-
-    The same audited-site discipline covers ``ufunc.reduceat`` in the
-    modules whose data layout exists to avoid it
-    (``place/wirelength.py``: per-net reductions run over degree buckets,
-    a segmented ``reduceat`` costs a scalar loop per net): any
-    ``.reduceat`` there is flagged, and the one ragged-tail site carries
-    an inline reason.  Elsewhere ``reduceat`` is not this rule's business.
+    ``repro.core.scatter.scatter_add`` is a bit-identical, order-preserving
+    replacement for ``np.add.at`` into zeros that is both faster and a
+    single audited implementation of the deterministic-scatter contract;
+    ``np.maximum.at``/``np.minimum.at`` are how a private levelised
+    propagator starts, and the one engine (``repro.core.propagate``)
+    merges through ``repro.core.smoothing.segment_max``.  Reference
+    implementations are exempt: the equivalence tests in ``tests/`` and
+    the scatter micro-benchmark *must* call ``np.add.at`` to compare
+    against.
     """
 
     id = "no-scatter-add-at"
@@ -85,28 +78,13 @@ class NoScatterAddAt(Rule):
 
     _UFUNCS = ("add", "subtract", "maximum", "minimum")
     _ALLOWED_FILES = ("benchmarks/bench_scatter.py",)
-    #: Modules built on a bucketed layout, where ``reduceat`` is audited.
-    _BUCKETED_LAYOUT_FILES = ("src/repro/place/wirelength.py",)
 
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
         if _in_tests(ctx.relpath) or ctx.relpath in self._ALLOWED_FILES:
             return
         resolver = index.semantic.resolver(ctx.relpath)
-        bucketed = ctx.relpath in self._BUCKETED_LAYOUT_FILES
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Attribute):
-                continue
-            if bucketed and node.attr == "reduceat":
-                # Any receiver: the ufunc is usually a parameter here.
-                yield self.finding(
-                    ctx,
-                    node,
-                    "ufunc.reduceat in a degree-bucketed layout module runs a "
-                    "scalar loop per net; reduce over the bucket rows, or "
-                    "mark the one ragged-tail site with a reason",
-                )
-                continue
-            if node.attr != "at":
+            if not isinstance(node, ast.Attribute) or node.attr != "at":
                 continue
             inner = node.value
             if (
@@ -118,8 +96,7 @@ class NoScatterAddAt(Rule):
                     ctx,
                     node,
                     f"np.{inner.attr}.at is banned; use the deterministic "
-                    "bincount helpers in repro.core.scatter (scatter_add, "
-                    "scatter_add_2d, scatter_accumulate, ...) or, for "
+                    "bincount helper repro.core.scatter.scatter_add or, for "
                     "max/min merges, repro.core.smoothing.segment_max",
                 )
 

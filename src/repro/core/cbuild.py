@@ -1,6 +1,6 @@
 """Build and load the compiled kernels with cffi and gcc: the timing sweep
-(``core/sweep.c``) and the Steiner-forest builder (``route/rsmt.c``), one
-library.
+(``core/sweep.c``), the Steiner-forest builder (``route/rsmt.c``) and the
+net pass of the wirelength terms (``place/wirelength.c``), one library.
 
 The library is built on first import, once per hash of its sources and
 Python ABI, into a per-user cache (``$XDG_CACHE_HOME/repro/kernels``, default
@@ -30,7 +30,10 @@ __all__ = ["KernelBuildError", "cache_directory", "load_kernels"]
 #: The package directory; every C source is named relative to it.
 _PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Every C source of the library: all of them are hashed into its name.
-_SOURCES = ("core/sweep.h", "route/rsmt.h", "core/sweep.c", "route/rsmt.c")
+_SOURCES = (
+    "core/sweep.h", "route/rsmt.h", "place/wirelength.h",
+    "core/sweep.c", "route/rsmt.c", "place/wirelength.c",
+)
 _CFLAGS = ("-O2", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 
@@ -61,7 +64,7 @@ def _writable_directory() -> str:
 
 def _fail(reason: str) -> KernelBuildError:
     return KernelBuildError(
-        f"cannot build the compiled timing sweep and router: {reason}; "
+        f"cannot build the compiled kernels: {reason}; "
         "repro needs gcc (or $CC) and cffi"
     )
 

@@ -39,6 +39,7 @@ TARGETS: Tuple[Tuple[str, str, str], ...] = (
     ("repro.place.placer", "GlobalPlacer.__init__", "place.placer.init"),
     ("repro.place.placer", "GlobalPlacer.run", "place.placer.run"),
     ("repro.place.wirelength", "WAWirelength.evaluate", "place.wirelength.evaluate"),
+    ("repro.place.wirelength", "WAWirelength.hpwl", "place.wirelength.hpwl"),
     ("repro.place.density", "DensityModel.evaluate", "place.density.evaluate"),
     ("repro.place.optimizer", "NesterovOptimizer.step", "place.optimizer.step"),
     ("repro.runtime.guard", "NumericalGuard.check_term", "runtime.guard"),

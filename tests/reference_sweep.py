@@ -13,6 +13,11 @@ pin of a contribution, once the plan's ``c_pin``, is ``c_dst // 2``).  ``backwar
 the level loop of ``DifferentiableTimer.backward`` with its slew ratios.
 ``tests/test_sweep.py`` holds the compiled sweep to them bit for bit;
 ``tests/reference_timer.py`` composes them into whole timer calls.
+
+The in-place scatter helpers they accumulate through
+(``scatter_accumulate`` and its 2-D and row forms, ``flat_view``) and the
+row and grid forms of ``scatter_add`` moved here from
+``repro.core.scatter`` when their last library caller was compiled.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from repro.core import cell_prop
 from repro.core.cell_prop import SweepTape
-from repro.core.scatter import flat_view, scatter_accumulate
+from repro.core.scatter import same_descr
 from repro.core.smoothing import segment_lse_max, segment_max
 from repro.netlist.library import WireModel
 from repro.route.tree import Forest
@@ -33,6 +38,90 @@ from repro.sta.graph import CellLevel, LevelPlan, NetLevel
 from repro.sta.nldm import LoadSide, LutBank
 
 _POS_INF = 1e30
+
+
+def scatter_add_2d(
+    ix: np.ndarray, iy: np.ndarray, values: np.ndarray, shape: tuple
+) -> np.ndarray:
+    """Fresh ``shape`` grid with ``values`` summed into ``(ix, iy)`` cells.
+
+    Equivalent to ``out = zeros(shape); np.add.at(out, (ix, iy), values)``.
+    """
+    nx, ny = shape
+    return (
+        np.bincount(ix * ny + iy, weights=values, minlength=nx * ny)
+        .astype(np.float64, copy=False)
+        .reshape(nx, ny)
+    )
+
+
+def scatter_add_rows(
+    rows: np.ndarray, values: np.ndarray, n_rows: int
+) -> np.ndarray:
+    """Fresh ``(n_rows, c)`` array accumulating the ``(k, c)`` ``values`` rows.
+
+    Equivalent to ``out = zeros((n_rows, c)); np.add.at(out, rows, values)``
+    (the row-scatter used to push per-pin gradients onto driver pins).
+    """
+    c = values.shape[1]
+    flat = (rows[:, None] * c + np.arange(c)).ravel()
+    return (
+        np.bincount(flat, weights=values.ravel(), minlength=n_rows * c)
+        .astype(np.float64, copy=False)
+        .reshape(n_rows, c)
+    )
+
+
+def flat_view(out: np.ndarray) -> np.ndarray:
+    """C-contiguous flat view of ``out`` (in-place kernels mutate it)."""
+    if not out.flags.c_contiguous:
+        raise ValueError(
+            "scatter_accumulate targets must be C-contiguous "
+            "(reshape(-1) would silently copy)"
+        )
+    return out.reshape(-1)
+
+
+def scatter_accumulate(
+    out: np.ndarray, index: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """In-place ``out[index] += values`` with duplicate indices folded.
+
+    ``out`` must be 1-D.  On a 1-D contiguous float64 target numpy takes
+    its indexed inner loop (given operands of one dtype object, which
+    :func:`same_descr` sees to), which outperforms any bincount rebuild
+    of ``out`` at every update density the sweeps produce.
+    """
+    np.add.at(out, index, same_descr(out, values))
+    return out
+
+
+def scatter_accumulate_at(
+    out: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+) -> np.ndarray:
+    """In-place ``np.add.at(out, (rows, cols), values)`` on a 2-D array.
+
+    ``rows``/``cols``/``values`` broadcast against each other exactly as
+    the fancy-index form does (e.g. ``rows[:, None]`` against a
+    ``[[0, 1]]`` column stencil); the flattened 1-D form folds each slot
+    in the same element order, several times faster.
+    """
+    flat, values = np.broadcast_arrays(rows * out.shape[1] + cols, values)
+    scatter_accumulate(flat_view(out), flat.ravel(), values.ravel())
+    return out
+
+
+def scatter_accumulate_rows(
+    out: np.ndarray, rows: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """In-place ``np.add.at(out, rows, values)`` row scatter on ``(n, c)``."""
+    c = out.shape[1]
+    flat = (rows[:, None] * c + np.arange(c)).ravel()
+    scatter_accumulate(flat_view(out), flat, values.ravel())
+    return out
 
 
 def in_rows(index: np.ndarray, n_rows: int, stride: int) -> np.ndarray:

@@ -25,7 +25,7 @@ import tests.reference_sweep as sweep_ref
 from repro.core.cell_prop import SLEW_CLIP_MAX
 from repro.core.difftimer import DifferentiableTimer, TimerTape
 from repro.core.propagate import capture_clock
-from repro.core.scatter import scatter_accumulate, scatter_add
+from repro.core.scatter import scatter_add
 from repro.core.smoothing import lse_min, soft_clamp_neg, soft_clamp_neg_grad
 from repro.route.tree import Forest
 from repro.sta.elmore import ElmoreResult, node_caps
@@ -34,6 +34,7 @@ from repro.sta.graph import TimingGraph
 _SENTINEL = -1e30
 
 in_rows = sweep_ref.in_rows
+scatter_accumulate = sweep_ref.scatter_accumulate
 clip_slew, slew_clipped = sweep_ref.clip_slew, sweep_ref.slew_clipped
 
 

@@ -128,35 +128,6 @@ class TestNoScatterAddAt:
         assert findings_of(report, "no-scatter-add-at") == []
 
 
-    def test_reduceat_is_audited_in_the_bucketed_layout_module(self, tmp_path):
-        """``place/wirelength.py`` exists to avoid per-net ``reduceat``:
-        every use there is flagged (whatever the receiver - the ufunc is a
-        parameter) except the site that carries a reason."""
-        source = (
-            "import numpy as np\n"
-            "def f(ufunc, v, idx):\n"
-            "    np.add.reduceat(v, idx)\n"
-            "    # reprolint: allow[no-scatter-add-at] the ragged tail\n"
-            "    ufunc.reduceat(v, idx)\n"
-            "    return ufunc.reduceat(v, idx)\n"
-        )
-        root = make_repo(
-            tmp_path,
-            {
-                "src/repro/place/wirelength.py": source,
-                "src/repro/place/other.py": source.replace(
-                    "    # reprolint: allow[no-scatter-add-at] the ragged tail\n", ""
-                ),
-            },
-        )
-        found = findings_of(run_analysis(root), "no-scatter-add-at")
-        assert [(f.path, f.line) for f in found] == [
-            ("src/repro/place/wirelength.py", 3),
-            ("src/repro/place/wirelength.py", 6),
-        ]
-        assert "ragged-tail" in found[0].message
-
-
 class TestNoSilentNanFix:
     def test_flags_nan_to_num_and_errstate(self, tmp_path):
         root = make_repo(
@@ -566,14 +537,15 @@ class TestRepoSelfCheck:
         assert report.findings == []
         assert report.suppressed_count > 0
 
-    def test_ufunc_at_is_called_from_exactly_the_three_audited_sites(
+    def test_ufunc_at_is_called_from_exactly_the_two_audited_sites(
         self, repo_lint
     ):
         """What ``no-scatter-add-at`` finds in the library before the
-        inline ``allow`` markers are honoured: the two float helpers every
-        kernel routes through (both hand numpy values carrying the
-        target's dtype object, see ``core/scatter.py``) and the integer
-        levelisation that runs once per graph build."""
+        inline ``allow`` markers are honoured: the float scatter-max every
+        timer merge outside the compiled sweep routes through (it hands
+        numpy values carrying the target's dtype object, see
+        ``core/scatter.py``) and the integer levelisation that runs once
+        per graph build."""
         from repro.analysis.rules import NoScatterAddAt
 
         index = repo_lint[0].index
@@ -582,10 +554,8 @@ class TestRepoSelfCheck:
             (ctx.relpath, finding.message.split(" ")[0])
             for ctx in index.files.values()
             for finding in rule.check(ctx, index)
-            if "reduceat" not in finding.message
         )
         assert sites == [
-            ("src/repro/core/scatter.py", "np.add.at"),
             ("src/repro/core/smoothing.py", "np.maximum.at"),
             ("src/repro/sta/graph.py", "np.maximum.at"),
         ]

@@ -244,6 +244,8 @@ class TestReconciliation:
             "core.sweep.forward",
             "core.sweep.adjoint",
             "core.sweep.required",
+            "place.wirelength.evaluate",
+            "place.wirelength.hpwl",
             "place.density.splat",
             "place.density.solve",
             "place.density.field",

@@ -1,16 +1,19 @@
-"""Bit-exact equivalence of ``repro.core.scatter`` with ``np.add.at``.
+"""Bit-exact equivalence of the scatter helpers with ``np.add.at``.
 
 Two layers of proof:
 
-1. every helper matches its ``np.add.at`` reference form bit for bit on
-   adversarial inputs (heavy duplication, empty indices, broadcast
-   stencils);
-2. the converted kernels (wirelength, density, the smoothing helpers)
-   produce byte-identical objectives and gradients when their scatter
-   helpers are swapped back to inline ``np.add.at`` references - i.e. the
-   conversion changed no bits of any result, only the speed.  The
-   differentiable timer's scatters run in its compiled passes
-   (``tests/test_timer_oracle.py`` holds them to the NumPy forms).
+1. every helper (``repro.core.scatter`` and the in-place forms the timer
+   oracles use, ``tests/reference_sweep.py``) matches its ``np.add.at``
+   reference form bit for bit on adversarial inputs (heavy duplication,
+   empty indices, broadcast stencils);
+2. the converted kernels (density, the smoothing helpers) produce
+   byte-identical objectives and gradients when their scatter helpers are
+   swapped back to inline ``np.add.at`` references - i.e. the conversion
+   changed no bits of any result, only the speed.  The wirelength
+   gradient is added into its cells in the compiled net pass, held here
+   to the ``np.add.at`` of its oracle.  The differentiable timer's
+   scatters run in its compiled passes (``tests/test_timer_oracle.py``
+   holds them to the NumPy forms).
 """
 
 import pickle
@@ -21,19 +24,16 @@ import pytest
 
 import repro.core.smoothing as smoothing_mod
 import repro.place.density as density_mod
-import repro.place.wirelength as wirelength_mod
-from repro.core import DifferentiableTimer
-from repro.core.scatter import (
-    same_descr,
+from repro.core.scatter import same_descr, scatter_add
+from repro.place import DensityModel, WAWirelength
+from tests.reference_sweep import (
     scatter_accumulate,
     scatter_accumulate_at,
     scatter_accumulate_rows,
-    scatter_add,
     scatter_add_2d,
     scatter_add_rows,
 )
-from repro.place import DensityModel, WAWirelength
-from repro.route import build_forest
+from tests.reference_wirelength import ref_evaluate
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +237,6 @@ class TestUnpickledOperands:
 # change a single bit of any objective or gradient.
 # ----------------------------------------------------------------------
 _PATCH_SITES = (
-    (wirelength_mod, "scatter_add", ref_scatter_add),
     (density_mod, "scatter_add", ref_scatter_add),
     (smoothing_mod, "scatter_add", ref_scatter_add),
 )
@@ -250,14 +249,13 @@ def _patch_old_path(monkeypatch):
 
 
 class TestKernelBitIdentity:
-    def test_wirelength_objective_and_grad(
-        self, small_design, spread_positions, monkeypatch
-    ):
+    def test_wirelength_objective_and_grad(self, small_design, spread_positions):
+        """The compiled net pass against its oracle, which adds the pin
+        gradients into the cells by ``np.add.at``."""
         x, y = spread_positions
         wa = WAWirelength(small_design)
         wl_new, gx_new, gy_new = wa.evaluate(x, y, gamma=40.0)
-        _patch_old_path(monkeypatch)
-        wl_old, gx_old, gy_old = wa.evaluate(x, y, gamma=40.0)
+        wl_old, gx_old, gy_old = ref_evaluate(small_design, x, y, 40.0)
         assert wl_new == wl_old
         assert_bit_identical(gx_new, gx_old)
         assert_bit_identical(gy_new, gy_old)
@@ -274,23 +272,3 @@ class TestKernelBitIdentity:
         assert res_new.overflow == res_old.overflow
         assert_bit_identical(res_new.grad_x, res_old.grad_x)
         assert_bit_identical(res_new.grad_y, res_old.grad_y)
-
-    def test_full_timer_forward_backward(
-        self, small_design, spread_positions, monkeypatch
-    ):
-        """The whole differentiable-timing stack bit for bit with the
-        Python-side helpers swapped (its own scatters are compiled)."""
-        x, y = spread_positions
-        forest = build_forest(small_design, x, y)
-        timer = DifferentiableTimer(small_design, gamma=15.0)
-        tape_new = timer.forward(x, y, forest)
-        gx_new, gy_new = timer.backward(tape_new, d_tns=0.7, d_wns=0.3)
-        _patch_old_path(monkeypatch)
-        tape_old = timer.forward(x, y, forest)
-        gx_old, gy_old = timer.backward(tape_old, d_tns=0.7, d_wns=0.3)
-        assert tape_new.tns == tape_old.tns
-        assert tape_new.wns == tape_old.wns
-        assert_bit_identical(tape_new.at, tape_old.at)
-        assert_bit_identical(tape_new.slew, tape_old.slew)
-        assert_bit_identical(gx_new, gx_old)
-        assert_bit_identical(gy_new, gy_old)

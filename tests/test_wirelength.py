@@ -1,27 +1,23 @@
 """Unit tests for HPWL and the weighted-average wirelength model.
 
-The degree-bucketed :class:`NetLayout` must reproduce, bit for bit, the
-segmented-``reduceat`` formulation it replaced; that formulation lives on
-here as the reference (``ref_evaluate`` / ``ref_hpwl``).
+The compiled net pass must reproduce, bit for bit, the segmented-
+``reduceat`` program it replaced, kept as the oracle in
+``tests/reference_wirelength.py`` (``ref_evaluate`` / ``ref_hpwl``).
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.harness.suite import SUITE, load_design
 from repro.place import WAWirelength, hpwl
-from repro.place import wirelength
-from repro.place.wirelength import STRIP_PINS, NetLayout
+from repro.place.wirelength import NetLayout
+from tests.reference_wirelength import ref_evaluate, ref_hpwl
 
 
-# ----------------------------------------------------------------------
-# Reference: one reduceat per reduction over the CSR pin list, per-net
-# values gathered back to the pins through a pin->net index.  reduceat
-# cannot express an empty segment (it reads the next net's first pin, or
-# raises at the end of the array), so empty nets are dropped before the
-# kernels and put back as exact zeros.
-# ----------------------------------------------------------------------
 class CsrDesign:
     """The slice of :class:`~repro.netlist.design.Design` wirelength reads."""
 
@@ -41,93 +37,24 @@ class CsrDesign:
         self.cell_y = rng.uniform(0.0, 40.0, n_cells)
 
 
-def _ref_csr(design, cell_x, cell_y):
-    keep = design.net_degrees > 0
-    order = design.net2pin
-    starts = design.net2pin_start[:-1][keep]
-    px = cell_x[design.pin2cell] + design.pin_offset_x
-    py = cell_y[design.pin2cell] + design.pin_offset_y
-    return keep, order, starts, px[order], py[order]
+def assert_same(got, want):
+    """Equal values, and NaN exactly where the oracle has NaN."""
+    assert np.array_equal(got, want, equal_nan=True)
 
 
-def _all_nets(keep, per_net):
-    out = np.zeros(per_net.shape[:-1] + keep.shape)
-    out[..., keep] = per_net
-    return out
-
-
-def ref_hpwl(design, cell_x, cell_y, net_weights=None):
-    keep, order, starts, x, y = _ref_csr(design, cell_x, cell_y)
-    if len(order) == 0:
-        return 0.0
-    span = _all_nets(
-        keep,
-        np.maximum.reduceat(x, starts)
-        - np.minimum.reduceat(x, starts)
-        + np.maximum.reduceat(y, starts)
-        - np.minimum.reduceat(y, starts),
-    )
-    if net_weights is not None:
-        span = span * net_weights
-    return float(span.sum())
-
-
-def ref_evaluate(design, cell_x, cell_y, gamma, net_weights=None):
-    n_cells = design.n_cells
-    keep, order, starts, x, y = _ref_csr(design, cell_x, cell_y)
-    if len(order) == 0:
-        return 0.0, np.zeros(n_cells), np.zeros(n_cells)
-    degrees = design.net_degrees[keep]
-    net = np.repeat(np.arange(len(degrees)), degrees)
-    coord = np.stack([x, y])
-
-    def per_pin(per_net):
-        return np.take(per_net, net, axis=1)
-
-    c_max = np.maximum.reduceat(coord, starts, axis=1)
-    c_min = np.minimum.reduceat(coord, starts, axis=1)
-    a_pos = np.exp((coord - per_pin(c_max)) / gamma)
-    a_neg = np.exp((per_pin(c_min) - coord) / gamma)
-    b_pos = np.add.reduceat(a_pos, starts, axis=1)
-    b_neg = np.add.reduceat(a_neg, starts, axis=1)
-    wa_pos = np.add.reduceat(coord * a_pos, starts, axis=1) / b_pos
-    wa_neg = np.add.reduceat(coord * a_neg, starts, axis=1) / b_neg
-
-    weight = (degrees >= 2).astype(np.float64)
-    if net_weights is not None:
-        weight = net_weights[keep] * weight
-    span = np.sum(_all_nets(keep, weight * (wa_pos - wa_neg)), axis=1)
-    grad = np.take(weight, net) * (
-        (a_pos / per_pin(b_pos)) * (1.0 + (coord - per_pin(wa_pos)) / gamma)
-        - (a_neg / per_pin(b_neg)) * (1.0 - (coord - per_pin(wa_neg)) / gamma)
-    )
-    pin_cells = design.pin2cell[order]
-    grad_xy = np.zeros(2 * n_cells)
-    np.add.at(grad_xy, np.concatenate([pin_cells, pin_cells + n_cells]), grad.reshape(-1))
-    return float(span[0]) + float(span[1]), grad_xy[:n_cells], grad_xy[n_cells:]
-
-
-#: Strip sizes the layout is checked at: the real one, and a few pins, at
-#: which buckets split across strips, strips span buckets and the tail is
-#: a strip of its own.
-STRIP_SIZES = (STRIP_PINS, 7, 3)
-
-
-def assert_matches_reference(design, gamma=1.7):
+def assert_matches_reference(design, gamma=1.7, x=None, y=None):
     rng = np.random.default_rng(design.n_nets)
-    x, y = design.cell_x, design.cell_y
-    for strip_pins in STRIP_SIZES:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(wirelength, "STRIP_PINS", strip_pins)
-            wa = WAWirelength(design)
-            for weights in (None, rng.uniform(0.0, 3.0, design.n_nets)):
-                got = wa.evaluate(x, y, gamma, weights)
-                want = ref_evaluate(design, x, y, gamma, weights)
-                assert got[0] == want[0]
-                assert np.array_equal(got[1], want[1])
-                assert np.array_equal(got[2], want[2])
-                assert hpwl(design, x, y, weights) == ref_hpwl(design, x, y, weights)
-                assert wa.hpwl(x, y, weights) == ref_hpwl(design, x, y, weights)
+    x = design.cell_x if x is None else x
+    y = design.cell_y if y is None else y
+    wa = WAWirelength(design)
+    for weights in (None, rng.uniform(0.0, 3.0, design.n_nets)):
+        got = wa.evaluate(x, y, gamma, weights)
+        want = ref_evaluate(design, x, y, gamma, weights)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+        want = ref_hpwl(design, x, y, weights)
+        assert_same(hpwl(design, x, y, weights), want)
+        assert_same(wa.hpwl(x, y, weights), want)
 
 
 class TestHPWL:
@@ -242,16 +169,23 @@ class TestLayoutMatchesReduceat:
     @pytest.mark.parametrize("degree", [2, 3, 8, 9, 17])
     def test_all_nets_share_one_degree(self, degree):
         rng = np.random.default_rng(degree)
-        design = CsrDesign([degree] * 23, 30, rng)
-        assert_matches_reference(design)
-        layout = NetLayout(design)
-        assert [b[0] for b in layout.buckets] == ([degree] if degree <= 8 else [])
+        assert_matches_reference(CsrDesign([degree] * 23, 30, rng))
 
     def test_single_net_buckets(self):
-        """A bucket of one net reduces over a length-1 axis."""
+        """One net of each degree 2-9: a sum of 1-8 terms after the first."""
         assert_matches_reference(
             CsrDesign([2, 3, 4, 5, 6, 7, 8, 9], 12, np.random.default_rng(3))
         )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_pairwise_sum_branch(self, seed):
+        """A segment sum is the first term plus NumPy's pairwise_sum of the
+        rest: sequential below 8 terms, 8 accumulators up to 128 (degrees
+        9, 16, 129), halves above (130, 300, down two levels)."""
+        rng = np.random.default_rng(seed)
+        degrees = [0, 1] + list(range(2, 10)) + [16, 129, 130, 300]
+        degrees = [degrees[i] for i in rng.permutation(len(degrees))]
+        assert_matches_reference(CsrDesign(degrees, 40, rng), gamma=[0.3, 1.7, 25.0][seed])
 
     @pytest.mark.parametrize("degrees", [[], [0], [1, 1], [0, 1, 0]])
     def test_nothing_to_reduce(self, degrees):
@@ -261,21 +195,87 @@ class TestLayoutMatchesReduceat:
         assert hpwl(design) == 0.0
         assert_matches_reference(design)
 
-    def test_real_designs(self, small_design, medium_design, monkeypatch):
+    def test_real_designs(self, small_design, medium_design):
         assert_matches_reference(small_design)
         assert_matches_reference(medium_design)
-        # A design of a few thousand pins is one strip: no more NumPy calls
-        # than one pass over the whole layout.
-        assert len(NetLayout(medium_design).strips) == 1
-        monkeypatch.setattr(wirelength, "STRIP_PINS", 7)
-        strips = NetLayout(medium_design).strips
-        degrees = [[c[0] for c in s.chunks] for s in strips]
-        assert any(len(set(d)) > 1 for d in degrees)  # a strip spans buckets
-        firsts, lasts = [d[0] for d in degrees if d], [d[-1] for d in degrees if d]
-        assert any(a == b for a, b in zip(lasts, firsts[1:]))  # a bucket splits
-        assert strips[-1].tail is not None and not strips[-1].chunks
-        assert all(s.tail is None for s in strips[:-1])
-        assert max(s.pins.stop - s.pins.start for s in strips[:-1]) <= 7
+
+    @pytest.mark.parametrize("name", [entry.name for entry in SUITE])
+    def test_suite_design(self, name):
+        """At the seed placement and at a uniform scatter."""
+        design = load_design(name)
+        rng = np.random.default_rng(5)
+        xl, yl, xh, yh = design.die
+        assert_matches_reference(design, gamma=4.0)
+        assert_matches_reference(
+            design,
+            gamma=40.0,
+            x=rng.uniform(xl, xh, design.n_cells),
+            y=rng.uniform(yl, yh, design.n_cells),
+        )
+
+    def test_midiblue50_sample(self):
+        """Every net above degree 100 (its 6,001-pin net among them) and a
+        stride over the rest, the others emptied, at a uniform scatter."""
+        design = load_design("midiblue50")
+        degrees = design.net_degrees
+        assert degrees.max() >= 6001
+        keep = degrees > 100
+        keep[::25] = True
+        pins = np.split(design.net2pin, design.net2pin_start[1:-1])
+        kept = np.where(keep, degrees, 0)
+        sample = SimpleNamespace(
+            n_cells=design.n_cells,
+            n_nets=design.n_nets,
+            net_degrees=kept,
+            net2pin_start=np.concatenate([[0], np.cumsum(kept)]),
+            net2pin=np.concatenate([p for p, k in zip(pins, keep) if k]),
+            pin2cell=design.pin2cell,
+            pin_offset_x=design.pin_offset_x,
+            pin_offset_y=design.pin_offset_y,
+            cell_x=design.cell_x,
+            cell_y=design.cell_y,
+        )
+        rng = np.random.default_rng(6)
+        xl, yl, xh, yh = design.die
+        assert_matches_reference(
+            sample,
+            gamma=40.0,
+            x=rng.uniform(xl, xh, design.n_cells),
+            y=rng.uniform(yl, yh, design.n_cells),
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate(self, medium_design, bad):
+        """A NaN or infinite cell coordinate spoils its nets' values and
+        gradients exactly where the oracle's are spoiled.  The oracle
+        runs one-pin nets weighted by 0 (``0 * NaN`` is NaN), so the
+        coordinate goes on a cell with pins of wider nets only."""
+        design = medium_design
+        degrees = np.repeat(design.net_degrees, design.net_degrees)
+        pin_cell = design.pin2cell[design.net2pin]
+        cells = np.setdiff1d(pin_cell[degrees >= 2], pin_cell[degrees < 2])
+        x, y = design.cell_x.copy(), design.cell_y.copy()
+        x[cells[len(cells) // 2]] = bad
+        y[cells[len(cells) // 3]] = bad
+        with np.errstate(invalid="ignore"):
+            assert_matches_reference(design, x=x, y=y)
+        _, gx, gy = WAWirelength(design).evaluate(x, y, 1.7)
+        assert np.isnan(gx).any() and np.isfinite(gx).any()
+
+    @pytest.mark.parametrize("which", ["x", "y", "weights"])
+    def test_wrong_length_raises(self, small_design, which):
+        wa = WAWirelength(small_design)
+        args = {
+            "x": small_design.cell_x,
+            "y": small_design.cell_y,
+            "weights": np.ones(small_design.n_nets),
+        }
+        args[which] = args[which][:-1]
+        with pytest.raises(ValueError, match="for a design of"):
+            wa.evaluate(args["x"], args["y"], 2.0, args["weights"])
+        if which != "weights":
+            with pytest.raises(ValueError, match="for a design of"):
+                wa.hpwl(args["x"], args["y"])
 
 
 class TestDegenerateNets:
@@ -327,17 +327,13 @@ class TestLayoutBudget:
         arrays = {k: v for k, v in vars(layout).items() if isinstance(v, np.ndarray)}
         # The rigid pin offsets are the only floating-point table: no
         # coordinate, exponential or gradient work array outlives a call.
-        floats = [k for k, v in arrays.items() if v.dtype.kind == "f"]
-        assert floats == ["offset"]
+        assert sorted(arrays) == ["cell", "net", "offset", "start"]
         assert arrays["offset"].shape == (2, layout.n_pins)
-        per_pin = [k for k, v in arrays.items() if v.shape[-1] == layout.n_pins]
-        assert sorted(per_pin) == ["cell", "csr_cell", "csr_order", "offset", "pin"]
-        assert all(arrays[k].dtype == np.int32 for k in per_pin if k != "offset")
-        assert arrays["net"].dtype == arrays["net_slot"].dtype == np.int32
-        # 4 int32 + 2 float64 per pin (+ int32 per tail pin), 2 int32 per
-        # net (+ int64 per tail / degenerate net).
+        assert arrays["cell"].dtype == arrays["net"].dtype == np.int32
+        assert len(arrays["start"]) == len(arrays["net"]) + 1
+        # 1 int32 + 2 float64 per pin, 1 int32 + 1 int64 per net.
         total = sum(v.nbytes for v in arrays.values())
-        assert total <= 36 * layout.n_pins + 16 * medium_design.n_nets
+        assert total <= 20 * layout.n_pins + 12 * medium_design.n_nets + 8
 
     def test_wirelength_object_adds_nothing(self, medium_design):
         wa = WAWirelength(medium_design)
