@@ -7,7 +7,9 @@ builder ``rsmt.c`` over the design's route plan, writing the flat
 largest suite design) and midiblue50 (55k cells); checks that every
 forest array is equal; reports the build time per degree class (2 / 3 /
 4..8 Steiner-searched / >8 plain RMST), each class routed on its own
-plan; writes ``benchmarks/results/BENCH_rsmt.json`` and appends an
+plan, and the forest's tables (``Forest._finalize``, one compiled pass)
+against the NumPy ``_finalize`` kept in the same oracle module, checked
+equal; writes ``benchmarks/results/BENCH_rsmt.json`` and appends an
 ``rsmt_forest`` record to the perf ledger.
 
 Exit status is non-zero when a forest differs or the speedup on any
@@ -36,20 +38,21 @@ from repro.harness.suite import load_design  # noqa: E402
 from repro.route import MAX_STEINER_DEGREE, RoutePlan  # noqa: E402
 from repro.route.rsmt import build_forest, build_forest_from_plan  # noqa: E402
 from repro.telemetry.history import append_record  # noqa: E402
-from tests.reference_rsmt import reference_forest  # noqa: E402
+from tests.reference_rsmt import (  # noqa: E402
+    TABLES,
+    reference_forest,
+    reference_tables,
+)
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 HISTORY_DIR = os.path.join(os.path.dirname(__file__), "history")
 
 FOREST_ARRAYS = (
     "parent",
-    "node_net",
     "node_pin",
     "owner_x_pin",
     "owner_y_pin",
     "is_root",
-    "is_steiner",
-    "has_parent",
     "depth",
     "node_offset",
     "pin_node",
@@ -65,8 +68,17 @@ DEGREE_CLASSES = (
 
 def _forests_equal(a, b) -> bool:
     arrays = [(getattr(a, attr), getattr(b, attr)) for attr in FOREST_ARRAYS]
-    arrays += list(zip(a.levels, b.levels))
-    return len(a.levels) == len(b.levels) and all(
+    arrays += list(zip(a.level_tables, b.level_tables))
+    return a.max_depth == b.max_depth and all(
+        p.dtype == q.dtype and np.array_equal(p, q) for p, q in arrays
+    )
+
+
+def _tables_equal(forest, want) -> bool:
+    """The compiled tables of ``forest`` equal the oracle's ``want``."""
+    arrays = [(getattr(forest, name), getattr(want, name)) for name in TABLES]
+    arrays += list(zip(forest.level_tables, want.level_tables))
+    return forest.max_depth == want.max_depth and all(
         p.dtype == q.dtype and np.array_equal(p, q) for p, q in arrays
     )
 
@@ -109,6 +121,8 @@ def bench_design(name: str, seed: int, repeats: int) -> dict:
         lambda: reference_forest(design, px, py), max(1, repeats // 3)
     )
     compiled_s, forest = _best_of(lambda: build_forest(design, x, y), repeats)
+    finalize_s, _ = _best_of(forest._finalize, 5 * repeats)
+    oracle_finalize_s, want = _best_of(lambda: reference_tables(forest), 5 * repeats)
     degrees = design.net_degrees
     return {
         "design": name,
@@ -122,7 +136,10 @@ def bench_design(name: str, seed: int, repeats: int) -> dict:
         "scalar_s": scalar_s,
         "compiled_s": compiled_s,
         "speedup": scalar_s / compiled_s if compiled_s > 0 else float("inf"),
-        "forests_identical": _forests_equal(scalar_forest, forest),
+        "forests_identical": _forests_equal(scalar_forest, forest)
+        and _tables_equal(forest, want),
+        "finalize_s": finalize_s,
+        "oracle_finalize_s": oracle_finalize_s,
         "class_split_s": _class_split(design, px, py, repeats),
     }
 
@@ -158,7 +175,9 @@ def main(argv=None) -> int:
         print(
             f"{r['design']}: scalar {r['scalar_s'] * 1e3:.1f} ms, "
             f"compiled {r['compiled_s'] * 1e3:.2f} ms -> {r['speedup']:.1f}x "
-            f"(identical={r['forests_identical']})\n    ms by class: {split}"
+            f"(identical={r['forests_identical']})\n    ms by class: {split}\n"
+            f"    tables (_finalize): NumPy {r['oracle_finalize_s'] * 1e3:.2f} ms, "
+            f"compiled {r['finalize_s'] * 1e3:.2f} ms"
         )
     print(f"-> {out}")
     if args.history:

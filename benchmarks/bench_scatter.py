@@ -1,10 +1,12 @@
-"""Micro-benchmark: ``repro.core.scatter.scatter_add`` vs ``np.add.at``.
+"""Micro-benchmark: the bincount ``scatter_add`` vs ``np.add.at``.
 
-Times ``scatter_add`` in the two shapes its callers use (a 1-D segment
-sum, and the density splat's flattened bin index) against the
-``np.add.at`` call forms it replaced, asserts
-the results are **bit identical**, and writes
-``benchmarks/results/BENCH_scatter.json``.
+Times ``scatter_add`` (kept with the timer oracle in
+``tests/reference_sweep.py``; the library's own scatters run in its
+compiled passes) on a 1-D segment sum against the ``np.add.at`` call
+form it replaced, asserts the results are **bit identical**, and writes
+``benchmarks/results/BENCH_scatter.json``.  The density-splat case went
+with the splat's compilation (``place/density.c``): no caller of
+``scatter_add`` has that shape any more.
 
 A second group of cases takes the operand **from the design cache**:
 ``pickle`` gives every array it rebuilds a dtype object of its own, and
@@ -36,8 +38,9 @@ import time
 
 import numpy as np
 
-from repro.core.scatter import scatter_add
-from repro.core.smoothing import segment_max
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from tests.reference_sweep import scatter_add, segment_max  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -71,22 +74,6 @@ def _cases(size: int, rng: np.random.Generator):
         return out
 
     yield "scatter_add_1d", new_1d, old_1d
-
-    # The density splat: a flattened bin index, where np.add.at took the
-    # (ix, iy) pair.
-    nb = 128
-    ix = rng.integers(0, nb, size)
-    iy = rng.integers(0, nb, size)
-
-    def new_splat():
-        return scatter_add(ix * nb + iy, values, nb * nb).reshape(nb, nb)
-
-    def old_splat():
-        out = np.zeros((nb, nb))
-        np.add.at(out, (ix, iy), values)
-        return out
-
-    yield "scatter_add_splat", new_splat, old_splat
 
 
 def _time_calls(fn, number: int = 200, repeat: int = 7) -> float:

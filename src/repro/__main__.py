@@ -522,9 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-task wall-clock timeout, counted from dispatch; a "
-        "worker exceeding it is killed and its task quarantined; any "
-        "timeout runs tasks on workers, even at --jobs 1 (default: none)",
+        help="per-task wall-clock timeout, counted from when the worker "
+        "reports the task started (its start-up and design preload are "
+        "not counted); a worker exceeding it is killed and its task "
+        "quarantined; any timeout runs tasks on workers, even at --jobs 1 "
+        "(default: none)",
     )
     suite_p.add_argument(
         "--trace-out",

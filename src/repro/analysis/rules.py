@@ -57,22 +57,22 @@ def _is_numpy(resolver: Optional[NameResolver], node: ast.AST) -> bool:
 # ----------------------------------------------------------------------
 @register_rule
 class NoScatterAddAt(Rule):
-    """``ufunc.at`` scatters are banned in favour of the shared helpers.
+    """``ufunc.at`` scatters are banned in favour of ordered folds.
 
-    ``repro.core.scatter.scatter_add`` is a bit-identical, order-preserving
-    replacement for ``np.add.at`` into zeros that is both faster and a
-    single audited implementation of the deterministic-scatter contract;
-    ``np.maximum.at``/``np.minimum.at`` are how a private levelised
-    propagator starts, and the one engine (``repro.core.propagate``)
-    merges through ``repro.core.smoothing.segment_max``.  Reference
-    implementations are exempt: the equivalence tests in ``tests/`` and
-    the scatter micro-benchmark *must* call ``np.add.at`` to compare
-    against.
+    Every scatter of the library folds duplicate indices in input order
+    from ``0.0``: ``np.bincount`` does, bit for bit ``np.add.at`` into
+    zeros and faster, and so do the loops of the compiled passes
+    (``core/sweep.c``, ``place/density.c``), where the timers' max/min
+    merges and the density splat run.  ``np.maximum.at``/
+    ``np.minimum.at`` are how a private levelised propagator starts.
+    Reference implementations are exempt: the equivalence tests in
+    ``tests/`` and the scatter micro-benchmark *must* call ``np.add.at``
+    to compare against.
     """
 
     id = "no-scatter-add-at"
     description = (
-        "use repro.core.scatter / repro.core.smoothing helpers instead of "
+        "fold with np.bincount or in a compiled pass instead of "
         "np.add.at / np.subtract.at / np.maximum.at / np.minimum.at"
     )
 
@@ -95,9 +95,10 @@ class NoScatterAddAt(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"np.{inner.attr}.at is banned; use the deterministic "
-                    "bincount helper repro.core.scatter.scatter_add or, for "
-                    "max/min merges, repro.core.smoothing.segment_max",
+                    f"np.{inner.attr}.at is banned; fold duplicate indices "
+                    "in input order from 0.0: np.bincount for sums, a loop "
+                    "of a compiled pass (core/sweep.c, place/density.c) for "
+                    "sums and max/min merges",
                 )
 
 

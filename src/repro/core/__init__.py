@@ -4,8 +4,6 @@ from .smoothing import (
     lse_max,
     lse_max_grad,
     lse_min,
-    segment_lse_max,
-    segment_lse_weights,
     soft_clamp_neg,
     soft_clamp_neg_grad,
 )
@@ -19,8 +17,6 @@ __all__ = [
     "lse_max",
     "lse_max_grad",
     "lse_min",
-    "segment_lse_max",
-    "segment_lse_weights",
     "soft_clamp_neg",
     "soft_clamp_neg_grad",
     "elmore_backward",

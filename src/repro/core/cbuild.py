@@ -1,6 +1,8 @@
 """Build and load the compiled kernels with cffi and gcc: the timing sweep
-(``core/sweep.c``), the Steiner-forest builder (``route/rsmt.c``) and the
-net pass of the wirelength terms (``place/wirelength.c``), one library.
+(``core/sweep.c``), the Steiner-forest builder and forest tables
+(``route/rsmt.c``), the net pass of the wirelength terms
+(``place/wirelength.c``) and the density pass (``place/density.c``), one
+library.
 
 The library is built on first import, once per hash of its sources and
 Python ABI, into a per-user cache (``$XDG_CACHE_HOME/repro/kernels``, default
@@ -29,10 +31,13 @@ __all__ = ["KernelBuildError", "cache_directory", "load_kernels"]
 
 #: The package directory; every C source is named relative to it.
 _PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: The headers declaring the library's entry points: together, the cdef.
+_HEADERS = ("core/sweep.h", "route/rsmt.h", "place/wirelength.h", "place/density.h")
 #: Every C source of the library: all of them are hashed into its name.
+#: ``place/pairwise.h`` is included by the C files only.
 _SOURCES = (
-    "core/sweep.h", "route/rsmt.h", "place/wirelength.h",
-    "core/sweep.c", "route/rsmt.c", "place/wirelength.c",
+    *_HEADERS, "place/pairwise.h",
+    "core/sweep.c", "route/rsmt.c", "place/wirelength.c", "place/density.c",
 )
 _CFLAGS = ("-O2", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
@@ -106,7 +111,7 @@ def load_kernels() -> Tuple[object, object]:
 
     Loading a built library needs cffi's backend only; the ``cffi``
     package itself (its C parser) is imported to build one.  Each C file
-    is its own translation unit; the headers are the cdef.
+    is its own translation unit; the entry-point headers are the cdef.
     """
     try:
         import _cffi_backend
@@ -124,12 +129,11 @@ def load_kernels() -> Tuple[object, object]:
     if not os.path.exists(path):
         import cffi
 
-        headers = [s for s in _SOURCES if s.endswith(".h")]
         ffi = cffi.FFI()
-        ffi.cdef("\n".join(sources[h] for h in headers))
+        ffi.cdef("\n".join(sources[h] for h in _HEADERS))
         ffi.set_source(
             name,
-            "#include <stdint.h>\n" + "".join(f'#include "{h}"\n' for h in headers),
+            "#include <stdint.h>\n" + "".join(f'#include "{h}"\n' for h in _HEADERS),
             compiler_verbose=False,
         )
         path = _compile(ffi, name, directory, suffix)

@@ -7,8 +7,9 @@ Following Equation (5) of the paper, ``max`` is replaced by
     LSE_gamma(x_1..x_n) = gamma * log(sum_i exp(x_i / gamma))
 
 and ``min(x) = -LSE_gamma(-x)``.  All kernels here are computed in shifted
-(overflow-safe) form, and segment variants merge grouped candidates via
-scatter operations, which is how the levelised timers consume them.
+(overflow-safe) form.  The levelised timers merge grouped candidates in
+their compiled sweep (``core/sweep.c``); the NumPy segment forms it
+replaced are kept in ``tests/reference_sweep.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Tuple
 import numpy as np
 
 from ..contracts import differentiable
-from .scatter import same_descr, scatter_add
 
 __all__ = [
     "lse_max",
@@ -26,12 +26,7 @@ __all__ = [
     "lse_max_grad",
     "soft_clamp_neg",
     "soft_clamp_neg_grad",
-    "segment_max",
-    "segment_lse_max",
-    "segment_lse_weights",
 ]
-
-_SENTINEL = -1e30
 
 
 @differentiable(
@@ -88,62 +83,3 @@ def soft_clamp_neg_grad(slack: np.ndarray, gamma: float) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def segment_max(
-    candidates: np.ndarray, segment_ids: np.ndarray, n_segments: int
-) -> np.ndarray:
-    """Grouped hard maximum; groups with no candidates keep the sentinel.
-
-    ``max`` is exact, so the grouped minimum is ``-segment_max(-x, ...)``
-    bit for bit.
-    """
-    m = np.full(n_segments, _SENTINEL, dtype=np.float64)
-    # reprolint: allow[no-scatter-add-at] the one audited scatter-max: 1-D contiguous target, exact in any fold order
-    np.maximum.at(m, segment_ids, same_descr(m, candidates))
-    return m
-
-
-def segment_lse_max(
-    candidates: np.ndarray,
-    segment_ids: np.ndarray,
-    n_segments: int,
-    gamma: float,
-    empty_value: float = _SENTINEL,
-) -> np.ndarray:
-    """Grouped smoothed maximum via scatter-max + scatter-add.
-
-    ``candidates[i]`` belongs to group ``segment_ids[i]``; groups with no
-    candidates return ``empty_value``.  Implemented in shifted form so huge
-    negative sentinels contribute zero weight rather than NaNs.
-    """
-    m = segment_max(candidates, segment_ids, n_segments)
-    # candidates <= m, so the exponent lies in [-inf, 0]; the upper clamp
-    # only matters for corrupted (non-finite) inputs, which must not
-    # overflow.
-    shifted = np.exp(
-        np.minimum(np.maximum((candidates - m[segment_ids]) / gamma, -700.0), 0.0)
-    )
-    s = scatter_add(segment_ids, shifted, n_segments)
-    nonempty = s > 0
-    return np.where(
-        nonempty, m + gamma * np.log(np.where(nonempty, s, 1.0)), empty_value
-    )
-
-
-def segment_lse_weights(
-    candidates: np.ndarray,
-    segment_ids: np.ndarray,
-    smoothed: np.ndarray,
-    gamma: float,
-) -> np.ndarray:
-    """Softmax weight of each candidate given the group's smoothed max.
-
-    Uses the identity ``w_i = exp((x_i - LSE) / gamma)``, which already
-    embeds the normalisation, so no second reduction is needed.
-    """
-    return np.exp(
-        np.minimum(
-            np.maximum((candidates - smoothed[segment_ids]) / gamma, -700.0), 0.0
-        )
-    )

@@ -18,7 +18,10 @@ A task that fails is **quarantined** on the spot with its failure kind
   a duplex pipe, so a dead worker costs exactly its in-flight task;
 - ``timeout`` - it ran past ``task_timeout`` seconds, counted from when
   its worker reported the task started (a fresh worker's start-up and
-  preload are not the task's), and its worker was killed.
+  preload are not the task's), and its worker was killed; or its worker
+  did not report the start within :data:`STARTUP_TIMEOUT` seconds of
+  being handed the task (a worker hung in start-up or preload), and was
+  killed.
 
 A dead or killed worker is respawned for the tasks that remain.  Tasks
 are deterministic, so there are no retries: a second attempt would
@@ -67,6 +70,11 @@ FAILURE_KINDS = ("crash", "timeout", "exception")
 
 #: Filename of the merged suite summary inside a telemetry directory.
 SUITE_MANIFEST_FILENAME = "suite_manifest.json"
+
+#: Seconds a worker has, from being handed a task, to report that it
+#: started it: its spawn, imports and design preload.  Far above a cold
+#: midiblue50 preload; only a hung worker reaches it.
+STARTUP_TIMEOUT = 600.0
 
 
 class SupervisorError(RuntimeError):
@@ -259,21 +267,28 @@ def _worker_main(
 class _Worker:
     """Parent-side handle of one supervised worker process."""
 
-    __slots__ = ("process", "conn", "task_index", "deadline")
+    __slots__ = ("process", "conn", "task_index", "deadline", "running")
 
     def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
         self.task_index: Optional[int] = None
         self.deadline: Optional[float] = None
+        #: The worker reported that it started its task.
+        self.running = False
 
     def assign(self, index: int, task: SuiteTask) -> None:
+        """Hand the worker a task; it has :data:`STARTUP_TIMEOUT` seconds
+        to report that it started it."""
         self.conn.send(("task", index, task))
         self.task_index = index
+        self.running = False
+        self.deadline = time.monotonic() + STARTUP_TIMEOUT
 
     def started(self, timeout: Optional[float]) -> None:
         """The worker began the task: its timeout runs from here, so a
         fresh worker's start-up and preload do not count against it."""
+        self.running = True
         self.deadline = time.monotonic() + timeout if timeout else None
 
     def shutdown(self, timeout: float = 5.0) -> None:
@@ -440,7 +455,11 @@ class _Supervisor:
                             worker, "timeout",
                             f"task exceeded {self.task_timeout:g}s "
                             "wall-clock timeout (worker pid "
-                            f"{worker.process.pid} killed)",
+                            f"{worker.process.pid} killed)"
+                            if worker.running
+                            else f"worker pid {worker.process.pid} did not "
+                            f"start the task within {STARTUP_TIMEOUT:g}s "
+                            "(killed)",
                         )
         finally:
             for worker in self.workers:

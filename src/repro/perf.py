@@ -61,10 +61,12 @@ TARGETS: Tuple[Tuple[str, str, str], ...] = (
     ("repro.core.propagate", "sweep_forward", "core.sweep.forward"),
     ("repro.core.difftimer", "timer_adjoint", "core.sweep.adjoint"),
     ("repro.sta.analysis", "sweep_required", "core.sweep.required"),
-    ("repro.place.density", "DensityModel._splat", "place.density.splat"),
-    ("repro.place.density", "DensityModel._solve_poisson", "place.density.solve"),
-    ("repro.place.density", "DensityModel._field", "place.density.field"),
-    ("repro.place.density", "DensityModel._gather", "place.density.gather"),
+    ("repro.route.tree", "Forest._finalize", "route.forest.finalize"),
+    ("repro.place.density", "DensityModel._prepass", "place.density.prepass"),
+    ("repro.place.density", "dctn", "place.density.dct"),
+    ("repro.place.density", "DensityModel._divide", "place.density.divide"),
+    ("repro.place.density", "idctn", "place.density.idct"),
+    ("repro.place.density", "DensityModel._postpass", "place.density.postpass"),
     ("repro.runtime.checkpoint", "save_checkpoint", "runtime.checkpoint.save"),
     ("repro.runtime.checkpoint", "load_checkpoint", "runtime.checkpoint.load"),
     ("repro.place.placer", "load_checkpoint", "runtime.checkpoint.load"),

@@ -9,15 +9,15 @@ feels a force ``area * E`` interpolated at its center, which is the
 density gradient used by the placer.  Density overflow - the stopping
 metric of the paper's experiments - is measured on the same grid.
 
-One pipeline, no switches: splat (a single deterministic
-:func:`~repro.core.scatter.scatter_add`), ``scipy.fft`` ``dctn`` / divide
-by the Laplacian eigenvalues / ``idctn``, a central-difference field
-(the expressions of ``np.gradient``), and a gather that reuses the splat's
-stencil weights.
-It is bit-compatible with the original implementation (four sequential
-``np.add.at`` passes, fancy-indexed gather) in density map, energy and
-overflow, and to the last bit or two in the gradients - asserted against
-a test-only copy of that formulation in ``tests/test_density.py``.
+One evaluation is the compiled density pass ``density.c`` (built by
+:mod:`repro.core.cbuild`) around SciPy's transforms: a C pre-pass (the
+cloud-in-cell stencil, the splat, the fixed map, the density map, its
+mean and the overflow), ``dctn``, a C divide by the Laplacian
+eigenvalues, ``idctn``, and a C post-pass (the central-difference field,
+the gather with the splat's stencil weights and the energy).  Results are
+bit for bit those of the NumPy pipeline kept as the oracle in
+``tests/reference_density.py``.  A movable cell at a NaN coordinate is a
+``ValueError``; one at +-inf is clamped to the die's edge bins.
 
 Fixed macro area (fixed cells with nonzero area) is splatted once at
 construction and added to every density map, so movable cells are
@@ -33,10 +33,16 @@ from typing import Optional
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from ..core.scatter import scatter_add
+from ..core.cbuild import load_kernels
 from ..netlist.design import Design
 
 __all__ = ["DensityModel", "DensityResult"]
+
+ffi, lib = load_kernels()
+
+
+def _doubles(array: np.ndarray):
+    return ffi.from_buffer("double[]", array)
 
 
 @dataclass
@@ -63,6 +69,8 @@ class DensityModel:
         n_bins: int = 64,
         target_density: float = 1.0,
     ) -> None:
+        if n_bins < 2:
+            raise ValueError(f"a density grid needs at least 2 bins a side, not {n_bins}")
         self.design = design
         xl, yl, xh, yh = design.die
         self.xl, self.yl = xl, yl
@@ -75,18 +83,6 @@ class DensityModel:
         self.movable_area_total = float(self.area[self.movable].sum())
         self.bin_area = self.hx * self.hy
 
-        # Fixed macro/port blockage: deposit fixed-cell area once.  Ports
-        # and pads have zero area, so designs without real macros keep
-        # the historical all-movable density map bit-for-bit.
-        fixed = design.cell_fixed & (self.area > 0.0)
-        if bool(fixed.any()):
-            rho_f, _ = self._stencil(
-                design.cell_x[fixed], design.cell_y[fixed], self.area[fixed]
-            )
-            self._fixed_rho: Optional[np.ndarray] = rho_f
-        else:
-            self._fixed_rho = None
-
         eigen_x = 2.0 - 2.0 * np.cos(np.pi * np.arange(n_bins) / n_bins)
         eigen_y = 2.0 - 2.0 * np.cos(np.pi * np.arange(n_bins) / n_bins)
         denom = (
@@ -94,7 +90,6 @@ class DensityModel:
             + eigen_y[None, :] / (self.hy * self.hy)
         )
         denom[0, 0] = 1.0  # DC mode is projected out before division
-        self._denominator = denom
 
         # Divisors of the field's differences, negated (the field is
         # minus the gradient; dividing by -d flips exactly the sign):
@@ -104,90 +99,98 @@ class DensityModel:
             d[0] = d[-1] = -h
             return d
 
-        self._field_div = spans(self.hx)[:, None], spans(self.hy)[None, :]
+        self._cells = np.flatnonzero(self.movable)
+        self._grid = grid = ffi.new("density_grid_t *")
+        grid.nb, grid.xl, grid.yl, grid.hx, grid.hy = n_bins, xl, yl, self.hx, self.hy
+        grid.top = n_bins - 1.000001
+        grid.bin_area = self.bin_area
+        grid.capacity = target_density * self.bin_area
+        grid.movable_area = self.movable_area_total
+        grid.n = len(self._cells)
+        # The C views keep their arrays alive.
+        self._keep = [
+            ffi.from_buffer("int64_t[]", self._cells),
+            _doubles(self.area),
+            *(_doubles(t) for t in (denom, spans(self.hx), spans(self.hy))),
+        ]
+        grid.cell, grid.area, grid.denominator, grid.div_x, grid.div_y = self._keep
+
+        # Fixed macro/port blockage: deposit fixed-cell area once.  Ports
+        # and pads have zero area, so designs without real macros keep
+        # the historical all-movable density map bit-for-bit.
+        fixed = np.flatnonzero(design.cell_fixed & (self.area > 0.0))
+        self._fixed_rho: Optional[np.ndarray] = None
+        if len(fixed):
+            rho = np.empty((n_bins, n_bins))
+            x, y = self._operands(design.cell_x, design.cell_y)
+            stencil, held = self._stencil(len(fixed))
+            self._check(lib.density_splat(
+                grid, len(fixed), ffi.from_buffer("int64_t[]", fixed),
+                _doubles(x), _doubles(y), stencil, _doubles(rho),
+            ))
+            self._fixed_rho = rho
+            self._keep.append(_doubles(rho))
+            grid.fixed = self._keep[-1]
 
     # ------------------------------------------------------------------
-    def _stencil(self, x: np.ndarray, y: np.ndarray, mass: np.ndarray):
-        """Cloud-in-cell deposition of ``mass`` at ``(x, y)`` onto the grid.
+    def _operands(self, x, y):
+        """``x``, ``y`` as the C passes read them: contiguous float64, one
+        value per cell.  Raises ``ValueError`` on any other length."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        n = self.design.n_cells
+        if x.shape != (n,) or y.shape != (n,):
+            raise ValueError(
+                f"cell coordinates of shape {x.shape} / {y.shape} for a "
+                f"design of {n} cells"
+            )
+        return x, y
 
-        Returns the density map plus the flattened stencil (corner
-        indices and the four weights, computed once) so the field gather
-        can reuse it.  The four corner passes are concatenated into a
-        single deterministic :func:`scatter_add`; per destination bin
-        the contributions fold in the same pass-major order as the
-        historical four sequential scatters, so the map is bit-identical
-        to the original implementation.
-        """
-        nb = self.nb
-        gx = (x - self.xl) / self.hx - 0.5
-        gy = (y - self.yl) / self.hy - 0.5
-        # np.clip, without its Python wrapper.
-        for g in (gx, gy):
-            np.minimum(np.maximum(g, 0.0, out=g), nb - 1.000001, out=g)
-        ix = np.floor(gx).astype(np.int64)
-        iy = np.floor(gy).astype(np.int64)
-        fx = gx - ix
-        fy = gy - iy
-        # Fused stencil weights: the x-edge products are shared between
-        # the four corners (same association as the historical
-        # ``mass * (1 - fx) * (1 - fy)`` forms, so no bits change).
-        ax = mass * (1.0 - fx)
-        bx = mass * fx
-        w00 = ax * (1.0 - fy)
-        w10 = bx * (1.0 - fy)
-        w01 = ax * fy
-        w11 = bx * fy
-        base = ix * nb + iy
-        flat = np.concatenate([base, base + nb, base + 1, base + nb + 1])
-        weights = np.concatenate([w00, w10, w01, w11])
-        rho = scatter_add(flat, weights, nb * nb).reshape(nb, nb)
-        return rho, (base, w00, w10, w01, w11)
+    def _check(self, bad: int) -> None:
+        if bad >= 0:
+            raise ValueError(
+                f"cell {self.design.cell_name[bad]!r} (index {bad}) is at a "
+                "NaN coordinate"
+            )
 
-    def _splat(self, x: np.ndarray, y: np.ndarray):
-        """Movable-cell density map (fixed blockage included)."""
-        rho, stencil = self._stencil(
-            x[self.movable], y[self.movable], self.area[self.movable]
+    @staticmethod
+    def _stencil(n: int):
+        """A fresh ``stencil_t`` for ``n`` cells, and what keeps its
+        arrays alive."""
+        stencil = ffi.new("stencil_t *")
+        keep = (
+            ffi.from_buffer("int64_t[]", np.empty(n, dtype=np.int64)),
+            _doubles(np.empty((4, n))),
         )
-        if self._fixed_rho is not None:
-            rho = rho + self._fixed_rho
-        return rho, stencil
+        stencil.base, stencil.weight = keep
+        return stencil, keep
 
-    def _solve_poisson(self, rho: np.ndarray) -> np.ndarray:
-        """Spectral Poisson solve (scipy DCT round-trip)."""
-        source = rho / self.bin_area
-        source = source - source.mean()
-        coeff = dctn(source, type=2, norm="ortho")
-        coeff = coeff / self._denominator
-        coeff[0, 0] = 0.0
-        return idctn(coeff, type=2, norm="ortho")
-
-    def _field(self, phi: np.ndarray):
-        """Field ``-grad(phi)`` on the bin grid: central differences,
-        one-sided at the edges - ``-np.gradient(phi, h, axis=)`` of each
-        axis, bit for bit, at half the cost of its two wrapper calls."""
-        ex, ey = np.empty_like(phi), np.empty_like(phi)
-        np.subtract(phi[2:], phi[:-2], out=ex[1:-1])
-        np.subtract(phi[1], phi[0], out=ex[0])
-        np.subtract(phi[-1], phi[-2], out=ex[-1])
-        np.subtract(phi[:, 2:], phi[:, :-2], out=ey[:, 1:-1])
-        np.subtract(phi[:, 1], phi[:, 0], out=ey[:, 0])
-        np.subtract(phi[:, -1], phi[:, -2], out=ey[:, -1])
-        ex /= self._field_div[0]
-        ey /= self._field_div[1]
-        return ex, ey
-
-    # ------------------------------------------------------------------
-    def _gather(self, field, stencil):
-        """Bilinear field interpolation reusing the splat stencil weights."""
-        base, w00, w10, w01, w11 = stencil
+    def _prepass(self, x: np.ndarray, y: np.ndarray, stencil):
+        """C: stencil, splat and fixed map -> (density, source, overflow)."""
         nb = self.nb
-        flat = field.reshape(-1)
-        return (
-            np.take(flat, base) * w00
-            + np.take(flat, base + nb) * w10
-            + np.take(flat, base + 1) * w01
-            + np.take(flat, base + nb + 1) * w11
+        density, source, overflow = np.empty((nb, nb)), np.empty((nb, nb)), np.empty(1)
+        self._check(lib.density_prepass(
+            self._grid, _doubles(x), _doubles(y), stencil,
+            _doubles(density), _doubles(source), _doubles(overflow),
+        ))
+        return density, source, float(overflow[0])
+
+    def _divide(self, coeff: np.ndarray) -> np.ndarray:
+        """C: the coefficients divided by the Laplacian eigenvalues, in
+        place, the DC term zeroed."""
+        lib.density_divide(self._grid, _doubles(coeff))
+        return coeff
+
+    def _postpass(self, stencil, density: np.ndarray, phi: np.ndarray):
+        """C: field, gather and energy -> (grad_x, grad_y, energy)."""
+        n = self.design.n_cells
+        grad_x, grad_y, energy = np.zeros(n), np.zeros(n), np.empty(1)
+        lib.density_postpass(
+            self._grid, stencil, _doubles(density), _doubles(phi),
+            _doubles(np.empty((2, self.nb, self.nb))),
+            _doubles(grad_x), _doubles(grad_y), _doubles(energy),
         )
+        return grad_x, grad_y, float(energy[0])
 
     def _empty_result(self) -> DensityResult:
         """Explicit zero-movable-area early-out.
@@ -213,26 +216,25 @@ class DensityModel:
 
     # ------------------------------------------------------------------
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> DensityResult:
-        """Density energy, overflow and per-cell gradient at (x, y)."""
+        """Density energy, overflow and per-cell gradient at (x, y).
+
+        Raises ``ValueError`` naming the first movable cell at a NaN
+        coordinate, before any bin is written.
+        """
         if self.movable_area_total <= 0.0:
             return self._empty_result()
-        rho, stencil = self._splat(x, y)
-        phi = self._solve_poisson(rho)
-        ex, ey = self._field(phi)
-        grad_x = np.zeros(self.design.n_cells, dtype=np.float64)
-        grad_y = np.zeros(self.design.n_cells, dtype=np.float64)
-        grad_x[self.movable] = -self._gather(ex, stencil)
-        grad_y[self.movable] = -self._gather(ey, stencil)
-        energy = 0.5 * float(np.sum(rho / self.bin_area * phi)) * self.bin_area
-        capacity = self.target_density * self.bin_area
-        overflow = float(np.maximum(rho - capacity, 0.0).sum())
-        overflow /= self.movable_area_total
+        x, y = self._operands(x, y)
+        stencil, held = self._stencil(len(self._cells))
+        density, source, overflow = self._prepass(x, y, stencil)
+        coeff = self._divide(dctn(source, type=2, norm="ortho"))
+        phi = idctn(coeff, type=2, norm="ortho")
+        grad_x, grad_y, energy = self._postpass(stencil, density, phi)
         return DensityResult(
             energy=energy,
             overflow=overflow,
             grad_x=grad_x,
             grad_y=grad_y,
-            density=rho / self.bin_area,
+            density=density,
             potential=phi,
         )
 

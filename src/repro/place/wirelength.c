@@ -16,6 +16,7 @@
 #include <math.h>
 #include <stdint.h>
 
+#include "pairwise.h"
 #include "wirelength.h"
 
 /* Two lanes, the x and the y axis of a pin (or of a net): each lane runs
@@ -31,35 +32,6 @@ static inline double np_maximum(double a, double b)
 static inline double np_minimum(double a, double b)
 {
     return (isnan(a) || a < b) ? a : b;
-}
-
-/* NumPy's pairwise_sum of a[0..n), or of a[i] * m[i] with ``m``: a plain
-   sum from -0.0 below 8 terms, 8 accumulators up to 128, two halves (cut
-   at a multiple of 8) above. */
-static double pairwise_sum(const double *a, const double *m, int64_t n)
-{
-    if (n < 8) {
-        double res = -0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += m ? a[i] * m[i] : a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8], res;
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = m ? a[j] * m[j] : a[j];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += m ? a[i + j] * m[i + j] : a[i + j];
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += m ? a[i] * m[i] : a[i];
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, m, n2) + pairwise_sum(a + n2, m ? m + n2 : 0, n - n2);
 }
 
 /* add.reduceat over one segment of n >= 2 terms. */

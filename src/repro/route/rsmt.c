@@ -408,3 +408,120 @@ int64_t route_forest(const route_plan_t *plan, const double *px,
     free(block);
     return at;
 }
+
+/* ----------------------------------------------------------------------
+   The tables of a Forest, laid out once per forest for the timers: the
+   values and the order of the NumPy program kept as the oracle in
+   tests/reference_rsmt.py (a stable argsort by depth, the distinct parents
+   of each depth in that order, int32 columns). */
+
+int64_t forest_offsets(const forest_rows_t *rows, int64_t *node_offset,
+                       int64_t *parent)
+{
+    int64_t at = 0, next = 0;
+    for (int64_t r = 0; r < rows->n_rows; r++) {
+        int64_t net = rows->net[r], size = rows->size[r];
+        if (net < next || net >= rows->n_nets || size < 0 || size > rows->n_nodes - at)
+            return r;
+        while (next <= net)
+            node_offset[next++] = at;
+        for (int64_t v = at; v < at + size; v++) {
+            if (parent[v] < -1 || parent[v] >= size)
+                return rows->n_rows + 1 + v;
+            if (parent[v] >= 0)
+                parent[v] += at;
+        }
+        at += size;
+    }
+    if (at != rows->n_nodes)
+        return rows->n_rows;
+    while (next <= rows->n_nets)
+        node_offset[next++] = at;
+    return -1;
+}
+
+int64_t forest_sizes(const forest_nodes_t *f, int32_t *group,
+                     forest_sizes_t *sizes)
+{
+    const int64_t n = f->n_nodes;
+    forest_sizes_t s = {0, 0, 0, 0, 0};
+    for (int64_t v = 0; v < n; v++) {
+        int64_t d = f->depth[v], p = f->parent[v], pin = f->node_pin[v];
+        if (d < 0 || p < -1 || p >= n || (d > 0 && p < 0) || pin < -1 ||
+            pin >= f->n_pins)
+            return v;
+        group[v] = -1;
+        if (d > s.max_depth)
+            s.max_depth = d;
+        s.n_roots += d == 0;
+        s.n_pin_nodes += pin >= 0;
+        s.n_drivers += d == 0 && pin >= 0;
+    }
+    /* A group is a node with a child: marked 0 here, numbered by
+       forest_tables. */
+    for (int64_t v = 0; v < n; v++)
+        if (f->depth[v] > 0 && group[f->parent[v]] < 0) {
+            group[f->parent[v]] = 0;
+            s.n_groups++;
+        }
+    *sizes = s;
+    return -1;
+}
+
+void forest_tables(const forest_nodes_t *f, const forest_sizes_t *sizes,
+                   int32_t *group, forest_tables_t *t)
+{
+    const int64_t n = f->n_nodes, top = sizes->max_depth;
+    int64_t *start = t->level_start, *cursor = t->group_start;
+    /* Pins and nodes, parents-or-self, and the depths counted. */
+    for (int64_t d = 0; d <= top + 1; d++)
+        start[d] = 0;
+    for (int64_t p = 0; p < f->n_pins; p++)
+        t->pin_node[p] = -1;
+    int64_t k = 0;
+    for (int64_t v = 0; v < n; v++) {
+        int64_t pin = f->node_pin[v];
+        start[f->depth[v] + 1]++;
+        t->up[v] = (int32_t)(f->parent[v] >= 0 ? f->parent[v] : v);
+        if (pin >= 0) {
+            t->pin_node[pin] = v;
+            t->pin_nodes[k] = (int32_t)v;
+            t->pins_of_nodes[k++] = (int32_t)pin;
+        }
+    }
+    /* Counting sort by depth; group_start holds the cursors meanwhile. */
+    for (int64_t d = 1; d <= top + 1; d++)
+        start[d] += start[d - 1];
+    for (int64_t d = 0; d <= top; d++)
+        cursor[d] = start[d];
+    for (int64_t v = 0; v < n; v++)
+        t->order[cursor[f->depth[v]]++] = v;
+    /* The groups in that order; group_start[d]: the groups above depth d. */
+    int64_t g = 0, d = 0;
+    for (int64_t r = 0; r < n; r++) {
+        while (d <= top && start[d] == r)
+            t->group_start[d++] = g;
+        int64_t v = t->order[r];
+        if (group[v] >= 0) {
+            group[v] = (int32_t)g;
+            t->groups[g++] = (int32_t)v;
+        }
+    }
+    while (d <= top)
+        t->group_start[d++] = g;
+    for (int64_t r = sizes->n_roots; r < n; r++) {
+        int64_t v = t->order[r], p = f->parent[v];
+        t->parent[r - sizes->n_roots] = (int32_t)p;
+        t->group_of[r - sizes->n_roots] =
+            (int32_t)(group[p] - t->group_start[f->depth[v] - 1]);
+    }
+    /* The roots that are pins. */
+    k = 0;
+    for (int64_t r = 0; r < sizes->n_roots; r++) {
+        int64_t v = t->order[r];
+        if (f->node_pin[v] >= 0) {
+            t->driver_nodes[k] = (int32_t)v;
+            t->driver_pins[k++] = (int32_t)f->node_pin[v];
+        }
+    }
+}

@@ -97,15 +97,14 @@ def build_forest_from_plan(plan: RoutePlan, px: np.ndarray, py: np.ndarray) -> F
         if bad == len(plan.net_ids):
             raise MemoryError("cannot allocate the Steiner-forest builder's work arrays")
         raise ValueError(f"net {plan.net_ids[bad]} has a pin at a non-finite coordinate")
-    parent, node_pin, owner_x_pin, owner_y_pin, depth = (
-        row[:total].copy() for row in nodes
-    )
+    # from_rows makes its own (global) copy of the parents.
+    node_pin, owner_x_pin, owner_y_pin, depth = (row[:total].copy() for row in nodes[1:])
     return Forest.from_rows(
         plan.n_nets,
         plan.n_pins,
         plan.net_ids,
         size,
-        parent,
+        nodes[0, :total],
         node_pin,
         owner_x_pin,
         owner_y_pin,

@@ -20,7 +20,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..core.cbuild import load_kernels
+
 __all__ = ["RoutingTree", "Forest", "gather_csr", "tree_depths"]
+
+ffi, lib = load_kernels()
+_CTYPES = {np.int32: "int32_t[]", np.int64: "int64_t[]"}
 
 
 @dataclass
@@ -135,11 +140,11 @@ class Forest:
 
     Node arrays are concatenated in net order (``node_offset[ni]`` is the
     first node of net ``ni``, unrouted nets are empty); each tree lists
-    its pins first, in net pin order, then its Steiner points.  ``levels``
-    groups node indices by tree depth so bottom-up/top-down
+    its pins first, in net pin order, then its Steiner points.
+    ``level_tables`` orders the nodes by tree depth so bottom-up/top-down
     dynamic-programming passes run one depth level at a time, mirroring
     the paper's GPU kernel structure (the compiled passes of
-    :mod:`repro.core.sweep` read them as ``level_tables``).  The compiled
+    :mod:`repro.core.sweep` read them).  The compiled
     builder (``rsmt.c``) writes these arrays directly through
     :meth:`from_rows`; a :class:`RoutingTree` is only a view materialised
     on request by :meth:`tree`.
@@ -191,18 +196,35 @@ class Forest:
 
         Row ``r`` is the tree of net ``net[r]`` (ascending) with ``size[r]``
         nodes; the node arrays are the rows concatenated, ``parent``
-        row-local (``-1`` at the root).  ``depth`` is computed here when
-        the caller did not derive it per tree.
+        row-local (``-1`` at the root; made global in a copy by
+        ``forest_offsets`` of ``rsmt.c``, with ``node_offset``).  ``depth``
+        is computed here when the caller did not derive it per tree.
+        Raises ``ValueError`` for a net out of order or range, row sizes
+        that do not add up to the node arrays, or a parent outside its row.
         """
         self.n_nets = n_nets
         self.n_pins_total = n_pins_total
-        self.node_offset = np.zeros(n_nets + 1, dtype=np.int64)
-        self.node_offset[net + 1] = size
-        np.cumsum(self.node_offset, out=self.node_offset)
+        self.node_offset = np.empty(n_nets + 1, dtype=np.int64)
+        self.parent = np.array(parent, dtype=np.int64)
+        rows = ffi.new("forest_rows_t *")
+        net = np.ascontiguousarray(net, dtype=np.int64)
+        size = np.ascontiguousarray(size, dtype=np.int64)
+        rows.n_nets, rows.n_rows, rows.n_nodes = n_nets, len(net), len(self.parent)
+        rows.net, rows.size = held = [
+            ffi.from_buffer("int64_t[]", net), ffi.from_buffer("int64_t[]", size),
+        ]
+        bad = lib.forest_offsets(
+            rows, ffi.from_buffer("int64_t[]", self.node_offset),
+            ffi.from_buffer("int64_t[]", self.parent),
+        )
+        if bad > len(net):
+            raise ValueError(f"forest node {bad - len(net) - 1}: parent outside its tree")
+        if bad >= 0:
+            raise ValueError(
+                f"forest row {bad}: net out of order or range, or the rows "
+                f"do not hold the {len(self.parent)} nodes"
+            )
         self.n_nodes = int(self.node_offset[-1])
-        base = np.repeat(self.node_offset[net], size)
-        self.parent = np.where(parent >= 0, parent + base, -1)
-        self.node_net = np.repeat(np.arange(n_nets), np.diff(self.node_offset))
         self.node_pin = node_pin
         self.owner_x_pin = owner_x_pin
         self.owner_y_pin = owner_y_pin
@@ -214,73 +236,66 @@ class Forest:
         """Everything derived from the tree arrays, once per forest.
 
         A forest serves every timer call until the next rebuild, so what
-        those calls index with is laid out here: ``levels`` (ascending
-        node id per depth), the pin <-> node maps, and the integer tables
-        of the Elmore passes - ``up``, ``level_parent``, the compact
-        parent groups of the bottom-up sums, the driver pins of the roots.
-        All built with whole-forest array operations.
+        those calls index with is laid out here, in one compiled pass
+        (``forest_sizes`` + ``forest_tables`` of ``rsmt.c``): the nodes
+        by depth and the per-depth parent groups of the Elmore passes
+        (:attr:`level_tables`), the pin <-> node maps, ``up``, and the
+        driver pins of the roots.  The integer tables are int32: read a
+        few times per timer call and kept for the life of the forest.
+        Raises ``ValueError`` for a node whose depth, parent or pin is out
+        of range.
         """
         n = self.n_nodes
-        self.has_parent = self.parent >= 0
-        self.is_steiner = self.node_pin < 0
-        self.max_depth = int(self.depth.max()) if n else 0
-        counts = np.bincount(self.depth, minlength=self.max_depth + 1)
-        order = np.argsort(self.depth, kind="stable")
-        self.levels: List[np.ndarray] = np.split(order, np.cumsum(counts[:-1]))
-        # Map: for each global pin that appears in some tree, its node index.
-        self.pin_node = np.full(self.n_pins_total, -1, dtype=np.int64)
-        pin_nodes = np.nonzero(~self.is_steiner)[0]
-        self.pin_node[self.node_pin[pin_nodes]] = pin_nodes
+        if not len(self.parent) == len(self.depth) == len(self.node_pin) == n:
+            raise ValueError(f"forest node arrays of unequal lengths for {n} nodes")
+        nodes = ffi.new("forest_nodes_t *")
+        keep = [
+            ffi.from_buffer("int64_t[]", np.ascontiguousarray(a, dtype=np.int64))
+            for a in (self.parent, self.depth, self.node_pin)
+        ]
+        nodes.n_nodes, nodes.n_pins = n, self.n_pins_total
+        nodes.parent, nodes.depth, nodes.node_pin = keep
+        group = np.empty(n, dtype=np.int32)
+        sizes = ffi.new("forest_sizes_t *")
+        bad = lib.forest_sizes(nodes, ffi.from_buffer("int32_t[]", group), sizes)
+        if bad >= 0:
+            raise ValueError(f"forest node {bad} has a depth, parent or pin out of range")
+        self.max_depth = top = int(sizes.max_depth)
+        rest = n - sizes.n_roots
 
-        # The tables below are read a few times per timer call and kept
-        # for the life of the forest: int32 halves them (a forest of 150k
-        # nodes holds 20 bytes a node), at one cast per read.
-        def compact(index: np.ndarray) -> np.ndarray:
-            return index.astype(np.int32)
+        def column(length: int, dtype=np.int32) -> np.ndarray:
+            array = np.empty(length, dtype=dtype)
+            keep.append(ffi.from_buffer(_CTYPES[dtype], array))
+            return array
 
-        #: Nodes that are pins, ascending, and the pin each of them is.
-        self.pin_nodes = compact(pin_nodes)
-        self.pins_of_nodes = compact(self.node_pin[pin_nodes])
+        #: Nodes by depth (stable), the parent of ``order[n_roots:]`` and
+        #: its group among its depth's distinct parents (``groups``,
+        #: depth-major), and where each depth starts in ``order``
+        #: (``level_start``) and in ``groups`` (``group_start``): what the
+        #: compiled Elmore passes read.
+        self.level_tables = (
+            column(n, np.int64), column(rest), column(rest),
+            column(sizes.n_groups), column(top + 2, np.int64),
+            column(top + 1, np.int64),
+        )
+        #: The node of each pin (-1 off the forest).
+        self.pin_node = column(self.n_pins_total, np.int64)
         #: Parent of each node, a root being its own: edge quantities are
         #: whole-array expressions in ``v`` and ``up[v]`` that come out
         #: exactly zero at the roots.
-        self.up = compact(np.where(self.has_parent, self.parent, np.arange(n)))
-        #: Root nodes that are pins (drivers), and those pins.
-        roots = self.levels[0]
-        driven = roots[self.node_pin[roots] >= 0]
-        self.driver_nodes = compact(driven)
-        self.driver_pins = compact(self.node_pin[driven])
-
-        # Per level l >= 1, aligned with ``levels[l]``: the parent of each
-        # node, and its parent's group - the distinct parents of a level
-        # are ``level_groups[l]`` (ascending), node i adds into
-        # ``level_groups[l][level_group_of[l][i]]``.  Entry 0 of each list
-        # is empty (roots have no parent); all are views of three arrays.
-        n_roots = int(counts[0]) if n else 0
-        par = self.parent[order[n_roots:]]
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        is_group = np.zeros(n, dtype=bool)
-        is_group[rank[par]] = True  # in level-major order
-        group_id = np.cumsum(is_group) - 1
-        groups = order[is_group]
-        # Groups of level l's nodes sit in level l - 1, contiguously.
-        first = np.searchsorted(
-            self.depth[groups], np.arange(self.max_depth + 1)
-        )
-        group_of = group_id[rank[par]] - np.repeat(first[:-1], counts[1:])
-        cuts = np.cumsum(counts[:-1]) - n_roots
-        par, group_of, groups = compact(par), compact(group_of), compact(groups)
-        self.level_parent = np.split(par, cuts)
-        self.level_group_of = np.split(group_of, cuts)
-        self.level_groups = np.split(groups, first[:-1])
-        #: The arrays the per-level lists above are views of, and where
-        #: each depth starts in them (``order`` and the parent columns by
-        #: ``level_start``, less the roots; ``groups`` by ``group_start``):
-        #: what the compiled Elmore passes read.
-        level_start = np.zeros(self.max_depth + 2, dtype=np.int64)
-        np.cumsum(counts, out=level_start[1:])
-        self.level_tables = (order, par, group_of, groups, level_start, first)
+        self.up = column(n)
+        #: Nodes that are pins, ascending, and the pin each of them is;
+        #: root nodes that are pins (drivers), and those pins.
+        self.pin_nodes, self.pins_of_nodes = column(sizes.n_pin_nodes), column(sizes.n_pin_nodes)
+        self.driver_nodes, self.driver_pins = column(sizes.n_drivers), column(sizes.n_drivers)
+        tables = ffi.new("forest_tables_t *")
+        (
+            tables.order, tables.parent, tables.group_of, tables.groups,
+            tables.level_start, tables.group_start, tables.pin_node, tables.up,
+            tables.pin_nodes, tables.pins_of_nodes, tables.driver_nodes,
+            tables.driver_pins,
+        ) = keep[3:]
+        lib.forest_tables(nodes, sizes, ffi.from_buffer("int32_t[]", group), tables)
         #: The forest as the compiled passes read it (built on first use).
         self.kernel_view = None
         #: (pin_cap, extra_pin_cap, caps) of the last ``design_elmore``.
@@ -288,12 +303,12 @@ class Forest:
 
     @property
     def statics_nbytes(self) -> int:
-        """Bytes of the integer tables ``_finalize`` lays out for the
+        """Bytes of the int32 tables ``_finalize`` lays out for the
         timers."""
+        _, parent, group_of, groups, _, _ = self.level_tables
         tables = [
             self.up, self.pin_nodes, self.pins_of_nodes, self.driver_nodes,
-            self.driver_pins, *self.level_parent, *self.level_group_of,
-            *self.level_groups,
+            self.driver_pins, parent, group_of, groups,
         ]
         return sum(t.nbytes for t in tables)
 

@@ -14,17 +14,36 @@ far; ``kind="stable"`` makes the tie-breaking the compiled builder
 reproduces explicit.  :func:`reference_forest` flattens one tree per
 routable net, what ``tests/test_rsmt_batch.py`` and
 ``benchmarks/bench_rsmt.py`` hold the compiled forest equal to.
+
+``_finalize`` is ``Forest._finalize`` as it was in NumPy, moved here when
+``forest_tables`` (``rsmt.c``) replaced it: :func:`reference_tables` runs
+it on a forest's node arrays and :func:`assert_tables_match` holds every
+table of the compiled pass equal to it, dtype included.  It also rebuilds
+what the library no longer keeps: the per-level lists (``levels``,
+``level_parent``, ``level_group_of``, ``level_groups``), ``is_steiner``,
+``has_parent`` and ``node_net``.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.route import MAX_STEINER_DEGREE, Forest, RoutingTree
 
-__all__ = ["build_rsmt", "reference_forest", "rmst_length"]
+__all__ = [
+    "TABLES",
+    "assert_tables_match",
+    "build_rsmt",
+    "reference_forest",
+    "reference_tables",
+    "rmst_length",
+]
+
+#: The tables of a forest besides ``level_tables`` and ``max_depth``.
+TABLES = ("pin_node", "pin_nodes", "pins_of_nodes", "up", "driver_nodes", "driver_pins")
 
 
 def _prim_edges(x: np.ndarray, y: np.ndarray) -> Tuple[List[Tuple[int, int]], float]:
@@ -378,3 +397,112 @@ def reference_forest(design, px, py, include_clock=False, nets=None) -> Forest:
         local = int(np.nonzero(pins == driver)[0][0])
         trees.append(build_rsmt(px[pins], py[pins], pins, driver_local=local))
     return Forest(trees, design.n_pins)
+
+
+def _finalize(self) -> None:
+    """Everything derived from the tree arrays, once per forest.
+
+    A forest serves every timer call until the next rebuild, so what
+    those calls index with is laid out here: ``levels`` (ascending
+    node id per depth), the pin <-> node maps, and the integer tables
+    of the Elmore passes - ``up``, ``level_parent``, the compact
+    parent groups of the bottom-up sums, the driver pins of the roots.
+    All built with whole-forest array operations.
+    """
+    n = self.n_nodes
+    self.has_parent = self.parent >= 0
+    self.is_steiner = self.node_pin < 0
+    self.max_depth = int(self.depth.max()) if n else 0
+    counts = np.bincount(self.depth, minlength=self.max_depth + 1)
+    order = np.argsort(self.depth, kind="stable")
+    self.levels: List[np.ndarray] = np.split(order, np.cumsum(counts[:-1]))
+    # Map: for each global pin that appears in some tree, its node index.
+    self.pin_node = np.full(self.n_pins_total, -1, dtype=np.int64)
+    pin_nodes = np.nonzero(~self.is_steiner)[0]
+    self.pin_node[self.node_pin[pin_nodes]] = pin_nodes
+
+    # The tables below are read a few times per timer call and kept
+    # for the life of the forest: int32 halves them (a forest of 150k
+    # nodes holds 20 bytes a node), at one cast per read.
+    def compact(index: np.ndarray) -> np.ndarray:
+        return index.astype(np.int32)
+
+    #: Nodes that are pins, ascending, and the pin each of them is.
+    self.pin_nodes = compact(pin_nodes)
+    self.pins_of_nodes = compact(self.node_pin[pin_nodes])
+    #: Parent of each node, a root being its own: edge quantities are
+    #: whole-array expressions in ``v`` and ``up[v]`` that come out
+    #: exactly zero at the roots.
+    self.up = compact(np.where(self.has_parent, self.parent, np.arange(n)))
+    #: Root nodes that are pins (drivers), and those pins.
+    roots = self.levels[0]
+    driven = roots[self.node_pin[roots] >= 0]
+    self.driver_nodes = compact(driven)
+    self.driver_pins = compact(self.node_pin[driven])
+
+    # Per level l >= 1, aligned with ``levels[l]``: the parent of each
+    # node, and its parent's group - the distinct parents of a level
+    # are ``level_groups[l]`` (ascending), node i adds into
+    # ``level_groups[l][level_group_of[l][i]]``.  Entry 0 of each list
+    # is empty (roots have no parent); all are views of three arrays.
+    n_roots = int(counts[0]) if n else 0
+    par = self.parent[order[n_roots:]]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    is_group = np.zeros(n, dtype=bool)
+    is_group[rank[par]] = True  # in level-major order
+    group_id = np.cumsum(is_group) - 1
+    groups = order[is_group]
+    # Groups of level l's nodes sit in level l - 1, contiguously.
+    first = np.searchsorted(
+        self.depth[groups], np.arange(self.max_depth + 1)
+    )
+    group_of = group_id[rank[par]] - np.repeat(first[:-1], counts[1:])
+    cuts = np.cumsum(counts[:-1]) - n_roots
+    par, group_of, groups = compact(par), compact(group_of), compact(groups)
+    self.level_parent = np.split(par, cuts)
+    self.level_group_of = np.split(group_of, cuts)
+    self.level_groups = np.split(groups, first[:-1])
+    #: The arrays the per-level lists above are views of, and where
+    #: each depth starts in them (``order`` and the parent columns by
+    #: ``level_start``, less the roots; ``groups`` by ``group_start``):
+    #: what the compiled Elmore passes read.
+    level_start = np.zeros(self.max_depth + 2, dtype=np.int64)
+    np.cumsum(counts, out=level_start[1:])
+    self.level_tables = (order, par, group_of, groups, level_start, first)
+    #: The forest as the compiled passes read it (built on first use).
+    self.kernel_view = None
+    #: (pin_cap, extra_pin_cap, caps) of the last ``design_elmore``.
+    self.caps_cache = None
+
+
+def reference_tables(forest: Forest) -> SimpleNamespace:
+    """What ``_finalize`` lays out from ``forest``'s node arrays, and its
+    ``node_net``."""
+    tables = SimpleNamespace(
+        n_nodes=forest.n_nodes,
+        n_pins_total=forest.n_pins_total,
+        parent=forest.parent,
+        depth=forest.depth,
+        node_pin=forest.node_pin,
+    )
+    _finalize(tables)
+    tables.node_net = np.repeat(np.arange(forest.n_nets), np.diff(forest.node_offset))
+    return tables
+
+
+def assert_tables_match(forest: Forest) -> SimpleNamespace:
+    """Every table of ``forest`` equals the oracle's, dtype included;
+    returns the oracle's."""
+    want = reference_tables(forest)
+    assert forest.max_depth == want.max_depth
+    assert len(forest.level_tables) == len(want.level_tables)
+    for name, got, ref in zip(
+        ("order", "parent", "group_of", "groups", "level_start", "group_start"),
+        forest.level_tables, want.level_tables,
+    ):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    for name in TABLES:
+        got, ref = getattr(forest, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    return want

@@ -9,15 +9,28 @@ STA's ``_required_times`` (a function of the graph here), the Elmore
 forward passes and the Elmore adjoint, whose per-seed-count level tables
 (``Forest.seed_steps``, deleted with it) are built per call here, with
 the ``in_rows``, ``_sign8`` and slew-clip helpers they use (the sink
-pin of a contribution, once the plan's ``c_pin``, is ``c_dst // 2``).  ``backward_sweep`` is
-the level loop of ``DifferentiableTimer.backward`` with its slew ratios.
+pin of a contribution, once the plan's ``c_pin``, is ``c_dst // 2``).
+The per-level lists of a forest the Elmore passes walk are rebuilt by the
+forest oracle, ``tests/reference_rsmt.reference_tables``.
+``backward_sweep`` is the level loop of ``DifferentiableTimer.backward``
+with its slew ratios.
 ``tests/test_sweep.py`` holds the compiled sweep to them bit for bit;
 ``tests/reference_timer.py`` composes them into whole timer calls.
 
 The in-place scatter helpers they accumulate through
 (``scatter_accumulate`` and its 2-D and row forms, ``flat_view``) and the
 row and grid forms of ``scatter_add`` moved here from
-``repro.core.scatter`` when their last library caller was compiled.
+``repro.core.scatter`` when their last library caller was compiled; the
+rest of that module (``scatter_add``, ``same_descr``) and the segment
+merges of ``repro.core.smoothing`` (``segment_max``, ``segment_lse_max``,
+``segment_lse_weights``) followed when the density splat was compiled.
+
+``scatter_add`` lowers onto one ``np.bincount``, which sums each bin's
+contributions in input order from ``0.0``: bit for bit ``np.add.at`` into
+zeros, and the order the compiled passes scatter in.  ``ufunc.at`` takes
+its fast indexed loop only when target and values share one dtype
+*object*; ``pickle`` gives every array its own, so ``same_descr`` passes
+values as a zero-copy view carrying the target's descriptor.
 """
 
 from __future__ import annotations
@@ -29,15 +42,96 @@ import numpy as np
 
 from repro.core import cell_prop
 from repro.core.cell_prop import SweepTape
-from repro.core.scatter import same_descr
-from repro.core.smoothing import segment_lse_max, segment_max
 from repro.netlist.library import WireModel
 from repro.route.tree import Forest
 from repro.sta.elmore import ElmoreResult
 from repro.sta.graph import CellLevel, LevelPlan, NetLevel
 from repro.sta.nldm import LoadSide, LutBank
+from tests.reference_rsmt import reference_tables
 
 _POS_INF = 1e30
+_SENTINEL = -1e30
+
+
+def scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Fresh ``(size,)`` float64 array with ``values`` summed into bins.
+
+    Equivalent to ``out = zeros(size); np.add.at(out, index, values)``,
+    bit for bit.
+    """
+    # bincount returns int64 when the weights array is empty.
+    return np.bincount(index, weights=values, minlength=size).astype(
+        np.float64, copy=False
+    )
+
+
+def same_descr(out: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` carrying the dtype object of ``out``: what ``ufunc.at``
+    needs to take its indexed loop.  A zero-copy view when the two dtypes
+    are equal but distinct objects (one of the arrays descends from an
+    unpickled one); ``values`` itself otherwise."""
+    if values.dtype is not out.dtype and values.dtype == out.dtype:
+        return values.view(out.dtype)
+    return values
+
+
+def segment_max(
+    candidates: np.ndarray, segment_ids: np.ndarray, n_segments: int
+) -> np.ndarray:
+    """Grouped hard maximum; groups with no candidates keep the sentinel.
+
+    ``max`` is exact, so the grouped minimum is ``-segment_max(-x, ...)``
+    bit for bit.
+    """
+    m = np.full(n_segments, _SENTINEL, dtype=np.float64)
+    # reprolint: allow[no-scatter-add-at] the one audited scatter-max: 1-D contiguous target, exact in any fold order
+    np.maximum.at(m, segment_ids, same_descr(m, candidates))
+    return m
+
+
+def segment_lse_max(
+    candidates: np.ndarray,
+    segment_ids: np.ndarray,
+    n_segments: int,
+    gamma: float,
+    empty_value: float = _SENTINEL,
+) -> np.ndarray:
+    """Grouped smoothed maximum via scatter-max + scatter-add.
+
+    ``candidates[i]`` belongs to group ``segment_ids[i]``; groups with no
+    candidates return ``empty_value``.  Implemented in shifted form so huge
+    negative sentinels contribute zero weight rather than NaNs.
+    """
+    m = segment_max(candidates, segment_ids, n_segments)
+    # candidates <= m, so the exponent lies in [-inf, 0]; the upper clamp
+    # only matters for corrupted (non-finite) inputs, which must not
+    # overflow.
+    shifted = np.exp(
+        np.minimum(np.maximum((candidates - m[segment_ids]) / gamma, -700.0), 0.0)
+    )
+    s = scatter_add(segment_ids, shifted, n_segments)
+    nonempty = s > 0
+    return np.where(
+        nonempty, m + gamma * np.log(np.where(nonempty, s, 1.0)), empty_value
+    )
+
+
+def segment_lse_weights(
+    candidates: np.ndarray,
+    segment_ids: np.ndarray,
+    smoothed: np.ndarray,
+    gamma: float,
+) -> np.ndarray:
+    """Softmax weight of each candidate given the group's smoothed max.
+
+    Uses the identity ``w_i = exp((x_i - LSE) / gamma)``, which already
+    embeds the normalisation, so no second reduction is needed.
+    """
+    return np.exp(
+        np.minimum(
+            np.maximum((candidates - smoothed[segment_ids]) / gamma, -700.0), 0.0
+        )
+    )
 
 
 def scatter_add_2d(
@@ -419,6 +513,7 @@ def elmore_forward(
     wire:
         Per-unit-length RC parameters.
     """
+    tables = reference_tables(forest)
     dx = node_x - node_x[forest.up]
     dy = node_y - node_y[forest.up]
     edge_len = np.abs(dx) + np.abs(dy)
@@ -435,18 +530,18 @@ def elmore_forward(
         """Bottom-up ``values[u] += sum_child values[v]``, a level at a
         time, each level adding one compact sum per distinct parent."""
         for depth in range(forest.max_depth, 0, -1):
-            groups = forest.level_groups[depth]
+            groups = tables.level_groups[depth]
             values[groups] += np.bincount(
-                forest.level_group_of[depth],
-                weights=values[forest.levels[depth]],
+                tables.level_group_of[depth],
+                weights=values[tables.levels[depth]],
                 minlength=len(groups),
             )
 
     def add_from_parents(values: np.ndarray, step: np.ndarray) -> None:
         """Top-down ``values[v] = values[fa(v)] + step[v]``."""
         for depth in range(1, forest.max_depth + 1):
-            level = forest.levels[depth]
-            values[level] = values[forest.level_parent[depth]] + step[level]
+            level = tables.levels[depth]
+            values[level] = values[tables.level_parent[depth]] + step[level]
 
     # Pass 1 (bottom-up): Load(u) = Cap(u) + sum_child Load(v).
     load = cap.copy()
@@ -488,9 +583,10 @@ def elmore_adjoint(
     # All seeds travel as one flat array: each level is one launch over
     # the forest's per-seed-count tables, whatever the number of seeds.
     n_rows = math.prod(g_delay.shape[:-1])
+    tables = reference_tables(forest)
     steps = [
         tuple(in_rows(index, n_rows, forest.n_nodes).astype(np.int32) for index in step)
-        for step in zip(forest.levels[1:], forest.level_parent[1:])
+        for step in zip(tables.levels[1:], tables.level_parent[1:])
     ]
 
     def rows(values: np.ndarray):

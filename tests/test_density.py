@@ -1,19 +1,28 @@
-"""Unit tests for the electrostatic density model."""
+"""Unit tests for the electrostatic density model.
+
+The compiled density pass (``density.c``) is held bit for bit to the NumPy
+pipeline it replaced, kept in ``tests/reference_density.py``, and to the
+seed's formulation (four ``np.add.at`` splat passes, ``np.gradient``).
+"""
 
 import numpy as np
 import pytest
 from scipy.fft import dctn, idctn
 
 from repro.harness import load_design
+from repro.harness.suite import SUITE
 from repro.netlist import DesignBuilder, default_library
 from repro.place import DensityModel
+from repro.place.density import _doubles, lib
+from repro.place.placer import _auto_bins
+from tests.reference_density import DensityModel as ReferenceDensityModel
 
 
 class TestSplatting:
     def test_total_mass_conserved(self, small_design, spread_positions):
         x, y = spread_positions
         model = DensityModel(small_design, n_bins=16)
-        rho, _ = model._splat(x, y)
+        rho = model.evaluate(x, y).density * model.bin_area
         assert rho.sum() == pytest.approx(model.movable_area_total, rel=1e-9)
 
     def test_point_in_bin_center(self, small_design):
@@ -32,10 +41,9 @@ class TestPoisson:
         model = DensityModel(d, n_bins=32)
         x = rng.uniform(d.die[0], d.die[2], d.n_cells)
         y = rng.uniform(d.die[1], d.die[3], d.n_cells)
-        rho, _ = model._splat(x, y)
-        phi = model._solve_poisson(rho)
-        source = rho / model.bin_area
-        source = source - source.mean()
+        res = model.evaluate(x, y)
+        phi = res.potential
+        source = res.density - res.density.mean()
         lap = (
             (np.roll(phi, 1, 0) - 2 * phi + np.roll(phi, -1, 0)) / model.hx**2
             + (np.roll(phi, 1, 1) - 2 * phi + np.roll(phi, -1, 1)) / model.hy**2
@@ -48,8 +56,10 @@ class TestPoisson:
     def test_uniform_density_zero_field(self, small_design):
         d = small_design
         model = DensityModel(d, n_bins=16)
-        rho = np.full((16, 16), 3.0)
-        phi = model._solve_poisson(rho)
+        source = np.full((16, 16), 3.0)
+        source = source - source.mean()
+        coeff = model._divide(dctn(source, type=2, norm="ortho"))
+        phi = idctn(coeff, type=2, norm="ortho")
         assert np.abs(phi).max() < 1e-9
 
 
@@ -262,8 +272,8 @@ def _jittered(design, seed):
 class TestSeedReference:
     """``DensityModel.evaluate`` against the seed formulation.
 
-    Density map, energy and overflow are bit-equal (the single
-    ``scatter_add`` folds each bin in the seed's pass-major order);
+    Density map, energy and overflow are bit-equal (the compiled splat
+    folds each bin in the seed's pass-major order);
     the gradients differ in the last bit or two because the fused
     stencil weights associate ``mass * (1 - fx) * (1 - fy)`` differently.
     """
@@ -291,6 +301,20 @@ class TestSeedReference:
             )
 
 
+def compiled_field(model, phi):
+    """The field ``density.c``'s post-pass computes from ``phi``."""
+    x, y = model._operands(model.design.cell_x, model.design.cell_y)
+    stencil, held = model._stencil(len(model._cells))
+    density, _, _ = model._prepass(x, y, stencil)
+    field = np.empty((2, model.nb, model.nb))
+    n = model.design.n_cells
+    lib.density_postpass(
+        model._grid, stencil, _doubles(density), _doubles(phi), _doubles(field),
+        _doubles(np.zeros(n)), _doubles(np.zeros(n)), _doubles(np.empty(1)),
+    )
+    return field
+
+
 class TestWrapperFreeKernels:
     """The per-iteration pieces written out in place of a NumPy wrapper
     function equal the wrapper they replace."""
@@ -302,7 +326,7 @@ class TestWrapperFreeKernels:
         rng = np.random.default_rng(n_bins)
         phi = rng.standard_normal((n_bins, n_bins))
         phi[-1] = phi[-2]  # exact zeros: the sign of zero must match too
-        ex, ey = model._field(phi)
+        ex, ey = compiled_field(model, phi)
         for got, axis, h in ((ex, 0, model.hx), (ey, 1, model.hy)):
             ref = -np.gradient(phi, h, axis=axis)
             assert np.array_equal(got, ref)
@@ -317,9 +341,10 @@ class TestWrapperFreeKernels:
         rng = np.random.default_rng(8)
         x = rng.uniform(xl - (xh - xl), xh + (xh - xl), d.n_cells)
         y = rng.uniform(yl - (yh - yl), yh + (yh - yl), d.n_cells)
-        mass = d.cell_w * d.cell_h
-        rho, _ = model._stencil(x, y, mass)
-        assert np.array_equal(rho, _seed_splat(model, x, y, mass)[0])
+        mov = ~d.cell_fixed
+        mass = (d.cell_w * d.cell_h)[mov]
+        rho = _seed_splat(model, x[mov], y[mov], mass)[0]
+        assert np.array_equal(model.evaluate(x, y).density, rho / model.bin_area)
 
 
 class TestFiniteDifferenceGradcheck:
@@ -365,3 +390,94 @@ class TestAutoBins:
         nb_medium = _auto_bins(medium_design)
         assert nb_small >= 8
         assert nb_medium >= nb_small  # larger die, same cells -> more bins
+
+
+def assert_same_result(got, want):
+    """Every field of two density results, byte for byte."""
+    assert got.energy == want.energy
+    assert got.overflow == want.overflow
+    for name in ("grad_x", "grad_y", "density", "potential"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _scatter(design, seed):
+    rng = np.random.default_rng(seed)
+    xl, yl, xh, yh = design.die
+    return rng.uniform(xl, xh, design.n_cells), rng.uniform(yl, yh, design.n_cells)
+
+
+def assert_matches_oracle(design, n_bins, x, y):
+    got = DensityModel(design, n_bins=n_bins).evaluate(x, y)
+    want = ReferenceDensityModel(design, n_bins=n_bins).evaluate(x, y)
+    assert_same_result(got, want)
+
+
+class TestCompiledAgainstOracle:
+    """``DensityModel.evaluate`` (the compiled pass around SciPy's DCT)
+    against the NumPy pipeline it replaced: every output byte for byte."""
+
+    @pytest.mark.parametrize("name", [entry.name for entry in SUITE])
+    def test_suite_designs(self, name):
+        d = load_design(name)
+        n_bins = _auto_bins(d)
+        assert_matches_oracle(d, n_bins, d.cell_x, d.cell_y)
+        assert_matches_oracle(d, n_bins, *_scatter(d, 1))
+
+    @pytest.mark.parametrize("n_bins", [16, 64, None])
+    def test_grid_sizes(self, n_bins):
+        d = load_design("miniblue18")
+        x, y = _jittered(d, seed=2)
+        assert_matches_oracle(d, n_bins or _auto_bins(d), x, y)
+
+    def test_midiblue50(self):
+        d = load_design("midiblue50")
+        assert_matches_oracle(d, _auto_bins(d), *_scatter(d, 3))
+
+    def test_fixed_macros(self):
+        d = _macro_design()
+        assert_matches_oracle(d, 16, *_jittered(d, seed=4))
+
+    def test_all_fixed_early_out(self):
+        d = _macro_design(extra_movable=False)
+        assert_matches_oracle(d, 16, d.cell_x, d.cell_y)
+
+    def test_die_edges_and_infinities(self, small_design):
+        d = small_design
+        xl, yl, xh, yh = d.die
+        rng = np.random.default_rng(6)
+        edges = np.array([xl, xh, -np.inf, np.inf, xl - 1.0, xh + 1.0])
+        x = rng.choice(edges, d.n_cells)
+        y = rng.choice(np.array([yl, yh, -np.inf, np.inf, 0.5 * (yl + yh)]), d.n_cells)
+        assert_matches_oracle(d, 16, x, y)
+
+
+class TestNonFiniteCells:
+    def test_nan_coordinate_names_the_cell(self, small_design, spread_positions):
+        d = small_design
+        x, y = (a.copy() for a in spread_positions)
+        cell = int(np.flatnonzero(~d.cell_fixed)[3])
+        y[cell] = np.nan
+        with pytest.raises(ValueError, match=repr(d.cell_name[cell])):
+            DensityModel(d, n_bins=16).evaluate(x, y)
+
+    def test_nan_on_a_fixed_cell_is_not_read(self, small_design, spread_positions):
+        d = small_design
+        x, y = (a.copy() for a in spread_positions)
+        x[np.flatnonzero(d.cell_fixed)[0]] = np.nan
+        model = DensityModel(d, n_bins=16)
+        assert_same_result(model.evaluate(x, y), model.evaluate(*spread_positions))
+
+    def test_one_bin_grid_is_refused(self, small_design):
+        """The field's one-sided differences need two bins a side."""
+        with pytest.raises(ValueError, match="2 bins"):
+            DensityModel(small_design, n_bins=1)
+
+    def test_coordinates_must_be_one_per_cell(self, small_design):
+        model = DensityModel(small_design, n_bins=16)
+        with pytest.raises(ValueError, match="cells"):
+            model.evaluate(np.zeros(3), np.zeros(3))

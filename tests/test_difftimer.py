@@ -322,7 +322,7 @@ class TestRowGathers:
     def test_take_rows_equal_fancy_indexing(self, env):
         """``(n_pins, 2)`` rows are gathered with ``take(axis=0)`` on the
         timing paths: bit for bit what fancy indexing returned."""
-        from repro.core.smoothing import segment_max
+        from tests.reference_sweep import segment_max
         from tests.reference_timer import endpoint_rat
 
         design, x, y, forest = env

@@ -34,11 +34,13 @@ def brute_force_reference(forest, node_x, node_y, caps, wire):
     """O(n^2) Elmore delays/betas per tree via shared-path resistance."""
     n = forest.n_nodes
     parent = forest.parent
+    has_parent = parent >= 0
+    node_net = np.repeat(np.arange(forest.n_nets), np.diff(forest.node_offset))
     res = wire.res_per_um * forest.edge_lengths(node_x, node_y)
     total_cap = caps.copy()
     hw = 0.5 * wire.cap_per_um * forest.edge_lengths(node_x, node_y)
-    total_cap[forest.has_parent] += hw[forest.has_parent]
-    np.add.at(total_cap, parent[forest.has_parent], hw[forest.has_parent])
+    total_cap[has_parent] += hw[has_parent]
+    np.add.at(total_cap, parent[has_parent], hw[has_parent])
 
     def root_path(v):
         path = []
@@ -51,14 +53,14 @@ def brute_force_reference(forest, node_x, node_y, caps, wire):
     delay = np.zeros(n)
     for v in range(n):
         for u in range(n):
-            if forest.node_net[u] != forest.node_net[v]:
+            if node_net[u] != node_net[v]:
                 continue
             shared = paths[u] & paths[v]
             delay[v] += total_cap[u] * sum(res[e] for e in shared)
     beta = np.zeros(n)
     for v in range(n):
         for u in range(n):
-            if forest.node_net[u] != forest.node_net[v]:
+            if node_net[u] != node_net[v]:
                 continue
             shared = paths[u] & paths[v]
             beta[v] += total_cap[u] * delay[u] * sum(res[e] for e in shared)

@@ -35,8 +35,10 @@ class TestConstruction:
 
     def test_levels_partition_nodes(self, small_forest):
         forest, _ = small_forest
-        total = sum(len(level) for level in forest.levels)
-        assert total == forest.n_nodes
+        order, _, _, _, level_start, _ = forest.level_tables
+        assert level_start[0] == 0 and level_start[-1] == forest.n_nodes
+        assert (np.diff(level_start) >= 0).all()
+        assert np.array_equal(np.sort(order), np.arange(forest.n_nodes))
 
     def test_roots_at_level_zero(self, small_forest):
         forest, _ = small_forest

@@ -1,38 +1,57 @@
 """The per-forest tables of the Elmore kernels.
 
-``Forest._finalize`` lays out, once per forest, the integer tables the
-Elmore passes of every timer call index with (parent-or-self pointers,
-per-level parents and compact parent groups, pin and driver nodes).  The
-kernels on them are held, bit for bit, to a per-tree Python reference
-that walks one node at a time, and both ways of building a forest -
-explicit trees, the compiled builder's rows - must lay out the same tables.
+``Forest._finalize`` lays out, once per forest and in one compiled pass
+(``forest_sizes`` + ``forest_tables`` of ``rsmt.c``), the integer tables
+the Elmore passes of every timer call index with (nodes by depth, their
+parents and compact parent groups, parent-or-self pointers, pin and
+driver nodes).  Every table is held, dtype included, to the NumPy
+``_finalize`` kept in ``tests/reference_rsmt.py``; the kernels on them are
+held, bit for bit, to a per-tree Python reference that walks one node at
+a time; and both ways of building a forest - explicit trees, the compiled
+builder's rows - must lay out the same tables.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.elmore_grad import elmore_backward
+from repro.harness.suite import SUITE, load_design
 from repro.route import (
     Forest,
+    RoutePlan,
     RoutingTree,
     build_forest,
+    build_forest_from_plan,
 )
 from repro.sta.elmore import elmore_forward, node_caps
-from tests.reference_rsmt import build_rsmt
-
-STATICS = (
-    "up", "pin_nodes", "pins_of_nodes", "driver_nodes", "driver_pins", "pin_node",
-)
-LEVEL_STATICS = ("levels", "level_parent", "level_group_of", "level_groups")
+from tests.reference_rsmt import TABLES, assert_tables_match, build_rsmt
 
 
 def assert_same_statics(a, b):
-    for name in STATICS:
+    for name in TABLES:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    for name in LEVEL_STATICS:
-        la, lb = getattr(a, name), getattr(b, name)
-        assert len(la) == len(lb) == a.max_depth + 1, name
-        for level, (x, y) in enumerate(zip(la, lb)):
-            assert np.array_equal(x, y), (name, level)
+    assert a.max_depth == b.max_depth
+    for x, y in zip(a.level_tables, b.level_tables):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def level_lists(forest):
+    """Per depth: the nodes, their parents, their parents' groups and the
+    groups (distinct parents), as slices of ``level_tables``."""
+    order, parent, group_of, groups, level_start, group_start = forest.level_tables
+    roots = level_start[1]
+    lists = []
+    for depth in range(forest.max_depth + 1):
+        a, b = level_start[depth : depth + 2]
+        if depth == 0:
+            lists.append((order[a:b], parent[:0], group_of[:0], groups[:0]))
+            continue
+        lo, hi = group_start[depth - 1 : depth + 1]
+        lists.append((
+            order[a:b], parent[a - roots : b - roots],
+            group_of[a - roots : b - roots], groups[lo:hi],
+        ))
+    return lists
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +228,7 @@ class TestKernelsAgainstPerTreeReference:
         )
         forest = Forest([None, deep, star], n + m)
         assert forest.max_depth >= 10
-        assert len(forest.level_groups[1]) == 2  # the two roots
+        assert len(level_lists(forest)[1][3]) == 2  # the two roots
         node_x, node_y = forest.node_coords(px, py)
         caps = node_caps(forest, rng.uniform(0.5, 3.0, n + m))
         assert_kernels_match_per_tree_reference(
@@ -228,22 +247,23 @@ class TestStaticsAreTheSameHoweverBuilt:
 
     def test_groups_name_each_levels_distinct_parents(self, small_design, spread_positions):
         forest = build_forest(small_design, *spread_positions)
-        assert len(forest.levels[0]) and not len(forest.level_parent[0])
-        for level, parents, group_of, groups in zip(
-            forest.levels[1:], forest.level_parent[1:],
-            forest.level_group_of[1:], forest.level_groups[1:],
-        ):
+        levels = level_lists(forest)
+        assert len(levels[0][0]) and not len(levels[0][1])
+        for level, parents, group_of, groups in levels[1:]:
             assert np.array_equal(parents, forest.parent[level])
             assert np.array_equal(groups, np.unique(parents))
             assert np.array_equal(groups[group_of], parents)
         roots = np.flatnonzero(forest.is_root)
         assert np.array_equal(forest.up[roots], roots)
-        assert np.array_equal(forest.up[forest.has_parent], forest.parent[forest.has_parent])
+        has_parent = forest.parent >= 0
+        assert np.array_equal(forest.up[has_parent], forest.parent[has_parent])
 
     def test_empty_and_single_level_forests(self, library):
         empty = Forest([None, None], 4)
-        assert empty.n_nodes == 0 and len(empty.levels) == len(empty.level_parent) == 1
+        assert empty.n_nodes == 0 and len(level_lists(empty)) == 1
+        assert list(empty.level_tables[4]) == [0, 0]
         assert empty.statics_nbytes == 0
+        assert_tables_match(empty)
         # Backward over no nodes: nothing to index, nothing returned.
         wire = library.wire
         elm = elmore_forward(empty, np.zeros(0), np.zeros(0), np.zeros(0), wire)
@@ -253,19 +273,90 @@ class TestStaticsAreTheSameHoweverBuilt:
             assert g_x.shape == g_y.shape == shape
 
     def test_level_tables(self, small_design, spread_positions):
-        """The per-level lists are views of the flat ``level_tables`` the
-        compiled passes read, cut at ``level_start`` / ``group_start``."""
+        """The flat ``level_tables`` the compiled passes read, cut at
+        ``level_start`` / ``group_start``, are the per-level lists the
+        NumPy oracle lays out."""
         forest = build_forest(small_design, *spread_positions)
         order, parent, group_of, groups, level_start, group_start = forest.level_tables
-        roots = level_start[1]
         assert len(level_start) == forest.max_depth + 2
         assert len(group_start) == forest.max_depth + 1
-        for depth in range(forest.max_depth + 1):
-            a, b = level_start[depth : depth + 2]
-            assert np.array_equal(forest.levels[depth], order[a:b])
-            assert np.shares_memory(forest.levels[depth], order) or a == b
-            if depth:
-                assert np.array_equal(forest.level_parent[depth], parent[a - roots : b - roots])
-                assert np.array_equal(forest.level_group_of[depth], group_of[a - roots : b - roots])
-                lo, hi = group_start[depth - 1 : depth + 1]
-                assert np.array_equal(forest.level_groups[depth], groups[lo:hi])
+        want = assert_tables_match(forest)
+        for depth, lists in enumerate(level_lists(forest)):
+            for got, ref in zip(lists, (
+                want.levels[depth], want.level_parent[depth],
+                want.level_group_of[depth], want.level_groups[depth],
+            )):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), depth
+
+
+class TestTablesAgainstOracle:
+    """Every table of the compiled pass, dtype included, equals the NumPy
+    ``_finalize`` it replaced, however the forest was built."""
+
+    @pytest.mark.parametrize("name", [entry.name for entry in SUITE])
+    def test_suite_design_forests(self, name):
+        design = load_design(name)
+        assert_tables_match(build_forest(design))
+        rng = np.random.default_rng(3)
+        xl, yl, xh, yh = design.die
+        assert_tables_match(build_forest(
+            design, rng.uniform(xl, xh, design.n_cells), rng.uniform(yl, yh, design.n_cells)
+        ))
+
+    def test_midiblue50_forest(self):
+        design = load_design("midiblue50")
+        forest = build_forest(design)
+        assert forest.n_nodes > 100_000
+        assert_tables_match(forest)
+
+    def test_explicit_trees(self, small_design, spread_positions):
+        px, py = small_design.pin_positions(*spread_positions)
+        rows = build_forest(small_design, *spread_positions)
+        assert_tables_match(Forest(rows.trees(px, py), small_design.n_pins))
+
+    def test_clock_forest(self, small_design, spread_positions):
+        px, py = small_design.pin_positions(*spread_positions)
+        plan = RoutePlan(small_design, small_design.net_is_clock)
+        forest = build_forest_from_plan(plan, px, py)
+        assert forest.n_nodes > 2
+        assert_tables_match(forest)
+
+    def test_empty_forest(self):
+        assert_tables_match(Forest([None, None, None], 5))
+
+    def test_out_of_range_node_raises(self):
+        tree = RoutingTree(
+            x=np.zeros(3), y=np.zeros(3), parent=np.array([-1, 0, 1]),
+            pins=np.array([0, 1, 2]), owner_x=np.arange(3), owner_y=np.arange(3),
+            root=0,
+        )
+        Forest([tree], 3)
+        with pytest.raises(ValueError, match="forest node 2"):
+            Forest([tree], 2)  # pin 2 of a design of two pins
+
+    def test_rows_out_of_order_or_range_raise(self):
+        """``from_rows`` checks the rows before it indexes with them."""
+        one = np.arange(2, dtype=np.int64)
+
+        def rows(net, parent):
+            size = np.array([2] * len(net), dtype=np.int64)
+            return Forest.from_rows(
+                3, 6, np.array(net, dtype=np.int64), size,
+                np.array(parent, dtype=np.int64), np.tile(one, len(net)),
+                np.tile(one, len(net)), np.tile(one, len(net)),
+                np.tile([True, False], len(net)), np.tile([0, 1], len(net)),
+            )
+
+        forest = rows([0, 2], [-1, 0, -1, 0])
+        assert list(forest.node_offset) == [0, 2, 2, 4]
+        assert list(forest.parent) == [-1, 0, -1, 2]
+        for net, parent, match in (
+            ([2, 0], [-1, 0, -1, 0], "forest row 1"),
+            ([1, 1], [-1, 0, -1, 0], "forest row 1"),
+            ([0, 3], [-1, 0, -1, 0], "forest row 1"),
+            ([0, 2], [-1, 0, -1, 2], "forest node 3"),
+            ([0, 2], [-1, 0, -1], "forest row 1"),
+            ([0, 2], [-1, 0, -1, 0, 0], "forest row 2"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                rows(net, parent)

@@ -113,7 +113,7 @@ def test_elmore_delay_monotone_along_root_paths(n, seed):
     elm = elmore_forward(
         forest, tree.x, tree.y, caps, WireModel(0.01, 0.2)
     )
-    hp = forest.has_parent
+    hp = forest.parent >= 0
     assert (elm.delay[hp] >= elm.delay[forest.parent[hp]] - 1e-12).all()
     assert (elm.load <= elm.load[forest.is_root].max() + 1e-9).all()
 

@@ -153,7 +153,7 @@ class TestSuiteManifest:
         spans = payload["spans"]
         per_run = [rec.spans for rec in records]
         assert spans["harness.run_mode"]["calls"] == 2
-        for name in ("place.wirelength.evaluate", "place.density.splat"):
+        for name in ("place.wirelength.evaluate", "place.density.prepass"):
             assert spans[name]["calls"] == sum(s[name]["calls"] for s in per_run)
             assert spans[name]["self_s"] == pytest.approx(
                 sum(s[name]["self_s"] for s in per_run)

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from repro.core import DifferentiableTimer, check_gradient
 from repro.core import cell_prop as cell_prop_mod
-from repro.core.smoothing import segment_lse_max
 from repro.netlist import Constraints, DesignBuilder, default_library
 from repro.route import build_forest
 from repro.sta import TimingGraph, run_sta, worst_paths
+from tests.reference_sweep import segment_lse_max
 from tests.reference_timer import pin_elmore
 
 SEEDS = [(-1.0, 0.0), (0.0, -1.0), (0.6, 0.4)]

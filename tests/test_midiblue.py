@@ -157,5 +157,5 @@ class TestMidiblue50:
         design = midiblue50.design
         forest = build_forest(design, design.cell_x, design.cell_y)
         assert forest.n_nodes > 100_000
-        assert forest.up.dtype == forest.level_parent[1].dtype == np.int32
+        assert forest.up.dtype == forest.level_tables[1].dtype == np.int32
         assert forest.statics_nbytes <= 24 * forest.n_nodes

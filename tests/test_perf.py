@@ -143,6 +143,7 @@ class TestThreadedStages:
             "core.difftimer.forward",
             "core.difftimer.backward",
             "route.build_forest",
+            "route.forest.finalize",
             "core.difftimer.elmore",
             "core.difftimer.levels",
             "core.sweep.forward",
@@ -246,11 +247,13 @@ class TestReconciliation:
             "core.sweep.required",
             "place.wirelength.evaluate",
             "place.wirelength.hpwl",
-            "place.density.splat",
-            "place.density.solve",
-            "place.density.field",
-            "place.density.gather",
+            "place.density.prepass",
+            "place.density.dct",
+            "place.density.divide",
+            "place.density.idct",
+            "place.density.postpass",
             "route.build_forest",
+            "route.forest.finalize",
             "runtime.guard",
             "harness.final_sta",
         ):

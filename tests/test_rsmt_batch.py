@@ -28,13 +28,10 @@ from tests.reference_rsmt import (
 
 FOREST_ARRAYS = (
     "parent",
-    "node_net",
     "node_pin",
     "owner_x_pin",
     "owner_y_pin",
     "is_root",
-    "is_steiner",
-    "has_parent",
     "depth",
     "node_offset",
     "pin_node",
@@ -47,8 +44,8 @@ def assert_forests_equal(a, b):
         assert left.dtype == right.dtype, attr
         assert np.array_equal(left, right), attr
     assert a.n_nodes == b.n_nodes and a.max_depth == b.max_depth
-    assert len(a.levels) == len(b.levels)
-    for la, lb in zip(a.levels, b.levels):
+    assert len(a.level_tables) == len(b.level_tables)
+    for la, lb in zip(a.level_tables, b.level_tables):
         assert la.dtype == lb.dtype and np.array_equal(la, lb)
 
 
@@ -130,7 +127,7 @@ class TestLargeDegrees:
         the scalar Prim's total bit for bit (the coordinates below are
         multiples of 1/4, so the sums are exact in any order)."""
         forest, design, px, py = check_nets(nets)
-        assert not forest.is_steiner.any()
+        assert (forest.node_pin >= 0).all()
         for ni, tree in enumerate(forest.trees(px, py)):
             lo, hi = design.net2pin_start[ni], design.net2pin_start[ni + 1]
             assert tree.n_nodes == hi - lo

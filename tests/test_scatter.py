@@ -2,18 +2,16 @@
 
 Two layers of proof:
 
-1. every helper (``repro.core.scatter`` and the in-place forms the timer
-   oracles use, ``tests/reference_sweep.py``) matches its ``np.add.at``
-   reference form bit for bit on adversarial inputs (heavy duplication,
-   empty indices, broadcast stencils);
-2. the converted kernels (density, the smoothing helpers) produce
-   byte-identical objectives and gradients when their scatter helpers are
-   swapped back to inline ``np.add.at`` references - i.e. the conversion
-   changed no bits of any result, only the speed.  The wirelength
-   gradient is added into its cells in the compiled net pass, held here
-   to the ``np.add.at`` of its oracle.  The differentiable timer's
-   scatters run in its compiled passes (``tests/test_timer_oracle.py``
-   holds them to the NumPy forms).
+1. every helper the oracles scatter through (``tests/reference_sweep.py``:
+   ``scatter_add`` and its row and grid forms, the in-place forms)
+   matches its ``np.add.at`` reference form bit for bit on adversarial
+   inputs (heavy duplication, empty indices, broadcast stencils);
+2. the compiled passes that replaced them scatter in the same order: the
+   density splat of ``density.c`` equals its oracle with the splat swapped
+   back to ``np.add.at``, and the wirelength gradient added into its cells
+   by ``wirelength.c`` equals the ``np.add.at`` of its oracle, byte for
+   byte.  The differentiable timer's scatters run in its compiled passes
+   (``tests/test_timer_oracle.py`` holds them to the NumPy forms).
 """
 
 import pickle
@@ -22,14 +20,14 @@ import time
 import numpy as np
 import pytest
 
-import repro.core.smoothing as smoothing_mod
-import repro.place.density as density_mod
-from repro.core.scatter import same_descr, scatter_add
+import tests.reference_density as density_ref
 from repro.place import DensityModel, WAWirelength
 from tests.reference_sweep import (
+    same_descr,
     scatter_accumulate,
     scatter_accumulate_at,
     scatter_accumulate_rows,
+    scatter_add,
     scatter_add_2d,
     scatter_add_rows,
 )
@@ -233,13 +231,10 @@ class TestUnpickledOperands:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: swapping the helpers back to np.add.at references must not
-# change a single bit of any objective or gradient.
+# End-to-end: the compiled passes against their oracles with every scatter
+# swapped back to an np.add.at reference: not a single bit may differ.
 # ----------------------------------------------------------------------
-_PATCH_SITES = (
-    (density_mod, "scatter_add", ref_scatter_add),
-    (smoothing_mod, "scatter_add", ref_scatter_add),
-)
+_PATCH_SITES = ((density_ref, "scatter_add", ref_scatter_add),)
 
 
 def _patch_old_path(monkeypatch):
@@ -263,11 +258,13 @@ class TestKernelBitIdentity:
     def test_density_energy_and_grad(
         self, small_design, spread_positions, monkeypatch
     ):
+        """The compiled splat adds the four corner passes in the order
+        ``np.add.at`` folds them."""
         x, y = spread_positions
-        model = DensityModel(small_design, n_bins=16)
-        res_new = model.evaluate(x, y)
+        res_new = DensityModel(small_design, n_bins=16).evaluate(x, y)
         _patch_old_path(monkeypatch)
-        res_old = model.evaluate(x, y)
+        res_old = density_ref.DensityModel(small_design, n_bins=16).evaluate(x, y)
+        assert_bit_identical(res_new.density, res_old.density)
         assert res_new.energy == res_old.energy
         assert res_new.overflow == res_old.overflow
         assert_bit_identical(res_new.grad_x, res_old.grad_x)

@@ -12,12 +12,10 @@ from repro.core.smoothing import (
     lse_max,
     lse_max_grad,
     lse_min,
-    segment_lse_max,
-    segment_lse_weights,
-    segment_max,
     soft_clamp_neg,
     soft_clamp_neg_grad,
 )
+from tests.reference_sweep import segment_lse_max, segment_lse_weights, segment_max
 
 finite_arrays = st.lists(
     st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=12
@@ -168,7 +166,8 @@ class TestSegmentKernels:
 class TestSegmentMaxOnUnpickledCandidates:
     """Candidates computed from a design that was read back from the
     bundle cache carry a dtype object of their own; ``np.maximum.at``
-    would fall off its indexed loop on them (see ``core/scatter.py``)."""
+    would fall off its indexed loop on them (see ``same_descr`` in
+    ``tests/reference_sweep.py``)."""
 
     N = 5000
 

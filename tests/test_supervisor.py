@@ -6,7 +6,8 @@ The promises of the process boundary:
   every other task's metrics equal a fault-free run byte for byte;
 - a task past ``task_timeout`` is killed and quarantined as ``timeout`` -
   also at ``jobs=1`` and in a one-task suite, since a set timeout always
-  means a worker;
+  means a worker; so is the task of a worker that hangs before it
+  reports the start (``STARTUP_TIMEOUT``), timeout or not;
 - a task that raises is quarantined as ``exception`` and the suite
   completes;
 - a clean suite leaves no trace of supervision;
@@ -43,6 +44,8 @@ TINY_TIMEOUT = 0.05
 #: Extra start-up of a slow worker, and a timeout its task fits in with
 #: room to spare but the start-up alone would overrun.
 SLOW_START, ROOMY_TIMEOUT = 1.5, 1.0
+#: A worker hung in start-up, and the start-up bound the test gives it.
+HUNG_START, TINY_STARTUP = 20.0, 1.0
 
 
 @pytest.fixture(autouse=True)
@@ -69,6 +72,12 @@ def _tasks(n=3, max_iters=6, telemetry_dir=None):
 def _slow_start_worker(*args):
     """A suite worker that takes SLOW_START seconds longer to warm up."""
     time.sleep(SLOW_START)
+    supervisor_mod._worker_main(*args)
+
+
+def _hung_start_worker(*args):
+    """A suite worker that hangs HUNG_START seconds before it warms up."""
+    time.sleep(HUNG_START)
     supervisor_mod._worker_main(*args)
 
 
@@ -145,6 +154,18 @@ class TestTimeout:
         monkeypatch.setattr(supervisor_mod, "_worker_main", _slow_start_worker)
         (record,) = run_tasks(_tasks(1), jobs=1, task_timeout=ROOMY_TIMEOUT)
         assert not record.quarantined
+
+    def test_worker_hung_before_it_reports_is_killed(self, monkeypatch):
+        """A worker that never reports the start (hung in start-up or
+        preload) has a deadline of its own, with or without a task
+        timeout: its task is quarantined, the suite does not block."""
+        monkeypatch.setattr(supervisor_mod, "STARTUP_TIMEOUT", TINY_STARTUP)
+        monkeypatch.setattr(supervisor_mod, "_worker_main", _hung_start_worker)
+        t0 = time.monotonic()
+        (record,) = run_tasks(_tasks(1), jobs=2)
+        assert time.monotonic() - t0 < HUNG_START
+        assert record.stop_reason == "quarantined:timeout"
+        assert "did not start the task" in record.quarantine["error"]
 
     def test_generous_timeout_changes_no_result(self):
         tasks = _tasks(2)
