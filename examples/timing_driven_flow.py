@@ -3,8 +3,9 @@
 Covers the full substrate the reproduction builds:
 
 1. generate a synthetic sequential design,
-2. export/reimport the library (Liberty), constraints (SDC) and netlist
-   placement (Bookshelf) to show the interchange formats,
+2. export/reimport the library (Liberty) and constraints (SDC), and save
+   the whole design as an ICCAD 2015-style bundle (Verilog + Liberty +
+   SDC + DEF) to show the interchange formats,
 3. run differentiable-timing-driven global placement,
 4. legalize and refine,
 5. evaluate with the golden STA (setup + hold) and print a timing report.
@@ -21,11 +22,10 @@ from repro.core import TimingDrivenPlacer, TimingPlacerOptions
 from repro.netlist import (
     GeneratorSpec,
     generate_design,
-    load_placement,
+    load_design_bundle,
     parse_liberty,
     parse_sdc,
-    save_placement,
-    write_bookshelf,
+    save_design,
     write_liberty,
     write_sdc,
 )
@@ -50,10 +50,10 @@ def main():
         sdc_text = write_sdc(design.constraints)
         parse_liberty(lib_text)
         parse_sdc(sdc_text)
-        aux = write_bookshelf(design, tmp)
+        save_design(design, tmp)
         print(f"Exported Liberty ({len(lib_text.splitlines())} lines), "
               f"SDC ({len(sdc_text.splitlines())} lines), "
-              f"Bookshelf bundle at {os.path.basename(aux)}")
+              f"bundle {sorted(os.listdir(tmp))}")
 
         # --------------------------------------------------------------
         # 3. Timing-driven global placement.
@@ -76,11 +76,12 @@ def main():
               f"(+{100 * (hpwl(design, rx, ry) / gp.hpwl - 1):.1f}% vs GP), "
               f"no overlaps")
 
-        # Save/reload the final placement through the .pl format.
-        pl_path = os.path.join(tmp, "final.pl")
-        save_placement(design, rx, ry, pl_path)
-        rx2, ry2 = load_placement(design, pl_path)
-        assert np.allclose(rx2, rx, atol=1e-5)
+        # Save/reload the final placement through the bundle's DEF
+        # (1000 database units per micron).
+        final = os.path.join(tmp, "final")
+        save_design(design, final, rx, ry)
+        _, rx2, ry2 = load_design_bundle(final)
+        assert np.allclose(rx2, rx, atol=1e-3) and np.allclose(ry2, ry, atol=1e-3)
 
         # --------------------------------------------------------------
         # 5. Sign-off style evaluation.

@@ -7,7 +7,7 @@ paper-vs-measured results.
 
 Subpackages
 -----------
-- ``repro.netlist``: circuit data model, Liberty/SDC/Bookshelf I/O,
+- ``repro.netlist``: circuit data model, Liberty/SDC/Verilog/DEF I/O,
   synthetic benchmark generation.
 - ``repro.route``: rectilinear Steiner tree construction (FLUTE
   substitute) with differentiable Steiner-point ownership.

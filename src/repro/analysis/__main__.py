@@ -22,7 +22,7 @@ __all__ = ["main"]
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="reprolint: semantic-index invariant checks for this repo",
+        description="reprolint: per-file invariant checks for this repo",
     )
     parser.add_argument(
         "paths",

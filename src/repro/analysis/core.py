@@ -1,23 +1,19 @@
 """Framework core of reprolint: findings, suppressions, rules, analyzer.
 
 The pieces are deliberately small and dependency-free (stdlib ``ast``
-only):
+only), and every rule sees one file at a time:
 
 - :class:`Finding` - one rule violation at a file/line;
-- :class:`FileContext` - a parsed source file plus its inline
-  suppression comments (``# reprolint: allow[rule-id] reason``);
-- :class:`ProjectIndex` - repo-wide lookup tables (test node ids, the
-  telemetry event-kind vocabulary) plus the
-  :class:`repro.analysis.index.SemanticIndex` (import graph, symbol
-  tables, call graph) that the whole-program rules run on;
-- :class:`Rule` / :data:`RULE_REGISTRY` - the rule plug-in surface.
-  Rules declare a ``scope``: ``"file"`` rules run per lint target,
-  ``"project"`` rules run once over the semantic index;
+- :class:`FileContext` - a parsed source file, its inline suppression
+  comments (``# reprolint: allow[rule-id] reason``) and its
+  :class:`repro.analysis.index.NameResolver`;
+- :class:`ProjectIndex` - the parsed lint targets plus the one fact read
+  from another file: the telemetry event-kind vocabulary;
+- :class:`Rule` / :data:`RULE_REGISTRY` - the rule plug-in surface;
 - :class:`Analyzer` - parses the lint targets, applies every registered
   rule, filters suppressed findings, and emits the meta findings
   (``bad-suppression``, ``unused-suppression``);
-- :class:`Report` - the result bundle the CLI and the telemetry
-  provenance hook consume.
+- :class:`Report` - the result bundle the CLI consumes.
 """
 
 from __future__ import annotations
@@ -29,6 +25,8 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from .index import NameResolver
 
 __all__ = [
     "Finding",
@@ -47,11 +45,6 @@ __all__ = [
 
 #: Directories scanned when the CLI is invoked without explicit paths.
 DEFAULT_LINT_PATHS = ("src", "benchmarks")
-
-#: Directories always parsed into the project index (cross-file rules
-#: resolve backward kernels and gradcheck tests against these even when
-#: they are not lint targets).
-INDEX_PATHS = ("src", "tests", "benchmarks")
 
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", "build", "dist"}
 
@@ -104,6 +97,7 @@ class FileContext:
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=relpath)
         self.suppressions: List[Suppression] = []
+        self._resolver: Optional[NameResolver] = None
         self._scan_suppressions()
 
     # ------------------------------------------------------------------
@@ -172,23 +166,21 @@ class FileContext:
             parts = parts[:-1]
         return ".".join(parts)
 
+    @property
+    def resolver(self) -> NameResolver:
+        """This file's :class:`NameResolver`, built on first use."""
+        if self._resolver is None:
+            self._resolver = NameResolver(self.tree, self.relpath, self.module_name())
+        return self._resolver
+
 
 class ProjectIndex:
-    """Repo-wide lookup tables for cross-file rules."""
+    """The parsed lint targets, plus the telemetry vocabulary."""
 
     def __init__(self, root: str) -> None:
         self.root = root
         self.files: Dict[str, FileContext] = {}
         self._event_kinds: Optional[Tuple[str, ...]] = None
-        self._semantic = None
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, root: str) -> "ProjectIndex":
-        index = cls(root)
-        for rel in iter_python_files(root, INDEX_PATHS):
-            index.add_file(rel)
-        return index
 
     def add_file(self, relpath: str) -> Optional[FileContext]:
         relpath = relpath.replace(os.sep, "/")
@@ -202,35 +194,7 @@ class ProjectIndex:
         except (OSError, SyntaxError, ValueError):
             return None
         self.files[relpath] = ctx
-        self._semantic = None
         return ctx
-
-    # ------------------------------------------------------------------
-    @property
-    def semantic(self):
-        """The two-pass :class:`~repro.analysis.index.SemanticIndex`.
-
-        Built lazily over every parsed file and invalidated when one is
-        added, so rules always resolve names against the full project.
-        """
-        if self._semantic is None:
-            from .index import SemanticIndex
-
-            self._semantic = SemanticIndex.build(self.files)
-        return self._semantic
-
-    # ------------------------------------------------------------------
-    def has_test(self, node_id: str) -> bool:
-        """True if a pytest node id (``file::Class::test``) resolves."""
-        parts = node_id.split("::")
-        relpath = parts[0].replace(os.sep, "/")
-        ctx = self.files.get(relpath) or self.add_file(relpath)
-        if ctx is None:
-            return False
-        if len(parts) == 1:
-            return True
-        qualname = ".".join(parts[1:])
-        return qualname in set(_iter_qualnames(ctx.tree))
 
     # ------------------------------------------------------------------
     @property
@@ -238,9 +202,7 @@ class ProjectIndex:
         """The telemetry event vocabulary, extracted statically."""
         if self._event_kinds is None:
             kinds: Tuple[str, ...] = ()
-            ctx = self.files.get("src/repro/telemetry/events.py") or self.add_file(
-                "src/repro/telemetry/events.py"
-            )
+            ctx = self.add_file("src/repro/telemetry/events.py")
             if ctx is not None:
                 for node in ast.walk(ctx.tree):
                     if not isinstance(node, ast.Assign):
@@ -261,42 +223,22 @@ class ProjectIndex:
         return self._event_kinds
 
 
-def _iter_qualnames(tree: ast.Module) -> Iterable[str]:
-    """Qualified names of defs: top-level functions, classes, methods."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name
-        elif isinstance(node, ast.ClassDef):
-            yield node.name
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{sub.name}"
-
-
 # ----------------------------------------------------------------------
 class Rule:
     """Base class for reprolint rules.
 
     Subclasses set :attr:`id`/:attr:`description` and implement
-    :meth:`check` (file scope) or :meth:`check_project` (project scope)
-    yielding raw findings; the analyzer applies inline suppressions
+    :meth:`check`, which runs once per lint target and yields raw
+    findings in that file; the analyzer applies inline suppressions
     afterwards (rules needing finer-grained suppression logic, e.g. over
     several candidate lines, may consult ``ctx.is_suppressed`` themselves
     and emit nothing).
-
-    ``scope = "file"`` rules run once per lint target; ``"project"``
-    rules run once per analysis over the full semantic index and may
-    anchor findings in any indexed file.
     """
 
     id: str = ""
     description: str = ""
-    scope: str = "file"
 
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
-        raise NotImplementedError
-
-    def check_project(self, index: ProjectIndex) -> Iterable[Finding]:
         raise NotImplementedError
 
     # Helper for subclasses.
@@ -392,7 +334,7 @@ class Analyzer:
             p for p in DEFAULT_LINT_PATHS if os.path.exists(os.path.join(root, p))
         ]
         self.rules = dict(RULE_REGISTRY)
-        self.index = ProjectIndex.build(self.root)
+        self.index = ProjectIndex(self.root)
 
     # ------------------------------------------------------------------
     def run(self) -> Report:
@@ -401,13 +343,10 @@ class Analyzer:
         from .rules import RULES_VERSION
 
         targets = iter_python_files(self.root, self.paths)
-        file_rules = [r for r in self.rules.values() if r.scope == "file"]
-        project_rules = [r for r in self.rules.values() if r.scope == "project"]
 
         findings: List[Finding] = []
-        raw: List[Finding] = []
         for rel in targets:
-            ctx = self.index.files.get(rel) or self.index.add_file(rel)
+            ctx = self.index.add_file(rel)
             if ctx is None:
                 findings.append(
                     Finding(
@@ -419,20 +358,10 @@ class Analyzer:
                     )
                 )
                 continue
-            for rule in file_rules:
-                raw.extend(rule.check(ctx, self.index))
-
-        for rule in project_rules:
-            raw.extend(rule.check_project(self.index))
-
-        for finding in raw:
-            ctx = self.index.files.get(finding.path)
-            if ctx is not None:
-                sup = ctx.suppression_for(finding.line, finding.rule)
-                if sup is not None and sup.reason:
-                    sup.used = True
-                    continue
-            findings.append(finding)
+            for rule in self.rules.values():
+                for finding in rule.check(ctx, self.index):
+                    if not ctx.is_suppressed(finding.line, finding.rule):
+                        findings.append(finding)
 
         suppressed = 0
         for rel in targets:
@@ -501,7 +430,6 @@ class Analyzer:
 def run_analysis(root: str, paths: Optional[Sequence[str]] = None) -> Report:
     """Lint ``paths`` (default: ``src`` and ``benchmarks``) under ``root``.
 
-    Read-only: this also runs inside placements (telemetry provenance)
-    and never writes into the tree.
+    Read-only: it never writes into the tree.
     """
     return Analyzer(root, paths=paths).run()

@@ -5,53 +5,40 @@ Each rule encodes one reproducibility contract of the codebase; see
 behind each.  Importing this module registers every rule in
 :data:`repro.analysis.core.RULE_REGISTRY`.
 
-Most rules match patterns inside one file.  Three whole-program
-families run on :class:`repro.analysis.index.SemanticIndex` (import
-graph, symbol tables, approximate call graph) via ``index.semantic``:
-
-- ``spawn-safety`` - module-level state written on spawn-worker paths;
-- ``determinism-taint`` - clock/entropy/set-order values flowing into
-  telemetry manifests and gated metrics (it also carries the old
-  syntactic ``seeded-rng`` checks);
-- ``contract-closure`` - every ``@differentiable`` string resolves to a
-  live symbol and a gradcheck test that still exercises the kernel.
+Every rule matches patterns inside one file.  Three of them resolve
+names through the file's :class:`repro.analysis.index.NameResolver`
+(import aliases plus local shadowing), so a local called ``np`` is not
+numpy: ``no-scatter-add-at``, ``no-silent-nanfix`` and
+``determinism-taint`` (clock/entropy/set-order values flowing into
+telemetry manifests and gated metrics; it also carries the old
+syntactic ``seeded-rng`` checks).
 """
 
 from __future__ import annotations
 
 import ast
 import difflib
-import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .core import FileContext, Finding, ProjectIndex, Rule, register_rule
 from .index import ARRAY_NAMESPACES, NameResolver
 
-__all__ = ["RULES_VERSION", "SPAWN_SAFE_GLOBALS"]
+__all__ = ["RULES_VERSION"]
 
-#: Bumped whenever a rule is added, removed, or changes what it flags;
-#: recorded in telemetry run manifests.
-RULES_VERSION = "2.8"
+#: Bumped whenever a rule is added, removed, or changes what it flags.
+RULES_VERSION = "3.0"
 
 
 def _in_tests(relpath: str) -> bool:
     return relpath.startswith("tests/") or "/tests/" in relpath
 
 
-def _resolved(resolver: Optional[NameResolver], node: ast.AST) -> Optional[str]:
-    """Canonical dotted name of a Name/Attribute chain, or None.
+def _is_numpy(resolver: NameResolver, node: ast.AST) -> bool:
+    """True if ``node`` denotes the numpy namespace *by import*.
 
-    A local variable that merely shadows an imported name (``np``)
-    resolves to None.
+    A local variable that merely shadows the import (``np``) does not.
     """
-    if resolver is None:
-        return None
-    return resolver.resolve_expr(node)
-
-
-def _is_numpy(resolver: Optional[NameResolver], node: ast.AST) -> bool:
-    """True if ``node`` denotes the numpy namespace *by import*."""
-    return _resolved(resolver, node) in ARRAY_NAMESPACES
+    return resolver.resolve_expr(node) in ARRAY_NAMESPACES
 
 
 # ----------------------------------------------------------------------
@@ -66,8 +53,7 @@ class NoScatterAddAt(Rule):
     merges and the density splat run.  ``np.maximum.at``/
     ``np.minimum.at`` are how a private levelised propagator starts.
     Reference implementations are exempt: the equivalence tests in
-    ``tests/`` and the scatter micro-benchmark *must* call ``np.add.at``
-    to compare against.
+    ``tests/`` *must* call ``np.add.at`` to compare against.
     """
 
     id = "no-scatter-add-at"
@@ -77,12 +63,11 @@ class NoScatterAddAt(Rule):
     )
 
     _UFUNCS = ("add", "subtract", "maximum", "minimum")
-    _ALLOWED_FILES = ("benchmarks/bench_scatter.py",)
 
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
-        if _in_tests(ctx.relpath) or ctx.relpath in self._ALLOWED_FILES:
+        if _in_tests(ctx.relpath):
             return
-        resolver = index.semantic.resolver(ctx.relpath)
+        resolver = ctx.resolver
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Attribute) or node.attr != "at":
                 continue
@@ -124,7 +109,7 @@ class NoSilentNanFix(Rule):
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
         if ctx.relpath in self._ALLOWED_FILES or _in_tests(ctx.relpath):
             return
-        resolver = index.semantic.resolver(ctx.relpath)
+        resolver = ctx.resolver
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -335,8 +320,9 @@ class BackwardPair(Rule):
     ``sta/`` must carry the ``@differentiable(backward=..., gradcheck=
     ...)`` decorator (:mod:`repro.contracts`) with both arguments as
     string literals.  Whether those strings still *resolve* - to a live
-    function and a test that exercises the kernel - is checked by the
-    project-scope ``contract-closure`` rule on the semantic index.
+    function and a test that exercises the kernel - is checked at run
+    time over ``repro.contracts.KERNEL_REGISTRY`` by
+    ``tests/test_contracts.py``.
     Forward kernels that genuinely have no adjoint (e.g. exact hard-max
     siblings) are suppressed inline with a reason.
     """
@@ -456,151 +442,6 @@ class SupervisedPoolOnly(Rule):
 
 
 # ----------------------------------------------------------------------
-#: Module-level state that spawn workers are *allowed* to write, with the
-#: audit rationale.  Every entry is per-process by construction: a spawn
-#: worker gets a fresh module copy, mutates only its own, and nothing
-#: reads the value back across the process boundary.  An attribute write
-#: under an allowed prefix (e.g. ``PROFILER.enabled``, which ``install``
-#: sets and its undo clears) is covered by the prefix entry.
-SPAWN_SAFE_GLOBALS = {
-    # Per-process design-bundle memo; workers warm their own copy on
-    # spawn (that is the point of _preload_designs).
-    "repro.netlist.cache._MEMO": "per-process design cache",
-    "repro.netlist.cache._CODE_VERSION": "per-process cache-key memo",
-    # The span recorder is per-process observability: a worker installs
-    # it around one task, and the task's per-layer stats and timeline
-    # travel back in the result, never through shared memory.
-    "repro.perf.PROFILER": "per-process span recorder",
-    # Telemetry context slots: each worker installs its own recorder /
-    # heartbeat registration for the task it runs.
-    "repro.telemetry.events._CURRENT": "per-process recorder slot",
-    "repro.telemetry.registry._CURRENT": "per-process heartbeat slot",
-    # Cached os.sysconf page size; idempotent scalar.
-    "repro.telemetry.resources._PAGE_SIZE": "idempotent sysconf memo",
-}
-
-
-@register_rule
-class SpawnSafety(Rule):
-    """Spawn-worker code must not write unaudited module-level state.
-
-    Worker entrypoints are discovered syntactically (functions passed as
-    ``target=`` to a ``Process`` or ``initializer=`` to a pool) and the
-    approximate call graph is closed over them.  Any function in that
-    closure writing module-level state - ``global`` rebinding, attribute
-    assignment on a module-level object, subscript stores or mutating
-    method calls (``append``/``update``/``clear``/...) on module-level
-    containers - is flagged unless the state is in the audited
-    :data:`SPAWN_SAFE_GLOBALS` allowlist.
-
-    Module globals are per-process under the spawn start method, so such
-    writes are not data races in the classic sense; the failure mode is
-    subtler and worse: state mutated in a worker silently diverges from
-    the parent's copy, and code that later reads it in the parent (or in
-    a fork-started context) sees different values per process.  The
-    allowlist records exactly which globals are *designed* to be
-    per-process, with the audit rationale next to each entry.
-    """
-
-    id = "spawn-safety"
-    description = (
-        "unaudited module-level state written on a spawn-worker call path"
-    )
-    scope = "project"
-
-    _MUTATORS = {
-        "append",
-        "appendleft",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "remove",
-        "discard",
-        "clear",
-    }
-
-    def check_project(self, index: ProjectIndex) -> Iterable[Finding]:
-        sem = index.semantic
-        closure = sem.call_closure(sorted(sem.spawn_entrypoints))
-        for canonical in sorted(closure):
-            entry = sem.functions.get(canonical)
-            if entry is None:
-                continue
-            relpath, info = entry
-            if _in_tests(relpath):
-                continue
-            ctx = index.files.get(relpath)
-            resolver = sem.resolver(relpath)
-            if ctx is None or resolver is None:
-                continue
-            yield from self._check_function(
-                ctx, resolver, sem, canonical, info.node
-            )
-
-    def _check_function(self, ctx, resolver, sem, canonical, fn):
-        seen: Set[Tuple[int, str]] = set()
-        for node in ast.walk(fn):
-            targets: List[ast.AST] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                written = self._written_global(resolver, target)
-                if written is not None and sem.is_module_global(written):
-                    yield from self._flag(
-                        ctx, canonical, node, written, seen
-                    )
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                if node.func.attr in self._MUTATORS:
-                    resolved = _resolved(resolver, node.func.value)
-                    if resolved is not None and sem.is_module_global(resolved):
-                        yield from self._flag(
-                            ctx, canonical, node, resolved, seen
-                        )
-
-    @staticmethod
-    def _written_global(resolver, target: ast.AST) -> Optional[str]:
-        """Canonical name of the module-level state a store hits, if any."""
-        # Unwrap subscript stores: X[k] = v mutates X.
-        while isinstance(target, ast.Subscript):
-            target = target.value
-        if isinstance(target, (ast.Name, ast.Attribute)):
-            return _resolved(resolver, target)
-        return None
-
-    def _allowed(self, canonical_state: str) -> bool:
-        for allowed in SPAWN_SAFE_GLOBALS:
-            if canonical_state == allowed or canonical_state.startswith(
-                allowed + "."
-            ):
-                return True
-        return False
-
-    def _flag(self, ctx, canonical_fn, node, state, seen):
-        if self._allowed(state):
-            return
-        key = (node.lineno, state)
-        if key in seen:
-            return
-        seen.add(key)
-        yield self.finding(
-            ctx,
-            node,
-            f"{canonical_fn}() is reachable from a spawn-worker entrypoint "
-            f"and writes module-level state {state!r}; per-process divergence "
-            "is invisible until it bites - pass the state through the task "
-            "payload, or audit it into SPAWN_SAFE_GLOBALS with a rationale",
-        )
-
-
-# ----------------------------------------------------------------------
 @register_rule
 class DeterminismTaint(Rule):
     """Nondeterministic values must not flow into gated telemetry sinks.
@@ -636,7 +477,6 @@ class DeterminismTaint(Rule):
         "clock/entropy/set-order values flowing into telemetry sinks; "
         "global np.random state; unseeded default_rng()"
     )
-    scope = "file"
 
     _CLOCK_FUNCS = {
         "time.time",
@@ -693,7 +533,7 @@ class DeterminismTaint(Rule):
     def check(self, ctx: FileContext, index: ProjectIndex) -> Iterable[Finding]:
         if _in_tests(ctx.relpath):
             return
-        resolver = index.semantic.resolver(ctx.relpath)
+        resolver = ctx.resolver
         yield from self._standalone(ctx, resolver)
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -756,7 +596,7 @@ class DeterminismTaint(Rule):
         if isinstance(func, ast.Attribute) and func.attr in self._SINK_ATTRS:
             is_sink, sink_name = True, func.attr
         else:
-            resolved = _resolved(resolver, func)
+            resolved = resolver.resolve_expr(func)
             leaf = resolved.split(".")[-1] if resolved else None
             bare = func.id if isinstance(func, ast.Name) else None
             if leaf in self._SINK_NAMES or bare in self._SINK_NAMES:
@@ -801,7 +641,7 @@ class DeterminismTaint(Rule):
                 ]
                 kinds = [k for k in kinds if k is not None and k != "order"]
                 return kinds[0] if kinds else None
-            resolved = _resolved(resolver, func)
+            resolved = resolver.resolve_expr(func)
             if resolved in self._CLOCK_FUNCS:
                 return "clock"
             if resolved in self._ENTROPY_FUNCS or self._is_unseeded_rng(expr):
@@ -849,77 +689,3 @@ class DeterminismTaint(Rule):
         if isinstance(expr, ast.Name):
             return tainted.get(expr.id) == "order"
         return False
-
-
-# ----------------------------------------------------------------------
-@register_rule
-class ContractClosure(Rule):
-    """Every ``@differentiable`` contract string must close the loop.
-
-    ``backward-pair`` checks the decorator is *present* and well-formed;
-    this rule checks the strings still *mean* something after renames:
-
-    - the declared ``backward=`` dotted name must resolve - through
-      import aliases - to a function in the semantic index;
-    - the declared ``gradcheck=`` pytest node id must resolve to a real
-      test function under ``tests/``;
-    - the gradcheck's test file must still reference the forward or
-      backward kernel by name, so renaming a kernel (and fixing the
-      decorator) cannot leave the gradcheck silently exercising nothing.
-
-    Together with ``repro.contracts.KERNEL_REGISTRY`` (the runtime view
-    of the same decorators), this keeps the differentiability contracts
-    of the paper's kernels verifiable from either side.
-    """
-
-    id = "contract-closure"
-    description = (
-        "@differentiable backward=/gradcheck= strings must resolve to live "
-        "symbols and a test that references the kernel"
-    )
-    scope = "project"
-
-    def check_project(self, index: ProjectIndex) -> Iterable[Finding]:
-        sem = index.semantic
-        for site in sem.contracts:
-            if not site.relpath.startswith("src/"):
-                continue
-            ctx = index.files.get(site.relpath)
-            if ctx is None:
-                continue
-            if site.backward is None or site.gradcheck is None:
-                continue  # malformed decorators are backward-pair findings
-            name = site.qualname
-            backward_ok = sem.resolve_symbol(site.backward) is not None
-            if not backward_ok:
-                yield self.finding(
-                    ctx,
-                    site.node,
-                    f"{name}() declares backward {site.backward!r}, which "
-                    "does not resolve to any function in the project index",
-                )
-            if not index.has_test(site.gradcheck):
-                yield self.finding(
-                    ctx,
-                    site.node,
-                    f"{name}() declares gradcheck {site.gradcheck!r}, which "
-                    "does not resolve to a test in the suite",
-                )
-                continue
-            test_rel = site.gradcheck.split("::")[0]
-            tctx = index.files.get(test_rel) or index.add_file(test_rel)
-            if tctx is None:
-                continue
-            leaves = {name.split(".")[-1], site.backward.split(".")[-1]}
-            pattern = re.compile(
-                r"\b(" + "|".join(re.escape(leaf) for leaf in leaves) + r")\b"
-            )
-            if not pattern.search(tctx.source):
-                yield self.finding(
-                    ctx,
-                    site.node,
-                    f"gradcheck {site.gradcheck!r} of {name}() never "
-                    f"references {sorted(leaves)}; the test no longer "
-                    "exercises this kernel (renamed without updating the "
-                    "gradcheck?)",
-                )

@@ -4,12 +4,13 @@ The paper's engine is a collection of hand-derived forward/backward kernel
 pairs (Eqs. 7-12); nothing in pure Python ties a forward kernel to the
 backward pass that must mirror it, or to the gradcheck test that proves
 the pair consistent.  The :func:`differentiable` decorator records that
-link in :data:`KERNEL_REGISTRY`, and the ``backward-pair`` rule of
-``repro.analysis`` (reprolint) statically enforces that
+link in :data:`KERNEL_REGISTRY`.  The ``backward-pair`` rule of
+``repro.analysis`` (reprolint) makes every forward kernel in ``core/``
+and ``sta/`` carry the decorator, and ``tests/test_contracts.py`` checks
+over the registry that
 
-- every forward kernel in ``core/`` and ``sta/`` carries the decorator,
-- the declared backward function exists, and
-- the declared gradcheck test exists in the test suite.
+- the declared backward function imports by its dotted path, and
+- the declared gradcheck test exists and its file names the kernel.
 
 The decorator is deliberately inert at runtime (it only registers) so
 kernels pay nothing for being tagged.

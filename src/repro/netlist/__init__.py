@@ -23,13 +23,6 @@ from .liberty import (
     write_liberty_file,
 )
 from .sdc import SDCError, parse_sdc, read_sdc_file, write_sdc, write_sdc_file
-from .bookshelf import (
-    BookshelfData,
-    load_placement,
-    read_bookshelf,
-    save_placement,
-    write_bookshelf,
-)
 from .generator import GeneratorSpec, generate_design, make_chain_design
 from .verilog import (
     VerilogError,
@@ -82,11 +75,6 @@ __all__ = [
     "read_sdc_file",
     "write_sdc",
     "write_sdc_file",
-    "BookshelfData",
-    "load_placement",
-    "read_bookshelf",
-    "save_placement",
-    "write_bookshelf",
     "GeneratorSpec",
     "generate_design",
     "make_chain_design",

@@ -17,7 +17,7 @@ structural Verilog.  This module supports that subset: one module with
 against a :class:`~repro.netlist.library.Library` (cell types must
 resolve).  Ports become the zero-area port cells of the design model;
 positions are not part of Verilog and default to the die boundary, so a
-placement is typically restored separately (Bookshelf ``.pl`` or DEF).
+placement is typically restored separately (DEF).
 """
 
 from __future__ import annotations

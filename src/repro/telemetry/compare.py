@@ -99,30 +99,6 @@ def compare_runs(
             result.notes.append(f"options.{key}: {va!r} != {vb!r}")
 
     # ------------------------------------------------------------------
-    # reprolint provenance: dirty trees and rule-set drift are flagged
-    # but never gate (two identical-seed runs must still compare OK).
-    # ------------------------------------------------------------------
-    for label, manifest in (("a", ma), ("b", mb)):
-        analysis = manifest.analysis or {}
-        if analysis.get("error"):
-            result.notes.append(
-                f"run {label} ({manifest.run_id}): reprolint provenance "
-                f"unavailable ({analysis['error']})"
-            )
-        elif analysis.get("clean") is False:
-            result.notes.append(
-                f"run {label} ({manifest.run_id}) was produced from a dirty "
-                f"tree: {analysis.get('finding_count', '?')} "
-                "reprolint finding(s)"
-            )
-    aa, ab = ma.analysis or {}, mb.analysis or {}
-    if aa and ab and aa.get("rules_version") != ab.get("rules_version"):
-        result.notes.append(
-            "reprolint rule set differs between runs: "
-            f"{aa.get('rules_version')!r} != {ab.get('rules_version')!r}"
-        )
-
-    # ------------------------------------------------------------------
     # Final metrics: the regression gate.
     # ------------------------------------------------------------------
     fa, fb = ma.final_metrics, mb.final_metrics

@@ -106,10 +106,6 @@ class RunManifest:
     #: (:func:`repro.perf.flow_stats`); manifests of older runs carry a
     #: ``span_tree`` instead, which loading drops.
     spans: Optional[Dict[str, Any]] = None
-    #: reprolint provenance: rules_version, finding and suppression
-    #: counts, and the ``clean`` verdict of the producing tree (see
-    #: :func:`repro.analysis.provenance.analysis_provenance`).
-    analysis: Optional[Dict[str, Any]] = None
     #: Design-bundle cache provenance (key, hit/miss, setup seconds) when
     #: the run's design came from :mod:`repro.netlist.cache`.
     design_cache: Optional[Dict[str, Any]] = None
@@ -129,12 +125,6 @@ class RunManifest:
         run_id: Optional[str] = None,
     ) -> "RunManifest":
         """Manifest for a run starting now, environment auto-collected."""
-        try:
-            from ..analysis.provenance import analysis_provenance
-
-            analysis = analysis_provenance()
-        except Exception:  # pragma: no cover - provenance must never gate a run
-            analysis = None
         return cls(
             run_id=run_id if run_id else make_run_id(design, mode),
             design=design,
@@ -146,7 +136,6 @@ class RunManifest:
             python_version=sys.version.split()[0],
             numpy_version=_numpy_version(),
             platform=platform.platform(),
-            analysis=analysis,
         )
 
     def to_dict(self) -> Dict[str, Any]:

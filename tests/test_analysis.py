@@ -1,11 +1,11 @@
-"""reprolint framework + rules: fixtures, suppressions, CLI, provenance.
+"""reprolint framework + rules: fixtures, suppressions, CLI.
 
 Each rule gets a good and a bad fixture inside a synthetic mini-repo
 under ``tmp_path``; the framework tests cover inline suppressions (both
-placements, plus the meta findings for malformed/unused ones), CLI exit
-codes, and the telemetry provenance hooks.  Finally the real repository
-itself must lint clean - the self-check CI relies on.  The real-repo
-tests share one session-scoped lint (``repo_lint``).
+placements, plus the meta findings for malformed/unused ones) and CLI
+exit codes.  Finally the real repository itself must lint clean - the
+self-check CI relies on.  The real-repo tests share one session-scoped
+lint (``repo_lint``).
 """
 
 import os
@@ -16,15 +16,12 @@ import pytest
 
 from repro.analysis import Analyzer, RULES_VERSION, run_analysis
 from repro.analysis.__main__ import main as cli_main
-from repro.analysis.provenance import analysis_provenance
-from repro.telemetry.compare import compare_runs
 from repro.telemetry.events import (
     EVENT_KINDS,
     MetricsRecorder,
     kind_error_message,
     suggest_kind,
 )
-from repro.telemetry.manifest import RunManifest, write_manifest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -266,6 +263,16 @@ class TestTelemetryKindLiteral:
         assert len(found) == 1
         assert found[0].message == kind_error_message("iterat1on")
 
+    def test_event_kind_suggestion_helpers(self, tmp_path):
+        assert suggest_kind("iterations") == "iteration"
+        assert suggest_kind("zzzz") is None
+        message = kind_error_message("checkpont")
+        assert "did you mean 'checkpoint'" in message
+        rec = MetricsRecorder(str(tmp_path / "events.jsonl"))
+        with pytest.raises(ValueError, match="did you mean 'recovery'"):
+            rec.event("recovry")
+        rec.close()
+
 
 class TestCheckpointCompleteness:
     _PROVIDER = (
@@ -355,9 +362,7 @@ class TestBackwardPair:
                 "tests/test_kern.py": self._TEST_FILE,
             },
         )
-        report = run_analysis(root)
-        assert findings_of(report, "backward-pair") == []
-        assert findings_of(report, "contract-closure") == []
+        assert findings_of(run_analysis(root), "backward-pair") == []
 
     def test_undecorated_forward_kernel_flagged(self, tmp_path):
         root = make_repo(
@@ -373,27 +378,6 @@ class TestBackwardPair:
             {"src/repro/place/mod.py": "def push_forward(x):\n    return x\n"},
         )
         assert findings_of(run_analysis(root), "backward-pair") == []
-
-    def test_dangling_backward_and_gradcheck_flagged(self, tmp_path):
-        # Resolution of the contract strings is the project-scope
-        # contract-closure rule's job (backward-pair only checks the
-        # decorator's shape).
-        root = make_repo(
-            tmp_path,
-            {
-                "src/repro/core/kern.py": self._kernel(
-                    backward="repro.core.kern.missing_backward",
-                    gradcheck="tests/test_kern.py::test_missing",
-                ),
-                "tests/test_kern.py": self._TEST_FILE,
-            },
-        )
-        report = run_analysis(root)
-        assert findings_of(report, "backward-pair") == []
-        found = findings_of(report, "contract-closure")
-        assert len(found) == 2
-        messages = " ".join(f.message for f in found)
-        assert "missing_backward" in messages and "test_missing" in messages
 
 
 # ----------------------------------------------------------------------
@@ -493,14 +477,12 @@ class TestCli:
             "checkpoint-completeness",
             "backward-pair",
             "supervised-pool-only",
-            "spawn-safety",
             "determinism-taint",
-            "contract-closure",
             "bad-suppression",
             "unused-suppression",
         ):
             assert rule_id in out
-        assert len(out.splitlines()) == 11
+        assert len(out.splitlines()) == 9
 
     def test_module_entrypoint_on_tmp_repo(self, tmp_path):
         """``python -m repro.analysis`` exits 1 on a finding, 0 when clean,
@@ -557,62 +539,6 @@ class TestRepoSelfCheck:
             ctx = index.files[relpath]
             (found,) = rule.check(ctx, index)
             assert ctx.is_suppressed(found.line, rule.id)
-
-
-# ----------------------------------------------------------------------
-class TestProvenanceAndTelemetry:
-    def test_provenance_shape(self, repo_lint):
-        # No root: the repo this package lives in, linted once per process
-        # and memoised (the manifest test below reads the same memo).
-        assert analysis_provenance() == {
-            "rules_version": RULES_VERSION,
-            "finding_count": 0,
-            "suppressed_count": repo_lint[1].suppressed_count,
-            "clean": True,
-        }
-
-    def test_provenance_never_raises(self, tmp_path):
-        prov = analysis_provenance(str(tmp_path))  # not a repo at all
-        assert isinstance(prov, dict)
-
-    def test_manifest_records_analysis(self):
-        manifest = RunManifest.create("d", "ours", seed=0)
-        assert manifest.analysis is not None
-        assert manifest.analysis["rules_version"] == RULES_VERSION
-        restored = RunManifest.from_dict(manifest.to_dict())
-        assert restored.analysis == manifest.analysis
-
-    def test_compare_flags_dirty_tree_without_gating(self, tmp_path):
-        base = dict(
-            design="d", mode="ours", seed=0,
-            final_metrics={"wns": -1.0, "tns": -5.0, "hpwl": 10.0,
-                           "overflow": 0.1, "iterations": 3,
-                           "stop_reason": "max_iters"},
-        )
-        clean = {"rules_version": RULES_VERSION, "finding_count": 0,
-                 "clean": True}
-        dirty = {"rules_version": "0.9", "finding_count": 4,
-                 "clean": False}
-        ma = RunManifest(run_id="a", analysis=clean, **base)
-        mb = RunManifest(run_id="b", analysis=dirty, **base)
-        write_manifest(ma, str(tmp_path / "a"))
-        write_manifest(mb, str(tmp_path / "b"))
-        result = compare_runs(str(tmp_path / "a"), str(tmp_path / "b"))
-        assert result.ok  # dirty tree must not gate
-        notes = " ".join(result.notes)
-        assert "dirty tree: 4 reprolint finding(s)" in notes
-        assert "rule set differs" in notes
-        assert "baseline" not in notes
-
-    def test_event_kind_suggestion_helpers(self, tmp_path):
-        assert suggest_kind("iterations") == "iteration"
-        assert suggest_kind("zzzz") is None
-        message = kind_error_message("checkpont")
-        assert "did you mean 'checkpoint'" in message
-        rec = MetricsRecorder(str(tmp_path / "events.jsonl"))
-        with pytest.raises(ValueError, match="did you mean 'recovery'"):
-            rec.event("recovry")
-        rec.close()
 
 
 class TestDeletedShimStaysDeleted:

@@ -57,19 +57,9 @@ class TestForwardAgainstGolden:
 
 
 class TestBackwardFiniteDifference:
-    def test_exercises_registered_level_kernels(self):
-        """The finite-difference gradchecks below certify the compiled
-        level sweep the timer composes; pin that composition by name so a
-        kernel rename breaks this file loudly instead of leaving the
-        registry's gradcheck pointing at a test that no longer touches
-        it (reprolint ``contract-closure``)."""
-        from repro.contracts import KERNEL_REGISTRY
-        from repro.core.sweep import sweep_forward, timer_adjoint
-
-        key = f"{sweep_forward.__module__}.{sweep_forward.__qualname__}"
-        contract = KERNEL_REGISTRY[key]
-        assert contract["backward"].endswith(timer_adjoint.__qualname__)
-        assert "test_difftimer.py" in contract["gradcheck"]
+    """The gradcheck of the compiled level sweep ``sweep_forward`` and its
+    adjoint ``timer_adjoint``, which ``DifferentiableTimer`` composes
+    (the contract ``tests/test_contracts.py`` resolves)."""
 
     @pytest.mark.parametrize(
         "d_tns,d_wns", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.4)]

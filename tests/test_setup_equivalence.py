@@ -26,7 +26,6 @@ from repro.netlist import (
     write_verilog,
 )
 from repro.netlist import generator, verilog
-from repro.netlist.bookshelf import load_placement, save_placement
 from repro.sta.graph import LevelizedArcs, TimingGraph
 from repro.sta.nldm import LutBank
 from tests.reference_setup import (
@@ -182,16 +181,6 @@ def _moved(design, seed):
     rng = np.random.default_rng(seed)
     xl, yl, xh, yh = design.die
     return rng.uniform(xl, xh, design.n_cells), rng.uniform(yl, yh, design.n_cells)
-
-
-def test_bookshelf_read_design(netlist_text, tmp_path):
-    design = parse_verilog(netlist_text, _LIB)
-    path = str(tmp_path / "moved.pl")
-    save_placement(design, *_moved(design, 1), path)
-    design.cell_x, design.cell_y = load_placement(design, path)
-    ref, new = rebuild_design(design, ReferenceBuilder), rebuild_design(design)
-    assert_same_design(ref, new)
-    assert_same_graph(new)
 
 
 def test_def_read_design(netlist_text):

@@ -3,6 +3,8 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +28,10 @@ from repro.telemetry import (
 )
 from repro.telemetry.compare import compare_runs
 from repro.telemetry.report import render_report
+
+SRC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
 
 
 class TestMetricsRecorder:
@@ -233,6 +239,29 @@ class TestRunModeTelemetry:
         events = read_events(os.path.join(record.run_dir, "events.jsonl"))
         kinds = {e["kind"] for e in events}
         assert {"run_start", "iteration", "run_end"} <= kinds
+
+    def test_run_path_does_not_import_the_linter(self, tmp_path):
+        """A telemetry run stamps no lint state into its manifest, so a
+        placement process never imports reprolint."""
+        code = (
+            "import sys\n"
+            "from repro.harness import load_design\n"
+            "from repro.harness.runners import run_mode\n"
+            "from repro.place.placer import PlacerOptions\n"
+            "run_mode(load_design('miniblue1'), 'ours',\n"
+            "         placer_options=PlacerOptions(max_iters=5, min_iters=1),\n"
+            f"         telemetry_dir={str(tmp_path)!r}, run_id='guard')\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        manifest = load_manifest(str(tmp_path / "guard"))
+        assert manifest.final_metrics and "analysis" not in manifest.to_dict()
 
     def test_report_renders_markdown_and_curves(self, run_pair, tmp_path):
         base, records = run_pair
