@@ -332,14 +332,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    """``status``: render the live-run registry of a telemetry dir."""
+    """``status``: list the active runs under a telemetry dir."""
     from .harness.observe import cmd_status
 
     return cmd_status(
-        args.telemetry_dir,
-        stale_after_s=args.stale_after,
-        as_json=args.json,
-        gc=args.gc,
+        args.telemetry_dir, stale_after_s=args.stale_after, as_json=args.json
     )
 
 
@@ -615,26 +612,22 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(func=_cmd_compare)
 
     status_p = sub.add_parser(
-        "status", help="show live/stale/dead runs from the registry"
+        "status", help="show the active runs of a telemetry dir and "
+        "whether each is live, stale or dead"
     )
     status_p.add_argument(
-        "telemetry_dir", help="telemetry directory holding the registry"
+        "telemetry_dir", help="telemetry directory holding the run dirs"
     )
     status_p.add_argument(
         "--stale-after",
         type=float,
         default=15.0,
         metavar="SECONDS",
-        help="heartbeat age past which a live pid counts as stale "
-        "(default 15)",
+        help="seconds since a run's last event past which a live pid "
+        "counts as stale (default 15)",
     )
     status_p.add_argument(
         "--json", action="store_true", help="machine-readable output"
-    )
-    status_p.add_argument(
-        "--gc",
-        action="store_true",
-        help="also remove records whose pid no longer exists",
     )
     status_p.set_defaults(func=_cmd_status)
 

@@ -20,7 +20,6 @@ from ..route.rsmt import build_forest_from_pins
 from ..route.tree import Forest
 from ..sta.graph import TimingGraph
 from ..telemetry.events import current_recorder
-from ..telemetry.registry import current_heartbeat
 from .difftimer import DifferentiableTimer
 
 __all__ = ["TimingObjectiveOptions", "TimingObjective"]
@@ -132,13 +131,6 @@ class TimingObjective:
     def _rebuild(
         self, cell_x: np.ndarray, cell_y: np.ndarray, iteration: int
     ) -> None:
-        heartbeat = current_heartbeat()
-        if heartbeat is not None:
-            # A forest rebuild is the longest single stage inside an
-            # iteration; stamping it lets `status` distinguish "hung in
-            # rsmt_rebuild" from a stalled gradient step.  The placer
-            # loop restores phase="place" on its next beat.
-            heartbeat.update(phase="rsmt_rebuild", iteration=iteration)
         self._route(cell_x, cell_y)
         self._iters_since_rsmt = 0
         self.n_rsmt_calls += 1

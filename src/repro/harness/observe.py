@@ -1,9 +1,9 @@
 """Live-run observation: the ``status`` and ``tail`` subcommands.
 
-``status`` renders the run registry of a telemetry directory - every
-active (or stale/dead) run with its phase, iteration, iteration rate,
-RSS and heartbeat age - without touching the runs themselves: readers
-only ever open the small atomically-replaced registry records.
+``status`` lists every unfinalized run under a telemetry directory -
+phase, iteration, rate, RSS, age of its last event, live/stale/dead -
+as :func:`repro.telemetry.session.run_state` reads it back out of the
+run's directory; the runs themselves are never touched.
 
 ``tail`` follows one run's ``events.jsonl`` while it is being written,
 printing per-iteration convergence deltas and an ETA derived from the
@@ -20,20 +20,16 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional
 
 from ..telemetry.events import EVENTS_FILENAME, read_events_partial
-from ..telemetry.registry import (
-    DEFAULT_STALE_AFTER_S,
-    HeartbeatRecord,
-    RunRegistry,
-)
+from ..telemetry.session import DEFAULT_STALE_AFTER_S, RunState, run_state
 
 __all__ = [
     "format_status",
     "cmd_status",
     "EventFollower",
-    "format_iteration_line",
     "cmd_tail",
 ]
 
@@ -57,11 +53,22 @@ def _format_age(seconds: float) -> str:
     return f"{seconds / 3600.0:.1f}h"
 
 
+def _active_runs(telemetry_dir: str) -> List[RunState]:
+    """The unfinalized runs under ``telemetry_dir``, oldest first."""
+    try:
+        entries = sorted(os.listdir(telemetry_dir))
+    except FileNotFoundError:
+        return []
+    states = [run_state(os.path.join(telemetry_dir, e)) for e in entries]
+    active = [s for s in states if s is not None and s.active]
+    return sorted(active, key=lambda s: (s.started, s.run_id))
+
+
 def format_status(
-    records: List[HeartbeatRecord],
+    records: List[RunState],
     stale_after_s: float = DEFAULT_STALE_AFTER_S,
 ) -> str:
-    """The registry as an aligned table (one row per run)."""
+    """The active runs as an aligned table (one row per run)."""
     header = (
         f"{'RUN':<28} {'DESIGN':<12} {'MODE':<10} {'PHASE':<12} "
         f"{'ITER':>6} {'IT/S':>6} {'RSS':>9} {'AGE':>5} STATE"
@@ -71,7 +78,7 @@ def format_status(
     now = time.time()
     lines = [header]
     for record in records:
-        rate = record.iteration_rate()
+        rate = record.iteration_rate
         lines.append(
             f"{record.run_id:<28} {record.design:<12} {record.mode:<10} "
             f"{record.phase:<12} "
@@ -88,23 +95,19 @@ def cmd_status(
     telemetry_dir: str,
     stale_after_s: float = DEFAULT_STALE_AFTER_S,
     as_json: bool = False,
-    gc: bool = False,
 ) -> int:
     """Implementation of ``python -m repro status``."""
-    registry = RunRegistry(telemetry_dir)
-    if gc:
-        for record in registry.gc():
-            print(f"gc: removed dead record {record.run_id} (pid {record.pid})")
-    records = registry.list()
+    records = _active_runs(telemetry_dir)
     if as_json:
         now = time.time()
-        payload = []
-        for record in records:
-            entry = record.to_dict()
-            entry["state"] = record.state(stale_after_s, now)
-            entry["age_s"] = round(record.age_s(now), 3)
-            entry["iteration_rate"] = record.iteration_rate()
-            payload.append(entry)
+        payload = [
+            dict(
+                asdict(record),
+                state=record.state(stale_after_s, now),
+                age_s=round(record.age_s(now), 3),
+            )
+            for record in records
+        ]
         print(json.dumps(payload, indent=2))
     else:
         print(format_status(records, stale_after_s))

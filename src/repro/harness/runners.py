@@ -22,7 +22,6 @@ from ..place.netweight import NetWeightingPlacer, NetWeightOptions
 from ..place.placer import GlobalPlacer, PlacerOptions, PlacerResult
 from ..sta.analysis import run_sta
 from ..telemetry.events import recording
-from ..telemetry.registry import heartbeating
 from ..telemetry.session import RunSession, start_run
 
 __all__ = ["MODES", "RunRecord", "run_mode"]
@@ -169,15 +168,12 @@ def run_mode(
             with contextlib.ExitStack() as stack:
                 if session is not None:
                     stack.enter_context(recording(session.recorder))
-                    stack.enter_context(heartbeating(session.heartbeat))
                 start = time.perf_counter()
                 result = _place(
                     design, mode, popts, timing_options, nw_options,
                     with_trace_sta, sta_graph,
                 )
                 runtime = time.perf_counter() - start
-            if session is not None and session.heartbeat is not None:
-                session.heartbeat.update(phase="sta", force=True)
             final = run_sta(design, result.x, result.y, graph=sta_graph)
         finally:
             if root is not None:

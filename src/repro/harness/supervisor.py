@@ -49,8 +49,8 @@ from ..netlist.cache import ensure_cached, load_bundle
 from ..place.placer import PlacerOptions
 from ..runtime.faults import maybe_kill_worker
 from ..telemetry.manifest import load_manifest
-from ..telemetry.registry import RunRegistry
 from ..telemetry.resources import resource_delta, sample_resources
+from ..telemetry.session import run_state
 from .runners import RunRecord, run_mode
 from .suite import design_spec, load_design
 
@@ -360,55 +360,18 @@ class _Supervisor:
         self.ctx = multiprocessing.get_context("spawn")
         self.pending = deque(range(len(self.tasks)))
         self.workers: List[_Worker] = []
-        telemetry_dir = next(
-            (t.telemetry_dir for t in self.tasks if t.telemetry_dir), None
-        )
-        #: Live-run registry under the suite telemetry dir: worker
-        #: sessions heartbeat into it, and the supervisor reads it
-        #: post-mortem to say *where* a killed task last was.
-        self.registry = (
-            RunRegistry(telemetry_dir) if telemetry_dir is not None else None
-        )
-
-    def run(self) -> None:
-        try:
-            if self.jobs <= 1 and not self.task_timeout:
-                self._run_in_process()
-            else:
-                self._run_pool()
-        finally:
-            if self.registry is not None:
-                # Sweep records orphaned by killed workers so `status`
-                # shows a clean registry after the suite returns.
-                self.registry.gc()
-
-    def _last_heartbeat(self, run_id: str) -> Optional[Dict[str, Any]]:
-        """Post-mortem heartbeat of a killed/hung task's run, if any.
-
-        A worker that died mid-task leaves its run's registry record
-        behind (clean exits remove it), so the last beat tells us the
-        phase/iteration the task reached and how long it had been silent.
-        """
-        if self.registry is None:
-            return None
-        record = self.registry.read(run_id)
-        if record is None:
-            return None
-        return {
-            "phase": record.phase,
-            "iteration": record.iteration,
-            "age_s": round(record.age_s(), 1),
-        }
 
     @staticmethod
-    def _describe_heartbeat(heartbeat: Optional[Dict[str, Any]]) -> str:
-        """``"; last seen at iteration 412 in rsmt_rebuild, silent for 93s"``."""
-        if heartbeat is None:
+    def _last_seen(task: SuiteTask) -> str:
+        """``"; last seen at iteration 412 in place, silent for 93s"``, as
+        the unfinalized run directory of a killed task tells it; empty
+        without telemetry or before the run started."""
+        if task.telemetry_dir is None:
             return ""
-        where = f"in {heartbeat['phase']}"
-        if heartbeat.get("iteration") is not None:
-            where = f"at iteration {heartbeat['iteration']} {where}"
-        return f"; last seen {where}, silent for {heartbeat['age_s']:.0f}s"
+        state = run_state(os.path.join(task.telemetry_dir, task.run_id))
+        if state is None:
+            return ""
+        return f"; last seen {state.where()}, silent for {state.age_s():.0f}s"
 
     def _run_in_process(self) -> None:
         for index, task in enumerate(self.tasks):
@@ -499,19 +462,15 @@ class _Supervisor:
         """A worker died or was killed: quarantine its task, replace it."""
         index = worker.task_index
         worker.kill()
-        heartbeat = self._last_heartbeat(self.tasks[index].run_id)
         self._replace(worker)
         self._quarantine(
-            index, failure, error + self._describe_heartbeat(heartbeat)
+            index, failure, error + self._last_seen(self.tasks[index])
         )
 
     def _quarantine(self, index: int, failure: str, error: str) -> None:
-        task = self.tasks[index]
-        if self.registry is not None:
-            # The quarantined run will never beat again; drop its record
-            # rather than leaving a permanent "dead" row.
-            self.registry.remove(task.run_id)
-        self._finish(index, quarantined_record(task, failure, error))
+        self._finish(
+            index, quarantined_record(self.tasks[index], failure, error)
+        )
 
     def _finish(self, index: int, record: RunRecord) -> None:
         """Store a result; print finished records in task order."""
@@ -575,7 +534,10 @@ def run_tasks(
         cache_dir=cache_dir,
     )
     try:
-        supervisor.run()
+        if jobs <= 1 and not task_timeout:
+            supervisor._run_in_process()
+        else:
+            supervisor._run_pool()
     except Exception as exc:
         # Task failures are quarantined inside the run; only a failure of
         # the supervisor itself (no worker can be spawned, a bug in its

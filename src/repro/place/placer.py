@@ -30,6 +30,7 @@ The driver runs inside the guarded runtime of :mod:`repro.runtime`:
 
 from __future__ import annotations
 
+import os
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -51,7 +52,6 @@ from ..runtime.validate import (
     validate_design,
 )
 from ..telemetry.events import current_recorder
-from ..telemetry.registry import current_heartbeat
 from ..telemetry.resources import ResourceSampler
 from .density import DensityModel
 from .optimizer import NesterovOptimizer
@@ -246,15 +246,10 @@ class GlobalPlacer:
         if injector is None:
             injector = FaultInjector(FaultSpec.from_env())
         recorder = current_recorder()
-        heartbeat = current_heartbeat()
-        # Resource samples feed both the event stream (convergence-vs-RSS
-        # plots) and the heartbeat record (live `status` display); skip
-        # the sampler entirely when neither consumer is armed.
-        sampler = (
-            ResourceSampler()
-            if recorder is not None or heartbeat is not None
-            else None
-        )
+        # Resource samples feed the event stream (convergence-vs-RSS
+        # plots, the live `status` display); skip the sampler entirely
+        # when no recorder is armed.
+        sampler = ResourceSampler() if recorder is not None else None
 
         n = design.n_cells
         xl, yl, xh, yh = design.die
@@ -328,6 +323,7 @@ class GlobalPlacer:
                 seed=opts.seed,
                 max_iters=opts.max_iters,
                 resumed=resume_cp is not None,
+                pid=os.getpid(),
             )
 
         trace: List[Dict[str, float]] = []
@@ -382,19 +378,12 @@ class GlobalPlacer:
         with _faults_armed(injector):
             while iteration < opts.max_iters:
                 last_iteration = iteration
-                if heartbeat is not None:
-                    # Re-asserting phase="place" also restores it after a
-                    # nested stage (rsmt_rebuild) stamped its own phase.
-                    heartbeat.update(phase="place", iteration=iteration)
                 if sampler is not None:
                     sampled = sampler.maybe_sample()
                     if sampled is not None:
-                        if recorder is not None:
-                            recorder.event(
-                                "resource", iteration=iteration, **sampled
-                            )
-                        if heartbeat is not None:
-                            heartbeat.update(resources=sampled)
+                        recorder.event(
+                            "resource", iteration=iteration, **sampled
+                        )
                 injector.begin_iteration(iteration)
                 if manager.enabled:
                     manager.maybe_save(iteration, make_checkpoint)
@@ -633,12 +622,9 @@ class GlobalPlacer:
             # window ends with its true peak on record.
             sampled = sampler.sample()
             if sampled is not None:
-                if recorder is not None:
-                    recorder.event(
-                        "resource", iteration=last_iteration, **sampled
-                    )
-                if heartbeat is not None:
-                    heartbeat.update(resources=sampled, force=True)
+                recorder.event(
+                    "resource", iteration=last_iteration, **sampled
+                )
         if recorder is not None:
             recorder.event(
                 "run_end",

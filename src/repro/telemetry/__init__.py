@@ -8,16 +8,14 @@ The observability layer of the placement stack:
 - :mod:`repro.telemetry.events` - typed per-iteration metric events
   streamed to JSONL (:class:`MetricsRecorder`, armed per run via
   :func:`recording`/:func:`current_recorder`);
-- :mod:`repro.telemetry.registry` - the *live* layer: on-disk heartbeat
-  records per active run (:class:`RunRegistry`/:class:`Heartbeat`,
-  armed per run via :func:`heartbeating`/:func:`current_heartbeat`)
-  with stale/dead detection behind ``python -m repro status``;
 - :mod:`repro.telemetry.resources` - zero-dependency CPU/RSS/fault
   sampling streamed as ``resource`` events and rolled into manifests;
 - :mod:`repro.telemetry.manifest` - run manifests (design, mode,
   options, seed, git rev, interpreter versions, outcome, span stats);
 - :mod:`repro.telemetry.session` - run-directory lifecycle
-  (:func:`start_run` -> :class:`RunSession`);
+  (:func:`start_run` -> :class:`RunSession`) and the live view read
+  back from a run directory (:func:`run_state` -> :class:`RunState`,
+  with the live/stale/dead rule behind ``python -m repro status``);
 - :mod:`repro.telemetry.history` - append-only perf-regression ledger
   under ``benchmarks/history/`` behind ``python -m repro
   trend``;
@@ -47,16 +45,8 @@ from .manifest import (
     make_run_id,
     write_manifest,
 )
-from .registry import (
-    Heartbeat,
-    HeartbeatRecord,
-    RunRegistry,
-    current_heartbeat,
-    heartbeating,
-    pid_alive,
-)
 from .resources import ResourceSampler, resource_delta, sample_resources
-from .session import RunSession, start_run
+from .session import RunSession, RunState, pid_alive, run_state, start_run
 
 __all__ = [
     "EVENT_KINDS",
@@ -76,15 +66,12 @@ __all__ = [
     "load_manifest",
     "make_run_id",
     "write_manifest",
-    "Heartbeat",
-    "HeartbeatRecord",
-    "RunRegistry",
-    "current_heartbeat",
-    "heartbeating",
-    "pid_alive",
     "ResourceSampler",
     "resource_delta",
     "sample_resources",
     "RunSession",
+    "RunState",
+    "pid_alive",
+    "run_state",
     "start_run",
 ]

@@ -28,7 +28,8 @@ Kind-specific payloads:
 =================  ====================================================
 kind               extra fields
 =================  ====================================================
-``run_start``      ``design``, ``seed``, ``max_iters``, ``resumed``
+``run_start``      ``design``, ``seed``, ``max_iters``, ``resumed``,
+                   ``pid`` (the writing process; absent in older streams)
 ``iteration``      ``metrics`` - dict of scalar series values (hpwl,
                    overflow, lambda, tns_smoothed, wns_smoothed,
                    tns_frac, wns_frac, lse_saturation, rsmt_cache_hit,
@@ -66,7 +67,9 @@ Version history:
   Readers stay back-compatible: v1 records are valid v2 records minus
   the monotonic stamp.  The suite supervisor's ``task_retry`` /
   ``task_quarantine`` / ``worker_respawn`` kinds left v2 with their
-  writer; no run stream ever carried them.
+  writer; no run stream ever carried them.  ``run_start``'s ``pid`` is
+  additive (no version bump): :func:`repro.telemetry.session.run_state`
+  judges liveness by age alone where it is missing.
 """
 
 from __future__ import annotations

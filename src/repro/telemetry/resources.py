@@ -1,7 +1,7 @@
 """Zero-dependency process resource sampling.
 
 The observability layer needs CPU time, resident-set size, and fault
-counts for every live run without adding a dependency (no ``psutil``).
+counts for every run without adding a dependency (no ``psutil``).
 Two sources cover that:
 
 - :func:`resource.getrusage` (POSIX) for CPU user/sys seconds, peak RSS,
@@ -16,7 +16,8 @@ degrades to a graceful no-op returning ``None`` - call sites already
 treat a missing sample as "nothing to report".
 
 Samples are plain dicts so they serialize straight into ``resource``
-telemetry events and manifest rollups:
+telemetry events (the last one is the RSS ``python -m repro status``
+shows) and manifest rollups:
 
 ``rss_bytes``        current resident set size
 ``peak_rss_bytes``   lifetime peak resident set size
@@ -49,35 +50,13 @@ __all__ = [
     "ResourceSampler",
 ]
 
-#: Fields a sample dict always carries (in emission order).
-SAMPLE_FIELDS = (
-    "rss_bytes",
-    "peak_rss_bytes",
-    "cpu_user_s",
-    "cpu_sys_s",
-    "minor_faults",
-    "major_faults",
-)
-
-_PAGE_SIZE: Optional[int] = None
-
-
-def _page_size() -> int:
-    global _PAGE_SIZE
-    if _PAGE_SIZE is None:
-        try:
-            _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE")
-        except (AttributeError, ValueError, OSError):
-            _PAGE_SIZE = 4096
-    return _PAGE_SIZE
-
 
 def _current_rss_bytes() -> Optional[int]:
     """Current RSS from ``/proc/self/statm``, or None off Linux."""
     try:
         with open("/proc/self/statm") as handle:
             fields = handle.read().split()
-        return int(fields[1]) * _page_size()
+        return int(fields[1]) * os.sysconf("SC_PAGE_SIZE")
     except (OSError, IndexError, ValueError):
         return None
 
@@ -136,22 +115,17 @@ class ResourceSampler:
     def __init__(self, min_interval_s: float = 2.0) -> None:
         self.min_interval_s = float(min_interval_s)
         self._last_mono: Optional[float] = None
-        self.last_sample: Optional[Dict[str, Any]] = None
 
     def maybe_sample(self) -> Optional[Dict[str, Any]]:
         """A sample if the throttle window elapsed, else None."""
-        now = time.monotonic()
         if (
             self._last_mono is not None
-            and now - self._last_mono < self.min_interval_s
+            and time.monotonic() - self._last_mono < self.min_interval_s
         ):
             return None
-        return self.sample(now=now)
+        return self.sample()
 
-    def sample(self, now: Optional[float] = None) -> Optional[Dict[str, Any]]:
+    def sample(self) -> Optional[Dict[str, Any]]:
         """An unconditional sample (still None off-POSIX)."""
-        self._last_mono = time.monotonic() if now is None else now
-        sampled = sample_resources()
-        if sampled is not None:
-            self.last_sample = sampled
-        return sampled
+        self._last_mono = time.monotonic()
+        return sample_resources()

@@ -1,13 +1,14 @@
 """Observability surfaces: status/tail/trend CLIs and trace export.
 
-Covers the reader side of the live-observability stack: registry
-rendering, torn-line-safe event following with convergence deltas, the
-Chrome ``trace_event`` export behind ``--trace-out``, and the
-perf-regression ledger's drift gate.
+Covers the reader side of the live-observability stack: ``status``
+rendered from run directories, torn-line-safe event following with
+convergence deltas, the Chrome ``trace_event`` export behind
+``--trace-out``, and the perf-regression ledger's drift gate.
 """
 
 import json
 import os
+import time
 
 import pytest
 
@@ -16,19 +17,20 @@ from repro.harness.observe import EventFollower, format_status
 from repro.perf import PROFILER, write_chrome_trace
 from repro.telemetry.events import MetricsRecorder
 from repro.telemetry.history import append_record, load_history
-from repro.telemetry.registry import Heartbeat, HeartbeatRecord, RunRegistry
+from repro.telemetry.session import run_state, start_run
 
 
-def _seed_record(tmp_path, run_id="live_run", **kwargs):
-    registry = RunRegistry(str(tmp_path))
-    record = HeartbeatRecord(
+def _seed_run(tmp_path, run_id="live_run"):
+    """An in-flight run of this process, started but not finalized."""
+    session = start_run(
+        str(tmp_path), design="midiblue50", mode="ours", seed=0,
         run_id=run_id,
-        pid=os.getpid(),
-        design="midiblue50",
-        mode="ours",
-        **kwargs,
     )
-    return Heartbeat(registry, record, min_interval_s=0.0)
+    session.recorder.event(
+        "run_start", iteration=0, design="midiblue50", seed=0,
+        max_iters=600, resumed=False, pid=os.getpid(),
+    )
+    return session
 
 
 class TestStatus:
@@ -38,31 +40,46 @@ class TestStatus:
         assert "RUN" in out and "(no active runs)" in out
 
     def test_live_run_row(self, tmp_path, capsys):
-        beat = _seed_record(tmp_path)
-        beat.update(phase="place", iteration=42)
+        session = _seed_run(tmp_path)
+        session.recorder.iteration(42, {"hpwl": 1.0})
+        session.recorder.event(
+            "resource", iteration=42, rss_bytes=64 << 20,
+            cpu_user_s=1.5, cpu_sys_s=0.2,
+        )
+        session.recorder.close()
         assert harness_main(["status", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "live_run" in out
-        assert "midiblue50" in out
-        assert "place" in out
-        assert "live" in out
+        (row,) = capsys.readouterr().out.splitlines()[1:]
+        fields = row.split()
+        assert fields[:7] == [
+            "live_run", "midiblue50", "ours", "place", "42", "-", "64.0MB",
+        ]
+        assert fields[-1] == "live"
 
     def test_json_output_carries_state_and_rate(self, tmp_path, capsys):
-        beat = _seed_record(tmp_path)
-        beat.update(phase="place", iteration=10)
-        beat.record.anchor_ts -= 1.0
-        beat.update(iteration=20, force=True)
+        session = _seed_run(tmp_path)
+        session.recorder.iteration(10, {"hpwl": 1.0})
+        time.sleep(0.01)
+        session.recorder.iteration(20, {"hpwl": 1.0})
+        session.recorder.close()
         assert harness_main(["status", str(tmp_path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         (entry,) = payload
         assert entry["run_id"] == "live_run"
         assert entry["state"] == "live"
         assert entry["iteration_rate"] > 0
+        assert {
+            "run_id", "pid", "design", "mode", "phase", "iteration",
+            "started", "ts", "ts_mono", "anchor_iteration", "anchor_ts",
+            "rss_bytes", "cpu_user_s", "cpu_sys_s", "extra", "state",
+            "age_s", "iteration_rate",
+        } <= set(entry)
 
     def test_format_status_stale_threshold(self, tmp_path):
-        beat = _seed_record(tmp_path)
-        beat.record.ts -= 100.0
-        records = [beat.record]
+        session = _seed_run(tmp_path)
+        session.recorder.close()
+        state = run_state(session.run_dir)
+        state.ts -= 100.0
+        records = [state]
         assert "stale" in format_status(records, stale_after_s=15.0)
         assert "live" in format_status(records, stale_after_s=3600.0)
 

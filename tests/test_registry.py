@@ -1,12 +1,17 @@
-"""Run-registry lifecycle: register, beat, clean exit, SIGKILL, GC.
+"""The run registry is the telemetry directory itself.
 
-The acceptance scenarios of the live-observability registry:
+Each run's ``manifest.json`` and ``events.jsonl`` are its only live
+record; :func:`repro.telemetry.session.run_state` reads them back for
+``status`` and for the supervisor's post-mortem:
 
-- a run registers on start and its clean exit removes the record;
-- a SIGKILL'd process leaves its last beat behind, ``status`` flags the
-  record as dead, and a later registry user garbage-collects it;
+- a run is listed from its start until its manifest is finalized,
+  cleanly or by an exception;
+- its phase is ``setup`` until the first iteration after the last
+  ``run_start``, ``place`` after it, ``sta`` once ``run_end`` is written;
+- a SIGKILL'd process leaves its stream behind: ``status`` flags the run
+  as dead at its last iteration, and the supervisor quotes where it was;
 - stale detection distinguishes a hung-but-alive run from a dead one;
-- the placer loop and ``run_mode`` feed heartbeats end to end.
+- ``run_mode`` leaves the run directory and nothing else.
 """
 
 import json
@@ -14,142 +19,206 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 import pytest
 
 import repro.harness.supervisor as supervisor_mod
+from repro.harness.__main__ import main as harness_main
 from repro.harness.runners import run_mode
+from repro.harness.supervisor import SuiteTask
 from repro.place.placer import PlacerOptions
-from repro.telemetry.registry import (
+from repro.telemetry.session import (
     DEFAULT_STALE_AFTER_S,
-    Heartbeat,
-    HeartbeatRecord,
-    RunRegistry,
-    current_heartbeat,
-    heartbeating,
     pid_alive,
+    run_state,
+    start_run,
 )
 
+RUN_ID = "miniblue1_ours_s0"
 
-def _record(run_id="r1", pid=None, **kwargs):
-    return HeartbeatRecord(
-        run_id=run_id,
-        pid=pid if pid is not None else os.getpid(),
-        design="miniblue1",
-        mode="ours",
-        **kwargs,
+
+def _start(base, pid=None, run_id=RUN_ID):
+    """A run directory whose stream holds one ``run_start``."""
+    session = start_run(
+        str(base), design="miniblue1", mode="ours", seed=0, run_id=run_id
     )
+    session.recorder.event(
+        "run_start", iteration=0, design="miniblue1", seed=0,
+        max_iters=600, resumed=False,
+        pid=os.getpid() if pid is None else pid,
+    )
+    return session
+
+
+def _started(base, pid=None):
+    """The directory of a started run whose process left it in place."""
+    session = _start(base, pid=pid)
+    session.recorder.close()
+    return session.run_dir
+
+
+def _status_json(base, capsys):
+    assert harness_main(["status", str(base), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _dead_pid():
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    assert not pid_alive(proc.pid)
+    return proc.pid
 
 
 class TestLifecycle:
-    def test_register_beat_clean_exit_removes(self, tmp_path):
-        registry = RunRegistry(str(tmp_path))
-        beat = Heartbeat(registry, _record(), min_interval_s=0.0)
-        assert registry.read("r1") is not None
-        assert beat.update(phase="place", iteration=3)
-        stored = registry.read("r1")
-        assert stored.phase == "place"
-        assert stored.iteration == 3
-        beat.close(remove=True)
-        assert registry.read("r1") is None
-        assert registry.list() == []
+    def test_register_beat_clean_exit_removes(self, tmp_path, capsys):
+        session = _start(tmp_path)
+        session.recorder.iteration(3, {"hpwl": 1.0})
+        (entry,) = _status_json(tmp_path, capsys)
+        assert entry["run_id"] == RUN_ID
+        assert (entry["phase"], entry["iteration"]) == ("place", 3)
+        assert entry["pid"] == os.getpid()
+        session.finalize()
+        assert _status_json(tmp_path, capsys) == []
 
     def test_close_without_remove_keeps_post_mortem_record(self, tmp_path):
-        registry = RunRegistry(str(tmp_path))
-        beat = Heartbeat(registry, _record(), min_interval_s=0.0)
-        beat.update(phase="rsmt_rebuild", iteration=412)
-        beat.close(remove=False)
-        stored = registry.read("r1")
-        assert stored.phase == "rsmt_rebuild" and stored.iteration == 412
-        # A closed heartbeat never writes again.
-        assert not beat.update(phase="sta", force=True)
-
-    def test_throttle_skips_fast_beats_but_phase_change_writes(
-        self, tmp_path
-    ):
-        registry = RunRegistry(str(tmp_path))
-        beat = Heartbeat(registry, _record(), min_interval_s=3600.0)
-        assert not beat.update(iteration=1), "inside min_interval"
-        assert beat.update(phase="place", iteration=2), "phase change"
-        assert not beat.update(iteration=3)
-        assert beat.update(iteration=4, force=True)
-        # Unwritten progress still lands with the next persisted beat.
-        assert registry.read("r1").iteration == 4
+        """An unfinalized run keeps its last position on disk."""
+        session = _start(tmp_path)
+        session.recorder.iteration(412, {"hpwl": 1.0})
+        session.recorder.close()
+        state = run_state(session.run_dir)
+        assert state.active
+        assert state.where() == "at iteration 412 in place"
 
     def test_iteration_rate_uses_first_iteration_anchor(self, tmp_path):
-        registry = RunRegistry(str(tmp_path))
-        beat = Heartbeat(registry, _record(), min_interval_s=0.0)
-        assert registry.read("r1").iteration_rate() is None
-        beat.update(iteration=10)
-        beat.record.anchor_ts -= 2.0  # pretend the anchor is 2s old
-        beat.update(iteration=30, force=True)
-        rate = registry.read("r1").iteration_rate()
-        assert rate == pytest.approx(10.0, rel=0.2)
+        session = _start(tmp_path)
+        session.recorder.iteration(10, {"hpwl": 1.0})
+        assert run_state(session.run_dir).iteration_rate is None
+        session.recorder.iteration(30, {"hpwl": 1.0})
+        session.recorder.close()
+        path = os.path.join(session.run_dir, "events.jsonl")
+        with open(path) as handle:
+            events = [json.loads(line) for line in handle]
+        events[1]["ts_mono"] -= 2.0  # pretend the anchor is 2 s older
+        with open(path, "w") as handle:
+            handle.writelines(json.dumps(e) + "\n" for e in events)
+        state = run_state(session.run_dir)
+        assert state.anchor_iteration == 10
+        assert state.iteration_rate == pytest.approx(10.0, rel=0.2)
 
-    def test_heartbeating_arms_and_restores(self, tmp_path):
-        registry = RunRegistry(str(tmp_path))
-        beat = Heartbeat(registry, _record())
-        assert current_heartbeat() is None
-        with heartbeating(beat):
-            assert current_heartbeat() is beat
-        assert current_heartbeat() is None
-        with heartbeating(None):
-            assert current_heartbeat() is None
+    def test_phases_setup_place_sta(self, tmp_path):
+        session = start_run(
+            str(tmp_path), design="miniblue1", mode="ours", seed=0,
+            run_id=RUN_ID,
+        )
+        state = run_state(session.run_dir)
+        assert (state.phase, state.pid, state.iteration) == (
+            "setup", None, None
+        )
+        session.recorder.event(
+            "run_start", iteration=0, design="miniblue1", seed=0,
+            max_iters=600, resumed=False, pid=os.getpid(),
+        )
+        assert run_state(session.run_dir).phase == "setup"
+        session.recorder.iteration(0, {"hpwl": 1.0})
+        assert run_state(session.run_dir).phase == "place"
+        session.recorder.event(
+            "run_end", iteration=0, stop_reason="max_iters", iterations=1,
+            hpwl=1.0, overflow=0.5,
+        )
+        state = run_state(session.run_dir)
+        assert (state.active, state.phase) == (True, "sta")
+        session.finalize()
+        assert not run_state(session.run_dir).active
+
+    def test_exception_finalized_run_is_not_listed(self, tmp_path, capsys):
+        session = _start(tmp_path)
+        session.finalize(final_metrics={"stop_reason": "exception"})
+        assert _status_json(tmp_path, capsys) == []
+        assert harness_main(["status", str(tmp_path)]) == 0
+        assert "(no active runs)" in capsys.readouterr().out
+
+    def test_resumed_stream_uses_the_last_run_start(self, tmp_path):
+        session = _start(tmp_path, pid=_dead_pid())
+        session.recorder.iteration(20, {"hpwl": 1.0})
+        session.finalize()
+        resumed = start_run(
+            session.run_dir, design="miniblue1", mode="ours", seed=0,
+            resume=True,
+        )
+        state = run_state(resumed.run_dir)
+        assert state.active, "a resumed run is in flight again"
+        resumed.recorder.event(
+            "run_start", iteration=10, design="miniblue1", seed=0,
+            max_iters=600, resumed=True, pid=os.getpid(),
+        )
+        state = run_state(resumed.run_dir)
+        assert (state.pid, state.phase, state.iteration) == (
+            os.getpid(), "setup", None
+        )
+        assert state.state() == "live"
+        resumed.recorder.iteration(10, {"hpwl": 1.0})
+        resumed.recorder.close()
+        assert run_state(resumed.run_dir).where() == "at iteration 10 in place"
 
 
 class TestStates:
     def test_fresh_record_with_live_pid_is_live(self, tmp_path):
-        registry = RunRegistry(str(tmp_path))
-        Heartbeat(registry, _record())
-        assert registry.read("r1").state() == "live"
+        assert run_state(_started(tmp_path)).state() == "live"
 
-    def test_old_beat_with_live_pid_is_stale_not_garbage(self, tmp_path):
-        registry = RunRegistry(str(tmp_path))
-        record = _record()
-        Heartbeat(registry, record)
-        stored = registry.read("r1")
-        now = stored.ts + DEFAULT_STALE_AFTER_S + 1.0
-        assert stored.state(now=now) == "stale"
-        # GC only collects dead pids: a hung run is evidence, not trash.
-        assert registry.gc() == []
-        assert registry.read("r1") is not None
+    def test_old_beat_with_live_pid_is_stale_not_garbage(
+        self, tmp_path, capsys
+    ):
+        state = run_state(_started(tmp_path))
+        now = state.ts + DEFAULT_STALE_AFTER_S + 1.0
+        assert state.state(now=now) == "stale"
+        # A hung run stays listed: it is evidence, not trash.
+        assert [e["run_id"] for e in _status_json(tmp_path, capsys)] == [
+            RUN_ID
+        ]
 
-    def test_dead_pid_is_dead_and_gc_collects(self, tmp_path):
-        registry = RunRegistry(str(tmp_path))
-        proc = subprocess.Popen([sys.executable, "-c", "pass"])
-        proc.wait()
-        assert not pid_alive(proc.pid)
-        registry.write(_record(run_id="gone", pid=proc.pid))
-        assert registry.read("gone").state() == "dead"
-        collected = registry.gc()
-        assert [r.run_id for r in collected] == ["gone"]
-        assert registry.read("gone") is None
+    def test_dead_pid_is_dead_and_stays_listed(self, tmp_path, capsys):
+        _started(tmp_path, pid=_dead_pid())
+        (entry,) = _status_json(tmp_path, capsys)
+        assert entry["state"] == "dead"
+
+    def test_no_pid_yet_is_judged_by_age(self, tmp_path):
+        session = start_run(
+            str(tmp_path), design="miniblue1", mode="ours", seed=0,
+            run_id=RUN_ID,
+        )
+        session.recorder.close()
+        state = run_state(session.run_dir)
+        assert state.pid is None
+        assert state.state() == "live"
+        assert state.state(now=state.ts + DEFAULT_STALE_AFTER_S + 1.0) == (
+            "stale"
+        )
 
 
 _CHILD_SCRIPT = """
 import os, sys, time
-from repro.telemetry.registry import Heartbeat, HeartbeatRecord, RunRegistry
+from repro.telemetry.session import start_run
 
-registry = RunRegistry(sys.argv[1])
-beat = Heartbeat(registry, HeartbeatRecord(
-    run_id="victim", pid=os.getpid(), design="miniblue1", mode="ours",
-), min_interval_s=0.0)
-beat.update(phase="place", iteration=412)
+session = start_run(
+    sys.argv[1], design="miniblue1", mode="ours", seed=0, run_id=sys.argv[2]
+)
+session.recorder.event(
+    "run_start", iteration=0, design="miniblue1", seed=0, max_iters=600,
+    resumed=False, pid=os.getpid(),
+)
+session.recorder.iteration(412, {"hpwl": 1.0})
 print("ready", flush=True)
 time.sleep(600)
 """
 
 
 class TestSigkilledRun:
-    def test_sigkill_leaves_record_status_flags_later_run_gcs(
+    def test_sigkill_leaves_state_status_flags_dead_supervisor_quotes(
         self, tmp_path, capsys
     ):
-        """Satellite scenario: SIGKILL a beating process; the record
-        survives as the post-mortem, ``status`` shows it dead, and the
-        next registry user garbage-collects it."""
-        from repro.harness.__main__ import main as harness_main
-
+        """SIGKILL a run mid-placement: its stream is the post-mortem,
+        ``status`` shows it dead at iteration 412, and the supervisor
+        quotes where it was."""
         base = str(tmp_path)
         env = dict(os.environ)
         env["PYTHONPATH"] = (
@@ -158,7 +227,7 @@ class TestSigkilledRun:
             + env.get("PYTHONPATH", "")
         )
         proc = subprocess.Popen(
-            [sys.executable, "-c", _CHILD_SCRIPT, base],
+            [sys.executable, "-c", _CHILD_SCRIPT, base, RUN_ID],
             stdout=subprocess.PIPE,
             env=env,
             text=True,
@@ -170,60 +239,40 @@ class TestSigkilledRun:
         finally:
             if proc.poll() is None:  # pragma: no cover - cleanup
                 proc.kill()
-
-        registry = RunRegistry(base)
-        stored = registry.read("victim")
-        assert stored is not None, "SIGKILL must not erase the last beat"
-        assert stored.phase == "place" and stored.iteration == 412
-        assert stored.state() == "dead"
+            proc.stdout.close()
 
         assert harness_main(["status", base]) == 0
-        out = capsys.readouterr().out
-        assert "victim" in out and "dead" in out
+        (row,) = capsys.readouterr().out.splitlines()[1:]
+        assert RUN_ID in row and " 412 " in row and row.endswith("dead")
 
-        # The post-mortem is still readable the way the supervisor
-        # quotes it in timeout/quarantine errors.
-        heartbeat = {
-            "phase": stored.phase,
-            "iteration": stored.iteration,
-            "age_s": round(stored.age_s(), 1),
-        }
-        message = supervisor_mod._Supervisor._describe_heartbeat(heartbeat)
-        assert "at iteration 412 in place" in message
-        assert "silent for" in message
+        task = SuiteTask(
+            design="miniblue1", mode="ours", seed=0, telemetry_dir=base
+        )
+        message = supervisor_mod._Supervisor._last_seen(task)
+        assert message.startswith(
+            "; last seen at iteration 412 in place, silent for"
+        )
 
-        # A later `status --gc` (any new registry user would do the
-        # same) collects the dead record.
-        assert harness_main(["status", base, "--gc"]) == 0
-        assert "gc: removed dead record victim" in capsys.readouterr().out
-        assert registry.read("victim") is None
-
-    def test_describe_heartbeat_formats(self):
-        describe = supervisor_mod._Supervisor._describe_heartbeat
-        assert describe(None) == ""
-        assert describe(
-            {"phase": "rsmt_rebuild", "iteration": 412, "age_s": 93.0}
-        ) == "; last seen at iteration 412 in rsmt_rebuild, silent for 93s"
-        assert describe(
-            {"phase": "setup", "iteration": None, "age_s": 5.0}
-        ) == "; last seen in setup, silent for 5s"
+    def test_last_seen_formats(self, tmp_path):
+        last_seen = supervisor_mod._Supervisor._last_seen
+        task = SuiteTask(
+            design="miniblue1", mode="ours", seed=0,
+            telemetry_dir=str(tmp_path),
+        )
+        assert last_seen(SuiteTask(design="miniblue1", mode="ours")) == ""
+        assert last_seen(task) == "", "the run never started"
+        start_run(
+            str(tmp_path), design="miniblue1", mode="ours", seed=0,
+            run_id=task.run_id,
+        ).recorder.close()
+        assert last_seen(task).startswith("; last seen in setup, silent for")
 
 
 class TestRunModeIntegration:
     def test_run_registers_beats_and_cleans_up(
-        self, small_design, tmp_path, monkeypatch
+        self, small_design, tmp_path, capsys
     ):
         base = str(tmp_path / "tel")
-        registry = RunRegistry(base)
-        seen = {}
-        original = RunRegistry.write
-
-        def spy(self, record):
-            seen.setdefault("phases", set()).add(record.phase)
-            seen["last"] = record
-            return original(self, record)
-
-        monkeypatch.setattr(RunRegistry, "write", spy)
         record = run_mode(
             small_design,
             "dreamplace",
@@ -231,23 +280,46 @@ class TestRunModeIntegration:
             telemetry_dir=base,
             run_id="lifecycle",
         )
-        # The run registered, progressed through its phases, and the
-        # clean finalize removed the record.
-        assert {"setup", "place", "sta"} <= seen["phases"]
-        assert seen["last"].pid == os.getpid()
-        assert registry.list() == []
+        run_dir = os.path.join(base, "lifecycle")
+        with open(os.path.join(run_dir, "events.jsonl")) as handle:
+            events = [json.loads(line) for line in handle]
+        # The run named its process, progressed, and the clean finalize
+        # took it off the active list.
+        assert events[0]["kind"] == "run_start"
+        assert events[0]["pid"] == os.getpid()
+        assert any(e["kind"] == "iteration" for e in events)
+        state = run_state(run_dir)
+        assert not state.active
+        assert state.pid == os.getpid()
+        assert _status_json(base, capsys) == []
         # The manifest rolled up the run's resource usage (POSIX only).
-        manifest_path = os.path.join(base, "lifecycle", "manifest.json")
-        with open(manifest_path) as handle:
+        with open(os.path.join(run_dir, "manifest.json")) as handle:
             manifest = json.load(handle)
         if record.resources is not None:
             assert manifest["resources"]["peak_rss_bytes"] > 0
             assert manifest["resources"]["cpu_user_s"] >= 0.0
 
+    def test_run_leaves_only_manifest_and_events(self, small_design, tmp_path):
+        base = tmp_path / "tel"
+        run_mode(
+            small_design,
+            "dreamplace",
+            placer_options=PlacerOptions(max_iters=4, min_iters=2, seed=0),
+            telemetry_dir=str(base),
+            run_id="only",
+        )
+        assert os.listdir(base) == ["only"]
+        assert sorted(os.listdir(base / "only")) == [
+            "events.jsonl", "manifest.json"
+        ]
+
     def test_torn_registry_record_reads_as_absent(self, tmp_path):
-        registry = RunRegistry(str(tmp_path))
-        os.makedirs(registry.path, exist_ok=True)
-        with open(os.path.join(registry.path, "torn.json"), "w") as handle:
-            handle.write('{"run_id": "torn", "pid"')
-        assert registry.read("torn") is None
-        assert registry.list() == []
+        """A torn trailing event (the writer caught mid-write) is skipped."""
+        session = _start(tmp_path)
+        session.recorder.iteration(7, {"hpwl": 1.0})
+        session.recorder.close()
+        with open(os.path.join(session.run_dir, "events.jsonl"), "a") as fh:
+            fh.write('{"ts": 1.0, "kind": "iteration", "iter')
+        state = run_state(session.run_dir)
+        assert state.iteration == 7
+        assert run_state(str(tmp_path / "no-such-run")) is None

@@ -7,7 +7,8 @@ The promises of the process boundary:
 - a task past ``task_timeout`` is killed and quarantined as ``timeout`` -
   also at ``jobs=1`` and in a one-task suite, since a set timeout always
   means a worker; so is the task of a worker that hangs before it
-  reports the start (``STARTUP_TIMEOUT``), timeout or not;
+  reports the start (``STARTUP_TIMEOUT``), timeout or not; with
+  telemetry on, the error says where the run was last seen;
 - a task that raises is quarantined as ``exception`` and the suite
   completes;
 - a clean suite leaves no trace of supervision;
@@ -46,6 +47,9 @@ TINY_TIMEOUT = 0.05
 SLOW_START, ROOMY_TIMEOUT = 1.5, 1.0
 #: A worker hung in start-up, and the start-up bound the test gives it.
 HUNG_START, TINY_STARTUP = 20.0, 1.0
+#: Long past the start of a telemetry run's directory (the manifest is
+#: written before the first iteration), far short of the task below.
+MID_RUN_TIMEOUT = 1.5
 
 
 @pytest.fixture(autouse=True)
@@ -132,6 +136,20 @@ class TestTimeout:
         for record in records:
             assert record.stop_reason == "quarantined:timeout"
             assert "wall-clock timeout" in record.quarantine["error"]
+
+    def test_timeout_quotes_where_the_run_was_last_seen(self, tmp_path):
+        """A telemetry task killed mid-run: the quarantine error says
+        where its run directory last saw it."""
+        task = SuiteTask(
+            design="miniblue4",
+            mode="dreamplace",
+            max_iters=100000,
+            telemetry_dir=str(tmp_path),
+            extra_placer_options={"stop_overflow": 0.0},
+        )
+        (record,) = run_tasks([task], jobs=1, task_timeout=MID_RUN_TIMEOUT)
+        assert record.stop_reason == "quarantined:timeout"
+        assert "last seen" in record.quarantine["error"]
 
     def test_one_task_suite_honours_the_timeout(self):
         """A one-task suite at jobs=2 still runs its task on a worker."""
