@@ -17,8 +17,6 @@ Telemetry::
 
     python -m repro report out/<run_id>       # markdown + curves
     python -m repro compare out/<a> out/<b>   # regression gate
-    python -m repro status out/               # who is running right now
-    python -m repro tail out/ --run <run_id>  # follow convergence
     python -m repro trend                     # perf-regression ledger gate
 """
 
@@ -331,28 +329,6 @@ def _cmd_compare(args) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_status(args) -> int:
-    """``status``: list the active runs under a telemetry dir."""
-    from .harness.observe import cmd_status
-
-    return cmd_status(
-        args.telemetry_dir, stale_after_s=args.stale_after, as_json=args.json
-    )
-
-
-def _cmd_tail(args) -> int:
-    """``tail``: follow one run's event stream with convergence deltas."""
-    from .harness.observe import cmd_tail
-
-    return cmd_tail(
-        args.target,
-        run_id=args.run,
-        once=args.once,
-        interval_s=args.interval,
-        timeout_s=args.timeout,
-    )
-
-
 def _cmd_trend(args) -> int:
     """``trend``: render the perf ledger; exit 1 on drift past rtol."""
     from .telemetry.history import (
@@ -610,54 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: span timing is informational)",
     )
     cmp_p.set_defaults(func=_cmd_compare)
-
-    status_p = sub.add_parser(
-        "status", help="show the active runs of a telemetry dir and "
-        "whether each is live, stale or dead"
-    )
-    status_p.add_argument(
-        "telemetry_dir", help="telemetry directory holding the run dirs"
-    )
-    status_p.add_argument(
-        "--stale-after",
-        type=float,
-        default=15.0,
-        metavar="SECONDS",
-        help="seconds since a run's last event past which a live pid "
-        "counts as stale (default 15)",
-    )
-    status_p.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    status_p.set_defaults(func=_cmd_status)
-
-    tail_p = sub.add_parser(
-        "tail", help="follow a run's event stream with convergence deltas"
-    )
-    tail_p.add_argument(
-        "target",
-        help="run directory, events.jsonl path, or telemetry dir "
-        "(with --run)",
-    )
-    tail_p.add_argument(
-        "--run", default=None, metavar="RUN_ID",
-        help="run id inside a telemetry directory",
-    )
-    tail_p.add_argument(
-        "--once",
-        action="store_true",
-        help="parse the stream as it is now and exit (CI mode; torn "
-        "trailing records are counted, not fatal)",
-    )
-    tail_p.add_argument(
-        "--interval", type=float, default=0.5, metavar="SECONDS",
-        help="poll interval while following (default 0.5)",
-    )
-    tail_p.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="stop following after this long even without run_end",
-    )
-    tail_p.set_defaults(func=_cmd_tail)
 
     trend_p = sub.add_parser(
         "trend", help="render the perf ledger; nonzero exit on drift"

@@ -149,7 +149,6 @@ def run_mode(
             seed=popts.seed,
             options={
                 "max_iters": popts.max_iters,
-                "trace_every": popts.trace_every,
                 "checkpoint_every": popts.checkpoint_every,
                 "with_trace_sta": with_trace_sta,
             },

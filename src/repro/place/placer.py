@@ -30,7 +30,6 @@ The driver runs inside the guarded runtime of :mod:`repro.runtime`:
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -52,7 +51,6 @@ from ..runtime.validate import (
     validate_design,
 )
 from ..telemetry.events import current_recorder
-from ..telemetry.resources import ResourceSampler
 from .density import DensityModel
 from .optimizer import NesterovOptimizer
 from .wirelength import WAWirelength
@@ -61,6 +59,14 @@ __all__ = ["PlacerOptions", "PlacerResult", "GlobalPlacer"]
 
 ExtraGradFn = Callable[[int, np.ndarray, np.ndarray], Optional[Tuple]]
 NetWeightFn = Callable[[int, np.ndarray, np.ndarray], Optional[np.ndarray]]
+
+#: Wirelength smoothing at full overflow, in bin sizes.
+GAMMA_BASE_FACTOR = 4.0
+#: Initial density weight as a ratio of the two gradient norms.
+LAMBDA_INIT_RATIO = 5e-4
+#: Per-iteration growth of the density weight while overflow shrinks.
+LAMBDA_MULT = 1.05
+LAMBDA_MAX = 1e6
 
 
 def _auto_bins(design: Design) -> int:
@@ -88,14 +94,9 @@ class PlacerOptions:
     max_iters: int = 500
     min_iters: int = 40
     stop_overflow: float = 0.08
-    gamma_base_factor: float = 4.0  # wirelength smoothing, in bin sizes
-    lambda_init_ratio: float = 5e-4  # initial density weight vs gradient norms
-    lambda_mult: float = 1.05
-    lambda_max: float = 1e6
     lr_fraction: float = 0.05  # initial step as fraction of die span
     noise_fraction: float = 0.02  # initial spread of movable cells
     seed: int = 0
-    trace_every: int = 1
     verbose: bool = False
     # ------------------------------------------------------------------
     # Guarded runtime (repro.runtime)
@@ -221,7 +222,7 @@ class GlobalPlacer:
 
     def _gamma(self, overflow: float) -> float:
         """Wirelength smoothing schedule: tight when nearly spread."""
-        base = self.options.gamma_base_factor * self.density.bin_size
+        base = GAMMA_BASE_FACTOR * self.density.bin_size
         return base * (0.1 + 0.9 * min(max(overflow, 0.0), 1.0))
 
     # ------------------------------------------------------------------
@@ -246,10 +247,6 @@ class GlobalPlacer:
         if injector is None:
             injector = FaultInjector(FaultSpec.from_env())
         recorder = current_recorder()
-        # Resource samples feed the event stream (convergence-vs-RSS
-        # plots, the live `status` display); skip the sampler entirely
-        # when no recorder is armed.
-        sampler = ResourceSampler() if recorder is not None else None
 
         n = design.n_cells
         xl, yl, xh, yh = design.die
@@ -323,7 +320,6 @@ class GlobalPlacer:
                 seed=opts.seed,
                 max_iters=opts.max_iters,
                 resumed=resume_cp is not None,
-                pid=os.getpid(),
             )
 
         trace: List[Dict[str, float]] = []
@@ -378,12 +374,6 @@ class GlobalPlacer:
         with _faults_armed(injector):
             while iteration < opts.max_iters:
                 last_iteration = iteration
-                if sampler is not None:
-                    sampled = sampler.maybe_sample()
-                    if sampled is not None:
-                        recorder.event(
-                            "resource", iteration=iteration, **sampled
-                        )
                 injector.begin_iteration(iteration)
                 if manager.enabled:
                     manager.maybe_save(iteration, make_checkpoint)
@@ -419,7 +409,7 @@ class GlobalPlacer:
                     d_norm = float(
                         np.abs(dres.grad_x).sum() + np.abs(dres.grad_y).sum()
                     )
-                    lam = opts.lambda_init_ratio * wl_norm / max(d_norm, 1e-12)
+                    lam = LAMBDA_INIT_RATIO * wl_norm / max(d_norm, 1e-12)
                 lam_eff = lam if lam is not None else 0.0
 
                 grad_x = gwx + lam_eff * dres.grad_x
@@ -512,11 +502,11 @@ class GlobalPlacer:
                 # placement apart.
                 if lam is not None:
                     if overflow < prev_overflow - 1e-4:
-                        lam = min(lam * opts.lambda_mult, opts.lambda_max)
+                        lam = min(lam * LAMBDA_MULT, LAMBDA_MAX)
                     else:
                         lam = min(
-                            lam * (1.0 + 0.25 * (opts.lambda_mult - 1.0)),
-                            opts.lambda_max,
+                            lam * (1.0 + 0.25 * (LAMBDA_MULT - 1.0)),
+                            LAMBDA_MAX,
                         )
                 prev_overflow = overflow
 
@@ -580,29 +570,24 @@ class GlobalPlacer:
                     current_hpwl = self.wirelength.hpwl(pos[:n], pos[n:])
                     recent_hpwl.clear()
 
-                if iteration % opts.trace_every == 0:
-                    entry = {
-                        "iteration": float(iteration),
-                        "hpwl": current_hpwl,
-                        "overflow": overflow,
-                        "lambda": lam_eff,
-                    }
-                    entry.update(extra_metrics)
-                    trace.append(entry)
-                    if recorder is not None:
-                        recorder.iteration(
-                            iteration,
-                            {
-                                k: v
-                                for k, v in entry.items()
-                                if k != "iteration"
-                            },
-                        )
-                    if opts.verbose and iteration % 50 == 0:
-                        print(
-                            f"iter {iteration:4d} hpwl {entry['hpwl']:.3e} "
-                            f"overflow {overflow:.3f}"
-                        )
+                entry = {
+                    "iteration": float(iteration),
+                    "hpwl": current_hpwl,
+                    "overflow": overflow,
+                    "lambda": lam_eff,
+                }
+                entry.update(extra_metrics)
+                trace.append(entry)
+                if recorder is not None:
+                    recorder.iteration(
+                        iteration,
+                        {k: v for k, v in entry.items() if k != "iteration"},
+                    )
+                if opts.verbose and iteration % 50 == 0:
+                    print(
+                        f"iter {iteration:4d} hpwl {entry['hpwl']:.3e} "
+                        f"overflow {overflow:.3f}"
+                    )
 
                 if (
                     iteration >= opts.min_iters
@@ -617,14 +602,6 @@ class GlobalPlacer:
         y_final = pos[n:].copy()
         runtime = time.perf_counter() - start_time
         final_hpwl = self.wirelength.hpwl(x_final, y_final)
-        if sampler is not None:
-            # Forced final sample: even a run shorter than the throttle
-            # window ends with its true peak on record.
-            sampled = sampler.sample()
-            if sampled is not None:
-                recorder.event(
-                    "resource", iteration=last_iteration, **sampled
-                )
         if recorder is not None:
             recorder.event(
                 "run_end",

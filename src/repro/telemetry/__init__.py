@@ -9,13 +9,12 @@ The observability layer of the placement stack:
   streamed to JSONL (:class:`MetricsRecorder`, armed per run via
   :func:`recording`/:func:`current_recorder`);
 - :mod:`repro.telemetry.resources` - zero-dependency CPU/RSS/fault
-  sampling streamed as ``resource`` events and rolled into manifests;
+  sampling rolled into run manifests and per-task suite records;
 - :mod:`repro.telemetry.manifest` - run manifests (design, mode,
   options, seed, git rev, interpreter versions, outcome, span stats);
 - :mod:`repro.telemetry.session` - run-directory lifecycle
-  (:func:`start_run` -> :class:`RunSession`) and the live view read
-  back from a run directory (:func:`run_state` -> :class:`RunState`,
-  with the live/stale/dead rule behind ``python -m repro status``);
+  (:func:`start_run` -> :class:`RunSession`) and where an unfinalized
+  run was last seen (:func:`run_state` -> :class:`RunState`);
 - :mod:`repro.telemetry.history` - append-only perf-regression ledger
   under ``benchmarks/history/`` behind ``python -m repro
   trend``;
@@ -33,7 +32,6 @@ from .events import (
     iteration_series,
     kind_error_message,
     read_events,
-    read_events_partial,
     recording,
     suggest_kind,
 )
@@ -45,8 +43,8 @@ from .manifest import (
     make_run_id,
     write_manifest,
 )
-from .resources import ResourceSampler, resource_delta, sample_resources
-from .session import RunSession, RunState, pid_alive, run_state, start_run
+from .resources import resource_delta, sample_resources
+from .session import RunSession, RunState, run_state, start_run
 
 __all__ = [
     "EVENT_KINDS",
@@ -57,7 +55,6 @@ __all__ = [
     "iteration_series",
     "kind_error_message",
     "read_events",
-    "read_events_partial",
     "recording",
     "suggest_kind",
     "MANIFEST_FILENAME",
@@ -66,12 +63,10 @@ __all__ = [
     "load_manifest",
     "make_run_id",
     "write_manifest",
-    "ResourceSampler",
     "resource_delta",
     "sample_resources",
     "RunSession",
     "RunState",
-    "pid_alive",
     "run_state",
     "start_run",
 ]

@@ -12,11 +12,9 @@ per line carrying at least
     Wall-clock POSIX timestamp (float seconds) at emission.
 ``ts_mono``
     Monotonic timestamp (float seconds, ``time.monotonic()``) at
-    emission.  Only comparable *within* one process's stream; live
-    tailing uses it for iteration-rate/ETA math so the numbers survive
-    wall-clock adjustments (NTP steps, suspend).  New in schema v2 -
-    v1 streams simply lack the field and readers must fall back to
-    ``ts``.
+    emission.  Only comparable *within* one process's stream; unlike
+    ``ts`` it survives wall-clock adjustments (NTP steps, suspend).
+    New in schema v2 - v1 streams simply lack the field.
 ``kind``
     One of :data:`EVENT_KINDS`.
 ``iteration``
@@ -28,8 +26,7 @@ Kind-specific payloads:
 =================  ====================================================
 kind               extra fields
 =================  ====================================================
-``run_start``      ``design``, ``seed``, ``max_iters``, ``resumed``,
-                   ``pid`` (the writing process; absent in older streams)
+``run_start``      ``design``, ``seed``, ``max_iters``, ``resumed``
 ``iteration``      ``metrics`` - dict of scalar series values (hpwl,
                    overflow, lambda, tns_smoothed, wns_smoothed,
                    tns_frac, wns_frac, lse_saturation, rsmt_cache_hit,
@@ -44,11 +41,6 @@ kind               extra fields
                    truncation on restart keeps them)
 ``checkpoint``     ``action`` (``save``/``load``), ``path``,
                    ``overflow``
-``resource``       ``rss_bytes``, ``peak_rss_bytes``, ``cpu_user_s``,
-                   ``cpu_sys_s``, ``minor_faults``, ``major_faults``
-                   (process resource sample from
-                   ``repro.telemetry.resources``, throttled; new in
-                   schema v2)
 ``run_end``        ``stop_reason``, ``iterations``, ``hpwl``,
                    ``overflow``, ``recoveries``,
                    ``quarantined_iterations``, ``nonfinite_events``
@@ -63,13 +55,14 @@ recorder is armed every telemetry call site is a cheap ``None`` check.
 Version history:
 
 - v1: initial 13-kind schema (PR 3/7), wall-clock ``ts`` only.
-- v2: adds ``ts_mono`` to every event and the ``resource`` kind.
-  Readers stay back-compatible: v1 records are valid v2 records minus
-  the monotonic stamp.  The suite supervisor's ``task_retry`` /
-  ``task_quarantine`` / ``worker_respawn`` kinds left v2 with their
-  writer; no run stream ever carried them.  ``run_start``'s ``pid`` is
-  additive (no version bump): :func:`repro.telemetry.session.run_state`
-  judges liveness by age alone where it is missing.
+- v2: adds ``ts_mono`` to every event.  Readers stay back-compatible:
+  v1 records are valid v2 records minus the monotonic stamp.  Kinds and
+  fields no writer emits any more left v2 without a version bump (a
+  reader ignores what it does not know): the suite supervisor's
+  ``task_retry`` / ``task_quarantine`` / ``worker_respawn`` kinds (no
+  run stream ever carried them), the placer's throttled ``resource``
+  samples and ``run_start``'s ``pid``.  Older streams that hold them
+  still read back.
 """
 
 from __future__ import annotations
@@ -92,7 +85,6 @@ __all__ = [
     "current_recorder",
     "recording",
     "read_events",
-    "read_events_partial",
     "iteration_series",
 ]
 
@@ -111,7 +103,6 @@ EVENT_KINDS = (
     "term_exception",
     "recovery",
     "checkpoint",
-    "resource",
     "run_end",
     "note",
 )
@@ -209,30 +200,27 @@ class MetricsRecorder:
         restarted trajectory will re-emit are removed so the stream stays
         a single, duplicate-free history.  Events without an iteration
         (``run_start`` of the original run, counters emitted outside the
-        loop) are kept.  Returns the number of dropped events.
+        loop) are kept.  A torn last record (the previous process killed
+        mid-write) is dropped as :func:`read_events` drops it.  Returns
+        the number of dropped events.
         """
         with self._lock:
             self._fh.flush()
             self._fh.close()
-            kept: List[str] = []
-            dropped = 0
             try:
-                with open(self.path) as handle:
-                    for line in handle:
-                        if not line.strip():
-                            continue
-                        record = json.loads(line)
-                        it = record.get("iteration")
-                        if it is not None and it >= iteration:
-                            dropped += 1
-                            continue
-                        kept.append(line if line.endswith("\n") else line + "\n")
+                events = read_events(self.path)
             except FileNotFoundError:
-                pass
+                events = []
+            kept = [
+                e for e in events
+                if e.get("iteration") is None or e["iteration"] < iteration
+            ]
             with open(self.path, "w") as handle:
-                handle.writelines(kept)
+                handle.writelines(
+                    json.dumps(e) + "\n" for e in kept
+                )
             self._fh = open(self.path, "a")
-        return dropped
+        return len(events) - len(kept)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -269,18 +257,14 @@ def recording(recorder: MetricsRecorder):
         _CURRENT = previous
 
 
-def read_events_partial(path: str) -> "tuple[List[Dict[str, Any]], int]":
-    """Parse a JSONL event stream, tolerating a torn trailing record.
+def read_events(path: str) -> List[Dict[str, Any]]:
+    """Parse a JSONL event stream back into a list of dicts.
 
-    A stream read *mid-write* (live ``tail``/``status`` against an
-    in-flight run) may end in a partial line: either the final line has
-    no terminating newline yet, or it has one but the JSON payload was
-    cut short by the OS scheduling the reader between two ``write``
-    syscalls.  Such a trailing fragment is skipped and counted instead
-    of raising.  A malformed line in the *middle* of the file is still
-    an error - that is corruption, not an in-flight write.
-
-    Returns ``(events, skipped)`` where ``skipped`` is 0 or 1.
+    A stream read while it is written, or left by a killed process, may
+    end in a torn record: the final line has no newline yet, or the OS
+    ran the reader between two ``write`` syscalls.  That last record is
+    dropped.  A malformed line in the *middle* of the file still raises
+    - that is corruption, not an in-flight write.
     """
     events: List[Dict[str, Any]] = []
     with open(path) as handle:
@@ -293,19 +277,8 @@ def read_events_partial(path: str) -> "tuple[List[Dict[str, Any]], int]":
             events.append(json.loads(stripped))
         except json.JSONDecodeError:
             if index == len(lines) - 1:
-                return events, 1
+                break
             raise
-    return events, 0
-
-
-def read_events(path: str) -> List[Dict[str, Any]]:
-    """Parse a JSONL event stream back into a list of dicts.
-
-    Tolerates (and silently drops) a torn trailing partial record so
-    reading an in-flight stream is safe; use :func:`read_events_partial`
-    to observe the skip count.
-    """
-    events, _skipped = read_events_partial(path)
     return events
 
 

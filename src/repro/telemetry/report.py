@@ -3,7 +3,8 @@
 ``python -m repro report <run_dir>`` loads the run's manifest
 and event stream and produces:
 
-- ``report.md`` - a markdown summary (manifest, final metrics, event
+- ``report.md`` - a markdown summary (manifest, final metrics - or,
+  for a run that never finalized, where it was last seen - event
   breakdown, guard/recovery activity, per-layer span table with
   self-time and share of wall), also printed to stdout;
 - ``curve_<metric>.svg`` - one dependency-free convergence plot per
@@ -19,6 +20,7 @@ from typing import Any, Dict, List, Optional
 from ..perf import format_stats
 from .events import iteration_series, read_events
 from .manifest import RunManifest, load_manifest
+from .session import run_state
 
 __all__ = ["render_report", "PLOTTED_METRICS"]
 
@@ -135,6 +137,9 @@ def render_report(
             lines.append(f"| {key} | {_fmt(manifest.final_metrics[key])} |")
     else:
         lines.append("(run not finalized)")
+        state = run_state(run_dir)
+        if state is not None:
+            lines.append(f"last seen {state.where()}")
     lines.append("")
 
     lines.append(f"## Events ({len(events)} total)")

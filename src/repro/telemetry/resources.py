@@ -15,9 +15,8 @@ On platforms without the :mod:`resource` module (Windows) every sampler
 degrades to a graceful no-op returning ``None`` - call sites already
 treat a missing sample as "nothing to report".
 
-Samples are plain dicts so they serialize straight into ``resource``
-telemetry events (the last one is the RSS ``python -m repro status``
-shows) and manifest rollups:
+Samples are plain dicts so they serialize straight into the run
+manifest's ``resources`` roll-up and a suite record's per-task one:
 
 ``rss_bytes``        current resident set size
 ``peak_rss_bytes``   lifetime peak resident set size
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 from typing import Any, Dict, Optional
 
 try:  # POSIX only; absent on Windows.
@@ -44,11 +42,7 @@ try:  # POSIX only; absent on Windows.
 except ImportError:  # pragma: no cover - exercised only off-POSIX
     _resource = None
 
-__all__ = [
-    "sample_resources",
-    "resource_delta",
-    "ResourceSampler",
-]
+__all__ = ["sample_resources", "resource_delta"]
 
 
 def _current_rss_bytes() -> Optional[int]:
@@ -101,31 +95,3 @@ def resource_delta(
         "major_faults": after["major_faults"] - before["major_faults"],
     }
 
-
-class ResourceSampler:
-    """Throttled sampler for hot loops.
-
-    :meth:`maybe_sample` returns a fresh sample at most once per
-    ``min_interval_s`` (monotonic), and *always* on the first call so
-    even a run shorter than the interval yields one sample.  Call sites
-    in the placer loop pay one ``time.monotonic()`` per iteration when
-    throttled.
-    """
-
-    def __init__(self, min_interval_s: float = 2.0) -> None:
-        self.min_interval_s = float(min_interval_s)
-        self._last_mono: Optional[float] = None
-
-    def maybe_sample(self) -> Optional[Dict[str, Any]]:
-        """A sample if the throttle window elapsed, else None."""
-        if (
-            self._last_mono is not None
-            and time.monotonic() - self._last_mono < self.min_interval_s
-        ):
-            return None
-        return self.sample()
-
-    def sample(self) -> Optional[Dict[str, Any]]:
-        """An unconditional sample (still None off-POSIX)."""
-        self._last_mono = time.monotonic()
-        return sample_resources()

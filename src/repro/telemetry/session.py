@@ -13,10 +13,9 @@ placement with :func:`repro.telemetry.events.recording`.  The session
 snapshots process resources so ``finalize`` can roll a CPU/RSS summary
 into the manifest.
 
-The directory is also the run's only live record: :func:`run_state`
-works out from the two files whether the run is still in flight, where
-it is (phase, iteration, rate, RSS) and whether its process is live,
-stale or dead - the answer behind ``python -m repro status`` and the
+The two files are also the only record of a run that never finalized:
+:func:`run_state` reads back where it was last seen (phase, iteration,
+time of the last event) for ``python -m repro report`` and the
 supervisor's quarantine message.
 """
 
@@ -24,10 +23,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from .events import MetricsRecorder, read_events_partial
+from .events import MetricsRecorder, read_events
 from .manifest import (
     MANIFEST_FILENAME,
     RunManifest,
@@ -37,17 +36,7 @@ from .manifest import (
 )
 from .resources import resource_delta, sample_resources
 
-__all__ = [
-    "DEFAULT_STALE_AFTER_S",
-    "RunSession",
-    "RunState",
-    "pid_alive",
-    "run_state",
-    "start_run",
-]
-
-#: Default seconds without an event before a live pid counts as stale.
-DEFAULT_STALE_AFTER_S = 15.0
+__all__ = ["RunSession", "RunState", "run_state", "start_run"]
 
 
 class RunSession:
@@ -132,61 +121,22 @@ def start_run(
     return RunSession(run_dir, manifest, recorder)
 
 
-def pid_alive(pid: int) -> bool:
-    """True if a process with ``pid`` exists (signal 0 delivers nothing)."""
-    try:
-        os.kill(pid, 0)
-    except PermissionError:  # pragma: no cover - pid exists, other user
-        return True
-    except OSError:  # the pid is gone (or the platform cannot tell)
-        return False
-    return pid > 0
-
-
 @dataclass
 class RunState:
-    """Where one run is, as its manifest and event stream tell it.
+    """Where a run was last seen, as its event stream tells it.
 
-    ``active`` is False once the manifest is finalized (a clean end or an
-    exception).  ``pid`` is the last ``run_start``'s, None before one;
-    the phase, the iteration and its rate and anchor count from that
-    ``run_start``.  ``ts``/``ts_mono`` stamp the last event (``started``,
-    when the manifest was written, if there is none); the resource
-    fields come from the last ``resource`` event.  ``extra`` is always
-    empty: it keeps ``status --json``'s key set.
+    ``phase`` and ``iteration`` count from the last ``run_start`` (a
+    resume appends one); ``ts`` is the wall-clock stamp of the last
+    event, or when the manifest was written if there is none.
     """
 
-    run_id: str
-    design: str
-    mode: str
-    active: bool
-    pid: Optional[int] = None
-    phase: str = "setup"
-    iteration: Optional[int] = None
-    iteration_rate: Optional[float] = None
-    started: float = 0.0
-    ts: float = 0.0
-    ts_mono: Optional[float] = None
-    anchor_iteration: Optional[int] = None
-    anchor_ts: Optional[float] = None
-    rss_bytes: Optional[int] = None
-    cpu_user_s: Optional[float] = None
-    cpu_sys_s: Optional[float] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
+    phase: str
+    iteration: Optional[int]
+    ts: float
 
-    def age_s(self, now: Optional[float] = None) -> float:
+    def age_s(self) -> float:
         """Seconds since the run's last event (wall clock)."""
-        return (time.time() if now is None else now) - self.ts
-
-    def state(
-        self,
-        stale_after_s: float = DEFAULT_STALE_AFTER_S,
-        now: Optional[float] = None,
-    ) -> str:
-        """``live`` / ``stale`` / ``dead``; by age alone before a pid."""
-        if self.pid is not None and not pid_alive(self.pid):
-            return "dead"
-        return "stale" if self.age_s(now) > stale_after_s else "live"
+        return time.time() - self.ts
 
     def where(self) -> str:
         """``"at iteration 412 in place"``, or ``"in setup"``."""
@@ -196,58 +146,30 @@ class RunState:
 
 
 def run_state(run_dir: str) -> Optional[RunState]:
-    """The state of the run in ``run_dir``; None if it holds no manifest.
+    """Where the run in ``run_dir`` was last seen; None without a manifest.
 
-    One pass over ``events.jsonl``: each ``run_start`` (a resume appends
-    one) restarts the phase, iteration and rate bookkeeping and names
-    the process; a torn trailing record (the writer caught mid-write) is
-    skipped.
+    Phases: ``setup`` until the first iteration after the last
+    ``run_start``, ``place`` after it, ``sta`` once ``run_end`` is
+    written.  A torn trailing record (the writer caught mid-write) is
+    dropped by :func:`read_events`.
     """
     try:
         manifest = load_manifest(run_dir)
         started = os.path.getmtime(os.path.join(run_dir, MANIFEST_FILENAME))
     except (OSError, ValueError, TypeError):
         return None
-    state = RunState(
-        run_id=manifest.run_id,
-        design=manifest.design,
-        mode=manifest.mode,
-        active=manifest.wall_clock_s is None,
-        started=started,
-        ts=started,
-    )
+    state = RunState(phase="setup", iteration=None, ts=started)
     try:
-        events, _ = read_events_partial(
-            os.path.join(run_dir, manifest.events_file)
-        )
+        events = read_events(os.path.join(run_dir, manifest.events_file))
     except FileNotFoundError:  # the manifest is written first
         events = []
-    anchor_mono = None
     for event in events:
         state.ts = event.get("ts", state.ts)
-        # v1 streams carry no monotonic stamp: rates fall back to ``ts``.
-        state.ts_mono = event.get("ts_mono")
-        stamp = event.get("ts_mono", state.ts)
         kind = event.get("kind")
         if kind == "run_start":
-            state.pid = event.get("pid")
-            state.phase = "setup"
-            state.iteration = state.iteration_rate = None
-            state.anchor_iteration = state.anchor_ts = anchor_mono = None
+            state.phase, state.iteration = "setup", None
         elif kind == "iteration":
-            state.phase = "place"
-            state.iteration = event["iteration"]
-            if anchor_mono is None:
-                anchor_mono = stamp
-                state.anchor_iteration = state.iteration
-                state.anchor_ts = state.ts
-            steps = state.iteration - state.anchor_iteration
-            dt = stamp - anchor_mono
-            state.iteration_rate = steps / dt if steps > 0 and dt > 0 else None
-        elif kind == "resource":
-            state.rss_bytes = event.get("rss_bytes")
-            state.cpu_user_s = event.get("cpu_user_s")
-            state.cpu_sys_s = event.get("cpu_sys_s")
+            state.phase, state.iteration = "place", event["iteration"]
         elif kind == "run_end":
             state.phase = "sta"
     return state
